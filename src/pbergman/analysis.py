@@ -38,7 +38,7 @@ from .solver import (
     minimize_pnorm,
     multistart_minimize,
     point_constraint,
-    _vandermonde,
+    _SeparableBasis,
 )
 
 __all__ = [
@@ -361,8 +361,8 @@ def _pairwise_spread(problem: ExtremalProblem, solutions: list[Solution]) -> flo
     near = [s for s in solutions if s.objective <= best * (1.0 + 1e-4)]
     if len(near) < 2:
         return 0.0
-    V = _vandermonde(problem.grid, problem.basis)
-    values = [V @ s.coeffs.coefficients for s in near]
+    basis = _SeparableBasis(problem.grid, problem.basis, problem.p)
+    values = [basis.values(s.coeffs.coefficients * basis.col_norms) for s in near]
     w, p = problem.grid.weights, problem.p
     spread = 0.0
     for i in range(len(values)):
@@ -434,8 +434,10 @@ def limit_sweep(
 ) -> LimitRecord:
     """Tabulate (p, K_p, d_p lower bound) over an ascending p list in (0, 1].
 
-    Failures are reported per row in ``statuses`` (value ``ok`` otherwise);
-    partial tables keep NaN in the failed entries.
+    Expected numerical failures (``ValueError``, ``RuntimeError``,
+    ``LinAlgError``) are reported per row in ``statuses`` (value ``ok``
+    otherwise) and keep NaN in the failed entries; any other exception
+    propagates.
     """
     ps = tuple(float(p) for p in p_list)
     if not ps:
@@ -452,7 +454,7 @@ def limit_sweep(
         try:
             d_p, k_p = _sweep_entry(domain, p, z, config, degree, n_min, grid, margin)
             return d_p, k_p, "ok"
-        except Exception as exc:  # per-row status, partial tables permitted
+        except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
             return math.nan, math.nan, f"error: {exc}"
 
     if jobs > 1:

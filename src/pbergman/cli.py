@@ -196,7 +196,7 @@ def _cmd_kernel(args) -> int:
         conf,
         out,
     )
-    return EXIT_OK
+    return EXIT_OK if all(r["converged"] for r in rows) else EXIT_DEGRADED
 
 
 def _cmd_metric(args) -> int:
@@ -377,7 +377,6 @@ def _cmd_lacunary(args) -> int:
         "command": "lacunary",
         "file": str(args.file),
         "p": p,
-        "seed": args.seed,
         "circle_radius": args.r,
     }
     record = lacunary.integrability_record(series, p)
@@ -436,7 +435,6 @@ def build_parser() -> _Parser:
     p_lac.add_argument("--file", required=True)
     p_lac.add_argument("--p", required=True)
     p_lac.add_argument("--r", type=float, default=None, help="also report the circle norm ratio at radius r")
-    p_lac.add_argument("--seed", type=int, default=0)
     p_lac.add_argument("--out", default=None)
     p_lac.set_defaults(func=_cmd_lacunary)
 

@@ -267,7 +267,11 @@ def kernel_metric_sweep(
     grid: QuadratureGrid | None = None,
     cache: dict | None = None,
 ) -> list[dict]:
-    """K_p and B_p over the (p, z) product, one row per combination."""
+    """K_p and B_p over the (p, z) product, one row per combination.
+
+    ``converged`` in a row is true only when both the K_p and the B_p solve
+    converged.
+    """
     grid = grid or default_grid(domain)
     cache = {} if cache is None else cache
     rows = []
@@ -288,6 +292,7 @@ def kernel_metric_sweep(
                     "im_z": complex(z).imag,
                     "K_p": kr.k_p,
                     "B_p": mr.b_p,
+                    "converged": kr.minimizer.converged and mr.extremal.converged,
                 }
             )
     return rows

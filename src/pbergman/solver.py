@@ -11,6 +11,15 @@ sequence is non-increasing.
 Basis columns are pre-scaled to unit p-norm on the grid for conditioning;
 reported coefficients are always in the raw monomial basis.
 
+The grid is a tensor product of radii and a uniform angle rule, and column n
+is r^n e^{i n theta}, so the basis is separable.  Over the K equispaced
+angles, sum_k x_k e^{i m theta_k} is an exact DFT of length K.  The solver
+therefore never forms the nodes x D matrix: grid values are one inverse FFT
+per radius, column norms a sum over radii alone, and the reweighted Gram
+G_jl = sum_i r_i^(n_j + n_l) W_i(n_l - n_j) / (c_j c_l), with W_i the
+angular DFT of the weights on circle i, costs one FFT of the weights plus
+O(n_r D^2) work.
+
 A single descent is sequential.  Restarts and independent problems may run in
 parallel; problems, configs, and solutions are immutable.
 """
@@ -167,25 +176,72 @@ class Solution:
     objective_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
-def _vandermonde(grid: QuadratureGrid, basis: BasisSpec) -> np.ndarray:
-    V = np.empty((grid.nodes.size, basis.dimension), dtype=complex)
-    for j, n in enumerate(basis.exponents):
-        V[:, j] = grid.nodes**n
-    return V
+class _SeparableBasis:
+    """The basis, scaled to unit p-norm columns, as an operator on a polar grid.
+
+    Column n of V at node (i, k) is r_i^n e^{i n theta_k} / c_n.  On the
+    uniform angle grid every angular sum is an exact DFT, so grid values
+    take one FFT per radius, the adjoint one more, and a weighted Gram one
+    FFT of the weights plus O(n_r D^2) work; V itself is never formed.
+    Exponents equal modulo the angular count share a DFT bin, where the grid
+    cannot tell them apart.  ``values`` and ``adjoint`` act on scaled
+    coefficients (raw coefficients times ``col_norms``).
+    """
+
+    def __init__(self, grid: QuadratureGrid, basis: BasisSpec, p: float):
+        n = np.array(basis.exponents)
+        radii = grid.radii
+        K = grid.angular_count
+        self.shape = (grid.radial_count, K)
+        # |z^n|^p is constant on each circle, so the angular sum is exact
+        powers = radii[:, None] ** n[None, :]
+        self.col_norms = (
+            2.0 * math.pi * (grid.radial_weights @ powers**p)
+        ) ** (1.0 / p)
+        self.radial = powers / self.col_norms
+        self.bins = n % K
+        # A Gram entry depends on n_j + n_l through a radial power and on
+        # n_l - n_j through an angular frequency.  Powers are taken of radii
+        # relative to the largest, which keeps them in floating-point range.
+        span = int(n[-1] - n[0])
+        offsets = np.arange(2 * span + 1)
+        r_top = radii.max()
+        self._sum_powers = (radii[None, :] / r_top) ** (2 * n[0] + offsets[:, None])
+        self._lag_bins = (offsets - span) % K
+        self._sum_index = n[:, None] + n[None, :] - 2 * n[0]
+        self._lag_index = n[None, :] - n[:, None] + span
+        self._top_scale = r_top**n / self.col_norms
+
+    def values(self, a: np.ndarray) -> np.ndarray:
+        """Flat grid values of sum_j a_j z^{n_j} / c_j."""
+        F = np.zeros(self.shape, dtype=complex)
+        np.add.at(F, (slice(None), self.bins), self.radial * a)
+        return (self.shape[1] * np.fft.ifft(F, axis=1)).ravel()
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """V^H y for flat grid values y."""
+        Y = np.fft.fft(y.reshape(self.shape), axis=1)
+        return np.einsum("ij,ij->j", self.radial, Y[:, self.bins])
+
+    def gram(self, omega: np.ndarray) -> np.ndarray:
+        """V^H diag(omega) V for real node weights omega."""
+        # W[i, m] = sum_k omega_ik e^{i m theta_k}
+        W = self.shape[1] * np.fft.ifft(omega.reshape(self.shape), axis=1)
+        # H[s, m] = sum_i (r_i / r_top)^(2 n_0 + s) W[i, m - span]
+        H = self._sum_powers @ W[:, self._lag_bins]
+        G = H[self._sum_index, self._lag_index]
+        return G * self._top_scale[:, None] * self._top_scale[None, :]
 
 
 class _Workspace:
-    """Per-problem precomputation: scaled Vandermonde and constraint elimination."""
+    """Per-problem precomputation: separable basis and constraint elimination."""
 
     def __init__(self, problem: ExtremalProblem):
         self.problem = problem
         self.w = problem.grid.weights
         self.p = problem.p
-
-        V = _vandermonde(problem.grid, problem.basis)
-        # unit p-norm per column on this grid
-        self.col_norms = (self.w @ np.abs(V) ** self.p) ** (1.0 / self.p)
-        self.V = V / self.col_norms[None, :]
+        self.basis = _SeparableBasis(problem.grid, problem.basis, problem.p)
+        self.col_norms = self.basis.col_norms
 
         C_raw = problem.constraint_matrix
         b = problem.constraint_targets
@@ -204,8 +260,6 @@ class _Workspace:
             raise InfeasibleConstraintsError("constraint rows are linearly dependent")
         self.a0 = a0
         self.N = N
-        self.M = self.V @ N
-        self.u0 = self.V @ a0
 
     def raw_from_t(self, t: np.ndarray) -> np.ndarray:
         return (self.a0 + self.N @ t) / self.col_norms
@@ -214,7 +268,17 @@ class _Workspace:
         return self.N.conj().T @ (a_raw * self.col_norms - self.a0)
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        return self.u0 + self.M @ t
+        return self.basis.values(self.a0 + self.N @ t)
+
+    def reduced_system(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A = N^H G N and rhs = -N^H G a0 for the Gram G of weights omega.
+
+        A t - rhs is M^H diag(omega) u(t), with M = V N the map from t to
+        the grid values u(t) = V (a0 + N t).
+        """
+        G = self.basis.gram(omega)
+        Nh = self.N.conj().T
+        return Nh @ G @ self.N, -(Nh @ (G @ self.a0))
 
 
 def _phi_smoothed(u: np.ndarray, w: np.ndarray, p: float, eps: float) -> float:
@@ -235,7 +299,7 @@ def _weighted_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 def _irls_stage(ws: _Workspace, t, u, eps, config):
     """One smoothing stage.  Returns (t, u, iterations, stagnated, history)."""
-    w, p, M = ws.w, ws.p, ws.M
+    w, p = ws.w, ws.p
     phi = _phi_smoothed(u, w, p, eps)
     history = []
     stagnated = False
@@ -246,17 +310,15 @@ def _irls_stage(ws: _Workspace, t, u, eps, config):
     for _ in range(config.max_iterations):
         rho = (np.abs(u) ** 2 + eps) ** (0.5 * p - 1.0)
         omega = w * (0.5 * p) * rho
-        Mh = M.conj().T
-        A = (Mh * omega) @ M
-        rhs = -(Mh @ (omega * ws.u0))
+        A, rhs = ws.reduced_system(omega)
         t_new = _weighted_solve(A, rhs)
         delta = t_new - t
-        grad_t = Mh @ (omega * u)
+        grad_t = A @ t - rhs
         descent = 2.0 * float(np.real(np.vdot(grad_t, delta)))
         if descent >= 0.0:
             stagnated = True  # at a stationary point up to rounding
             break
-        du = M @ delta
+        du = ws.basis.values(ws.N @ delta)
         alpha = alpha0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
@@ -303,8 +365,7 @@ def minimize_pnorm(
     if start is not None:
         t = ws.t_from_raw(np.asarray(start, dtype=complex))
     else:
-        Mh = ws.M.conj().T
-        t = _weighted_solve((Mh * w) @ ws.M, -(Mh @ (w * ws.u0)))
+        t = _weighted_solve(*ws.reduced_system(w))
     u = ws.values(t)
 
     history = [_phi_smoothed(u, w, p, schedule[0])]
@@ -331,9 +392,8 @@ def minimize_pnorm(
     )
     eps_last = schedule[-1]
     rho = (np.abs(u) ** 2 + eps_last) ** (0.5 * p - 1.0)
-    stationarity = float(
-        np.linalg.norm(2.0 * (ws.M.conj().T @ (w * (0.5 * p) * rho * u)))
-    )
+    A, rhs = ws.reduced_system(w * (0.5 * p) * rho)
+    stationarity = float(np.linalg.norm(2.0 * (A @ t - rhs)))
     hist = np.array(history)
     hist.setflags(write=False)
     return Solution(
@@ -403,12 +463,12 @@ def kkt_residual(problem: ExtremalProblem, solution: Solution) -> float:
     """
     if problem.p <= 1:
         raise ValueError("kkt_residual requires p > 1")
-    V = _vandermonde(problem.grid, problem.basis)
-    u = V @ solution.coeffs.coefficients
+    basis = _SeparableBasis(problem.grid, problem.basis, problem.p)
+    u = basis.values(solution.coeffs.coefficients * basis.col_norms)
     absu = np.abs(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(absu > 0, absu ** (problem.p - 2.0), 0.0) * u
-    grad = V.conj().T @ (problem.grid.weights * problem.p * c)
+    grad = basis.col_norms * basis.adjoint(problem.grid.weights * problem.p * c)
     N = scipy.linalg.null_space(problem.constraint_matrix)
     return float(np.linalg.norm(N.conj().T @ grad))
 
@@ -424,13 +484,12 @@ def smoothed_objective(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    V = _vandermonde(problem.grid, problem.basis)
-    a = np.asarray(coefficients, dtype=complex)
-    u = V @ a
+    basis = _SeparableBasis(problem.grid, problem.basis, problem.p)
+    u = basis.values(np.asarray(coefficients, dtype=complex) * basis.col_norms)
     w, p = problem.grid.weights, problem.p
     value = _phi_smoothed(u, w, p, eps)
     rho = (np.abs(u) ** 2 + eps) ** (0.5 * p - 1.0)
-    grad = V.conj().T @ (w * p * rho * u)
+    grad = basis.col_norms * basis.adjoint(w * p * rho * u)
     return value, grad
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pbergman as pb
+from pbergman import analysis
 from pbergman.analysis import (
     DegenerateFitError,
     dp_estimate,
@@ -191,6 +192,32 @@ def test_limit_sweep_validates_input(unit_disk, disk_grid):
         limit_sweep(unit_disk, 0.0, [0.9, 0.8], grid=disk_grid)
     with pytest.raises(ValueError):
         limit_sweep(unit_disk, 0.0, [1.5], grid=disk_grid)
+
+
+def test_limit_sweep_row_for_margin_violation(unit_disk, disk_grid):
+    record = limit_sweep(unit_disk, 0.99, [0.9], SolverConfig(restarts=2), grid=disk_grid)
+    assert record.statuses[0].startswith("error:") and "margin" in record.statuses[0]
+    assert math.isnan(record.k_p_values[0]) and math.isnan(record.d_p_estimates[0])
+
+
+@pytest.mark.parametrize("error", [RuntimeError, np.linalg.LinAlgError])
+def test_limit_sweep_rows_for_numerical_failures(monkeypatch, unit_disk, disk_grid, error):
+    def fail(*args):
+        raise error("no descent")
+
+    monkeypatch.setattr(analysis, "_sweep_entry", fail)
+    record = limit_sweep(unit_disk, 0.0, [0.9], grid=disk_grid)
+    assert record.statuses == ("error: no descent",)
+
+
+@pytest.mark.parametrize("error", [IndexError, TypeError])
+def test_limit_sweep_propagates_defects(monkeypatch, unit_disk, disk_grid, error):
+    def fail(*args):
+        raise error("defect")
+
+    monkeypatch.setattr(analysis, "_sweep_entry", fail)
+    with pytest.raises(error):
+        limit_sweep(unit_disk, 0.0, [0.9], grid=disk_grid)
 
 
 def test_csv_writers(tmp_path, unit_disk, disk_grid, kernel_cache):

@@ -174,6 +174,18 @@ def test_output_dir_env(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "rel.csv").exists()
 
 
+def test_kernel_sweep_non_convergence_exits_two(capsys, monkeypatch):
+    monkeypatch.setattr(
+        "pbergman.cli._solver_config", lambda args: pb.SolverConfig(max_iterations=1)
+    )
+    code, out, _ = _run(
+        capsys,
+        ["kernel", "--domain", "disk:1", "--p", "1", "--z", "0.3,0.4", "--degree", "6"],
+    )
+    assert code == 2
+    assert "p,re_z,im_z,K_p,B_p" in out.splitlines()
+
+
 def test_floats_printed_with_17_digits(capsys):
     code, out, _ = _run(
         capsys, ["kernel", "--domain", "disk:1", "--p", "2", "--z", "0", "--degree", "6"]

@@ -20,9 +20,12 @@ def test_center_kernel_is_reciprocal_area(unit_disk, disk_grid, kernel_cache, p)
 
 
 def test_p2_kernel_matches_disk_oracle(unit_disk, disk_grid, kernel_cache):
-    result = mp_minimizer(unit_disk, 2.0, 0.5, grid=disk_grid, cache=kernel_cache)
+    # on the disk K_p = 1/(pi (1 - |z|^2)^2) for every p >= 1, not just p = 2
     exact = disk_kernel(0.5, 0.5).real
-    assert abs(result.k_p - exact) <= 1e-5 * exact
+    for p in (1.0, 1.5, 2.0, 4.0):
+        result = mp_minimizer(unit_disk, p, 0.5, grid=disk_grid, cache=kernel_cache)
+        assert result.minimizer.converged
+        assert abs(result.k_p - exact) <= 1e-8 * exact, p
 
 
 def test_p2_minimizer_matches_disk_oracle_pointwise(unit_disk, disk_grid, kernel_cache):
@@ -164,8 +167,17 @@ def test_sweep_rows_and_csv(tmp_path, unit_disk, disk_grid):
         unit_disk, [2.0], [0.0, 0.3], grid=disk_grid, degree=8
     )
     assert [r["re_z"] for r in rows] == [0.0, 0.3]
+    assert all(r["converged"] for r in rows)
     path = tmp_path / "sweep.csv"
     pb.write_sweep_csv(path, rows)
     lines = path.read_text().splitlines()
     assert lines[0] == "p,re_z,im_z,K_p,B_p"
     assert len(lines) == 3
+
+
+def test_sweep_rows_report_non_convergence(unit_disk, disk_grid):
+    rows = pb.kernel_metric_sweep(
+        unit_disk, [1.0], [0.3], pb.SolverConfig(max_iterations=1),
+        grid=disk_grid, degree=8,
+    )
+    assert [r["converged"] for r in rows] == [False]

@@ -16,14 +16,48 @@ from pbergman.solver import (
     multistart_minimize,
     point_constraint,
     smoothed_objective,
+    _SeparableBasis,
 )
 
-from oracles import least_norm_coeffs
+from oracles import least_norm_coeffs, vandermonde
 
 
 def _problem(domain, grid, p, degree, constraints_builder):
     basis = pb.default_basis(domain, p, degree)
     return ExtremalProblem(basis, grid, p, constraints_builder(basis))
+
+
+@pytest.mark.parametrize(
+    "spec,shape,n_min",
+    [
+        ("disk:1", (128, 256), 0),
+        ("annulus:0.5,1", (128, 256), -24),
+        ("punctured:1", (128, 256), -1),
+        ("disk:1", (12, 16), 0),  # degree 24: exponents collide modulo 16
+    ],
+    ids=["disk", "annulus", "punctured", "collisions"],
+)
+def test_separable_basis_matches_dense_vandermonde(spec, shape, n_min):
+    p = 1.5
+    domain = pb.parse_domain(spec)
+    grid = pb.build_grid(domain, *shape)
+    basis = BasisSpec(tuple(range(n_min, 25)), domain, p)
+    sep = _SeparableBasis(grid, basis, p)
+    V = vandermonde(grid, basis.exponents)
+    col_norms = (grid.weights @ np.abs(V) ** p) ** (1.0 / p)
+    Vs = V / col_norms
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
+    y = rng.standard_normal(grid.nodes.size) + 1j * rng.standard_normal(grid.nodes.size)
+    omega = grid.weights * rng.uniform(0.1, 2.0, grid.nodes.size)
+    assert rel(sep.col_norms, col_norms) <= 1e-13
+    assert rel(sep.values(a), Vs @ a) <= 1e-13
+    assert rel(sep.adjoint(y), Vs.conj().T @ y) <= 1e-13
+    assert rel(sep.gram(omega), Vs.conj().T @ (Vs * omega[:, None])) <= 1e-13
 
 
 def test_p2_center_constant_minimizer(unit_disk, disk_grid):
