@@ -238,6 +238,7 @@ def _cmd_levi(args) -> int:
         )
         for p in ps
     ]
+    code = EXIT_OK if all(r.converged for r in records) else EXIT_DEGRADED
     out = _resolve_out(args.out)
     if out is not None and out.suffix == ".csv":
         _emit_csv(
@@ -256,7 +257,7 @@ def _cmd_levi(args) -> int:
             conf,
             out,
         )
-        return EXIT_OK
+        return code
     document = {
         "config": conf,
         "timestamp": _timestamp(),
@@ -268,12 +269,13 @@ def _cmd_levi(args) -> int:
                 "bp2": r.b_p_squared,
                 "gap": r.gap,
                 "fd_step": r.fd_step,
+                "converged": r.converged,
             }
             for r in records
         ],
     }
     _emit_json(document, out)
-    return EXIT_OK
+    return code
 
 
 def _default_radii() -> list[float]:
@@ -302,6 +304,7 @@ def _cmd_holder(args) -> int:
             domain, p, w, radii, args.directions, config,
             degree=args.degree, grid=grid, margin=args.margin,
         )
+    code = EXIT_OK if fit.converged else EXIT_DEGRADED
     out = _resolve_out(args.out)
     if out is not None and out.suffix == ".csv":
         fitted = [math.exp(fit.intercept) * r**fit.slope for r in fit.radii]
@@ -314,7 +317,7 @@ def _cmd_holder(args) -> int:
             conf,
             out,
         )
-        return EXIT_OK
+        return code
     document = {
         "config": conf,
         "timestamp": _timestamp(),
@@ -323,9 +326,10 @@ def _cmd_holder(args) -> int:
         "r_squared": fit.r_squared,
         "radii": list(fit.radii),
         "deltas": list(fit.deltas),
+        "converged": fit.converged,
     }
     _emit_json(document, out)
-    return EXIT_OK
+    return code
 
 
 def _cmd_limit(args) -> int:
@@ -334,11 +338,10 @@ def _cmd_limit(args) -> int:
     config = _solver_config(args)
     ps = _parse_list(args.p_list, float)
     z = _parse_complex(args.z)
-    conf = _base_config(args, "limit") | {"p_list": ps, "z": z, "jobs": args.jobs}
+    conf = _base_config(args, "limit") | {"p_list": ps, "z": z}
     record = analysis.limit_sweep(
         domain, z, ps, config,
-        degree=args.degree, n_min=args.nmin, grid=grid,
-        margin=args.margin, jobs=args.jobs,
+        degree=args.degree, n_min=args.nmin, grid=grid, margin=args.margin,
     )
     out = _resolve_out(args.out)
     degraded = any(s != "ok" for s in record.statuses)
@@ -428,7 +431,6 @@ def build_parser() -> _Parser:
     _common_arguments(p_limit, restarts=16)
     p_limit.add_argument("--p-list", required=True, dest="p_list")
     p_limit.add_argument("--z", default="0")
-    p_limit.add_argument("--jobs", type=int, default=1)
     p_limit.set_defaults(func=_cmd_limit, degree=8)
 
     p_lac = sub.add_parser("lacunary", help="integrability criterion for a series file")

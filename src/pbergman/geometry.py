@@ -2,13 +2,16 @@
 
 Grids use Gauss-Legendre nodes in the radius (with the polar Jacobian folded
 into the weights) and a uniform trapezoid rule in the angle, which is
-spectrally accurate for periodic integrands.  Grids are immutable after
-construction and safe to share; integration over a grid is a pure reduction
-over nodes.
+spectrally accurate for periodic integrands.  A grid stores only its tensor
+factors (radii, radial weights, angles); the flat ``nodes`` and ``weights``
+arrays are built on first access, so code that works circle by circle never
+pays for them.  Grids are immutable after construction and safe to share;
+integration over a grid is a pure reduction over nodes.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -76,25 +79,46 @@ class Domain:
 class QuadratureGrid:
     """Tensor-product quadrature rule for area integrals on a Domain.
 
-    ``nodes`` and ``weights`` are flat arrays in radial-major order:
-    node index ``i * angular_count + j`` sits at ``radii[i] * exp(1j*thetas[j])``.
-    ``radial_weights`` already contain the Gauss-Legendre weight, the interval
-    Jacobian, and the polar factor r; the angular weight is uniform, 2*pi/M.
-    All arrays are read-only.
+    The rule is the product of ``radii`` with ``radial_weights`` and the
+    uniform angles ``thetas``.  ``radial_weights`` already contain the
+    Gauss-Legendre weight, the interval Jacobian, and the polar factor r; the
+    angular weight is uniform, 2*pi/M.  ``nodes`` and ``weights`` are the flat
+    radial-major arrays of the product rule: node index ``i * angular_count + j``
+    sits at ``radii[i] * exp(1j*thetas[j])``.  They are built on first access
+    and then kept.  All arrays are read-only.
     """
 
     domain: Domain
-    nodes: np.ndarray
-    weights: np.ndarray
     radial_count: int
     angular_count: int
     radii: np.ndarray
     radial_weights: np.ndarray
     thetas: np.ndarray
 
+    @functools.cached_property
+    def nodes(self) -> np.ndarray:
+        return _read_only((self.radii[:, None] * np.exp(1j * self.thetas)[None, :]).ravel())
+
+    @functools.cached_property
+    def weights(self) -> np.ndarray:
+        angular_weight = 2.0 * math.pi / self.angular_count
+        return _read_only(np.repeat(self.radial_weights * angular_weight, self.angular_count))
+
     def key(self) -> tuple:
         """Structural identity, usable as a cache key."""
         return (self.domain, self.radial_count, self.angular_count)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
+@functools.cache
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    # shared between grids, hence read-only
+    x, w = np.polynomial.legendre.leggauss(count)
+    return _read_only(x), _read_only(w)
 
 
 def build_grid(domain: Domain, radial_count: int, angular_count: int) -> QuadratureGrid:
@@ -108,28 +132,19 @@ def build_grid(domain: Domain, radial_count: int, angular_count: int) -> Quadrat
     if angular_count < 4:
         raise ValueError(f"angular_count must be >= 4, got {angular_count}")
 
-    x, glw = np.polynomial.legendre.leggauss(radial_count)
+    x, glw = _gauss_legendre(radial_count)
     a, b = domain.inner_radius, domain.outer_radius
     radii = 0.5 * (b - a) * x + 0.5 * (a + b)
     radial_weights = glw * (0.5 * (b - a)) * radii  # polar Jacobian folded in
-
     thetas = 2.0 * math.pi * np.arange(angular_count) / angular_count
-    angular_weight = 2.0 * math.pi / angular_count
 
-    nodes = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
-    weights = np.repeat(radial_weights * angular_weight, angular_count)
-
-    for arr in (nodes, weights, radii, radial_weights, thetas):
-        arr.setflags(write=False)
     return QuadratureGrid(
         domain=domain,
-        nodes=nodes,
-        weights=weights,
         radial_count=radial_count,
         angular_count=angular_count,
-        radii=radii,
-        radial_weights=radial_weights,
-        thetas=thetas,
+        radii=_read_only(radii),
+        radial_weights=_read_only(radial_weights),
+        thetas=_read_only(thetas),
     )
 
 
@@ -138,11 +153,10 @@ def lp_norm(grid: QuadratureGrid, values, p: float) -> float:
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     v = np.asarray(values)
-    if v.shape != grid.nodes.shape:
-        raise ValueError(
-            f"values length {v.shape} does not match grid size {grid.nodes.shape}"
-        )
-    return float(np.dot(grid.weights, np.abs(v) ** p) ** (1.0 / p))
+    w = grid.weights
+    if v.shape != w.shape:
+        raise ValueError(f"values length {v.shape} does not match grid size {w.shape}")
+    return float(np.dot(w, np.abs(v) ** p) ** (1.0 / p))
 
 
 def parse_domain(text: str) -> Domain:

@@ -7,8 +7,14 @@ against the direct area integral exactly 1 (Parseval), which is the sharp
 test of the machinery; any other normalization is absorbed by the comparison
 constant anyway.
 
-All operations are pure.  Monte Carlo sweeps over coefficients parallelize
-with per-draw seeds derived from a root seed.
+Every value of a series on circles comes from one evaluator: a table
+e^(i lambda_j theta_k) built once, multiplied by the radial amplitudes
+a_j r_i^lambda_j of a block of radii at a time.  The direct area integral
+reduces each block to per-circle sums of |f|^p, so it never holds more than
+one block of values and never uses the flat ``nodes`` and ``weights`` arrays
+of its grid; the circle norm ratio is the one-circle case.
+
+All operations are pure.
 """
 
 from __future__ import annotations
@@ -44,6 +50,11 @@ __all__ = [
 # Beyond this exponent the circle quadrature cost is prohibitive; the radial
 # criterion alone is offered.
 LAMBDA_MAX_CAP = 2**20
+
+# Values evaluated per block of circles (2 MB of complex values).  Of the
+# powers of two from 2^14 to 2^20, this one timed fastest for the default
+# 256 x 32768 grid at lambda_max = 4096 on a 2-vCPU VM with one BLAS thread.
+_BLOCK_NODES = 2**17
 
 
 class NotLacunaryError(ValueError):
@@ -210,22 +221,49 @@ def _require_unit_disk(grid: QuadratureGrid) -> None:
         raise ValueError(f"series integrals need the unit disk, got {dom}")
 
 
+def _circle_values(series: LacunarySeries, radii, thetas):
+    """Yield f(r e^(i theta)) for a block of radii at a time.
+
+    Each block is a (radii in block) x len(thetas) array of about
+    ``_BLOCK_NODES`` values, rows in the order of ``radii``.
+    """
+    lams = np.array(series.exponents, dtype=float)
+    table = np.exp(1j * np.outer(lams, thetas))
+    log_r = np.log(radii)
+    step = max(1, _BLOCK_NODES // len(thetas))
+    for start in range(0, len(log_r), step):
+        amps = np.exp(log_r[start : start + step, None] * lams[None, :])  # r^lambda
+        yield (amps * series.coefficients[None, :]) @ table
+
+
+def _abs_squared(values: np.ndarray) -> np.ndarray:
+    return values.real**2 + values.imag**2
+
+
 def series_grid_values(series: LacunarySeries, grid: QuadratureGrid) -> np.ndarray:
     """f at the grid nodes (flat, radial-major), via the tensor structure."""
     _require_unit_disk(grid)
-    lams = np.array(series.exponents, dtype=float)
-    radial = np.exp(np.log(grid.radii)[:, None] * lams[None, :])  # r^lambda
-    angular = np.exp(1j * np.outer(lams, grid.thetas))
-    return ((radial * series.coefficients[None, :]) @ angular).ravel()
+    return np.concatenate(list(_circle_values(series, grid.radii, grid.thetas))).ravel()
 
 
 def direct_lp(series: LacunarySeries, p: float, grid: QuadratureGrid | None = None) -> float:
-    """Area integral of |f|^p over the unit disk on the given grid."""
+    """Area integral of |f|^p over the unit disk on the given grid.
+
+    The trapezoid sum runs circle by circle, so the radial weights apply to
+    per-circle sums and the flat grid arrays are never built.
+    """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     grid = grid or default_series_grid(series)
-    values = series_grid_values(series, grid)
-    return float(grid.weights @ np.abs(values) ** p)
+    _require_unit_disk(grid)
+    # |f|^p as (|f|^2)^(p/2): NumPy's power skips pow at p/2 in {0.5, 1, 2}
+    per_circle = np.concatenate(
+        [
+            (_abs_squared(block) ** (0.5 * p)).sum(axis=1)
+            for block in _circle_values(series, grid.radii, grid.thetas)
+        ]
+    )
+    return float(grid.radial_weights @ per_circle * (2.0 * math.pi / grid.angular_count))
 
 
 def equivalence_ratio(
@@ -275,13 +313,11 @@ def circle_norm_ratio(
         raise UndersampledQuadratureError(
             f"{nodes} circle nodes undersample lambda_max {lam}; need >= {floor}"
         )
-    lams = np.array(series.exponents, dtype=float)
-    amps = series.coefficients * np.exp(lams * math.log(r))  # a_k r^lambda_k
-    t = np.arange(nodes) / nodes
-    values = amps @ np.exp(2j * math.pi * np.outer(lams, t))
-    abs_vals = np.abs(values)
-    lp = float(np.mean(abs_vals**p) ** (1.0 / p))
-    l2 = float(np.sqrt(np.mean(abs_vals**2)))
+    thetas = 2.0 * math.pi * np.arange(nodes) / nodes
+    (values,) = _circle_values(series, np.array([r]), thetas)
+    squared = _abs_squared(values)
+    lp = float(np.mean(squared ** (0.5 * p)) ** (1.0 / p))
+    l2 = float(np.sqrt(np.mean(squared)))
     return lp / l2
 
 

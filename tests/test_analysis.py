@@ -179,12 +179,11 @@ def test_limit_sweep_at_p1_collapses(unit_disk, disk_grid):
     assert record.d_p_estimates == (0.0,)
 
 
-def test_limit_sweep_parallel_matches_serial(unit_disk, disk_grid):
+def test_limit_sweep_repeats_exactly(unit_disk, disk_grid):
     cfg = SolverConfig(restarts=2)
-    serial = limit_sweep(unit_disk, 0.0, [0.9, 0.95], cfg, grid=disk_grid, jobs=1)
-    parallel = limit_sweep(unit_disk, 0.0, [0.9, 0.95], cfg, grid=disk_grid, jobs=2)
-    assert serial.k_p_values == parallel.k_p_values
-    assert serial.d_p_estimates == parallel.d_p_estimates
+    first = limit_sweep(unit_disk, 0.0, [0.9, 0.95], cfg, grid=disk_grid)
+    second = limit_sweep(unit_disk, 0.0, [0.9, 0.95], cfg, grid=disk_grid)
+    assert first == second
 
 
 def test_limit_sweep_validates_input(unit_disk, disk_grid):
@@ -220,6 +219,17 @@ def test_limit_sweep_propagates_defects(monkeypatch, unit_disk, disk_grid, error
         limit_sweep(unit_disk, 0.0, [0.9], grid=disk_grid)
 
 
+def test_records_report_non_convergence(unit_disk, disk_grid):
+    stalled = SolverConfig(max_iterations=1)
+    assert not levi_metric_gap(unit_disk, 1.0, config=stalled, degree=8, grid=disk_grid).converged
+    assert levi_metric_gap(unit_disk, 1.0, degree=8, grid=disk_grid).converged
+    radii = (0.1, 0.003)
+    probes = dict(directions=2, degree=8, grid=disk_grid)
+    assert not holder_exponent(unit_disk, 1.5, 0.2, 0.4, radii, config=stalled, **probes).converged
+    assert not hp_scaling_exponent(unit_disk, 1.5, 0.4, radii, config=stalled, **probes).converged
+    assert holder_exponent(unit_disk, 1.5, 0.2, 0.4, radii, **probes).converged
+
+
 def test_csv_writers(tmp_path, unit_disk, disk_grid, kernel_cache):
     record = levi_metric_gap(unit_disk, 2.0, grid=disk_grid, cache=kernel_cache)
     levi_path = tmp_path / "levi.csv"
@@ -231,7 +241,7 @@ def test_csv_writers(tmp_path, unit_disk, disk_grid, kernel_cache):
     fit = pb.HolderFit(
         z_prime=0.2, w=0.4, p=2.0,
         radii=(0.1, 0.01), deltas=(0.05, 0.005),
-        slope=1.0, intercept=-0.69, r_squared=1.0,
+        slope=1.0, intercept=-0.69, r_squared=1.0, converged=True,
     )
     holder_path = tmp_path / "holder.csv"
     write_holder_csv(holder_path, fit)

@@ -101,6 +101,7 @@ def test_levi_gap_values(capsys):
     doc = json.loads(out)
     _validator("levi").validate(doc)
     assert abs(doc["records"][0]["gap"] - (2.0 - math.sqrt(3.0))) <= 2e-3
+    assert doc["records"][0]["converged"] is True
 
     code, out, _ = _run(capsys, ["levi", "--domain", "disk:1", "--p", "2"])
     doc = json.loads(out)
@@ -116,6 +117,7 @@ def test_holder_json_contract(capsys):
     doc = json.loads(out)
     _validator("holder").validate(doc)
     assert doc["slope"] >= 0.9
+    assert doc["converged"] is True
 
 
 def test_limit_csv_and_json(capsys, tmp_path):
@@ -184,6 +186,30 @@ def test_kernel_sweep_non_convergence_exits_two(capsys, monkeypatch):
     )
     assert code == 2
     assert "p,re_z,im_z,K_p,B_p" in out.splitlines()
+
+
+@pytest.mark.parametrize(
+    "argv, schema",
+    [
+        (["levi", "--domain", "disk:1", "--p", "1", "--degree", "8"], "levi"),
+        (["holder", "--domain", "disk:1", "--p", "1.5", "--radii", "0.1,0.003",
+          "--directions", "2", "--degree", "8"], "holder"),
+    ],
+    ids=["levi", "holder"],
+)
+def test_levi_and_holder_non_convergence_exit_two(capsys, monkeypatch, tmp_path, argv, schema):
+    monkeypatch.setattr(
+        "pbergman.cli._solver_config", lambda args: pb.SolverConfig(max_iterations=1)
+    )
+    code, out, _ = _run(capsys, argv)
+    assert code == 2
+    doc = json.loads(out)
+    _validator(schema).validate(doc)
+    converged = doc["records"][0]["converged"] if schema == "levi" else doc["converged"]
+    assert converged is False
+
+    code, _, _ = _run(capsys, argv + ["--out", str(tmp_path / "out.csv")])
+    assert code == 2
 
 
 def test_floats_printed_with_17_digits(capsys):

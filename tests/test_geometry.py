@@ -131,3 +131,20 @@ def test_domain_parse_errors():
 def test_grids_are_read_only(disk_grid):
     with pytest.raises(ValueError):
         disk_grid.weights[0] = 0.0
+
+
+@pytest.mark.parametrize("shape", [(8, 16), (32, 64)])
+def test_flat_arrays_built_on_demand(annulus, shape):
+    grid = build_grid(annulus, *shape)
+    assert "nodes" not in vars(grid) and "weights" not in vars(grid)
+    # built here from the Gauss-Legendre rule, independently of build_grid
+    x, glw = np.polynomial.legendre.leggauss(shape[0])
+    radii = 0.25 * x + 0.75
+    radial_weights = glw * 0.25 * radii
+    thetas = 2.0 * math.pi * np.arange(shape[1]) / shape[1]
+    nodes = (radii[:, None] * np.exp(1j * thetas)[None, :]).ravel()
+    weights = np.repeat(radial_weights * (2.0 * math.pi / shape[1]), shape[1])
+    assert np.array_equal(grid.nodes, nodes) and np.array_equal(grid.weights, weights)
+    assert grid.nodes is grid.nodes and grid.weights is grid.weights
+    for arr in (grid.nodes, grid.weights, grid.radii, grid.radial_weights, grid.thetas):
+        assert not arr.flags.writeable

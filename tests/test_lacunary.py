@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pbergman as pb
+from pbergman.geometry import QuadratureGrid
 from pbergman.lacunary import (
     LacunarySeries,
     NotLacunaryError,
@@ -234,3 +237,67 @@ def test_grid_values_match_pointwise(dyadic_grid):
         a * grid.nodes**n for a, n in zip(s.coefficients, s.exponents)
     )
     assert np.max(np.abs(values - direct)) <= 1e-12
+
+
+def _dense_values(series, grid):
+    return sum(a * grid.nodes**n for a, n in zip(series.coefficients, series.exponents))
+
+
+def _dense_lp(values, p, grid):
+    return float(grid.weights @ np.abs(values) ** p)
+
+
+@pytest.mark.parametrize("shape", [None, (8, 16)])
+def test_blocked_integral_matches_dense_reference(dyadic_grid, shape):
+    # (8, 16): lambda_max = 1024 >= 16 angular nodes, so exponents alias
+    grid = dyadic_grid if shape is None else pb.build_grid(pb.Domain("disk", 1.0), *shape)
+    s = _random_series(np.random.default_rng(67))
+    dense = _dense_values(s, grid)
+    values = series_grid_values(s, grid)
+    assert np.max(np.abs(values - dense)) <= 1e-13 * np.max(np.abs(dense))
+    for p in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+        assert math.isclose(direct_lp(s, p, grid), _dense_lp(dense, p, grid), rel_tol=1e-13)
+
+
+def test_direct_p2_is_multi_term_parseval():
+    # integral of |sum a_k z^lambda_k|^2 over the disk = pi sum |a_k|^2 / (lambda_k + 1)
+    rng = np.random.default_rng(71)
+    for top in (4, 9, 12):
+        s = _random_series(rng, tuple(2**k for k in range(top + 1)))
+        exact = math.pi * sum(
+            abs(a) ** 2 / (n + 1) for a, n in zip(s.coefficients, s.exponents)
+        )
+        assert math.isclose(direct_lp(s, 2.0), exact, rel_tol=1e-12)
+
+
+def test_series_integrals_never_build_flat_grid_arrays(monkeypatch):
+    s = _random_series(np.random.default_rng(73), (1, 3, 9, 27))
+    grid = default_series_grid(s)
+    direct_lp(s, 1.5, grid)
+    series_grid_values(s, grid)
+    equivalence_ratio(s, 3.0, grid)
+    assert "nodes" not in vars(grid) and "weights" not in vars(grid)
+
+    def refuse(self):
+        raise AssertionError("flat grid array built")
+
+    monkeypatch.setattr(QuadratureGrid, "nodes", property(refuse))
+    monkeypatch.setattr(QuadratureGrid, "weights", property(refuse))
+    circle_norm_ratio(s, 0.9, 3.0)
+    integrability_record(s, 1.5)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    exponents=st.sets(st.integers(1, 512), min_size=1, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    p=st.floats(0.25, 6.0),
+    c=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
+)
+def test_blocked_integral_property(exponents, seed, p, c):
+    s = _random_series(np.random.default_rng(seed), tuple(sorted(exponents)))
+    # 40 radii: at 8 lambda_max >= 2048 angular nodes the last block is partial
+    grid = pb.build_grid(pb.Domain("disk", 1.0), 40, max(64, 8 * s.lambda_max))
+    value = direct_lp(s, p, grid)
+    assert math.isclose(value, _dense_lp(_dense_values(s, grid), p, grid), rel_tol=1e-12)
+    assert math.isclose(direct_lp(s.scaled(c), p, grid), abs(c) ** p * value, rel_tol=1e-12)
