@@ -141,6 +141,20 @@ class RadialQuadrature:
             raise ValueError("invalid radial quadrature configuration")
 
 
+def _unit_scale(series: LacunarySeries) -> tuple[LacunarySeries, np.float64]:
+    """The series divided by its largest coefficient modulus M, and M.
+
+    The integrals square coefficient moduli and values, which underflows
+    below about 1e-154 and overflows above 1e+154; at unit scale neither
+    happens, and an integral of |f|^p scales back by M^p.  The zero series
+    is returned as it is, with M = 0.
+    """
+    M = np.max(np.abs(series.coefficients))
+    if M == 0.0:
+        return series, M
+    return LacunarySeries(series.exponents, series.coefficients / M), M
+
+
 def _radial_profile(series: LacunarySeries):
     amp2 = np.abs(series.coefficients) ** 2
     lams = np.array(series.exponents, dtype=float)
@@ -168,10 +182,11 @@ def criterion_integral(
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
     quad = quad or RadialQuadrature()
-    amp2, lams = _radial_profile(series)
-    peak = float(amp2.sum())  # profile value at r = 1
-    if peak == 0.0:
+    unit, scale = _unit_scale(series)
+    if scale == 0.0:
         return 0.0
+    amp2, lams = _radial_profile(unit)
+    peak = float(amp2.sum())  # profile value at r = 1
 
     x, gw = np.polynomial.legendre.leggauss(quad.gl_points)
 
@@ -201,7 +216,7 @@ def criterion_integral(
         raise RefinementError(
             f"radial refinement did not converge within {quad.max_levels} levels"
         )
-    return total
+    return float(total * scale**p)
 
 
 def default_series_grid(series: LacunarySeries) -> QuadratureGrid:
@@ -256,14 +271,16 @@ def direct_lp(series: LacunarySeries, p: float, grid: QuadratureGrid | None = No
         raise ValueError(f"p must be positive, got {p}")
     grid = grid or default_series_grid(series)
     _require_unit_disk(grid)
+    unit, scale = _unit_scale(series)
     # |f|^p as (|f|^2)^(p/2): NumPy's power skips pow at p/2 in {0.5, 1, 2}
     per_circle = np.concatenate(
         [
             (_abs_squared(block) ** (0.5 * p)).sum(axis=1)
-            for block in _circle_values(series, grid.radii, grid.thetas)
+            for block in _circle_values(unit, grid.radii, grid.thetas)
         ]
     )
-    return float(grid.radial_weights @ per_circle * (2.0 * math.pi / grid.angular_count))
+    total = grid.radial_weights @ per_circle * (2.0 * math.pi / grid.angular_count)
+    return float(total * scale**p)
 
 
 def equivalence_ratio(
@@ -273,9 +290,13 @@ def equivalence_ratio(
     quad: RadialQuadrature | None = None,
 ) -> float:
     """direct_lp / criterion_integral; bounded above and below by the
-    comparison constant of the lacunary norm equivalence, and exactly 1 at p = 2."""
-    criterion = criterion_integral(series, p, quad)
-    direct = direct_lp(series, p, grid)
+    comparison constant of the lacunary norm equivalence, and exactly 1 at p = 2.
+
+    The ratio is scale-free, so both integrals run at unit scale, where
+    neither can underflow or overflow."""
+    unit, _ = _unit_scale(series)
+    criterion = criterion_integral(unit, p, quad)
+    direct = direct_lp(unit, p, grid)
     if criterion == 0.0:
         if direct == 0.0:
             raise ValueError("equivalence ratio of the zero series is undefined")
@@ -314,7 +335,7 @@ def circle_norm_ratio(
             f"{nodes} circle nodes undersample lambda_max {lam}; need >= {floor}"
         )
     thetas = 2.0 * math.pi * np.arange(nodes) / nodes
-    (values,) = _circle_values(series, np.array([r]), thetas)
+    (values,) = _circle_values(_unit_scale(series)[0], np.array([r]), thetas)
     squared = _abs_squared(values)
     lp = float(np.mean(squared ** (0.5 * p)) ** (1.0 / p))
     l2 = float(np.sqrt(np.mean(squared)))

@@ -6,7 +6,9 @@ null-space basis), so every iterate is feasible to rounding.  The non-smooth
 objective sum_i w_i |f(z_i)|^p is replaced by sum_i w_i (|f(z_i)|^2 + eps)^(p/2)
 with eps driven down a fixed schedule; each stage runs iteratively reweighted
 least squares with a backtracking line search, so the recorded objective
-sequence is non-increasing.
+sequence is non-increasing.  At p = 2 the weighted least-squares start is the
+exact minimizer, so a p = 2 solve without a given start returns it with no
+iterations.
 
 Basis columns are pre-scaled to unit p-norm on the grid for conditioning;
 reported coefficients are always in the raw monomial basis.
@@ -17,11 +19,17 @@ angles, sum_k x_k e^{i m theta_k} is an exact DFT of length K.  The solver
 therefore never forms the nodes x D matrix: grid values are one inverse FFT
 per radius, column norms a sum over radii alone, and the reweighted Gram
 G_jl = sum_i r_i^(n_j + n_l) W_i(n_l - n_j) / (c_j c_l), with W_i the
-angular DFT of the weights on circle i, costs one FFT of the weights plus
-O(n_r D^2) work.
+angular DFT of the weights on circle i, costs one real FFT of the weights
+plus O(n_r D^2) work.
+
+Each iteration takes one power of |u|^2 + eps on the grid: the line search
+keeps (|u|^2 + eps)^(p/2) of the accepted point, and the next IRLS weights
+are that over |u|^2 + eps.  The grid-sized arrays of a descent are allocated
+once per solve and overwritten in place.
 
 A single descent is sequential.  Restarts and independent problems may run in
-parallel; problems, configs, and solutions are immutable.
+parallel, since every solve owns its buffers; problems, configs, and
+solutions are immutable.
 """
 
 from __future__ import annotations
@@ -163,7 +171,9 @@ class Solution:
     norm of the reduced gradient of the final smoothed objective; for p <= 1
     it is diagnostic only (convergence is declared on objective stagnation).
     ``objective_history`` records the smoothed objective at every accepted
-    step and is non-increasing.
+    step and is non-increasing.  ``cholesky_fallbacks`` counts the weighted
+    least-squares solves whose matrix failed Cholesky factorization and were
+    solved by ``lstsq`` instead.
     """
 
     coeffs: CoeffVector
@@ -172,6 +182,7 @@ class Solution:
     stationarity_residual: float
     iterations: int
     converged: bool
+    cholesky_fallbacks: int
     seed: int | None = None
     objective_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
@@ -182,10 +193,13 @@ class _SeparableBasis:
     Column n of V at node (i, k) is r_i^n e^{i n theta_k} / c_n.  On the
     uniform angle grid every angular sum is an exact DFT, so grid values
     take one FFT per radius, the adjoint one more, and a weighted Gram one
-    FFT of the weights plus O(n_r D^2) work; V itself is never formed.
+    real FFT of the weights plus O(n_r D^2) work; V itself is never formed.
     Exponents equal modulo the angular count share a DFT bin, where the grid
     cannot tell them apart.  ``values`` and ``adjoint`` act on scaled
     coefficients (raw coefficients times ``col_norms``).
+
+    ``values`` writes into a spectrum buffer owned by the instance, so an
+    instance must not be shared across threads; each solve builds its own.
     """
 
     def __init__(self, grid: QuadratureGrid, basis: BasisSpec, p: float):
@@ -200,23 +214,41 @@ class _SeparableBasis:
         ) ** (1.0 / p)
         self.radial = powers / self.col_norms
         self.bins = n % K
+        # occupied DFT bins; fold[j, b] sums the exponents that share bin b
+        self._occupied, slot = np.unique(self.bins, return_inverse=True)
+        self._fold = (slot[:, None] == np.arange(self._occupied.size)).astype(float)
+        self._spectrum = np.zeros(self.shape, dtype=complex)
         # A Gram entry depends on n_j + n_l through a radial power and on
-        # n_l - n_j through an angular frequency.  Powers are taken of radii
-        # relative to the largest, which keeps them in floating-point range.
+        # the lag n_l - n_j through an angular frequency.  Powers are taken of
+        # radii relative to the largest, which keeps them in floating-point
+        # range.
         span = int(n[-1] - n[0])
-        offsets = np.arange(2 * span + 1)
         r_top = radii.max()
-        self._sum_powers = (radii[None, :] / r_top) ** (2 * n[0] + offsets[:, None])
-        self._lag_bins = (offsets - span) % K
+        sums = 2 * n[0] + np.arange(2 * span + 1)
+        self._sum_powers = (radii[None, :] / r_top) ** sums[:, None]
+        # The weights are real, so their angular DFT W at lag m is conj(R[b])
+        # for the bin b = m mod K up to K/2 and R[K - b] above, with R the
+        # real FFT, and W at lag -m is conj(W at m).  Only lags 0..span are
+        # built; a Gram entry at a negative lag conjugates its mirror.
+        bins = np.arange(span + 1) % K
+        conj = bins <= K // 2
+        self._lag_source = np.where(conj, bins, K - bins)
+        lag = n[None, :] - n[:, None]
         self._sum_index = n[:, None] + n[None, :] - 2 * n[0]
-        self._lag_index = n[None, :] - n[:, None] + span
-        self._top_scale = r_top**n / self.col_norms
+        self._lag_index = np.abs(lag)
+        self._lag_conj = conj[self._lag_index] != (lag < 0)
+        top_scale = r_top**n / self.col_norms
+        self._top_scale = top_scale[:, None] * top_scale[None, :]
 
-    def values(self, a: np.ndarray) -> np.ndarray:
-        """Flat grid values of sum_j a_j z^{n_j} / c_j."""
-        F = np.zeros(self.shape, dtype=complex)
-        np.add.at(F, (slice(None), self.bins), self.radial * a)
-        return (self.shape[1] * np.fft.ifft(F, axis=1)).ravel()
+    def values(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Flat grid values of sum_j a_j z^{n_j} / c_j, written to ``out`` if given."""
+        # a real matrix times a complex one, as one real product on (re, im) pairs
+        folded = np.asarray(a, dtype=complex)[:, None] * self._fold
+        self._spectrum[:, self._occupied] = (self.radial @ folded.view(float)).view(complex)
+        if out is None:
+            out = np.empty(self._spectrum.size, dtype=complex)
+        np.fft.ifft(self._spectrum, axis=1, norm="forward", out=out.reshape(self.shape))
+        return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """V^H y for flat grid values y."""
@@ -225,16 +257,26 @@ class _SeparableBasis:
 
     def gram(self, omega: np.ndarray) -> np.ndarray:
         """V^H diag(omega) V for real node weights omega."""
-        # W[i, m] = sum_k omega_ik e^{i m theta_k}
-        W = self.shape[1] * np.fft.ifft(omega.reshape(self.shape), axis=1)
-        # H[s, m] = sum_i (r_i / r_top)^(2 n_0 + s) W[i, m - span]
-        H = self._sum_powers @ W[:, self._lag_bins]
+        R = np.fft.rfft(omega.reshape(self.shape), axis=1)
+        # H[s, m] = sum_i (r_i / r_top)^(2 n_0 + s) W[i, m] for lags m >= 0,
+        # W[i, m] = sum_k omega_ik e^{i m theta_k} taken from R
+        W = R.take(self._lag_source, axis=1)
+        H = (self._sum_powers @ W.view(float)).view(complex)
         G = H[self._sum_index, self._lag_index]
-        return G * self._top_scale[:, None] * self._top_scale[None, :]
+        np.conjugate(G, out=G, where=self._lag_conj)
+        G *= self._top_scale
+        return G
 
 
 class _Workspace:
-    """Per-problem precomputation: separable basis and constraint elimination."""
+    """Per-solve state: separable basis, constraint elimination, grid buffers.
+
+    The grid-sized arrays of the descent are allocated once here and
+    overwritten in place: the current values ``u`` with ``base`` = |u|^2 + eps
+    and ``terms`` = base^(p/2), the same three at the line-search trial point,
+    the step ``du`` and the IRLS weights ``omega``.  A workspace belongs to
+    one solve, which keeps ``minimize_pnorm`` reentrant.
+    """
 
     def __init__(self, problem: ExtremalProblem):
         self.problem = problem
@@ -242,6 +284,7 @@ class _Workspace:
         self.p = problem.p
         self.basis = _SeparableBasis(problem.grid, problem.basis, problem.p)
         self.col_norms = self.basis.col_norms
+        self.cholesky_fallbacks = 0
 
         C_raw = problem.constraint_matrix
         b = problem.constraint_targets
@@ -261,14 +304,18 @@ class _Workspace:
         self.a0 = a0
         self.N = N
 
+        size = self.w.size
+        self.u, self.u_try, self.du = (np.empty(size, dtype=complex) for _ in range(3))
+        self.base, self.base_try, self.terms, self.terms_try, self.omega = (
+            np.empty(size) for _ in range(5)
+        )
+        self._half_pw = (0.5 * self.p) * self.w
+
     def raw_from_t(self, t: np.ndarray) -> np.ndarray:
         return (self.a0 + self.N @ t) / self.col_norms
 
     def t_from_raw(self, a_raw: np.ndarray) -> np.ndarray:
         return self.N.conj().T @ (a_raw * self.col_norms - self.a0)
-
-    def values(self, t: np.ndarray) -> np.ndarray:
-        return self.basis.values(self.a0 + self.N @ t)
 
     def reduced_system(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A = N^H G N and rhs = -N^H G a0 for the Gram G of weights omega.
@@ -280,50 +327,88 @@ class _Workspace:
         Nh = self.N.conj().T
         return Nh @ G @ self.N, -(Nh @ (G @ self.a0))
 
+    def weighted_solve(self, A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Solve A x = rhs by Cholesky; count each fall back to least squares."""
+        try:
+            c, low = scipy.linalg.cho_factor(A)
+            return scipy.linalg.cho_solve((c, low), rhs)
+        except scipy.linalg.LinAlgError:
+            self.cholesky_fallbacks += 1
+            return np.linalg.lstsq(A, rhs, rcond=None)[0]
 
-def _phi_smoothed(u: np.ndarray, w: np.ndarray, p: float, eps: float) -> float:
-    return float(w @ (np.abs(u) ** 2 + eps) ** (0.5 * p))
+    def set_point(self, t: np.ndarray, eps: float) -> float:
+        """Load the values of t into ``u``; returns the smoothed objective."""
+        self.basis.values(self.a0 + self.N @ t, out=self.u)
+        return self.set_eps(eps)
+
+    def set_eps(self, eps: float) -> float:
+        """Fill ``base`` and ``terms`` of ``u`` under eps; returns w . terms."""
+        return self._smooth(self.u, eps, self.base, self.terms)
+
+    def trial(self, alpha: float, eps: float) -> float:
+        """Smoothed objective at u + alpha du, kept in the trial buffers."""
+        np.multiply(self.du, alpha, out=self.u_try)
+        self.u_try += self.u
+        return self._smooth(self.u_try, eps, self.base_try, self.terms_try)
+
+    def accept(self) -> None:
+        """Make the trial point current."""
+        self.u, self.u_try = self.u_try, self.u
+        self.base, self.base_try = self.base_try, self.base
+        self.terms, self.terms_try = self.terms_try, self.terms
+
+    def irls_weights(self) -> np.ndarray:
+        """omega = (p/2) w base^(p/2 - 1) at ``u``, as (p/2) w terms / base."""
+        np.divide(self.terms, self.base, out=self.omega)
+        self.omega *= self._half_pw
+        return self.omega
+
+    def _smooth(self, u, eps, base, terms) -> float:
+        _abs2(u, out=base, tmp=terms)
+        base += eps
+        np.power(base, 0.5 * self.p, out=terms)
+        return float(self.w @ terms)
+
+
+def _abs2(
+    u: np.ndarray, out: np.ndarray | None = None, tmp: np.ndarray | None = None
+) -> np.ndarray:
+    """|u|^2 as u.real^2 + u.imag^2, without the square root of np.abs."""
+    out = np.multiply(u.real, u.real, out=out)
+    out += np.multiply(u.imag, u.imag, out=tmp)
+    return out
 
 
 def _phi_raw(u: np.ndarray, w: np.ndarray, p: float) -> float:
-    return float(w @ np.abs(u) ** p)
+    return float(w @ _abs2(u) ** (0.5 * p))
 
 
-def _weighted_solve(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    try:
-        c, low = scipy.linalg.cho_factor(A)
-        return scipy.linalg.cho_solve((c, low), rhs)
-    except scipy.linalg.LinAlgError:
-        return np.linalg.lstsq(A, rhs, rcond=None)[0]
+def _irls_stage(ws: _Workspace, t, phi, eps, config):
+    """One smoothing stage from t, whose values ``ws.u`` has ``ws.base`` and
+    ``ws.terms`` filled under eps and smoothed objective phi.
 
-
-def _irls_stage(ws: _Workspace, t, u, eps, config):
-    """One smoothing stage.  Returns (t, u, iterations, stagnated, history)."""
-    w, p = ws.w, ws.p
-    phi = _phi_smoothed(u, w, p, eps)
+    Returns (t, iterations, stagnated, history); ``ws`` holds the final point.
+    """
     history = []
     stagnated = False
     # For p > 2 the reweighted quadratic underestimates curvature by up to
     # p - 1 along the radial direction; relaxing the step to 2/p restores a
     # uniform (p - 2)/p contraction instead of a slow Armijo zigzag.
-    alpha0 = 1.0 if p <= 2.0 else 2.0 / p
+    alpha0 = 1.0 if ws.p <= 2.0 else 2.0 / ws.p
     for _ in range(config.max_iterations):
-        rho = (np.abs(u) ** 2 + eps) ** (0.5 * p - 1.0)
-        omega = w * (0.5 * p) * rho
-        A, rhs = ws.reduced_system(omega)
-        t_new = _weighted_solve(A, rhs)
+        A, rhs = ws.reduced_system(ws.irls_weights())
+        t_new = ws.weighted_solve(A, rhs)
         delta = t_new - t
         grad_t = A @ t - rhs
         descent = 2.0 * float(np.real(np.vdot(grad_t, delta)))
         if descent >= 0.0:
             stagnated = True  # at a stationary point up to rounding
             break
-        du = ws.basis.values(ws.N @ delta)
+        ws.basis.values(ws.N @ delta, out=ws.du)
         alpha = alpha0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
-            u_try = u + alpha * du
-            phi_try = _phi_smoothed(u_try, w, p, eps)
+            phi_try = ws.trial(alpha, eps)
             if phi_try <= phi + _ARMIJO * alpha * descent:
                 accepted = True
                 break
@@ -332,14 +417,14 @@ def _irls_stage(ws: _Workspace, t, u, eps, config):
             stagnated = True
             break
         t = t + alpha * delta
-        u = u_try
+        ws.accept()
         history.append(phi_try)
         if phi - phi_try <= config.tolerance * max(phi_try, 1e-300):
             phi = phi_try
             stagnated = True
             break
         phi = phi_try
-    return t, u, len(history), stagnated, history
+    return t, len(history), stagnated, history
 
 
 def minimize_pnorm(
@@ -359,50 +444,54 @@ def minimize_pnorm(
     """
     config = config or SolverConfig()
     ws = _Workspace(problem)
-    w, p = ws.w, ws.p
     schedule = config.smoothing_schedule
 
     if start is not None:
         t = ws.t_from_raw(np.asarray(start, dtype=complex))
     else:
-        t = _weighted_solve(*ws.reduced_system(w))
-    u = ws.values(t)
+        A, rhs = ws.reduced_system(ws.w)
+        t = ws.weighted_solve(A, rhs)
+    history = [ws.set_point(t, schedule[0])]
 
-    history = [_phi_smoothed(u, w, p, schedule[0])]
-    stage_raw = []
-    total_iters = 0
-    all_stagnated = True
-    for i, eps in enumerate(schedule):
-        if i > 0:
-            # same iterate under the smaller eps; keeps the record monotone
-            history.append(_phi_smoothed(u, w, p, eps))
-        t, u, iters, stagnated, seg = _irls_stage(ws, t, u, eps, config)
-        history.extend(seg)
-        total_iters += iters
-        all_stagnated = all_stagnated and stagnated
-        stage_raw.append(_phi_raw(u, w, p))
+    if start is None and ws.p == 2.0:
+        # The least-squares start is the exact minimizer, and the p = 2 IRLS
+        # weights equal w under every eps, so A and rhs are already final.
+        total_iters, converged = 0, True
+    else:
+        stage_raw = []
+        total_iters = 0
+        all_stagnated = True
+        for i, eps in enumerate(schedule):
+            if i > 0:
+                # same iterate under the smaller eps; keeps the record monotone
+                history.append(ws.set_eps(eps))
+            t, iters, stagnated, seg = _irls_stage(ws, t, history[-1], eps, config)
+            history.extend(seg)
+            total_iters += iters
+            all_stagnated = all_stagnated and stagnated
+            stage_raw.append(_phi_raw(ws.u, ws.w, ws.p))
 
-    drift = abs(stage_raw[-1] - stage_raw[-2]) if len(stage_raw) >= 2 else 0.0
-    settled = drift <= max(100.0 * config.tolerance, 1e-12) * max(stage_raw[-1], 1e-300)
-    converged = all_stagnated and settled
+        drift = abs(stage_raw[-1] - stage_raw[-2]) if len(stage_raw) >= 2 else 0.0
+        settled = drift <= max(100.0 * config.tolerance, 1e-12) * max(stage_raw[-1], 1e-300)
+        converged = all_stagnated and settled
+        # ws holds the final point under the last eps
+        A, rhs = ws.reduced_system(ws.irls_weights())
 
     a_raw = ws.raw_from_t(t)
     feasibility = float(
         np.max(np.abs(ws.C_raw @ a_raw - ws.b)) if len(ws.b) else 0.0
     )
-    eps_last = schedule[-1]
-    rho = (np.abs(u) ** 2 + eps_last) ** (0.5 * p - 1.0)
-    A, rhs = ws.reduced_system(w * (0.5 * p) * rho)
     stationarity = float(np.linalg.norm(2.0 * (A @ t - rhs)))
     hist = np.array(history)
     hist.setflags(write=False)
     return Solution(
         coeffs=CoeffVector(problem.basis, a_raw),
-        objective=_phi_raw(u, w, p) ** (1.0 / p),
+        objective=_phi_raw(ws.u, ws.w, ws.p) ** (1.0 / ws.p),
         feasibility_residual=feasibility,
         stationarity_residual=stationarity,
         iterations=total_iters,
         converged=converged,
+        cholesky_fallbacks=ws.cholesky_fallbacks,
         seed=seed,
         objective_history=hist,
     )
@@ -487,8 +576,9 @@ def smoothed_objective(
     basis = _SeparableBasis(problem.grid, problem.basis, problem.p)
     u = basis.values(np.asarray(coefficients, dtype=complex) * basis.col_norms)
     w, p = problem.grid.weights, problem.p
-    value = _phi_smoothed(u, w, p, eps)
-    rho = (np.abs(u) ** 2 + eps) ** (0.5 * p - 1.0)
+    base = _abs2(u) + eps
+    value = float(w @ base ** (0.5 * p))
+    rho = base ** (0.5 * p - 1.0)
     grad = basis.col_norms * basis.adjoint(w * p * rho * u)
     return value, grad
 
@@ -501,5 +591,6 @@ def solution_record(solution: Solution) -> dict:
         "stationarity_residual": solution.stationarity_residual,
         "iterations": solution.iterations,
         "converged": solution.converged,
+        "cholesky_fallbacks": solution.cholesky_fallbacks,
         "seed": solution.seed,
     }

@@ -139,6 +139,24 @@ def test_scale_equivariance(dyadic_grid):
         )
 
 
+@pytest.mark.parametrize("M", [1e-170, 1e170])
+@pytest.mark.parametrize("p", [1.0, 1.5])
+def test_extreme_coefficient_scales(M, p):
+    # squared moduli of these coefficients under- or overflow
+    unit = LacunarySeries((1, 2, 4), np.array([1.0, 0.5 - 0.25j, 0.75j]))
+    s = unit.scaled(M)
+    grid = pb.build_grid(pb.parse_domain("disk:1"), 64, 256)
+    criterion, direct = criterion_integral(unit, p), direct_lp(unit, p, grid)
+    assert math.isclose(criterion_integral(s, p), M**p * criterion, rel_tol=1e-12)
+    assert math.isclose(direct_lp(s, p, grid), M**p * direct, rel_tol=1e-12)
+    ratio = equivalence_ratio(s, p, grid)
+    assert math.isfinite(ratio)
+    assert math.isclose(ratio, equivalence_ratio(unit, p, grid), rel_tol=1e-12)
+    circle = circle_norm_ratio(s, 0.9, p)
+    assert math.isfinite(circle)
+    assert math.isclose(circle, circle_norm_ratio(unit, 0.9, p), rel_tol=1e-12)
+
+
 def test_criterion_monotone_in_coefficient_modulus():
     rng = np.random.default_rng(31)
     s = _random_series(rng, (1, 3, 9, 27))

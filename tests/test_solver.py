@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import pbergman as pb
 from pbergman.series import BasisSpec, CoeffVector
@@ -34,8 +35,9 @@ def _problem(domain, grid, p, degree, constraints_builder):
         ("annulus:0.5,1", (128, 256), -24),
         ("punctured:1", (128, 256), -1),
         ("disk:1", (12, 16), 0),  # degree 24: exponents collide modulo 16
+        ("disk:1", (12, 15), 0),  # odd angular count, lags past K/2
     ],
-    ids=["disk", "annulus", "punctured", "collisions"],
+    ids=["disk", "annulus", "punctured", "collisions", "odd"],
 )
 def test_separable_basis_matches_dense_vandermonde(spec, shape, n_min):
     p = 1.5
@@ -56,6 +58,9 @@ def test_separable_basis_matches_dense_vandermonde(spec, shape, n_min):
     omega = grid.weights * rng.uniform(0.1, 2.0, grid.nodes.size)
     assert rel(sep.col_norms, col_norms) <= 1e-13
     assert rel(sep.values(a), Vs @ a) <= 1e-13
+    buf = np.empty(grid.nodes.size, dtype=complex)
+    assert sep.values(a, out=buf) is buf
+    assert np.array_equal(buf, sep.values(a))
     assert rel(sep.adjoint(y), Vs.conj().T @ y) <= 1e-13
     assert rel(sep.gram(omega), Vs.conj().T @ (Vs * omega[:, None])) <= 1e-13
 
@@ -70,6 +75,77 @@ def test_p2_center_constant_minimizer(unit_disk, disk_grid):
     expected = np.zeros(9, dtype=complex)
     expected[0] = 1.0
     assert np.max(np.abs(sol.coeffs.coefficients - expected)) <= 1e-10
+
+
+@pytest.mark.parametrize("spec", ["disk:1", "annulus:0.5,1"])
+def test_p2_returns_least_squares_start(spec):
+    domain = pb.parse_domain(spec)
+    grid = pb.build_grid(domain, 64, 128)
+    basis = pb.default_basis(domain, 2.0, 12)
+    prob = ExtremalProblem(basis, grid, 2.0, (point_constraint(basis, 0.7 + 0.1j, 1.0),))
+    sol = minimize_pnorm(prob)
+    assert sol.iterations == 0 and sol.converged
+    assert sol.stationarity_residual <= 1e-10
+    assert sol.objective_history.shape == (1,)
+    # the staged descent from the same coefficients stays where it started
+    staged = minimize_pnorm(prob, start=sol.coeffs.coefficients)
+    assert staged.converged
+    assert abs(staged.objective - sol.objective) <= 1e-14 * sol.objective
+    a = sol.coeffs.coefficients
+    assert np.max(np.abs(staged.coeffs.coefficients - a)) <= 1e-14 * np.max(np.abs(a))
+
+
+def test_interleaved_solves_match_separate_solves(unit_disk, disk_grid, monkeypatch):
+    from pbergman import solver
+
+    first = _problem(
+        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4 + 0.1j, 1.0),)
+    )
+    second = _problem(
+        unit_disk,
+        disk_grid,
+        3.0,
+        8,
+        lambda b: (point_constraint(b, -0.3, 0.0), derivative_constraint(b, -0.3, 1.0)),
+    )
+    alone = [minimize_pnorm(first), minimize_pnorm(second)]
+
+    # run the whole second solve inside the first stage of the first one
+    stage = solver._irls_stage
+    inner = []
+
+    def interleaved(*args):
+        if not inner:
+            inner.append(None)  # the inner solve passes through here too
+            inner[0] = minimize_pnorm(second)
+        return stage(*args)
+
+    monkeypatch.setattr(solver, "_irls_stage", interleaved)
+    outer = minimize_pnorm(first)
+    for got, want in zip((outer, inner[0]), alone):
+        assert np.array_equal(got.coeffs.coefficients, want.coeffs.coefficients)
+        assert np.array_equal(got.objective_history, want.objective_history)
+        assert got.iterations == want.iterations
+
+
+def test_cholesky_fallbacks_are_counted(unit_disk, disk_grid, monkeypatch):
+    prob = _problem(
+        unit_disk, disk_grid, 1.5, 8, lambda b: (point_constraint(b, 0.3, 1.0),)
+    )
+    clean = minimize_pnorm(prob)
+    assert clean.cholesky_fallbacks == 0
+    calls = []
+
+    def failing(*args, **kwargs):
+        calls.append(None)
+        raise scipy.linalg.LinAlgError("forced")
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+    sol = minimize_pnorm(prob)
+    assert len(calls) > 1
+    assert sol.cholesky_fallbacks == len(calls)
+    assert pb.solution_record(sol)["cholesky_fallbacks"] == len(calls)
+    assert abs(sol.objective - clean.objective) <= 1e-8 * clean.objective
 
 
 def test_p4_metric_problem_monomial_minimizer(unit_disk, disk_grid):
@@ -276,7 +352,9 @@ def test_solution_record_roundtrip(unit_disk, disk_grid):
         "stationarity_residual",
         "iterations",
         "converged",
+        "cholesky_fallbacks",
         "seed",
     }
     assert record["seed"] == 7
+    assert record["cholesky_fallbacks"] == 0
     assert record["converged"] is True
