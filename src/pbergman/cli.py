@@ -136,7 +136,12 @@ def _common_arguments(sub, *, restarts: int = 8):
     sub.add_argument("--domain", default="disk:1", help="disk:R, annulus:r0,r1, or punctured:R")
     sub.add_argument("--degree", type=int, default=kernel.DEFAULT_DEGREE)
     sub.add_argument("--nmin", type=int, default=None, help="lowest basis exponent")
-    sub.add_argument("--grid", default="128x256", help="radial x angular counts")
+    sub.add_argument(
+        "--grid",
+        default="128x256",
+        help="radial x angular counts; a solve runs its early smoothing stages "
+        "on a grid a quarter as fine each way when that keeps >= 16x32",
+    )
     sub.add_argument("--tol", type=float, default=1e-10)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--restarts", type=int, default=restarts)

@@ -8,9 +8,7 @@ degree.  The off-diagonal kernel is K_p(z, w) = m_p(z, w) K_p(w), where
 m_p(., w) is the minimizer; H_p combines the four kernel values; B_p(z; X)
 normalizes the largest attainable derivative among series vanishing at z.
 
-All operations are pure functions over immutable inputs.  Sweeps over (z, p)
-parallelize; pass each worker its own cache dict (a shared dict is only safe
-if insertion is externally synchronized).
+All operations are pure functions over immutable inputs.
 """
 
 from __future__ import annotations

@@ -27,6 +27,17 @@ keeps (|u|^2 + eps)^(p/2) of the accepted point, and the next IRLS weights
 are that over |u|^2 + eps.  The grid-sized arrays of a descent are allocated
 once per solve and overwritten in place.
 
+The continuation runs on two grids (grid sequencing, or nested iteration).
+A solve without a given start at p != 2 runs every smoothing stage but the
+last two on a quarter-resolution grid of the same domain, starting from that
+grid's own weighted least-squares solution; the raw coefficients then move to
+the requested grid, which runs the last two stages.  The heavily smoothed
+stages are over-resolved by the requested grid; the coarse stages only
+supply a start, so the drift test, the stationarity residual, the objective
+and ``converged`` are all taken on the requested grid.  A solve given a
+start, or whose quarter grid would have fewer than 16 radii or 32 angles,
+runs every stage on the requested grid.
+
 A single descent is sequential.  Restarts and independent problems may run in
 parallel, since every solve owns its buffers; problems, configs, and
 solutions are immutable.
@@ -40,7 +51,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .geometry import QuadratureGrid
+from .geometry import QuadratureGrid, build_grid
 from .series import BasisSpec, CoeffVector
 
 __all__ = [
@@ -62,6 +73,11 @@ DEFAULT_SMOOTHING_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 40
+
+# the early stages run on a grid this many times coarser in each direction,
+# unless that leaves fewer radii or angles than the minimum
+_COARSENING = 4
+_MIN_COARSE_SHAPE = (16, 32)
 
 
 class InfeasibleConstraintsError(ValueError):
@@ -170,10 +186,13 @@ class Solution:
     ``objective`` is the attained ||f||_p.  ``stationarity_residual`` is the
     norm of the reduced gradient of the final smoothed objective; for p <= 1
     it is diagnostic only (convergence is declared on objective stagnation).
+    ``iterations`` counts the accepted steps on both grids and
+    ``coarse_iterations`` the share taken on the quarter-resolution grid.
     ``objective_history`` records the smoothed objective at every accepted
-    step and is non-increasing.  ``cholesky_fallbacks`` counts the weighted
-    least-squares solves whose matrix failed Cholesky factorization and were
-    solved by ``lstsq`` instead.
+    step on the requested grid only, so it is non-increasing.
+    ``cholesky_fallbacks`` counts the weighted least-squares solves, on
+    either grid, whose matrix failed Cholesky factorization and were solved
+    by ``lstsq`` instead.
     """
 
     coeffs: CoeffVector
@@ -181,6 +200,7 @@ class Solution:
     feasibility_residual: float
     stationarity_residual: float
     iterations: int
+    coarse_iterations: int
     converged: bool
     cholesky_fallbacks: int
     seed: int | None = None
@@ -269,20 +289,21 @@ class _SeparableBasis:
 
 
 class _Workspace:
-    """Per-solve state: separable basis, constraint elimination, grid buffers.
+    """Per-solve state on one grid: separable basis, constraint elimination,
+    grid buffers.
 
     The grid-sized arrays of the descent are allocated once here and
     overwritten in place: the current values ``u`` with ``base`` = |u|^2 + eps
     and ``terms`` = base^(p/2), the same three at the line-search trial point,
     the step ``du`` and the IRLS weights ``omega``.  A workspace belongs to
-    one solve, which keeps ``minimize_pnorm`` reentrant.
+    one solve, which keeps ``minimize_pnorm`` reentrant.  ``grid`` is the
+    problem's own grid or a coarser rule on the same domain.
     """
 
-    def __init__(self, problem: ExtremalProblem):
-        self.problem = problem
-        self.w = problem.grid.weights
+    def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid):
+        self.w = grid.weights
         self.p = problem.p
-        self.basis = _SeparableBasis(problem.grid, problem.basis, problem.p)
+        self.basis = _SeparableBasis(grid, problem.basis, problem.p)
         self.col_norms = self.basis.col_norms
         self.cholesky_fallbacks = 0
 
@@ -316,6 +337,11 @@ class _Workspace:
 
     def t_from_raw(self, a_raw: np.ndarray) -> np.ndarray:
         return self.N.conj().T @ (a_raw * self.col_norms - self.a0)
+
+    def least_squares(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The weighted least-squares point t (the p = 2 minimizer), A, rhs."""
+        A, rhs = self.reduced_system(self.w)
+        return self.weighted_solve(A, rhs), A, rhs
 
     def reduced_system(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A = N^H G N and rhs = -N^H G a0 for the Gram G of weights omega.
@@ -427,6 +453,40 @@ def _irls_stage(ws: _Workspace, t, phi, eps, config):
     return t, len(history), stagnated, history
 
 
+def _coarse_grid(grid: QuadratureGrid) -> QuadratureGrid | None:
+    """The quarter-resolution rule on the domain of ``grid``, or None if too small."""
+    shape = (grid.radial_count // _COARSENING, grid.angular_count // _COARSENING)
+    if shape[0] < _MIN_COARSE_SHAPE[0] or shape[1] < _MIN_COARSE_SHAPE[1]:
+        return None
+    return build_grid(grid.domain, *shape)
+
+
+def _descend(ws: _Workspace, t, schedule, config):
+    """Run the smoothing stages ``schedule`` from t on the grid of ``ws``.
+
+    Returns (t, iterations, stagnated, history, raw): ``stagnated`` holds
+    when every stage stagnated, and ``raw`` lists the raw objective after
+    each stage that is among the last two of the whole schedule, the only
+    values the drift test and the reported objective read.
+    """
+    tail = config.smoothing_schedule[-2:]
+    history = [ws.set_point(t, schedule[0])]
+    raw = []
+    iterations = 0
+    all_stagnated = True
+    for i, eps in enumerate(schedule):
+        if i > 0:
+            # same iterate under the smaller eps; keeps the record monotone
+            history.append(ws.set_eps(eps))
+        t, iters, stagnated, seg = _irls_stage(ws, t, history[-1], eps, config)
+        history.extend(seg)
+        iterations += iters
+        all_stagnated = all_stagnated and stagnated
+        if eps in tail:
+            raw.append(_phi_raw(ws.u, ws.w, ws.p))
+    return t, iterations, all_stagnated, history, raw
+
+
 def minimize_pnorm(
     problem: ExtremalProblem,
     config: SolverConfig | None = None,
@@ -437,43 +497,46 @@ def minimize_pnorm(
     """Run the continuation descent; returns the final iterate with diagnostics.
 
     ``start`` is an optional raw coefficient vector; it is projected onto the
-    feasible slice, so it need not satisfy the constraints exactly.  Without
-    it the descent starts from the weighted least-squares solution, which is
-    the exact minimizer for p = 2.  Non-convergence is reported through
-    ``converged``, never silently.
+    feasible slice, so it need not satisfy the constraints exactly, and the
+    whole schedule then runs on the problem's grid.  Without it the descent
+    starts from the weighted least-squares solution, which is the exact
+    minimizer for p = 2, and runs its early stages on a coarser grid when
+    the problem's grid allows (see the module docstring).  Non-convergence
+    is reported through ``converged``, never silently.
     """
     config = config or SolverConfig()
-    ws = _Workspace(problem)
+    ws = _Workspace(problem, problem.grid)
     schedule = config.smoothing_schedule
+    coarse_grid = None
+    if start is None and ws.p != 2.0 and len(schedule) > 2:
+        coarse_grid = _coarse_grid(problem.grid)
 
+    coarse_iterations = coarse_fallbacks = 0
     if start is not None:
         t = ws.t_from_raw(np.asarray(start, dtype=complex))
+    elif coarse_grid is not None:
+        cws = _Workspace(problem, coarse_grid)
+        t, coarse_iterations, _, _, _ = _descend(
+            cws, cws.least_squares()[0], schedule[:-2], config
+        )
+        coarse_fallbacks = cws.cholesky_fallbacks
+        t = ws.t_from_raw(cws.raw_from_t(t))
+        schedule = schedule[-2:]
     else:
-        A, rhs = ws.reduced_system(ws.w)
-        t = ws.weighted_solve(A, rhs)
-    history = [ws.set_point(t, schedule[0])]
+        t, A, rhs = ws.least_squares()
 
     if start is None and ws.p == 2.0:
         # The least-squares start is the exact minimizer, and the p = 2 IRLS
         # weights equal w under every eps, so A and rhs are already final.
-        total_iters, converged = 0, True
+        history = [ws.set_point(t, schedule[0])]
+        raw = [_phi_raw(ws.u, ws.w, ws.p)]
+        iterations, converged = 0, True
     else:
-        stage_raw = []
-        total_iters = 0
-        all_stagnated = True
-        for i, eps in enumerate(schedule):
-            if i > 0:
-                # same iterate under the smaller eps; keeps the record monotone
-                history.append(ws.set_eps(eps))
-            t, iters, stagnated, seg = _irls_stage(ws, t, history[-1], eps, config)
-            history.extend(seg)
-            total_iters += iters
-            all_stagnated = all_stagnated and stagnated
-            stage_raw.append(_phi_raw(ws.u, ws.w, ws.p))
-
-        drift = abs(stage_raw[-1] - stage_raw[-2]) if len(stage_raw) >= 2 else 0.0
-        settled = drift <= max(100.0 * config.tolerance, 1e-12) * max(stage_raw[-1], 1e-300)
-        converged = all_stagnated and settled
+        t, iterations, stagnated, history, raw = _descend(ws, t, schedule, config)
+        iterations += coarse_iterations
+        drift = abs(raw[-1] - raw[-2]) if len(raw) >= 2 else 0.0
+        settled = drift <= max(100.0 * config.tolerance, 1e-12) * max(raw[-1], 1e-300)
+        converged = stagnated and settled
         # ws holds the final point under the last eps
         A, rhs = ws.reduced_system(ws.irls_weights())
 
@@ -486,12 +549,13 @@ def minimize_pnorm(
     hist.setflags(write=False)
     return Solution(
         coeffs=CoeffVector(problem.basis, a_raw),
-        objective=_phi_raw(ws.u, ws.w, ws.p) ** (1.0 / ws.p),
+        objective=raw[-1] ** (1.0 / ws.p),
         feasibility_residual=feasibility,
         stationarity_residual=stationarity,
-        iterations=total_iters,
+        iterations=iterations,
+        coarse_iterations=coarse_iterations,
         converged=converged,
-        cholesky_fallbacks=ws.cholesky_fallbacks,
+        cholesky_fallbacks=ws.cholesky_fallbacks + coarse_fallbacks,
         seed=seed,
         objective_history=hist,
     )
@@ -590,6 +654,7 @@ def solution_record(solution: Solution) -> dict:
         "feasibility_residual": solution.feasibility_residual,
         "stationarity_residual": solution.stationarity_residual,
         "iterations": solution.iterations,
+        "coarse_iterations": solution.coarse_iterations,
         "converged": solution.converged,
         "cholesky_fallbacks": solution.cholesky_fallbacks,
         "seed": solution.seed,

@@ -4,6 +4,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pbergman as pb
 from pbergman.series import BasisSpec, CoeffVector
@@ -93,6 +95,86 @@ def test_p2_returns_least_squares_start(spec):
     assert abs(staged.objective - sol.objective) <= 1e-14 * sol.objective
     a = sol.coeffs.coefficients
     assert np.max(np.abs(staged.coeffs.coefficients - a)) <= 1e-14 * np.max(np.abs(a))
+
+
+def _started_single_grid(prob):
+    """The same problem started from its p = 2 solution: every stage on its grid."""
+    ls = minimize_pnorm(ExtremalProblem(prob.basis, prob.grid, 2.0, prob.constraints))
+    return minimize_pnorm(prob, start=ls.coeffs.coefficients)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
+@pytest.mark.parametrize(
+    "spec,n_min,z",
+    [("disk:1", None, 0.4 + 0.1j), ("annulus:0.5,1", None, 0.7), ("punctured:1", -1, 0.5j)],
+    ids=["disk", "annulus", "punctured"],
+)
+def test_two_grid_matches_single_grid_descent(spec, n_min, z, p):
+    domain = pb.parse_domain(spec)
+    grid = pb.build_grid(domain, 128, 256)
+    basis = pb.default_basis(domain, p, 24, n_min)
+    prob = ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
+    two = minimize_pnorm(prob)
+    one = _started_single_grid(prob)
+    assert 0 < two.coarse_iterations < two.iterations
+    assert one.coarse_iterations == 0
+    assert abs(two.objective - one.objective) <= 1e-11 * one.objective
+    assert two.converged == one.converged
+    assert two.feasibility_residual <= 1e-10
+
+
+def test_coarse_level_skipped_on_small_grids_and_given_starts(unit_disk):
+    basis = pb.default_basis(unit_disk, 1.5, 12)
+    cons = (point_constraint(basis, 0.3, 1.0),)
+    small = ExtremalProblem(basis, pb.build_grid(unit_disk, 32, 64), 1.5, cons)
+    sol = minimize_pnorm(small)
+    assert sol.iterations > 0 and sol.coarse_iterations == 0
+    large = ExtremalProblem(basis, pb.build_grid(unit_disk, 64, 128), 1.5, cons)
+    assert minimize_pnorm(large).coarse_iterations > 0
+    started = minimize_pnorm(large, start=sol.coeffs.coefficients)
+    assert started.iterations > 0 and started.coarse_iterations == 0
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
+def test_dilation_identity_off_the_unit_disk(p):
+    # f -> f(. / R) maps the competitors on D_1 onto those on D_R, and scales
+    # every p-norm^p by R^2, so K_p(R z; D_R) R^2 = K_p(z; D_1)
+    R, z = 2.5, 0.35 - 0.2j
+    unit = pb.mp_minimizer(pb.Domain("disk", 1.0), p, z, degree=16)
+    dilated = pb.mp_minimizer(pb.Domain("disk", R), p, R * z, degree=16)
+    assert dilated.minimizer.coarse_iterations > 0
+    assert abs(dilated.k_p * R**2 - unit.k_p) <= 1e-12 * unit.k_p
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    annulus=st.booleans(),
+    outer=st.floats(0.5, 3.0),
+    inner_fraction=st.floats(0.2, 0.6),
+    p=st.floats(1.0, 4.0),
+    depth=st.floats(0.2, 0.8),
+    angle=st.floats(0.0, 2.0 * math.pi),
+)
+def test_two_grid_solve_property(annulus, outer, inner_fraction, p, depth, angle):
+    domain = (
+        pb.Domain("annulus", outer, inner_fraction * outer)
+        if annulus
+        else pb.Domain("disk", outer)
+    )
+    inner = domain.inner_radius
+    z = (inner + depth * (outer - inner)) * complex(math.cos(angle), math.sin(angle))
+    basis = pb.default_basis(domain, p, 12)
+    prob = ExtremalProblem(
+        basis, pb.build_grid(domain, 64, 128), p, (point_constraint(basis, z, 1.0),)
+    )
+    two = minimize_pnorm(prob)
+    one = _started_single_grid(prob)
+    # annulus solves near p = 1 stop short of convergence (the raw objective
+    # still moves between the last two eps stages), where the two paths
+    # agree to about 2e-11
+    assert abs(two.objective - one.objective) <= 1e-10 * one.objective
+    assert two.feasibility_residual <= 1e-10 * max(1.0, abs(z) ** 12)
+    assert one.feasibility_residual <= 1e-10 * max(1.0, abs(z) ** 12)
 
 
 def test_interleaved_solves_match_separate_solves(unit_disk, disk_grid, monkeypatch):
@@ -351,10 +433,12 @@ def test_solution_record_roundtrip(unit_disk, disk_grid):
         "feasibility_residual",
         "stationarity_residual",
         "iterations",
+        "coarse_iterations",
         "converged",
         "cholesky_fallbacks",
         "seed",
     }
     assert record["seed"] == 7
+    assert record["coarse_iterations"] == 0
     assert record["cholesky_fallbacks"] == 0
     assert record["converged"] is True
