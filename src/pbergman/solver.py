@@ -28,15 +28,16 @@ are that over |u|^2 + eps.  The grid-sized arrays of a descent are allocated
 once per solve and overwritten in place.
 
 The continuation runs on two grids (grid sequencing, or nested iteration).
-A solve without a given start at p != 2 runs every smoothing stage but the
-last two on a quarter-resolution grid of the same domain, starting from that
-grid's own weighted least-squares solution; the raw coefficients then move to
-the requested grid, which runs the last two stages.  The heavily smoothed
-stages are over-resolved by the requested grid; the coarse stages only
-supply a start, so the drift test, the stationarity residual, the objective
-and ``converged`` are all taken on the requested grid.  A solve given a
-start, or whose quarter grid would have fewer than 16 radii or 32 angles,
-runs every stage on the requested grid.
+Every solve but that p = 2 return runs every smoothing stage but the last
+two on a quarter-resolution grid of the same domain, starting from the given
+start projected onto that grid's feasible slice, or else from that grid's
+own weighted least-squares solution; the raw coefficients then move to the
+requested grid, which runs the last two stages.  The heavily smoothed stages
+are over-resolved by the requested grid; the coarse stages only supply a
+start, so the drift test, the stationarity residual, the objective and
+``converged`` are all taken on the requested grid.  A solve whose quarter
+grid would have fewer than 16 radii or 32 angles runs every stage on the
+requested grid.
 
 A single descent is sequential.  Restarts and independent problems may run in
 parallel, since every solve owns its buffers; problems, configs, and
@@ -497,41 +498,36 @@ def minimize_pnorm(
     """Run the continuation descent; returns the final iterate with diagnostics.
 
     ``start`` is an optional raw coefficient vector; it is projected onto the
-    feasible slice, so it need not satisfy the constraints exactly, and the
-    whole schedule then runs on the problem's grid.  Without it the descent
-    starts from the weighted least-squares solution, which is the exact
-    minimizer for p = 2, and runs its early stages on a coarser grid when
-    the problem's grid allows (see the module docstring).  Non-convergence
-    is reported through ``converged``, never silently.
+    feasible slice, so it need not satisfy the constraints exactly.  Without
+    it the descent starts from the weighted least-squares solution, which is
+    the exact minimizer for p = 2 and is then returned with no iterations.
+    Every other solve runs its early stages on a coarser grid when the
+    problem's grid allows (see the module docstring).  Non-convergence is
+    reported through ``converged``, never silently.
     """
     config = config or SolverConfig()
     ws = _Workspace(problem, problem.grid)
     schedule = config.smoothing_schedule
-    coarse_grid = None
-    if start is None and ws.p != 2.0 and len(schedule) > 2:
-        coarse_grid = _coarse_grid(problem.grid)
-
     coarse_iterations = coarse_fallbacks = 0
-    if start is not None:
-        t = ws.t_from_raw(np.asarray(start, dtype=complex))
-    elif coarse_grid is not None:
-        cws = _Workspace(problem, coarse_grid)
-        t, coarse_iterations, _, _, _ = _descend(
-            cws, cws.least_squares()[0], schedule[:-2], config
-        )
-        coarse_fallbacks = cws.cholesky_fallbacks
-        t = ws.t_from_raw(cws.raw_from_t(t))
-        schedule = schedule[-2:]
-    else:
-        t, A, rhs = ws.least_squares()
-
     if start is None and ws.p == 2.0:
         # The least-squares start is the exact minimizer, and the p = 2 IRLS
         # weights equal w under every eps, so A and rhs are already final.
+        t, A, rhs = ws.least_squares()
         history = [ws.set_point(t, schedule[0])]
         raw = [_phi_raw(ws.u, ws.w, ws.p)]
         iterations, converged = 0, True
     else:
+        coarse_grid = _coarse_grid(problem.grid) if len(schedule) > 2 else None
+        cws = ws if coarse_grid is None else _Workspace(problem, coarse_grid)
+        if start is None:
+            t = cws.least_squares()[0]
+        else:
+            t = cws.t_from_raw(np.asarray(start, dtype=complex))
+        if cws is not ws:
+            t, coarse_iterations, _, _, _ = _descend(cws, t, schedule[:-2], config)
+            coarse_fallbacks = cws.cholesky_fallbacks
+            t = ws.t_from_raw(cws.raw_from_t(t))
+            schedule = schedule[-2:]
         t, iterations, stagnated, history, raw = _descend(ws, t, schedule, config)
         iterations += coarse_iterations
         drift = abs(raw[-1] - raw[-2]) if len(raw) >= 2 else 0.0
@@ -572,8 +568,9 @@ def multistart_minimize(
     """Seeded restarts for the (possibly nonconvex) regime 0 < p < 1.
 
     Descents start from the p = 1 solution of the same constraints and from
-    random perturbations of it.  Converged solutions are deduplicated at
-    coefficient distance 1e-4 and returned sorted by objective; distinct
+    random perturbations of it; each runs the two-grid continuation of
+    ``minimize_pnorm`` from its start.  Converged solutions are deduplicated
+    at coefficient distance 1e-4 and returned sorted by objective; distinct
     survivors are all reported, uniqueness is never asserted.
     """
     config = config or SolverConfig()

@@ -186,6 +186,30 @@ def test_limit_sweep_repeats_exactly(unit_disk, disk_grid):
     assert first == second
 
 
+def test_limit_sweep_restarts_pinned(monkeypatch, unit_disk, disk_grid):
+    # K_p pinned from restarts that ran every stage on the requested grid;
+    # running their early stages on the coarse grid must not move it
+    survivors = {}
+    multistart = analysis.multistart_minimize
+
+    def recording(problem, config=None):
+        survivors[problem.p] = multistart(problem, config)
+        return survivors[problem.p]
+
+    monkeypatch.setattr(analysis, "multistart_minimize", recording)
+    record = limit_sweep(
+        unit_disk, 0.3, [0.5, 0.7, 0.9, 1.0], SolverConfig(restarts=4),
+        degree=8, grid=disk_grid,
+    )
+    pinned = (
+        0.3843629634956888, 0.3843841642395342, 0.3843855659255055, 0.3843856953754118
+    )
+    assert record.statuses == ("ok",) * 4
+    for k_p, want in zip(record.k_p_values, pinned):
+        assert abs(k_p - want) <= 1e-12 * want
+    assert survivors[0.7] and all(s.coarse_iterations > 0 for s in survivors[0.7])
+
+
 def test_limit_sweep_validates_input(unit_disk, disk_grid):
     with pytest.raises(ValueError):
         limit_sweep(unit_disk, 0.0, [0.9, 0.8], grid=disk_grid)
