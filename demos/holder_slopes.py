@@ -9,23 +9,23 @@ p = 2, and the measured p = 1.5 slope is recorded as data.
 
 import pbergman as pb
 
-disk = pb.Domain("disk", 1.0)
-grid = pb.build_grid(disk, 128, 256)
+setup = pb.Setup(pb.Domain("disk", 1.0), degree=16)
 radii = [0.1 * 2.0**-k for k in range(6)]
 
 print("minimizer continuity at z' = 0.2, w = 0.4 (max over 8 directions):")
 for p in (1.5, 2.0, 3.0):
-    fit = pb.holder_exponent(disk, p, 0.2, 0.4, radii, grid=grid)
+    fit = pb.holder_exponent(setup, p, 0.2, 0.4, radii)
     print(f"  p={p}: slope {fit.slope:.4f}  (r^2 = {fit.r_squared:.6f})")
 
 print()
 print("H_p decay near the diagonal at z = 0.4:")
 for p in (1.5, 2.0):
-    fit = pb.hp_scaling_exponent(disk, p, 0.4, radii, grid=grid)
+    fit = pb.hp_scaling_exponent(setup, p, 0.4, radii)
     note = "expected 2 exactly" if p == 2.0 else "recorded as data, no sharpness claim"
     print(f"  p={p}: slope {fit.slope:.4f}  ({note})")
 
-fit = pb.holder_exponent(disk, 2.0, 0.2, 0.4, radii, grid=grid)
-pb.write_holder_csv("holder.csv", fit)
 print()
-print("p=2 probe table written to holder.csv")
+print(
+    "p=2 probe table as CSV: "
+    "pbergman holder --domain disk:1 --p 2 --zprime 0.2 --w 0.4 --out holder.csv"
+)

@@ -10,17 +10,13 @@ p > 2.
 
 import pbergman as pb
 
-disk = pb.Domain("disk", 1.0)
-grid = pb.build_grid(disk, 128, 256)
+setup = pb.Setup(pb.Domain("disk", 1.0), degree=16)
 
 print(f"{'p':>5} | {'levi':>10} | {'B_p^2':>10} | {'gap':>10}")
-records = []
 for p in (1.0, 1.25, 1.5, 2.0, 2.5, 3.0, 4.0):
-    record = pb.levi_metric_gap(disk, p, grid=grid)
-    records.append(record)
+    record = pb.levi_metric_gap(setup, p)
     print(f"{p:>5} | {record.levi:>10.6f} | {record.b_p_squared:>10.6f} | {record.gap:>+10.6f}")
 
-pb.write_levi_csv("levi.csv", records)
 print()
 print("expected landmarks: gap(1) = -1/4, gap(2) = 0, gap(4) = 2 - sqrt(3) = +0.2679...")
-print("table written to levi.csv")
+print("as CSV: pbergman levi --domain disk:1 --p 1,1.25,1.5,2,2.5,3,4 --out levi.csv")

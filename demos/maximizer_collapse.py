@@ -13,11 +13,11 @@ import math
 
 import pbergman as pb
 
-disk = pb.Domain("disk", 1.0)
-grid = pb.build_grid(disk, 128, 256)
-config = pb.SolverConfig(restarts=16, rng_seed=1)
+setup = pb.Setup(
+    pb.Domain("disk", 1.0), degree=8, config=pb.SolverConfig(restarts=16, rng_seed=1)
+)
 
-record = pb.limit_sweep(disk, 0.0, (0.7, 0.8, 0.9, 0.95, 0.99), config, grid=grid)
+record = pb.limit_sweep(setup, 0.0, (0.7, 0.8, 0.9, 0.95, 0.99))
 
 print(f"z = 0 on the unit disk, {record.restarts} restarts per p (lower bounds)")
 print(f"{'p':>6} | {'K_p':>10} | {'d_p bound':>12} | status")
@@ -26,6 +26,7 @@ for p, k_p, d_p, status in zip(
 ):
     print(f"{p:>6} | {k_p:>10.6f} | {d_p:>12.3e} | {status}")
 print(f"\n1/area = {1.0 / math.pi:.6f}")
-
-pb.write_limit_csv("limit.csv", record)
-print("table written to limit.csv")
+print(
+    "as CSV: pbergman limit --domain disk:1 --p-list 0.7,0.8,0.9,0.95,0.99 "
+    "--restarts 16 --seed 1 --out limit.csv"
+)

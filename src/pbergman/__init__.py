@@ -16,8 +16,6 @@ from .series import (
     admissible_exponents,
     derivative_at,
     evaluate,
-    read_coeffs_csv,
-    write_coeffs_csv,
 )
 from .solver import (
     ExtremalProblem,
@@ -36,14 +34,12 @@ from .kernel import (
     BoundaryMarginError,
     KernelResult,
     MetricResult,
-    default_basis,
-    default_grid,
+    Setup,
     h_function,
     kernel_metric_sweep,
     metric_at,
     mp_minimizer,
     offdiag_kernel,
-    write_sweep_csv,
 )
 from .analysis import (
     DegenerateFitError,
@@ -58,9 +54,6 @@ from .analysis import (
     levi_metric_gap,
     limit_sweep,
     quarter_laplacian,
-    write_holder_csv,
-    write_levi_csv,
-    write_limit_csv,
 )
 from .lacunary import (
     LacunarySeries,

@@ -13,30 +13,16 @@ for four values of p on a 2-vCPU VM) and is not offered.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, QuadratureGrid
-from .kernel import (
-    MARGIN_FRACTION,
-    BoundaryMarginError,
-    KernelResult,
-    default_basis,
-    default_grid,
-    h_function,
-    metric_at,
-    mp_minimizer,
-    require_interior,
-)
+from .kernel import BoundaryMarginError, Setup, h_function, metric_at, mp_minimizer
 from .series import evaluate
 from .solver import (
     ExtremalProblem,
     Solution,
-    SolverConfig,
-    minimize_pnorm,
     multistart_minimize,
     point_constraint,
     _SeparableBasis,
@@ -55,9 +41,6 @@ __all__ = [
     "hp_scaling_exponent",
     "dp_estimate",
     "limit_sweep",
-    "write_levi_csv",
-    "write_holder_csv",
-    "write_limit_csv",
 ]
 
 NOISE_FLOOR = 1e-9
@@ -106,18 +89,6 @@ class LimitRecord:
     k_p_values: tuple[float, ...]
     restarts: int
     statuses: tuple[str, ...]
-
-
-def _cache_converged(cache: dict) -> bool:
-    """True when every solve held in a kernel cache converged.
-
-    The cache holds a ``KernelResult`` per K_p solve and a ``Solution`` per
-    B_p solve; every solve behind a Levi record or a Hoelder fit is in it.
-    """
-    return all(
-        (entry.minimizer if isinstance(entry, KernelResult) else entry).converged
-        for entry in cache.values()
-    )
 
 
 def fit_power_law(radii, deltas, noise_floor: float = NOISE_FLOOR):
@@ -177,17 +148,11 @@ def quarter_laplacian(f, step: float) -> float:
 
 
 def levi_form_log_kp(
-    domain: Domain,
+    setup: Setup,
     p: float,
     z: complex,
     direction: complex = 1.0,
     step: float = 1e-2,
-    config: SolverConfig | None = None,
-    *,
-    degree: int = 16,
-    grid: QuadratureGrid | None = None,
-    margin: float | None = None,
-    cache: dict | None = None,
     log_kp=None,
 ) -> float:
     """Levi form of log K_p at z along ``direction`` by finite differences.
@@ -200,56 +165,35 @@ def levi_form_log_kp(
     if log_kp is not None:
         return quarter_laplacian(lambda tau: log_kp(z + tau * direction), step)
 
-    base = MARGIN_FRACTION * domain.outer_radius if margin is None else margin
-    needed = base + 2.0 * step * abs(direction)
+    domain = setup.domain
+    needed = setup.margin + 2.0 * step * abs(direction)
     if not domain.contains(z) or domain.boundary_distance(z) < needed:
         raise BoundaryMarginError(
             f"stencil around {z} needs boundary distance >= {needed:.6g}"
         )
-    cache = {} if cache is None else cache
-    grid = grid or default_grid(domain)
 
     def phi(tau: complex) -> float:
-        kr = mp_minimizer(
-            domain, p, z + tau * direction, None, grid, config,
-            degree=degree, margin=margin, cache=cache,
-        )
-        return math.log(kr.k_p)
+        return math.log(mp_minimizer(setup, p, z + tau * direction).k_p)
 
     return quarter_laplacian(phi, step)
 
 
 def levi_metric_gap(
-    domain: Domain,
-    p: float,
-    direction: complex = 1.0,
-    step: float = 1e-2,
-    config: SolverConfig | None = None,
-    *,
-    degree: int = 16,
-    grid: QuadratureGrid | None = None,
-    cache: dict | None = None,
+    setup: Setup, p: float, direction: complex = 1.0, step: float = 1e-2
 ) -> LeviRecord:
     """Levi form of log K_p minus B_p^2 at the center of a disk.
 
     On the disk the kernel is p-independent, so the Levi term is that of the
     p = 2 kernel while B_p varies; the gap is positive for p > 2, negative for
-    p < 2, and zero at p = 2.  ``converged`` is true when every solve in
-    ``cache`` converged; a cache passed in from earlier calls contributes its
-    solves too.
+    p < 2, and zero at p = 2.  ``converged`` is true when every solve cached
+    in ``setup`` at this p converged; solves of earlier calls with the same
+    setup and p count too.
     """
-    if domain.kind != "disk":
+    if setup.domain.kind != "disk":
         raise ValueError("the center comparison needs a complete circular domain (disk)")
     direction = complex(direction)
-    cache = {} if cache is None else cache
-    grid = grid or default_grid(domain)
-    levi = levi_form_log_kp(
-        domain, p, 0.0, direction, step, config,
-        degree=degree, grid=grid, cache=cache,
-    )
-    met = metric_at(
-        domain, p, 0.0, direction, None, grid, config, degree=degree, cache=cache
-    )
+    levi = levi_form_log_kp(setup, p, 0.0, direction, step)
+    met = metric_at(setup, p, 0.0, direction)
     b2 = met.b_p**2
     return LeviRecord(
         z=0.0 + 0.0j,
@@ -259,7 +203,7 @@ def levi_metric_gap(
         b_p_squared=b2,
         gap=levi - b2,
         fd_step=step,
-        converged=_cache_converged(cache),
+        converged=setup.converged(p),
     )
 
 
@@ -280,40 +224,28 @@ def _check_radii(radii) -> tuple[float, ...]:
 
 
 def holder_exponent(
-    domain: Domain,
+    setup: Setup,
     p: float,
     z_prime: complex,
     w: complex,
     radii,
     directions: int = 8,
-    config: SolverConfig | None = None,
-    *,
-    degree: int = 16,
-    grid: QuadratureGrid | None = None,
-    margin: float | None = None,
-    cache: dict | None = None,
     noise_floor: float = NOISE_FLOOR,
 ) -> HolderFit:
     """Fit the growth exponent of r -> max_phi |m_p(z', w + r e^{i phi}) - m_p(z', w)|.
 
     The max over equally spaced directions avoids direction-specific flatness.
     Local regularity of the minimizer in its constraint point predicts a slope
-    close to 1; the check target is slope >= 0.9.  ``converged`` is true when
-    every solve in ``cache`` converged, as in ``levi_metric_gap``.
+    close to 1; the check target is slope >= 0.9.  ``converged`` is as in
+    ``levi_metric_gap``.
     """
     if p <= 1:
         raise ValueError("holder_exponent requires p > 1")
     z_prime, w = complex(z_prime), complex(w)
     rs = _check_radii(radii)
-    cache = {} if cache is None else cache
-    grid = grid or default_grid(domain)
 
     def m_at(point: complex) -> complex:
-        kr = mp_minimizer(
-            domain, p, point, None, grid, config,
-            degree=degree, margin=margin, cache=cache,
-        )
-        return evaluate(kr.minimizer.coeffs, z_prime)
+        return evaluate(mp_minimizer(setup, p, point).minimizer.coeffs, z_prime)
 
     base = m_at(w)
     deltas = tuple(
@@ -324,22 +256,16 @@ def holder_exponent(
     return HolderFit(
         z_prime=z_prime, w=w, p=p, radii=rs, deltas=deltas,
         slope=slope, intercept=intercept, r_squared=r2,
-        converged=_cache_converged(cache),
+        converged=setup.converged(p),
     )
 
 
 def hp_scaling_exponent(
-    domain: Domain,
+    setup: Setup,
     p: float,
     z: complex,
     radii,
     directions: int = 8,
-    config: SolverConfig | None = None,
-    *,
-    degree: int = 16,
-    grid: QuadratureGrid | None = None,
-    margin: float | None = None,
-    cache: dict | None = None,
     noise_floor: float = NOISE_FLOOR,
 ) -> HolderFit:
     """Fit the decay exponent of r -> max_phi |H_p(z, z + r e^{i phi})|.
@@ -352,26 +278,16 @@ def hp_scaling_exponent(
         raise ValueError("hp_scaling_exponent requires p > 1")
     z = complex(z)
     rs = _check_radii(radii)
-    cache = {} if cache is None else cache
-    grid = grid or default_grid(domain)
 
     deltas = tuple(
-        max(
-            abs(
-                h_function(
-                    domain, p, z, probe, None, grid, config,
-                    degree=degree, margin=margin, cache=cache,
-                )
-            )
-            for probe in _probe_circle(z, r, directions)
-        )
+        max(abs(h_function(setup, p, z, probe)) for probe in _probe_circle(z, r, directions))
         for r in rs
     )
     slope, intercept, r2 = fit_power_law(rs, deltas, noise_floor)
     return HolderFit(
         z_prime=z, w=z, p=p, radii=rs, deltas=deltas,
         slope=slope, intercept=intercept, r_squared=r2,
-        converged=_cache_converged(cache),
+        converged=setup.converged(p),
     )
 
 
@@ -393,66 +309,27 @@ def _pairwise_spread(problem: ExtremalProblem, solutions: list[Solution]) -> flo
     return spread
 
 
-def dp_estimate(
-    domain: Domain,
-    p: float,
-    z: complex,
-    config: SolverConfig | None = None,
-    *,
-    degree: int = 8,
-    n_min: int | None = None,
-    grid: QuadratureGrid | None = None,
-    margin: float | None = None,
-) -> tuple[float, list[Solution]]:
-    """Multistart lower bound for the spread d_p(z) of maximizers, 0 < p < 1.
+def dp_estimate(setup: Setup, p: float, z: complex) -> tuple[float, list[Solution]]:
+    """Multistart lower bound for the spread d_p(z) of maximizers, 0 < p <= 1.
 
     Maximizers of K_p with f(z) = 1 are exactly the minimizers of ||f||_p
     under that constraint.  The sup over all maximizer pairs is not
     computable; the returned value is a heuristic lower bound taken over the
     near-optimal multistart survivors (bound: lower).
     """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"dp_estimate requires 0 < p < 1, got {p}")
-    config = config or SolverConfig()
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"dp_estimate requires 0 < p <= 1, got {p}")
     z = complex(z)
-    require_interior(domain, z, margin)
-    basis = default_basis(domain, p, degree, n_min)
-    grid = grid or default_grid(domain)
-    problem = ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
-    solutions = multistart_minimize(problem, config)
+    setup.require_interior(z)
+    basis = setup.basis(p)
+    problem = ExtremalProblem(basis, setup.grid, p, (point_constraint(basis, z, 1.0),))
+    solutions = multistart_minimize(problem, setup.config)
     if not solutions:
         raise RuntimeError(f"no converged multistart run at p={p}")
     return _pairwise_spread(problem, solutions), solutions
 
 
-def _sweep_entry(domain, p, z, config, degree, n_min, grid, margin):
-    if p < 1.0:
-        d_p, sols = dp_estimate(
-            domain, p, z, config,
-            degree=degree, n_min=n_min, grid=grid, margin=margin,
-        )
-    else:
-        basis = default_basis(domain, p, degree, n_min)
-        problem = ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
-        sols = multistart_minimize(problem, config)
-        if not sols:
-            raise RuntimeError("no converged multistart run at p=1")
-        d_p = _pairwise_spread(problem, sols)
-    k_p = sols[0].objective ** -p
-    return d_p, k_p
-
-
-def limit_sweep(
-    domain: Domain,
-    z: complex,
-    p_list,
-    config: SolverConfig | None = None,
-    *,
-    degree: int = 8,
-    n_min: int | None = None,
-    grid: QuadratureGrid | None = None,
-    margin: float | None = None,
-) -> LimitRecord:
+def limit_sweep(setup: Setup, z: complex, p_list) -> LimitRecord:
     """Tabulate (p, K_p, d_p lower bound) over an ascending p list in (0, 1].
 
     Expected numerical failures (``ValueError``, ``RuntimeError``,
@@ -467,14 +344,12 @@ def limit_sweep(
         raise ValueError("p_list must lie in (0, 1]")
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("p_list must be ascending")
-    config = config or SolverConfig()
     z = complex(z)
-    grid = grid or default_grid(domain)
 
     def run(p: float):
         try:
-            d_p, k_p = _sweep_entry(domain, p, z, config, degree, n_min, grid, margin)
-            return d_p, k_p, "ok"
+            d_p, sols = dp_estimate(setup, p, z)
+            return d_p, sols[0].objective ** -p, "ok"
         except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
             return math.nan, math.nan, f"error: {exc}"
 
@@ -485,42 +360,6 @@ def limit_sweep(
         p_list=ps,
         d_p_estimates=tuple(r[0] for r in results),
         k_p_values=tuple(r[1] for r in results),
-        restarts=config.restarts,
+        restarts=setup.config.restarts,
         statuses=tuple(r[2] for r in results),
     )
-
-
-def write_levi_csv(path, records: list[LeviRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "re_z", "im_z", "levi", "bp2", "gap"])
-        for r in records:
-            writer.writerow(
-                [
-                    f"{r.p:.17g}",
-                    f"{r.z.real:.17g}",
-                    f"{r.z.imag:.17g}",
-                    f"{r.levi:.17g}",
-                    f"{r.b_p_squared:.17g}",
-                    f"{r.gap:.17g}",
-                ]
-            )
-
-
-def write_holder_csv(path, fit: HolderFit) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["r", "delta", "fitted"])
-        for r, d in zip(fit.radii, fit.deltas):
-            fitted = math.exp(fit.intercept) * r**fit.slope
-            writer.writerow([f"{r:.17g}", f"{d:.17g}", f"{fitted:.17g}"])
-
-
-def write_limit_csv(path, record: LimitRecord) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "K_p", "d_p", "restarts"])
-        for p, k_p, d_p in zip(record.p_list, record.k_p_values, record.d_p_estimates):
-            writer.writerow(
-                [f"{p:.17g}", f"{k_p:.17g}", f"{d_p:.17g}", record.restarts]
-            )

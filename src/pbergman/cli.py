@@ -124,11 +124,15 @@ def _emit_csv(header: list[str], rows: list[list[str]], config: dict, out: Path 
         out.write_text(text)
 
 
-def _solver_config(args) -> SolverConfig:
-    return SolverConfig(
-        tolerance=args.tol,
-        restarts=args.restarts,
-        rng_seed=args.seed,
+def _setup(args) -> kernel.Setup:
+    domain = parse_domain(args.domain)
+    return kernel.Setup(
+        domain,
+        degree=args.degree,
+        n_min=args.nmin,
+        grid=build_grid(domain, *_parse_grid(args.grid)),
+        config=SolverConfig(tolerance=args.tol, restarts=args.restarts, rng_seed=args.seed),
+        margin=args.margin,
     )
 
 
@@ -163,20 +167,14 @@ def _base_config(args, command: str) -> dict:
     }
 
 
-def _cmd_kernel(args) -> int:
-    domain = parse_domain(args.domain)
-    grid = build_grid(domain, *_parse_grid(args.grid))
-    config = _solver_config(args)
+def _cmd_kernel(setup: kernel.Setup, args) -> int:
     ps = _parse_list(args.p, float)
     zs = _parse_list(args.z, _parse_complex)
     conf = _base_config(args, "kernel") | {"p": ps, "z": zs}
     out = _resolve_out(args.out)
 
     if len(ps) == 1 and len(zs) == 1:
-        result = kernel.mp_minimizer(
-            domain, ps[0], zs[0], None, grid, config,
-            degree=args.degree, n_min=args.nmin, margin=args.margin,
-        )
+        result = kernel.mp_minimizer(setup, ps[0], zs[0])
         document = {
             "config": conf,
             "timestamp": _timestamp(),
@@ -191,10 +189,7 @@ def _cmd_kernel(args) -> int:
         _emit_json(document, out)
         return EXIT_OK if result.minimizer.converged else EXIT_DEGRADED
 
-    rows = kernel.kernel_metric_sweep(
-        domain, ps, zs, config,
-        degree=args.degree, n_min=args.nmin, margin=args.margin, grid=grid,
-    )
+    rows = kernel.kernel_metric_sweep(setup, ps, zs)
     _emit_csv(
         ["p", "re_z", "im_z", "K_p", "B_p"],
         [[_fmt_float(r[k]) for k in ("p", "re_z", "im_z", "K_p", "B_p")] for r in rows],
@@ -204,18 +199,12 @@ def _cmd_kernel(args) -> int:
     return EXIT_OK if all(r["converged"] for r in rows) else EXIT_DEGRADED
 
 
-def _cmd_metric(args) -> int:
-    domain = parse_domain(args.domain)
-    grid = build_grid(domain, *_parse_grid(args.grid))
-    config = _solver_config(args)
+def _cmd_metric(setup: kernel.Setup, args) -> int:
     p = float(args.p)
     z = _parse_complex(args.z)
     direction = _parse_complex(args.direction)
     conf = _base_config(args, "metric") | {"p": p, "z": z, "direction": direction}
-    result = kernel.metric_at(
-        domain, p, z, direction, None, grid, config,
-        degree=args.degree, n_min=args.nmin, margin=args.margin,
-    )
+    result = kernel.metric_at(setup, p, z, direction)
     document = {
         "config": conf,
         "timestamp": _timestamp(),
@@ -230,19 +219,11 @@ def _cmd_metric(args) -> int:
     return EXIT_OK if result.extremal.converged else EXIT_DEGRADED
 
 
-def _cmd_levi(args) -> int:
-    domain = parse_domain(args.domain)
-    grid = build_grid(domain, *_parse_grid(args.grid))
-    config = _solver_config(args)
+def _cmd_levi(setup: kernel.Setup, args) -> int:
     ps = _parse_list(args.p, float)
     direction = _parse_complex(args.direction)
     conf = _base_config(args, "levi") | {"p": ps, "direction": direction, "step": args.step}
-    records = [
-        analysis.levi_metric_gap(
-            domain, p, direction, args.step, config, degree=args.degree, grid=grid
-        )
-        for p in ps
-    ]
+    records = [analysis.levi_metric_gap(setup, p, direction, args.step) for p in ps]
     code = EXIT_OK if all(r.converged for r in records) else EXIT_DEGRADED
     out = _resolve_out(args.out)
     if out is not None and out.suffix == ".csv":
@@ -287,10 +268,7 @@ def _default_radii() -> list[float]:
     return [0.1 * 2.0**-k for k in range(6)]
 
 
-def _cmd_holder(args) -> int:
-    domain = parse_domain(args.domain)
-    grid = build_grid(domain, *_parse_grid(args.grid))
-    config = _solver_config(args)
+def _cmd_holder(setup: kernel.Setup, args) -> int:
     p = float(args.p)
     z_prime = _parse_complex(args.zprime)
     w = _parse_complex(args.w)
@@ -300,15 +278,9 @@ def _cmd_holder(args) -> int:
         "directions": args.directions, "quantity": args.quantity,
     }
     if args.quantity == "mp":
-        fit = analysis.holder_exponent(
-            domain, p, z_prime, w, radii, args.directions, config,
-            degree=args.degree, grid=grid, margin=args.margin,
-        )
+        fit = analysis.holder_exponent(setup, p, z_prime, w, radii, args.directions)
     else:
-        fit = analysis.hp_scaling_exponent(
-            domain, p, w, radii, args.directions, config,
-            degree=args.degree, grid=grid, margin=args.margin,
-        )
+        fit = analysis.hp_scaling_exponent(setup, p, w, radii, args.directions)
     code = EXIT_OK if fit.converged else EXIT_DEGRADED
     out = _resolve_out(args.out)
     if out is not None and out.suffix == ".csv":
@@ -337,17 +309,11 @@ def _cmd_holder(args) -> int:
     return code
 
 
-def _cmd_limit(args) -> int:
-    domain = parse_domain(args.domain)
-    grid = build_grid(domain, *_parse_grid(args.grid))
-    config = _solver_config(args)
+def _cmd_limit(setup: kernel.Setup, args) -> int:
     ps = _parse_list(args.p_list, float)
     z = _parse_complex(args.z)
     conf = _base_config(args, "limit") | {"p_list": ps, "z": z}
-    record = analysis.limit_sweep(
-        domain, z, ps, config,
-        degree=args.degree, n_min=args.nmin, grid=grid, margin=args.margin,
-    )
+    record = analysis.limit_sweep(setup, z, ps)
     out = _resolve_out(args.out)
     degraded = any(s != "ok" for s in record.statuses)
     if out is not None and out.suffix == ".csv":
@@ -455,7 +421,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        if args.command == "lacunary":
+            return args.func(args)
+        return args.func(_setup(args), args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

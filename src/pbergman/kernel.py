@@ -8,13 +8,14 @@ degree.  The off-diagonal kernel is K_p(z, w) = m_p(z, w) K_p(w), where
 m_p(., w) is the minimizer; H_p combines the four kernel values; B_p(z; X)
 normalizes the largest attainable derivative among series vanishing at z.
 
-All operations are pure functions over immutable inputs.
+Every operation is a module-level function of a ``Setup`` (domain, basis
+degree, grid, solver controls, boundary margin) and of its own quantities;
+the solve cache a ``Setup`` owns is the only state they share.
 """
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .geometry import Domain, QuadratureGrid, build_grid, format_domain
 from .series import BasisSpec, admissible_exponents, evaluate
@@ -34,14 +35,12 @@ __all__ = [
     "BoundaryMarginError",
     "KernelResult",
     "MetricResult",
-    "default_basis",
-    "default_grid",
+    "Setup",
     "mp_minimizer",
     "offdiag_kernel",
     "h_function",
     "metric_at",
     "kernel_metric_sweep",
-    "write_sweep_csv",
 ]
 
 DEFAULT_DEGREE = 24
@@ -82,48 +81,60 @@ class MetricResult:
     extremal: Solution
 
 
-def default_basis(
-    domain: Domain, p: float, degree: int = DEFAULT_DEGREE, n_min: int | None = None
-) -> BasisSpec:
-    """Admissible exponents up to ``degree`` (from ``n_min``, or the natural floor)."""
-    if n_min is None:
-        n_min = -degree if domain.kind == "annulus" else 0
-    exps = admissible_exponents(domain, p, n_min, degree)
-    if not exps:
-        raise ValueError(f"no admissible exponents in [{n_min}, {degree}]")
-    return BasisSpec(tuple(exps), domain, p)
+@dataclass(frozen=True, eq=False)
+class Setup:
+    """Everything a solve needs besides p and its points, and the solves done.
 
+    The basis at p holds the admissible exponents from ``n_min`` (default:
+    ``-degree`` on an annulus, 0 otherwise) up to ``degree``.  ``grid``
+    defaults to the ``DEFAULT_GRID_SHAPE`` rule on ``domain``; ``margin``
+    defaults to ``MARGIN_FRACTION`` of the outer radius.  ``cache`` maps
+    ``(kind, p, point)`` to a finished solve, a ``KernelResult`` for K_p and
+    a ``Solution`` for B_p, and is shared by every call given this setup;
+    ``dataclasses.replace`` gives a setup with an empty cache.
+    """
 
-def default_grid(domain: Domain) -> QuadratureGrid:
-    return build_grid(domain, *DEFAULT_GRID_SHAPE)
+    domain: Domain
+    degree: int = DEFAULT_DEGREE
+    n_min: int | None = None
+    grid: QuadratureGrid | None = None
+    config: SolverConfig = field(default_factory=SolverConfig)
+    margin: float | None = None
+    cache: dict = field(default_factory=dict, init=False, repr=False)
 
+    def __post_init__(self):
+        if self.grid is None:
+            object.__setattr__(self, "grid", build_grid(self.domain, *DEFAULT_GRID_SHAPE))
+        if self.margin is None:
+            object.__setattr__(self, "margin", MARGIN_FRACTION * self.domain.outer_radius)
 
-def require_interior(domain: Domain, z: complex, margin: float | None) -> None:
-    m = MARGIN_FRACTION * domain.outer_radius if margin is None else margin
-    if not domain.contains(z) or domain.boundary_distance(z) < m:
-        raise BoundaryMarginError(
-            f"point {z} is within margin {m:.6g} of the boundary of "
-            f"{format_domain(domain)}; pass margin= explicitly to override"
+    def basis(self, p: float) -> BasisSpec:
+        n_min = self.n_min
+        if n_min is None:
+            n_min = -self.degree if self.domain.kind == "annulus" else 0
+        exps = admissible_exponents(self.domain, p, n_min, self.degree)
+        if not exps:
+            raise ValueError(f"no admissible exponents in [{n_min}, {self.degree}]")
+        return BasisSpec(tuple(exps), self.domain, p)
+
+    def require_interior(self, z: complex) -> None:
+        """Reject z outside the domain or within ``margin`` of its boundary."""
+        if not self.domain.contains(z) or self.domain.boundary_distance(z) < self.margin:
+            raise BoundaryMarginError(
+                f"point {z} is within margin {self.margin:.6g} of the boundary of "
+                f"{format_domain(self.domain)}; pass margin= explicitly to override"
+            )
+
+    def converged(self, p: float) -> bool:
+        """True when every solve cached at exponent ``p`` converged."""
+        return all(
+            (entry.minimizer if isinstance(entry, KernelResult) else entry).converged
+            for (_, q, _), entry in self.cache.items()
+            if q == p
         )
 
 
-def _cache_key(tag, domain, p, points, basis, grid):
-    return (tag, domain, p, points, basis.exponents, grid.radial_count, grid.angular_count)
-
-
-def mp_minimizer(
-    domain: Domain,
-    p: float,
-    z: complex,
-    basis: BasisSpec | None = None,
-    grid: QuadratureGrid | None = None,
-    config: SolverConfig | None = None,
-    *,
-    degree: int = DEFAULT_DEGREE,
-    n_min: int | None = None,
-    margin: float | None = None,
-    cache: dict | None = None,
-) -> KernelResult:
+def mp_minimizer(setup: Setup, p: float, z: complex) -> KernelResult:
     """Solve min ||f||_p subject to f(z) = 1 and report m_p, K_p.
 
     Non-convergence is propagated through the embedded Solution, never hidden.
@@ -131,16 +142,14 @@ def mp_minimizer(
     if p < 1:
         raise ValueError("mp_minimizer requires p >= 1; use multistart_minimize below 1")
     z = complex(z)
-    require_interior(domain, z, margin)
-    basis = basis or default_basis(domain, p, degree, n_min)
-    grid = grid or default_grid(domain)
+    setup.require_interior(z)
+    key = ("mp", p, z)
+    if key in setup.cache:
+        return setup.cache[key]
 
-    key = _cache_key("mp", domain, p, z, basis, grid)
-    if cache is not None and key in cache:
-        return cache[key]
-
-    problem = ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
-    sol = minimize_pnorm(problem, config)
+    basis = setup.basis(p)
+    problem = ExtremalProblem(basis, setup.grid, p, (point_constraint(basis, z, 1.0),))
+    sol = minimize_pnorm(problem, setup.config)
     m_p = sol.objective
     result = KernelResult(
         z=z,
@@ -150,74 +159,30 @@ def mp_minimizer(
         minimizer=sol,
         basis_degree=max(basis.exponents),
     )
-    if cache is not None:
-        cache[key] = result
+    setup.cache[key] = result
     return result
 
 
-def offdiag_kernel(
-    domain: Domain,
-    p: float,
-    z: complex,
-    w: complex,
-    basis: BasisSpec | None = None,
-    grid: QuadratureGrid | None = None,
-    config: SolverConfig | None = None,
-    *,
-    degree: int = DEFAULT_DEGREE,
-    n_min: int | None = None,
-    margin: float | None = None,
-    cache: dict | None = None,
-) -> complex:
+def offdiag_kernel(setup: Setup, p: float, z: complex, w: complex) -> complex:
     """K_p(z, w): the minimizer for w evaluated at z, times K_p(w)."""
-    require_interior(domain, complex(z), margin)
-    at_w = mp_minimizer(
-        domain, p, w, basis, grid, config,
-        degree=degree, n_min=n_min, margin=margin, cache=cache,
-    )
+    setup.require_interior(complex(z))
+    at_w = mp_minimizer(setup, p, w)
     return complex(evaluate(at_w.minimizer.coeffs, complex(z)) * at_w.k_p)
 
 
-def h_function(
-    domain: Domain,
-    p: float,
-    z: complex,
-    w: complex,
-    basis: BasisSpec | None = None,
-    grid: QuadratureGrid | None = None,
-    config: SolverConfig | None = None,
-    *,
-    degree: int = DEFAULT_DEGREE,
-    n_min: int | None = None,
-    margin: float | None = None,
-    cache: dict | None = None,
-) -> float:
+def h_function(setup: Setup, p: float, z: complex, w: complex) -> float:
     """H_p(z, w) = K_p(z) + K_p(w) - Re{K_p(z, w) + K_p(w, z)}.
 
     Vanishes on the diagonal; symmetric in (z, w) exactly.
     """
-    kwargs = dict(degree=degree, n_min=n_min, margin=margin, cache=cache)
-    at_z = mp_minimizer(domain, p, z, basis, grid, config, **kwargs)
-    at_w = mp_minimizer(domain, p, w, basis, grid, config, **kwargs)
+    at_z = mp_minimizer(setup, p, z)
+    at_w = mp_minimizer(setup, p, w)
     k_zw = evaluate(at_w.minimizer.coeffs, complex(z)) * at_w.k_p
     k_wz = evaluate(at_z.minimizer.coeffs, complex(w)) * at_z.k_p
     return float(at_z.k_p + at_w.k_p - (k_zw + k_wz).real)
 
 
-def metric_at(
-    domain: Domain,
-    p: float,
-    z: complex,
-    direction: complex = 1.0,
-    basis: BasisSpec | None = None,
-    grid: QuadratureGrid | None = None,
-    config: SolverConfig | None = None,
-    *,
-    degree: int = DEFAULT_DEGREE,
-    n_min: int | None = None,
-    margin: float | None = None,
-    cache: dict | None = None,
-) -> MetricResult:
+def metric_at(setup: Setup, p: float, z: complex, direction: complex = 1.0) -> MetricResult:
     """B_p(z; X) = K_p(z)^(-1/p) / min{||f||_p : f(z) = 0, Xf(z) = 1}."""
     if p < 1:
         raise ValueError("metric_at requires p >= 1")
@@ -225,64 +190,40 @@ def metric_at(
     if direction == 0:
         raise ValueError("direction X must be nonzero")
     z = complex(z)
-    require_interior(domain, z, margin)
-    basis = basis or default_basis(domain, p, degree, n_min)
-    grid = grid or default_grid(domain)
+    setup.require_interior(z)
     speed = abs(direction)
     unit = direction / speed
 
-    kernel = mp_minimizer(
-        domain, p, z, basis, grid, config,
-        degree=degree, n_min=n_min, margin=margin, cache=cache,
-    )
-    key = _cache_key("metric", domain, p, (z, unit), basis, grid)
-    if cache is not None and key in cache:
-        sol = cache[key]
+    kernel = mp_minimizer(setup, p, z)
+    key = ("metric", p, (z, unit))
+    if key in setup.cache:
+        sol = setup.cache[key]
     else:
+        basis = setup.basis(p)
         der_row, _ = derivative_constraint(basis, z, 1.0)
         problem = ExtremalProblem(
             basis,
-            grid,
+            setup.grid,
             p,
             (point_constraint(basis, z, 0.0), (unit * der_row, 1.0)),
         )
-        sol = minimize_pnorm(problem, config)
-        if cache is not None:
-            cache[key] = sol
+        sol = minimize_pnorm(problem, setup.config)
+        setup.cache[key] = sol
     b_unit = kernel.k_p ** (-1.0 / p) / sol.objective
     return MetricResult(z=z, direction=unit, p=p, b_p=speed * b_unit, extremal=sol)
 
 
-def kernel_metric_sweep(
-    domain: Domain,
-    p_values,
-    z_values,
-    config: SolverConfig | None = None,
-    *,
-    degree: int = DEFAULT_DEGREE,
-    n_min: int | None = None,
-    margin: float | None = None,
-    grid: QuadratureGrid | None = None,
-    cache: dict | None = None,
-) -> list[dict]:
+def kernel_metric_sweep(setup: Setup, p_values, z_values) -> list[dict]:
     """K_p and B_p over the (p, z) product, one row per combination.
 
     ``converged`` in a row is true only when both the K_p and the B_p solve
     converged.
     """
-    grid = grid or default_grid(domain)
-    cache = {} if cache is None else cache
     rows = []
     for p in p_values:
         for z in z_values:
-            kr = mp_minimizer(
-                domain, p, z, None, grid, config,
-                degree=degree, n_min=n_min, margin=margin, cache=cache,
-            )
-            mr = metric_at(
-                domain, p, z, 1.0, None, grid, config,
-                degree=degree, n_min=n_min, margin=margin, cache=cache,
-            )
+            kr = mp_minimizer(setup, p, z)
+            mr = metric_at(setup, p, z)
             rows.append(
                 {
                     "p": p,
@@ -294,13 +235,3 @@ def kernel_metric_sweep(
                 }
             )
     return rows
-
-
-def write_sweep_csv(path, rows: list[dict]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "re_z", "im_z", "K_p", "B_p"])
-        for row in rows:
-            writer.writerow(
-                [f"{row[k]:.17g}" for k in ("p", "re_z", "im_z", "K_p", "B_p")]
-            )

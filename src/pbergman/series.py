@@ -2,14 +2,12 @@
 
 A basis is a set of admissible monomial exponents; a coefficient vector pins
 one series.  Evaluation and differentiation are pure and vectorize over
-points.  Coefficients travel as CSV rows ``exponent,re,im``.
+points.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -22,8 +20,6 @@ __all__ = [
     "admissible_exponents",
     "evaluate",
     "derivative_at",
-    "write_coeffs_csv",
-    "read_coeffs_csv",
 ]
 
 # Conditioning guard for raw monomial bases; desk-scale work stays below it.
@@ -134,27 +130,3 @@ def derivative_at(coeffs: CoeffVector, z):
             continue
         out += n * a * zs ** (n - 1)
     return complex(out[0]) if scalar else out
-
-
-def write_coeffs_csv(path, coeffs: CoeffVector) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["exponent", "re", "im"])
-        for n, a in zip(coeffs.basis.exponents, coeffs.coefficients):
-            writer.writerow([n, f"{a.real:.17g}", f"{a.imag:.17g}"])
-
-
-def read_coeffs_csv(path, domain: Domain, p: float) -> CoeffVector:
-    """Read ``exponent,re,im`` rows (header optional) into a CoeffVector."""
-    rows: list[tuple[int, complex]] = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or row[0].strip().lower() == "exponent":
-                continue
-            n, re, im = row
-            rows.append((int(n), complex(float(re), float(im))))
-    if not rows:
-        raise ValueError(f"no coefficient rows in {Path(path)}")
-    rows.sort(key=lambda item: item[0])
-    basis = BasisSpec(tuple(n for n, _ in rows), domain, p)
-    return CoeffVector(basis, np.array([a for _, a in rows]))

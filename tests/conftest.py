@@ -28,7 +28,25 @@ def disk_grid(unit_disk):
     return pb.build_grid(unit_disk, 128, 256)
 
 
+# One setup per basis degree on the unit disk, shared across tests so that
+# repeated (p, point) solves at that degree reuse the setup's cache.
+
+
 @pytest.fixture(scope="session")
-def kernel_cache():
-    # shared across tests so repeated (domain, p, z, degree, grid) solves reuse results
-    return {}
+def disk8(unit_disk, disk_grid):
+    return pb.Setup(unit_disk, degree=8, grid=disk_grid)
+
+
+@pytest.fixture(scope="session")
+def disk12(unit_disk, disk_grid):
+    return pb.Setup(unit_disk, degree=12, grid=disk_grid)
+
+
+@pytest.fixture(scope="session")
+def disk16(unit_disk, disk_grid):
+    return pb.Setup(unit_disk, degree=16, grid=disk_grid)
+
+
+@pytest.fixture(scope="session")
+def disk24(unit_disk, disk_grid):
+    return pb.Setup(unit_disk, degree=24, grid=disk_grid)

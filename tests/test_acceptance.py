@@ -6,7 +6,6 @@ Each criterion prints one pass/fail line (run with -s to see them all).
 import math
 
 import numpy as np
-import pytest
 
 import pbergman as pb
 from pbergman.analysis import holder_exponent, hp_scaling_exponent, levi_metric_gap, limit_sweep
@@ -31,21 +30,16 @@ def _report(name: str, ok: bool, detail: str) -> None:
     assert ok, f"{name}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def cache():
-    return {}
-
-
-def test_a1_center_kernel_value(unit_disk, disk_grid, cache):
+def test_a1_center_kernel_value(disk8):
     worst = 0.0
     for p in P_SWEEP:
-        result = mp_minimizer(unit_disk, p, 0.0, grid=disk_grid, degree=8, cache=cache)
+        result = mp_minimizer(disk8, p, 0.0)
         worst = max(worst, abs(result.k_p - 1.0 / math.pi) * math.pi)
     _report("A1 center kernel = 1/area for p in {1,1.5,2,3,4}", worst <= 1e-3,
             f"worst rel err {worst:.2e}")
 
 
-def test_a2_p2_closed_form_suite(unit_disk, disk_grid, cache):
+def test_a2_p2_closed_form_suite(disk24):
     rng = np.random.default_rng(2024)
     pairs = []
     while len(pairs) < 20:
@@ -55,43 +49,43 @@ def test_a2_p2_closed_form_suite(unit_disk, disk_grid, cache):
             pairs.append((z, w))
     worst = 0.0
     for z, w in pairs:
-        k = mp_minimizer(unit_disk, 2.0, z, grid=disk_grid, degree=24, cache=cache).k_p
+        k = mp_minimizer(disk24, 2.0, z).k_p
         worst = max(worst, abs(k - disk_kernel(z, z).real) / disk_kernel(z, z).real)
 
-        off = offdiag_kernel(unit_disk, 2.0, z, w, grid=disk_grid, degree=24, cache=cache)
+        off = offdiag_kernel(disk24, 2.0, z, w)
         exact_off = disk_kernel(z, w)
         worst = max(worst, abs(off - exact_off) / abs(exact_off))
 
-        h = h_function(unit_disk, 2.0, z, w, grid=disk_grid, degree=24, cache=cache)
+        h = h_function(disk24, 2.0, z, w)
         exact_h = float(
             (disk_kernel(z, z) + disk_kernel(w, w)).real
             - 2.0 * disk_kernel(z, w).real
         )
         worst = max(worst, abs(h - exact_h) / abs(exact_h))
 
-        b = metric_at(unit_disk, 2.0, z, grid=disk_grid, degree=24, cache=cache).b_p
+        b = metric_at(disk24, 2.0, z).b_p
         exact_b = math.sqrt(2.0) / (1.0 - abs(z) ** 2)
         worst = max(worst, abs(b - exact_b) / exact_b)
     _report("A2 p=2 kernel/offdiag/H/metric vs closed forms at 20 points",
             worst <= 1e-4, f"worst rel err {worst:.2e}")
 
 
-def test_a3_levi_gap_signs(unit_disk, disk_grid, cache):
-    gap4 = levi_metric_gap(unit_disk, 4.0, grid=disk_grid, cache=cache).gap
-    gap1 = levi_metric_gap(unit_disk, 1.0, grid=disk_grid, cache=cache).gap
-    gap2 = levi_metric_gap(unit_disk, 2.0, grid=disk_grid, cache=cache).gap
+def test_a3_levi_gap_signs(disk16):
+    gap4 = levi_metric_gap(disk16, 4.0).gap
+    gap1 = levi_metric_gap(disk16, 1.0).gap
+    gap2 = levi_metric_gap(disk16, 2.0).gap
     ok = gap4 > 0.1 and gap1 < -0.1 and abs(gap2) <= 2e-3
     _report("A3 Levi minus metric-squared gap signs at p=4/1/2", ok,
             f"gap4={gap4:+.4f} (exp +0.268), gap1={gap1:+.4f} (exp -0.25), |gap2|={abs(gap2):.1e}")
 
 
-def test_a4_center_metric_formula(unit_disk, disk_grid, cache):
+def test_a4_center_metric_formula(unit_disk, disk8):
     oracle_grid = pb.build_grid(unit_disk, 64, 128)
     worst = 0.0
     worst_bf = 0.0
     for p in P_SWEEP:
         expected = ((p + 2.0) / 2.0) ** (1.0 / p)
-        got = metric_at(unit_disk, p, 0.0, grid=disk_grid, degree=8, cache=cache).b_p
+        got = metric_at(disk8, p, 0.0).b_p
         worst = max(worst, abs(got - expected) / expected)
         # independent route: simplex search over degree-6 competitors
         bf_min = brute_force_metric_objective(oracle_grid, p, degree=6, starts=2, seed=5)
@@ -102,13 +96,13 @@ def test_a4_center_metric_formula(unit_disk, disk_grid, cache):
             ok, f"solver rel {worst:.2e}, brute-force rel {worst_bf:.2e}")
 
 
-def test_a5_holder_and_h_slopes(unit_disk, disk_grid, cache):
+def test_a5_holder_and_h_slopes(disk16):
     radii = [0.1 * 2.0**-k for k in range(6)]
     slopes = {}
     for p in (1.5, 2.0, 3.0):
-        fit = holder_exponent(unit_disk, p, 0.2, 0.4, radii, grid=disk_grid, cache=cache)
+        fit = holder_exponent(disk16, p, 0.2, 0.4, radii)
         slopes[p] = fit.slope
-    h_fit = hp_scaling_exponent(unit_disk, 2.0, 0.4, radii, grid=disk_grid, cache=cache)
+    h_fit = hp_scaling_exponent(disk16, 2.0, 0.4, radii)
     ok = all(s >= 0.9 for s in slopes.values()) and h_fit.slope >= 1.9
     _report("A5 continuity slopes >= 0.9 and H_2 slope >= 1.9", ok,
             "m_p slopes " + ", ".join(f"p={p}: {s:.3f}" for p, s in slopes.items())
@@ -116,10 +110,8 @@ def test_a5_holder_and_h_slopes(unit_disk, disk_grid, cache):
 
 
 def test_a6_maximizer_collapse_trend(unit_disk, disk_grid):
-    record = limit_sweep(
-        unit_disk, 0.0, (0.7, 0.8, 0.9, 0.95, 0.99),
-        SolverConfig(restarts=16), degree=8, grid=disk_grid,
-    )
+    setup = pb.Setup(unit_disk, degree=8, grid=disk_grid, config=SolverConfig(restarts=16))
+    record = limit_sweep(setup, 0.0, (0.7, 0.8, 0.9, 0.95, 0.99))
     k_worst = max(abs(k - 1.0 / math.pi) * math.pi for k in record.k_p_values)
     d = dict(zip(record.p_list, record.d_p_estimates))
     ok = (
@@ -171,12 +163,13 @@ def test_a7_lacunary_bands(unit_disk):
 
 def test_a8_solver_certificates(unit_disk, disk_grid):
     rng = np.random.default_rng(88)
+    disk10 = pb.Setup(unit_disk, degree=10, grid=disk_grid)
     # closed-form equivalence at p = 2
     worst_eq = 0.0
     recorded = []
     for seed in range(3):
         r = np.random.default_rng(seed)
-        basis = pb.default_basis(unit_disk, 2.0, 10)
+        basis = disk10.basis(2.0)
         rows = r.standard_normal((2, 11)) + 1j * r.standard_normal((2, 11))
         targets = r.standard_normal(2) + 1j * r.standard_normal(2)
         prob = ExtremalProblem(basis, disk_grid, 2.0, tuple(zip(rows, targets)))
@@ -187,7 +180,7 @@ def test_a8_solver_certificates(unit_disk, disk_grid):
 
     # descent monotonicity on every recorded run, including rough exponents
     for p in (1.0, 1.3, 3.0, 4.0):
-        basis = pb.default_basis(unit_disk, p, 10)
+        basis = disk10.basis(p)
         prob = ExtremalProblem(basis, disk_grid, p, (point_constraint(basis, 0.45, 1.0),))
         recorded.append(minimize_pnorm(prob))
     descent_ok = all(
@@ -200,7 +193,7 @@ def test_a8_solver_certificates(unit_disk, disk_grid):
     for p in (1.5, 3.0):
         objs = []
         for degree in (6, 12, 24):
-            basis = pb.default_basis(unit_disk, p, degree)
+            basis = pb.Setup(unit_disk, degree=degree, grid=disk_grid).basis(p)
             prob = ExtremalProblem(
                 basis, disk_grid, p, (point_constraint(basis, 0.5, 1.0),)
             )
@@ -208,7 +201,7 @@ def test_a8_solver_certificates(unit_disk, disk_grid):
         nested_ok &= all(b <= a * (1 + 1e-9) for a, b in zip(objs, objs[1:]))
 
     # smoothed gradient against central differences at 50 random feasible points
-    basis = pb.default_basis(unit_disk, 2.6, 8)
+    basis = pb.Setup(unit_disk, degree=8, grid=disk_grid).basis(2.6)
     prob = ExtremalProblem(basis, disk_grid, 2.6, (point_constraint(basis, 0.2, 1.0),))
     feasible = minimize_pnorm(prob).coeffs.coefficients
     h = 1e-6
@@ -230,8 +223,8 @@ def test_a8_solver_certificates(unit_disk, disk_grid):
 
 
 def test_a9_punctured_pole_admission(punctured):
-    without = mp_minimizer(punctured, 1.0, 0.5, degree=12, n_min=0)
-    with_pole = mp_minimizer(punctured, 1.0, 0.5, degree=12, n_min=-1)
+    without = mp_minimizer(pb.Setup(punctured, degree=12, n_min=0), 1.0, 0.5)
+    with_pole = mp_minimizer(pb.Setup(punctured, degree=12, n_min=-1), 1.0, 0.5)
     ok = with_pole.k_p >= without.k_p * (1.0 - 1e-8)
     _report("A9 admitting the pole exponent never shrinks the kernel", ok,
             f"K with pole {with_pole.k_p:.6f} >= {without.k_p:.6f} without")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
 import pbergman as pb
+from pbergman import cli
 from pbergman.cli import main
 from pbergman.lacunary import LacunarySeries, write_series_csv
 
@@ -108,6 +110,46 @@ def test_levi_gap_values(capsys):
     assert abs(doc["records"][0]["gap"]) <= 2e-3
 
 
+def test_levi_applies_margin(capsys):
+    # the stencil around the center needs margin + 2 * step of room
+    code, out, err = _run(capsys, ["levi", "--domain", "disk:1", "--p", "2", "--margin", "0.99"])
+    assert code == 1
+    assert out == "" and "stencil" in err
+
+
+def test_holder_applies_nmin(capsys):
+    argv = ["holder", "--domain", "annulus:0.5,1", "--p", "2", "--degree", "4",
+            "--grid", "32x64", "--w", "0.75", "--zprime", "0.7",
+            "--radii", "0.02,0.0005", "--directions", "2"]
+    slopes = []
+    for extra in ([], ["--nmin", "0"]):
+        code, out, _ = _run(capsys, argv + extra)
+        assert code == 0
+        slopes.append(json.loads(out)["slope"])
+    # dropping the negative exponents changes the basis, so the slope moves
+    assert abs(slopes[0] - slopes[1]) > 0.05
+
+
+@pytest.mark.parametrize(
+    "argv, header, rows",
+    [
+        (["levi", "--domain", "disk:1", "--p", "2", "--degree", "8"],
+         "p,re_z,im_z,levi,bp2,gap", 1),
+        (["holder", "--domain", "disk:1", "--p", "2", "--radii", "0.1,0.003",
+          "--directions", "2", "--degree", "8"], "r,delta,fitted", 2),
+    ],
+    ids=["levi", "holder"],
+)
+def test_levi_and_holder_csv(capsys, tmp_path, argv, header, rows):
+    out_path = tmp_path / "x.csv"
+    code, _, _ = _run(capsys, argv + ["--out", str(out_path)])
+    assert code == 0
+    lines = out_path.read_text().splitlines()
+    assert lines[0].startswith("# config:")
+    assert lines[2] == header
+    assert len(lines) == 3 + rows
+
+
 def test_holder_json_contract(capsys):
     code, out, _ = _run(
         capsys,
@@ -176,10 +218,15 @@ def test_output_dir_env(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "rel.csv").exists()
 
 
-def test_kernel_sweep_non_convergence_exits_two(capsys, monkeypatch):
+def _stall_solves(monkeypatch):
+    setup = cli._setup
     monkeypatch.setattr(
-        "pbergman.cli._solver_config", lambda args: pb.SolverConfig(max_iterations=1)
+        cli, "_setup", lambda args: replace(setup(args), config=pb.SolverConfig(max_iterations=1))
     )
+
+
+def test_kernel_sweep_non_convergence_exits_two(capsys, monkeypatch):
+    _stall_solves(monkeypatch)
     code, out, _ = _run(
         capsys,
         ["kernel", "--domain", "disk:1", "--p", "1", "--z", "0.3,0.4", "--degree", "6"],
@@ -198,9 +245,7 @@ def test_kernel_sweep_non_convergence_exits_two(capsys, monkeypatch):
     ids=["levi", "holder"],
 )
 def test_levi_and_holder_non_convergence_exit_two(capsys, monkeypatch, tmp_path, argv, schema):
-    monkeypatch.setattr(
-        "pbergman.cli._solver_config", lambda args: pb.SolverConfig(max_iterations=1)
-    )
+    _stall_solves(monkeypatch)
     code, out, _ = _run(capsys, argv)
     assert code == 2
     doc = json.loads(out)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pbergman as pb
+from pbergman.cli import main
 from pbergman.kernel import BoundaryMarginError, h_function, metric_at, mp_minimizer, offdiag_kernel
 from pbergman.series import BasisSpec, CoeffVector, evaluate
 from pbergman.geometry import lp_norm
@@ -12,53 +13,53 @@ from oracles import disk_kernel, disk_minimizer
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
-def test_center_kernel_is_reciprocal_area(unit_disk, disk_grid, kernel_cache, p):
-    result = mp_minimizer(unit_disk, p, 0.0, grid=disk_grid, degree=8, cache=kernel_cache)
+def test_center_kernel_is_reciprocal_area(disk8, p):
+    result = mp_minimizer(disk8, p, 0.0)
     assert result.minimizer.converged
     assert abs(result.k_p - 1.0 / math.pi) <= 1e-3 / math.pi
     assert result.k_p == result.m_p**-p
 
 
-def test_p2_kernel_matches_disk_oracle(unit_disk, disk_grid, kernel_cache):
+def test_p2_kernel_matches_disk_oracle(disk24):
     # on the disk K_p = 1/(pi (1 - |z|^2)^2) for every p >= 1, not just p = 2
     exact = disk_kernel(0.5, 0.5).real
     for p in (1.0, 1.5, 2.0, 4.0):
-        result = mp_minimizer(unit_disk, p, 0.5, grid=disk_grid, cache=kernel_cache)
+        result = mp_minimizer(disk24, p, 0.5)
         assert result.minimizer.converged
         assert abs(result.k_p - exact) <= 1e-8 * exact, p
 
 
-def test_p2_minimizer_matches_disk_oracle_pointwise(unit_disk, disk_grid, kernel_cache):
-    result = mp_minimizer(unit_disk, 2.0, 0.5, grid=disk_grid, cache=kernel_cache)
+def test_p2_minimizer_matches_disk_oracle_pointwise(disk24):
+    result = mp_minimizer(disk24, 2.0, 0.5)
     for w in (0.2, -0.3 + 0.1j, 0.55j, 0.0):
         expected = disk_minimizer(w, 0.5)
         got = evaluate(result.minimizer.coeffs, w)
         assert abs(got - expected) <= 1e-6
 
 
-def test_offdiag_examples(unit_disk, disk_grid, kernel_cache):
-    at_w = mp_minimizer(unit_disk, 3.0, 0.4, grid=disk_grid, cache=kernel_cache)
-    diag = offdiag_kernel(unit_disk, 3.0, 0.4, 0.4, grid=disk_grid, cache=kernel_cache)
+def test_offdiag_examples(disk24):
+    at_w = mp_minimizer(disk24, 3.0, 0.4)
+    diag = offdiag_kernel(disk24, 3.0, 0.4, 0.4)
     assert abs(diag - at_w.k_p) <= 1e-10 * at_w.k_p
 
-    off = offdiag_kernel(unit_disk, 2.0, 0.3, 0.5, grid=disk_grid, cache=kernel_cache)
+    off = offdiag_kernel(disk24, 2.0, 0.3, 0.5)
     assert abs(off - disk_kernel(0.3, 0.5)) <= 1e-5 * abs(disk_kernel(0.3, 0.5))
 
-    center = offdiag_kernel(unit_disk, 2.0, 0.0, 0.5, grid=disk_grid, cache=kernel_cache)
+    center = offdiag_kernel(disk24, 2.0, 0.0, 0.5)
     assert abs(center - 1.0 / math.pi) <= 1e-5 / math.pi
 
 
-def test_h_function_examples(unit_disk, disk_grid, kernel_cache):
-    diag = h_function(unit_disk, 2.0, 0.3, 0.3, grid=disk_grid, cache=kernel_cache)
+def test_h_function_examples(disk24):
+    diag = h_function(disk24, 2.0, 0.3, 0.3)
     assert abs(diag) <= 1e-12
 
-    value = h_function(unit_disk, 2.0, 0.3, 0.5, grid=disk_grid, cache=kernel_cache)
+    value = h_function(disk24, 2.0, 0.3, 0.5)
     oracle = (
         disk_kernel(0.3, 0.3) + disk_kernel(0.5, 0.5) - 2 * disk_kernel(0.3, 0.5)
     ).real
     assert abs(value - oracle) <= 1e-6
 
-    swapped = h_function(unit_disk, 2.0, 0.5, 0.3, grid=disk_grid, cache=kernel_cache)
+    swapped = h_function(disk24, 2.0, 0.5, 0.3)
     assert value == swapped
 
 
@@ -66,29 +67,29 @@ def test_h_function_examples(unit_disk, disk_grid, kernel_cache):
     "p,expected",
     [(2.0, math.sqrt(2.0)), (4.0, 3.0**0.25), (1.0, 1.5)],
 )
-def test_metric_center_examples(unit_disk, disk_grid, kernel_cache, p, expected):
-    result = metric_at(unit_disk, p, 0.0, grid=disk_grid, degree=8, cache=kernel_cache)
+def test_metric_center_examples(disk8, p, expected):
+    result = metric_at(disk8, p, 0.0)
     assert abs(result.b_p - expected) <= 1e-6 * expected
 
 
-def test_metric_direction_scaling(unit_disk, disk_grid, kernel_cache):
-    unit = metric_at(unit_disk, 2.0, 0.2, 1.0, grid=disk_grid, degree=8, cache=kernel_cache)
-    scaled = metric_at(unit_disk, 2.0, 0.2, 3.0j, grid=disk_grid, degree=8, cache=kernel_cache)
+def test_metric_direction_scaling(disk8):
+    unit = metric_at(disk8, 2.0, 0.2, 1.0)
+    scaled = metric_at(disk8, 2.0, 0.2, 3.0j)
     assert math.isclose(scaled.b_p, 3.0 * unit.b_p, rel_tol=1e-12)
     assert abs(abs(scaled.direction) - 1.0) <= 1e-15
 
 
-def test_p2_metric_matches_disk_oracle(unit_disk, disk_grid, kernel_cache):
-    result = metric_at(unit_disk, 2.0, 0.5, grid=disk_grid, cache=kernel_cache)
+def test_p2_metric_matches_disk_oracle(disk24):
+    result = metric_at(disk24, 2.0, 0.5)
     exact = math.sqrt(2.0) / (1 - 0.25)
     assert abs(result.b_p - exact) <= 1e-5 * exact
 
 
-def test_kernel_dominates_explicit_competitors(unit_disk, disk_grid, kernel_cache):
+def test_kernel_dominates_explicit_competitors(disk12, disk_grid):
     rng = np.random.default_rng(17)
     p, z = 3.0, 0.4
-    result = mp_minimizer(unit_disk, p, z, grid=disk_grid, degree=12, cache=kernel_cache)
-    basis = pb.default_basis(unit_disk, p, 12)
+    result = mp_minimizer(disk12, p, z)
+    basis = disk12.basis(p)
     for _ in range(20):
         coef = rng.standard_normal(13) + 1j * rng.standard_normal(13)
         f = CoeffVector(basis, coef)
@@ -101,83 +102,78 @@ def test_kernel_dominates_explicit_competitors(unit_disk, disk_grid, kernel_cach
 def test_degree_monotonicity(unit_disk, disk_grid, p):
     k_values, b_values = [], []
     for degree in (4, 8, 16):
-        cache = {}
-        k_values.append(
-            mp_minimizer(unit_disk, p, 0.5, grid=disk_grid, degree=degree, cache=cache).k_p
-        )
-        b_values.append(
-            metric_at(unit_disk, p, 0.5, grid=disk_grid, degree=degree, cache=cache).b_p
-        )
+        setup = pb.Setup(unit_disk, degree=degree, grid=disk_grid)
+        k_values.append(mp_minimizer(setup, p, 0.5).k_p)
+        b_values.append(metric_at(setup, p, 0.5).b_p)
     assert all(b >= a * (1 - 1e-8) for a, b in zip(k_values, k_values[1:]))
     assert all(b >= a * (1 - 1e-8) for a, b in zip(b_values, b_values[1:]))
 
 
-def test_minimizer_satisfies_its_constraint(unit_disk, disk_grid, kernel_cache):
-    result = mp_minimizer(unit_disk, 1.5, 0.3 + 0.2j, grid=disk_grid, cache=kernel_cache)
+def test_minimizer_satisfies_its_constraint(disk24):
+    result = mp_minimizer(disk24, 1.5, 0.3 + 0.2j)
     assert abs(evaluate(result.minimizer.coeffs, 0.3 + 0.2j) - 1.0) <= 1e-10
 
 
-def test_rotational_symmetry(unit_disk, disk_grid, kernel_cache):
+def test_rotational_symmetry(disk12):
     p, r = 1.5, 0.4
-    base = mp_minimizer(unit_disk, p, r, grid=disk_grid, degree=12, cache=kernel_cache)
-    rotated = mp_minimizer(
-        unit_disk, p, r * np.exp(2j * math.pi / 7), grid=disk_grid, degree=12, cache=kernel_cache
-    )
+    base = mp_minimizer(disk12, p, r)
+    rotated = mp_minimizer(disk12, p, r * np.exp(2j * math.pi / 7))
     assert abs(base.k_p - rotated.k_p) <= 1e-6 * base.k_p
 
 
 @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
-def test_h_function_empirically_nonnegative(unit_disk, disk_grid, kernel_cache, p):
+def test_h_function_empirically_nonnegative(disk12, p):
     pairs = [(0.1, 0.3), (0.2 + 0.1j, -0.4j), (-0.5, 0.45), (0.3 + 0.3j, 0.35 + 0.28j)]
     for z, w in pairs:
-        value = h_function(unit_disk, p, z, w, grid=disk_grid, degree=12, cache=kernel_cache)
+        value = h_function(disk12, p, z, w)
         assert value >= -1e-8
 
 
-def test_boundary_margin_enforced(unit_disk, disk_grid):
+def test_boundary_margin_enforced(unit_disk, disk_grid, disk24):
     with pytest.raises(BoundaryMarginError) as err:
-        mp_minimizer(unit_disk, 2.0, 0.99, grid=disk_grid)
+        mp_minimizer(disk24, 2.0, 0.99)
     assert "margin" in str(err.value)
     # explicit override admits the point
-    result = mp_minimizer(unit_disk, 2.0, 0.97, grid=disk_grid, margin=0.01)
+    result = mp_minimizer(pb.Setup(unit_disk, grid=disk_grid, margin=0.01), 2.0, 0.97)
     assert result.minimizer.converged
 
 
 def test_punctured_pole_enlarges_kernel(punctured):
-    without = mp_minimizer(punctured, 1.0, 0.5, degree=12, n_min=0)
-    with_pole = mp_minimizer(punctured, 1.0, 0.5, degree=12, n_min=-1)
+    without = mp_minimizer(pb.Setup(punctured, degree=12, n_min=0), 1.0, 0.5)
+    with_pole = mp_minimizer(pb.Setup(punctured, degree=12, n_min=-1), 1.0, 0.5)
     assert with_pole.k_p >= without.k_p * (1.0 - 1e-8)
 
 
 def test_cache_reuses_results(unit_disk, disk_grid):
-    cache = {}
-    first = mp_minimizer(unit_disk, 2.0, 0.25, grid=disk_grid, cache=cache)
-    second = mp_minimizer(unit_disk, 2.0, 0.25, grid=disk_grid, cache=cache)
+    setup = pb.Setup(unit_disk, grid=disk_grid)
+    first = mp_minimizer(setup, 2.0, 0.25)
+    second = mp_minimizer(setup, 2.0, 0.25)
     assert first is second
-    assert len(cache) == 1
+    assert len(setup.cache) == 1
 
 
-def test_mp_minimizer_rejects_p_below_one(unit_disk, disk_grid):
+def test_mp_minimizer_rejects_p_below_one(disk24):
     with pytest.raises(ValueError):
-        mp_minimizer(unit_disk, 0.9, 0.0, grid=disk_grid)
+        mp_minimizer(disk24, 0.9, 0.0)
 
 
-def test_sweep_rows_and_csv(tmp_path, unit_disk, disk_grid):
-    rows = pb.kernel_metric_sweep(
-        unit_disk, [2.0], [0.0, 0.3], grid=disk_grid, degree=8
-    )
+def test_sweep_rows_and_csv(tmp_path, disk8):
+    rows = pb.kernel_metric_sweep(disk8, [2.0], [0.0, 0.3])
     assert [r["re_z"] for r in rows] == [0.0, 0.3]
     assert all(r["converged"] for r in rows)
+    # the CLI's CSV carries exactly these rows
     path = tmp_path / "sweep.csv"
-    pb.write_sweep_csv(path, rows)
-    lines = path.read_text().splitlines()
+    argv = ["kernel", "--p", "2", "--z", "0,0.3", "--degree", "8", "--out", str(path)]
+    assert main(argv) == 0
+    lines = path.read_text().splitlines()[2:]
     assert lines[0] == "p,re_z,im_z,K_p,B_p"
-    assert len(lines) == 3
+    keys = ("p", "re_z", "im_z", "K_p", "B_p")
+    assert lines[1:] == [",".join(format(r[k], ".17g") for k in keys) for r in rows]
 
 
 def test_sweep_rows_report_non_convergence(unit_disk, disk_grid):
-    rows = pb.kernel_metric_sweep(
-        unit_disk, [1.0], [0.3], pb.SolverConfig(max_iterations=1),
-        grid=disk_grid, degree=8,
+    stalled = pb.Setup(
+        unit_disk, degree=8, grid=disk_grid, config=pb.SolverConfig(max_iterations=1)
     )
+    rows = pb.kernel_metric_sweep(stalled, [1.0], [0.3])
     assert [r["converged"] for r in rows] == [False]

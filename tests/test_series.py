@@ -11,8 +11,6 @@ from pbergman.series import (
     admissible_exponents,
     derivative_at,
     evaluate,
-    read_coeffs_csv,
-    write_coeffs_csv,
 )
 
 
@@ -133,15 +131,3 @@ def test_boundary_case_excluded_but_slow(punctured):
     fine = build_grid(punctured, 4096, 8)
     growth = lp_norm(fine, fine.nodes**-1, 2.0) / lp_norm(coarse, coarse.nodes**-1, 2.0)
     assert growth > 1.1
-
-
-def test_coeffs_csv_roundtrip(tmp_path, unit_disk):
-    basis = BasisSpec((0, 2, 5), unit_disk, 1.5)
-    coeffs = CoeffVector(basis, [1.0 + 2.0j, -0.25, 1e-17j])
-    path = tmp_path / "coeffs.csv"
-    write_coeffs_csv(path, coeffs)
-    text = path.read_text().splitlines()
-    assert text[0] == "exponent,re,im"
-    back = read_coeffs_csv(path, unit_disk, 1.5)
-    assert back.basis.exponents == basis.exponents
-    assert np.allclose(back.coefficients, coeffs.coefficients, rtol=0, atol=0)

@@ -27,8 +27,12 @@ from pbergman.solver import (
 from oracles import least_norm_coeffs, vandermonde
 
 
+def _basis(domain, p, degree, n_min=None):
+    return pb.Setup(domain, degree=degree, n_min=n_min).basis(p)
+
+
 def _problem(domain, grid, p, degree, constraints_builder):
-    basis = pb.default_basis(domain, p, degree)
+    basis = _basis(domain, p, degree)
     return ExtremalProblem(basis, grid, p, constraints_builder(basis))
 
 
@@ -85,7 +89,7 @@ def test_p2_center_constant_minimizer(unit_disk, disk_grid):
 def test_p2_returns_least_squares_start(spec):
     domain = pb.parse_domain(spec)
     grid = pb.build_grid(domain, 64, 128)
-    basis = pb.default_basis(domain, 2.0, 12)
+    basis = _basis(domain, 2.0, 12)
     prob = ExtremalProblem(basis, grid, 2.0, (point_constraint(basis, 0.7 + 0.1j, 1.0),))
     sol = minimize_pnorm(prob)
     assert sol.iterations == 0 and sol.converged
@@ -128,7 +132,7 @@ def _single_grid(prob):
 def test_two_grid_matches_single_grid_descent(spec, n_min, z, p):
     domain = pb.parse_domain(spec)
     grid = pb.build_grid(domain, 128, 256)
-    basis = pb.default_basis(domain, p, 24, n_min)
+    basis = _basis(domain, p, 24, n_min)
     prob = ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
     two = minimize_pnorm(prob)
     one = _single_grid(prob)
@@ -145,7 +149,7 @@ def test_two_grid_matches_single_grid_descent(spec, n_min, z, p):
 def test_started_solve_matches_single_grid_descent(spec, z, p):
     domain = pb.parse_domain(spec)
     grid = pb.build_grid(domain, 128, 256)
-    basis = pb.default_basis(domain, p, 24)
+    basis = _basis(domain, p, 24)
     cons = (point_constraint(basis, z, 1.0),)
     prob = ExtremalProblem(basis, grid, p, cons)
     ls = minimize_pnorm(ExtremalProblem(basis, grid, 2.0, cons)).coeffs.coefficients
@@ -161,7 +165,7 @@ def test_started_solve_matches_single_grid_descent(spec, z, p):
 
 
 def test_coarse_level_taken_whenever_the_grid_allows(unit_disk):
-    basis = pb.default_basis(unit_disk, 1.5, 12)
+    basis = _basis(unit_disk, 1.5, 12)
     cons = (point_constraint(basis, 0.3, 1.0),)
     small = ExtremalProblem(basis, pb.build_grid(unit_disk, 32, 64), 1.5, cons)
     sol = minimize_pnorm(small)
@@ -179,8 +183,8 @@ def test_dilation_identity_off_the_unit_disk(p):
     # f -> f(. / R) maps the competitors on D_1 onto those on D_R, and scales
     # every p-norm^p by R^2, so K_p(R z; D_R) R^2 = K_p(z; D_1)
     R, z = 2.5, 0.35 - 0.2j
-    unit = pb.mp_minimizer(pb.Domain("disk", 1.0), p, z, degree=16)
-    dilated = pb.mp_minimizer(pb.Domain("disk", R), p, R * z, degree=16)
+    unit = pb.mp_minimizer(pb.Setup(pb.Domain("disk", 1.0), degree=16), p, z)
+    dilated = pb.mp_minimizer(pb.Setup(pb.Domain("disk", R), degree=16), p, R * z)
     assert dilated.minimizer.coarse_iterations > 0
     assert abs(dilated.k_p * R**2 - unit.k_p) <= 1e-12 * unit.k_p
 
@@ -202,7 +206,7 @@ def test_two_grid_solve_property(annulus, outer, inner_fraction, p, depth, angle
     )
     inner = domain.inner_radius
     z = (inner + depth * (outer - inner)) * complex(math.cos(angle), math.sin(angle))
-    basis = pb.default_basis(domain, p, 12)
+    basis = _basis(domain, p, 12)
     prob = ExtremalProblem(
         basis, pb.build_grid(domain, 64, 128), p, (point_constraint(basis, z, 1.0),)
     )
@@ -295,7 +299,7 @@ def test_p15_center_constant_minimizer(unit_disk, disk_grid):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_p2_matches_least_norm_oracle(unit_disk, disk_grid, seed):
     rng = np.random.default_rng(seed)
-    basis = pb.default_basis(unit_disk, 2.0, 10)
+    basis = _basis(unit_disk, 2.0, 10)
     dim = basis.dimension
     rows = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
     targets = rng.standard_normal(2) + 1j * rng.standard_normal(2)
@@ -338,7 +342,7 @@ def test_nested_basis_monotonicity(unit_disk, disk_grid, p):
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.5])
 def test_smoothed_gradient_matches_finite_differences(unit_disk, disk_grid, p):
     rng = np.random.default_rng(42)
-    basis = pb.default_basis(unit_disk, p, 6)
+    basis = _basis(unit_disk, p, 6)
     prob = ExtremalProblem(
         basis, disk_grid, p, (point_constraint(basis, 0.2, 1.0),)
     )
@@ -423,7 +427,7 @@ def test_kkt_residual_needs_p_above_one(unit_disk, disk_grid):
 
 
 def test_dependent_constraints_rejected(unit_disk, disk_grid):
-    basis = pb.default_basis(unit_disk, 2.0, 6)
+    basis = _basis(unit_disk, 2.0, 6)
     row, _ = point_constraint(basis, 0.3, 1.0)
     with pytest.raises(InfeasibleConstraintsError):
         ExtremalProblem(basis, disk_grid, 2.0, ((row, 1.0), (row, 2.0)))
