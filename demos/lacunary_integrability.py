@@ -14,9 +14,6 @@ import pbergman as pb
 
 rng = np.random.default_rng(2)
 exponents = tuple(2**k for k in range(1, 11))
-grid = pb.lacunary.default_series_grid(
-    pb.LacunarySeries(exponents, np.ones(len(exponents), dtype=complex))
-)
 
 print(f"dyadic exponents up to {exponents[-1]}, gap constant A = 2")
 print(f"{'p':>5} | {'band of direct/criterion over 40 draws':>42}")
@@ -25,7 +22,7 @@ for p in (0.5, 1.0, 2.0, 4.0):
     for _ in range(40):
         coef = rng.standard_normal(10) + 1j * rng.standard_normal(10)
         series = pb.LacunarySeries(exponents, coef)
-        ratios.append(pb.equivalence_ratio(series, p, grid))
+        ratios.append(pb.equivalence_ratio(series, p))
     print(f"{p:>5} | [{min(ratios):.6f}, {max(ratios):.6f}]  max/min {max(ratios)/min(ratios):.4f}")
 
 print()
@@ -44,7 +41,7 @@ for p in (1.0, 4.0):
 
 print()
 series = pb.LacunarySeries(exponents, np.ones(10, dtype=complex) / np.arange(1, 11))
-record = pb.integrability_record(series, 0.5, grid)
+record = pb.integrability_record(series, 0.5)
 print("integrability record for a_k = 1/k on the dyadic exponents, p = 0.5:")
 for key, value in record.items():
     print(f"  {key}: {value}")

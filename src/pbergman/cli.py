@@ -13,6 +13,7 @@ Exit codes: 0 converged, 2 numerically degraded (result still printed),
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -361,7 +362,10 @@ def _cmd_lacunary(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and then shared: parsing does
+    not change it, and building it costs milliseconds per invocation."""
     parser = _Parser(prog="pbergman", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

@@ -196,6 +196,31 @@ def test_lacunary_parseval(capsys, tmp_path):
     assert doc["integrable"] is True
 
 
+def test_shared_parser_matches_fresh_parsers(capsys, tmp_path):
+    # main builds its parser once per process; a run of commands through that
+    # one parser, a usage error among them, must match runs on fresh parsers
+    path = tmp_path / "series.csv"
+    write_series_csv(path, LacunarySeries((1, 2, 4), np.array([1.0, 0.5j, -0.25])))
+    kernel = ["kernel", "--domain", "disk:1", "--p", "1.5", "--z", "0.2", "--degree", "6"]
+    argvs = [kernel, ["lacunary", "--file", str(path), "--p", "1", "--r", "0.9"],
+             ["kernel", "--domain", "disk:1"], kernel]
+
+    def runs(fresh: bool):
+        out = []
+        for argv in argvs:
+            if fresh:
+                cli.build_parser.cache_clear()
+            code, stdout, stderr = _run(capsys, argv)
+            lines = [line for line in stdout.splitlines() if '"timestamp"' not in line]
+            out.append((code, lines, stderr))
+        return out
+
+    shared = runs(fresh=False)
+    assert [code for code, _, _ in shared] == [0, 0, 1, 0]
+    assert shared[0] == shared[3]
+    assert shared == runs(fresh=True)
+
+
 def test_determinism_modulo_timestamp(capsys):
     argv = ["kernel", "--domain", "disk:1", "--p", "1.5", "--z", "0.2", "--degree", "6",
             "--seed", "3"]

@@ -1,8 +1,12 @@
-"""The documented API stays runnable: the README quickstart executes, and the
-demos call only names the package has."""
+"""The documented API stays runnable: the README quickstart executes, the
+demos call only names the package has, and every layer the benchmark trace
+wraps still exists."""
 
 import ast
+import importlib
+import importlib.util
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -50,3 +54,15 @@ def test_demo_names_exist(path):
         return True
 
     assert sorted(p for p in paths if not resolves(p)) == []
+
+
+def test_benchmark_trace_layers_exist(monkeypatch):
+    # a traced benchmark run raises TraceError on a missing layer name
+    spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
+    spec.loader.exec_module(spans)
+    for module, functions in spans.LAYERS.items():
+        program = importlib.import_module(f"pbergman.{module}")
+        for function in functions:
+            assert callable(getattr(program, function, None)), f"pbergman.{module}.{function}"

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pbergman as pb
+from pbergman import lacunary
 from pbergman.geometry import QuadratureGrid
 from pbergman.lacunary import (
     LacunarySeries,
@@ -319,3 +320,51 @@ def test_blocked_integral_property(exponents, seed, p, c):
     value = direct_lp(s, p, grid)
     assert math.isclose(value, _dense_lp(_dense_values(s, grid), p, grid), rel_tol=1e-12)
     assert math.isclose(direct_lp(s.scaled(c), p, grid), abs(c) ** p * value, rel_tol=1e-12)
+
+
+def _dyadic_series(top: int, seed: int) -> LacunarySeries:
+    return _random_series(np.random.default_rng(seed), tuple(2**k for k in range(top + 1)))
+
+
+@pytest.mark.parametrize("top", [8, 10, 12])
+def test_sized_rule_matches_uniform_rule(top):
+    # same 256 radii; the default rule gives each circle only the angles its
+    # live terms need, the explicit grid 8 lambda_max on every circle
+    s = _dyadic_series(top, 79 + top)
+    uniform = default_series_grid(s)
+    for p, tol in ((2.0, 1e-14), (4.0, 1e-14), (0.5, 2e-6), (1.0, 2e-6), (1.5, 2e-6)):
+        assert math.isclose(direct_lp(s, p), direct_lp(s, p, uniform), rel_tol=tol)
+
+
+def test_sized_rule_evaluates_a_tenth_of_the_uniform_nodes(monkeypatch):
+    s = _dyadic_series(12, 83)
+    original = lacunary._tiles
+    nodes = []
+
+    def counting(*args):
+        for rows, cols, values in original(*args):
+            nodes[-1] += values.size
+            yield rows, cols, values
+
+    monkeypatch.setattr(lacunary, "_tiles", counting)
+    for grid in (None, default_series_grid(s)):
+        nodes.append(0)
+        direct_lp(s, 2.0, grid)
+    sized, uniform = nodes
+    assert uniform == 256 * 8 * 4096
+    assert sized <= 0.12 * uniform
+
+
+def test_sized_rule_with_no_live_term_on_inner_circles():
+    # |a_1| r^64 = 1e-12 r^64 is below the cut on the innermost circles, where
+    # the rule keeps the first term alone
+    rng = np.random.default_rng(89)
+    exps = tuple(2**k for k in range(6, 13))
+    coef = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    coef[0] = 1e-12
+    s = LacunarySeries(exps, coef)
+    exact = math.pi * sum(abs(a) ** 2 / (n + 1) for a, n in zip(coef, exps))
+    assert math.isclose(direct_lp(s, 2.0), exact, rel_tol=1e-12)
+    zero = LacunarySeries(exps, np.zeros(7, dtype=complex))
+    for p in (0.5, 2.0, 4.0):
+        assert direct_lp(zero, p) == 0.0
