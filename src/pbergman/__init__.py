@@ -58,7 +58,6 @@ from .analysis import (
 from .lacunary import (
     LacunarySeries,
     NotLacunaryError,
-    RadialQuadrature,
     RefinementError,
     UndersampledQuadratureError,
     circle_norm_ratio,

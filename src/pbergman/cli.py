@@ -1,10 +1,13 @@
 """Command-line entry point: every experiment as a reproducible, seeded run.
 
-Subcommands emit JSON (or CSV when the output path ends in .csv) with the
-fully resolved configuration, including the seed, echoed into the output
-header.  Identical configuration and seed give byte-identical numeric output
-modulo the timestamp field.  Floats are printed with 17 significant digits so
-they round-trip.
+Output: levi, holder and limit write CSV when --out ends in .csv and JSON
+otherwise; the kernel sweep (more than one p or z) always writes CSV; a
+kernel point, metric and lacunary always write JSON, whatever the path.  The
+fully resolved configuration, including the seed, leads the output (the
+"config" key, or a "# config:" line above the CSV header), followed by the
+timestamp.  Identical configuration and seed give byte-identical numeric
+output modulo the timestamp.  Floats are printed with 17 significant digits
+so they round-trip.
 
 Exit codes: 0 converged, 2 numerically degraded (result still printed),
 1 usage or precondition error.
@@ -103,22 +106,32 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-def _emit_json(document: dict, out: Path | None) -> None:
-    text = _json_dump(document) + "\n"
-    if out is None:
-        sys.stdout.write(text)
+# What a command returns: the configuration, the JSON body without config and
+# timestamp (None for the kernel sweep), an optional (header, rows) table of
+# raw numbers, and whether every solve converged (exit 0, else exit 2).
+_Table = tuple[list[str], list[list]]
+_Result = tuple[dict, dict | None, _Table | None, bool]
+
+
+def _emit(conf: dict, out: Path | None, document: dict | None, table: _Table | None) -> None:
+    """Write a command's result to ``out``, or to stdout when it is None.
+
+    The table goes out as CSV when ``out`` ends in .csv or there is no
+    document, with the configuration and the timestamp as comment lines above
+    the header; otherwise the document goes out as JSON, led by the same two
+    fields.
+    """
+    if document is None or (table is not None and out is not None and out.suffix == ".csv"):
+        header, rows = table
+        lines = [
+            "# config: " + _json_dump(conf).replace("\n", " "),
+            "# timestamp: " + _timestamp(),
+            ",".join(header),
+        ]
+        lines += [",".join(_fmt_float(x) for x in row) for row in rows]
+        text = "\n".join(lines) + "\n"
     else:
-        out.write_text(text)
-
-
-def _emit_csv(header: list[str], rows: list[list[str]], config: dict, out: Path | None) -> None:
-    lines = [
-        "# config: " + _json_dump(config).replace("\n", " "),
-        "# timestamp: " + _timestamp(),
-        ",".join(header),
-    ]
-    lines += [",".join(row) for row in rows]
-    text = "\n".join(lines) + "\n"
+        text = _json_dump({"config": conf, "timestamp": _timestamp()} | document) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
@@ -168,17 +181,13 @@ def _base_config(args, command: str) -> dict:
     }
 
 
-def _cmd_kernel(setup: kernel.Setup, args) -> int:
+def _cmd_kernel(setup: kernel.Setup, args) -> _Result:
     ps = _parse_list(args.p, float)
     zs = _parse_list(args.z, _parse_complex)
     conf = _base_config(args, "kernel") | {"p": ps, "z": zs}
-    out = _resolve_out(args.out)
-
     if len(ps) == 1 and len(zs) == 1:
         result = kernel.mp_minimizer(setup, ps[0], zs[0])
         document = {
-            "config": conf,
-            "timestamp": _timestamp(),
             "z": result.z,
             "p": result.p,
             "m_p": result.m_p,
@@ -187,28 +196,21 @@ def _cmd_kernel(setup: kernel.Setup, args) -> int:
             "converged": result.minimizer.converged,
             "diagnostics": solution_record(result.minimizer),
         }
-        _emit_json(document, out)
-        return EXIT_OK if result.minimizer.converged else EXIT_DEGRADED
+        return conf, document, None, result.minimizer.converged
 
+    columns = ("p", "re_z", "im_z", "K_p", "B_p")
     rows = kernel.kernel_metric_sweep(setup, ps, zs)
-    _emit_csv(
-        ["p", "re_z", "im_z", "K_p", "B_p"],
-        [[_fmt_float(r[k]) for k in ("p", "re_z", "im_z", "K_p", "B_p")] for r in rows],
-        conf,
-        out,
-    )
-    return EXIT_OK if all(r["converged"] for r in rows) else EXIT_DEGRADED
+    table = (list(columns), [[r[k] for k in columns] for r in rows])
+    return conf, None, table, all(r["converged"] for r in rows)
 
 
-def _cmd_metric(setup: kernel.Setup, args) -> int:
+def _cmd_metric(setup: kernel.Setup, args) -> _Result:
     p = float(args.p)
     z = _parse_complex(args.z)
     direction = _parse_complex(args.direction)
     conf = _base_config(args, "metric") | {"p": p, "z": z, "direction": direction}
     result = kernel.metric_at(setup, p, z, direction)
     document = {
-        "config": conf,
-        "timestamp": _timestamp(),
         "z": result.z,
         "p": result.p,
         "direction": result.direction,
@@ -216,38 +218,15 @@ def _cmd_metric(setup: kernel.Setup, args) -> int:
         "converged": result.extremal.converged,
         "diagnostics": solution_record(result.extremal),
     }
-    _emit_json(document, _resolve_out(args.out))
-    return EXIT_OK if result.extremal.converged else EXIT_DEGRADED
+    return conf, document, None, result.extremal.converged
 
 
-def _cmd_levi(setup: kernel.Setup, args) -> int:
+def _cmd_levi(setup: kernel.Setup, args) -> _Result:
     ps = _parse_list(args.p, float)
     direction = _parse_complex(args.direction)
     conf = _base_config(args, "levi") | {"p": ps, "direction": direction, "step": args.step}
     records = [analysis.levi_metric_gap(setup, p, direction, args.step) for p in ps]
-    code = EXIT_OK if all(r.converged for r in records) else EXIT_DEGRADED
-    out = _resolve_out(args.out)
-    if out is not None and out.suffix == ".csv":
-        _emit_csv(
-            ["p", "re_z", "im_z", "levi", "bp2", "gap"],
-            [
-                [
-                    _fmt_float(r.p),
-                    _fmt_float(r.z.real),
-                    _fmt_float(r.z.imag),
-                    _fmt_float(r.levi),
-                    _fmt_float(r.b_p_squared),
-                    _fmt_float(r.gap),
-                ]
-                for r in records
-            ],
-            conf,
-            out,
-        )
-        return code
     document = {
-        "config": conf,
-        "timestamp": _timestamp(),
         "records": [
             {
                 "p": r.p,
@@ -261,15 +240,18 @@ def _cmd_levi(setup: kernel.Setup, args) -> int:
             for r in records
         ],
     }
-    _emit_json(document, out)
-    return code
+    table = (
+        ["p", "re_z", "im_z", "levi", "bp2", "gap"],
+        [[r.p, r.z.real, r.z.imag, r.levi, r.b_p_squared, r.gap] for r in records],
+    )
+    return conf, document, table, all(r.converged for r in records)
 
 
 def _default_radii() -> list[float]:
     return [0.1 * 2.0**-k for k in range(6)]
 
 
-def _cmd_holder(setup: kernel.Setup, args) -> int:
+def _cmd_holder(setup: kernel.Setup, args) -> _Result:
     p = float(args.p)
     z_prime = _parse_complex(args.zprime)
     w = _parse_complex(args.w)
@@ -282,23 +264,7 @@ def _cmd_holder(setup: kernel.Setup, args) -> int:
         fit = analysis.holder_exponent(setup, p, z_prime, w, radii, args.directions)
     else:
         fit = analysis.hp_scaling_exponent(setup, p, w, radii, args.directions)
-    code = EXIT_OK if fit.converged else EXIT_DEGRADED
-    out = _resolve_out(args.out)
-    if out is not None and out.suffix == ".csv":
-        fitted = [math.exp(fit.intercept) * r**fit.slope for r in fit.radii]
-        _emit_csv(
-            ["r", "delta", "fitted"],
-            [
-                [_fmt_float(r), _fmt_float(d), _fmt_float(f)]
-                for r, d, f in zip(fit.radii, fit.deltas, fitted)
-            ],
-            conf,
-            out,
-        )
-        return code
     document = {
-        "config": conf,
-        "timestamp": _timestamp(),
         "slope": fit.slope,
         "intercept": fit.intercept,
         "r_squared": fit.r_squared,
@@ -306,46 +272,28 @@ def _cmd_holder(setup: kernel.Setup, args) -> int:
         "deltas": list(fit.deltas),
         "converged": fit.converged,
     }
-    _emit_json(document, out)
-    return code
+    fitted = [math.exp(fit.intercept) * r**fit.slope for r in fit.radii]
+    table = (["r", "delta", "fitted"], [list(row) for row in zip(fit.radii, fit.deltas, fitted)])
+    return conf, document, table, fit.converged
 
 
-def _cmd_limit(setup: kernel.Setup, args) -> int:
+def _cmd_limit(setup: kernel.Setup, args) -> _Result:
     ps = _parse_list(args.p_list, float)
     z = _parse_complex(args.z)
     conf = _base_config(args, "limit") | {"p_list": ps, "z": z}
     record = analysis.limit_sweep(setup, z, ps)
-    out = _resolve_out(args.out)
-    degraded = any(s != "ok" for s in record.statuses)
-    if out is not None and out.suffix == ".csv":
-        _emit_csv(
-            ["p", "K_p", "d_p", "restarts"],
-            [
-                [_fmt_float(p), _fmt_float(k), _fmt_float(d), str(record.restarts)]
-                for p, k, d in zip(record.p_list, record.k_p_values, record.d_p_estimates)
-            ],
-            conf,
-            out,
-        )
-        return EXIT_DEGRADED if degraded else EXIT_OK
+    rows = list(zip(record.p_list, record.k_p_values, record.d_p_estimates, record.statuses))
     document = {
-        "config": conf,
-        "timestamp": _timestamp(),
         "z": record.z,
         "bound": "lower",
         "restarts": record.restarts,
-        "rows": [
-            {"p": p, "K_p": k, "d_p": d, "status": s}
-            for p, k, d, s in zip(
-                record.p_list, record.k_p_values, record.d_p_estimates, record.statuses
-            )
-        ],
+        "rows": [{"p": p, "K_p": k, "d_p": d, "status": s} for p, k, d, s in rows],
     }
-    _emit_json(document, out)
-    return EXIT_DEGRADED if degraded else EXIT_OK
+    table = (["p", "K_p", "d_p", "restarts"], [[p, k, d, record.restarts] for p, k, d, _ in rows])
+    return conf, document, table, all(s == "ok" for s in record.statuses)
 
 
-def _cmd_lacunary(args) -> int:
+def _cmd_lacunary(args) -> _Result:
     series = lacunary.read_series_csv(args.file)
     p = float(args.p)
     conf = {
@@ -354,12 +302,10 @@ def _cmd_lacunary(args) -> int:
         "p": p,
         "circle_radius": args.r,
     }
-    record = lacunary.integrability_record(series, p)
-    document = {"config": conf, "timestamp": _timestamp()} | record
+    document = lacunary.integrability_record(series, p)
     if args.r is not None:
         document["circle_norm_ratio"] = lacunary.circle_norm_ratio(series, args.r, p)
-    _emit_json(document, _resolve_out(args.out))
-    return EXIT_OK
+    return conf, document, None, True
 
 
 @functools.cache
@@ -426,11 +372,14 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         if args.command == "lacunary":
-            return args.func(args)
-        return args.func(_setup(args), args)
+            conf, document, table, converged = args.func(args)
+        else:
+            conf, document, table, converged = args.func(_setup(args), args)
+        _emit(conf, _resolve_out(args.out), document, table)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if converged else EXIT_DEGRADED
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, QuadratureGrid, build_grid
+from .geometry import Domain, QuadratureGrid, _gauss_legendre, build_grid
 
 __all__ = [
     "LAMBDA_MAX_CAP",
@@ -42,7 +42,6 @@ __all__ = [
     "UndersampledQuadratureError",
     "RefinementError",
     "LacunarySeries",
-    "RadialQuadrature",
     "lacunarity_constant",
     "criterion_integral",
     "series_grid_values",
@@ -71,6 +70,12 @@ _LIVE_CUT = 1e-17
 # 1024 and 4096 (2-vCPU VM, one BLAS thread); 2^12 angles were slower.
 _CHUNK = 2**10
 _TILE_NODES = 2**15
+
+# The radial criterion integral: Gauss-Legendre points per panel, the relative
+# tolerance on the strip left toward r = 1, and the most panels toward it.
+_RADIAL_POINTS = 32
+_RADIAL_TOL = 1e-8
+_RADIAL_LEVELS = 60
 
 
 class NotLacunaryError(ValueError):
@@ -144,19 +149,6 @@ class LacunarySeries:
         )
 
 
-@dataclass(frozen=True)
-class RadialQuadrature:
-    """Controls for the adaptive radial integral."""
-
-    gl_points: int = 32
-    rel_tol: float = 1e-8
-    max_levels: int = 60
-
-    def __post_init__(self):
-        if self.gl_points < 2 or self.rel_tol <= 0 or self.max_levels < 1:
-            raise ValueError("invalid radial quadrature configuration")
-
-
 def _unit_scale(series: LacunarySeries) -> tuple[LacunarySeries, np.float64]:
     """The series divided by its largest coefficient modulus M, and M.
 
@@ -184,9 +176,7 @@ def _profile_power(amp2, lams, r: np.ndarray, p: float) -> np.ndarray:
     return s ** (0.5 * p) * (2.0 * math.pi * r)
 
 
-def criterion_integral(
-    series: LacunarySeries, p: float, quad: RadialQuadrature | None = None
-) -> float:
+def criterion_integral(series: LacunarySeries, p: float) -> float:
     """Radial integrability criterion with refinement toward r = 1.
 
     Lacunary tails concentrate mass at the boundary, so the interval is cut
@@ -197,14 +187,13 @@ def criterion_integral(
     """
     if p <= 0:
         raise ValueError(f"p must be positive, got {p}")
-    quad = quad or RadialQuadrature()
     unit, scale = _unit_scale(series)
     if scale == 0.0:
         return 0.0
     amp2, lams = _radial_profile(unit)
     peak = float(amp2.sum())  # profile value at r = 1
 
-    x, gw = np.polynomial.legendre.leggauss(quad.gl_points)
+    x, gw = _gauss_legendre(_RADIAL_POINTS)
 
     def panel(a: float, b: float) -> float:
         r = 0.5 * (b - a) * x + 0.5 * (a + b)
@@ -221,16 +210,16 @@ def criterion_integral(
     # varies by at most exp(2 lambda_max 2^-j) there, flat by then)
     bound_factor = 2.0 * math.pi * peak ** (0.5 * p)
     converged = False
-    for j in range(1, quad.max_levels + 1):
+    for j in range(1, _RADIAL_LEVELS + 1):
         total += panel(1.0 - 2.0**-j, 1.0 - 2.0 ** -(j + 1))
         remaining = bound_factor * 2.0 ** -(j + 1)
-        if remaining <= quad.rel_tol * total:
+        if remaining <= _RADIAL_TOL * total:
             total += panel(1.0 - 2.0 ** -(j + 1), 1.0)
             converged = True
             break
     if not converged:
         raise RefinementError(
-            f"radial refinement did not converge within {quad.max_levels} levels"
+            f"radial refinement did not converge within {_RADIAL_LEVELS} levels"
         )
     return float(total * scale**p)
 
@@ -382,20 +371,24 @@ def direct_lp(series: LacunarySeries, p: float, grid: QuadratureGrid | None = No
     return float(grid.radial_weights @ means * (2.0 * math.pi) * scale**p)
 
 
+def _unit_integrals(series: LacunarySeries, p: float, grid: QuadratureGrid | None):
+    """criterion_integral and direct_lp of the unit-scale series, and its scale M.
+
+    Their ratio is scale-free, and at unit scale neither integral can
+    underflow or overflow; the integrals of the series are M^p times these.
+    """
+    unit, scale = _unit_scale(series)
+    return criterion_integral(unit, p), direct_lp(unit, p, grid), scale
+
+
 def equivalence_ratio(
-    series: LacunarySeries,
-    p: float,
-    grid: QuadratureGrid | None = None,
-    quad: RadialQuadrature | None = None,
+    series: LacunarySeries, p: float, grid: QuadratureGrid | None = None
 ) -> float:
     """direct_lp / criterion_integral; bounded above and below by the
     comparison constant of the lacunary norm equivalence, and exactly 1 at p = 2.
 
-    The ratio is scale-free, so both integrals run at unit scale, where
-    neither can underflow or overflow."""
-    unit, _ = _unit_scale(series)
-    criterion = criterion_integral(unit, p, quad)
-    direct = direct_lp(unit, p, grid)
+    Both integrals run at unit scale (``_unit_integrals``)."""
+    criterion, direct, _ = _unit_integrals(series, p, grid)
     if criterion == 0.0:
         if direct == 0.0:
             raise ValueError("equivalence ratio of the zero series is undefined")
@@ -444,7 +437,6 @@ def tail_triangle_check(
     series_b: LacunarySeries,
     p: float,
     start_index: int,
-    quad: RadialQuadrature | None = None,
 ) -> bool:
     """Verify the tail inequality I(a - b) <= c_p I(a) + c_p I(b).
 
@@ -458,8 +450,8 @@ def tail_triangle_check(
     tail_b = series_b.tail(start_index)
     diff = LacunarySeries(tail_a.exponents, tail_a.coefficients - tail_b.coefficients)
     c_p = 2.0 ** (0.5 * p) if p <= 2 else 2.0 ** (p - 1.0)
-    left = criterion_integral(diff, p, quad)
-    right = c_p * (criterion_integral(tail_a, p, quad) + criterion_integral(tail_b, p, quad))
+    left = criterion_integral(diff, p)
+    right = c_p * (criterion_integral(tail_a, p) + criterion_integral(tail_b, p))
     return left <= right * (1.0 + 1e-12) + 1e-300
 
 
@@ -489,21 +481,22 @@ def write_series_csv(path, series: LacunarySeries) -> None:
 
 
 def integrability_record(
-    series: LacunarySeries,
-    p: float,
-    grid: QuadratureGrid | None = None,
-    quad: RadialQuadrature | None = None,
+    series: LacunarySeries, p: float, grid: QuadratureGrid | None = None
 ) -> dict:
     """JSON-ready summary: criterion, direct integral, their ratio, and the
-    integrability verdict (criterion finite at working precision)."""
-    criterion = criterion_integral(series, p, quad)
-    direct = direct_lp(series, p, grid)
-    ratio = direct / criterion if criterion else math.nan
+    integrability verdict (criterion finite at working precision).
+
+    The ratio is taken at unit scale, as in ``equivalence_ratio``, so it stays
+    finite where the scaled integrals under- or overflow; it is NaN for the
+    zero series."""
+    unit_criterion, unit_direct, scale = _unit_integrals(series, p, grid)
+    factor = scale**p
+    criterion = float(unit_criterion * factor)
     return {
         "p": p,
         "A": series.lacunarity,
         "criterion": criterion,
-        "direct": direct,
-        "ratio": ratio,
+        "direct": float(unit_direct * factor),
+        "ratio": unit_direct / unit_criterion if unit_criterion else math.nan,
         "integrable": bool(math.isfinite(criterion)),
     }

@@ -4,9 +4,9 @@ The engine behind every extremal quantity in the package.  Complex linear
 constraints are eliminated exactly (particular solution plus an orthonormal
 null-space basis), so every iterate is feasible to rounding.  The non-smooth
 objective sum_i w_i |f(z_i)|^p is replaced by sum_i w_i (|f(z_i)|^2 + eps)^(p/2)
-with eps driven down a fixed schedule; each stage runs iteratively reweighted
-least squares with a backtracking line search, so the recorded objective
-sequence is non-increasing.  At p = 2 the weighted least-squares start is the
+with eps driven down the fixed ``SMOOTHING_SCHEDULE``; each stage runs
+iteratively reweighted least squares with a backtracking line search, so the
+recorded objective sequence is non-increasing.  At p = 2 the weighted least-squares start is the
 exact minimizer, so a p = 2 solve without a given start returns it with no
 iterations.
 
@@ -56,7 +56,7 @@ from .geometry import QuadratureGrid, build_grid
 from .series import BasisSpec, CoeffVector
 
 __all__ = [
-    "DEFAULT_SMOOTHING_SCHEDULE",
+    "SMOOTHING_SCHEDULE",
     "InfeasibleConstraintsError",
     "SolverConfig",
     "ExtremalProblem",
@@ -70,7 +70,7 @@ __all__ = [
     "solution_record",
 ]
 
-DEFAULT_SMOOTHING_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+SMOOTHING_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 40
@@ -95,7 +95,6 @@ class SolverConfig:
 
     tolerance: float = 1e-10
     max_iterations: int = 200
-    smoothing_schedule: tuple[float, ...] = DEFAULT_SMOOTHING_SCHEDULE
     restarts: int = 8
     rng_seed: int = 0
 
@@ -106,14 +105,6 @@ class SolverConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.restarts < 1:
             raise ValueError("restarts must be >= 1")
-        sched = tuple(float(e) for e in self.smoothing_schedule)
-        if not sched or any(e <= 0 for e in sched):
-            raise ValueError("smoothing_schedule must be positive")
-        if any(b >= a for a, b in zip(sched, sched[1:])):
-            raise ValueError("smoothing_schedule must be strictly decreasing")
-        if sched[-1] > 1e-10:
-            raise ValueError("smoothing_schedule must end at or below 1e-10")
-        object.__setattr__(self, "smoothing_schedule", sched)
 
 
 def point_constraint(basis: BasisSpec, z: complex, value: complex = 1.0) -> tuple[np.ndarray, complex]:
@@ -470,7 +461,7 @@ def _descend(ws: _Workspace, t, schedule, config):
     each stage that is among the last two of the whole schedule, the only
     values the drift test and the reported objective read.
     """
-    tail = config.smoothing_schedule[-2:]
+    tail = SMOOTHING_SCHEDULE[-2:]
     history = [ws.set_point(t, schedule[0])]
     raw = []
     iterations = 0
@@ -507,7 +498,7 @@ def minimize_pnorm(
     """
     config = config or SolverConfig()
     ws = _Workspace(problem, problem.grid)
-    schedule = config.smoothing_schedule
+    schedule = SMOOTHING_SCHEDULE
     coarse_iterations = coarse_fallbacks = 0
     if start is None and ws.p == 2.0:
         # The least-squares start is the exact minimizer, and the p = 2 IRLS
@@ -517,7 +508,7 @@ def minimize_pnorm(
         raw = [_phi_raw(ws.u, ws.w, ws.p)]
         iterations, converged = 0, True
     else:
-        coarse_grid = _coarse_grid(problem.grid) if len(schedule) > 2 else None
+        coarse_grid = _coarse_grid(problem.grid)
         cws = ws if coarse_grid is None else _Workspace(problem, coarse_grid)
         if start is None:
             t = cws.least_squares()[0]

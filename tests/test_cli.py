@@ -221,6 +221,48 @@ def test_shared_parser_matches_fresh_parsers(capsys, tmp_path):
     assert shared == runs(fresh=True)
 
 
+_SOLVE = ["--domain", "disk:1", "--degree", "6"]
+_OUTPUT_CASES = {
+    "kernel-point": (["kernel", "--p", "2", "--z", "0", *_SOLVE], "json"),
+    "kernel-sweep": (["kernel", "--p", "2", "--z", "0,0.3", *_SOLVE], "csv"),
+    "metric": (["metric", "--p", "2", "--z", "0", *_SOLVE], "json"),
+    "levi": (["levi", "--p", "2", *_SOLVE], "by suffix"),
+    "holder": (["holder", "--p", "2", "--radii", "0.1,0.003", "--directions", "2", *_SOLVE],
+               "by suffix"),
+    "limit": (["limit", "--p-list", "0.9", "--restarts", "2", "--grid", "32x64", *_SOLVE],
+              "by suffix"),
+    "lacunary": (["lacunary", "--file", "series.csv", "--p", "2", "--r", "0.9"], "json"),
+}
+
+
+@pytest.mark.parametrize("dest", [None, "x.csv", "x.json"], ids=["stdout", "csv", "json"])
+@pytest.mark.parametrize("case", list(_OUTPUT_CASES))
+def test_output_rule(capsys, tmp_path, monkeypatch, case, dest):
+    # CSV when the path ends in .csv ("by suffix") or always ("csv"), else JSON
+    argv, rule = _OUTPUT_CASES[case]
+    monkeypatch.chdir(tmp_path)
+    write_series_csv(tmp_path / "series.csv", LacunarySeries((1, 2, 4), np.array([1.0, 0.5j, -0.25])))
+    code, out, err = _run(capsys, argv + ([] if dest is None else ["--out", dest]))
+    assert code == 0 and err == ""
+    written = sorted(path.name for path in tmp_path.iterdir() if path.name != "series.csv")
+    assert written == ([] if dest is None else [dest])
+    if dest is None:
+        text = out
+    else:
+        assert out == ""
+        text = (tmp_path / dest).read_text()
+    if rule == "csv" or (rule == "by suffix" and dest == "x.csv"):
+        lines = text.splitlines()
+        assert lines[0].startswith("# config: ") and lines[1].startswith("# timestamp: ")
+        assert json.loads(lines[0][len("# config: "):])["command"] == argv[0]
+        assert len({len(line.split(",")) for line in lines[2:]}) == 1
+    else:
+        doc = json.loads(text)
+        assert list(doc)[:2] == ["config", "timestamp"]
+        assert doc["config"]["command"] == argv[0]
+        _validator(argv[0]).validate(doc)
+
+
 def test_determinism_modulo_timestamp(capsys):
     argv = ["kernel", "--domain", "disk:1", "--p", "1.5", "--z", "0.2", "--degree", "6",
             "--seed", "3"]

@@ -1,17 +1,21 @@
-"""The documented API stays runnable: the README quickstart executes, the
-demos call only names the package has, and every layer the benchmark trace
-wraps still exists."""
+"""The documented API stays runnable: the README quickstart and command-line
+block execute, the demos call only names the package has, and every layer the
+benchmark trace wraps still exists."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import re
+import shlex
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pbergman as pb
+from pbergman import cli
 
 ROOT = Path(__file__).parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -20,6 +24,26 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def _quickstart() -> str:
     section = (ROOT / "README.md").read_text().split("## Library quickstart", 1)[1]
     return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def _command_lines() -> list[list[str]]:
+    """The argument lists of the ``pbergman`` lines in README "Command line"."""
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("pbergman ")]
+
+
+COMMAND_LINES = _command_lines()
+
+
+def _writes_csv(argv: list[str]) -> bool:
+    """The documented output rule: CSV for the kernel sweep, and for levi,
+    holder and limit when --out ends in .csv; JSON otherwise."""
+    options = dict(zip(argv[1::2], argv[2::2]))
+    if argv[0] == "kernel":
+        return "," in options["--p"] + options["--z"]
+    return argv[0] in ("levi", "holder", "limit") and options.get("--out", "").endswith(".csv")
 
 
 def _pb_paths(tree: ast.AST) -> set[str]:
@@ -38,6 +62,22 @@ def _pb_paths(tree: ast.AST) -> set[str]:
 def test_readme_quickstart_runs(capsys):
     exec(compile(_quickstart(), "README.md", "exec"), {})
     assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+@pytest.mark.parametrize(
+    "argv", COMMAND_LINES, ids=[f"{i}-{argv[0]}" for i, argv in enumerate(COMMAND_LINES)]
+)
+def test_readme_command_line_runs(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
+    pb.write_series_csv("series.csv", pb.LacunarySeries((1, 3, 9), np.array([1.0, 0.5j, -0.25])))
+    assert cli.main(argv) == 0
+    out = capsys.readouterr().out
+    text = (tmp_path / argv[argv.index("--out") + 1]).read_text() if "--out" in argv else out
+    if _writes_csv(argv):
+        assert text.startswith("# config: ")
+    else:
+        assert list(json.loads(text))[:2] == ["config", "timestamp"]
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=[p.stem for p in DEMOS])
