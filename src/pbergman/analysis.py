@@ -20,13 +20,7 @@ import numpy as np
 
 from .kernel import BoundaryMarginError, Setup, h_function, metric_at, mp_minimizer
 from .series import evaluate
-from .solver import (
-    ExtremalProblem,
-    Solution,
-    multistart_minimize,
-    point_constraint,
-    _SeparableBasis,
-)
+from .solver import ExtremalProblem, Solution, multistart_minimize, _SeparableBasis
 
 __all__ = [
     "DegenerateFitError",
@@ -91,10 +85,10 @@ class LimitRecord:
     statuses: tuple[str, ...]
 
 
-def fit_power_law(radii, deltas, noise_floor: float = NOISE_FLOOR):
+def fit_power_law(radii, deltas):
     """Least-squares slope of log(delta) against log(r).
 
-    Points with delta at or below the noise floor are excluded; fewer than two
+    Points with delta at or below ``NOISE_FLOOR`` are excluded; fewer than two
     survivors is a degenerate fit and raises instead of silently fitting.
     Returns (slope, intercept, r_squared).
     """
@@ -102,10 +96,10 @@ def fit_power_law(radii, deltas, noise_floor: float = NOISE_FLOOR):
     d = np.asarray(deltas, dtype=float)
     if r.shape != d.shape:
         raise ValueError("radii and deltas must align")
-    mask = d > noise_floor
+    mask = d > NOISE_FLOOR
     if int(mask.sum()) < 2:
         raise DegenerateFitError(
-            f"degenerate fit: {int(mask.sum())} deltas above the noise floor {noise_floor:g}"
+            f"degenerate fit: {int(mask.sum())} deltas above the noise floor {NOISE_FLOOR:g}"
         )
     lx = np.log(r[mask])
     ly = np.log(d[mask])
@@ -153,18 +147,11 @@ def levi_form_log_kp(
     z: complex,
     direction: complex = 1.0,
     step: float = 1e-2,
-    log_kp=None,
 ) -> float:
-    """Levi form of log K_p at z along ``direction`` by finite differences.
-
-    ``log_kp`` optionally replaces the solver with a closed-form callable
-    tau -> log K(tau), which isolates the stencil machinery from solver noise.
-    """
+    """Levi form of log K_p at z along ``direction`` by finite differences
+    (``quarter_laplacian`` of tau -> log K_p(z + tau X))."""
     z = complex(z)
     direction = complex(direction)
-    if log_kp is not None:
-        return quarter_laplacian(lambda tau: log_kp(z + tau * direction), step)
-
     domain = setup.domain
     needed = setup.margin + 2.0 * step * abs(direction)
     if not domain.contains(z) or domain.boundary_distance(z) < needed:
@@ -212,7 +199,14 @@ def _probe_circle(w: complex, r: float, directions: int):
             for a in (2.0 * math.pi * k / directions for k in range(directions))]
 
 
-def _check_radii(radii) -> tuple[float, ...]:
+def _probe_fit(setup: Setup, p: float, z_prime: complex, w: complex, radii,
+               directions: int, value, relative: bool) -> HolderFit:
+    """Fit the slope of r -> max_phi |value(w + r e^{i phi}) - value(w)|, or of
+    max_phi |value(w + r e^{i phi})| when not ``relative``.
+
+    The radii are checked before the first solve; ``converged`` is as in
+    ``levi_metric_gap``.
+    """
     rs = tuple(float(r) for r in radii)
     if len(rs) < 2:
         raise DegenerateFitError(f"degenerate fit: need >= 2 radii, got {len(rs)}")
@@ -220,17 +214,23 @@ def _check_radii(radii) -> tuple[float, ...]:
         raise ValueError("radii must be positive")
     if max(rs) / min(rs) < 10.0**1.5:
         raise ValueError("radii must span at least 1.5 decades")
-    return tuple(sorted(rs, reverse=True))
+    rs = tuple(sorted(rs, reverse=True))
+
+    base = value(w) if relative else 0.0
+    deltas = tuple(
+        max(abs(value(probe) - base) for probe in _probe_circle(w, r, directions))
+        for r in rs
+    )
+    slope, intercept, r2 = fit_power_law(rs, deltas)
+    return HolderFit(
+        z_prime=z_prime, w=w, p=p, radii=rs, deltas=deltas,
+        slope=slope, intercept=intercept, r_squared=r2,
+        converged=setup.converged(p),
+    )
 
 
 def holder_exponent(
-    setup: Setup,
-    p: float,
-    z_prime: complex,
-    w: complex,
-    radii,
-    directions: int = 8,
-    noise_floor: float = NOISE_FLOOR,
+    setup: Setup, p: float, z_prime: complex, w: complex, radii, directions: int = 8
 ) -> HolderFit:
     """Fit the growth exponent of r -> max_phi |m_p(z', w + r e^{i phi}) - m_p(z', w)|.
 
@@ -242,31 +242,15 @@ def holder_exponent(
     if p <= 1:
         raise ValueError("holder_exponent requires p > 1")
     z_prime, w = complex(z_prime), complex(w)
-    rs = _check_radii(radii)
 
     def m_at(point: complex) -> complex:
         return evaluate(mp_minimizer(setup, p, point).minimizer.coeffs, z_prime)
 
-    base = m_at(w)
-    deltas = tuple(
-        max(abs(m_at(probe) - base) for probe in _probe_circle(w, r, directions))
-        for r in rs
-    )
-    slope, intercept, r2 = fit_power_law(rs, deltas, noise_floor)
-    return HolderFit(
-        z_prime=z_prime, w=w, p=p, radii=rs, deltas=deltas,
-        slope=slope, intercept=intercept, r_squared=r2,
-        converged=setup.converged(p),
-    )
+    return _probe_fit(setup, p, z_prime, w, radii, directions, m_at, relative=True)
 
 
 def hp_scaling_exponent(
-    setup: Setup,
-    p: float,
-    z: complex,
-    radii,
-    directions: int = 8,
-    noise_floor: float = NOISE_FLOOR,
+    setup: Setup, p: float, z: complex, radii, directions: int = 8
 ) -> HolderFit:
     """Fit the decay exponent of r -> max_phi |H_p(z, z + r e^{i phi})|.
 
@@ -277,17 +261,9 @@ def hp_scaling_exponent(
     if p <= 1:
         raise ValueError("hp_scaling_exponent requires p > 1")
     z = complex(z)
-    rs = _check_radii(radii)
-
-    deltas = tuple(
-        max(abs(h_function(setup, p, z, probe)) for probe in _probe_circle(z, r, directions))
-        for r in rs
-    )
-    slope, intercept, r2 = fit_power_law(rs, deltas, noise_floor)
-    return HolderFit(
-        z_prime=z, w=z, p=p, radii=rs, deltas=deltas,
-        slope=slope, intercept=intercept, r_squared=r2,
-        converged=setup.converged(p),
+    return _probe_fit(
+        setup, p, z, z, radii, directions,
+        lambda probe: h_function(setup, p, z, probe), relative=False,
     )
 
 
@@ -321,8 +297,7 @@ def dp_estimate(setup: Setup, p: float, z: complex) -> tuple[float, list[Solutio
         raise ValueError(f"dp_estimate requires 0 < p <= 1, got {p}")
     z = complex(z)
     setup.require_interior(z)
-    basis = setup.basis(p)
-    problem = ExtremalProblem(basis, setup.grid, p, (point_constraint(basis, z, 1.0),))
+    problem = setup.problem(p, z)
     solutions = multistart_minimize(problem, setup.config)
     if not solutions:
         raise RuntimeError(f"no converged multistart run at p={p}")

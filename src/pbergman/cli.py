@@ -3,10 +3,11 @@
 Output: levi, holder and limit write CSV when --out ends in .csv and JSON
 otherwise; the kernel sweep (more than one p or z) always writes CSV; a
 kernel point, metric and lacunary always write JSON, whatever the path.  The
-fully resolved configuration, including the seed, leads the output (the
-"config" key, or a "# config:" line above the CSV header), followed by the
-timestamp.  Identical configuration and seed give byte-identical numeric
-output modulo the timestamp.  Floats are printed with 17 significant digits
+fully resolved configuration leads the output (the "config" key, or a
+"# config:" line above the CSV header), followed by the timestamp.  Only
+limit runs seeded restarts, so only limit takes and echoes --seed and
+--restarts.  Identical configuration gives byte-identical numeric output
+modulo the timestamp.  Floats are printed with 17 significant digits
 so they round-trip.
 
 Exit codes: 0 converged, 2 numerically degraded (result still printed),
@@ -16,6 +17,7 @@ Exit codes: 0 converged, 2 numerically degraded (result still printed),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -145,12 +147,12 @@ def _setup(args) -> kernel.Setup:
         degree=args.degree,
         n_min=args.nmin,
         grid=build_grid(domain, *_parse_grid(args.grid)),
-        config=SolverConfig(tolerance=args.tol, restarts=args.restarts, rng_seed=args.seed),
+        config=SolverConfig(tolerance=args.tol),
         margin=args.margin,
     )
 
 
-def _common_arguments(sub, *, restarts: int = 8):
+def _common_arguments(sub):
     sub.add_argument("--domain", default="disk:1", help="disk:R, annulus:r0,r1, or punctured:R")
     sub.add_argument("--degree", type=int, default=kernel.DEFAULT_DEGREE)
     sub.add_argument("--nmin", type=int, default=None, help="lowest basis exponent")
@@ -161,8 +163,6 @@ def _common_arguments(sub, *, restarts: int = 8):
         "on a grid a quarter as fine each way when that keeps >= 16x32",
     )
     sub.add_argument("--tol", type=float, default=1e-10)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--restarts", type=int, default=restarts)
     sub.add_argument("--margin", type=float, default=None, help="boundary margin override")
     sub.add_argument("--out", default=None, help=f"output path (relative to ${OUTPUT_DIR_ENV})")
 
@@ -175,8 +175,6 @@ def _base_config(args, command: str) -> dict:
         "nmin": args.nmin,
         "grid": args.grid,
         "tolerance": args.tol,
-        "seed": args.seed,
-        "restarts": args.restarts,
         "margin": args.margin,
     }
 
@@ -280,8 +278,11 @@ def _cmd_holder(setup: kernel.Setup, args) -> _Result:
 def _cmd_limit(setup: kernel.Setup, args) -> _Result:
     ps = _parse_list(args.p_list, float)
     z = _parse_complex(args.z)
-    conf = _base_config(args, "limit") | {"p_list": ps, "z": z}
-    record = analysis.limit_sweep(setup, z, ps)
+    conf = _base_config(args, "limit") | {
+        "seed": args.seed, "restarts": args.restarts, "p_list": ps, "z": z,
+    }
+    config = dataclasses.replace(setup.config, restarts=args.restarts, rng_seed=args.seed)
+    record = analysis.limit_sweep(dataclasses.replace(setup, config=config), z, ps)
     rows = list(zip(record.p_list, record.k_p_values, record.d_p_estimates, record.statuses))
     document = {
         "z": record.z,
@@ -349,7 +350,9 @@ def build_parser() -> _Parser:
     p_holder.set_defaults(func=_cmd_holder, degree=16)
 
     p_limit = sub.add_parser("limit", help="K_p and maximizer-spread sweep for p up to 1")
-    _common_arguments(p_limit, restarts=16)
+    _common_arguments(p_limit)
+    p_limit.add_argument("--seed", type=int, default=0)
+    p_limit.add_argument("--restarts", type=int, default=16)
     p_limit.add_argument("--p-list", required=True, dest="p_list")
     p_limit.add_argument("--z", default="0")
     p_limit.set_defaults(func=_cmd_limit, degree=8)

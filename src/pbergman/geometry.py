@@ -104,10 +104,6 @@ class QuadratureGrid:
         angular_weight = 2.0 * math.pi / self.angular_count
         return _read_only(np.repeat(self.radial_weights * angular_weight, self.angular_count))
 
-    def key(self) -> tuple:
-        """Structural identity, usable as a cache key."""
-        return (self.domain, self.radial_count, self.angular_count)
-
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)

@@ -89,9 +89,9 @@ class Setup:
     ``-degree`` on an annulus, 0 otherwise) up to ``degree``.  ``grid``
     defaults to the ``DEFAULT_GRID_SHAPE`` rule on ``domain``; ``margin``
     defaults to ``MARGIN_FRACTION`` of the outer radius.  ``cache`` maps
-    ``(kind, p, point)`` to a finished solve, a ``KernelResult`` for K_p and
-    a ``Solution`` for B_p, and is shared by every call given this setup;
-    ``dataclasses.replace`` gives a setup with an empty cache.
+    ``(p, z, direction)`` to the ``Solution`` of ``solve``, and is shared by
+    every call given this setup; ``dataclasses.replace`` gives a setup with
+    an empty cache.
     """
 
     domain: Domain
@@ -125,13 +125,28 @@ class Setup:
                 f"{format_domain(self.domain)}; pass margin= explicitly to override"
             )
 
+    def problem(self, p: float, z: complex, direction: complex | None = None) -> ExtremalProblem:
+        """The K_p problem f(z) = 1, or given a unit ``direction`` X the B_p
+        problem f(z) = 0, X f'(z) = 1, on this setup's basis and grid."""
+        basis = self.basis(p)
+        if direction is None:
+            constraints = (point_constraint(basis, z, 1.0),)
+        else:
+            der_row, _ = derivative_constraint(basis, z, 1.0)
+            constraints = (point_constraint(basis, z, 0.0), (direction * der_row, 1.0))
+        return ExtremalProblem(basis, self.grid, p, constraints)
+
+    def solve(self, p: float, z: complex, direction: complex | None = None) -> Solution:
+        """Solve ``problem(p, z, direction)`` once; later calls return the
+        cached ``Solution``."""
+        key = (p, z, direction)
+        if key not in self.cache:
+            self.cache[key] = minimize_pnorm(self.problem(p, z, direction), self.config)
+        return self.cache[key]
+
     def converged(self, p: float) -> bool:
         """True when every solve cached at exponent ``p`` converged."""
-        return all(
-            (entry.minimizer if isinstance(entry, KernelResult) else entry).converged
-            for (_, q, _), entry in self.cache.items()
-            if q == p
-        )
+        return all(sol.converged for (q, _, _), sol in self.cache.items() if q == p)
 
 
 def mp_minimizer(setup: Setup, p: float, z: complex) -> KernelResult:
@@ -143,24 +158,15 @@ def mp_minimizer(setup: Setup, p: float, z: complex) -> KernelResult:
         raise ValueError("mp_minimizer requires p >= 1; use multistart_minimize below 1")
     z = complex(z)
     setup.require_interior(z)
-    key = ("mp", p, z)
-    if key in setup.cache:
-        return setup.cache[key]
-
-    basis = setup.basis(p)
-    problem = ExtremalProblem(basis, setup.grid, p, (point_constraint(basis, z, 1.0),))
-    sol = minimize_pnorm(problem, setup.config)
-    m_p = sol.objective
-    result = KernelResult(
+    sol = setup.solve(p, z)
+    return KernelResult(
         z=z,
         p=p,
-        m_p=m_p,
-        k_p=m_p**-p,
+        m_p=sol.objective,
+        k_p=sol.objective**-p,
         minimizer=sol,
-        basis_degree=max(basis.exponents),
+        basis_degree=max(sol.coeffs.basis.exponents),
     )
-    setup.cache[key] = result
-    return result
 
 
 def offdiag_kernel(setup: Setup, p: float, z: complex, w: complex) -> complex:
@@ -195,20 +201,7 @@ def metric_at(setup: Setup, p: float, z: complex, direction: complex = 1.0) -> M
     unit = direction / speed
 
     kernel = mp_minimizer(setup, p, z)
-    key = ("metric", p, (z, unit))
-    if key in setup.cache:
-        sol = setup.cache[key]
-    else:
-        basis = setup.basis(p)
-        der_row, _ = derivative_constraint(basis, z, 1.0)
-        problem = ExtremalProblem(
-            basis,
-            setup.grid,
-            p,
-            (point_constraint(basis, z, 0.0), (unit * der_row, 1.0)),
-        )
-        sol = minimize_pnorm(problem, setup.config)
-        setup.cache[key] = sol
+    sol = setup.solve(p, z, unit)
     b_unit = kernel.k_p ** (-1.0 / p) / sol.objective
     return MetricResult(z=z, direction=unit, p=p, b_p=speed * b_unit, extremal=sol)
 

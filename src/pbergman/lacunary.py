@@ -60,7 +60,8 @@ __all__ = [
 LAMBDA_MAX_CAP = 2**20
 
 # A term is dead on a circle, and dropped there, once |a_k| r^lambda_k falls
-# below this fraction of max|a|, a tenth of the unit roundoff.
+# below this fraction of the largest term on that circle, a tenth of the unit
+# roundoff.
 _LIVE_CUT = 1e-17
 
 # Angles per chunk and values per tile of the circle evaluator.  At 13 terms
@@ -245,14 +246,18 @@ def _amplitudes(series: LacunarySeries, radii):
     """a_k r_i^lambda_k, one row per radius, and the live count of each row.
 
     A row's live count is the number of leading terms up to the last one with
-    |a_k| r_i^lambda_k >= _LIVE_CUT * max|a|, and at least 1.  The terms after
-    it are below rounding on that circle.
+    |a_k| r_i^lambda_k >= _LIVE_CUT * max_k |a_k| r_i^lambda_k.  The terms
+    after it are below rounding on that circle, however small the series is
+    there.  The sizes are compared as logarithms, which do not underflow
+    where the terms themselves do.
     """
     lams = np.array(series.exponents, dtype=float)
-    amps = series.coefficients * np.exp(np.log(radii)[:, None] * lams)
-    alive = np.abs(amps) >= _LIVE_CUT * np.max(np.abs(series.coefficients))
-    live = len(lams) - np.argmax(alive[:, ::-1], axis=1)
-    return amps, np.where(alive.any(axis=1), live, 1)
+    log_r = np.log(radii)[:, None]
+    with np.errstate(divide="ignore"):  # a zero coefficient has log size -inf
+        size = np.log(np.abs(series.coefficients)) + log_r * lams
+    alive = size >= size.max(axis=1, keepdims=True) + math.log(_LIVE_CUT)
+    amps = series.coefficients * np.exp(log_r * lams)
+    return amps, len(lams) - np.argmax(alive[:, ::-1], axis=1)
 
 
 def _roots_of_unity(count: int) -> np.ndarray:
@@ -371,24 +376,22 @@ def direct_lp(series: LacunarySeries, p: float, grid: QuadratureGrid | None = No
     return float(grid.radial_weights @ means * (2.0 * math.pi) * scale**p)
 
 
-def _unit_integrals(series: LacunarySeries, p: float, grid: QuadratureGrid | None):
+def _unit_integrals(series: LacunarySeries, p: float):
     """criterion_integral and direct_lp of the unit-scale series, and its scale M.
 
     Their ratio is scale-free, and at unit scale neither integral can
     underflow or overflow; the integrals of the series are M^p times these.
     """
     unit, scale = _unit_scale(series)
-    return criterion_integral(unit, p), direct_lp(unit, p, grid), scale
+    return criterion_integral(unit, p), direct_lp(unit, p), scale
 
 
-def equivalence_ratio(
-    series: LacunarySeries, p: float, grid: QuadratureGrid | None = None
-) -> float:
+def equivalence_ratio(series: LacunarySeries, p: float) -> float:
     """direct_lp / criterion_integral; bounded above and below by the
     comparison constant of the lacunary norm equivalence, and exactly 1 at p = 2.
 
     Both integrals run at unit scale (``_unit_integrals``)."""
-    criterion, direct, _ = _unit_integrals(series, p, grid)
+    criterion, direct, _ = _unit_integrals(series, p)
     if criterion == 0.0:
         if direct == 0.0:
             raise ValueError("equivalence ratio of the zero series is undefined")
@@ -480,23 +483,22 @@ def write_series_csv(path, series: LacunarySeries) -> None:
             writer.writerow([lam, f"{a.real:.17g}", f"{a.imag:.17g}"])
 
 
-def integrability_record(
-    series: LacunarySeries, p: float, grid: QuadratureGrid | None = None
-) -> dict:
+def integrability_record(series: LacunarySeries, p: float) -> dict:
     """JSON-ready summary: criterion, direct integral, their ratio, and the
-    integrability verdict (criterion finite at working precision).
+    integrability verdict (unit-scale criterion finite at working precision).
 
-    The ratio is taken at unit scale, as in ``equivalence_ratio``, so it stays
-    finite where the scaled integrals under- or overflow; it is NaN for the
-    zero series."""
-    unit_criterion, unit_direct, scale = _unit_integrals(series, p, grid)
-    factor = scale**p
-    criterion = float(unit_criterion * factor)
+    The ratio and the verdict are taken at unit scale, as in
+    ``equivalence_ratio``, so they hold where the scaled integrals under- or
+    overflow; an integral beyond the float range reads inf.  The ratio is NaN
+    for the zero series."""
+    unit_criterion, unit_direct, scale = _unit_integrals(series, p)
+    with np.errstate(over="ignore"):
+        factor = scale**p
     return {
         "p": p,
         "A": series.lacunarity,
-        "criterion": criterion,
+        "criterion": float(unit_criterion * factor),
         "direct": float(unit_direct * factor),
         "ratio": unit_direct / unit_criterion if unit_criterion else math.nan,
-        "integrable": bool(math.isfinite(criterion)),
+        "integrable": bool(math.isfinite(unit_criterion)),
     }

@@ -556,7 +556,8 @@ def _coefficient_distance(a: np.ndarray, b: np.ndarray) -> float:
 def multistart_minimize(
     problem: ExtremalProblem, config: SolverConfig | None = None
 ) -> list[Solution]:
-    """Seeded restarts for the (possibly nonconvex) regime 0 < p < 1.
+    """Seeded restarts for 0 < p <= 1, where the problem may be nonconvex
+    (p < 1) or its minimizer not unique (p = 1).
 
     Descents start from the p = 1 solution of the same constraints and from
     random perturbations of it; each runs the two-grid continuation of

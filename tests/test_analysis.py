@@ -39,12 +39,6 @@ def test_quarter_laplacian_on_closed_forms():
     assert abs(quarter_laplacian(log_k, 1e-2) - 2.0 / 0.75**2) <= 1e-6
 
 
-def test_levi_form_closed_form_bypass(disk16):
-    log_k = lambda z: -math.log(math.pi) - 2.0 * math.log(1.0 - abs(z) ** 2)
-    value = levi_form_log_kp(disk16, 2.0, 0.5, log_kp=log_k)
-    assert abs(value - 2.0 / 0.75**2) <= 1e-6
-
-
 @pytest.mark.parametrize("p", [2.0, 4.0])
 def test_levi_form_at_center(disk16, p):
     value = levi_form_log_kp(disk16, p, 0.0)

@@ -40,7 +40,7 @@ def test_kernel_json_contract(capsys):
     doc = json.loads(out)
     _validator("kernel").validate(doc)
     assert abs(doc["K_p"] - 1.0 / math.pi) <= 1e-3
-    assert doc["config"]["seed"] == 0
+    assert "seed" not in doc["config"] and "restarts" not in doc["config"]
 
 
 def test_kernel_margin_violation_exits_one(capsys):
@@ -264,14 +264,36 @@ def test_output_rule(capsys, tmp_path, monkeypatch, case, dest):
 
 
 def test_determinism_modulo_timestamp(capsys):
-    argv = ["kernel", "--domain", "disk:1", "--p", "1.5", "--z", "0.2", "--degree", "6",
-            "--seed", "3"]
+    argv = ["kernel", "--domain", "disk:1", "--p", "1.5", "--z", "0.2", "--degree", "6"]
     _, out1, _ = _run(capsys, argv)
     _, out2, _ = _run(capsys, argv)
     doc1, doc2 = json.loads(out1), json.loads(out2)
     doc1.pop("timestamp")
     doc2.pop("timestamp")
     assert doc1 == doc2
+
+
+_RESTART_CASES = {
+    "kernel": ["kernel", "--p", "2", "--z", "0"],
+    "metric": ["metric", "--p", "2", "--z", "0"],
+    "levi": ["levi", "--p", "2"],
+    "holder": ["holder", "--p", "2"],
+    "limit": ["limit", "--p-list", "0.9", "--grid", "32x64"],
+}
+
+
+@pytest.mark.parametrize("flag", [["--seed", "3"], ["--restarts", "4"]], ids=["seed", "restarts"])
+@pytest.mark.parametrize("command", list(_RESTART_CASES))
+def test_only_limit_takes_seed_and_restarts(capsys, command, flag):
+    # only limit runs restarts; the other solving commands reject both flags
+    code, out, _ = _run(capsys, _RESTART_CASES[command] + ["--degree", "6"] + flag)
+    if command != "limit":
+        assert code == 1 and out == ""
+        return
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert {"seed", "restarts"} <= set(config)
+    assert config[flag[0][2:]] == int(flag[1])
 
 
 def test_output_dir_env(capsys, tmp_path, monkeypatch):

@@ -148,7 +148,7 @@ def test_cache_reuses_results(unit_disk, disk_grid):
     setup = pb.Setup(unit_disk, grid=disk_grid)
     first = mp_minimizer(setup, 2.0, 0.25)
     second = mp_minimizer(setup, 2.0, 0.25)
-    assert first is second
+    assert first.minimizer is second.minimizer
     assert len(setup.cache) == 1
 
 

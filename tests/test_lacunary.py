@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pbergman as pb
@@ -110,11 +110,11 @@ def test_equivalence_ratio_single_term_is_one(p):
     assert abs(equivalence_ratio(s, p) - 1.0) <= 1e-6
 
 
-def test_equivalence_ratio_p2_is_parseval(dyadic_grid):
+def test_equivalence_ratio_p2_is_parseval():
     rng = np.random.default_rng(23)
     for _ in range(5):
         s = _random_series(rng)
-        assert abs(equivalence_ratio(s, 2.0, dyadic_grid) - 1.0) <= 1e-6
+        assert abs(equivalence_ratio(s, 2.0) - 1.0) <= 1e-6
 
 
 def test_scale_equivariance(dyadic_grid):
@@ -134,8 +134,8 @@ def test_scale_equivariance(dyadic_grid):
             rel_tol=1e-10,
         )
         assert math.isclose(
-            equivalence_ratio(s.scaled(c), p, dyadic_grid),
-            equivalence_ratio(s, p, dyadic_grid),
+            equivalence_ratio(s.scaled(c), p),
+            equivalence_ratio(s, p),
             rel_tol=1e-9,
         )
 
@@ -152,10 +152,12 @@ def test_extreme_coefficient_scales(M, p):
         criterion, direct = criterion_integral(unit, p), direct_lp(unit, p, grid)
         assert math.isclose(criterion_integral(s, p), M**p * criterion, rel_tol=1e-12)
         assert math.isclose(direct_lp(s, p, grid), M**p * direct, rel_tol=1e-12)
-    ratio = equivalence_ratio(s, p, grid)
+    ratio = equivalence_ratio(s, p)
     assert math.isfinite(ratio)
-    assert math.isclose(ratio, equivalence_ratio(unit, p, grid), rel_tol=1e-12)
-    assert integrability_record(s, p, grid)["ratio"] == ratio
+    assert math.isclose(ratio, equivalence_ratio(unit, p), rel_tol=1e-12)
+    record = integrability_record(s, p)
+    assert record["ratio"] == ratio
+    assert record["integrable"] is True
     circle = circle_norm_ratio(s, 0.9, p)
     assert math.isfinite(circle)
     assert math.isclose(circle, circle_norm_ratio(unit, 0.9, p), rel_tol=1e-12)
@@ -241,10 +243,10 @@ def test_series_csv_roundtrip(tmp_path):
     assert np.array_equal(back.coefficients, s.coefficients)
 
 
-def test_integrability_record(dyadic_grid):
+def test_integrability_record():
     rng = np.random.default_rng(53)
     s = _random_series(rng)
-    record = integrability_record(s, 2.0, dyadic_grid)
+    record = integrability_record(s, 2.0)
     assert record["integrable"] is True
     assert abs(record["ratio"] - 1.0) <= 1e-6
     assert record["A"] == 2.0
@@ -297,7 +299,7 @@ def test_series_integrals_never_build_flat_grid_arrays(monkeypatch):
     grid = default_series_grid(s)
     direct_lp(s, 1.5, grid)
     series_grid_values(s, grid)
-    equivalence_ratio(s, 3.0, grid)
+    equivalence_ratio(s, 3.0)
     assert "nodes" not in vars(grid) and "weights" not in vars(grid)
 
     def refuse(self):
@@ -316,6 +318,11 @@ def test_series_integrals_never_build_flat_grid_arrays(monkeypatch):
     p=st.floats(0.25, 6.0),
     c=st.complex_numbers(min_magnitude=0.1, max_magnitude=10.0),
 )
+# a high lowest exponent makes the series tiny on most circles, where |f|^p
+# at p < 1 still counts: every term there must be kept relative to the
+# largest one on that circle, not to the largest coefficient
+@example(exponents={297, 322}, seed=0, p=0.5, c=1 + 0j)
+@example(exponents={266, 322}, seed=0, p=0.25, c=1 + 0j)
 def test_blocked_integral_property(exponents, seed, p, c):
     s = _random_series(np.random.default_rng(seed), tuple(sorted(exponents)))
     # 40 radii: at 8 lambda_max >= 2048 angular nodes the last block is partial
