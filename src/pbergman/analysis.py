@@ -285,29 +285,32 @@ def _pairwise_spread(problem: ExtremalProblem, solutions: list[Solution]) -> flo
     return spread
 
 
-def dp_estimate(setup: Setup, p: float, z: complex) -> tuple[float, list[Solution]]:
+def dp_estimate(
+    setup: Setup, p: float, z: complex, *, restarts: int, seed: int
+) -> tuple[float, list[Solution]]:
     """Multistart lower bound for the spread d_p(z) of maximizers, 0 < p <= 1.
 
     Maximizers of K_p with f(z) = 1 are exactly the minimizers of ||f||_p
     under that constraint.  The sup over all maximizer pairs is not
     computable; the returned value is a heuristic lower bound taken over the
-    near-optimal multistart survivors (bound: lower).
+    near-optimal survivors of ``restarts`` seeded descents (bound: lower).
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"dp_estimate requires 0 < p <= 1, got {p}")
     z = complex(z)
     setup.require_interior(z)
     problem = setup.problem(p, z)
-    solutions = multistart_minimize(problem, setup.config)
+    solutions = multistart_minimize(problem, setup.config, restarts=restarts, seed=seed)
     if not solutions:
         raise RuntimeError(f"no converged multistart run at p={p}")
     return _pairwise_spread(problem, solutions), solutions
 
 
-def limit_sweep(setup: Setup, z: complex, p_list) -> LimitRecord:
+def limit_sweep(setup: Setup, z: complex, p_list, *, restarts: int, seed: int) -> LimitRecord:
     """Tabulate (p, K_p, d_p lower bound) over an ascending p list in (0, 1].
 
-    Expected numerical failures (``ValueError``, ``RuntimeError``,
+    Each row runs ``restarts`` seeded descents; bad arguments raise before the
+    first solve.  Expected numerical failures (``ValueError``, ``RuntimeError``,
     ``LinAlgError``) are reported per row in ``statuses`` (value ``ok``
     otherwise) and keep NaN in the failed entries; any other exception
     propagates.
@@ -319,11 +322,13 @@ def limit_sweep(setup: Setup, z: complex, p_list) -> LimitRecord:
         raise ValueError("p_list must lie in (0, 1]")
     if any(b <= a for a, b in zip(ps, ps[1:])):
         raise ValueError("p_list must be ascending")
+    if restarts < 1 or seed < 0:
+        raise ValueError(f"need restarts >= 1 and seed >= 0, got {restarts} and {seed}")
     z = complex(z)
 
     def run(p: float):
         try:
-            d_p, sols = dp_estimate(setup, p, z)
+            d_p, sols = dp_estimate(setup, p, z, restarts=restarts, seed=seed)
             return d_p, sols[0].objective ** -p, "ok"
         except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
             return math.nan, math.nan, f"error: {exc}"
@@ -335,6 +340,6 @@ def limit_sweep(setup: Setup, z: complex, p_list) -> LimitRecord:
         p_list=ps,
         d_p_estimates=tuple(r[0] for r in results),
         k_p_values=tuple(r[1] for r in results),
-        restarts=setup.config.restarts,
+        restarts=restarts,
         statuses=tuple(r[2] for r in results),
     )

@@ -1,4 +1,4 @@
-"""Command-line entry point: every experiment as a reproducible, seeded run.
+"""Command-line entry point: every experiment as a reproducible run.
 
 Output: levi, holder and limit write CSV when --out ends in .csv and JSON
 otherwise; the kernel sweep (more than one p or z) always writes CSV; a
@@ -17,7 +17,6 @@ Exit codes: 0 converged, 2 numerically degraded (result still printed),
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import math
 import os
@@ -281,8 +280,7 @@ def _cmd_limit(setup: kernel.Setup, args) -> _Result:
     conf = _base_config(args, "limit") | {
         "seed": args.seed, "restarts": args.restarts, "p_list": ps, "z": z,
     }
-    config = dataclasses.replace(setup.config, restarts=args.restarts, rng_seed=args.seed)
-    record = analysis.limit_sweep(dataclasses.replace(setup, config=config), z, ps)
+    record = analysis.limit_sweep(setup, z, ps, restarts=args.restarts, seed=args.seed)
     rows = list(zip(record.p_list, record.k_p_values, record.d_p_estimates, record.statuses))
     document = {
         "z": record.z,

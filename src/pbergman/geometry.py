@@ -55,9 +55,6 @@ class Domain:
         if self.kind != "annulus" and self.inner_radius != 0.0:
             raise ValueError(f"{self.kind} requires inner_radius = 0")
 
-    def area(self) -> float:
-        return math.pi * (self.outer_radius**2 - self.inner_radius**2)
-
     def boundary_distance(self, z: complex) -> float:
         """Distance from z to the boundary circles (the puncture is not a circle)."""
         r = abs(z)

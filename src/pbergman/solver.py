@@ -95,16 +95,12 @@ class SolverConfig:
 
     tolerance: float = 1e-10
     max_iterations: int = 200
-    restarts: int = 8
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
 
 
 def point_constraint(basis: BasisSpec, z: complex, value: complex = 1.0) -> tuple[np.ndarray, complex]:
@@ -173,7 +169,7 @@ class ExtremalProblem:
 
 @dataclass(frozen=True, eq=False)
 class Solution:
-    """Outcome of one descent.
+    """Outcome of one descent; multistart restarts return a list of these.
 
     ``objective`` is the attained ||f||_p.  ``stationarity_residual`` is the
     norm of the reduced gradient of the final smoothed objective; for p <= 1
@@ -195,7 +191,6 @@ class Solution:
     coarse_iterations: int
     converged: bool
     cholesky_fallbacks: int
-    seed: int | None = None
     objective_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
@@ -484,7 +479,6 @@ def minimize_pnorm(
     config: SolverConfig | None = None,
     *,
     start: np.ndarray | None = None,
-    seed: int | None = None,
 ) -> Solution:
     """Run the continuation descent; returns the final iterate with diagnostics.
 
@@ -543,7 +537,6 @@ def minimize_pnorm(
         coarse_iterations=coarse_iterations,
         converged=converged,
         cholesky_fallbacks=ws.cholesky_fallbacks + coarse_fallbacks,
-        seed=seed,
         objective_history=hist,
     )
 
@@ -554,17 +547,20 @@ def _coefficient_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def multistart_minimize(
-    problem: ExtremalProblem, config: SolverConfig | None = None
+    problem: ExtremalProblem, config: SolverConfig | None = None, *, restarts: int, seed: int
 ) -> list[Solution]:
     """Seeded restarts for 0 < p <= 1, where the problem may be nonconvex
     (p < 1) or its minimizer not unique (p = 1).
 
-    Descents start from the p = 1 solution of the same constraints and from
-    random perturbations of it; each runs the two-grid continuation of
-    ``minimize_pnorm`` from its start.  Converged solutions are deduplicated
-    at coefficient distance 1e-4 and returned sorted by objective; distinct
-    survivors are all reported, uniqueness is never asserted.
+    Descents start from the p = 1 solution of the same constraints and, for
+    k = 1 .. restarts - 1, from perturbations of it drawn by the generator
+    keyed [seed, k]; each runs the two-grid continuation of ``minimize_pnorm``
+    from its start.  Converged solutions are deduplicated at coefficient
+    distance 1e-4 and returned sorted by objective; distinct survivors are
+    all reported, uniqueness is never asserted.
     """
+    if restarts < 1 or seed < 0:
+        raise ValueError(f"need restarts >= 1 and seed >= 0, got {restarts} and {seed}")
     config = config or SolverConfig()
     if problem.p == 1.0:
         base_problem = problem
@@ -575,14 +571,14 @@ def multistart_minimize(
     base = minimize_pnorm(base_problem, config)
     base_coeffs = base.coeffs.coefficients
 
-    runs = [minimize_pnorm(problem, config, start=base_coeffs, seed=config.rng_seed)]
+    runs = [minimize_pnorm(problem, config, start=base_coeffs)]
     scale = 0.5 * max(1.0, float(np.linalg.norm(base_coeffs)))
     dim = base_coeffs.size
-    for k in range(1, config.restarts):
-        rng = np.random.default_rng([config.rng_seed, k])
+    for k in range(1, restarts):
+        rng = np.random.default_rng([seed, k])
         noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         start = base_coeffs + scale * noise / math.sqrt(dim)
-        runs.append(minimize_pnorm(problem, config, start=start, seed=k))
+        runs.append(minimize_pnorm(problem, config, start=start))
 
     survivors: list[Solution] = []
     for sol in sorted(
@@ -646,5 +642,4 @@ def solution_record(solution: Solution) -> dict:
         "coarse_iterations": solution.coarse_iterations,
         "converged": solution.converged,
         "cholesky_fallbacks": solution.cholesky_fallbacks,
-        "seed": solution.seed,
     }

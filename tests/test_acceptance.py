@@ -14,7 +14,6 @@ from pbergman.lacunary import LacunarySeries, circle_norm_ratio, equivalence_rat
 from pbergman.series import CoeffVector, evaluate
 from pbergman.solver import (
     ExtremalProblem,
-    SolverConfig,
     minimize_pnorm,
     point_constraint,
     smoothed_objective,
@@ -110,8 +109,8 @@ def test_a5_holder_and_h_slopes(disk16):
 
 
 def test_a6_maximizer_collapse_trend(unit_disk, disk_grid):
-    setup = pb.Setup(unit_disk, degree=8, grid=disk_grid, config=SolverConfig(restarts=16))
-    record = limit_sweep(setup, 0.0, (0.7, 0.8, 0.9, 0.95, 0.99))
+    setup = pb.Setup(unit_disk, degree=8, grid=disk_grid)
+    record = limit_sweep(setup, 0.0, (0.7, 0.8, 0.9, 0.95, 0.99), restarts=16, seed=0)
     k_worst = max(abs(k - 1.0 / math.pi) * math.pi for k in record.k_p_values)
     d = dict(zip(record.p_list, record.d_p_estimates))
     ok = (

@@ -124,13 +124,13 @@ def test_hp_scaling_degenerate_at_zero_radius_probes(disk16):
 
 
 def test_dp_estimate_near_one_is_tiny(deg8):
-    d_p, sols = dp_estimate(deg8(restarts=6), 0.99, 0.0)
+    d_p, sols = dp_estimate(deg8(), 0.99, 0.0, restarts=6, seed=0)
     assert d_p < 1e-3
     assert sols
 
 
 def test_dp_estimate_single_restart_is_zero(deg8):
-    d_p, sols = dp_estimate(deg8(restarts=1), 0.7, 0.0)
+    d_p, sols = dp_estimate(deg8(), 0.7, 0.0, restarts=1, seed=0)
     assert d_p == 0.0
     assert len(sols) == 1
 
@@ -138,7 +138,7 @@ def test_dp_estimate_single_restart_is_zero(deg8):
 def test_dp_estimate_monotone_in_restarts(deg8):
     values = []
     for restarts in (2, 4, 8):
-        d_p, _ = dp_estimate(deg8(restarts=restarts), 0.7, 0.0)
+        d_p, _ = dp_estimate(deg8(), 0.7, 0.0, restarts=restarts, seed=0)
         values.append(d_p)
     assert values[0] <= values[1] + 1e-12
     assert values[1] <= values[2] + 1e-12
@@ -146,11 +146,11 @@ def test_dp_estimate_monotone_in_restarts(deg8):
 
 def test_dp_estimate_validates_range(deg8):
     with pytest.raises(ValueError):
-        dp_estimate(deg8(), 1.5, 0.0)
+        dp_estimate(deg8(), 1.5, 0.0, restarts=2, seed=0)
 
 
 def test_limit_sweep_trend(deg8):
-    record = limit_sweep(deg8(restarts=4), 0.0, [0.8, 0.95])
+    record = limit_sweep(deg8(), 0.0, [0.8, 0.95], restarts=4, seed=0)
     assert record.statuses == ("ok", "ok")
     for k_p in record.k_p_values:
         assert abs(k_p - 1.0 / math.pi) <= 1e-3 / math.pi
@@ -158,13 +158,13 @@ def test_limit_sweep_trend(deg8):
 
 
 def test_limit_sweep_at_p1_collapses(deg8):
-    record = limit_sweep(deg8(restarts=4), 0.0, [1.0])
+    record = limit_sweep(deg8(), 0.0, [1.0], restarts=4, seed=0)
     assert record.d_p_estimates == (0.0,)
 
 
 def test_limit_sweep_repeats_exactly(deg8):
-    first = limit_sweep(deg8(restarts=2), 0.0, [0.9, 0.95])
-    second = limit_sweep(deg8(restarts=2), 0.0, [0.9, 0.95])
+    first = limit_sweep(deg8(), 0.0, [0.9, 0.95], restarts=2, seed=0)
+    second = limit_sweep(deg8(), 0.0, [0.9, 0.95], restarts=2, seed=0)
     assert first == second
 
 
@@ -174,12 +174,12 @@ def test_limit_sweep_restarts_pinned(monkeypatch, deg8):
     survivors = {}
     multistart = analysis.multistart_minimize
 
-    def recording(problem, config=None):
-        survivors[problem.p] = multistart(problem, config)
+    def recording(problem, config=None, **restarts_and_seed):
+        survivors[problem.p] = multistart(problem, config, **restarts_and_seed)
         return survivors[problem.p]
 
     monkeypatch.setattr(analysis, "multistart_minimize", recording)
-    record = limit_sweep(deg8(restarts=4), 0.3, [0.5, 0.7, 0.9, 1.0])
+    record = limit_sweep(deg8(), 0.3, [0.5, 0.7, 0.9, 1.0], restarts=4, seed=0)
     pinned = (
         0.3843629634956888, 0.3843841642395342, 0.3843855659255055, 0.3843856953754118
     )
@@ -190,15 +190,14 @@ def test_limit_sweep_restarts_pinned(monkeypatch, deg8):
 
 
 def test_limit_sweep_validates_input(deg8):
-    with pytest.raises(ValueError):
-        limit_sweep(deg8(), 0.0, [0.9, 0.8])
-    with pytest.raises(ValueError):
-        limit_sweep(deg8(), 0.0, [1.5])
+    for p_list, restarts, seed in (([0.9, 0.8], 2, 0), ([1.5], 2, 0), ([0.9], 0, 0), ([0.9], 2, -1)):
+        with pytest.raises(ValueError):
+            limit_sweep(deg8(), 0.0, p_list, restarts=restarts, seed=seed)
 
 
 def test_limit_sweep_row_for_margin_violation(deg8):
     # every row, p = 1 included, checks the margin
-    record = limit_sweep(deg8(restarts=2), 0.99, [0.9, 1.0])
+    record = limit_sweep(deg8(), 0.99, [0.9, 1.0], restarts=2, seed=0)
     for status, k_p, d_p in zip(record.statuses, record.k_p_values, record.d_p_estimates):
         assert status.startswith("error:") and "margin" in status
         assert math.isnan(k_p) and math.isnan(d_p)
@@ -206,22 +205,22 @@ def test_limit_sweep_row_for_margin_violation(deg8):
 
 @pytest.mark.parametrize("error", [RuntimeError, np.linalg.LinAlgError])
 def test_limit_sweep_rows_for_numerical_failures(monkeypatch, deg8, error):
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise error("no descent")
 
     monkeypatch.setattr(analysis, "dp_estimate", fail)
-    record = limit_sweep(deg8(), 0.0, [0.9])
+    record = limit_sweep(deg8(), 0.0, [0.9], restarts=2, seed=0)
     assert record.statuses == ("error: no descent",)
 
 
 @pytest.mark.parametrize("error", [IndexError, TypeError])
 def test_limit_sweep_propagates_defects(monkeypatch, deg8, error):
-    def fail(*args):
+    def fail(*args, **kwargs):
         raise error("defect")
 
     monkeypatch.setattr(analysis, "dp_estimate", fail)
     with pytest.raises(error):
-        limit_sweep(deg8(), 0.0, [0.9])
+        limit_sweep(deg8(), 0.0, [0.9], restarts=2, seed=0)
 
 
 def test_records_report_non_convergence(deg8):

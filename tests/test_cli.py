@@ -296,6 +296,14 @@ def test_only_limit_takes_seed_and_restarts(capsys, command, flag):
     assert config[flag[0][2:]] == int(flag[1])
 
 
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--restarts", "0"]], ids=["seed", "restarts"])
+def test_limit_rejects_bad_seed_and_restarts(capsys, flag):
+    # a precondition error, not a degraded row: exit 1 before any solve
+    code, out, err = _run(capsys, _RESTART_CASES["limit"] + ["--degree", "6"] + flag)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: need restarts >= 1 and seed >= 0")
+
+
 def test_output_dir_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PBERGMAN_OUTPUT_DIR", str(tmp_path))
     code, _, _ = _run(

@@ -364,7 +364,7 @@ def test_multistart_p09_collapses_to_constant(unit_disk, disk_grid):
     prob = _problem(
         unit_disk, disk_grid, 0.9, 8, lambda b: (point_constraint(b, 0.0, 1.0),)
     )
-    sols = multistart_minimize(prob, SolverConfig(restarts=8))
+    sols = multistart_minimize(prob, restarts=8, seed=0)
     assert sols
     expected = np.zeros(9, dtype=complex)
     expected[0] = 1.0
@@ -378,7 +378,7 @@ def test_multistart_p1_objectives_agree(unit_disk, disk_grid):
     prob = _problem(
         unit_disk, disk_grid, 1.0, 8, lambda b: (point_constraint(b, 0.3, 1.0),)
     )
-    sols = multistart_minimize(prob, SolverConfig(restarts=4))
+    sols = multistart_minimize(prob, restarts=4, seed=0)
     best = sols[0].objective
     # convexity: every located optimum is the same one
     for sol in sols:
@@ -389,7 +389,7 @@ def test_multistart_single_restart_is_single_descent(unit_disk, disk_grid):
     prob = _problem(
         unit_disk, disk_grid, 0.8, 6, lambda b: (point_constraint(b, 0.0, 1.0),)
     )
-    sols = multistart_minimize(prob, SolverConfig(restarts=1))
+    sols = multistart_minimize(prob, restarts=1, seed=0)
     assert len(sols) == 1
 
 
@@ -456,14 +456,24 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(tolerance=0.0)
     with pytest.raises(ValueError):
-        SolverConfig(restarts=0)
+        SolverConfig(max_iterations=0)
+
+
+def test_multistart_validates_restarts_and_seed(unit_disk, disk_grid):
+    prob = _problem(
+        unit_disk, disk_grid, 0.8, 6, lambda b: (point_constraint(b, 0.0, 1.0),)
+    )
+    with pytest.raises(ValueError, match="restarts"):
+        multistart_minimize(prob, restarts=0, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        multistart_minimize(prob, restarts=2, seed=-1)
 
 
 def test_solution_record_roundtrip(unit_disk, disk_grid):
     prob = _problem(
         unit_disk, disk_grid, 2.0, 6, lambda b: (point_constraint(b, 0.0, 1.0),)
     )
-    sol = minimize_pnorm(prob, seed=7)
+    sol = minimize_pnorm(prob)
     record = pb.solution_record(sol)
     assert set(record) == {
         "objective",
@@ -473,9 +483,7 @@ def test_solution_record_roundtrip(unit_disk, disk_grid):
         "coarse_iterations",
         "converged",
         "cholesky_fallbacks",
-        "seed",
     }
-    assert record["seed"] == 7
     assert record["coarse_iterations"] == 0
     assert record["cholesky_fallbacks"] == 0
     assert record["converged"] is True
