@@ -21,7 +21,6 @@ from .solver import (
     ExtremalProblem,
     InfeasibleConstraintsError,
     Solution,
-    SolverConfig,
     derivative_constraint,
     kkt_residual,
     minimize_pnorm,

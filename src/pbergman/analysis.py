@@ -204,8 +204,8 @@ def _probe_fit(setup: Setup, p: float, z_prime: complex, w: complex, radii,
     """Fit the slope of r -> max_phi |value(w + r e^{i phi}) - value(w)|, or of
     max_phi |value(w + r e^{i phi})| when not ``relative``.
 
-    The radii are checked before the first solve; ``converged`` is as in
-    ``levi_metric_gap``.
+    The radii and the direction count are checked before the first solve;
+    ``converged`` is as in ``levi_metric_gap``.
     """
     rs = tuple(float(r) for r in radii)
     if len(rs) < 2:
@@ -214,6 +214,8 @@ def _probe_fit(setup: Setup, p: float, z_prime: complex, w: complex, radii,
         raise ValueError("radii must be positive")
     if max(rs) / min(rs) < 10.0**1.5:
         raise ValueError("radii must span at least 1.5 decades")
+    if directions < 1:
+        raise ValueError(f"need at least one direction, got {directions}")
     rs = tuple(sorted(rs, reverse=True))
 
     base = value(w) if relative else 0.0
@@ -300,7 +302,7 @@ def dp_estimate(
     z = complex(z)
     setup.require_interior(z)
     problem = setup.problem(p, z)
-    solutions = multistart_minimize(problem, setup.config, restarts=restarts, seed=seed)
+    solutions = multistart_minimize(problem, restarts=restarts, seed=seed)
     if not solutions:
         raise RuntimeError(f"no converged multistart run at p={p}")
     return _pairwise_spread(problem, solutions), solutions
@@ -309,11 +311,11 @@ def dp_estimate(
 def limit_sweep(setup: Setup, z: complex, p_list, *, restarts: int, seed: int) -> LimitRecord:
     """Tabulate (p, K_p, d_p lower bound) over an ascending p list in (0, 1].
 
-    Each row runs ``restarts`` seeded descents; bad arguments raise before the
-    first solve.  Expected numerical failures (``ValueError``, ``RuntimeError``,
-    ``LinAlgError``) are reported per row in ``statuses`` (value ``ok``
-    otherwise) and keep NaN in the failed entries; any other exception
-    propagates.
+    Each row runs ``restarts`` seeded descents; bad arguments, a point within
+    the boundary margin included, raise before the first solve.  Expected
+    numerical failures (``ValueError``, ``RuntimeError``, ``LinAlgError``) are
+    reported per row in ``statuses`` (value ``ok`` otherwise) and keep NaN in
+    the failed entries; any other exception propagates.
     """
     ps = tuple(float(p) for p in p_list)
     if not ps:
@@ -325,6 +327,7 @@ def limit_sweep(setup: Setup, z: complex, p_list, *, restarts: int, seed: int) -
     if restarts < 1 or seed < 0:
         raise ValueError(f"need restarts >= 1 and seed >= 0, got {restarts} and {seed}")
     z = complex(z)
+    setup.require_interior(z)
 
     def run(p: float):
         try:

@@ -26,7 +26,7 @@ from pathlib import Path
 
 from . import analysis, kernel, lacunary
 from .geometry import build_grid, parse_domain
-from .solver import SolverConfig, solution_record
+from .solver import solution_record
 
 __all__ = ["main"]
 
@@ -41,7 +41,7 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; the contract here is 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
 def _fmt_float(x: float) -> str:
@@ -83,7 +83,10 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_list(text: str, parse):
-    return [parse(tok) for tok in text.split(",") if tok.strip()]
+    values = [parse(tok) for tok in text.split(",") if tok.strip()]
+    if not values:
+        raise ValueError(f"expected at least one value in a comma list, got {text!r}")
+    return values
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -146,7 +149,6 @@ def _setup(args) -> kernel.Setup:
         degree=args.degree,
         n_min=args.nmin,
         grid=build_grid(domain, *_parse_grid(args.grid)),
-        config=SolverConfig(tolerance=args.tol),
         margin=args.margin,
     )
 
@@ -161,7 +163,6 @@ def _common_arguments(sub):
         help="radial x angular counts; a solve runs its early smoothing stages "
         "on a grid a quarter as fine each way when that keeps >= 16x32",
     )
-    sub.add_argument("--tol", type=float, default=1e-10)
     sub.add_argument("--margin", type=float, default=None, help="boundary margin override")
     sub.add_argument("--out", default=None, help=f"output path (relative to ${OUTPUT_DIR_ENV})")
 
@@ -173,7 +174,6 @@ def _base_config(args, command: str) -> dict:
         "degree": args.degree,
         "nmin": args.nmin,
         "grid": args.grid,
-        "tolerance": args.tol,
         "margin": args.margin,
     }
 

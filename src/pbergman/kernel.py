@@ -9,7 +9,7 @@ m_p(., w) is the minimizer; H_p combines the four kernel values; B_p(z; X)
 normalizes the largest attainable derivative among series vanishing at z.
 
 Every operation is a module-level function of a ``Setup`` (domain, basis
-degree, grid, solver controls, boundary margin) and of its own quantities;
+degree, grid, boundary margin) and of its own quantities;
 the solve cache a ``Setup`` owns is the only state they share.
 """
 
@@ -22,7 +22,6 @@ from .series import BasisSpec, admissible_exponents, evaluate
 from .solver import (
     ExtremalProblem,
     Solution,
-    SolverConfig,
     derivative_constraint,
     minimize_pnorm,
     point_constraint,
@@ -98,7 +97,6 @@ class Setup:
     degree: int = DEFAULT_DEGREE
     n_min: int | None = None
     grid: QuadratureGrid | None = None
-    config: SolverConfig = field(default_factory=SolverConfig)
     margin: float | None = None
     cache: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -141,7 +139,7 @@ class Setup:
         cached ``Solution``."""
         key = (p, z, direction)
         if key not in self.cache:
-            self.cache[key] = minimize_pnorm(self.problem(p, z, direction), self.config)
+            self.cache[key] = minimize_pnorm(self.problem(p, z, direction))
         return self.cache[key]
 
     def converged(self, p: float) -> bool:

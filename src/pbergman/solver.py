@@ -40,8 +40,8 @@ grid would have fewer than 16 radii or 32 angles runs every stage on the
 requested grid.
 
 A single descent is sequential.  Restarts and independent problems may run in
-parallel, since every solve owns its buffers; problems, configs, and
-solutions are immutable.
+parallel, since every solve owns its buffers; problems and solutions are
+immutable.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .series import BasisSpec, CoeffVector
 __all__ = [
     "SMOOTHING_SCHEDULE",
     "InfeasibleConstraintsError",
-    "SolverConfig",
     "ExtremalProblem",
     "Solution",
     "point_constraint",
@@ -72,6 +71,14 @@ __all__ = [
 
 SMOOTHING_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
+# A stage stops when one step lowers the smoothed objective by at most
+# _TOLERANCE relative, or after _MAX_ITERATIONS steps; a solve converges only
+# if the raw objective after the last two stages differs by at most
+# _DRIFT_TOL relative.
+_TOLERANCE = 1e-10
+_MAX_ITERATIONS = 200
+_DRIFT_TOL = 1e-8
+
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 40
 
@@ -83,24 +90,6 @@ _MIN_COARSE_SHAPE = (16, 32)
 
 class InfeasibleConstraintsError(ValueError):
     """Constraint rows are inconsistent or linearly dependent."""
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Descent controls.
-
-    ``tolerance`` is the relative objective-change stagnation threshold,
-    ``max_iterations`` the per-smoothing-stage iteration cap.
-    """
-
-    tolerance: float = 1e-10
-    max_iterations: int = 200
-
-    def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
 
 
 def point_constraint(basis: BasisSpec, z: complex, value: complex = 1.0) -> tuple[np.ndarray, complex]:
@@ -396,7 +385,7 @@ def _phi_raw(u: np.ndarray, w: np.ndarray, p: float) -> float:
     return float(w @ _abs2(u) ** (0.5 * p))
 
 
-def _irls_stage(ws: _Workspace, t, phi, eps, config):
+def _irls_stage(ws: _Workspace, t, phi, eps):
     """One smoothing stage from t, whose values ``ws.u`` has ``ws.base`` and
     ``ws.terms`` filled under eps and smoothed objective phi.
 
@@ -408,7 +397,7 @@ def _irls_stage(ws: _Workspace, t, phi, eps, config):
     # p - 1 along the radial direction; relaxing the step to 2/p restores a
     # uniform (p - 2)/p contraction instead of a slow Armijo zigzag.
     alpha0 = 1.0 if ws.p <= 2.0 else 2.0 / ws.p
-    for _ in range(config.max_iterations):
+    for _ in range(_MAX_ITERATIONS):
         A, rhs = ws.reduced_system(ws.irls_weights())
         t_new = ws.weighted_solve(A, rhs)
         delta = t_new - t
@@ -432,7 +421,7 @@ def _irls_stage(ws: _Workspace, t, phi, eps, config):
         t = t + alpha * delta
         ws.accept()
         history.append(phi_try)
-        if phi - phi_try <= config.tolerance * max(phi_try, 1e-300):
+        if phi - phi_try <= _TOLERANCE * max(phi_try, 1e-300):
             phi = phi_try
             stagnated = True
             break
@@ -448,7 +437,7 @@ def _coarse_grid(grid: QuadratureGrid) -> QuadratureGrid | None:
     return build_grid(grid.domain, *shape)
 
 
-def _descend(ws: _Workspace, t, schedule, config):
+def _descend(ws: _Workspace, t, schedule):
     """Run the smoothing stages ``schedule`` from t on the grid of ``ws``.
 
     Returns (t, iterations, stagnated, history, raw): ``stagnated`` holds
@@ -465,7 +454,7 @@ def _descend(ws: _Workspace, t, schedule, config):
         if i > 0:
             # same iterate under the smaller eps; keeps the record monotone
             history.append(ws.set_eps(eps))
-        t, iters, stagnated, seg = _irls_stage(ws, t, history[-1], eps, config)
+        t, iters, stagnated, seg = _irls_stage(ws, t, history[-1], eps)
         history.extend(seg)
         iterations += iters
         all_stagnated = all_stagnated and stagnated
@@ -474,12 +463,7 @@ def _descend(ws: _Workspace, t, schedule, config):
     return t, iterations, all_stagnated, history, raw
 
 
-def minimize_pnorm(
-    problem: ExtremalProblem,
-    config: SolverConfig | None = None,
-    *,
-    start: np.ndarray | None = None,
-) -> Solution:
+def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None) -> Solution:
     """Run the continuation descent; returns the final iterate with diagnostics.
 
     ``start`` is an optional raw coefficient vector; it is projected onto the
@@ -487,10 +471,13 @@ def minimize_pnorm(
     it the descent starts from the weighted least-squares solution, which is
     the exact minimizer for p = 2 and is then returned with no iterations.
     Every other solve runs its early stages on a coarser grid when the
-    problem's grid allows (see the module docstring).  Non-convergence is
-    reported through ``converged``, never silently.
+    problem's grid allows (see the module docstring).  The stop rule is fixed
+    by the module constants ``_TOLERANCE``, ``_MAX_ITERATIONS`` and
+    ``_DRIFT_TOL``; ``converged`` holds when every stage on the requested
+    grid stagnated and the raw objective drifted by at most ``_DRIFT_TOL``
+    relative over the last two stages.  Non-convergence is reported through
+    ``converged``, never silently.
     """
-    config = config or SolverConfig()
     ws = _Workspace(problem, problem.grid)
     schedule = SMOOTHING_SCHEDULE
     coarse_iterations = coarse_fallbacks = 0
@@ -509,14 +496,14 @@ def minimize_pnorm(
         else:
             t = cws.t_from_raw(np.asarray(start, dtype=complex))
         if cws is not ws:
-            t, coarse_iterations, _, _, _ = _descend(cws, t, schedule[:-2], config)
+            t, coarse_iterations, _, _, _ = _descend(cws, t, schedule[:-2])
             coarse_fallbacks = cws.cholesky_fallbacks
             t = ws.t_from_raw(cws.raw_from_t(t))
             schedule = schedule[-2:]
-        t, iterations, stagnated, history, raw = _descend(ws, t, schedule, config)
+        t, iterations, stagnated, history, raw = _descend(ws, t, schedule)
         iterations += coarse_iterations
-        drift = abs(raw[-1] - raw[-2]) if len(raw) >= 2 else 0.0
-        settled = drift <= max(100.0 * config.tolerance, 1e-12) * max(raw[-1], 1e-300)
+        drift = abs(raw[-1] - raw[-2])
+        settled = drift <= _DRIFT_TOL * max(raw[-1], 1e-300)
         converged = stagnated and settled
         # ws holds the final point under the last eps
         A, rhs = ws.reduced_system(ws.irls_weights())
@@ -546,9 +533,7 @@ def _coefficient_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / scale
 
 
-def multistart_minimize(
-    problem: ExtremalProblem, config: SolverConfig | None = None, *, restarts: int, seed: int
-) -> list[Solution]:
+def multistart_minimize(problem: ExtremalProblem, *, restarts: int, seed: int) -> list[Solution]:
     """Seeded restarts for 0 < p <= 1, where the problem may be nonconvex
     (p < 1) or its minimizer not unique (p = 1).
 
@@ -561,24 +546,23 @@ def multistart_minimize(
     """
     if restarts < 1 or seed < 0:
         raise ValueError(f"need restarts >= 1 and seed >= 0, got {restarts} and {seed}")
-    config = config or SolverConfig()
     if problem.p == 1.0:
         base_problem = problem
     else:
         base_problem = ExtremalProblem(
             problem.basis, problem.grid, 1.0, problem.constraints
         )
-    base = minimize_pnorm(base_problem, config)
+    base = minimize_pnorm(base_problem)
     base_coeffs = base.coeffs.coefficients
 
-    runs = [minimize_pnorm(problem, config, start=base_coeffs)]
+    runs = [minimize_pnorm(problem, start=base_coeffs)]
     scale = 0.5 * max(1.0, float(np.linalg.norm(base_coeffs)))
     dim = base_coeffs.size
     for k in range(1, restarts):
         rng = np.random.default_rng([seed, k])
         noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         start = base_coeffs + scale * noise / math.sqrt(dim)
-        runs.append(minimize_pnorm(problem, config, start=start))
+        runs.append(minimize_pnorm(problem, start=start))
 
     survivors: list[Solution] = []
     for sol in sorted(

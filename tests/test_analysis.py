@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pbergman as pb
-from pbergman import analysis
+from pbergman import analysis, solver
 from pbergman.analysis import (
     DegenerateFitError,
     dp_estimate,
@@ -16,17 +16,14 @@ from pbergman.analysis import (
     limit_sweep,
     quarter_laplacian,
 )
-from pbergman.solver import SolverConfig
 
 RADII = tuple(0.1 * 2.0**-k for k in range(6))
 
 
 @pytest.fixture
 def deg8(unit_disk, disk_grid):
-    """A fresh degree-8 disk setup with the given solver controls."""
-    return lambda **config: pb.Setup(
-        unit_disk, degree=8, grid=disk_grid, config=SolverConfig(**config)
-    )
+    """A fresh degree-8 disk setup, with an empty cache, on each call."""
+    return lambda: pb.Setup(unit_disk, degree=8, grid=disk_grid)
 
 
 def test_quarter_laplacian_on_closed_forms():
@@ -174,8 +171,8 @@ def test_limit_sweep_restarts_pinned(monkeypatch, deg8):
     survivors = {}
     multistart = analysis.multistart_minimize
 
-    def recording(problem, config=None, **restarts_and_seed):
-        survivors[problem.p] = multistart(problem, config, **restarts_and_seed)
+    def recording(problem, **restarts_and_seed):
+        survivors[problem.p] = multistart(problem, **restarts_and_seed)
         return survivors[problem.p]
 
     monkeypatch.setattr(analysis, "multistart_minimize", recording)
@@ -195,12 +192,14 @@ def test_limit_sweep_validates_input(deg8):
             limit_sweep(deg8(), 0.0, p_list, restarts=restarts, seed=seed)
 
 
-def test_limit_sweep_row_for_margin_violation(deg8):
-    # every row, p = 1 included, checks the margin
-    record = limit_sweep(deg8(), 0.99, [0.9, 1.0], restarts=2, seed=0)
-    for status, k_p, d_p in zip(record.statuses, record.k_p_values, record.d_p_estimates):
-        assert status.startswith("error:") and "margin" in status
-        assert math.isnan(k_p) and math.isnan(d_p)
+def test_limit_sweep_rejects_margin_violation(monkeypatch, deg8):
+    # a bad argument, not a failed row: it raises before the first solve
+    def fail(*args, **kwargs):
+        pytest.fail("limit_sweep solved before checking the margin")
+
+    monkeypatch.setattr(analysis, "dp_estimate", fail)
+    with pytest.raises(pb.BoundaryMarginError):
+        limit_sweep(deg8(), 0.99, [0.9, 1.0], restarts=2, seed=0)
 
 
 @pytest.mark.parametrize("error", [RuntimeError, np.linalg.LinAlgError])
@@ -223,18 +222,21 @@ def test_limit_sweep_propagates_defects(monkeypatch, deg8, error):
         limit_sweep(deg8(), 0.0, [0.9], restarts=2, seed=0)
 
 
-def test_records_report_non_convergence(deg8):
-    assert not levi_metric_gap(deg8(max_iterations=1), 1.0).converged
-    assert levi_metric_gap(deg8(), 1.0).converged
+def test_records_report_non_convergence(monkeypatch, deg8):
     radii = (0.1, 0.003)
-    assert not holder_exponent(deg8(max_iterations=1), 1.5, 0.2, 0.4, radii, 2).converged
-    assert not hp_scaling_exponent(deg8(max_iterations=1), 1.5, 0.4, radii, 2).converged
+    with monkeypatch.context() as stall:
+        stall.setattr(solver, "_MAX_ITERATIONS", 1)
+        assert not levi_metric_gap(deg8(), 1.0).converged
+        assert not holder_exponent(deg8(), 1.5, 0.2, 0.4, radii, 2).converged
+        assert not hp_scaling_exponent(deg8(), 1.5, 0.4, radii, 2).converged
+    assert levi_metric_gap(deg8(), 1.0).converged
     assert holder_exponent(deg8(), 1.5, 0.2, 0.4, radii, 2).converged
 
 
-def test_converged_counts_only_solves_at_its_p(deg8):
-    # a p = 2 solve returns its least-squares start, so a stalled config
+def test_converged_counts_only_solves_at_its_p(monkeypatch, deg8):
+    # a p = 2 solve returns its least-squares start, so a stage cap of one
     # cannot hold it back; the stalled p = 1 solves in the cache must not either
-    stalled = deg8(max_iterations=1)
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
+    stalled = deg8()
     assert not levi_metric_gap(stalled, 1.0).converged
     assert levi_metric_gap(stalled, 2.0).converged

@@ -1,6 +1,5 @@
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +7,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-import pbergman as pb
-from pbergman import cli
+from pbergman import analysis, cli, kernel, solver
 from pbergman.cli import main
 from pbergman.lacunary import LacunarySeries, write_series_csv
 
@@ -233,6 +231,17 @@ _OUTPUT_CASES = {
               "by suffix"),
     "lacunary": (["lacunary", "--file", "series.csv", "--p", "2", "--r", "0.9"], "json"),
 }
+# the echoed configuration of each command, key for key: a new option must
+# show up here
+_BASE_KEYS = {"command", "domain", "degree", "nmin", "grid", "margin"}
+_CONFIG_KEYS = {
+    "kernel": _BASE_KEYS | {"p", "z"},
+    "metric": _BASE_KEYS | {"p", "z", "direction"},
+    "levi": _BASE_KEYS | {"p", "direction", "step"},
+    "holder": _BASE_KEYS | {"p", "zprime", "w", "radii", "directions", "quantity"},
+    "limit": _BASE_KEYS | {"seed", "restarts", "p_list", "z"},
+    "lacunary": {"command", "file", "p", "circle_radius"},
+}
 
 
 @pytest.mark.parametrize("dest", [None, "x.csv", "x.json"], ids=["stdout", "csv", "json"])
@@ -254,13 +263,15 @@ def test_output_rule(capsys, tmp_path, monkeypatch, case, dest):
     if rule == "csv" or (rule == "by suffix" and dest == "x.csv"):
         lines = text.splitlines()
         assert lines[0].startswith("# config: ") and lines[1].startswith("# timestamp: ")
-        assert json.loads(lines[0][len("# config: "):])["command"] == argv[0]
+        config = json.loads(lines[0][len("# config: "):])
         assert len({len(line.split(",")) for line in lines[2:]}) == 1
     else:
         doc = json.loads(text)
         assert list(doc)[:2] == ["config", "timestamp"]
-        assert doc["config"]["command"] == argv[0]
+        config = doc["config"]
         _validator(argv[0]).validate(doc)
+    assert config["command"] == argv[0]
+    assert set(config) == _CONFIG_KEYS[argv[0]]
 
 
 def test_determinism_modulo_timestamp(capsys):
@@ -304,6 +315,27 @@ def test_limit_rejects_bad_seed_and_restarts(capsys, flag):
     assert err.startswith("error: need restarts >= 1 and seed >= 0")
 
 
+@pytest.mark.parametrize(
+    "argv, cause",
+    [
+        (["kernel", "--p", ",", "--z", "0"], "at least one value"),
+        (["kernel", "--p", "2", "--z", ","], "at least one value"),
+        (["levi", "--p", ","], "at least one value"),
+        (["holder", "--p", "1.5", "--directions", "0"], "direction"),
+        (["limit", "--p-list", "0.9", "--z", "0.99"], "margin"),
+        (["kernel", "--p", "2", "--z", "0", "--tol", "1e-9"], "--tol"),
+    ],
+    ids=["kernel-p", "kernel-z", "levi-p", "holder-directions", "limit-margin", "tol"],
+)
+def test_bad_arguments_exit_one_before_solving(capsys, monkeypatch, argv, cause):
+    # None in place of the solvers: any solve raises TypeError and fails the test
+    monkeypatch.setattr(kernel, "minimize_pnorm", None)
+    monkeypatch.setattr(analysis, "multistart_minimize", None)
+    code, out, err = _run(capsys, argv + ["--degree", "6"])
+    assert (code, out) == (1, "")
+    assert cause in err
+
+
 def test_output_dir_env(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("PBERGMAN_OUTPUT_DIR", str(tmp_path))
     code, _, _ = _run(
@@ -316,10 +348,7 @@ def test_output_dir_env(capsys, tmp_path, monkeypatch):
 
 
 def _stall_solves(monkeypatch):
-    setup = cli._setup
-    monkeypatch.setattr(
-        cli, "_setup", lambda args: replace(setup(args), config=pb.SolverConfig(max_iterations=1))
-    )
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
 
 
 def test_kernel_sweep_non_convergence_exits_two(capsys, monkeypatch):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pbergman as pb
+from pbergman import solver
 from pbergman.cli import main
 from pbergman.kernel import BoundaryMarginError, h_function, metric_at, mp_minimizer, offdiag_kernel
 from pbergman.series import BasisSpec, CoeffVector, evaluate
@@ -171,9 +172,7 @@ def test_sweep_rows_and_csv(tmp_path, disk8):
     assert lines[1:] == [",".join(format(r[k], ".17g") for k in keys) for r in rows]
 
 
-def test_sweep_rows_report_non_convergence(unit_disk, disk_grid):
-    stalled = pb.Setup(
-        unit_disk, degree=8, grid=disk_grid, config=pb.SolverConfig(max_iterations=1)
-    )
-    rows = pb.kernel_metric_sweep(stalled, [1.0], [0.3])
+def test_sweep_rows_report_non_convergence(monkeypatch, unit_disk, disk_grid):
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
+    rows = pb.kernel_metric_sweep(pb.Setup(unit_disk, degree=8, grid=disk_grid), [1.0], [0.3])
     assert [r["converged"] for r in rows] == [False]

@@ -14,7 +14,6 @@ from pbergman.series import BasisSpec, CoeffVector
 from pbergman.solver import (
     ExtremalProblem,
     InfeasibleConstraintsError,
-    SolverConfig,
     derivative_constraint,
     kkt_residual,
     minimize_pnorm,
@@ -106,13 +105,12 @@ def test_p2_returns_least_squares_start(spec):
 def _single_grid(prob):
     """The whole schedule on the problem's own grid from its least-squares start,
     with the objective and ``converged`` as ``minimize_pnorm`` reports them."""
-    config = SolverConfig()
     ws = solver._Workspace(prob, prob.grid)
     t, _, stagnated, _, raw = solver._descend(
-        ws, ws.least_squares()[0], solver.SMOOTHING_SCHEDULE, config
+        ws, ws.least_squares()[0], solver.SMOOTHING_SCHEDULE
     )
     drift = abs(raw[-1] - raw[-2])
-    settled = drift <= max(100.0 * config.tolerance, 1e-12) * raw[-1]
+    settled = drift <= solver._DRIFT_TOL * raw[-1]
     a_raw = ws.raw_from_t(t)
     return SimpleNamespace(
         objective=raw[-1] ** (1.0 / prob.p),
@@ -443,20 +441,14 @@ def test_too_many_constraints_rejected(unit_disk, disk_grid):
         ExtremalProblem(basis, disk_grid, 2.0, cons)
 
 
-def test_non_convergence_is_returned_not_raised(unit_disk, disk_grid):
+def test_non_convergence_is_returned_not_raised(monkeypatch, unit_disk, disk_grid):
     prob = _problem(
         unit_disk, disk_grid, 1.3, 10, lambda b: (point_constraint(b, 0.5, 1.0),)
     )
-    sol = minimize_pnorm(prob, SolverConfig(max_iterations=2))
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
+    sol = minimize_pnorm(prob)
     assert not sol.converged
     assert math.isfinite(sol.objective)
-
-
-def test_solver_config_validation():
-    with pytest.raises(ValueError):
-        SolverConfig(tolerance=0.0)
-    with pytest.raises(ValueError):
-        SolverConfig(max_iterations=0)
 
 
 def test_multistart_validates_restarts_and_seed(unit_disk, disk_grid):
