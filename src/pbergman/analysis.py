@@ -20,7 +20,7 @@ import numpy as np
 
 from .kernel import BoundaryMarginError, Setup, h_function, metric_at, mp_minimizer
 from .series import evaluate
-from .solver import ExtremalProblem, Solution, multistart_minimize, _SeparableBasis
+from .solver import ExtremalProblem, Solution, grid_values, multistart_minimize
 
 __all__ = [
     "DegenerateFitError",
@@ -277,8 +277,7 @@ def _pairwise_spread(problem: ExtremalProblem, solutions: list[Solution]) -> flo
     near = [s for s in solutions if s.objective <= best * (1.0 + 1e-4)]
     if len(near) < 2:
         return 0.0
-    basis = _SeparableBasis(problem.grid, problem.basis, problem.p)
-    values = [basis.values(s.coeffs.coefficients * basis.col_norms) for s in near]
+    values = [grid_values(problem, s.coeffs.coefficients) for s in near]
     w, p = problem.grid.weights, problem.p
     spread = 0.0
     for i in range(len(values)):

@@ -24,8 +24,8 @@ plus O(n_r D^2) work.
 
 Each iteration takes one power of |u|^2 + eps on the grid: the line search
 keeps (|u|^2 + eps)^(p/2) of the accepted point, and the next IRLS weights
-are that over |u|^2 + eps.  The grid-sized arrays of a descent are allocated
-once per solve and overwritten in place.
+are that over |u|^2 + eps.  The grid-sized arrays of a descent are
+overwritten in place; an iteration allocates none.
 
 The continuation runs on two grids (grid sequencing, or nested iteration).
 Every solve but that p = 2 return runs every smoothing stage but the last
@@ -39,14 +39,21 @@ start, so the drift test, the stationarity residual, the objective and
 grid would have fewer than 16 radii or 32 angles runs every stage on the
 requested grid.
 
-A single descent is sequential.  Restarts and independent problems may run in
-parallel, since every solve owns its buffers; problems and solutions are
-immutable.
+What every solve on a grid shares is built once per grid and kept in a
+cache keyed weakly by the grid, so it lives exactly as long as the grid: the
+coarse rule, one separable basis per (exponents, p), which is read-only, and
+a pool of grid-buffer sets.  A solve borrows one buffer set per grid level
+and returns it when it ends, so no two running solves share buffers.  A
+single descent is sequential; restarts and independent problems may run in
+parallel or nested, and problems and solutions are immutable.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,6 +71,7 @@ __all__ = [
     "derivative_constraint",
     "minimize_pnorm",
     "multistart_minimize",
+    "grid_values",
     "kkt_residual",
     "smoothed_objective",
     "solution_record",
@@ -194,8 +202,11 @@ class _SeparableBasis:
     cannot tell them apart.  ``values`` and ``adjoint`` act on scaled
     coefficients (raw coefficients times ``col_norms``).
 
-    ``values`` writes into a spectrum buffer owned by the instance, so an
-    instance must not be shared across threads; each solve builds its own.
+    An instance is read-only after construction and holds no scratch, so
+    one instance per (grid, exponents, p) serves every solve, nested and
+    concurrent ones included; the grid cache keeps it.  The scratch arrays
+    come from the caller: ``values`` writes into a spectrum array and
+    ``gram`` into a real-FFT array.
     """
 
     def __init__(self, grid: QuadratureGrid, basis: BasisSpec, p: float):
@@ -211,9 +222,8 @@ class _SeparableBasis:
         self.radial = powers / self.col_norms
         self.bins = n % K
         # occupied DFT bins; fold[j, b] sums the exponents that share bin b
-        self._occupied, slot = np.unique(self.bins, return_inverse=True)
-        self._fold = (slot[:, None] == np.arange(self._occupied.size)).astype(float)
-        self._spectrum = np.zeros(self.shape, dtype=complex)
+        self.occupied, slot = np.unique(self.bins, return_inverse=True)
+        self._fold = (slot[:, None] == np.arange(self.occupied.size)).astype(float)
         # A Gram entry depends on n_j + n_l through a radial power and on
         # the lag n_l - n_j through an angular frequency.  Powers are taken of
         # radii relative to the largest, which keeps them in floating-point
@@ -235,15 +245,29 @@ class _SeparableBasis:
         self._lag_conj = conj[self._lag_index] != (lag < 0)
         top_scale = r_top**n / self.col_norms
         self._top_scale = top_scale[:, None] * top_scale[None, :]
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
 
-    def values(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Flat grid values of sum_j a_j z^{n_j} / c_j, written to ``out`` if given."""
+    def values(
+        self,
+        a: np.ndarray,
+        out: np.ndarray | None = None,
+        spectrum: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """Flat grid values of sum_j a_j z^{n_j} / c_j, written to ``out`` if given.
+
+        ``spectrum`` is scratch of the grid's shape that must be zero outside
+        the ``occupied`` bins; a zero array is made when it is not given.
+        """
+        if spectrum is None:
+            spectrum = np.zeros(self.shape, dtype=complex)
         # a real matrix times a complex one, as one real product on (re, im) pairs
         folded = np.asarray(a, dtype=complex)[:, None] * self._fold
-        self._spectrum[:, self._occupied] = (self.radial @ folded.view(float)).view(complex)
+        spectrum[:, self.occupied] = (self.radial @ folded.view(float)).view(complex)
         if out is None:
-            out = np.empty(self._spectrum.size, dtype=complex)
-        np.fft.ifft(self._spectrum, axis=1, norm="forward", out=out.reshape(self.shape))
+            out = np.empty(spectrum.size, dtype=complex)
+        np.fft.ifft(spectrum, axis=1, norm="forward", out=out.reshape(self.shape))
         return out
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
@@ -251,9 +275,13 @@ class _SeparableBasis:
         Y = np.fft.fft(y.reshape(self.shape), axis=1)
         return np.einsum("ij,ij->j", self.radial, Y[:, self.bins])
 
-    def gram(self, omega: np.ndarray) -> np.ndarray:
-        """V^H diag(omega) V for real node weights omega."""
-        R = np.fft.rfft(omega.reshape(self.shape), axis=1)
+    def gram(self, omega: np.ndarray, rfft_out: np.ndarray | None = None) -> np.ndarray:
+        """V^H diag(omega) V for real node weights omega.
+
+        The real FFT of the weights is written to ``rfft_out`` if given, of
+        shape (n_r, K // 2 + 1).
+        """
+        R = np.fft.rfft(omega.reshape(self.shape), axis=1, out=rfft_out)
         # H[s, m] = sum_i (r_i / r_top)^(2 n_0 + s) W[i, m] for lags m >= 0,
         # W[i, m] = sum_k omega_ik e^{i m theta_k} taken from R
         W = R.take(self._lag_source, axis=1)
@@ -264,22 +292,127 @@ class _SeparableBasis:
         return G
 
 
+class _Buffers:
+    """One set of grid-sized scratch arrays for a descent on one grid.
+
+    ``spectrum`` is zero outside ``filled_bins``, the DFT bins that the last
+    basis to use it may have filled; ``spectrum_for`` clears those bins when
+    another basis takes it over.
+    """
+
+    def __init__(self, shape: tuple[int, int]):
+        size = shape[0] * shape[1]
+        self.u, self.u_try, self.du = (np.empty(size, dtype=complex) for _ in range(3))
+        self.base, self.base_try, self.terms, self.terms_try, self.omega = (
+            np.empty(size) for _ in range(5)
+        )
+        self.rfft = np.empty((shape[0], shape[1] // 2 + 1), dtype=complex)
+        self.spectrum = np.zeros(shape, dtype=complex)
+        self.filled_bins = np.empty(0, dtype=int)
+
+    def spectrum_for(self, basis: _SeparableBasis) -> np.ndarray:
+        """The spectrum array, zero outside the occupied bins of ``basis``."""
+        if self.filled_bins is not basis.occupied:
+            self.spectrum[:, self.filled_bins] = 0.0
+            self.filled_bins = basis.occupied
+        return self.spectrum
+
+
+class _GridCache:
+    """The fixed parts of every solve on one grid, built on first use.
+
+    It holds the grid's coarse rule (None when the grid is too small to
+    coarsen), one ``_SeparableBasis`` per (exponents, p), the IRLS weight
+    factor (p/2) w per p, and a pool of ``_Buffers``.  It keeps no reference
+    to its own grid, so its entry in ``_GRID_CACHES`` lives as long as the
+    grid does.
+    """
+
+    def __init__(self, grid: QuadratureGrid):
+        self.coarse_grid = _coarse_grid(grid)
+        self._shape = (grid.radial_count, grid.angular_count)
+        self._bases: dict[tuple[tuple[int, ...], float], _SeparableBasis] = {}
+        self._half_pw: dict[float, np.ndarray] = {}
+        self._free: list[_Buffers] = []
+
+    def basis(self, grid: QuadratureGrid, spec: BasisSpec, p: float) -> _SeparableBasis:
+        """The separable basis of ``spec`` at p on ``grid``, this cache's grid."""
+        key = (spec.exponents, p)
+        basis = self._bases.get(key)
+        if basis is None:
+            basis = self._bases.setdefault(key, _SeparableBasis(grid, spec, p))
+        return basis
+
+    def half_pw(self, grid: QuadratureGrid, p: float) -> np.ndarray:
+        """(p/2) w for the weights w of ``grid``, this cache's grid."""
+        half_pw = self._half_pw.get(p)
+        if half_pw is None:
+            half_pw = (0.5 * p) * grid.weights
+            half_pw.setflags(write=False)
+            half_pw = self._half_pw.setdefault(p, half_pw)
+        return half_pw
+
+    @contextmanager
+    def lend(self) -> Iterator[_Buffers]:
+        """A buffer set that no other solve holds until the block exits."""
+        try:
+            buffers = self._free.pop()
+        except IndexError:
+            buffers = _Buffers(self._shape)
+        try:
+            yield buffers
+        finally:
+            self._free.append(buffers)
+
+
+# one entry per live grid, the coarse rules of the requested grids included
+_GRID_CACHES: weakref.WeakKeyDictionary[QuadratureGrid, _GridCache] = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _grid_cache(grid: QuadratureGrid) -> _GridCache:
+    cache = _GRID_CACHES.get(grid)
+    if cache is None:
+        cache = _GRID_CACHES.setdefault(grid, _GridCache(grid))
+    return cache
+
+
+def grid_values(problem: ExtremalProblem, coefficients: np.ndarray) -> np.ndarray:
+    """Flat values on ``problem.grid`` of the series with raw coefficients."""
+    basis = _problem_basis(problem)
+    return basis.values(np.asarray(coefficients, dtype=complex) * basis.col_norms)
+
+
+def _problem_basis(problem: ExtremalProblem) -> _SeparableBasis:
+    return _grid_cache(problem.grid).basis(problem.grid, problem.basis, problem.p)
+
+
+# the LAPACK Cholesky factor and solve behind scipy.linalg.cho_factor and
+# cho_solve, called directly: the wrappers cost several times the work at the
+# small D of a reduced system; weighted_solve keeps their finite checks
+_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=complex)
+
+
 class _Workspace:
     """Per-solve state on one grid: separable basis, constraint elimination,
     grid buffers.
 
-    The grid-sized arrays of the descent are allocated once here and
-    overwritten in place: the current values ``u`` with ``base`` = |u|^2 + eps
-    and ``terms`` = base^(p/2), the same three at the line-search trial point,
-    the step ``du`` and the IRLS weights ``omega``.  A workspace belongs to
-    one solve, which keeps ``minimize_pnorm`` reentrant.  ``grid`` is the
-    problem's own grid or a coarser rule on the same domain.
+    The basis and the weight factor (p/2) w come from the grid's cache.  The
+    grid-sized arrays of the descent are a buffer set lent by that cache for
+    the solve and overwritten in place: the current values ``u`` with
+    ``base`` = |u|^2 + eps and ``terms`` = base^(p/2), the same three at the
+    line-search trial point, the step ``du``, the IRLS weights ``omega``,
+    and the FFT scratch.  No other solve holds the set while this one does,
+    which keeps ``minimize_pnorm`` reentrant.  ``grid`` is the problem's own
+    grid or a coarser rule on the same domain.
     """
 
-    def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid):
+    def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid, buffers: _Buffers):
+        cache = _grid_cache(grid)
         self.w = grid.weights
         self.p = problem.p
-        self.basis = _SeparableBasis(grid, problem.basis, problem.p)
+        self.basis = cache.basis(grid, problem.basis, problem.p)
         self.col_norms = self.basis.col_norms
         self.cholesky_fallbacks = 0
 
@@ -301,18 +434,26 @@ class _Workspace:
         self.a0 = a0
         self.N = N
 
-        size = self.w.size
-        self.u, self.u_try, self.du = (np.empty(size, dtype=complex) for _ in range(3))
-        self.base, self.base_try, self.terms, self.terms_try, self.omega = (
-            np.empty(size) for _ in range(5)
-        )
-        self._half_pw = (0.5 * self.p) * self.w
+        self.u, self.u_try, self.du = buffers.u, buffers.u_try, buffers.du
+        self.base, self.base_try = buffers.base, buffers.base_try
+        self.terms, self.terms_try = buffers.terms, buffers.terms_try
+        self.omega = buffers.omega
+        self._rfft = buffers.rfft
+        self._spectrum = buffers.spectrum_for(self.basis)
+        self._half_pw = cache.half_pw(grid, self.p)
 
     def raw_from_t(self, t: np.ndarray) -> np.ndarray:
         return (self.a0 + self.N @ t) / self.col_norms
 
     def t_from_raw(self, a_raw: np.ndarray) -> np.ndarray:
         return self.N.conj().T @ (a_raw * self.col_norms - self.a0)
+
+    def start(self, start: np.ndarray | None) -> np.ndarray:
+        """t of the raw coefficients ``start`` projected onto the feasible
+        slice, or without one the weighted least-squares point."""
+        if start is None:
+            return self.least_squares()[0]
+        return self.t_from_raw(np.asarray(start, dtype=complex))
 
     def least_squares(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The weighted least-squares point t (the p = 2 minimizer), A, rhs."""
@@ -325,23 +466,40 @@ class _Workspace:
         A t - rhs is M^H diag(omega) u(t), with M = V N the map from t to
         the grid values u(t) = V (a0 + N t).
         """
-        G = self.basis.gram(omega)
+        G = self.basis.gram(omega, rfft_out=self._rfft)
         Nh = self.N.conj().T
         return Nh @ G @ self.N, -(Nh @ (G @ self.a0))
 
     def weighted_solve(self, A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs by Cholesky; count each fall back to least squares."""
-        try:
-            c, low = scipy.linalg.cho_factor(A)
-            return scipy.linalg.cho_solve((c, low), rhs)
-        except scipy.linalg.LinAlgError:
+        """Solve A x = rhs by Cholesky; count each fall back to least squares.
+
+        The calls and checks are those of ``scipy.linalg.cho_factor`` and
+        ``cho_solve``: the upper triangle is factored, and NaN or inf in A
+        or rhs raises ``ValueError``.
+        """
+        if not np.isfinite(A).all():
+            raise ValueError("array must not contain infs or NaNs")
+        c, info = _POTRF(A, lower=0, clean=0)
+        if info > 0:
             self.cholesky_fallbacks += 1
             return np.linalg.lstsq(A, rhs, rcond=None)[0]
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of potrf")
+        if not np.isfinite(rhs).all():
+            raise ValueError("array must not contain infs or NaNs")
+        x, info = _POTRS(c, rhs, lower=0)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of potrs")
+        return x
 
     def set_point(self, t: np.ndarray, eps: float) -> float:
         """Load the values of t into ``u``; returns the smoothed objective."""
-        self.basis.values(self.a0 + self.N @ t, out=self.u)
+        self.basis.values(self.a0 + self.N @ t, out=self.u, spectrum=self._spectrum)
         return self.set_eps(eps)
+
+    def set_step(self, delta: np.ndarray) -> None:
+        """Load the values of the step N delta into ``du``."""
+        self.basis.values(self.N @ delta, out=self.du, spectrum=self._spectrum)
 
     def set_eps(self, eps: float) -> float:
         """Fill ``base`` and ``terms`` of ``u`` under eps; returns w . terms."""
@@ -365,11 +523,25 @@ class _Workspace:
         self.omega *= self._half_pw
         return self.omega
 
+    def raw_objective(self) -> float:
+        """sum_i w_i |u_i|^p at ``u``, computed in the trial buffers."""
+        power = _abs2(self.u, out=self.base_try, tmp=self.terms_try)
+        power **= 0.5 * self.p
+        return float(self.w @ power)
+
     def _smooth(self, u, eps, base, terms) -> float:
         _abs2(u, out=base, tmp=terms)
         base += eps
         np.power(base, 0.5 * self.p, out=terms)
         return float(self.w @ terms)
+
+
+@contextmanager
+def _workspace(problem: ExtremalProblem, grid: QuadratureGrid) -> Iterator[_Workspace]:
+    """A workspace for ``problem`` on ``grid`` whose buffers go back to the
+    grid's pool when the block exits."""
+    with _grid_cache(grid).lend() as buffers:
+        yield _Workspace(problem, grid, buffers)
 
 
 def _abs2(
@@ -379,10 +551,6 @@ def _abs2(
     out = np.multiply(u.real, u.real, out=out)
     out += np.multiply(u.imag, u.imag, out=tmp)
     return out
-
-
-def _phi_raw(u: np.ndarray, w: np.ndarray, p: float) -> float:
-    return float(w @ _abs2(u) ** (0.5 * p))
 
 
 def _irls_stage(ws: _Workspace, t, phi, eps):
@@ -406,7 +574,7 @@ def _irls_stage(ws: _Workspace, t, phi, eps):
         if descent >= 0.0:
             stagnated = True  # at a stationary point up to rounding
             break
-        ws.basis.values(ws.N @ delta, out=ws.du)
+        ws.set_step(delta)
         alpha = alpha0
         accepted = False
         for _ in range(_MAX_BACKTRACKS):
@@ -459,7 +627,7 @@ def _descend(ws: _Workspace, t, schedule):
         iterations += iters
         all_stagnated = all_stagnated and stagnated
         if eps in tail:
-            raw.append(_phi_raw(ws.u, ws.w, ws.p))
+            raw.append(ws.raw_objective())
     return t, iterations, all_stagnated, history, raw
 
 
@@ -478,52 +646,52 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
     relative over the last two stages.  Non-convergence is reported through
     ``converged``, never silently.
     """
-    ws = _Workspace(problem, problem.grid)
     schedule = SMOOTHING_SCHEDULE
     coarse_iterations = coarse_fallbacks = 0
-    if start is None and ws.p == 2.0:
-        # The least-squares start is the exact minimizer, and the p = 2 IRLS
-        # weights equal w under every eps, so A and rhs are already final.
-        t, A, rhs = ws.least_squares()
-        history = [ws.set_point(t, schedule[0])]
-        raw = [_phi_raw(ws.u, ws.w, ws.p)]
-        iterations, converged = 0, True
-    else:
-        coarse_grid = _coarse_grid(problem.grid)
-        cws = ws if coarse_grid is None else _Workspace(problem, coarse_grid)
-        if start is None:
-            t = cws.least_squares()[0]
+    with _workspace(problem, problem.grid) as ws:
+        if start is None and ws.p == 2.0:
+            # The least-squares start is the exact minimizer, and the p = 2
+            # IRLS weights equal w under every eps, so A and rhs are final.
+            t, A, rhs = ws.least_squares()
+            history = [ws.set_point(t, schedule[0])]
+            raw = [ws.raw_objective()]
+            iterations, converged = 0, True
         else:
-            t = cws.t_from_raw(np.asarray(start, dtype=complex))
-        if cws is not ws:
-            t, coarse_iterations, _, _, _ = _descend(cws, t, schedule[:-2])
-            coarse_fallbacks = cws.cholesky_fallbacks
-            t = ws.t_from_raw(cws.raw_from_t(t))
-            schedule = schedule[-2:]
-        t, iterations, stagnated, history, raw = _descend(ws, t, schedule)
-        iterations += coarse_iterations
-        drift = abs(raw[-1] - raw[-2])
-        settled = drift <= _DRIFT_TOL * max(raw[-1], 1e-300)
-        converged = stagnated and settled
-        # ws holds the final point under the last eps
-        A, rhs = ws.reduced_system(ws.irls_weights())
-
-    a_raw = ws.raw_from_t(t)
-    feasibility = float(
-        np.max(np.abs(ws.C_raw @ a_raw - ws.b)) if len(ws.b) else 0.0
-    )
-    stationarity = float(np.linalg.norm(2.0 * (A @ t - rhs)))
+            coarse_grid = _grid_cache(problem.grid).coarse_grid
+            if coarse_grid is None:
+                t = ws.start(start)
+            else:
+                with _workspace(problem, coarse_grid) as cws:
+                    t, coarse_iterations, _, _, _ = _descend(
+                        cws, cws.start(start), schedule[:-2]
+                    )
+                    coarse_fallbacks = cws.cholesky_fallbacks
+                    t = ws.t_from_raw(cws.raw_from_t(t))
+                schedule = schedule[-2:]
+            t, iterations, stagnated, history, raw = _descend(ws, t, schedule)
+            iterations += coarse_iterations
+            drift = abs(raw[-1] - raw[-2])
+            settled = drift <= _DRIFT_TOL * max(raw[-1], 1e-300)
+            converged = stagnated and settled
+            # ws holds the final point under the last eps
+            A, rhs = ws.reduced_system(ws.irls_weights())
+        a_raw = ws.raw_from_t(t)
+        feasibility = float(
+            np.max(np.abs(ws.C_raw @ a_raw - ws.b)) if len(ws.b) else 0.0
+        )
+        stationarity = float(np.linalg.norm(2.0 * (A @ t - rhs)))
+        fallbacks = ws.cholesky_fallbacks + coarse_fallbacks
     hist = np.array(history)
     hist.setflags(write=False)
     return Solution(
         coeffs=CoeffVector(problem.basis, a_raw),
-        objective=raw[-1] ** (1.0 / ws.p),
+        objective=raw[-1] ** (1.0 / problem.p),
         feasibility_residual=feasibility,
         stationarity_residual=stationarity,
         iterations=iterations,
         coarse_iterations=coarse_iterations,
         converged=converged,
-        cholesky_fallbacks=ws.cholesky_fallbacks + coarse_fallbacks,
+        cholesky_fallbacks=fallbacks,
         objective_history=hist,
     )
 
@@ -585,8 +753,8 @@ def kkt_residual(problem: ExtremalProblem, solution: Solution) -> float:
     """
     if problem.p <= 1:
         raise ValueError("kkt_residual requires p > 1")
-    basis = _SeparableBasis(problem.grid, problem.basis, problem.p)
-    u = basis.values(solution.coeffs.coefficients * basis.col_norms)
+    u = grid_values(problem, solution.coeffs.coefficients)
+    basis = _problem_basis(problem)
     absu = np.abs(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(absu > 0, absu ** (problem.p - 2.0), 0.0) * u
@@ -606,8 +774,8 @@ def smoothed_objective(
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    basis = _SeparableBasis(problem.grid, problem.basis, problem.p)
-    u = basis.values(np.asarray(coefficients, dtype=complex) * basis.col_norms)
+    u = grid_values(problem, coefficients)
+    basis = _problem_basis(problem)
     w, p = problem.grid.weights, problem.p
     base = _abs2(u) + eps
     value = float(w @ base ** (0.5 * p))

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 from pathlib import Path
@@ -28,6 +29,16 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_call_leaves_no_solver_cache_entry(capsys):
+    before = list(solver._GRID_CACHES)  # grids other tests keep alive
+    code, _, _ = _run(
+        capsys, ["kernel", "--domain", "disk:1", "--p", "1.5", "--z", "0.3", "--degree", "8"]
+    )
+    assert code == 0
+    gc.collect()
+    assert all(any(grid is old for old in before) for grid in solver._GRID_CACHES)
 
 
 def test_kernel_json_contract(capsys):

@@ -1,10 +1,12 @@
 import math
+import sys
+import threading
+import tracemalloc
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -105,10 +107,10 @@ def test_p2_returns_least_squares_start(spec):
 def _single_grid(prob):
     """The whole schedule on the problem's own grid from its least-squares start,
     with the objective and ``converged`` as ``minimize_pnorm`` reports them."""
-    ws = solver._Workspace(prob, prob.grid)
-    t, _, stagnated, _, raw = solver._descend(
-        ws, ws.least_squares()[0], solver.SMOOTHING_SCHEDULE
-    )
+    with solver._workspace(prob, prob.grid) as ws:
+        t, _, stagnated, _, raw = solver._descend(
+            ws, ws.least_squares()[0], solver.SMOOTHING_SCHEDULE
+        )
     drift = abs(raw[-1] - raw[-2])
     settled = drift <= solver._DRIFT_TOL * raw[-1]
     a_raw = ws.raw_from_t(t)
@@ -218,6 +220,49 @@ def test_two_grid_solve_property(annulus, outer, inner_fraction, p, depth, angle
     assert one.feasibility_residual <= 1e-10 * max(1.0, abs(z) ** 12)
 
 
+def _on_fresh_grid(problem):
+    """``problem`` on a new copy of its grid, so no solve has cached anything
+    for that grid yet."""
+    grid = problem.grid
+    return replace(
+        problem, grid=pb.build_grid(grid.domain, grid.radial_count, grid.angular_count)
+    )
+
+
+def _assert_same_bits(got, want):
+    assert np.array_equal(got.coeffs.coefficients, want.coeffs.coefficients)
+    assert np.array_equal(got.objective_history, want.objective_history)
+    assert got.iterations == want.iterations
+
+
+def _nest(monkeypatch, outer, inner):
+    """Solve ``outer`` with the solves of ``inner`` run inside its stages.
+
+    ``inner`` maps "coarse" or "requested" to problems solved, in order, at
+    the start of the outer solve's first stage on that grid.  Returns the
+    outer solution and the inner (problem, solution) pairs.
+    """
+    stage = solver._irls_stage
+    pending = dict(inner)
+    done = []
+    nested = []
+
+    def interleaved(ws, *args):
+        if not nested:  # the inner solves pass through here too
+            level = "requested" if ws.w.size == outer.grid.weights.size else "coarse"
+            nested.append(None)
+            for prob in pending.pop(level, ()):
+                done.append((prob, minimize_pnorm(prob)))
+            nested.pop()
+        return stage(ws, *args)
+
+    monkeypatch.setattr(solver, "_irls_stage", interleaved)
+    result = minimize_pnorm(outer)
+    monkeypatch.setattr(solver, "_irls_stage", stage)
+    assert not pending
+    return result, done
+
+
 def test_interleaved_solves_match_separate_solves(unit_disk, disk_grid, monkeypatch):
     first = _problem(
         unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4 + 0.1j, 1.0),)
@@ -229,24 +274,108 @@ def test_interleaved_solves_match_separate_solves(unit_disk, disk_grid, monkeypa
         8,
         lambda b: (point_constraint(b, -0.3, 0.0), derivative_constraint(b, -0.3, 1.0)),
     )
-    alone = [minimize_pnorm(first), minimize_pnorm(second)]
+    # grid, exponents and p of the first: the same cached basis and buffer pools
+    third = _problem(
+        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, -0.2 + 0.5j, 1.0),)
+    )
+    alone = {prob: minimize_pnorm(_on_fresh_grid(prob)) for prob in (first, second, third)}
 
-    # run the whole second solve inside the first stage of the first one
-    stage = solver._irls_stage
-    inner = []
+    outer, inner = _nest(
+        monkeypatch, first, {"coarse": [second, third], "requested": [third]}
+    )
+    _assert_same_bits(outer, alone[first])
+    assert [prob for prob, _ in inner] == [second, third, third]
+    for prob, got in inner:
+        _assert_same_bits(got, alone[prob])
 
-    def interleaved(*args):
-        if not inner:
-            inner.append(None)  # the inner solve passes through here too
-            inner[0] = minimize_pnorm(second)
-        return stage(*args)
 
-    monkeypatch.setattr(solver, "_irls_stage", interleaved)
-    outer = minimize_pnorm(first)
-    for got, want in zip((outer, inner[0]), alone):
-        assert np.array_equal(got.coeffs.coefficients, want.coeffs.coefficients)
-        assert np.array_equal(got.objective_history, want.objective_history)
-        assert got.iterations == want.iterations
+def test_pole_column_leaves_no_stale_spectrum_bins(punctured, monkeypatch):
+    # z^-1 is admissible at p = 1 and not at p = 2.5, so the p = 1 basis
+    # fills the DFT bin K - 1 that the p = 2.5 basis must find empty
+    grid = pb.build_grid(punctured, 128, 256)
+
+    def problem(p):
+        basis = _basis(punctured, p, 12, n_min=-1)
+        return ExtremalProblem(basis, grid, p, (point_constraint(basis, 0.4 - 0.2j, 1.0),))
+
+    with_pole, without_pole = problem(1.0), problem(2.5)
+    assert with_pole.basis.exponents[0] == -1
+    assert without_pole.basis.exponents[0] == 0
+    alone = {prob: minimize_pnorm(_on_fresh_grid(prob)) for prob in (with_pole, without_pole)}
+
+    for prob in (with_pole, without_pole, with_pole, without_pole):
+        _assert_same_bits(minimize_pnorm(prob), alone[prob])
+    outer, inner = _nest(
+        monkeypatch, with_pole, {"coarse": [without_pole], "requested": [without_pole]}
+    )
+    _assert_same_bits(outer, alone[with_pole])
+    for prob, got in inner:
+        _assert_same_bits(got, alone[prob])
+
+
+def test_repeated_multistart_matches_a_cold_grid(unit_disk):
+    prob = _problem(
+        unit_disk,
+        pb.build_grid(unit_disk, 128, 256),
+        0.8,
+        8,
+        lambda b: (point_constraint(b, 0.3 + 0.2j, 1.0),),
+    )
+    cold = multistart_minimize(_on_fresh_grid(prob), restarts=4, seed=3)
+    for _ in range(2):
+        warm = multistart_minimize(prob, restarts=4, seed=3)
+        assert len(warm) == len(cold) > 0
+        for got, want in zip(warm, cold):
+            _assert_same_bits(got, want)
+
+
+def test_concurrent_solves_on_one_grid_match_a_cold_grid(unit_disk):
+    grid = pb.build_grid(unit_disk, 64, 128)
+    problems = [
+        _problem(unit_disk, grid, 1.5, 8, lambda b, z=z: (point_constraint(b, z, 1.0),))
+        for z in (0.1, 0.2 + 0.1j, -0.3j, 0.4)
+    ]
+    cold = [minimize_pnorm(_on_fresh_grid(prob)) for prob in problems]
+    results = {}
+
+    def work(k):
+        for _ in range(3):
+            results.setdefault(k, []).append(minimize_pnorm(problems[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(problems))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for k, want in enumerate(cold):
+        assert len(results[k]) == 3
+        for got in results[k]:
+            _assert_same_bits(got, want)
+
+
+def test_warm_solve_allocates_less_than_one_grid_array(unit_disk):
+    grid = pb.build_grid(unit_disk, 128, 256)
+    basis = _basis(unit_disk, 1.5, 24)
+
+    def solve(z):
+        cons = (point_constraint(basis, z, 1.0),)
+        return minimize_pnorm(ExtremalProblem(basis, grid, 1.5, cons))
+
+    solve(0.3)  # builds the coarse grid, the bases and the buffers
+    tracemalloc.start()
+    try:
+        assert solve(0.31).coarse_iterations > 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    complex_grid_array = 16 * grid.weights.size  # 512 KiB
+    assert peak < complex_grid_array
 
 
 def test_cholesky_fallbacks_are_counted(unit_disk, disk_grid, monkeypatch):
@@ -257,11 +386,11 @@ def test_cholesky_fallbacks_are_counted(unit_disk, disk_grid, monkeypatch):
     assert clean.cholesky_fallbacks == 0
     calls = []
 
-    def failing(*args, **kwargs):
+    def failing(a, **kwargs):
         calls.append(None)
-        raise scipy.linalg.LinAlgError("forced")
+        return a, 1  # LAPACK: the leading minor of order 1 is not positive definite
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", failing)
+    monkeypatch.setattr(solver, "_POTRF", failing)
     sol = minimize_pnorm(prob)
     assert len(calls) > 1
     assert sol.cholesky_fallbacks == len(calls)
