@@ -22,11 +22,9 @@ from .solver import (
     InfeasibleConstraintsError,
     Solution,
     derivative_constraint,
-    kkt_residual,
     minimize_pnorm,
     multistart_minimize,
     point_constraint,
-    smoothed_objective,
     solution_record,
 )
 from .kernel import (

@@ -459,14 +459,22 @@ def tail_triangle_check(
 
 
 def read_series_csv(path) -> LacunarySeries:
-    """Read ``lambda,re,im`` rows (header optional)."""
+    """Read ``lambda,re,im`` rows (header optional).
+
+    A row that is not an integer and two floats raises ``ValueError`` naming
+    the file and the 1-based row."""
     rows: list[tuple[int, complex]] = []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        for number, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].strip().lower() == "lambda":
                 continue
-            lam, re, im = row
-            rows.append((int(lam), complex(float(re), float(im))))
+            try:
+                lam, re, im = row
+                rows.append((int(lam), complex(float(re), float(im))))
+            except ValueError:
+                raise ValueError(
+                    f"{path}, row {number}: expected lambda,re,im, got {','.join(row)!r}"
+                ) from None
     if not rows:
         raise ValueError(f"no series rows in {path}")
     rows.sort(key=lambda item: item[0])

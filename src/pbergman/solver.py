@@ -6,9 +6,10 @@ null-space basis), so every iterate is feasible to rounding.  The non-smooth
 objective sum_i w_i |f(z_i)|^p is replaced by sum_i w_i (|f(z_i)|^2 + eps)^(p/2)
 with eps driven down the fixed ``SMOOTHING_SCHEDULE``; each stage runs
 iteratively reweighted least squares with a backtracking line search, so the
-recorded objective sequence is non-increasing.  At p = 2 the weighted least-squares start is the
-exact minimizer, so a p = 2 solve without a given start returns it with no
-iterations.
+smoothed objective never rises within a grid: each accepted step lowers it,
+and so does each smaller eps at a fixed iterate.  At p = 2 the weighted
+least-squares start is the exact minimizer, so a p = 2 solve without a given
+start returns it with no iterations.
 
 Basis columns are pre-scaled to unit p-norm on the grid for conditioning;
 reported coefficients are always in the raw monomial basis.
@@ -50,11 +51,12 @@ parallel or nested, and problems and solutions are immutable.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -72,8 +74,6 @@ __all__ = [
     "minimize_pnorm",
     "multistart_minimize",
     "grid_values",
-    "kkt_residual",
-    "smoothed_objective",
     "solution_record",
 ]
 
@@ -127,6 +127,8 @@ class ExtremalProblem:
     ``constraints`` is a sequence of (row, target) pairs; rows act on raw
     monomial coefficients.  Rows must be linearly independent and fewer than
     the basis dimension, so the feasible slice has positive dimension.
+    ``constraint_matrix`` and ``constraint_targets`` stack the rows and the
+    targets once, read-only.
     """
 
     basis: BasisSpec
@@ -141,6 +143,7 @@ class ExtremalProblem:
             (np.asarray(row, dtype=complex), complex(target))
             for row, target in self.constraints
         )
+        object.__setattr__(self, "constraints", cons)
         dim = self.basis.dimension
         if not cons:
             raise ValueError("at least one constraint is required")
@@ -150,18 +153,20 @@ class ExtremalProblem:
             raise ValueError(
                 f"{len(cons)} constraints leave no freedom in dimension {dim}"
             )
-        C = np.array([row for row, _ in cons])
-        if np.linalg.matrix_rank(C) < len(cons):
+        if np.linalg.matrix_rank(self.constraint_matrix) < len(cons):
             raise InfeasibleConstraintsError("constraint rows are linearly dependent")
-        object.__setattr__(self, "constraints", cons)
 
-    @property
+    @functools.cached_property
     def constraint_matrix(self) -> np.ndarray:
-        return np.array([row for row, _ in self.constraints])
+        C = np.array([row for row, _ in self.constraints])
+        C.setflags(write=False)
+        return C
 
-    @property
+    @functools.cached_property
     def constraint_targets(self) -> np.ndarray:
-        return np.array([target for _, target in self.constraints])
+        b = np.array([target for _, target in self.constraints])
+        b.setflags(write=False)
+        return b
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,8 +178,6 @@ class Solution:
     it is diagnostic only (convergence is declared on objective stagnation).
     ``iterations`` counts the accepted steps on both grids and
     ``coarse_iterations`` the share taken on the quarter-resolution grid.
-    ``objective_history`` records the smoothed objective at every accepted
-    step on the requested grid only, so it is non-increasing.
     ``cholesky_fallbacks`` counts the weighted least-squares solves, on
     either grid, whose matrix failed Cholesky factorization and were solved
     by ``lstsq`` instead.
@@ -188,7 +191,6 @@ class Solution:
     coarse_iterations: int
     converged: bool
     cholesky_fallbacks: int
-    objective_history: np.ndarray = field(default_factory=lambda: np.empty(0))
 
 
 class _SeparableBasis:
@@ -196,11 +198,11 @@ class _SeparableBasis:
 
     Column n of V at node (i, k) is r_i^n e^{i n theta_k} / c_n.  On the
     uniform angle grid every angular sum is an exact DFT, so grid values
-    take one FFT per radius, the adjoint one more, and a weighted Gram one
-    real FFT of the weights plus O(n_r D^2) work; V itself is never formed.
-    Exponents equal modulo the angular count share a DFT bin, where the grid
-    cannot tell them apart.  ``values`` and ``adjoint`` act on scaled
-    coefficients (raw coefficients times ``col_norms``).
+    take one FFT per radius and a weighted Gram one real FFT of the weights
+    plus O(n_r D^2) work; V itself is never formed.  Exponents equal modulo
+    the angular count share a DFT bin, where the grid cannot tell them
+    apart.  ``values`` acts on scaled coefficients (raw coefficients times
+    ``col_norms``).
 
     An instance is read-only after construction and holds no scratch, so
     one instance per (grid, exponents, p) serves every solve, nested and
@@ -220,9 +222,8 @@ class _SeparableBasis:
             2.0 * math.pi * (grid.radial_weights @ powers**p)
         ) ** (1.0 / p)
         self.radial = powers / self.col_norms
-        self.bins = n % K
         # occupied DFT bins; fold[j, b] sums the exponents that share bin b
-        self.occupied, slot = np.unique(self.bins, return_inverse=True)
+        self.occupied, slot = np.unique(n % K, return_inverse=True)
         self._fold = (slot[:, None] == np.arange(self.occupied.size)).astype(float)
         # A Gram entry depends on n_j + n_l through a radial power and on
         # the lag n_l - n_j through an angular frequency.  Powers are taken of
@@ -269,11 +270,6 @@ class _SeparableBasis:
             out = np.empty(spectrum.size, dtype=complex)
         np.fft.ifft(spectrum, axis=1, norm="forward", out=out.reshape(self.shape))
         return out
-
-    def adjoint(self, y: np.ndarray) -> np.ndarray:
-        """V^H y for flat grid values y."""
-        Y = np.fft.fft(y.reshape(self.shape), axis=1)
-        return np.einsum("ij,ij->j", self.radial, Y[:, self.bins])
 
     def gram(self, omega: np.ndarray, rfft_out: np.ndarray | None = None) -> np.ndarray:
         """V^H diag(omega) V for real node weights omega.
@@ -492,9 +488,13 @@ class _Workspace:
             raise ValueError(f"illegal value in argument {-info} of potrs")
         return x
 
+    def load(self, t: np.ndarray) -> None:
+        """Load the values of t into ``u``."""
+        self.basis.values(self.a0 + self.N @ t, out=self.u, spectrum=self._spectrum)
+
     def set_point(self, t: np.ndarray, eps: float) -> float:
         """Load the values of t into ``u``; returns the smoothed objective."""
-        self.basis.values(self.a0 + self.N @ t, out=self.u, spectrum=self._spectrum)
+        self.load(t)
         return self.set_eps(eps)
 
     def set_step(self, delta: np.ndarray) -> None:
@@ -557,9 +557,9 @@ def _irls_stage(ws: _Workspace, t, phi, eps):
     """One smoothing stage from t, whose values ``ws.u`` has ``ws.base`` and
     ``ws.terms`` filled under eps and smoothed objective phi.
 
-    Returns (t, iterations, stagnated, history); ``ws`` holds the final point.
+    Returns (t, iterations, stagnated); ``ws`` holds the final point.
     """
-    history = []
+    iterations = 0
     stagnated = False
     # For p > 2 the reweighted quadratic underestimates curvature by up to
     # p - 1 along the radial direction; relaxing the step to 2/p restores a
@@ -588,13 +588,12 @@ def _irls_stage(ws: _Workspace, t, phi, eps):
             break
         t = t + alpha * delta
         ws.accept()
-        history.append(phi_try)
+        iterations += 1
         if phi - phi_try <= _TOLERANCE * max(phi_try, 1e-300):
-            phi = phi_try
             stagnated = True
             break
         phi = phi_try
-    return t, len(history), stagnated, history
+    return t, iterations, stagnated
 
 
 def _coarse_grid(grid: QuadratureGrid) -> QuadratureGrid | None:
@@ -608,27 +607,26 @@ def _coarse_grid(grid: QuadratureGrid) -> QuadratureGrid | None:
 def _descend(ws: _Workspace, t, schedule):
     """Run the smoothing stages ``schedule`` from t on the grid of ``ws``.
 
-    Returns (t, iterations, stagnated, history, raw): ``stagnated`` holds
-    when every stage stagnated, and ``raw`` lists the raw objective after
-    each stage that is among the last two of the whole schedule, the only
-    values the drift test and the reported objective read.
+    Returns (t, iterations, stagnated, raw): ``stagnated`` holds when every
+    stage stagnated, and ``raw`` lists the raw objective after each stage
+    that is among the last two of the whole schedule, the only values the
+    drift test and the reported objective read.
     """
     tail = SMOOTHING_SCHEDULE[-2:]
-    history = [ws.set_point(t, schedule[0])]
+    phi = ws.set_point(t, schedule[0])
     raw = []
     iterations = 0
     all_stagnated = True
     for i, eps in enumerate(schedule):
         if i > 0:
-            # same iterate under the smaller eps; keeps the record monotone
-            history.append(ws.set_eps(eps))
-        t, iters, stagnated, seg = _irls_stage(ws, t, history[-1], eps)
-        history.extend(seg)
+            # same iterate under the smaller eps, a lower smoothed objective
+            phi = ws.set_eps(eps)
+        t, iters, stagnated = _irls_stage(ws, t, phi, eps)
         iterations += iters
         all_stagnated = all_stagnated and stagnated
         if eps in tail:
             raw.append(ws.raw_objective())
-    return t, iterations, all_stagnated, history, raw
+    return t, iterations, all_stagnated, raw
 
 
 def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None) -> Solution:
@@ -653,7 +651,7 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
             # The least-squares start is the exact minimizer, and the p = 2
             # IRLS weights equal w under every eps, so A and rhs are final.
             t, A, rhs = ws.least_squares()
-            history = [ws.set_point(t, schedule[0])]
+            ws.load(t)
             raw = [ws.raw_objective()]
             iterations, converged = 0, True
         else:
@@ -662,13 +660,13 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
                 t = ws.start(start)
             else:
                 with _workspace(problem, coarse_grid) as cws:
-                    t, coarse_iterations, _, _, _ = _descend(
+                    t, coarse_iterations, _, _ = _descend(
                         cws, cws.start(start), schedule[:-2]
                     )
                     coarse_fallbacks = cws.cholesky_fallbacks
                     t = ws.t_from_raw(cws.raw_from_t(t))
                 schedule = schedule[-2:]
-            t, iterations, stagnated, history, raw = _descend(ws, t, schedule)
+            t, iterations, stagnated, raw = _descend(ws, t, schedule)
             iterations += coarse_iterations
             drift = abs(raw[-1] - raw[-2])
             settled = drift <= _DRIFT_TOL * max(raw[-1], 1e-300)
@@ -676,13 +674,9 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
             # ws holds the final point under the last eps
             A, rhs = ws.reduced_system(ws.irls_weights())
         a_raw = ws.raw_from_t(t)
-        feasibility = float(
-            np.max(np.abs(ws.C_raw @ a_raw - ws.b)) if len(ws.b) else 0.0
-        )
+        feasibility = float(np.max(np.abs(ws.C_raw @ a_raw - ws.b)))
         stationarity = float(np.linalg.norm(2.0 * (A @ t - rhs)))
         fallbacks = ws.cholesky_fallbacks + coarse_fallbacks
-    hist = np.array(history)
-    hist.setflags(write=False)
     return Solution(
         coeffs=CoeffVector(problem.basis, a_raw),
         objective=raw[-1] ** (1.0 / problem.p),
@@ -692,7 +686,6 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
         coarse_iterations=coarse_iterations,
         converged=converged,
         cholesky_fallbacks=fallbacks,
-        objective_history=hist,
     )
 
 
@@ -743,45 +736,6 @@ def multistart_minimize(problem: ExtremalProblem, *, restarts: int, seed: int) -
         ):
             survivors.append(sol)
     return survivors
-
-
-def kkt_residual(problem: ExtremalProblem, solution: Solution) -> float:
-    """Norm of the objective gradient projected onto the constraint null space.
-
-    The objective is ||f||_p^p, differentiable away from zeros of f for p > 1.
-    The gradient is encoded as grad_re + 1j*grad_im per complex coefficient.
-    """
-    if problem.p <= 1:
-        raise ValueError("kkt_residual requires p > 1")
-    u = grid_values(problem, solution.coeffs.coefficients)
-    basis = _problem_basis(problem)
-    absu = np.abs(u)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c = np.where(absu > 0, absu ** (problem.p - 2.0), 0.0) * u
-    grad = basis.col_norms * basis.adjoint(problem.grid.weights * problem.p * c)
-    N = scipy.linalg.null_space(problem.constraint_matrix)
-    return float(np.linalg.norm(N.conj().T @ grad))
-
-
-def smoothed_objective(
-    problem: ExtremalProblem, coefficients: np.ndarray, eps: float
-) -> tuple[float, np.ndarray]:
-    """Value and coefficient gradient of sum_i w_i (|f(z_i)|^2 + eps)^(p/2).
-
-    The gradient is encoded as grad_re + 1j*grad_im per complex coefficient,
-    so the derivative along a complex direction d with real step h is
-    Re(conj(grad) . d) * h.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    u = grid_values(problem, coefficients)
-    basis = _problem_basis(problem)
-    w, p = problem.grid.weights, problem.p
-    base = _abs2(u) + eps
-    value = float(w @ base ** (0.5 * p))
-    rho = base ** (0.5 * p - 1.0)
-    grad = basis.col_norms * basis.adjoint(w * p * rho * u)
-    return value, grad
 
 
 def solution_record(solution: Solution) -> dict:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import pbergman as pb
+from pbergman import solver
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -21,6 +22,31 @@ def punctured():
 @pytest.fixture(scope="session")
 def annulus():
     return pb.Domain("annulus", 1.0, 0.5)
+
+
+@pytest.fixture
+def smoothed_objectives(monkeypatch):
+    """Per workspace, in order, the smoothed objective w . terms at every
+    descent point: each time ``set_eps`` fills the terms of an iterate and
+    each time ``accept`` takes a line-search step."""
+    records = {}
+    set_eps, accept = solver._Workspace.set_eps, solver._Workspace.accept
+
+    def record(ws):
+        records.setdefault(ws, []).append(float(ws.w @ ws.terms))
+
+    def spied_set_eps(ws, eps):
+        value = set_eps(ws, eps)
+        record(ws)
+        return value
+
+    def spied_accept(ws):
+        accept(ws)
+        record(ws)
+
+    monkeypatch.setattr(solver._Workspace, "set_eps", spied_set_eps)
+    monkeypatch.setattr(solver._Workspace, "accept", spied_accept)
+    return records
 
 
 @pytest.fixture(scope="session")

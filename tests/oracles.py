@@ -1,13 +1,16 @@
 """Independent oracles the suite checks the production code against.
 
 Deliberately disjoint from the solve path: the least-norm oracle assembles
-the raw Gram KKT system, the metric oracle runs a derivative-free simplex
-search, and the disk-kernel oracle is the classical closed form.
+the raw Gram KKT system, the KKT-residual oracle projects the gradient of
+||f||_p^p, taken on the dense quadrature matrix, onto the constraint null
+space, the metric oracle runs a derivative-free simplex search, and the
+disk-kernel oracle is the classical closed form.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from pbergman.geometry import lp_norm
@@ -35,6 +38,25 @@ def least_norm_coeffs(grid, exponents, rows, targets):
     a = Ginv_Ch @ lam
     objective = math.sqrt(float(np.real(a.conj() @ (G @ a))))
     return a, objective
+
+
+def kkt_residual(problem, coefficients):
+    """Norm of the gradient of ||f||_p^p projected onto the null space of the
+    constraint rows, for raw coefficients of ``problem``.
+
+    For p > 1, where the objective is differentiable away from zeros of f.
+    The gradient is V^H (p w |u|^(p-2) u) with u = V a on the dense
+    quadrature matrix V, encoded as grad_re + 1j*grad_im per coefficient.
+    """
+    grid, p = problem.grid, problem.p
+    V = vandermonde(grid, problem.basis.exponents)
+    u = V @ np.asarray(coefficients, dtype=complex)
+    absu = np.abs(u)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.where(absu > 0, absu ** (p - 2.0), 0.0) * u
+    grad = V.conj().T @ (grid.weights * p * c)
+    N = scipy.linalg.null_space(problem.constraint_matrix)
+    return float(np.linalg.norm(N.conj().T @ grad))
 
 
 def disk_kernel(z, w):

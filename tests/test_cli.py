@@ -205,6 +205,17 @@ def test_lacunary_parseval(capsys, tmp_path):
     assert doc["integrable"] is True
 
 
+@pytest.mark.parametrize(
+    "row", ["1,1", "1.5,1,0"], ids=["short-row", "non-integer-lambda"]
+)
+def test_lacunary_bad_series_row_names_file_and_row(capsys, tmp_path, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"lambda,re,im\n2,1,0\n{row}\n")
+    code, out, err = _run(capsys, ["lacunary", "--file", str(path), "--p", "2"])
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {path}, row 3: expected lambda,re,im")
+
+
 def test_shared_parser_matches_fresh_parsers(capsys, tmp_path):
     # main builds its parser once per process; a run of commands through that
     # one parser, a usage error among them, must match runs on fresh parsers

@@ -1,6 +1,6 @@
 """The documented API stays runnable: the README quickstart, command-line
-block and demos execute, and every layer the benchmark trace wraps still
-exists."""
+block and demos execute, every layer the benchmark trace wraps still
+exists, and a traced run of the command line yields its layer metrics."""
 
 import importlib
 import importlib.util
@@ -73,13 +73,35 @@ def test_demo_runs(path, capsys):
     assert capsys.readouterr().out
 
 
-def test_benchmark_trace_layers_exist(monkeypatch):
-    # a traced benchmark run raises TraceError on a missing layer name
+def _spans(monkeypatch):
+    """The benchmark's trace module, loaded from its file."""
     spec = importlib.util.spec_from_file_location("spans", ROOT / "perfbench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # its dataclasses look it up
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_trace_layers_exist(monkeypatch):
+    # a traced benchmark run raises TraceError on a missing layer name
+    spans = _spans(monkeypatch)
     for module, functions in spans.LAYERS.items():
         program = importlib.import_module(f"pbergman.{module}")
         for function in functions:
             assert callable(getattr(program, function, None)), f"pbergman.{module}.{function}"
+
+
+def test_benchmark_trace_runs(monkeypatch):
+    # the trace reads iterations, converged, problem.grid.nodes and
+    # problem.basis.dimension from every solve
+    spans = _spans(monkeypatch)
+    with spans.Tracer() as tracer:
+        assert cli.main(["kernel", "--p", "1.5", "--z", "0.3", "--degree", "8"]) == 0
+        assert cli.main(["levi", "--p", "2"]) == 0
+    metrics = tracer.layer_metrics(1)
+    assert metrics["cli.main.calls"] == 2 and metrics["cli.exit_nonzero"] == 0
+    assert metrics["analysis.levi_metric_gap.calls"] == 1
+    assert metrics["solver.minimize_pnorm.calls"] > 1
+    assert metrics["solver.iterations"] > 0
+    assert metrics["solver.converged_ratio"] == 1.0
+    assert metrics["solver.dense_nd_computed"] > 0

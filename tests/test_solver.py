@@ -12,20 +12,18 @@ from hypothesis import strategies as st
 
 import pbergman as pb
 from pbergman import solver
-from pbergman.series import BasisSpec, CoeffVector
+from pbergman.series import BasisSpec
 from pbergman.solver import (
     ExtremalProblem,
     InfeasibleConstraintsError,
     derivative_constraint,
-    kkt_residual,
     minimize_pnorm,
     multistart_minimize,
     point_constraint,
-    smoothed_objective,
     _SeparableBasis,
 )
 
-from oracles import least_norm_coeffs, vandermonde
+from oracles import kkt_residual, least_norm_coeffs, vandermonde
 
 
 def _basis(domain, p, degree, n_min=None):
@@ -63,14 +61,12 @@ def test_separable_basis_matches_dense_vandermonde(spec, shape, n_min):
 
     rng = np.random.default_rng(5)
     a = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
-    y = rng.standard_normal(grid.nodes.size) + 1j * rng.standard_normal(grid.nodes.size)
     omega = grid.weights * rng.uniform(0.1, 2.0, grid.nodes.size)
     assert rel(sep.col_norms, col_norms) <= 1e-13
     assert rel(sep.values(a), Vs @ a) <= 1e-13
     buf = np.empty(grid.nodes.size, dtype=complex)
     assert sep.values(a, out=buf) is buf
     assert np.array_equal(buf, sep.values(a))
-    assert rel(sep.adjoint(y), Vs.conj().T @ y) <= 1e-13
     assert rel(sep.gram(omega), Vs.conj().T @ (Vs * omega[:, None])) <= 1e-13
 
 
@@ -95,7 +91,6 @@ def test_p2_returns_least_squares_start(spec):
     sol = minimize_pnorm(prob)
     assert sol.iterations == 0 and sol.converged
     assert sol.stationarity_residual <= 1e-10
-    assert sol.objective_history.shape == (1,)
     # the staged descent from the same coefficients stays where it started
     staged = minimize_pnorm(prob, start=sol.coeffs.coefficients)
     assert staged.converged
@@ -108,7 +103,7 @@ def _single_grid(prob):
     """The whole schedule on the problem's own grid from its least-squares start,
     with the objective and ``converged`` as ``minimize_pnorm`` reports them."""
     with solver._workspace(prob, prob.grid) as ws:
-        t, _, stagnated, _, raw = solver._descend(
+        t, _, stagnated, raw = solver._descend(
             ws, ws.least_squares()[0], solver.SMOOTHING_SCHEDULE
         )
     drift = abs(raw[-1] - raw[-2])
@@ -231,8 +226,11 @@ def _on_fresh_grid(problem):
 
 def _assert_same_bits(got, want):
     assert np.array_equal(got.coeffs.coefficients, want.coeffs.coefficients)
-    assert np.array_equal(got.objective_history, want.objective_history)
+    assert got.objective == want.objective
+    assert got.stationarity_residual == want.stationarity_residual
     assert got.iterations == want.iterations
+    assert got.coarse_iterations == want.coarse_iterations
+    assert got.cholesky_fallbacks == want.cholesky_fallbacks
 
 
 def _nest(monkeypatch, outer, inner):
@@ -443,14 +441,18 @@ def test_p2_matches_least_norm_oracle(unit_disk, disk_grid, seed):
     )
 
 
-@pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 3.0, 4.0])
-def test_descent_and_feasibility(unit_disk, disk_grid, p):
+# at p = 8 the relaxed first step 2/p can raise the objective, and only the
+# Armijo backtracking keeps the descent monotone
+@pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 3.0, 4.0, 8.0])
+def test_descent_and_feasibility(unit_disk, disk_grid, p, smoothed_objectives):
     prob = _problem(
         unit_disk, disk_grid, p, 10, lambda b: (point_constraint(b, 0.4 + 0.1j, 1.0),)
     )
     sol = minimize_pnorm(prob)
-    hist = sol.objective_history
-    assert np.all(np.diff(hist) <= 1e-14 * np.abs(hist[1:]))
+    # the p = 2 return runs no descent; every other solve descends on two grids
+    assert len(smoothed_objectives) == (0 if p == 2.0 else 2)
+    for values in smoothed_objectives.values():
+        assert np.all(np.diff(values) <= 1e-14 * np.abs(values[1:]))
     assert sol.feasibility_residual <= 1e-10
 
 
@@ -468,6 +470,8 @@ def test_nested_basis_monotonicity(unit_disk, disk_grid, p):
 
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.5])
 def test_smoothed_gradient_matches_finite_differences(unit_disk, disk_grid, p):
+    # the gradient the line search takes, 2 (A t - rhs) at the IRLS weights
+    # of t, against central differences of the smoothed objective
     rng = np.random.default_rng(42)
     basis = _basis(unit_disk, p, 6)
     prob = ExtremalProblem(
@@ -475,16 +479,19 @@ def test_smoothed_gradient_matches_finite_differences(unit_disk, disk_grid, p):
     )
     base = minimize_pnorm(prob).coeffs.coefficients
     h = 1e-6
-    for _ in range(8):
-        a = base + 0.5 * (rng.standard_normal(7) + 1j * rng.standard_normal(7))
-        _, grad = smoothed_objective(prob, a, 1e-4)
-        d = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-        d /= np.linalg.norm(d)
-        plus, _ = smoothed_objective(prob, a + h * d, 1e-4)
-        minus, _ = smoothed_objective(prob, a - h * d, 1e-4)
-        fd = (plus - minus) / (2 * h)
-        analytic = float(np.real(np.vdot(grad, d)))
-        assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic))
+    with solver._workspace(prob, disk_grid) as ws:
+        t_base = ws.start(base)
+        size = t_base.size
+        for _ in range(8):
+            t = t_base + 0.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+            ws.set_point(t, 1e-4)
+            A, rhs = ws.reduced_system(ws.irls_weights())
+            grad = 2.0 * (A @ t - rhs)
+            d = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+            d /= np.linalg.norm(d)
+            fd = (ws.set_point(t + h * d, 1e-4) - ws.set_point(t - h * d, 1e-4)) / (2 * h)
+            analytic = float(np.real(np.vdot(grad, d)))
+            assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic))
 
 
 def test_multistart_p09_collapses_to_constant(unit_disk, disk_grid):
@@ -524,12 +531,11 @@ def test_kkt_residual_certifies_p2_solution(unit_disk, disk_grid):
     prob = _problem(
         unit_disk, disk_grid, 2.0, 8, lambda b: (point_constraint(b, 0.3, 1.0),)
     )
-    sol = minimize_pnorm(prob)
-    assert kkt_residual(prob, sol) <= 1e-8
-    perturbed = sol.coeffs.coefficients.copy()
+    a = minimize_pnorm(prob).coeffs.coefficients
+    assert kkt_residual(prob, a) <= 1e-8
+    perturbed = a.copy()
     perturbed[3] += 0.1
-    sol_perturbed = replace(sol, coeffs=CoeffVector(prob.basis, perturbed))
-    assert kkt_residual(prob, sol_perturbed) > 1e-3
+    assert kkt_residual(prob, perturbed) > 1e-3
 
 
 def test_kkt_residual_certifies_p4_metric_solution(unit_disk, disk_grid):
@@ -541,16 +547,7 @@ def test_kkt_residual_certifies_p4_metric_solution(unit_disk, disk_grid):
         lambda b: (point_constraint(b, 0.0, 0.0), derivative_constraint(b, 0.0, 1.0)),
     )
     sol = minimize_pnorm(prob)
-    assert kkt_residual(prob, sol) <= 1e-6
-
-
-def test_kkt_residual_needs_p_above_one(unit_disk, disk_grid):
-    prob = _problem(
-        unit_disk, disk_grid, 1.0, 8, lambda b: (point_constraint(b, 0.0, 1.0),)
-    )
-    sol = minimize_pnorm(prob)
-    with pytest.raises(ValueError):
-        kkt_residual(prob, sol)
+    assert kkt_residual(prob, sol.coeffs.coefficients) <= 1e-6
 
 
 def test_dependent_constraints_rejected(unit_disk, disk_grid):
