@@ -7,14 +7,12 @@ from .geometry import (
     QuadratureGrid,
     build_grid,
     format_domain,
-    lp_norm,
     parse_domain,
 )
 from .series import (
     BasisSpec,
     CoeffVector,
     admissible_exponents,
-    derivative_at,
     evaluate,
 )
 from .solver import (
@@ -56,7 +54,6 @@ from .lacunary import (
     LacunarySeries,
     NotLacunaryError,
     RefinementError,
-    UndersampledQuadratureError,
     circle_norm_ratio,
     criterion_integral,
     direct_lp,
@@ -65,8 +62,6 @@ from .lacunary import (
     lacunarity_constant,
     read_series_csv,
     series_grid_values,
-    tail_triangle_check,
-    write_series_csv,
 )
 
 __version__ = "0.1.0"

@@ -5,8 +5,7 @@ into the weights) and a uniform trapezoid rule in the angle, which is
 spectrally accurate for periodic integrands.  A grid stores only its tensor
 factors (radii, radial weights, angles); the flat ``nodes`` and ``weights``
 arrays are built on first access, so code that works circle by circle never
-pays for them.  Grids are immutable after construction and safe to share;
-integration over a grid is a pure reduction over nodes.
+pays for them.  Grids are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ __all__ = [
     "Domain",
     "QuadratureGrid",
     "build_grid",
-    "lp_norm",
     "parse_domain",
     "format_domain",
 ]
@@ -139,17 +137,6 @@ def build_grid(domain: Domain, radial_count: int, angular_count: int) -> Quadrat
         radial_weights=_read_only(radial_weights),
         thetas=_read_only(thetas),
     )
-
-
-def lp_norm(grid: QuadratureGrid, values, p: float) -> float:
-    """(sum_i w_i |v_i|^p)^(1/p) for values aligned with the grid nodes."""
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
-    v = np.asarray(values)
-    w = grid.weights
-    if v.shape != w.shape:
-        raise ValueError(f"values length {v.shape} does not match grid size {w.shape}")
-    return float(np.dot(w, np.abs(v) ** p) ** (1.0 / p))
 
 
 def parse_domain(text: str) -> Domain:

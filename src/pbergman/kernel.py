@@ -105,6 +105,8 @@ class Setup:
             object.__setattr__(self, "grid", build_grid(self.domain, *DEFAULT_GRID_SHAPE))
         if self.margin is None:
             object.__setattr__(self, "margin", MARGIN_FRACTION * self.domain.outer_radius)
+        if not self.margin >= 0:
+            raise ValueError(f"margin must be >= 0, got {self.margin}")
 
     def basis(self, p: float) -> BasisSpec:
         n_min = self.n_min

@@ -13,21 +13,22 @@ the radial amplitudes a_k r_i^lambda_k of the terms still alive on those
 radii by an L x chunk phase table small enough to stay in cache.  The table
 is read off the K-th roots of unity at (lambda_k j) mod K, so its phases are
 exact to the ulp, and later chunks fold their offset root into the
-amplitudes instead of building a new table.  The direct area integral keeps
-the 256 Gauss-Legendre radii of ``default_series_grid`` but sizes each
-circle's angular count K to the bandwidth that circle carries: on inner
-circles r^lambda has pushed the high terms below rounding, so far fewer
-than 8 lambda_max angles resolve |f|^p there (Trefethen and Weideman, "The
-exponentially convergent trapezoidal rule", SIAM Review 2014).  It reduces
-each tile to per-circle sums of |f|^p, so it never holds more than one tile
-of values and never uses the flat ``nodes`` and ``weights`` arrays of its
-grid; the circle norm ratio is the one-circle case.
+amplitudes instead of building a new table.  The direct area integral takes
+no grid: it keeps the 256 Gauss-Legendre radii of ``default_series_grid``
+but sizes each circle's angular count K to the bandwidth that circle
+carries: on inner circles r^lambda has pushed the high terms below rounding,
+so far fewer than 8 lambda_max angles resolve |f|^p there (Trefethen and
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
+2014).  It reduces each tile to per-circle sums of |f|^p, so it never holds
+more than one tile of values and never builds flat ``nodes`` and
+``weights`` arrays; the circle norm ratio is the one-circle case.
 
 All operations are pure.
 """
 
 from __future__ import annotations
 
+import cmath
 import csv
 import math
 from dataclasses import dataclass
@@ -39,7 +40,6 @@ from .geometry import Domain, QuadratureGrid, _gauss_legendre, build_grid
 __all__ = [
     "LAMBDA_MAX_CAP",
     "NotLacunaryError",
-    "UndersampledQuadratureError",
     "RefinementError",
     "LacunarySeries",
     "lacunarity_constant",
@@ -49,9 +49,7 @@ __all__ = [
     "default_series_grid",
     "equivalence_ratio",
     "circle_norm_ratio",
-    "tail_triangle_check",
     "read_series_csv",
-    "write_series_csv",
     "integrability_record",
 ]
 
@@ -81,10 +79,6 @@ _RADIAL_LEVELS = 60
 
 class NotLacunaryError(ValueError):
     """Exponent gaps do not satisfy lambda_{k+1} >= A lambda_k for any A > 1."""
-
-
-class UndersampledQuadratureError(ValueError):
-    """Circle quadrature below the resolution floor of 8 * lambda_max nodes."""
 
 
 class RefinementError(RuntimeError):
@@ -135,20 +129,6 @@ class LacunarySeries:
     def lambda_max(self) -> int:
         return self.exponents[-1]
 
-    def scaled(self, c: complex) -> "LacunarySeries":
-        return LacunarySeries(self.exponents, c * self.coefficients)
-
-    def tail(self, start_index: int) -> "LacunarySeries":
-        """Terms from the 1-based index ``start_index`` on."""
-        if not 1 <= start_index <= len(self.exponents):
-            raise ValueError(
-                f"start index {start_index} outside 1..{len(self.exponents)}"
-            )
-        return LacunarySeries(
-            self.exponents[start_index - 1 :],
-            self.coefficients[start_index - 1 :],
-        )
-
 
 def _unit_scale(series: LacunarySeries) -> tuple[LacunarySeries, np.float64]:
     """The series divided by its largest coefficient modulus M, and M.
@@ -186,8 +166,8 @@ def criterion_integral(series: LacunarySeries, p: float) -> float:
     provably below the relative tolerance.  The kink of the integrand at
     r = 0 gets the mirrored ladder.
     """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     unit, scale = _unit_scale(series)
     if scale == 0.0:
         return 0.0
@@ -338,31 +318,25 @@ def series_grid_values(series: LacunarySeries, grid: QuadratureGrid) -> np.ndarr
     return _grid_values(series, grid.radii, grid.angular_count, grid.thetas).ravel()
 
 
-def direct_lp(series: LacunarySeries, p: float, grid: QuadratureGrid | None = None) -> float:
+def direct_lp(series: LacunarySeries, p: float) -> float:
     """Area integral of |f|^p over the unit disk.
 
-    The default rule takes the 256 Gauss-Legendre radii of
-    ``default_series_grid`` and gives each circle its own trapezoid count,
-    sized to the terms still alive on it (``_sized_counts``): inner circles,
-    where r^lambda has pushed the high terms below rounding, get far fewer
-    than 8 lambda_max angles.  A circle's trapezoid sum is exact for
-    trigonometric polynomials of degree below its count, so even p stay at
-    rounding level; at p < 2 the kinks of |f|^p at zeros of f make the sum
-    converge only algebraically, and the sized rule differs from the uniform
-    one by up to 6e-7 relative (p = 0.5, dyadic series up to lambda_max
-    4096).  An explicit grid is its exact tensor rule, with its angular count
-    on every circle.  Either way the sum runs circle by circle, so the flat
-    grid arrays are never built.
+    The rule takes the 256 Gauss-Legendre radii of ``default_series_grid``
+    and gives each circle its own trapezoid count, sized to the terms still
+    alive on it (``_sized_counts``): inner circles, where r^lambda has pushed
+    the high terms below rounding, get far fewer than 8 lambda_max angles.  A
+    circle's trapezoid sum is exact for trigonometric polynomials of degree
+    below its count, so even p stay at rounding level; at p < 2 the kinks of
+    |f|^p at zeros of f make the sum converge only algebraically, and the
+    sized rule differs from the uniform 8 lambda_max one by up to 6e-7
+    relative (p = 0.5, dyadic series up to lambda_max 4096).  The sum runs
+    circle by circle, so the flat grid arrays are never built.
     """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     unit, scale = _unit_scale(series)
-    if grid is None:
-        grid = default_series_grid(series)
-        counts = _sized_counts(unit, grid.radii, grid.angular_count)
-    else:
-        _require_unit_disk(grid)
-        counts = np.full(grid.radial_count, grid.angular_count)
+    grid = default_series_grid(series)
+    counts = _sized_counts(unit, grid.radii, grid.angular_count)
     if scale == 0.0:
         return 0.0
     means = np.empty(grid.radial_count)
@@ -402,18 +376,16 @@ def equivalence_ratio(series: LacunarySeries, p: float) -> float:
     return direct / criterion
 
 
-def circle_norm_ratio(
-    series: LacunarySeries, r: float, p: float, nodes: int | None = None
-) -> float:
+def circle_norm_ratio(series: LacunarySeries, r: float, p: float) -> float:
     """||f(r e^(2 pi i t))||_{L^p(T)} / ||.||_{L^2(T)} by trapezoid quadrature.
 
-    T is the unit-measure circle parameter t in [0,1).  At least 8*lambda_max
-    equally spaced samples are required; fewer are rejected as undersampled.
+    T is the unit-measure circle parameter t in [0,1), sampled at 8*lambda_max
+    equally spaced points.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must lie in (0, 1), got {r}")
-    if p < 1:
-        raise ValueError(f"circle_norm_ratio requires p >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise ValueError(f"circle_norm_ratio requires finite p >= 1, got {p}")
     if not np.any(series.coefficients):
         raise ValueError("circle_norm_ratio needs a nonzero series")
     lam = series.lambda_max
@@ -422,47 +394,17 @@ def circle_norm_ratio(
             f"lambda_max {lam} above the cap {LAMBDA_MAX_CAP}; "
             "use the radial criterion instead"
         )
-    floor = 8 * lam
-    if nodes is None:
-        nodes = floor
-    if nodes < floor:
-        raise UndersampledQuadratureError(
-            f"{nodes} circle nodes undersample lambda_max {lam}; need >= {floor}"
-        )
-    squared = _abs_squared(_grid_values(_unit_scale(series)[0], np.array([r]), nodes))
+    squared = _abs_squared(_grid_values(_unit_scale(series)[0], np.array([r]), 8 * lam))
     lp = float(np.mean(squared ** (0.5 * p)) ** (1.0 / p))
     l2 = float(np.sqrt(np.mean(squared)))
     return lp / l2
 
 
-def tail_triangle_check(
-    series_a: LacunarySeries,
-    series_b: LacunarySeries,
-    p: float,
-    start_index: int,
-) -> bool:
-    """Verify the tail inequality I(a - b) <= c_p I(a) + c_p I(b).
-
-    I is the radial criterion integral restricted to terms from the 1-based
-    ``start_index`` on, and c_p is 2^(p/2) for p <= 2 and 2^(p-1) for p >= 2
-    (the scalar convexity constants).
-    """
-    if series_a.exponents != series_b.exponents:
-        raise ValueError("misaligned exponent sets")
-    tail_a = series_a.tail(start_index)
-    tail_b = series_b.tail(start_index)
-    diff = LacunarySeries(tail_a.exponents, tail_a.coefficients - tail_b.coefficients)
-    c_p = 2.0 ** (0.5 * p) if p <= 2 else 2.0 ** (p - 1.0)
-    left = criterion_integral(diff, p)
-    right = c_p * (criterion_integral(tail_a, p) + criterion_integral(tail_b, p))
-    return left <= right * (1.0 + 1e-12) + 1e-300
-
-
 def read_series_csv(path) -> LacunarySeries:
     """Read ``lambda,re,im`` rows (header optional).
 
-    A row that is not an integer and two floats raises ``ValueError`` naming
-    the file and the 1-based row."""
+    A row that is not an integer and two finite floats raises ``ValueError``
+    naming the file and the 1-based row."""
     rows: list[tuple[int, complex]] = []
     with open(path, newline="") as fh:
         for number, row in enumerate(csv.reader(fh), start=1):
@@ -470,10 +412,14 @@ def read_series_csv(path) -> LacunarySeries:
                 continue
             try:
                 lam, re, im = row
-                rows.append((int(lam), complex(float(re), float(im))))
+                a = complex(float(re), float(im))
+                if not cmath.isfinite(a):
+                    raise ValueError
+                rows.append((int(lam), a))
             except ValueError:
                 raise ValueError(
-                    f"{path}, row {number}: expected lambda,re,im, got {','.join(row)!r}"
+                    f"{path}, row {number}: expected lambda,re,im with finite re and im, "
+                    f"got {','.join(row)!r}"
                 ) from None
     if not rows:
         raise ValueError(f"no series rows in {path}")
@@ -481,14 +427,6 @@ def read_series_csv(path) -> LacunarySeries:
     return LacunarySeries(
         tuple(lam for lam, _ in rows), np.array([a for _, a in rows])
     )
-
-
-def write_series_csv(path, series: LacunarySeries) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["lambda", "re", "im"])
-        for lam, a in zip(series.exponents, series.coefficients):
-            writer.writerow([lam, f"{a.real:.17g}", f"{a.imag:.17g}"])
 
 
 def integrability_record(series: LacunarySeries, p: float) -> dict:

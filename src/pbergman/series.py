@@ -1,12 +1,12 @@
 """Truncated holomorphic and Laurent series over circular domains.
 
 A basis is a set of admissible monomial exponents; a coefficient vector pins
-one series.  Evaluation and differentiation are pure and vectorize over
-points.
+one series.  Evaluation is pure and vectorizes over points.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +19,6 @@ __all__ = [
     "CoeffVector",
     "admissible_exponents",
     "evaluate",
-    "derivative_at",
 ]
 
 # Conditioning guard for raw monomial bases; desk-scale work stays below it.
@@ -33,8 +32,8 @@ def admissible_exponents(domain: Domain, p: float, n_min: int, n_max: int) -> li
     the punctured disk a pole term z^n, n < 0, is integrable iff |n|*p < 2;
     the boundary case |n|*p = 2 diverges logarithmically and is excluded.
     """
-    if p <= 0:
-        raise ValueError(f"p must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"p must be positive and finite, got {p}")
     if n_min > n_max:
         raise ValueError(f"need n_min <= n_max, got {n_min} > {n_max}")
 
@@ -103,30 +102,14 @@ class CoeffVector:
         object.__setattr__(self, "coefficients", coef)
 
 
-def _as_points(coeffs: CoeffVector, z):
+def evaluate(coeffs: CoeffVector, z):
+    """Sum a_n z^n at a point or an array of points."""
     zs = np.asarray(z, dtype=complex)
     scalar = zs.ndim == 0
     zs = np.atleast_1d(zs)
     if coeffs.basis.has_poles() and np.any(zs == 0):
         raise ValueError("cannot evaluate a pole term at z = 0")
-    return zs, scalar
-
-
-def evaluate(coeffs: CoeffVector, z):
-    """Sum a_n z^n at a point or an array of points."""
-    zs, scalar = _as_points(coeffs, z)
     out = np.zeros_like(zs)
     for a, n in zip(coeffs.coefficients, coeffs.basis.exponents):
         out += a * zs**n
-    return complex(out[0]) if scalar else out
-
-
-def derivative_at(coeffs: CoeffVector, z):
-    """Sum n a_n z^(n-1) at a point or an array of points."""
-    zs, scalar = _as_points(coeffs, z)
-    out = np.zeros_like(zs)
-    for a, n in zip(coeffs.coefficients, coeffs.basis.exponents):
-        if n == 0:
-            continue
-        out += n * a * zs ** (n - 1)
     return complex(out[0]) if scalar else out

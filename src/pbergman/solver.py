@@ -137,8 +137,8 @@ class ExtremalProblem:
     constraints: tuple[tuple[np.ndarray, complex], ...]
 
     def __post_init__(self):
-        if self.p <= 0:
-            raise ValueError(f"p must be positive, got {self.p}")
+        if not 0 < self.p < math.inf:
+            raise ValueError(f"p must be positive and finite, got {self.p}")
         cons = tuple(
             (np.asarray(row, dtype=complex), complex(target))
             for row, target in self.constraints

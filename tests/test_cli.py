@@ -10,7 +10,9 @@ from referencing import Registry, Resource
 
 from pbergman import analysis, cli, kernel, solver
 from pbergman.cli import main
-from pbergman.lacunary import LacunarySeries, write_series_csv
+from pbergman.lacunary import LacunarySeries
+
+from oracles import write_series_csv
 
 SCHEMA_DIR = Path(__file__).parent.parent / "schemas"
 
@@ -206,7 +208,9 @@ def test_lacunary_parseval(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
-    "row", ["1,1", "1.5,1,0"], ids=["short-row", "non-integer-lambda"]
+    "row",
+    ["1,1", "1.5,1,0", "1,nan,0", "1,inf,0"],
+    ids=["short-row", "non-integer-lambda", "nan-coefficient", "inf-coefficient"],
 )
 def test_lacunary_bad_series_row_names_file_and_row(capsys, tmp_path, row):
     path = tmp_path / "bad.csv"
@@ -346,8 +350,12 @@ def test_limit_rejects_bad_seed_and_restarts(capsys, flag):
         (["holder", "--p", "1.5", "--directions", "0"], "direction"),
         (["limit", "--p-list", "0.9", "--z", "0.99"], "margin"),
         (["kernel", "--p", "2", "--z", "0", "--tol", "1e-9"], "--tol"),
+        (["kernel", "--p", "nan", "--z", "0"], "finite"),
+        (["kernel", "--p", "inf", "--z", "0"], "finite"),
+        (["kernel", "--p", "2", "--z", "0.999", "--margin", "nan"], "margin"),
     ],
-    ids=["kernel-p", "kernel-z", "levi-p", "holder-directions", "limit-margin", "tol"],
+    ids=["kernel-p", "kernel-z", "levi-p", "holder-directions", "limit-margin", "tol",
+         "kernel-p-nan", "kernel-p-inf", "kernel-margin-nan"],
 )
 def test_bad_arguments_exit_one_before_solving(capsys, monkeypatch, argv, cause):
     # None in place of the solvers: any solve raises TypeError and fails the test

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 import pbergman as pb
-from pbergman.geometry import build_grid, format_domain, lp_norm, parse_domain
+from pbergman.geometry import build_grid, format_domain, parse_domain
+
+from oracles import lp_norm
 
 
 def test_disk_weights_reproduce_area(unit_disk):
@@ -105,13 +107,6 @@ def test_degenerate_domain_rejected():
         pb.Domain("disk", 1.0, 0.3)
     with pytest.raises(ValueError):
         pb.Domain("blob", 1.0)
-
-
-def test_lp_norm_validation(disk_grid):
-    with pytest.raises(ValueError):
-        lp_norm(disk_grid, np.ones(3), 2.0)
-    with pytest.raises(ValueError):
-        lp_norm(disk_grid, np.ones_like(disk_grid.nodes), 0.0)
 
 
 @pytest.mark.parametrize(

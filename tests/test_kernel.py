@@ -8,9 +8,8 @@ from pbergman import solver
 from pbergman.cli import main
 from pbergman.kernel import BoundaryMarginError, h_function, metric_at, mp_minimizer, offdiag_kernel
 from pbergman.series import BasisSpec, CoeffVector, evaluate
-from pbergman.geometry import lp_norm
 
-from oracles import disk_kernel, disk_minimizer
+from oracles import annulus_kernel, disk_kernel, disk_minimizer, lp_norm
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, 4.0])
@@ -86,6 +85,22 @@ def test_p2_metric_matches_disk_oracle(disk24):
     assert abs(result.b_p - exact) <= 1e-5 * exact
 
 
+def test_annulus_p2_kernel_matches_closed_form(annulus):
+    setup = pb.Setup(annulus, degree=24)
+    for z in (0.7, 0.6 + 0.2j, 0.85j, -0.56):
+        exact = annulus_kernel(z, 0.5, 1.0, 24)
+        assert math.isclose(mp_minimizer(setup, 2.0, z).k_p, exact, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("p, tol", [(1.0, 1e-6), (1.5, 1e-8), (2.0, 1e-10), (4.0, 1e-10)])
+def test_disk_metric_is_invariant(disk24, p, tol):
+    # B_p is a Moebius-invariant metric: B_p(z) (1 - |z|^2) = B_p(0)
+    center = metric_at(disk24, p, 0.0).b_p
+    for z in (0.3, 0.2 + 0.3j, -0.5j):
+        moved = metric_at(disk24, p, z).b_p * (1.0 - abs(z) ** 2)
+        assert math.isclose(moved, center, rel_tol=tol)
+
+
 def test_kernel_dominates_explicit_competitors(disk12, disk_grid):
     rng = np.random.default_rng(17)
     p, z = 3.0, 0.4
@@ -137,6 +152,9 @@ def test_boundary_margin_enforced(unit_disk, disk_grid, disk24):
     # explicit override admits the point
     result = mp_minimizer(pb.Setup(unit_disk, grid=disk_grid, margin=0.01), 2.0, 0.97)
     assert result.minimizer.converged
+    for margin in (-0.01, math.nan):
+        with pytest.raises(ValueError):
+            pb.Setup(unit_disk, grid=disk_grid, margin=margin)
 
 
 def test_punctured_pole_enlarges_kernel(punctured):

@@ -12,7 +12,6 @@ from pbergman.lacunary import (
     LacunarySeries,
     NotLacunaryError,
     RefinementError,
-    UndersampledQuadratureError,
     circle_norm_ratio,
     criterion_integral,
     default_series_grid,
@@ -22,9 +21,9 @@ from pbergman.lacunary import (
     lacunarity_constant,
     read_series_csv,
     series_grid_values,
-    tail_triangle_check,
-    write_series_csv,
 )
+
+from oracles import dense_lp, lacunary_l4, write_series_csv
 
 DYADIC_10 = tuple(2**k for k in range(1, 11))
 
@@ -39,6 +38,22 @@ def _random_series(rng, exponents=DYADIC_10):
     return LacunarySeries(
         exponents, rng.standard_normal(n) + 1j * rng.standard_normal(n)
     )
+
+
+def _dyadic_series(top: int, seed: int) -> LacunarySeries:
+    return _random_series(np.random.default_rng(seed), tuple(2**k for k in range(top + 1)))
+
+
+def _scaled(series, c):
+    return LacunarySeries(series.exponents, c * series.coefficients)
+
+
+def _dense_sized_lp(series, p):
+    """``dense_lp`` on the circles and angular counts of ``direct_lp``'s rule."""
+    grid = default_series_grid(series)
+    unit = lacunary._unit_scale(series)[0]
+    counts = lacunary._sized_counts(unit, grid.radii, grid.angular_count)
+    return dense_lp(series, p, grid.radii, grid.radial_weights, counts)
 
 
 def test_lacunarity_examples():
@@ -79,14 +94,17 @@ def test_criterion_appending_zero_terms_is_exact():
 
 def test_criterion_validation(monkeypatch):
     s = LacunarySeries((1,), np.array([1.0 + 0j]))
-    with pytest.raises(ValueError):
-        criterion_integral(s, 0.0)
+    for p in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            criterion_integral(s, p)
+        with pytest.raises(ValueError):
+            direct_lp(s, p)
     monkeypatch.setattr(lacunary, "_RADIAL_LEVELS", 3)
     with pytest.raises(RefinementError):
         criterion_integral(s, 2.0)
 
 
-def test_direct_examples(dyadic_grid):
+def test_direct_examples():
     s = LacunarySeries((1,), np.array([1.0 + 0j]))
     assert math.isclose(direct_lp(s, 2.0), math.pi / 2, rel_tol=1e-10)
 
@@ -94,14 +112,14 @@ def test_direct_examples(dyadic_grid):
     assert math.isclose(direct_lp(s24, 2.0), 8.0 * math.pi / 15.0, rel_tol=1e-10)
 
     zero = LacunarySeries(DYADIC_10, np.zeros(10, dtype=complex))
-    assert direct_lp(zero, 2.0, dyadic_grid) == 0.0
+    assert direct_lp(zero, 2.0) == 0.0
 
 
-def test_direct_requires_unit_disk():
+def test_grid_values_require_unit_disk():
     s = LacunarySeries((1, 2), np.ones(2, dtype=complex))
     grid = pb.build_grid(pb.Domain("disk", 2.0), 32, 16)
     with pytest.raises(ValueError):
-        direct_lp(s, 2.0, grid)
+        series_grid_values(s, grid)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 2.0, 4.0])
@@ -117,24 +135,24 @@ def test_equivalence_ratio_p2_is_parseval():
         assert abs(equivalence_ratio(s, 2.0) - 1.0) <= 1e-6
 
 
-def test_scale_equivariance(dyadic_grid):
+def test_scale_equivariance():
     rng = np.random.default_rng(29)
     s = _random_series(rng)
     c = 3.7 - 1.2j
     for p in (0.5, 2.0, 4.0):
         factor = abs(c) ** p
         assert math.isclose(
-            criterion_integral(s.scaled(c), p),
+            criterion_integral(_scaled(s, c), p),
             factor * criterion_integral(s, p),
             rel_tol=1e-10,
         )
         assert math.isclose(
-            direct_lp(s.scaled(c), p, dyadic_grid),
-            factor * direct_lp(s, p, dyadic_grid),
+            direct_lp(_scaled(s, c), p),
+            factor * _dense_sized_lp(s, p),
             rel_tol=1e-10,
         )
         assert math.isclose(
-            equivalence_ratio(s.scaled(c), p),
+            equivalence_ratio(_scaled(s, c), p),
             equivalence_ratio(s, p),
             rel_tol=1e-9,
         )
@@ -146,12 +164,11 @@ def test_extreme_coefficient_scales(M, p):
     # squared moduli of these coefficients under- or overflow; from p = 2 on
     # so do the integrals themselves, but never their ratio
     unit = LacunarySeries((1, 2, 4), np.array([1.0, 0.5 - 0.25j, 0.75j]))
-    s = unit.scaled(M)
-    grid = pb.build_grid(pb.parse_domain("disk:1"), 64, 256)
+    s = _scaled(unit, M)
     if p < 2:
-        criterion, direct = criterion_integral(unit, p), direct_lp(unit, p, grid)
+        criterion, direct = criterion_integral(unit, p), _dense_sized_lp(unit, p)
         assert math.isclose(criterion_integral(s, p), M**p * criterion, rel_tol=1e-12)
-        assert math.isclose(direct_lp(s, p, grid), M**p * direct, rel_tol=1e-12)
+        assert math.isclose(direct_lp(s, p), M**p * direct, rel_tol=1e-12)
     ratio = equivalence_ratio(s, p)
     assert math.isfinite(ratio)
     assert math.isclose(ratio, equivalence_ratio(unit, p), rel_tol=1e-12)
@@ -189,18 +206,22 @@ def test_circle_norm_nyquist_stability():
     exps = tuple(2**k for k in range(1, 9))
     s = _random_series(rng, exps)
     base = circle_norm_ratio(s, 0.9, 4.0)
-    doubled = circle_norm_ratio(s, 0.9, 4.0, nodes=16 * exps[-1])
+
+    def circle_mean(p):
+        # mean of |f|^p over 16 lambda_max angles on |z| = 0.9
+        return dense_lp(s, p, [0.9], np.ones(1), 16 * exps[-1]) / (2.0 * math.pi)
+
+    doubled = circle_mean(4.0) ** 0.25 / circle_mean(2.0) ** 0.5
     assert abs(base - doubled) <= 1e-9
 
 
 def test_circle_norm_validation():
     s = LacunarySeries((2, 8), np.ones(2, dtype=complex))
-    with pytest.raises(UndersampledQuadratureError):
-        circle_norm_ratio(s, 0.9, 2.0, nodes=32)
     with pytest.raises(ValueError):
         circle_norm_ratio(s, 1.2, 2.0)
-    with pytest.raises(ValueError):
-        circle_norm_ratio(s, 0.9, 0.7)
+    for p in (0.7, math.nan, math.inf):
+        with pytest.raises(ValueError):
+            circle_norm_ratio(s, 0.9, p)
     with pytest.raises(ValueError):
         circle_norm_ratio(LacunarySeries((2,), np.zeros(1, dtype=complex)), 0.9, 2.0)
     big = LacunarySeries((1, 2**21), np.ones(2, dtype=complex))
@@ -208,12 +229,28 @@ def test_circle_norm_validation():
         circle_norm_ratio(big, 0.9, 2.0)
 
 
+def _tail_triangle_holds(a, b, p, start):
+    """I(a - b) <= c_p I(a) + c_p I(b), where I is the criterion integral of
+    the terms from the 1-based ``start`` on and c_p is 2^(p/2) for p <= 2 and
+    2^(p-1) for p >= 2 (the scalar convexity constants)."""
+
+    def tail(coefficients):
+        return LacunarySeries(a.exponents[start - 1 :], coefficients[start - 1 :])
+
+    c_p = 2.0 ** (0.5 * p) if p <= 2 else 2.0 ** (p - 1.0)
+    left = criterion_integral(tail(a.coefficients - b.coefficients), p)
+    right = c_p * (
+        criterion_integral(tail(a.coefficients), p) + criterion_integral(tail(b.coefficients), p)
+    )
+    return left <= right * (1.0 + 1e-12) + 1e-300
+
+
 def test_tail_triangle_trivial_cases():
     rng = np.random.default_rng(43)
     a = _random_series(rng, (1, 2, 4, 8, 16))
     zero = LacunarySeries(a.exponents, np.zeros(5, dtype=complex))
-    assert tail_triangle_check(a, zero, 1.5, 1)
-    assert tail_triangle_check(a, a, 3.0, 2)
+    assert _tail_triangle_holds(a, zero, 1.5, 1)
+    assert _tail_triangle_holds(a, a, 3.0, 2)
 
 
 @pytest.mark.parametrize("p", [0.5, 1.5, 3.0])
@@ -223,14 +260,7 @@ def test_tail_triangle_random_pairs(p, start):
     for _ in range(100):
         a = _random_series(rng, (1, 2, 4, 8, 16, 32))
         b = _random_series(rng, (1, 2, 4, 8, 16, 32))
-        assert tail_triangle_check(a, b, p, start)
-
-
-def test_tail_triangle_misaligned_rejected():
-    a = LacunarySeries((1, 2), np.ones(2, dtype=complex))
-    b = LacunarySeries((1, 4), np.ones(2, dtype=complex))
-    with pytest.raises(ValueError):
-        tail_triangle_check(a, b, 2.0, 1)
+        assert _tail_triangle_holds(a, b, p, start)
 
 
 def test_series_csv_roundtrip(tmp_path):
@@ -267,10 +297,6 @@ def _dense_values(series, grid):
     return sum(a * grid.nodes**n for a, n in zip(series.coefficients, series.exponents))
 
 
-def _dense_lp(values, p, grid):
-    return float(grid.weights @ np.abs(values) ** p)
-
-
 @pytest.mark.parametrize("shape", [None, (8, 16)])
 def test_blocked_integral_matches_dense_reference(dyadic_grid, shape):
     # (8, 16): lambda_max = 1024 >= 16 angular nodes, so exponents alias
@@ -279,8 +305,18 @@ def test_blocked_integral_matches_dense_reference(dyadic_grid, shape):
     dense = _dense_values(s, grid)
     values = series_grid_values(s, grid)
     assert np.max(np.abs(values - dense)) <= 1e-13 * np.max(np.abs(dense))
-    for p in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
-        assert math.isclose(direct_lp(s, p, grid), _dense_lp(dense, p, grid), rel_tol=1e-13)
+    if shape is None:
+        for p in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+            assert math.isclose(direct_lp(s, p), _dense_sized_lp(s, p), rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("top", [4, 6, 8, 10])
+def test_direct_p4_matches_grid_free_oracle(top):
+    # |f|^4 on a circle is a trigonometric polynomial the sized rule resolves
+    # exactly, so what is left is the radial rule's error
+    for seed in range(3):
+        s = _dyadic_series(top, seed)
+        assert math.isclose(direct_lp(s, 4.0), lacunary_l4(s), rel_tol=1e-13)
 
 
 def test_direct_p2_is_multi_term_parseval():
@@ -297,9 +333,7 @@ def test_direct_p2_is_multi_term_parseval():
 def test_series_integrals_never_build_flat_grid_arrays(monkeypatch):
     s = _random_series(np.random.default_rng(73), (1, 3, 9, 27))
     grid = default_series_grid(s)
-    direct_lp(s, 1.5, grid)
     series_grid_values(s, grid)
-    equivalence_ratio(s, 3.0)
     assert "nodes" not in vars(grid) and "weights" not in vars(grid)
 
     def refuse(self):
@@ -307,6 +341,8 @@ def test_series_integrals_never_build_flat_grid_arrays(monkeypatch):
 
     monkeypatch.setattr(QuadratureGrid, "nodes", property(refuse))
     monkeypatch.setattr(QuadratureGrid, "weights", property(refuse))
+    direct_lp(s, 1.5)
+    equivalence_ratio(s, 3.0)
     circle_norm_ratio(s, 0.9, 3.0)
     integrability_record(s, 1.5)
 
@@ -325,44 +361,39 @@ def test_series_integrals_never_build_flat_grid_arrays(monkeypatch):
 @example(exponents={266, 322}, seed=0, p=0.25, c=1 + 0j)
 def test_blocked_integral_property(exponents, seed, p, c):
     s = _random_series(np.random.default_rng(seed), tuple(sorted(exponents)))
-    # 40 radii: at 8 lambda_max >= 2048 angular nodes the last block is partial
-    grid = pb.build_grid(pb.Domain("disk", 1.0), 40, max(64, 8 * s.lambda_max))
-    value = direct_lp(s, p, grid)
-    assert math.isclose(value, _dense_lp(_dense_values(s, grid), p, grid), rel_tol=1e-12)
-    assert math.isclose(direct_lp(s.scaled(c), p, grid), abs(c) ** p * value, rel_tol=1e-12)
-
-
-def _dyadic_series(top: int, seed: int) -> LacunarySeries:
-    return _random_series(np.random.default_rng(seed), tuple(2**k for k in range(top + 1)))
+    value = direct_lp(s, p)
+    assert math.isclose(value, _dense_sized_lp(s, p), rel_tol=1e-12)
+    assert math.isclose(direct_lp(_scaled(s, c), p), abs(c) ** p * value, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("top", [8, 10, 12])
 def test_sized_rule_matches_uniform_rule(top):
-    # same 256 radii; the default rule gives each circle only the angles its
-    # live terms need, the explicit grid 8 lambda_max on every circle
+    # same 256 radii; the sized rule gives each circle only the angles its
+    # live terms need, the uniform rule 8 lambda_max on every circle
     s = _dyadic_series(top, 79 + top)
-    uniform = default_series_grid(s)
+    grid = default_series_grid(s)
     for p, tol in ((2.0, 1e-14), (4.0, 1e-14), (0.5, 2e-6), (1.0, 2e-6), (1.5, 2e-6)):
-        assert math.isclose(direct_lp(s, p), direct_lp(s, p, uniform), rel_tol=tol)
+        uniform = dense_lp(s, p, grid.radii, grid.radial_weights, grid.angular_count)
+        assert math.isclose(direct_lp(s, p), uniform, rel_tol=tol)
 
 
 def test_sized_rule_evaluates_a_tenth_of_the_uniform_nodes(monkeypatch):
     s = _dyadic_series(12, 83)
+    grid = default_series_grid(s)
     original = lacunary._tiles
-    nodes = []
+    nodes = 0
 
     def counting(*args):
+        nonlocal nodes
         for rows, cols, values in original(*args):
-            nodes[-1] += values.size
+            nodes += values.size
             yield rows, cols, values
 
     monkeypatch.setattr(lacunary, "_tiles", counting)
-    for grid in (None, default_series_grid(s)):
-        nodes.append(0)
-        direct_lp(s, 2.0, grid)
-    sized, uniform = nodes
-    assert uniform == 256 * 8 * 4096
-    assert sized <= 0.12 * uniform
+    direct_lp(s, 2.0)
+    # every circle once, at its sized count; the uniform rule has 256 x 8 x 4096
+    assert nodes == lacunary._sized_counts(s, grid.radii, grid.angular_count).sum()
+    assert nodes <= 0.12 * grid.radial_count * grid.angular_count
 
 
 def test_sized_rule_with_no_live_term_on_inner_circles():

@@ -567,6 +567,13 @@ def test_too_many_constraints_rejected(unit_disk, disk_grid):
         ExtremalProblem(basis, disk_grid, 2.0, cons)
 
 
+@pytest.mark.parametrize("p", [0.0, math.nan, math.inf])
+def test_p_outside_zero_to_infinity_rejected(unit_disk, disk_grid, p):
+    basis = BasisSpec((0, 1), unit_disk, 2.0)
+    with pytest.raises(ValueError, match="finite"):
+        ExtremalProblem(basis, disk_grid, p, (point_constraint(basis, 0.1, 1.0),))
+
+
 def test_non_convergence_is_returned_not_raised(monkeypatch, unit_disk, disk_grid):
     prob = _problem(
         unit_disk, disk_grid, 1.3, 10, lambda b: (point_constraint(b, 0.5, 1.0),)
