@@ -13,6 +13,7 @@ for four values of p on a 2-vCPU VM) and is not offered.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -120,8 +121,8 @@ def quarter_laplacian(f, step: float) -> float:
     Richardson extrapolation against ``step/2``.  f is called at 13 points;
     callers that cache f see the shared +-step evaluations only once.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     f0 = f(0.0 + 0.0j)
 
     def second(h: float, axis: complex) -> float:
@@ -152,6 +153,10 @@ def levi_form_log_kp(
     (``quarter_laplacian`` of tau -> log K_p(z + tau X))."""
     z = complex(z)
     direction = complex(direction)
+    if direction == 0 or not cmath.isfinite(direction):
+        raise ValueError(f"direction X must be finite and nonzero, got {direction}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     domain = setup.domain
     needed = setup.margin + 2.0 * step * abs(direction)
     if not domain.contains(z) or domain.boundary_distance(z) < needed:
@@ -210,8 +215,8 @@ def _probe_fit(setup: Setup, p: float, z_prime: complex, w: complex, radii,
     rs = tuple(float(r) for r in radii)
     if len(rs) < 2:
         raise DegenerateFitError(f"degenerate fit: need >= 2 radii, got {len(rs)}")
-    if any(r <= 0 for r in rs):
-        raise ValueError("radii must be positive")
+    if not all(0 < r < math.inf for r in rs):
+        raise ValueError(f"radii must be positive and finite, got {rs}")
     if max(rs) / min(rs) < 10.0**1.5:
         raise ValueError("radii must span at least 1.5 decades")
     if directions < 1:

@@ -159,9 +159,9 @@ def _common_arguments(sub):
     sub.add_argument("--nmin", type=int, default=None, help="lowest basis exponent")
     sub.add_argument(
         "--grid",
-        default="128x256",
-        help="radial x angular counts; a solve runs its early smoothing stages "
-        "on a grid a quarter as fine each way when that keeps >= 16x32",
+        default="{}x{}".format(*kernel.DEFAULT_GRID_SHAPE),
+        help="radial x angular counts, default %(default)s; early smoothing stages "
+        "run on a grid a quarter as fine each way when that keeps >= 16x32",
     )
     sub.add_argument("--margin", type=float, default=None, help="boundary margin override")
     sub.add_argument("--out", default=None, help=f"output path (relative to ${OUTPUT_DIR_ENV})")

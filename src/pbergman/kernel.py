@@ -15,6 +15,7 @@ the solve cache a ``Setup`` owns is the only state they share.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field
 
 from .geometry import Domain, QuadratureGrid, build_grid, format_domain
@@ -193,8 +194,8 @@ def metric_at(setup: Setup, p: float, z: complex, direction: complex = 1.0) -> M
     if p < 1:
         raise ValueError("metric_at requires p >= 1")
     direction = complex(direction)
-    if direction == 0:
-        raise ValueError("direction X must be nonzero")
+    if direction == 0 or not cmath.isfinite(direction):
+        raise ValueError(f"direction X must be finite and nonzero, got {direction}")
     z = complex(z)
     setup.require_interior(z)
     speed = abs(direction)

@@ -6,6 +6,7 @@ one series.  Evaluation is pure and vectorizes over points.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -78,6 +79,24 @@ class BasisSpec:
     @property
     def dimension(self) -> int:
         return len(self.exponents)
+
+    @functools.cached_property
+    def col_norms(self) -> np.ndarray:
+        """||z^n||_p at this basis's p, read-only: (2 pi (R^s - r0^s) / s)^(1/p)
+        with s = np + 2 on r0 < |z| < R, or (2 pi log(R / r0))^(1/p) at s = 0."""
+        outer, inner = self.domain.outer_radius, self.domain.inner_radius
+        s = [n * self.p + 2.0 for n in self.exponents]
+        try:
+            radial = [(outer**k - inner**k) / k if k else math.log(outer / inner) for k in s]
+            norms = np.array([(2.0 * math.pi * x) ** (1.0 / self.p) for x in radial])
+        except OverflowError:
+            norms = np.array([math.inf])
+        if not np.all((norms > 0.0) & (norms < math.inf)):
+            raise ValueError(
+                f"the p-norm of some z^n of the basis leaves the double range on {self.domain}"
+            )
+        norms.setflags(write=False)
+        return norms
 
     def has_poles(self) -> bool:
         return self.exponents[0] < 0

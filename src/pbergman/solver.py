@@ -2,48 +2,49 @@
 
 The engine behind every extremal quantity in the package.  Complex linear
 constraints are eliminated exactly (particular solution plus an orthonormal
-null-space basis), so every iterate is feasible to rounding.  The non-smooth
-objective sum_i w_i |f(z_i)|^p is replaced by sum_i w_i (|f(z_i)|^2 + eps)^(p/2)
-with eps driven down the fixed ``SMOOTHING_SCHEDULE``; each stage runs
-iteratively reweighted least squares with a backtracking line search, so the
-smoothed objective never rises within a grid: each accepted step lowers it,
-and so does each smaller eps at a fixed iterate.  At p = 2 the weighted
-least-squares start is the exact minimizer, so a p = 2 solve without a given
-start returns it with no iterations.
+null-space basis), so every iterate is feasible to rounding; the problem
+takes that elimination once, from one SVD, and every grid of a solve shares
+its coordinates t.  The non-smooth objective sum_i w_i |f(z_i)|^p is
+replaced by sum_i w_i (|f(z_i)|^2 + eps)^(p/2) with eps driven down the
+fixed ``SMOOTHING_SCHEDULE``; each stage runs iteratively reweighted least
+squares with a backtracking line search, so the smoothed objective never
+rises within a grid: each accepted step lowers it, and so does each smaller
+eps at a fixed iterate.  At p = 2 the weighted least-squares start is the
+exact minimizer, so a p = 2 solve without a given start returns it with no
+iterations.
 
-Basis columns are pre-scaled to unit p-norm on the grid for conditioning;
-reported coefficients are always in the raw monomial basis.
+Basis columns are pre-scaled by their p-norms on the domain
+(``BasisSpec.col_norms``); reported coefficients are raw monomial ones.
 
 The grid is a tensor product of radii and a uniform angle rule, and column n
 is r^n e^{i n theta}, so the basis is separable.  Over the K equispaced
 angles, sum_k x_k e^{i m theta_k} is an exact DFT of length K.  The solver
 therefore never forms the nodes x D matrix: grid values are one inverse FFT
-per radius, column norms a sum over radii alone, and the reweighted Gram
-G_jl = sum_i r_i^(n_j + n_l) W_i(n_l - n_j) / (c_j c_l), with W_i the
-angular DFT of the weights on circle i, costs one real FFT of the weights
-plus O(n_r D^2) work.
+per radius, and the reweighted Gram G_jl = sum_i r_i^(n_j + n_l)
+W_i(n_l - n_j) / (c_j c_l), with W_i the angular DFT of the weights on
+circle i, costs one real FFT of the weights plus O(n_r D^2) work.
 
 Each iteration takes one power of |u|^2 + eps on the grid: the line search
 keeps (|u|^2 + eps)^(p/2) of the accepted point, and the next IRLS weights
-are that over |u|^2 + eps.  The grid-sized arrays of a descent are
+are w times that over |u|^2 + eps.  The grid-sized arrays of a descent are
 overwritten in place; an iteration allocates none.
 
 The continuation runs on two grids (grid sequencing, or nested iteration).
 Every solve but that p = 2 return runs every smoothing stage but the last
 two on a quarter-resolution grid of the same domain, starting from the given
-start projected onto that grid's feasible slice, or else from that grid's
-own weighted least-squares solution; the raw coefficients then move to the
-requested grid, which runs the last two stages.  The heavily smoothed stages
-are over-resolved by the requested grid; the coarse stages only supply a
-start, so the drift test, the stationarity residual, the objective and
+start projected onto the feasible slice, or else from that grid's weighted
+least-squares solution; its t then carries over unchanged to the requested
+grid, which runs the last two stages.  The heavily smoothed stages are
+over-resolved by the requested grid; the coarse stages only supply a start,
+so the drift test, the stationarity residual, the objective and
 ``converged`` are all taken on the requested grid.  A solve whose quarter
 grid would have fewer than 16 radii or 32 angles runs every stage on the
 requested grid.
 
 What every solve on a grid shares is built once per grid and kept in a
 cache keyed weakly by the grid, so it lives exactly as long as the grid: the
-coarse rule, one separable basis per (exponents, p), which is read-only, and
-a pool of grid-buffer sets.  A solve borrows one buffer set per grid level
+coarse rule, one separable basis per basis spec, which is read-only, and a
+pool of grid-buffer sets.  A solve borrows one buffer set per grid level
 and returns it when it ends, so no two running solves share buffers.  A
 single descent is sequential; restarts and independent problems may run in
 parallel or nested, and problems and solutions are immutable.
@@ -56,7 +57,7 @@ import math
 import weakref
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
@@ -97,7 +98,7 @@ _MIN_COARSE_SHAPE = (16, 32)
 
 
 class InfeasibleConstraintsError(ValueError):
-    """Constraint rows are inconsistent or linearly dependent."""
+    """Constraint rows are linearly dependent."""
 
 
 def point_constraint(basis: BasisSpec, z: complex, value: complex = 1.0) -> tuple[np.ndarray, complex]:
@@ -124,17 +125,19 @@ def derivative_constraint(basis: BasisSpec, z: complex, value: complex = 1.0) ->
 class ExtremalProblem:
     """min ||f||_p over coefficients subject to complex linear constraints.
 
-    ``constraints`` is a sequence of (row, target) pairs; rows act on raw
-    monomial coefficients.  Rows must be linearly independent and fewer than
-    the basis dimension, so the feasible slice has positive dimension.
-    ``constraint_matrix`` and ``constraint_targets`` stack the rows and the
-    targets once, read-only.
+    ``constraints`` is a sequence of finite (row, target) pairs; the rows act
+    on raw monomial coefficients, are linearly independent and fewer than the
+    basis dimension.  ``constraint_matrix`` and ``constraint_targets``
+    stack them once, read-only.  ``feasible_slice`` is (a0, N) from one SVD
+    of the rows over ``basis.col_norms``, which also tests the rank: the
+    slice is a0 + N t in scaled coefficients, N with orthonormal columns.
     """
 
     basis: BasisSpec
     grid: QuadratureGrid
     p: float
     constraints: tuple[tuple[np.ndarray, complex], ...]
+    feasible_slice: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not 0 < self.p < math.inf:
@@ -153,8 +156,17 @@ class ExtremalProblem:
             raise ValueError(
                 f"{len(cons)} constraints leave no freedom in dimension {dim}"
             )
-        if np.linalg.matrix_rank(self.constraint_matrix) < len(cons):
+        C, b = self.constraint_matrix, self.constraint_targets
+        if not (np.isfinite(C).all() and np.isfinite(b).all()):
+            raise ValueError("constraint rows and targets must be finite")
+        U, sigma, Vh = np.linalg.svd(C / self.basis.col_norms)
+        if sigma[-1] <= sigma[0] * dim * np.finfo(float).eps:
             raise InfeasibleConstraintsError("constraint rows are linearly dependent")
+        a0 = Vh[: len(cons)].conj().T @ ((U.conj().T @ b) / sigma)
+        N = Vh[len(cons) :].conj().T
+        for part in (a0, N):
+            part.setflags(write=False)
+        object.__setattr__(self, "feasible_slice", (a0, N))
 
     @functools.cached_property
     def constraint_matrix(self) -> np.ndarray:
@@ -167,6 +179,15 @@ class ExtremalProblem:
         b = np.array([target for _, target in self.constraints])
         b.setflags(write=False)
         return b
+
+    def raw_from_t(self, t: np.ndarray) -> np.ndarray:
+        a0, N = self.feasible_slice
+        return (a0 + N @ t) / self.basis.col_norms
+
+    def t_from_raw(self, a_raw: np.ndarray) -> np.ndarray:
+        """t of the orthogonal projection of scaled ``a_raw`` onto the slice."""
+        a0, N = self.feasible_slice
+        return N.conj().T @ (np.asarray(a_raw, dtype=complex) * self.basis.col_norms - a0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,7 +215,8 @@ class Solution:
 
 
 class _SeparableBasis:
-    """The basis, scaled to unit p-norm columns, as an operator on a polar grid.
+    """The basis, columns scaled by ``BasisSpec.col_norms``, as an operator
+    on a polar grid.
 
     Column n of V at node (i, k) is r_i^n e^{i n theta_k} / c_n.  On the
     uniform angle grid every angular sum is an exact DFT, so grid values
@@ -205,23 +227,19 @@ class _SeparableBasis:
     ``col_norms``).
 
     An instance is read-only after construction and holds no scratch, so
-    one instance per (grid, exponents, p) serves every solve, nested and
+    one instance per (grid, basis spec) serves every solve, nested and
     concurrent ones included; the grid cache keeps it.  The scratch arrays
     come from the caller: ``values`` writes into a spectrum array and
     ``gram`` into a real-FFT array.
     """
 
-    def __init__(self, grid: QuadratureGrid, basis: BasisSpec, p: float):
+    def __init__(self, grid: QuadratureGrid, basis: BasisSpec):
         n = np.array(basis.exponents)
+        col_norms = basis.col_norms
         radii = grid.radii
         K = grid.angular_count
         self.shape = (grid.radial_count, K)
-        # |z^n|^p is constant on each circle, so the angular sum is exact
-        powers = radii[:, None] ** n[None, :]
-        self.col_norms = (
-            2.0 * math.pi * (grid.radial_weights @ powers**p)
-        ) ** (1.0 / p)
-        self.radial = powers / self.col_norms
+        self.radial = radii[:, None] ** n[None, :] / col_norms
         # occupied DFT bins; fold[j, b] sums the exponents that share bin b
         self.occupied, slot = np.unique(n % K, return_inverse=True)
         self._fold = (slot[:, None] == np.arange(self.occupied.size)).astype(float)
@@ -244,7 +262,7 @@ class _SeparableBasis:
         self._sum_index = n[:, None] + n[None, :] - 2 * n[0]
         self._lag_index = np.abs(lag)
         self._lag_conj = conj[self._lag_index] != (lag < 0)
-        top_scale = r_top**n / self.col_norms
+        top_scale = r_top**n / col_norms
         self._top_scale = top_scale[:, None] * top_scale[None, :]
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
@@ -318,35 +336,23 @@ class _GridCache:
     """The fixed parts of every solve on one grid, built on first use.
 
     It holds the grid's coarse rule (None when the grid is too small to
-    coarsen), one ``_SeparableBasis`` per (exponents, p), the IRLS weight
-    factor (p/2) w per p, and a pool of ``_Buffers``.  It keeps no reference
-    to its own grid, so its entry in ``_GRID_CACHES`` lives as long as the
-    grid does.
+    coarsen), one ``_SeparableBasis`` per basis spec, and a pool of
+    ``_Buffers``.  It keeps no reference to its own grid, so its entry in
+    ``_GRID_CACHES`` lives as long as the grid does.
     """
 
     def __init__(self, grid: QuadratureGrid):
         self.coarse_grid = _coarse_grid(grid)
         self._shape = (grid.radial_count, grid.angular_count)
-        self._bases: dict[tuple[tuple[int, ...], float], _SeparableBasis] = {}
-        self._half_pw: dict[float, np.ndarray] = {}
+        self._bases: dict[BasisSpec, _SeparableBasis] = {}
         self._free: list[_Buffers] = []
 
-    def basis(self, grid: QuadratureGrid, spec: BasisSpec, p: float) -> _SeparableBasis:
-        """The separable basis of ``spec`` at p on ``grid``, this cache's grid."""
-        key = (spec.exponents, p)
-        basis = self._bases.get(key)
+    def basis(self, grid: QuadratureGrid, spec: BasisSpec) -> _SeparableBasis:
+        """The separable basis of ``spec`` on ``grid``, this cache's grid."""
+        basis = self._bases.get(spec)
         if basis is None:
-            basis = self._bases.setdefault(key, _SeparableBasis(grid, spec, p))
+            basis = self._bases.setdefault(spec, _SeparableBasis(grid, spec))
         return basis
-
-    def half_pw(self, grid: QuadratureGrid, p: float) -> np.ndarray:
-        """(p/2) w for the weights w of ``grid``, this cache's grid."""
-        half_pw = self._half_pw.get(p)
-        if half_pw is None:
-            half_pw = (0.5 * p) * grid.weights
-            half_pw.setflags(write=False)
-            half_pw = self._half_pw.setdefault(p, half_pw)
-        return half_pw
 
     @contextmanager
     def lend(self) -> Iterator[_Buffers]:
@@ -376,12 +382,9 @@ def _grid_cache(grid: QuadratureGrid) -> _GridCache:
 
 def grid_values(problem: ExtremalProblem, coefficients: np.ndarray) -> np.ndarray:
     """Flat values on ``problem.grid`` of the series with raw coefficients."""
-    basis = _problem_basis(problem)
-    return basis.values(np.asarray(coefficients, dtype=complex) * basis.col_norms)
-
-
-def _problem_basis(problem: ExtremalProblem) -> _SeparableBasis:
-    return _grid_cache(problem.grid).basis(problem.grid, problem.basis, problem.p)
+    spec = problem.basis
+    basis = _grid_cache(problem.grid).basis(problem.grid, spec)
+    return basis.values(np.asarray(coefficients, dtype=complex) * spec.col_norms)
 
 
 # the LAPACK Cholesky factor and solve behind scipy.linalg.cho_factor and
@@ -391,10 +394,11 @@ _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=complex
 
 
 class _Workspace:
-    """Per-solve state on one grid: separable basis, constraint elimination,
-    grid buffers.
+    """Per-solve state on one grid: the separable basis, the problem's
+    feasible slice, grid buffers.
 
-    The basis and the weight factor (p/2) w come from the grid's cache.  The
+    The basis comes from the grid's cache and the slice (a0, N) from the
+    problem, so every grid of a solve works in the same coordinates t.  The
     grid-sized arrays of the descent are a buffer set lent by that cache for
     the solve and overwritten in place: the current values ``u`` with
     ``base`` = |u|^2 + eps and ``terms`` = base^(p/2), the same three at the
@@ -405,30 +409,11 @@ class _Workspace:
     """
 
     def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid, buffers: _Buffers):
-        cache = _grid_cache(grid)
         self.w = grid.weights
         self.p = problem.p
-        self.basis = cache.basis(grid, problem.basis, problem.p)
-        self.col_norms = self.basis.col_norms
+        self.basis = _grid_cache(grid).basis(grid, problem.basis)
+        self.a0, self.N = problem.feasible_slice
         self.cholesky_fallbacks = 0
-
-        C_raw = problem.constraint_matrix
-        b = problem.constraint_targets
-        self.C_raw = C_raw
-        self.b = b
-        Cs = C_raw / self.col_norms[None, :]
-
-        a0, *_ = np.linalg.lstsq(Cs, b, rcond=None)
-        residual = np.linalg.norm(Cs @ a0 - b)
-        if residual > 1e-8 * (1.0 + np.linalg.norm(b)):
-            raise InfeasibleConstraintsError(
-                f"constraints are inconsistent (residual {residual:.3e})"
-            )
-        N = scipy.linalg.null_space(Cs)
-        if N.shape[1] != problem.basis.dimension - len(problem.constraints):
-            raise InfeasibleConstraintsError("constraint rows are linearly dependent")
-        self.a0 = a0
-        self.N = N
 
         self.u, self.u_try, self.du = buffers.u, buffers.u_try, buffers.du
         self.base, self.base_try = buffers.base, buffers.base_try
@@ -436,20 +421,6 @@ class _Workspace:
         self.omega = buffers.omega
         self._rfft = buffers.rfft
         self._spectrum = buffers.spectrum_for(self.basis)
-        self._half_pw = cache.half_pw(grid, self.p)
-
-    def raw_from_t(self, t: np.ndarray) -> np.ndarray:
-        return (self.a0 + self.N @ t) / self.col_norms
-
-    def t_from_raw(self, a_raw: np.ndarray) -> np.ndarray:
-        return self.N.conj().T @ (a_raw * self.col_norms - self.a0)
-
-    def start(self, start: np.ndarray | None) -> np.ndarray:
-        """t of the raw coefficients ``start`` projected onto the feasible
-        slice, or without one the weighted least-squares point."""
-        if start is None:
-            return self.least_squares()[0]
-        return self.t_from_raw(np.asarray(start, dtype=complex))
 
     def least_squares(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The weighted least-squares point t (the p = 2 minimizer), A, rhs."""
@@ -518,9 +489,10 @@ class _Workspace:
         self.terms, self.terms_try = self.terms_try, self.terms
 
     def irls_weights(self) -> np.ndarray:
-        """omega = (p/2) w base^(p/2 - 1) at ``u``, as (p/2) w terms / base."""
+        """omega = w base^(p/2 - 1) at ``u``, as w terms / base; the gradient
+        in t of the smoothed objective is p (A t - rhs) for these weights."""
         np.divide(self.terms, self.base, out=self.omega)
-        self.omega *= self._half_pw
+        self.omega *= self.w
         return self.omega
 
     def raw_objective(self) -> float:
@@ -570,7 +542,7 @@ def _irls_stage(ws: _Workspace, t, phi, eps):
         t_new = ws.weighted_solve(A, rhs)
         delta = t_new - t
         grad_t = A @ t - rhs
-        descent = 2.0 * float(np.real(np.vdot(grad_t, delta)))
+        descent = ws.p * float(np.real(np.vdot(grad_t, delta)))
         if descent >= 0.0:
             stagnated = True  # at a stationary point up to rounding
             break
@@ -605,7 +577,8 @@ def _coarse_grid(grid: QuadratureGrid) -> QuadratureGrid | None:
 
 
 def _descend(ws: _Workspace, t, schedule):
-    """Run the smoothing stages ``schedule`` from t on the grid of ``ws``.
+    """Run the smoothing stages ``schedule`` on the grid of ``ws`` from t, or
+    from the grid's weighted least-squares point when t is None.
 
     Returns (t, iterations, stagnated, raw): ``stagnated`` holds when every
     stage stagnated, and ``raw`` lists the raw objective after each stage
@@ -613,6 +586,8 @@ def _descend(ws: _Workspace, t, schedule):
     drift test and the reported objective read.
     """
     tail = SMOOTHING_SCHEDULE[-2:]
+    if t is None:
+        t = ws.least_squares()[0]
     phi = ws.set_point(t, schedule[0])
     raw = []
     iterations = 0
@@ -655,16 +630,12 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
             raw = [ws.raw_objective()]
             iterations, converged = 0, True
         else:
+            t = None if start is None else problem.t_from_raw(start)
             coarse_grid = _grid_cache(problem.grid).coarse_grid
-            if coarse_grid is None:
-                t = ws.start(start)
-            else:
+            if coarse_grid is not None:
                 with _workspace(problem, coarse_grid) as cws:
-                    t, coarse_iterations, _, _ = _descend(
-                        cws, cws.start(start), schedule[:-2]
-                    )
+                    t, coarse_iterations, _, _ = _descend(cws, t, schedule[:-2])
                     coarse_fallbacks = cws.cholesky_fallbacks
-                    t = ws.t_from_raw(cws.raw_from_t(t))
                 schedule = schedule[-2:]
             t, iterations, stagnated, raw = _descend(ws, t, schedule)
             iterations += coarse_iterations
@@ -673,10 +644,11 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
             converged = stagnated and settled
             # ws holds the final point under the last eps
             A, rhs = ws.reduced_system(ws.irls_weights())
-        a_raw = ws.raw_from_t(t)
-        feasibility = float(np.max(np.abs(ws.C_raw @ a_raw - ws.b)))
-        stationarity = float(np.linalg.norm(2.0 * (A @ t - rhs)))
         fallbacks = ws.cholesky_fallbacks + coarse_fallbacks
+    a_raw = problem.raw_from_t(t)
+    residual = problem.constraint_matrix @ a_raw - problem.constraint_targets
+    feasibility = float(np.max(np.abs(residual)))
+    stationarity = float(np.linalg.norm(problem.p * (A @ t - rhs)))
     return Solution(
         coeffs=CoeffVector(problem.basis, a_raw),
         objective=raw[-1] ** (1.0 / problem.p),

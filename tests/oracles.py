@@ -3,8 +3,9 @@
 Deliberately disjoint from the solve path: the least-norm oracle assembles
 the raw Gram KKT system, the KKT-residual oracle projects the gradient of
 ||f||_p^p, taken on the dense quadrature matrix, onto the constraint null
-space, the metric oracle runs a derivative-free simplex search, and the
-disk- and annulus-kernel oracles are the classical closed forms.  For
+space, the metric oracle runs a derivative-free simplex search, the
+disk- and annulus-kernel oracles are the classical closed forms, and
+``monomial_lp_norm`` integrates |z^n|^p in extended precision.  For
 lacunary series, ``dense_lp`` sums |f|^p over whole circles without the
 tiled evaluator, and ``lacunary_l4`` is the grid-free integral of |f|^4.
 ``write_series_csv`` writes the series files the command line reads.
@@ -14,6 +15,7 @@ import csv
 import math
 from itertools import product
 
+import mpmath
 import numpy as np
 import scipy.linalg
 import scipy.optimize
@@ -65,6 +67,23 @@ def kkt_residual(problem, coefficients):
     grad = V.conj().T @ (grid.weights * p * c)
     N = scipy.linalg.null_space(problem.constraint_matrix)
     return float(np.linalg.norm(N.conj().T @ grad))
+
+
+def monomial_lp_norm(domain, n, p):
+    """||z^n||_p on ``domain``: the p-th root of 2 pi times the integral of
+    r^(np + 1) over the radii, by mpmath quadrature at 30 digits.
+
+    The integral is taken in x = log r, where the integrand e^((np + 2) x) is
+    smooth, so the singularity of a pole term at r = 0 becomes a decaying
+    tail over an infinite interval.
+    """
+    with mpmath.workdps(30):
+        p = mpmath.mpf(p)
+        lo = mpmath.log(domain.inner_radius) if domain.inner_radius > 0 else -mpmath.inf
+        radial = mpmath.quad(
+            lambda x: mpmath.exp((n * p + 2) * x), [lo, mpmath.log(domain.outer_radius)]
+        )
+        return float((2 * mpmath.pi * radial) ** (1 / p))
 
 
 def disk_kernel(z, w):

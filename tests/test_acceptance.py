@@ -194,7 +194,7 @@ def test_a8_solver_certificates(unit_disk, disk_grid, smoothed_objectives):
             objs.append(minimize_pnorm(prob).objective)
         nested_ok &= all(b <= a * (1 + 1e-9) for a, b in zip(objs, objs[1:]))
 
-    # the line-search gradient 2 (A t - rhs) against central differences of
+    # the line-search gradient p (A t - rhs) against central differences of
     # the smoothed objective at 50 random feasible points
     basis = pb.Setup(unit_disk, degree=8, grid=disk_grid).basis(2.6)
     prob = ExtremalProblem(basis, disk_grid, 2.6, (point_constraint(basis, 0.2, 1.0),))
@@ -202,13 +202,13 @@ def test_a8_solver_certificates(unit_disk, disk_grid, smoothed_objectives):
     h = 1e-6
     worst_grad = 0.0
     with solver._workspace(prob, disk_grid) as ws:
-        t_feasible = ws.start(feasible)
+        t_feasible = prob.t_from_raw(feasible)
         size = t_feasible.size
         for _ in range(50):
             t = t_feasible + 0.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
             ws.set_point(t, 1e-4)
             A, rhs = ws.reduced_system(ws.irls_weights())
-            grad = 2.0 * (A @ t - rhs)
+            grad = prob.p * (A @ t - rhs)
             d = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             d /= np.linalg.norm(d)
             fd = (ws.set_point(t + h * d, 1e-4) - ws.set_point(t - h * d, 1e-4)) / (2 * h)

@@ -353,9 +353,19 @@ def test_limit_rejects_bad_seed_and_restarts(capsys, flag):
         (["kernel", "--p", "nan", "--z", "0"], "finite"),
         (["kernel", "--p", "inf", "--z", "0"], "finite"),
         (["kernel", "--p", "2", "--z", "0.999", "--margin", "nan"], "margin"),
+        (["metric", "--p", "2", "--z", "0", "--direction", "nan"], "direction X must be finite"),
+        (["metric", "--p", "2", "--z", "0", "--direction", "inf"], "direction X must be finite"),
+        (["levi", "--p", "2", "--step", "nan"], "step must be positive and finite"),
+        (["levi", "--p", "2", "--step", "inf"], "step must be positive and finite"),
+        (["levi", "--p", "2", "--direction", "nan"], "direction X must be finite"),
+        (["levi", "--p", "2", "--direction", "0"], "direction X must be finite and nonzero"),
+        (["holder", "--p", "1.5", "--radii", "nan,0.01"], "radii must be positive and finite"),
+        (["holder", "--p", "1.5", "--radii", "inf,0.01"], "radii must be positive and finite"),
     ],
     ids=["kernel-p", "kernel-z", "levi-p", "holder-directions", "limit-margin", "tol",
-         "kernel-p-nan", "kernel-p-inf", "kernel-margin-nan"],
+         "kernel-p-nan", "kernel-p-inf", "kernel-margin-nan", "metric-direction-nan",
+         "metric-direction-inf", "levi-step-nan", "levi-step-inf", "levi-direction-nan",
+         "levi-direction-zero", "holder-radii-nan", "holder-radii-inf"],
 )
 def test_bad_arguments_exit_one_before_solving(capsys, monkeypatch, argv, cause):
     # None in place of the solvers: any solve raises TypeError and fails the test
@@ -364,6 +374,26 @@ def test_bad_arguments_exit_one_before_solving(capsys, monkeypatch, argv, cause)
     code, out, err = _run(capsys, argv + ["--degree", "6"])
     assert (code, out) == (1, "")
     assert cause in err
+
+
+def test_grid_default_follows_the_kernel_constant(capsys, monkeypatch):
+    # the --grid default and its help text come from kernel.DEFAULT_GRID_SHAPE
+    argv = ["kernel", "--p", "2", "--z", "0"]
+    assert cli.build_parser().parse_args(argv).grid == "128x256"
+    monkeypatch.setattr(kernel, "DEFAULT_GRID_SHAPE", (64, 96))
+    cli.build_parser.cache_clear()
+    try:
+        assert cli.build_parser().parse_args(argv).grid == "64x96"
+        code, out, _ = _run(capsys, ["kernel", "--help"])
+        assert code == 0 and "default 64x96;" in " ".join(out.split())
+    finally:
+        cli.build_parser.cache_clear()
+
+
+def test_default_grid_config_echo(capsys):
+    code, out, _ = _run(capsys, ["kernel", "--p", "2", "--z", "0", "--degree", "6"])
+    assert code == 0
+    assert '\n    "grid": "128x256",\n' in out
 
 
 def test_output_dir_env(capsys, tmp_path, monkeypatch):

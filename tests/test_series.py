@@ -13,12 +13,48 @@ from pbergman.series import (
 )
 from pbergman.solver import derivative_constraint
 
-from oracles import lp_norm
+from oracles import lp_norm, monomial_lp_norm
 
 
 def _derivative(basis, coefficients, z):
     # f'(z) through the constraint row the B_p solve imposes
     return derivative_constraint(basis, z)[0] @ np.asarray(coefficients, dtype=complex)
+
+
+@pytest.mark.parametrize(
+    "spec,p,exponents",
+    [
+        ("disk:2.5", 1.5, (0, 1, 7, 24)),
+        ("disk:0.4", 3.0, (0, 2, 16)),
+        ("annulus:0.5,1", 2.0, (-24, -2, -1, 0, 3, 24)),  # n = -1: the log case
+        ("annulus:0.5,1", 1.0, (-3, -2, -1, 0, 5)),  # n = -2: the log case
+        ("annulus:1.5,2", 1.7, (-12, 0, 12)),
+        ("punctured:1", 1.9, (-1, 0, 4)),
+        ("punctured:1.6", 1.9, (-1, 0, 4)),
+    ],
+    ids=["disk-R2.5", "disk-R0.4", "annulus-p2", "annulus-p1", "annulus-wide",
+         "punctured", "punctured-R1.6"],
+)
+def test_col_norms_match_quadrature_oracle(spec, p, exponents):
+    basis = BasisSpec(exponents, pb.parse_domain(spec), p)
+    want = np.array([monomial_lp_norm(basis.domain, n, p) for n in exponents])
+    assert np.all(np.abs(basis.col_norms - want) <= 1e-14 * want)
+    assert not basis.col_norms.flags.writeable
+
+
+@pytest.mark.parametrize("spec", ["disk:1000", "disk:0.001"])
+def test_col_norms_outside_double_range_rejected(spec):
+    basis = BasisSpec(tuple(range(49)), pb.parse_domain(spec), 8.0)
+    with pytest.raises(ValueError, match="double range"):
+        basis.col_norms
+
+
+def test_pole_col_norm_closed_form():
+    # ||z^-k||_p^p = 2 pi R^(2 - kp) / (2 - kp) on the punctured disk of radius R
+    R, p = 1.6, 1.9
+    basis = BasisSpec((-1, 0), pb.Domain("punctured_disk", R), p)
+    want = 2.0 * math.pi * R ** (2.0 - p) / (2.0 - p)
+    assert abs(basis.col_norms[0] ** p - want) <= 1e-13 * want
 
 
 def test_admissible_on_disk(unit_disk):

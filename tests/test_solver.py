@@ -7,6 +7,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -51,10 +52,8 @@ def test_separable_basis_matches_dense_vandermonde(spec, shape, n_min):
     domain = pb.parse_domain(spec)
     grid = pb.build_grid(domain, *shape)
     basis = BasisSpec(tuple(range(n_min, 25)), domain, p)
-    sep = _SeparableBasis(grid, basis, p)
-    V = vandermonde(grid, basis.exponents)
-    col_norms = (grid.weights @ np.abs(V) ** p) ** (1.0 / p)
-    Vs = V / col_norms
+    sep = _SeparableBasis(grid, basis)
+    Vs = vandermonde(grid, basis.exponents) / basis.col_norms
 
     def rel(got, want):
         return np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -62,7 +61,6 @@ def test_separable_basis_matches_dense_vandermonde(spec, shape, n_min):
     rng = np.random.default_rng(5)
     a = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
     omega = grid.weights * rng.uniform(0.1, 2.0, grid.nodes.size)
-    assert rel(sep.col_norms, col_norms) <= 1e-13
     assert rel(sep.values(a), Vs @ a) <= 1e-13
     buf = np.empty(grid.nodes.size, dtype=complex)
     assert sep.values(a, out=buf) is buf
@@ -108,7 +106,7 @@ def _single_grid(prob):
         )
     drift = abs(raw[-1] - raw[-2])
     settled = drift <= solver._DRIFT_TOL * raw[-1]
-    a_raw = ws.raw_from_t(t)
+    a_raw = prob.raw_from_t(t)
     return SimpleNamespace(
         objective=raw[-1] ** (1.0 / prob.p),
         converged=stagnated and settled,
@@ -470,7 +468,7 @@ def test_nested_basis_monotonicity(unit_disk, disk_grid, p):
 
 @pytest.mark.parametrize("p", [1.3, 2.0, 3.5])
 def test_smoothed_gradient_matches_finite_differences(unit_disk, disk_grid, p):
-    # the gradient the line search takes, 2 (A t - rhs) at the IRLS weights
+    # the gradient the line search takes, p (A t - rhs) at the IRLS weights
     # of t, against central differences of the smoothed objective
     rng = np.random.default_rng(42)
     basis = _basis(unit_disk, p, 6)
@@ -480,13 +478,13 @@ def test_smoothed_gradient_matches_finite_differences(unit_disk, disk_grid, p):
     base = minimize_pnorm(prob).coeffs.coefficients
     h = 1e-6
     with solver._workspace(prob, disk_grid) as ws:
-        t_base = ws.start(base)
+        t_base = prob.t_from_raw(base)
         size = t_base.size
         for _ in range(8):
             t = t_base + 0.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
             ws.set_point(t, 1e-4)
             A, rhs = ws.reduced_system(ws.irls_weights())
-            grad = 2.0 * (A @ t - rhs)
+            grad = p * (A @ t - rhs)
             d = rng.standard_normal(size) + 1j * rng.standard_normal(size)
             d /= np.linalg.norm(d)
             fd = (ws.set_point(t + h * d, 1e-4) - ws.set_point(t - h * d, 1e-4)) / (2 * h)
@@ -555,6 +553,77 @@ def test_dependent_constraints_rejected(unit_disk, disk_grid):
     row, _ = point_constraint(basis, 0.3, 1.0)
     with pytest.raises(InfeasibleConstraintsError):
         ExtremalProblem(basis, disk_grid, 2.0, ((row, 1.0), (row, 2.0)))
+
+
+@pytest.mark.parametrize(
+    "entry,target",
+    [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, complex(0.0, math.inf))],
+    ids=["row-nan", "row-inf", "target-nan", "target-inf"],
+)
+def test_non_finite_constraints_rejected(unit_disk, disk_grid, entry, target):
+    basis = _basis(unit_disk, 2.0, 6)
+    row = np.ones(basis.dimension, dtype=complex)
+    row[2] = entry
+    with pytest.raises(ValueError, match="must be finite"):
+        ExtremalProblem(basis, disk_grid, 2.0, ((row, target),))
+
+
+def test_one_svd_per_problem(unit_disk, disk_grid, monkeypatch):
+    # the feasible slice is built once, when the problem is, and every solve
+    # of the problem, on either grid, multistart restarts included, reuses it
+    calls = []
+
+    def spied(svd):
+        def wrapped(*args, **kwargs):
+            calls.append(svd)
+            return svd(*args, **kwargs)
+
+        return wrapped
+
+    # the public names and the module globals that matrix_rank and null_space call
+    for module in (np.linalg, np.linalg._linalg):
+        monkeypatch.setattr(module, "svd", spied(np.linalg.svd))
+    for module in (scipy.linalg, scipy.linalg._decomp_svd):
+        monkeypatch.setattr(module, "svd", spied(scipy.linalg.svd))
+    prob = _problem(
+        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4 + 0.1j, 1.0),)
+    )
+    assert len(calls) == 1
+    sol = minimize_pnorm(prob)
+    assert sol.coarse_iterations > 0
+    minimize_pnorm(prob, start=sol.coeffs.coefficients)
+    assert len(calls) == 1
+    below_one = replace(prob, p=0.9)
+    assert len(calls) == 2
+    multistart_minimize(below_one, restarts=3, seed=0)
+    assert len(calls) == 3  # the problem at p = 1 that seeds the restarts
+
+
+def test_grid_levels_share_the_feasible_slice(unit_disk, disk_grid, monkeypatch):
+    prob = _problem(
+        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4 + 0.1j, 1.0),)
+    )
+    seen = []
+    init = solver._Workspace.__init__
+
+    def spied_init(ws, problem, grid, buffers):
+        init(ws, problem, grid, buffers)
+        seen.append((grid, ws.a0, ws.N))
+
+    monkeypatch.setattr(solver._Workspace, "__init__", spied_init)
+    sol = minimize_pnorm(prob)
+    a0, N = prob.feasible_slice
+    assert [grid.weights.size for grid, _, _ in seen] == [
+        disk_grid.weights.size, disk_grid.weights.size // 16
+    ]
+    assert all(ws_a0 is a0 and ws_N is N for _, ws_a0, ws_N in seen)
+    assert not (a0.flags.writeable or N.flags.writeable)
+    # N is orthonormal, a0 orthogonal to it, and t round-trips through raw coefficients
+    assert np.allclose(N.conj().T @ N, np.eye(N.shape[1]), rtol=0, atol=1e-14)
+    assert np.max(np.abs(N.conj().T @ a0)) <= 1e-15
+    a = sol.coeffs.coefficients
+    back = prob.raw_from_t(prob.t_from_raw(a))
+    assert np.max(np.abs(back - a)) <= 1e-14 * np.max(np.abs(a))
 
 
 def test_too_many_constraints_rejected(unit_disk, disk_grid):
