@@ -6,12 +6,17 @@ null-space basis), so every iterate is feasible to rounding; the problem
 takes that elimination once, from one SVD, and every grid of a solve shares
 its coordinates t.  The non-smooth objective sum_i w_i |f(z_i)|^p is
 replaced by sum_i w_i (|f(z_i)|^2 + eps)^(p/2) with eps driven down the
-fixed ``SMOOTHING_SCHEDULE``; each stage runs iteratively reweighted least
-squares with a backtracking line search, so the smoothed objective never
-rises within a grid: each accepted step lowers it, and so does each smaller
-eps at a fixed iterate.  At p = 2 the weighted least-squares start is the
-exact minimizer, so a p = 2 solve without a given start returns it with no
-iterations.
+fixed ``SMOOTHING_SCHEDULE``.  Each stage iterates the iteratively
+reweighted least-squares (IRLS) map with Anderson acceleration of depth
+``_ANDERSON_DEPTH``: an iteration first tries the extrapolated candidate at
+full step and keeps it only if it passes the Armijo test of the plain step,
+and otherwise backtracks along the plain IRLS step.  So the smoothed
+objective never rises within a grid: each accepted step lowers it, and so
+does each smaller eps at a fixed iterate.  At p = 2 the weighted
+least-squares start is the exact minimizer, so a p = 2 solve without a
+given start returns it with no iterations and no pass over the grid: its
+system and its objective, the quadratic form a^H G a, come from the Gram G
+of the grid weights, which the grid cache builds once per basis.
 
 Basis columns are pre-scaled by their p-norms on the domain
 (``BasisSpec.col_norms``); reported coefficients are raw monomial ones.
@@ -24,9 +29,9 @@ per radius, and the reweighted Gram G_jl = sum_i r_i^(n_j + n_l)
 W_i(n_l - n_j) / (c_j c_l), with W_i the angular DFT of the weights on
 circle i, costs one real FFT of the weights plus O(n_r D^2) work.
 
-Each iteration takes one power of |u|^2 + eps on the grid: the line search
-keeps (|u|^2 + eps)^(p/2) of the accepted point, and the next IRLS weights
-are w times that over |u|^2 + eps.  The grid-sized arrays of a descent are
+Each line-search trial takes one power of |u|^2 + eps on the grid, and the
+accepted trial keeps (|u|^2 + eps)^(p/2), so the next IRLS weights are w
+times that over |u|^2 + eps.  The grid-sized arrays of a descent are
 overwritten in place; an iteration allocates none.
 
 The continuation runs on two grids (grid sequencing, or nested iteration).
@@ -43,11 +48,12 @@ requested grid.
 
 What every solve on a grid shares is built once per grid and kept in a
 cache keyed weakly by the grid, so it lives exactly as long as the grid: the
-coarse rule, one separable basis per basis spec, which is read-only, and a
-pool of grid-buffer sets.  A solve borrows one buffer set per grid level
-and returns it when it ends, so no two running solves share buffers.  A
-single descent is sequential; restarts and independent problems may run in
-parallel or nested, and problems and solutions are immutable.
+coarse rule, one separable basis per basis spec with its Gram under the
+grid weights, both read-only, and a pool of grid-buffer sets.  A solve
+borrows one buffer set per grid level and returns it when it ends, so no two
+running solves share buffers.  A single descent is sequential; restarts and
+independent problems may run in parallel or nested, and problems and
+solutions are immutable.
 """
 
 from __future__ import annotations
@@ -81,15 +87,21 @@ __all__ = [
 SMOOTHING_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 
 # A stage stops when one step lowers the smoothed objective by at most
-# _TOLERANCE relative, or after _MAX_ITERATIONS steps; a solve converges only
-# if the raw objective after the last two stages differs by at most
-# _DRIFT_TOL relative.
+# _TOLERANCE relative, before a step whose predicted decrease is at most
+# _ROUNDING relative (what the grid sum of the objective cannot resolve), or
+# after _MAX_ITERATIONS steps; a solve converges only if the raw objective
+# after the last two stages differs by at most _DRIFT_TOL relative.
 _TOLERANCE = 1e-10
+_ROUNDING = 1e-15
 _MAX_ITERATIONS = 200
 _DRIFT_TOL = 1e-8
 
 _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 40
+
+# an IRLS stage extrapolates from this many differences of its last points
+# (1 or 2: ``_anderson`` solves its normal equations in closed form)
+_ANDERSON_DEPTH = 2
 
 # the early stages run on a grid this many times coarser in each direction,
 # unless that leaves fewer radii or angles than the minimum
@@ -201,7 +213,8 @@ class Solution:
     ``coarse_iterations`` the share taken on the quarter-resolution grid.
     ``cholesky_fallbacks`` counts the weighted least-squares solves, on
     either grid, whose matrix failed Cholesky factorization and were solved
-    by ``lstsq`` instead.
+    by ``lstsq`` instead.  ``anderson_steps`` counts the accepted steps, on
+    either grid, that took the Anderson candidate.
     """
 
     coeffs: CoeffVector
@@ -212,6 +225,7 @@ class Solution:
     coarse_iterations: int
     converged: bool
     cholesky_fallbacks: int
+    anderson_steps: int
 
 
 class _SeparableBasis:
@@ -336,15 +350,17 @@ class _GridCache:
     """The fixed parts of every solve on one grid, built on first use.
 
     It holds the grid's coarse rule (None when the grid is too small to
-    coarsen), one ``_SeparableBasis`` per basis spec, and a pool of
-    ``_Buffers``.  It keeps no reference to its own grid, so its entry in
-    ``_GRID_CACHES`` lives as long as the grid does.
+    coarsen), one ``_SeparableBasis`` per basis spec with the read-only Gram
+    of that basis under the grid weights, and a pool of ``_Buffers``.  It
+    keeps no reference to its own grid, so its entry in ``_GRID_CACHES``
+    lives as long as the grid does.
     """
 
     def __init__(self, grid: QuadratureGrid):
         self.coarse_grid = _coarse_grid(grid)
         self._shape = (grid.radial_count, grid.angular_count)
         self._bases: dict[BasisSpec, _SeparableBasis] = {}
+        self._grams: dict[BasisSpec, np.ndarray] = {}
         self._free: list[_Buffers] = []
 
     def basis(self, grid: QuadratureGrid, spec: BasisSpec) -> _SeparableBasis:
@@ -353,6 +369,15 @@ class _GridCache:
         if basis is None:
             basis = self._bases.setdefault(spec, _SeparableBasis(grid, spec))
         return basis
+
+    def weight_gram(self, grid: QuadratureGrid, spec: BasisSpec) -> np.ndarray:
+        """V^H diag(w) V for the basis of ``spec`` and the weights w of ``grid``."""
+        gram = self._grams.get(spec)
+        if gram is None:
+            gram = self.basis(grid, spec).gram(grid.weights)
+            gram.setflags(write=False)
+            gram = self._grams.setdefault(spec, gram)
+        return gram
 
     @contextmanager
     def lend(self) -> Iterator[_Buffers]:
@@ -409,11 +434,14 @@ class _Workspace:
     """
 
     def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid, buffers: _Buffers):
+        self.grid = grid
         self.w = grid.weights
         self.p = problem.p
+        self.spec = problem.basis
         self.basis = _grid_cache(grid).basis(grid, problem.basis)
         self.a0, self.N = problem.feasible_slice
         self.cholesky_fallbacks = 0
+        self.anderson_steps = 0
 
         self.u, self.u_try, self.du = buffers.u, buffers.u_try, buffers.du
         self.base, self.base_try = buffers.base, buffers.base_try
@@ -422,9 +450,13 @@ class _Workspace:
         self._rfft = buffers.rfft
         self._spectrum = buffers.spectrum_for(self.basis)
 
+    def weight_gram(self) -> np.ndarray:
+        """The grid cache's Gram of the basis under the grid weights w."""
+        return _grid_cache(self.grid).weight_gram(self.grid, self.spec)
+
     def least_squares(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The weighted least-squares point t (the p = 2 minimizer), A, rhs."""
-        A, rhs = self.reduced_system(self.w)
+        A, rhs = self._reduce(self.weight_gram())
         return self.weighted_solve(A, rhs), A, rhs
 
     def reduced_system(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -433,7 +465,9 @@ class _Workspace:
         A t - rhs is M^H diag(omega) u(t), with M = V N the map from t to
         the grid values u(t) = V (a0 + N t).
         """
-        G = self.basis.gram(omega, rfft_out=self._rfft)
+        return self._reduce(self.basis.gram(omega, rfft_out=self._rfft))
+
+    def _reduce(self, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         Nh = self.N.conj().T
         return Nh @ G @ self.N, -(Nh @ (G @ self.a0))
 
@@ -459,13 +493,9 @@ class _Workspace:
             raise ValueError(f"illegal value in argument {-info} of potrs")
         return x
 
-    def load(self, t: np.ndarray) -> None:
-        """Load the values of t into ``u``."""
-        self.basis.values(self.a0 + self.N @ t, out=self.u, spectrum=self._spectrum)
-
     def set_point(self, t: np.ndarray, eps: float) -> float:
         """Load the values of t into ``u``; returns the smoothed objective."""
-        self.load(t)
+        self.basis.values(self.a0 + self.N @ t, out=self.u, spectrum=self._spectrum)
         return self.set_eps(eps)
 
     def set_step(self, delta: np.ndarray) -> None:
@@ -529,6 +559,16 @@ def _irls_stage(ws: _Workspace, t, phi, eps):
     """One smoothing stage from t, whose values ``ws.u`` has ``ws.base`` and
     ``ws.terms`` filled under eps and smoothed objective phi.
 
+    The stage iterates the relaxed IRLS map g(t) = t + alpha0 (t_IRLS - t)
+    with Anderson acceleration: each iteration first tries, at full step,
+    the type-II candidate from the last ``_ANDERSON_DEPTH`` differences of g
+    and of f(t) = g(t) - t (Walker and Ni 2011), and keeps it only if it
+    meets the Armijo bound the plain step must meet at alpha0.  Otherwise the
+    plain step backtracks from alpha0 and the history keeps only the last
+    point.  The stage stagnates before a plain step whose predicted decrease
+    is at most ``_ROUNDING`` relative, after a step that lowers the objective
+    by at most ``_TOLERANCE`` relative, or when backtracking fails.
+
     Returns (t, iterations, stagnated); ``ws`` holds the final point.
     """
     iterations = 0
@@ -537,28 +577,40 @@ def _irls_stage(ws: _Workspace, t, phi, eps):
     # p - 1 along the radial direction; relaxing the step to 2/p restores a
     # uniform (p - 2)/p contraction instead of a slow Armijo zigzag.
     alpha0 = 1.0 if ws.p <= 2.0 else 2.0 / ws.p
+    history = []  # (g, f) at the last points of the stage, oldest first
     for _ in range(_MAX_ITERATIONS):
         A, rhs = ws.reduced_system(ws.irls_weights())
-        t_new = ws.weighted_solve(A, rhs)
-        delta = t_new - t
-        grad_t = A @ t - rhs
-        descent = ws.p * float(np.real(np.vdot(grad_t, delta)))
-        if descent >= 0.0:
-            stagnated = True  # at a stationary point up to rounding
+        delta = ws.weighted_solve(A, rhs) - t
+        descent = ws.p * float(np.real(np.vdot(A @ t - rhs, delta)))
+        if -descent <= _ROUNDING * phi:
+            stagnated = True  # the predicted decrease is at rounding level
             break
-        ws.set_step(delta)
-        alpha = alpha0
-        accepted = False
-        for _ in range(_MAX_BACKTRACKS):
-            phi_try = ws.trial(alpha, eps)
-            if phi_try <= phi + _ARMIJO * alpha * descent:
-                accepted = True
+        f = alpha0 * delta
+        history = history[-_ANDERSON_DEPTH:] + [(t + f, f)]
+        phi_try = math.inf
+        if len(history) > 1:
+            candidate = _anderson(history)
+            ws.set_step(candidate - t)
+            phi_try = ws.trial(1.0, eps)
+        # the Armijo bound of the plain step at alpha0
+        if phi_try <= phi + _ARMIJO * alpha0 * descent:
+            t = candidate
+            ws.anderson_steps += 1
+        else:
+            history = history[-1:]
+            ws.set_step(delta)
+            alpha = alpha0
+            accepted = False
+            for _ in range(_MAX_BACKTRACKS):
+                phi_try = ws.trial(alpha, eps)
+                if phi_try <= phi + _ARMIJO * alpha * descent:
+                    accepted = True
+                    break
+                alpha *= 0.5
+            if not accepted:
+                stagnated = True
                 break
-            alpha *= 0.5
-        if not accepted:
-            stagnated = True
-            break
-        t = t + alpha * delta
+            t = t + alpha * delta
         ws.accept()
         iterations += 1
         if phi - phi_try <= _TOLERANCE * max(phi_try, 1e-300):
@@ -566,6 +618,29 @@ def _irls_stage(ws: _Workspace, t, phi, eps):
             break
         phi = phi_try
     return t, iterations, stagnated
+
+
+def _anderson(history):
+    """The candidate g - sum_j gamma_j (g - g_j) from ``history``, pairs
+    (g_j, f_j) oldest first ending in (g, f), with gamma minimizing the real
+    norm of f - sum_j gamma_j (f - f_j); the newest difference alone is used
+    when the two are nearly parallel.  The 1x1 or 2x2 normal equations are
+    solved in floats.
+    """
+    (g, f), *older = history[::-1]
+    dg = [g - g_j for g_j, _ in older]
+    df = [f - f_j for _, f_j in older]
+    m00 = float(np.vdot(df[0], df[0]).real)
+    b0 = float(np.vdot(df[0], f).real)
+    if len(df) > 1:
+        m01 = float(np.vdot(df[0], df[1]).real)
+        m11 = float(np.vdot(df[1], df[1]).real)
+        b1 = float(np.vdot(df[1], f).real)
+        det = m00 * m11 - m01 * m01
+        if det > 1e-12 * m00 * m11:  # the differences are 1e-6 rad or more apart
+            gamma0, gamma1 = (b0 * m11 - b1 * m01) / det, (b1 * m00 - b0 * m01) / det
+            return g - gamma0 * dg[0] - gamma1 * dg[1]
+    return g - (b0 / m00) * dg[0] if m00 > 0.0 else g
 
 
 def _coarse_grid(grid: QuadratureGrid) -> QuadratureGrid | None:
@@ -620,14 +695,16 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
     ``converged``, never silently.
     """
     schedule = SMOOTHING_SCHEDULE
-    coarse_iterations = coarse_fallbacks = 0
+    coarse_iterations = coarse_fallbacks = coarse_anderson = 0
     with _workspace(problem, problem.grid) as ws:
         if start is None and ws.p == 2.0:
             # The least-squares start is the exact minimizer, and the p = 2
-            # IRLS weights equal w under every eps, so A and rhs are final.
+            # IRLS weights equal w under every eps, so A and rhs are final;
+            # the objective is the quadratic form of the cached Gram of w,
+            # so no grid pass runs.
             t, A, rhs = ws.least_squares()
-            ws.load(t)
-            raw = [ws.raw_objective()]
+            a = ws.a0 + ws.N @ t
+            raw = [float(np.vdot(a, ws.weight_gram() @ a).real)]
             iterations, converged = 0, True
         else:
             t = None if start is None else problem.t_from_raw(start)
@@ -636,6 +713,7 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
                 with _workspace(problem, coarse_grid) as cws:
                     t, coarse_iterations, _, _ = _descend(cws, t, schedule[:-2])
                     coarse_fallbacks = cws.cholesky_fallbacks
+                    coarse_anderson = cws.anderson_steps
                 schedule = schedule[-2:]
             t, iterations, stagnated, raw = _descend(ws, t, schedule)
             iterations += coarse_iterations
@@ -645,6 +723,7 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
             # ws holds the final point under the last eps
             A, rhs = ws.reduced_system(ws.irls_weights())
         fallbacks = ws.cholesky_fallbacks + coarse_fallbacks
+        anderson_steps = ws.anderson_steps + coarse_anderson
     a_raw = problem.raw_from_t(t)
     residual = problem.constraint_matrix @ a_raw - problem.constraint_targets
     feasibility = float(np.max(np.abs(residual)))
@@ -658,6 +737,7 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
         coarse_iterations=coarse_iterations,
         converged=converged,
         cholesky_fallbacks=fallbacks,
+        anderson_steps=anderson_steps,
     )
 
 
@@ -720,4 +800,5 @@ def solution_record(solution: Solution) -> dict:
         "coarse_iterations": solution.coarse_iterations,
         "converged": solution.converged,
         "cholesky_fallbacks": solution.cholesky_fallbacks,
+        "anderson_steps": solution.anderson_steps,
     }

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import pbergman as pb
 from pbergman import solver
+from pbergman.analysis import levi_metric_gap
 from pbergman.series import BasisSpec
 from pbergman.solver import (
     ExtremalProblem,
@@ -24,7 +25,7 @@ from pbergman.solver import (
     _SeparableBasis,
 )
 
-from oracles import kkt_residual, least_norm_coeffs, vandermonde
+from oracles import kkt_residual, least_norm_coeffs, lp_norm, vandermonde
 
 
 def _basis(domain, p, degree, n_min=None):
@@ -95,6 +96,48 @@ def test_p2_returns_least_squares_start(spec):
     assert abs(staged.objective - sol.objective) <= 1e-14 * sol.objective
     a = sol.coeffs.coefficients
     assert np.max(np.abs(staged.coeffs.coefficients - a)) <= 1e-14 * np.max(np.abs(a))
+
+
+@pytest.mark.parametrize(
+    "spec,n_min,z",
+    [("disk:1", None, 0.4 + 0.1j), ("annulus:0.5,1", None, 0.7), ("punctured:1", -1, 0.5j)],
+    ids=["disk", "annulus", "punctured"],
+)
+def test_p2_return_objective_is_the_grid_sum(spec, n_min, z):
+    # the p = 2 return reports the quadratic form of the cached Gram of w;
+    # it must be the quadrature norm of the returned series (annulus: D = 49)
+    domain = pb.parse_domain(spec)
+    grid = pb.build_grid(domain, 128, 256)
+    basis = _basis(domain, 2.0, 24, n_min)
+    prob = ExtremalProblem(basis, grid, 2.0, (point_constraint(basis, z, 1.0),))
+    sol = minimize_pnorm(prob)
+    assert sol.iterations == 0
+    values = vandermonde(grid, basis.exponents) @ sol.coeffs.coefficients
+    want = lp_norm(grid, values, 2.0)
+    assert abs(sol.objective - want) <= 1e-13 * want
+
+
+def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch):
+    # across the Levi stencil at p = 2 of two setups on one grid, no solve
+    # evaluates the series on the grid, and the Gram of the grid weights is
+    # built once for the one (grid, basis spec) pair
+    grid = pb.build_grid(unit_disk, 128, 256)
+    grams = []
+    gram = _SeparableBasis.gram
+
+    def spied_values(basis, *args, **kwargs):
+        pytest.fail("a p = 2 return evaluated the series on the grid")
+
+    def spied_gram(basis, omega, **kwargs):
+        grams.append(omega)
+        return gram(basis, omega, **kwargs)
+
+    monkeypatch.setattr(_SeparableBasis, "values", spied_values)
+    monkeypatch.setattr(_SeparableBasis, "gram", spied_gram)
+    for _ in range(2):
+        record = levi_metric_gap(pb.Setup(unit_disk, degree=8, grid=grid), 2.0)
+        assert record.converged
+    assert len(grams) == 1 and grams[0] is grid.weights
 
 
 def _single_grid(prob):
@@ -169,6 +212,20 @@ def test_coarse_level_taken_whenever_the_grid_allows(unit_disk):
     assert minimize_pnorm(large).coarse_iterations > 0
     started = minimize_pnorm(large, start=sol.coeffs.coefficients)
     assert 0 < started.coarse_iterations < started.iterations
+
+
+def test_boundary_point_at_degree_32_does_not_stall(unit_disk):
+    # at p = 1 the eps = 1e-6 stage on the 32 x 64 coarse rule used to crawl
+    # into the 200-step stage cap here (244 steps, 234 coarse)
+    basis = _basis(unit_disk, 1.0, 32)
+    z = 0.7 * complex(math.cos(0.3), math.sin(0.3))
+    prob = ExtremalProblem(
+        basis, pb.build_grid(unit_disk, 128, 256), 1.0, (point_constraint(basis, z, 1.0),)
+    )
+    two = minimize_pnorm(prob)
+    one = _single_grid(prob)
+    assert two.converged and two.iterations <= 60
+    assert abs(two.objective - one.objective) <= 1e-11 * one.objective
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
@@ -394,6 +451,17 @@ def test_cholesky_fallbacks_are_counted(unit_disk, disk_grid, monkeypatch):
     assert abs(sol.objective - clean.objective) <= 1e-8 * clean.objective
 
 
+def test_anderson_steps_are_counted(unit_disk, disk_grid):
+    prob = _problem(
+        unit_disk, disk_grid, 1.0, 24, lambda b: (point_constraint(b, 0.3 + 0.1j, 1.0),)
+    )
+    sol = minimize_pnorm(prob)
+    assert 0 < sol.anderson_steps <= sol.iterations
+    assert pb.solution_record(sol)["anderson_steps"] == sol.anderson_steps
+    # the disk closed form m_1 = pi (1 - |z|^2)^2
+    assert abs(sol.objective - math.pi * 0.81) <= 1e-12 * math.pi * 0.81
+
+
 def test_p4_metric_problem_monomial_minimizer(unit_disk, disk_grid):
     prob = _problem(
         unit_disk,
@@ -452,6 +520,38 @@ def test_descent_and_feasibility(unit_disk, disk_grid, p, smoothed_objectives):
     for values in smoothed_objectives.values():
         assert np.all(np.diff(values) <= 1e-14 * np.abs(values[1:]))
     assert sol.feasibility_residual <= 1e-10
+
+
+def test_no_line_search_at_rounding_level(unit_disk, disk_grid, monkeypatch):
+    # disk p = 3, degree 10, z = 0.45: the eps = 1e-10 stage once spent 22
+    # trials, each a pass over the grid, on a step whose predicted decrease
+    # the objective's sum cannot resolve
+    prob = _problem(
+        unit_disk, disk_grid, 3.0, 10, lambda b: (point_constraint(b, 0.45, 1.0),)
+    )
+    stages = []
+    stage, trial, accept = solver._irls_stage, solver._Workspace.trial, solver._Workspace.accept
+
+    def spied_stage(ws, *args):
+        stages.append({"trials": 0, "steps": 0})
+        return stage(ws, *args)
+
+    def spied_trial(ws, *args):
+        stages[-1]["trials"] += 1
+        return trial(ws, *args)
+
+    def spied_accept(ws):
+        stages[-1]["steps"] += 1
+        accept(ws)
+
+    monkeypatch.setattr(solver, "_irls_stage", spied_stage)
+    monkeypatch.setattr(solver._Workspace, "trial", spied_trial)
+    monkeypatch.setattr(solver._Workspace, "accept", spied_accept)
+    sol = minimize_pnorm(prob)
+    assert sol.converged
+    assert len(stages) == len(solver.SMOOTHING_SCHEDULE)
+    for counts in stages:
+        assert counts["trials"] <= 3 * max(counts["steps"], 1), stages
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -644,13 +744,14 @@ def test_p_outside_zero_to_infinity_rejected(unit_disk, disk_grid, p):
 
 
 def test_non_convergence_is_returned_not_raised(monkeypatch, unit_disk, disk_grid):
-    prob = _problem(
-        unit_disk, disk_grid, 1.3, 10, lambda b: (point_constraint(b, 0.5, 1.0),)
-    )
-    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 2)
-    sol = minimize_pnorm(prob)
-    assert not sol.converged
-    assert math.isfinite(sol.objective)
+    monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
+    for p in (1.0, 1.3):
+        prob = _problem(
+            unit_disk, disk_grid, p, 10, lambda b: (point_constraint(b, 0.5, 1.0),)
+        )
+        sol = minimize_pnorm(prob)
+        assert not sol.converged
+        assert math.isfinite(sol.objective)
 
 
 def test_multistart_validates_restarts_and_seed(unit_disk, disk_grid):
@@ -677,7 +778,9 @@ def test_solution_record_roundtrip(unit_disk, disk_grid):
         "coarse_iterations",
         "converged",
         "cholesky_fallbacks",
+        "anderson_steps",
     }
     assert record["coarse_iterations"] == 0
     assert record["cholesky_fallbacks"] == 0
+    assert record["anderson_steps"] == 0  # the p = 2 return takes no step
     assert record["converged"] is True
