@@ -182,11 +182,11 @@ def h_function(setup: Setup, p: float, z: complex, w: complex) -> float:
 
     Vanishes on the diagonal; symmetric in (z, w) exactly.
     """
-    at_z = mp_minimizer(setup, p, z)
-    at_w = mp_minimizer(setup, p, w)
-    k_zw = evaluate(at_w.minimizer.coeffs, complex(z)) * at_w.k_p
-    k_wz = evaluate(at_z.minimizer.coeffs, complex(w)) * at_z.k_p
-    return float(at_z.k_p + at_w.k_p - (k_zw + k_wz).real)
+    k_z = mp_minimizer(setup, p, z).k_p
+    k_w = mp_minimizer(setup, p, w).k_p
+    k_zw = offdiag_kernel(setup, p, z, w)
+    k_wz = offdiag_kernel(setup, p, w, z)
+    return float(k_z + k_w - (k_zw + k_wz).real)
 
 
 def metric_at(setup: Setup, p: float, z: complex, direction: complex = 1.0) -> MetricResult:

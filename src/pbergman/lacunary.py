@@ -57,6 +57,10 @@ __all__ = [
 # criterion alone is offered.
 LAMBDA_MAX_CAP = 2**20
 
+# The largest lambda_max the direct area integral takes: its rule gives the
+# outer circles up to 8 lambda_max angles each.
+_DIRECT_LAMBDA_MAX = 4096
+
 # A term is dead on a circle, and dropped there, once |a_k| r^lambda_k falls
 # below this fraction of the largest term on that circle, a tenth of the unit
 # roundoff.
@@ -206,12 +210,13 @@ def criterion_integral(series: LacunarySeries, p: float) -> float:
 
 
 def default_series_grid(series: LacunarySeries) -> QuadratureGrid:
-    """Unit-disk grid resolving |f|^p for this series (256 x 8*lambda_max)."""
+    """Unit-disk grid resolving |f|^p for this series (256 x 8*lambda_max),
+    for lambda_max up to the direct integral's limit of 4096."""
     lam = series.lambda_max
-    if lam > 4096:
+    if lam > _DIRECT_LAMBDA_MAX:
         raise ValueError(
-            "lambda_max above 4096 needs an explicitly chosen grid; "
-            "the default angular count 8*lambda_max would be prohibitive"
+            f"lambda_max {lam} is above {_DIRECT_LAMBDA_MAX}, the largest the "
+            "direct area integral takes (8*lambda_max angles per circle)"
         )
     return build_grid(Domain("disk", 1.0), 256, max(256, 8 * lam))
 
@@ -330,7 +335,8 @@ def direct_lp(series: LacunarySeries, p: float) -> float:
     |f|^p at zeros of f make the sum converge only algebraically, and the
     sized rule differs from the uniform 8 lambda_max one by up to 6e-7
     relative (p = 0.5, dyadic series up to lambda_max 4096).  The sum runs
-    circle by circle, so the flat grid arrays are never built.
+    circle by circle, so the flat grid arrays are never built.  A series
+    with lambda_max above 4096 raises ``ValueError``.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")

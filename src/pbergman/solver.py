@@ -16,7 +16,7 @@ does each smaller eps at a fixed iterate.  At p = 2 the weighted
 least-squares start is the exact minimizer, so a p = 2 solve without a
 given start returns it with no iterations and no pass over the grid: its
 system and its objective, the quadratic form a^H G a, come from the Gram G
-of the grid weights, which the grid cache builds once per basis.
+of the grid weights, which each basis builds once.
 
 Basis columns are pre-scaled by their p-norms on the domain
 (``BasisSpec.col_norms``); reported coefficients are raw monomial ones.
@@ -34,26 +34,28 @@ accepted trial keeps (|u|^2 + eps)^(p/2), so the next IRLS weights are w
 times that over |u|^2 + eps.  The grid-sized arrays of a descent are
 overwritten in place; an iteration allocates none.
 
-The continuation runs on two grids (grid sequencing, or nested iteration).
-Every solve but that p = 2 return runs every smoothing stage but the last
-two on a quarter-resolution grid of the same domain, starting from the given
-start projected onto the feasible slice, or else from that grid's weighted
-least-squares solution; its t then carries over unchanged to the requested
-grid, which runs the last two stages.  The heavily smoothed stages are
-over-resolved by the requested grid; the coarse stages only supply a start,
-so the drift test, the stationarity residual, the objective and
-``converged`` are all taken on the requested grid.  A solve whose quarter
-grid would have fewer than 16 radii or 32 angles runs every stage on the
-requested grid.
+The continuation runs on two grid levels (grid sequencing, or nested
+iteration).  Every solve but that p = 2 return first runs every smoothing
+stage but the last two to completion on a quarter-resolution grid of the
+same domain, starting from the given start projected onto the feasible
+slice, or else from that grid's weighted least-squares solution; its t then
+carries over unchanged to the requested grid, which runs the last two
+stages.  The heavily smoothed stages are over-resolved by the requested
+grid; the coarse stages only supply a start, so the drift test, the
+stationarity residual, the objective and ``converged`` are all taken on the
+requested grid.  A solve whose quarter grid would have fewer than 16 radii
+or 32 angles runs every stage on the requested grid.  Each level counts its
+own steps, Cholesky fallbacks and Anderson steps, and the solution reports
+their totals.
 
 What every solve on a grid shares is built once per grid and kept in a
 cache keyed weakly by the grid, so it lives exactly as long as the grid: the
-coarse rule, one separable basis per basis spec with its Gram under the
-grid weights, both read-only, and a pool of grid-buffer sets.  A solve
-borrows one buffer set per grid level and returns it when it ends, so no two
-running solves share buffers.  A single descent is sequential; restarts and
-independent problems may run in parallel or nested, and problems and
-solutions are immutable.
+coarse rule, one read-only separable basis per basis spec, and a pool of
+grid-buffer sets.  A solve borrows one buffer set per grid level, one level
+at a time, and returns it when that level ends, so no two running solves
+share buffers.  A single descent is sequential; restarts and independent
+problems may run in parallel or nested, and problems and solutions are
+immutable.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ import math
 import weakref
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
@@ -240,8 +242,9 @@ class _SeparableBasis:
     apart.  ``values`` acts on scaled coefficients (raw coefficients times
     ``col_norms``).
 
-    An instance is read-only after construction and holds no scratch, so
-    one instance per (grid, basis spec) serves every solve, nested and
+    An instance is read-only apart from ``weight_gram``, the Gram under the
+    grid weights, built on first use and then kept, and it holds no scratch,
+    so one instance per (grid, basis spec) serves every solve, nested and
     concurrent ones included; the grid cache keeps it.  The scratch arrays
     come from the caller: ``values`` writes into a spectrum array and
     ``gram`` into a real-FFT array.
@@ -253,6 +256,7 @@ class _SeparableBasis:
         radii = grid.radii
         K = grid.angular_count
         self.shape = (grid.radial_count, K)
+        self._weights = grid.weights
         self.radial = radii[:, None] ** n[None, :] / col_norms
         # occupied DFT bins; fold[j, b] sums the exponents that share bin b
         self.occupied, slot = np.unique(n % K, return_inverse=True)
@@ -319,6 +323,13 @@ class _SeparableBasis:
         G *= self._top_scale
         return G
 
+    @functools.cached_property
+    def weight_gram(self) -> np.ndarray:
+        """V^H diag(w) V for the grid weights w, read-only."""
+        G = self.gram(self._weights)
+        G.setflags(write=False)
+        return G
+
 
 class _Buffers:
     """One set of grid-sized scratch arrays for a descent on one grid.
@@ -350,17 +361,15 @@ class _GridCache:
     """The fixed parts of every solve on one grid, built on first use.
 
     It holds the grid's coarse rule (None when the grid is too small to
-    coarsen), one ``_SeparableBasis`` per basis spec with the read-only Gram
-    of that basis under the grid weights, and a pool of ``_Buffers``.  It
-    keeps no reference to its own grid, so its entry in ``_GRID_CACHES``
-    lives as long as the grid does.
+    coarsen), one ``_SeparableBasis`` per basis spec, and a pool of
+    ``_Buffers``.  It keeps no reference to its own grid, so its entry in
+    ``_GRID_CACHES`` lives as long as the grid does.
     """
 
     def __init__(self, grid: QuadratureGrid):
         self.coarse_grid = _coarse_grid(grid)
         self._shape = (grid.radial_count, grid.angular_count)
         self._bases: dict[BasisSpec, _SeparableBasis] = {}
-        self._grams: dict[BasisSpec, np.ndarray] = {}
         self._free: list[_Buffers] = []
 
     def basis(self, grid: QuadratureGrid, spec: BasisSpec) -> _SeparableBasis:
@@ -369,15 +378,6 @@ class _GridCache:
         if basis is None:
             basis = self._bases.setdefault(spec, _SeparableBasis(grid, spec))
         return basis
-
-    def weight_gram(self, grid: QuadratureGrid, spec: BasisSpec) -> np.ndarray:
-        """V^H diag(w) V for the basis of ``spec`` and the weights w of ``grid``."""
-        gram = self._grams.get(spec)
-        if gram is None:
-            gram = self.basis(grid, spec).gram(grid.weights)
-            gram.setflags(write=False)
-            gram = self._grams.setdefault(spec, gram)
-        return gram
 
     @contextmanager
     def lend(self) -> Iterator[_Buffers]:
@@ -419,27 +419,29 @@ _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=complex
 
 
 class _Workspace:
-    """Per-solve state on one grid: the separable basis, the problem's
-    feasible slice, grid buffers.
+    """Per-solve state on one grid level: the separable basis, the
+    problem's feasible slice, grid buffers and the level's counts.
 
+    The grid is the problem's own grid or a coarser rule on the same domain.
     The basis comes from the grid's cache and the slice (a0, N) from the
-    problem, so every grid of a solve works in the same coordinates t.  The
+    problem, so every level of a solve works in the same coordinates t.  The
     grid-sized arrays of the descent are a buffer set lent by that cache for
-    the solve and overwritten in place: the current values ``u`` with
+    the level and overwritten in place: the current values ``u`` with
     ``base`` = |u|^2 + eps and ``terms`` = base^(p/2), the same three at the
     line-search trial point, the step ``du``, the IRLS weights ``omega``,
     and the FFT scratch.  No other solve holds the set while this one does,
-    which keeps ``minimize_pnorm`` reentrant.  ``grid`` is the problem's own
-    grid or a coarser rule on the same domain.
+    which keeps ``minimize_pnorm`` reentrant.  ``iterations`` counts the
+    accepted steps on the level, ``anderson_steps`` those that took the
+    Anderson candidate and ``cholesky_fallbacks`` the solves that fell back
+    to least squares.
     """
 
     def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid, buffers: _Buffers):
-        self.grid = grid
         self.w = grid.weights
         self.p = problem.p
-        self.spec = problem.basis
         self.basis = _grid_cache(grid).basis(grid, problem.basis)
         self.a0, self.N = problem.feasible_slice
+        self.iterations = 0
         self.cholesky_fallbacks = 0
         self.anderson_steps = 0
 
@@ -450,13 +452,9 @@ class _Workspace:
         self._rfft = buffers.rfft
         self._spectrum = buffers.spectrum_for(self.basis)
 
-    def weight_gram(self) -> np.ndarray:
-        """The grid cache's Gram of the basis under the grid weights w."""
-        return _grid_cache(self.grid).weight_gram(self.grid, self.spec)
-
     def least_squares(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The weighted least-squares point t (the p = 2 minimizer), A, rhs."""
-        A, rhs = self._reduce(self.weight_gram())
+        A, rhs = self._reduce(self.basis.weight_gram)
         return self.weighted_solve(A, rhs), A, rhs
 
     def reduced_system(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -569,9 +567,9 @@ def _irls_stage(ws: _Workspace, t, phi, eps):
     is at most ``_ROUNDING`` relative, after a step that lowers the objective
     by at most ``_TOLERANCE`` relative, or when backtracking fails.
 
-    Returns (t, iterations, stagnated); ``ws`` holds the final point.
+    Returns (t, stagnated); ``ws`` holds the final point and has counted the
+    stage's steps.
     """
-    iterations = 0
     stagnated = False
     # For p > 2 the reweighted quadratic underestimates curvature by up to
     # p - 1 along the radial direction; relaxing the step to 2/p restores a
@@ -612,12 +610,12 @@ def _irls_stage(ws: _Workspace, t, phi, eps):
                 break
             t = t + alpha * delta
         ws.accept()
-        iterations += 1
+        ws.iterations += 1
         if phi - phi_try <= _TOLERANCE * max(phi_try, 1e-300):
             stagnated = True
             break
         phi = phi_try
-    return t, iterations, stagnated
+    return t, stagnated
 
 
 def _anderson(history):
@@ -655,28 +653,25 @@ def _descend(ws: _Workspace, t, schedule):
     """Run the smoothing stages ``schedule`` on the grid of ``ws`` from t, or
     from the grid's weighted least-squares point when t is None.
 
-    Returns (t, iterations, stagnated, raw): ``stagnated`` holds when every
-    stage stagnated, and ``raw`` lists the raw objective after each stage
-    that is among the last two of the whole schedule, the only values the
-    drift test and the reported objective read.
+    Returns (t, stagnated, raw): ``stagnated`` holds when every stage
+    stagnated, and ``raw`` lists the raw objective after each of the last two
+    stages of ``schedule``, the values the drift test and the reported
+    objective read.
     """
-    tail = SMOOTHING_SCHEDULE[-2:]
     if t is None:
         t = ws.least_squares()[0]
     phi = ws.set_point(t, schedule[0])
     raw = []
-    iterations = 0
     all_stagnated = True
     for i, eps in enumerate(schedule):
         if i > 0:
             # same iterate under the smaller eps, a lower smoothed objective
             phi = ws.set_eps(eps)
-        t, iters, stagnated = _irls_stage(ws, t, phi, eps)
-        iterations += iters
+        t, stagnated = _irls_stage(ws, t, phi, eps)
         all_stagnated = all_stagnated and stagnated
-        if eps in tail:
+        if i >= len(schedule) - 2:
             raw.append(ws.raw_objective())
-    return t, iterations, all_stagnated, raw
+    return t, all_stagnated, raw
 
 
 def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None) -> Solution:
@@ -694,36 +689,34 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
     relative over the last two stages.  Non-convergence is reported through
     ``converged``, never silently.
     """
+    p2_return = start is None and problem.p == 2.0
+    t = None if start is None else problem.t_from_raw(start)
     schedule = SMOOTHING_SCHEDULE
-    coarse_iterations = coarse_fallbacks = coarse_anderson = 0
+    coarse_grid = _grid_cache(problem.grid).coarse_grid
+    levels = []  # the workspace of each grid level run, coarse first
+    if coarse_grid is not None and not p2_return:
+        with _workspace(problem, coarse_grid) as ws:
+            t = _descend(ws, t, schedule[:-2])[0]
+        levels.append(ws)
+        schedule = schedule[-2:]
     with _workspace(problem, problem.grid) as ws:
-        if start is None and ws.p == 2.0:
+        if p2_return:
             # The least-squares start is the exact minimizer, and the p = 2
             # IRLS weights equal w under every eps, so A and rhs are final;
             # the objective is the quadratic form of the cached Gram of w,
             # so no grid pass runs.
             t, A, rhs = ws.least_squares()
             a = ws.a0 + ws.N @ t
-            raw = [float(np.vdot(a, ws.weight_gram() @ a).real)]
-            iterations, converged = 0, True
+            raw = [float(np.vdot(a, ws.basis.weight_gram @ a).real)]
+            converged = True
         else:
-            t = None if start is None else problem.t_from_raw(start)
-            coarse_grid = _grid_cache(problem.grid).coarse_grid
-            if coarse_grid is not None:
-                with _workspace(problem, coarse_grid) as cws:
-                    t, coarse_iterations, _, _ = _descend(cws, t, schedule[:-2])
-                    coarse_fallbacks = cws.cholesky_fallbacks
-                    coarse_anderson = cws.anderson_steps
-                schedule = schedule[-2:]
-            t, iterations, stagnated, raw = _descend(ws, t, schedule)
-            iterations += coarse_iterations
+            t, stagnated, raw = _descend(ws, t, schedule)
             drift = abs(raw[-1] - raw[-2])
             settled = drift <= _DRIFT_TOL * max(raw[-1], 1e-300)
             converged = stagnated and settled
             # ws holds the final point under the last eps
             A, rhs = ws.reduced_system(ws.irls_weights())
-        fallbacks = ws.cholesky_fallbacks + coarse_fallbacks
-        anderson_steps = ws.anderson_steps + coarse_anderson
+    levels.append(ws)
     a_raw = problem.raw_from_t(t)
     residual = problem.constraint_matrix @ a_raw - problem.constraint_targets
     feasibility = float(np.max(np.abs(residual)))
@@ -733,11 +726,11 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
         objective=raw[-1] ** (1.0 / problem.p),
         feasibility_residual=feasibility,
         stationarity_residual=stationarity,
-        iterations=iterations,
-        coarse_iterations=coarse_iterations,
+        iterations=sum(level.iterations for level in levels),
+        coarse_iterations=sum(level.iterations for level in levels[:-1]),
         converged=converged,
-        cholesky_fallbacks=fallbacks,
-        anderson_steps=anderson_steps,
+        cholesky_fallbacks=sum(level.cholesky_fallbacks for level in levels),
+        anderson_steps=sum(level.anderson_steps for level in levels),
     )
 
 
@@ -759,12 +752,7 @@ def multistart_minimize(problem: ExtremalProblem, *, restarts: int, seed: int) -
     """
     if restarts < 1 or seed < 0:
         raise ValueError(f"need restarts >= 1 and seed >= 0, got {restarts} and {seed}")
-    if problem.p == 1.0:
-        base_problem = problem
-    else:
-        base_problem = ExtremalProblem(
-            problem.basis, problem.grid, 1.0, problem.constraints
-        )
+    base_problem = problem if problem.p == 1.0 else replace(problem, p=1.0)
     base = minimize_pnorm(base_problem)
     base_coeffs = base.coeffs.coefficients
 
@@ -791,14 +779,8 @@ def multistart_minimize(problem: ExtremalProblem, *, restarts: int, seed: int) -
 
 
 def solution_record(solution: Solution) -> dict:
-    """JSON-ready diagnostics for one run."""
+    """JSON-ready diagnostics for one run: every ``Solution`` field but
+    ``coeffs``, in field order."""
     return {
-        "objective": solution.objective,
-        "feasibility_residual": solution.feasibility_residual,
-        "stationarity_residual": solution.stationarity_residual,
-        "iterations": solution.iterations,
-        "coarse_iterations": solution.coarse_iterations,
-        "converged": solution.converged,
-        "cholesky_fallbacks": solution.cholesky_fallbacks,
-        "anderson_steps": solution.anderson_steps,
+        f.name: getattr(solution, f.name) for f in fields(Solution) if f.name != "coeffs"
     }

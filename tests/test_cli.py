@@ -207,6 +207,16 @@ def test_lacunary_parseval(capsys, tmp_path):
     assert doc["integrable"] is True
 
 
+def test_lacunary_above_the_direct_integral_limit_exits_one(capsys, tmp_path):
+    series = LacunarySeries(tuple(2**k for k in range(14)), np.ones(14, dtype=complex))
+    path = tmp_path / "series.csv"
+    write_series_csv(path, series)
+    code, out, err = _run(capsys, ["lacunary", "--file", str(path), "--p", "2"])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: lambda_max 8192 is above 4096")
+    assert "direct area integral" in err and "grid" not in err
+
+
 @pytest.mark.parametrize(
     "row",
     ["1,1", "1.5,1,0", "1,nan,0", "1,inf,0"],

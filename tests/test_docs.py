@@ -1,7 +1,9 @@
 """The documented API stays runnable: the README quickstart, command-line
 block and demos execute, every layer the benchmark trace wraps still
-exists, and a traced run of the command line yields its layer metrics."""
+exists, a traced run of the command line yields its layer metrics, and
+every third-party module the tests import is declared in pyproject.toml."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -107,3 +109,24 @@ def test_benchmark_trace_runs(monkeypatch):
     assert metrics["solver.iterations"] > 0
     assert metrics["solver.converged_ratio"] == 1.0
     assert metrics["solver.dense_nd_computed"] > 0
+
+
+def test_test_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {
+        re.match(r"[\w.-]+", req).group().lower().replace("-", "_") for req in requirements
+    }
+    tests = list((ROOT / "tests").glob("*.py"))
+    imported = set()
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    local = {path.stem for path in tests} | {"pbergman"}
+    third_party = imported - local - set(sys.stdlib_module_names)
+    assert {"numpy", "pytest"} <= third_party
+    assert third_party <= declared, f"undeclared test imports: {sorted(third_party - declared)}"

@@ -115,6 +115,18 @@ def test_direct_examples():
     assert direct_lp(zero, 2.0) == 0.0
 
 
+def test_direct_integral_rejects_lambda_max_above_4096():
+    # 4096 is the direct integral's own limit; no argument lifts it
+    s = _dyadic_series(13, seed=3)
+    assert s.lambda_max == 8192
+    for call in (lambda: direct_lp(s, 2.0), lambda: integrability_record(s, 2.0)):
+        with pytest.raises(ValueError, match="above 4096") as info:
+            call()
+        message = str(info.value)
+        assert "direct area integral" in message and "grid" not in message
+    assert direct_lp(_dyadic_series(12, seed=3), 2.0) > 0.0
+
+
 def test_grid_values_require_unit_disk():
     s = LacunarySeries((1, 2), np.ones(2, dtype=complex))
     grid = pb.build_grid(pb.Domain("disk", 2.0), 32, 16)

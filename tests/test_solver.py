@@ -144,7 +144,7 @@ def _single_grid(prob):
     """The whole schedule on the problem's own grid from its least-squares start,
     with the objective and ``converged`` as ``minimize_pnorm`` reports them."""
     with solver._workspace(prob, prob.grid) as ws:
-        t, _, stagnated, raw = solver._descend(
+        t, stagnated, raw = solver._descend(
             ws, ws.least_squares()[0], solver.SMOOTHING_SCHEDULE
         )
     drift = abs(raw[-1] - raw[-2])
@@ -212,6 +212,47 @@ def test_coarse_level_taken_whenever_the_grid_allows(unit_disk):
     assert minimize_pnorm(large).coarse_iterations > 0
     started = minimize_pnorm(large, start=sol.coeffs.coefficients)
     assert 0 < started.coarse_iterations < started.iterations
+
+
+def test_levels_count_their_own_steps(unit_disk, disk_grid, monkeypatch):
+    # every accepted step counts on the grid level that took it: the steps on
+    # the quarter grid are coarse_iterations, the rest are on the requested grid
+    steps = []  # the grid size of each accepted step of the running solve
+    solves = []  # (solution, coarse steps, requested-grid steps)
+    accept, minimize = solver._Workspace.accept, solver.minimize_pnorm
+
+    def spied_accept(ws):
+        steps.append(ws.w.size)
+        accept(ws)
+
+    def spied_minimize(problem, **kwargs):
+        steps.clear()
+        sol = minimize(problem, **kwargs)
+        size = problem.grid.weights.size
+        solves.append((sol, sum(s != size for s in steps), steps.count(size)))
+        return sol
+
+    monkeypatch.setattr(solver._Workspace, "accept", spied_accept)
+    monkeypatch.setattr(solver, "minimize_pnorm", spied_minimize)
+    prob = _problem(
+        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4 + 0.1j, 1.0),)
+    )
+    solver.minimize_pnorm(prob)  # cold
+    multistart_minimize(replace(prob, p=0.9), restarts=2, seed=0)  # cold, then started
+    small = replace(prob, grid=pb.build_grid(unit_disk, 32, 64))
+    solver.minimize_pnorm(small)  # too small for a coarse level
+    assert len(solves) == 5
+    for sol, coarse, requested in solves:
+        assert sol.coarse_iterations == coarse
+        assert sol.iterations - sol.coarse_iterations == requested > 0
+    assert all(coarse > 0 for _, coarse, _ in solves[:4])
+    assert solves[4][1] == 0
+
+    p2 = solver.minimize_pnorm(replace(prob, p=2.0))
+    assert solves[5][1:] == (0, 0)
+    assert (p2.iterations, p2.coarse_iterations, p2.cholesky_fallbacks, p2.anderson_steps) == (
+        0, 0, 0, 0
+    )
 
 
 def test_boundary_point_at_degree_32_does_not_stall(unit_disk):
@@ -714,7 +755,7 @@ def test_grid_levels_share_the_feasible_slice(unit_disk, disk_grid, monkeypatch)
     sol = minimize_pnorm(prob)
     a0, N = prob.feasible_slice
     assert [grid.weights.size for grid, _, _ in seen] == [
-        disk_grid.weights.size, disk_grid.weights.size // 16
+        disk_grid.weights.size // 16, disk_grid.weights.size
     ]
     assert all(ws_a0 is a0 and ws_N is N for _, ws_a0, ws_N in seen)
     assert not (a0.flags.writeable or N.flags.writeable)
