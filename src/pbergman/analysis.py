@@ -24,6 +24,8 @@ from .series import evaluate
 from .solver import ExtremalProblem, Solution, grid_values, multistart_minimize
 
 __all__ = [
+    "DEFAULT_FD_STEP",
+    "DEFAULT_DIRECTIONS",
     "DegenerateFitError",
     "LeviRecord",
     "HolderFit",
@@ -39,6 +41,9 @@ __all__ = [
 ]
 
 NOISE_FLOOR = 1e-9
+# finite-difference step of the Levi form, and probe directions per radius
+DEFAULT_FD_STEP = 1e-2
+DEFAULT_DIRECTIONS = 8
 
 
 class DegenerateFitError(ValueError):
@@ -147,7 +152,7 @@ def levi_form_log_kp(
     p: float,
     z: complex,
     direction: complex = 1.0,
-    step: float = 1e-2,
+    step: float = DEFAULT_FD_STEP,
 ) -> float:
     """Levi form of log K_p at z along ``direction`` by finite differences
     (``quarter_laplacian`` of tau -> log K_p(z + tau X))."""
@@ -171,7 +176,7 @@ def levi_form_log_kp(
 
 
 def levi_metric_gap(
-    setup: Setup, p: float, direction: complex = 1.0, step: float = 1e-2
+    setup: Setup, p: float, direction: complex = 1.0, step: float = DEFAULT_FD_STEP
 ) -> LeviRecord:
     """Levi form of log K_p minus B_p^2 at the center of a disk.
 
@@ -237,7 +242,8 @@ def _probe_fit(setup: Setup, p: float, z_prime: complex, w: complex, radii,
 
 
 def holder_exponent(
-    setup: Setup, p: float, z_prime: complex, w: complex, radii, directions: int = 8
+    setup: Setup, p: float, z_prime: complex, w: complex, radii,
+    directions: int = DEFAULT_DIRECTIONS,
 ) -> HolderFit:
     """Fit the growth exponent of r -> max_phi |m_p(z', w + r e^{i phi}) - m_p(z', w)|.
 
@@ -257,7 +263,7 @@ def holder_exponent(
 
 
 def hp_scaling_exponent(
-    setup: Setup, p: float, z: complex, radii, directions: int = 8
+    setup: Setup, p: float, z: complex, radii, directions: int = DEFAULT_DIRECTIONS
 ) -> HolderFit:
     """Fit the decay exponent of r -> max_phi |H_p(z, z + r e^{i phi})|.
 

@@ -3,14 +3,15 @@
 Output: levi, holder and limit write CSV when --out ends in .csv and JSON
 otherwise; the kernel sweep (more than one p or z) always writes CSV; a
 kernel point, metric and lacunary always write JSON, whatever the path.  The
-fully resolved configuration leads the output (the "config" key, or a
-"# config:" line above the CSV header), followed by the timestamp.  Only
-limit runs seeded restarts, so only limit takes and echoes --seed and
---restarts.  Identical configuration gives byte-identical numeric output
-modulo the timestamp.  Floats are printed with 17 significant digits
-so they round-trip.
+configuration leads the output (the "config" key, or a "# config:" line
+above the CSV header), followed by the timestamp: every parsed argument but
+--out, in parser order, defaults included.  Only limit runs seeded
+restarts, so only limit takes and echoes --seed and --restarts.  Identical
+configuration gives byte-identical numeric output modulo the timestamp.
+Floats are printed with 17 significant digits so they round-trip.
 
-Exit codes: 0 converged, 2 numerically degraded (result still printed),
+Exit codes: 0 converged; 2 numerically degraded, when some solve the
+command ran did not converge or a limit row failed (result still printed);
 1 usage or precondition error.
 """
 
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
@@ -72,21 +74,35 @@ def _json_dump(obj, indent: int = 0) -> str:
         return pad + str(obj)
     if obj is None:
         return pad + "null"
-    return pad + '"' + str(obj).replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return pad + json.dumps(str(obj), ensure_ascii=False)
 
 
-def _parse_complex(text: str) -> complex:
+def _complex(text: str) -> complex:
+    """An argparse type: a complex number, spaces ignored."""
     try:
         return complex(text.replace(" ", ""))
     except ValueError:
-        raise ValueError(f"cannot parse complex number {text!r}") from None
+        raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}") from None
 
 
-def _parse_list(text: str, parse):
-    values = [parse(tok) for tok in text.split(",") if tok.strip()]
-    if not values:
-        raise ValueError(f"expected at least one value in a comma list, got {text!r}")
-    return values
+def _comma_list(parse):
+    """An argparse type: a nonempty comma list of ``parse`` values."""
+
+    def parse_list(text: str) -> list:
+        try:
+            values = [parse(tok) for tok in text.split(",") if tok.strip()]
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        if not values:
+            raise argparse.ArgumentTypeError(
+                f"expected at least one value in a comma list, got {text!r}"
+            )
+        return values
+
+    return parse_list
+
+
+_floats, _complexes = _comma_list(float), _comma_list(_complex)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -110,11 +126,10 @@ def _timestamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-# What a command returns: the configuration, the JSON body without config and
-# timestamp (None for the kernel sweep), an optional (header, rows) table of
-# raw numbers, and whether every solve converged (exit 0, else exit 2).
+# What a command returns: the JSON body without config and timestamp (None
+# for the kernel sweep) and an optional (header, rows) table of raw numbers.
 _Table = tuple[list[str], list[list]]
-_Result = tuple[dict, dict | None, _Table | None, bool]
+_Result = tuple[dict | None, _Table | None]
 
 
 def _emit(conf: dict, out: Path | None, document: dict | None, table: _Table | None) -> None:
@@ -167,62 +182,40 @@ def _common_arguments(sub):
     sub.add_argument("--out", default=None, help=f"output path (relative to ${OUTPUT_DIR_ENV})")
 
 
-def _base_config(args, command: str) -> dict:
-    return {
-        "command": command,
-        "domain": args.domain,
-        "degree": args.degree,
-        "nmin": args.nmin,
-        "grid": args.grid,
-        "margin": args.margin,
-    }
-
-
 def _cmd_kernel(setup: kernel.Setup, args) -> _Result:
-    ps = _parse_list(args.p, float)
-    zs = _parse_list(args.z, _parse_complex)
-    conf = _base_config(args, "kernel") | {"p": ps, "z": zs}
-    if len(ps) == 1 and len(zs) == 1:
-        result = kernel.mp_minimizer(setup, ps[0], zs[0])
+    if len(args.p) == 1 and len(args.z) == 1:
+        result = kernel.mp_minimizer(setup, args.p[0], args.z[0])
         document = {
             "z": result.z,
             "p": result.p,
             "m_p": result.m_p,
             "K_p": result.k_p,
             "degree": result.basis_degree,
-            "converged": result.minimizer.converged,
+            "converged": setup.converged(result.p),
             "diagnostics": solution_record(result.minimizer),
         }
-        return conf, document, None, result.minimizer.converged
+        return document, None
 
     columns = ("p", "re_z", "im_z", "K_p", "B_p")
-    rows = kernel.kernel_metric_sweep(setup, ps, zs)
-    table = (list(columns), [[r[k] for k in columns] for r in rows])
-    return conf, None, table, all(r["converged"] for r in rows)
+    rows = kernel.kernel_metric_sweep(setup, args.p, args.z)
+    return None, (list(columns), [[r[k] for k in columns] for r in rows])
 
 
 def _cmd_metric(setup: kernel.Setup, args) -> _Result:
-    p = float(args.p)
-    z = _parse_complex(args.z)
-    direction = _parse_complex(args.direction)
-    conf = _base_config(args, "metric") | {"p": p, "z": z, "direction": direction}
-    result = kernel.metric_at(setup, p, z, direction)
+    result = kernel.metric_at(setup, args.p, args.z, args.direction)
     document = {
         "z": result.z,
         "p": result.p,
         "direction": result.direction,
         "B_p": result.b_p,
-        "converged": result.extremal.converged,
+        "converged": setup.converged(result.p),
         "diagnostics": solution_record(result.extremal),
     }
-    return conf, document, None, result.extremal.converged
+    return document, None
 
 
 def _cmd_levi(setup: kernel.Setup, args) -> _Result:
-    ps = _parse_list(args.p, float)
-    direction = _parse_complex(args.direction)
-    conf = _base_config(args, "levi") | {"p": ps, "direction": direction, "step": args.step}
-    records = [analysis.levi_metric_gap(setup, p, direction, args.step) for p in ps]
+    records = [analysis.levi_metric_gap(setup, p, args.direction, args.step) for p in args.p]
     document = {
         "records": [
             {
@@ -241,26 +234,16 @@ def _cmd_levi(setup: kernel.Setup, args) -> _Result:
         ["p", "re_z", "im_z", "levi", "bp2", "gap"],
         [[r.p, r.z.real, r.z.imag, r.levi, r.b_p_squared, r.gap] for r in records],
     )
-    return conf, document, table, all(r.converged for r in records)
-
-
-def _default_radii() -> list[float]:
-    return [0.1 * 2.0**-k for k in range(6)]
+    return document, table
 
 
 def _cmd_holder(setup: kernel.Setup, args) -> _Result:
-    p = float(args.p)
-    z_prime = _parse_complex(args.zprime)
-    w = _parse_complex(args.w)
-    radii = _parse_list(args.radii, float) if args.radii else _default_radii()
-    conf = _base_config(args, "holder") | {
-        "p": p, "zprime": z_prime, "w": w, "radii": radii,
-        "directions": args.directions, "quantity": args.quantity,
-    }
     if args.quantity == "mp":
-        fit = analysis.holder_exponent(setup, p, z_prime, w, radii, args.directions)
+        fit = analysis.holder_exponent(
+            setup, args.p, args.zprime, args.w, args.radii, args.directions
+        )
     else:
-        fit = analysis.hp_scaling_exponent(setup, p, w, radii, args.directions)
+        fit = analysis.hp_scaling_exponent(setup, args.p, args.w, args.radii, args.directions)
     document = {
         "slope": fit.slope,
         "intercept": fit.intercept,
@@ -271,16 +254,11 @@ def _cmd_holder(setup: kernel.Setup, args) -> _Result:
     }
     fitted = [math.exp(fit.intercept) * r**fit.slope for r in fit.radii]
     table = (["r", "delta", "fitted"], [list(row) for row in zip(fit.radii, fit.deltas, fitted)])
-    return conf, document, table, fit.converged
+    return document, table
 
 
 def _cmd_limit(setup: kernel.Setup, args) -> _Result:
-    ps = _parse_list(args.p_list, float)
-    z = _parse_complex(args.z)
-    conf = _base_config(args, "limit") | {
-        "seed": args.seed, "restarts": args.restarts, "p_list": ps, "z": z,
-    }
-    record = analysis.limit_sweep(setup, z, ps, restarts=args.restarts, seed=args.seed)
+    record = analysis.limit_sweep(setup, args.z, args.p_list, restarts=args.restarts, seed=args.seed)
     rows = list(zip(record.p_list, record.k_p_values, record.d_p_estimates, record.statuses))
     document = {
         "z": record.z,
@@ -289,22 +267,17 @@ def _cmd_limit(setup: kernel.Setup, args) -> _Result:
         "rows": [{"p": p, "K_p": k, "d_p": d, "status": s} for p, k, d, s in rows],
     }
     table = (["p", "K_p", "d_p", "restarts"], [[p, k, d, record.restarts] for p, k, d, _ in rows])
-    return conf, document, table, all(s == "ok" for s in record.statuses)
+    return document, table
 
 
-def _cmd_lacunary(args) -> _Result:
+def _cmd_lacunary(setup: None, args) -> _Result:
     series = lacunary.read_series_csv(args.file)
-    p = float(args.p)
-    conf = {
-        "command": "lacunary",
-        "file": str(args.file),
-        "p": p,
-        "circle_radius": args.r,
-    }
-    document = lacunary.integrability_record(series, p)
-    if args.r is not None:
-        document["circle_norm_ratio"] = lacunary.circle_norm_ratio(series, args.r, p)
-    return conf, document, None, True
+    document = lacunary.integrability_record(series, args.p)
+    if args.circle_radius is not None:
+        document["circle_norm_ratio"] = lacunary.circle_norm_ratio(
+            series, args.circle_radius, args.p
+        )
+    return document, None
 
 
 @functools.cache
@@ -316,31 +289,34 @@ def build_parser() -> _Parser:
 
     p_kernel = sub.add_parser("kernel", help="m_p and K_p at a point, or a (p, z) sweep")
     _common_arguments(p_kernel)
-    p_kernel.add_argument("--p", required=True, help="exponent p, or comma list for a sweep")
-    p_kernel.add_argument("--z", required=True, help="evaluation point, or comma list")
+    p_kernel.add_argument("--p", required=True, type=_floats, help="exponent p, or comma list for a sweep")
+    p_kernel.add_argument("--z", required=True, type=_complexes, help="evaluation point, or comma list")
     p_kernel.set_defaults(func=_cmd_kernel)
 
     p_metric = sub.add_parser("metric", help="B_p(z; X)")
     _common_arguments(p_metric)
-    p_metric.add_argument("--p", required=True)
-    p_metric.add_argument("--z", required=True)
-    p_metric.add_argument("--direction", default="1", help="direction X, complex")
+    p_metric.add_argument("--p", required=True, type=float)
+    p_metric.add_argument("--z", required=True, type=_complex)
+    p_metric.add_argument("--direction", type=_complex, default="1", help="direction X, complex")
     p_metric.set_defaults(func=_cmd_metric)
 
     p_levi = sub.add_parser("levi", help="Levi form of log K_p vs B_p^2 at the disk center")
     _common_arguments(p_levi)
-    p_levi.add_argument("--p", required=True, help="exponent p, or comma list")
-    p_levi.add_argument("--direction", default="1")
-    p_levi.add_argument("--step", type=float, default=1e-2)
+    p_levi.add_argument("--p", required=True, type=_floats, help="exponent p, or comma list")
+    p_levi.add_argument("--direction", type=_complex, default="1")
+    p_levi.add_argument("--step", type=float, default=analysis.DEFAULT_FD_STEP)
     p_levi.set_defaults(func=_cmd_levi, degree=16)
 
     p_holder = sub.add_parser("holder", help="log-log slope of m_p or H_p probes")
     _common_arguments(p_holder)
-    p_holder.add_argument("--p", required=True)
-    p_holder.add_argument("--zprime", default="0.2")
-    p_holder.add_argument("--w", default="0.4")
-    p_holder.add_argument("--radii", default=None, help="comma list, default 0.1*2^-k, k<6")
-    p_holder.add_argument("--directions", type=int, default=8)
+    p_holder.add_argument("--p", required=True, type=float)
+    p_holder.add_argument("--zprime", type=_complex, default="0.2")
+    p_holder.add_argument("--w", type=_complex, default="0.4")
+    p_holder.add_argument(
+        "--radii", type=_floats, default=tuple(0.1 * 2.0**-k for k in range(6)),
+        help="comma list, default 0.1*2^-k, k<6",
+    )
+    p_holder.add_argument("--directions", type=int, default=analysis.DEFAULT_DIRECTIONS)
     p_holder.add_argument(
         "--quantity", choices=("mp", "hp"), default="mp",
         help="probe the minimizer values (mp) or the H_p combination (hp)",
@@ -351,14 +327,17 @@ def build_parser() -> _Parser:
     _common_arguments(p_limit)
     p_limit.add_argument("--seed", type=int, default=0)
     p_limit.add_argument("--restarts", type=int, default=16)
-    p_limit.add_argument("--p-list", required=True, dest="p_list")
-    p_limit.add_argument("--z", default="0")
+    p_limit.add_argument("--p-list", required=True, dest="p_list", type=_floats)
+    p_limit.add_argument("--z", type=_complex, default="0")
     p_limit.set_defaults(func=_cmd_limit, degree=8)
 
     p_lac = sub.add_parser("lacunary", help="integrability criterion for a series file")
     p_lac.add_argument("--file", required=True)
-    p_lac.add_argument("--p", required=True)
-    p_lac.add_argument("--r", type=float, default=None, help="also report the circle norm ratio at radius r")
+    p_lac.add_argument("--p", required=True, type=float)
+    p_lac.add_argument(
+        "--r", type=float, default=None, dest="circle_radius", metavar="R",
+        help="also report the circle norm ratio at radius r",
+    )
     p_lac.add_argument("--out", default=None)
     p_lac.set_defaults(func=_cmd_lacunary)
 
@@ -371,16 +350,19 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    conf = {k: v for k, v in vars(args).items() if k not in ("out", "func")}
     try:
-        if args.command == "lacunary":
-            conf, document, table, converged = args.func(args)
-        else:
-            conf, document, table, converged = args.func(_setup(args), args)
+        setup = None if args.command == "lacunary" else _setup(args)
+        document, table = args.func(setup, args)
         _emit(conf, _resolve_out(args.out), document, table)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return EXIT_OK if converged else EXIT_DEGRADED
+    # limit's restarts bypass the solve cache; a failed row is its degraded solve
+    degraded = (setup is not None and not setup.converged()) or (
+        args.command == "limit" and any(row["status"] != "ok" for row in document["rows"])
+    )
+    return EXIT_DEGRADED if degraded else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -145,9 +145,10 @@ class Setup:
             self.cache[key] = minimize_pnorm(self.problem(p, z, direction))
         return self.cache[key]
 
-    def converged(self, p: float) -> bool:
-        """True when every solve cached at exponent ``p`` converged."""
-        return all(sol.converged for (q, _, _), sol in self.cache.items() if q == p)
+    def converged(self, p: float | None = None) -> bool:
+        """True when every solve cached at exponent ``p`` converged, or every
+        cached solve when ``p`` is None; true when there is none."""
+        return all(sol.converged for (q, _, _), sol in self.cache.items() if p in (None, q))
 
 
 def mp_minimizer(setup: Setup, p: float, z: complex) -> KernelResult:

@@ -43,10 +43,12 @@ carries over unchanged to the requested grid, which runs the last two
 stages.  The heavily smoothed stages are over-resolved by the requested
 grid; the coarse stages only supply a start, so the drift test, the
 stationarity residual, the objective and ``converged`` are all taken on the
-requested grid.  A solve whose quarter grid would have fewer than 16 radii
-or 32 angles runs every stage on the requested grid.  Each level counts its
-own steps, Cholesky fallbacks and Anderson steps, and the solution reports
-their totals.
+requested grid.  The drift test compares the raw objective
+sum_i w_i |f(z_i)|^p after the last two stages the requested grid runs; the
+coarse level takes no raw objective.  A solve whose quarter grid would have
+fewer than 16 radii or 32 angles runs every stage on the requested grid.
+Each level counts its own steps, Cholesky fallbacks and Anderson steps, and
+the solution reports their totals.
 
 What every solve on a grid shares is built once per grid and kept in a
 cache keyed weakly by the grid, so it lives exactly as long as the grid: the
@@ -649,29 +651,22 @@ def _coarse_grid(grid: QuadratureGrid) -> QuadratureGrid | None:
     return build_grid(grid.domain, *shape)
 
 
-def _descend(ws: _Workspace, t, schedule):
+def _descend(ws: _Workspace, t, schedule) -> Iterator[tuple[np.ndarray, bool]]:
     """Run the smoothing stages ``schedule`` on the grid of ``ws`` from t, or
     from the grid's weighted least-squares point when t is None.
 
-    Returns (t, stagnated, raw): ``stagnated`` holds when every stage
-    stagnated, and ``raw`` lists the raw objective after each of the last two
-    stages of ``schedule``, the values the drift test and the reported
-    objective read.
+    Yields (t, stagnated) after each stage, while ``ws`` still holds that
+    stage's final point under its eps.
     """
     if t is None:
         t = ws.least_squares()[0]
     phi = ws.set_point(t, schedule[0])
-    raw = []
-    all_stagnated = True
     for i, eps in enumerate(schedule):
         if i > 0:
             # same iterate under the smaller eps, a lower smoothed objective
             phi = ws.set_eps(eps)
         t, stagnated = _irls_stage(ws, t, phi, eps)
-        all_stagnated = all_stagnated and stagnated
-        if i >= len(schedule) - 2:
-            raw.append(ws.raw_objective())
-    return t, all_stagnated, raw
+        yield t, stagnated
 
 
 def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None) -> Solution:
@@ -696,7 +691,8 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
     levels = []  # the workspace of each grid level run, coarse first
     if coarse_grid is not None and not p2_return:
         with _workspace(problem, coarse_grid) as ws:
-            t = _descend(ws, t, schedule[:-2])[0]
+            for t, _ in _descend(ws, t, schedule[:-2]):
+                pass
         levels.append(ws)
         schedule = schedule[-2:]
     with _workspace(problem, problem.grid) as ws:
@@ -710,7 +706,12 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
             raw = [float(np.vdot(a, ws.basis.weight_gram @ a).real)]
             converged = True
         else:
-            t, stagnated, raw = _descend(ws, t, schedule)
+            # the drift test reads the raw objective after the last two stages
+            raw, stagnated = [], True
+            for i, (t, stage_stagnated) in enumerate(_descend(ws, t, schedule)):
+                stagnated = stagnated and stage_stagnated
+                if i >= len(schedule) - 2:
+                    raw.append(ws.raw_objective())
             drift = abs(raw[-1] - raw[-2])
             settled = drift <= _DRIFT_TOL * max(raw[-1], 1e-300)
             converged = stagnated and settled

@@ -310,6 +310,105 @@ def test_output_rule(capsys, tmp_path, monkeypatch, case, dest):
     assert set(config) == _CONFIG_KEYS[argv[0]]
 
 
+def _c(z: complex) -> dict:
+    return {"re": z.real, "im": z.imag}
+
+
+_GRID = ["--degree", "4", "--nmin", "0", "--grid", "32X64", "--margin", "0.01"]
+_GRID_ECHO = {"degree": 4, "nmin": 0, "grid": "32X64", "margin": 0.01}
+# every option of every command at a value other than its default, and the
+# echo it must give, key for key in parser order
+_ECHO_CASES = {
+    "kernel": (
+        ["--domain", "disk:2", *_GRID, "--p", "1.5,3", "--z", "0.1, 0.2+0.3j"],
+        {"domain": "disk:2", **_GRID_ECHO, "p": [1.5, 3.0], "z": [_c(0.1), _c(0.2 + 0.3j)]},
+    ),
+    "metric": (
+        ["--domain", "disk:2", *_GRID, "--p", "3", "--z", "0.2j", "--direction", "1+1j"],
+        {"domain": "disk:2", **_GRID_ECHO, "p": 3.0, "z": _c(0.2j), "direction": _c(1 + 1j)},
+    ),
+    "levi": (
+        ["--domain", "disk:2", *_GRID, "--p", "2,3", "--direction", "1j", "--step", "0.02"],
+        {"domain": "disk:2", **_GRID_ECHO, "p": [2.0, 3.0], "direction": _c(1j), "step": 0.02},
+    ),
+    "holder": (
+        ["--domain", "disk:2", *_GRID, "--p", "3", "--zprime", "0.1j", "--w", "0.3",
+         "--radii", "0.1,0.003", "--directions", "2", "--quantity", "hp"],
+        {"domain": "disk:2", **_GRID_ECHO, "p": 3.0, "zprime": _c(0.1j), "w": _c(0.3),
+         "radii": [0.1, 0.003], "directions": 2, "quantity": "hp"},
+    ),
+    "limit": (
+        ["--domain", "disk:2", *_GRID, "--seed", "3", "--restarts", "2",
+         "--p-list", "0.9,0.95", "--z", "0.1"],
+        {"domain": "disk:2", **_GRID_ECHO, "seed": 3, "restarts": 2, "p_list": [0.9, 0.95],
+         "z": _c(0.1)},
+    ),
+    "lacunary": (
+        ["--file", "series.csv", "--p", "3", "--r", "0.5"],
+        {"file": "series.csv", "p": 3.0, "circle_radius": 0.5},
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_ECHO_CASES))
+def test_config_echo_is_the_parsed_arguments(capsys, tmp_path, monkeypatch, command):
+    args, expected = _ECHO_CASES[command]
+    argv = [command, *args, "--out", "x.json"]
+    subparser = cli.build_parser()._subparsers._group_actions[0].choices[command]
+    options = [a for a in subparser._actions if a.option_strings and a.dest != "help"]
+    parsed = cli.build_parser().parse_args(argv)
+    for action in options:
+        default = action.default
+        if isinstance(default, str) and action.type is not None:
+            default = action.type(default)  # argparse parses a string default
+        assert action.option_strings[0] in argv
+        assert getattr(parsed, action.dest) != default, action.dest
+    monkeypatch.chdir(tmp_path)
+    write_series_csv(tmp_path / "series.csv", LacunarySeries((1, 2, 4), np.array([1.0, 0.5j, -0.25])))
+    code, _, _ = _run(capsys, argv)
+    assert code == 0
+    text = (tmp_path / "x.json").read_text()
+    if command == "kernel":  # a sweep, always CSV
+        config = json.loads(text.splitlines()[0][len("# config: "):])
+    else:
+        config = json.loads(text)["config"]
+    assert list(config.items()) == list(({"command": command} | expected).items())
+    assert set(config) == _CONFIG_KEYS[command]
+
+
+def test_control_characters_in_strings_round_trip(capsys, tmp_path, monkeypatch):
+    # the domain parser strips the tab, the echo keeps it, escaped
+    domain = "disk:1\t"
+    code, out, _ = _run(capsys, ["kernel", "--domain", domain, "--p", "2", "--z", "0", "--degree", "4"])
+    assert code == 0
+    assert json.loads(out)["config"]["domain"] == domain
+
+    path = tmp_path / "odd\tname\n.csv"
+    write_series_csv(path, LacunarySeries((1, 2, 4), np.array([1.0, 0.5j, -0.25])))
+    code, out, _ = _run(capsys, ["lacunary", "--file", str(path), "--p", "2"])
+    assert code == 0
+    assert json.loads(out)["config"]["file"] == str(path)
+
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = _run(capsys, ["kernel", "--domain", "disk:1\n", "--p", "2", "--z", "0,0.1",
+                               "--degree", "4", "--out", "x.csv"])
+    assert code == 0
+    lines = (tmp_path / "x.csv").read_text().splitlines()
+    assert len(lines) == 5 and lines[2] == "p,re_z,im_z,K_p,B_p"
+    assert json.loads(lines[0][len("# config: "):])["domain"] == "disk:1\n"
+
+
+def test_metric_exits_two_when_its_kernel_solve_fails(capsys):
+    # the B_p solve converges, the K_p solve it divides by does not
+    code, out, _ = _run(
+        capsys, ["metric", "--domain", "punctured:1", "--nmin", "-1", "--p", "1.2", "--z", "0.7"]
+    )
+    assert code == 2
+    doc = json.loads(out)
+    _validator("metric").validate(doc)
+    assert doc["converged"] is False and doc["diagnostics"]["converged"] is True
+
+
 def test_determinism_modulo_timestamp(capsys):
     argv = ["kernel", "--domain", "disk:1", "--p", "1.5", "--z", "0.2", "--degree", "6"]
     _, out1, _ = _run(capsys, argv)

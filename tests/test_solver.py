@@ -140,13 +140,41 @@ def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch):
     assert len(grams) == 1 and grams[0] is grid.weights
 
 
+@pytest.mark.parametrize(
+    "shape, sizes", [((128, 256), [32768, 32768]), ((32, 64), [2048, 2048])],
+    ids=["two-grid", "single-grid"],
+)
+def test_drift_objectives_only_on_the_requested_grid(unit_disk, monkeypatch, shape, sizes):
+    # the drift test reads the raw objective after the last two stages on the
+    # requested grid; the coarse level takes none
+    calls = []
+    raw_objective = solver._Workspace.raw_objective
+
+    def spied(ws):
+        calls.append(ws.w.size)
+        return raw_objective(ws)
+
+    monkeypatch.setattr(solver._Workspace, "raw_objective", spied)
+    grid = pb.build_grid(unit_disk, *shape)
+    prob = _problem(unit_disk, grid, 1.5, 16, lambda b: (point_constraint(b, 0.3, 1.0),))
+    sol = minimize_pnorm(prob)
+    assert sol.converged and (sol.coarse_iterations > 0) == (shape == (128, 256))
+    assert calls == sizes
+
+
 def _single_grid(prob):
     """The whole schedule on the problem's own grid from its least-squares start,
     with the objective and ``converged`` as ``minimize_pnorm`` reports them."""
     with solver._workspace(prob, prob.grid) as ws:
-        t, stagnated, raw = solver._descend(
-            ws, ws.least_squares()[0], solver.SMOOTHING_SCHEDULE
-        )
+        stages = [
+            (t, stagnated, ws.raw_objective())
+            for t, stagnated in solver._descend(
+                ws, ws.least_squares()[0], solver.SMOOTHING_SCHEDULE
+            )
+        ]
+    t = stages[-1][0]
+    stagnated = all(stage[1] for stage in stages)
+    raw = [stage[2] for stage in stages[-2:]]
     drift = abs(raw[-1] - raw[-2])
     settled = drift <= solver._DRIFT_TOL * raw[-1]
     a_raw = prob.raw_from_t(t)
