@@ -182,8 +182,10 @@ def levi_metric_gap(
 
     On the disk the kernel is p-independent, so the Levi term is that of the
     p = 2 kernel while B_p varies; the gap is positive for p > 2, negative for
-    p < 2, and zero at p = 2.  ``converged`` is true when every solve cached
-    in ``setup`` at this p converged; solves of earlier calls with the same
+    p < 2, and zero at p = 2.  The 13 stencil points have the four moduli
+    0, step/2, step and 2 step, so on a fresh setup this takes 4 K_p solves
+    and 1 B_p solve.  ``converged`` is true when every solve cached in
+    ``setup`` at this p converged; solves of earlier calls with the same
     setup and p count too.
     """
     if setup.domain.kind != "disk":

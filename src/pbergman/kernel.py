@@ -16,10 +16,12 @@ the solve cache a ``Setup`` owns is the only state they share.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .geometry import Domain, QuadratureGrid, build_grid, format_domain
-from .series import BasisSpec, admissible_exponents, evaluate
+from .series import BasisSpec, CoeffVector, admissible_exponents, evaluate
 from .solver import (
     ExtremalProblem,
     Solution,
@@ -89,9 +91,9 @@ class Setup:
     ``-degree`` on an annulus, 0 otherwise) up to ``degree``.  ``grid``
     defaults to the ``DEFAULT_GRID_SHAPE`` rule on ``domain``; ``margin``
     defaults to ``MARGIN_FRACTION`` of the outer radius.  ``cache`` maps
-    ``(p, z, direction)`` to the ``Solution`` of ``solve``, and is shared by
-    every call given this setup; ``dataclasses.replace`` gives a setup with
-    an empty cache.
+    ``(p, |z|, kind)``, kind ``"K_p"`` or ``"B_p"``, to the ``Solution`` of
+    ``solve`` at the real point |z|, and is shared by every call given this
+    setup; ``dataclasses.replace`` gives a setup with an empty cache.
     """
 
     domain: Domain
@@ -138,12 +140,31 @@ class Setup:
         return ExtremalProblem(basis, self.grid, p, constraints)
 
     def solve(self, p: float, z: complex, direction: complex | None = None) -> Solution:
-        """Solve ``problem(p, z, direction)`` once; later calls return the
-        cached ``Solution``."""
-        key = (p, z, direction)
+        """The ``Solution`` of ``problem(p, z, direction)``, rotated from the
+        cached solve at r = |z|.
+
+        The domain, its basis and the norm are invariant under rotation: if g
+        solves the problem at r, the B_p one posed at X = 1, then with
+        u = z / r (u = 1 at z = 0) the series f(zeta) = c g(conj(u) zeta),
+        coefficients c a_n conj(u)^n, solves it at z, with c = 1 for K_p and
+        c = u / X for B_p.  At u = 1 and X = 1 the cached ``Solution`` itself
+        is returned.
+        """
+        r = abs(z)
+        u = z / r if r else 1.0
+        if direction is None:
+            kind, posed, c = "K_p", None, 1.0
+        else:
+            kind, posed, c = "B_p", 1.0, u / direction
+        key = (p, r, kind)
         if key not in self.cache:
-            self.cache[key] = minimize_pnorm(self.problem(p, z, direction))
-        return self.cache[key]
+            self.cache[key] = minimize_pnorm(self.problem(p, r, posed))
+        sol = self.cache[key]
+        if u == 1 and c == 1:
+            return sol
+        basis = sol.coeffs.basis
+        coeffs = c * sol.coeffs.coefficients * np.conj(u) ** np.array(basis.exponents)
+        return replace(sol, coeffs=CoeffVector(basis, coeffs), objective=abs(c) * sol.objective)
 
     def converged(self, p: float | None = None) -> bool:
         """True when every solve cached at exponent ``p`` converged, or every
