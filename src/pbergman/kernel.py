@@ -121,7 +121,10 @@ class Setup:
         return BasisSpec(tuple(exps), self.domain, p)
 
     def require_interior(self, z: complex) -> None:
-        """Reject z outside the domain or within ``margin`` of its boundary."""
+        """Reject z non-finite, outside the domain or within ``margin`` of its
+        boundary."""
+        if not cmath.isfinite(z):
+            raise ValueError(f"point {z} is not finite")
         if not self.domain.contains(z) or self.domain.boundary_distance(z) < self.margin:
             raise BoundaryMarginError(
                 f"point {z} is within margin {self.margin:.6g} of the boundary of "

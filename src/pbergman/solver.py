@@ -31,8 +31,8 @@ circle i, costs one real FFT of the weights plus O(n_r D^2) work.
 
 Each line-search trial takes one power of |u|^2 + eps on the grid, and the
 accepted trial keeps (|u|^2 + eps)^(p/2), so the next IRLS weights are w
-times that over |u|^2 + eps.  The grid-sized arrays of a descent are
-overwritten in place; an iteration allocates none.
+times that over |u|^2 + eps.  Each grid level allocates its grid-sized
+arrays once and overwrites them in place; an iteration allocates none.
 
 The continuation runs on two grid levels (grid sequencing, or nested
 iteration).  Every solve but that p = 2 return first runs every smoothing
@@ -50,14 +50,12 @@ fewer than 16 radii or 32 angles runs every stage on the requested grid.
 Each level counts its own steps, Cholesky fallbacks and Anderson steps, and
 the solution reports their totals.
 
-What every solve on a grid shares is built once per grid and kept in a
-cache keyed weakly by the grid, so it lives exactly as long as the grid: the
-coarse rule, one read-only separable basis per basis spec, and a pool of
-grid-buffer sets.  A solve borrows one buffer set per grid level, one level
-at a time, and returns it when that level ends, so no two running solves
-share buffers.  A single descent is sequential; restarts and independent
-problems may run in parallel or nested, and problems and solutions are
-immutable.
+What every solve on a grid shares is read-only, built once per grid and
+kept in a cache keyed weakly by the grid, so it lives exactly as long as the
+grid: the coarse rule and one separable basis per basis spec.  The writable
+arrays belong to the solve, so no two solves share any.  A single descent is
+sequential; restarts and independent problems may run in parallel or nested,
+and problems and solutions are immutable.
 """
 
 from __future__ import annotations
@@ -66,13 +64,12 @@ import functools
 import math
 import weakref
 from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy.linalg
 
-from .geometry import QuadratureGrid, build_grid
+from .geometry import QuadratureGrid, build_grid, format_domain
 from .series import BasisSpec, CoeffVector
 
 __all__ = [
@@ -141,9 +138,12 @@ def derivative_constraint(basis: BasisSpec, z: complex, value: complex = 1.0) ->
 class ExtremalProblem:
     """min ||f||_p over coefficients subject to complex linear constraints.
 
-    ``constraints`` is a sequence of finite (row, target) pairs; the rows act
-    on raw monomial coefficients, are linearly independent and fewer than the
-    basis dimension.  ``constraint_matrix`` and ``constraint_targets``
+    The grid lies on the basis's domain and has more angles than the span
+    n_max - n_min of the basis exponents, so no two exponents share a DFT
+    bin and the grid integrates |f|^2 exactly in the angle.
+    ``constraints`` is a sequence of finite (row, target) pairs; the rows
+    act on raw monomial coefficients, are linearly independent and fewer
+    than the basis dimension.  ``constraint_matrix`` and ``constraint_targets``
     stack them once, read-only.  ``feasible_slice`` is (a0, N) from one SVD
     of the rows over ``basis.col_norms``, which also tests the rank: the
     slice is a0 + N t in scaled coefficients, N with orthonormal columns.
@@ -158,6 +158,18 @@ class ExtremalProblem:
     def __post_init__(self):
         if not 0 < self.p < math.inf:
             raise ValueError(f"p must be positive and finite, got {self.p}")
+        if self.grid.domain != self.basis.domain:
+            raise ValueError(
+                f"the grid is on {format_domain(self.grid.domain)} but the basis "
+                f"on {format_domain(self.basis.domain)}"
+            )
+        exponents = self.basis.exponents
+        span = exponents[-1] - exponents[0]
+        if self.grid.angular_count <= span:
+            raise ValueError(
+                f"a grid of {self.grid.angular_count} angles aliases basis exponents "
+                f"spanning {span}; use more than {span} angles"
+            )
         cons = tuple(
             (np.asarray(row, dtype=complex), complex(target))
             for row, target in self.constraints
@@ -333,46 +345,18 @@ class _SeparableBasis:
         return G
 
 
-class _Buffers:
-    """One set of grid-sized scratch arrays for a descent on one grid.
-
-    ``spectrum`` is zero outside ``filled_bins``, the DFT bins that the last
-    basis to use it may have filled; ``spectrum_for`` clears those bins when
-    another basis takes it over.
-    """
-
-    def __init__(self, shape: tuple[int, int]):
-        size = shape[0] * shape[1]
-        self.u, self.u_try, self.du = (np.empty(size, dtype=complex) for _ in range(3))
-        self.base, self.base_try, self.terms, self.terms_try, self.omega = (
-            np.empty(size) for _ in range(5)
-        )
-        self.rfft = np.empty((shape[0], shape[1] // 2 + 1), dtype=complex)
-        self.spectrum = np.zeros(shape, dtype=complex)
-        self.filled_bins = np.empty(0, dtype=int)
-
-    def spectrum_for(self, basis: _SeparableBasis) -> np.ndarray:
-        """The spectrum array, zero outside the occupied bins of ``basis``."""
-        if self.filled_bins is not basis.occupied:
-            self.spectrum[:, self.filled_bins] = 0.0
-            self.filled_bins = basis.occupied
-        return self.spectrum
-
-
 class _GridCache:
-    """The fixed parts of every solve on one grid, built on first use.
+    """The read-only parts of every solve on one grid, built on first use.
 
     It holds the grid's coarse rule (None when the grid is too small to
-    coarsen), one ``_SeparableBasis`` per basis spec, and a pool of
-    ``_Buffers``.  It keeps no reference to its own grid, so its entry in
-    ``_GRID_CACHES`` lives as long as the grid does.
+    coarsen) and one ``_SeparableBasis`` per basis spec.  It keeps no
+    reference to its own grid, so its entry in ``_GRID_CACHES`` lives as
+    long as the grid does.
     """
 
     def __init__(self, grid: QuadratureGrid):
         self.coarse_grid = _coarse_grid(grid)
-        self._shape = (grid.radial_count, grid.angular_count)
         self._bases: dict[BasisSpec, _SeparableBasis] = {}
-        self._free: list[_Buffers] = []
 
     def basis(self, grid: QuadratureGrid, spec: BasisSpec) -> _SeparableBasis:
         """The separable basis of ``spec`` on ``grid``, this cache's grid."""
@@ -380,18 +364,6 @@ class _GridCache:
         if basis is None:
             basis = self._bases.setdefault(spec, _SeparableBasis(grid, spec))
         return basis
-
-    @contextmanager
-    def lend(self) -> Iterator[_Buffers]:
-        """A buffer set that no other solve holds until the block exits."""
-        try:
-            buffers = self._free.pop()
-        except IndexError:
-            buffers = _Buffers(self._shape)
-        try:
-            yield buffers
-        finally:
-            self._free.append(buffers)
 
 
 # one entry per live grid, the coarse rules of the requested grids included
@@ -422,23 +394,26 @@ _POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=complex
 
 class _Workspace:
     """Per-solve state on one grid level: the separable basis, the
-    problem's feasible slice, grid buffers and the level's counts.
+    problem's feasible slice, grid arrays and the level's counts.
 
     The grid is the problem's own grid or a coarser rule on the same domain.
     The basis comes from the grid's cache and the slice (a0, N) from the
     problem, so every level of a solve works in the same coordinates t.  The
-    grid-sized arrays of the descent are a buffer set lent by that cache for
-    the level and overwritten in place: the current values ``u`` with
-    ``base`` = |u|^2 + eps and ``terms`` = base^(p/2), the same three at the
-    line-search trial point, the step ``du``, the IRLS weights ``omega``,
-    and the FFT scratch.  No other solve holds the set while this one does,
-    which keeps ``minimize_pnorm`` reentrant.  ``iterations`` counts the
-    accepted steps on the level, ``anderson_steps`` those that took the
-    Anderson candidate and ``cholesky_fallbacks`` the solves that fell back
-    to least squares.
+    workspace allocates the grid-sized arrays of the descent and overwrites
+    them in place: the current values ``u`` with ``base`` = |u|^2 + eps and
+    ``terms`` = base^(p/2), the same three at the line-search trial point,
+    the step ``du``, the IRLS weights ``omega``, and the FFT scratch, whose
+    spectrum stays zero outside the bins the basis occupies.  No other solve
+    sees them, which keeps ``minimize_pnorm`` reentrant.  They are views of
+    one block because glibc keeps a freed block of up to 32 MiB for the
+    next workspace, while it hands the pages of ten separate arrays back to
+    the system, and a solve on the default grid then faults some 860 pages
+    in.  ``iterations`` counts the accepted steps on the level,
+    ``anderson_steps`` those that took the Anderson candidate and
+    ``cholesky_fallbacks`` the solves that fell back to least squares.
     """
 
-    def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid, buffers: _Buffers):
+    def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid):
         self.w = grid.weights
         self.p = problem.p
         self.basis = _grid_cache(grid).basis(grid, problem.basis)
@@ -447,12 +422,17 @@ class _Workspace:
         self.cholesky_fallbacks = 0
         self.anderson_steps = 0
 
-        self.u, self.u_try, self.du = buffers.u, buffers.u_try, buffers.du
-        self.base, self.base_try = buffers.base, buffers.base_try
-        self.terms, self.terms_try = buffers.terms, buffers.terms_try
-        self.omega = buffers.omega
-        self._rfft = buffers.rfft
-        self._spectrum = buffers.spectrum_for(self.basis)
+        n_r, K = self.basis.shape
+        size, rfft_size = n_r * K, n_r * (K // 2 + 1)
+        complex_size = 4 * size + rfft_size
+        block = np.empty(2 * complex_size + 5 * size)
+        complex_part = block[: 2 * complex_size].view(complex)
+        self.u, self.u_try, self.du, spectrum = complex_part[: 4 * size].reshape(4, size)
+        self._spectrum = spectrum.reshape(n_r, K)
+        self._spectrum[...] = 0.0
+        self._rfft = complex_part[4 * size :].reshape(n_r, K // 2 + 1)
+        real_part = block[2 * complex_size :].reshape(5, size)
+        self.base, self.base_try, self.terms, self.terms_try, self.omega = real_part
 
     def least_squares(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The weighted least-squares point t (the p = 2 minimizer), A, rhs."""
@@ -507,7 +487,7 @@ class _Workspace:
         return self._smooth(self.u, eps, self.base, self.terms)
 
     def trial(self, alpha: float, eps: float) -> float:
-        """Smoothed objective at u + alpha du, kept in the trial buffers."""
+        """Smoothed objective at u + alpha du, kept in the trial arrays."""
         np.multiply(self.du, alpha, out=self.u_try)
         self.u_try += self.u
         return self._smooth(self.u_try, eps, self.base_try, self.terms_try)
@@ -526,7 +506,7 @@ class _Workspace:
         return self.omega
 
     def raw_objective(self) -> float:
-        """sum_i w_i |u_i|^p at ``u``, computed in the trial buffers."""
+        """sum_i w_i |u_i|^p at ``u``, computed in the trial arrays."""
         power = _abs2(self.u, out=self.base_try, tmp=self.terms_try)
         power **= 0.5 * self.p
         return float(self.w @ power)
@@ -536,14 +516,6 @@ class _Workspace:
         base += eps
         np.power(base, 0.5 * self.p, out=terms)
         return float(self.w @ terms)
-
-
-@contextmanager
-def _workspace(problem: ExtremalProblem, grid: QuadratureGrid) -> Iterator[_Workspace]:
-    """A workspace for ``problem`` on ``grid`` whose buffers go back to the
-    grid's pool when the block exits."""
-    with _grid_cache(grid).lend() as buffers:
-        yield _Workspace(problem, grid, buffers)
 
 
 def _abs2(
@@ -690,33 +662,33 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
     coarse_grid = _grid_cache(problem.grid).coarse_grid
     levels = []  # the workspace of each grid level run, coarse first
     if coarse_grid is not None and not p2_return:
-        with _workspace(problem, coarse_grid) as ws:
-            for t, _ in _descend(ws, t, schedule[:-2]):
-                pass
+        ws = _Workspace(problem, coarse_grid)
+        for t, _ in _descend(ws, t, schedule[:-2]):
+            pass
         levels.append(ws)
         schedule = schedule[-2:]
-    with _workspace(problem, problem.grid) as ws:
-        if p2_return:
-            # The least-squares start is the exact minimizer, and the p = 2
-            # IRLS weights equal w under every eps, so A and rhs are final;
-            # the objective is the quadratic form of the cached Gram of w,
-            # so no grid pass runs.
-            t, A, rhs = ws.least_squares()
-            a = ws.a0 + ws.N @ t
-            raw = [float(np.vdot(a, ws.basis.weight_gram @ a).real)]
-            converged = True
-        else:
-            # the drift test reads the raw objective after the last two stages
-            raw, stagnated = [], True
-            for i, (t, stage_stagnated) in enumerate(_descend(ws, t, schedule)):
-                stagnated = stagnated and stage_stagnated
-                if i >= len(schedule) - 2:
-                    raw.append(ws.raw_objective())
-            drift = abs(raw[-1] - raw[-2])
-            settled = drift <= _DRIFT_TOL * max(raw[-1], 1e-300)
-            converged = stagnated and settled
-            # ws holds the final point under the last eps
-            A, rhs = ws.reduced_system(ws.irls_weights())
+    ws = _Workspace(problem, problem.grid)
+    if p2_return:
+        # The least-squares start is the exact minimizer, and the p = 2
+        # IRLS weights equal w under every eps, so A and rhs are final;
+        # the objective is the quadratic form of the cached Gram of w,
+        # so no grid pass runs.
+        t, A, rhs = ws.least_squares()
+        a = ws.a0 + ws.N @ t
+        raw = [float(np.vdot(a, ws.basis.weight_gram @ a).real)]
+        converged = True
+    else:
+        # the drift test reads the raw objective after the last two stages
+        raw, stagnated = [], True
+        for i, (t, stage_stagnated) in enumerate(_descend(ws, t, schedule)):
+            stagnated = stagnated and stage_stagnated
+            if i >= len(schedule) - 2:
+                raw.append(ws.raw_objective())
+        drift = abs(raw[-1] - raw[-2])
+        settled = drift <= _DRIFT_TOL * max(raw[-1], 1e-300)
+        converged = stagnated and settled
+        # ws holds the final point under the last eps
+        A, rhs = ws.reduced_system(ws.irls_weights())
     levels.append(ws)
     a_raw = problem.raw_from_t(t)
     residual = problem.constraint_matrix @ a_raw - problem.constraint_targets

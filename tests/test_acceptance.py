@@ -201,19 +201,19 @@ def test_a8_solver_certificates(unit_disk, disk_grid, smoothed_objectives):
     feasible = minimize_pnorm(prob).coeffs.coefficients
     h = 1e-6
     worst_grad = 0.0
-    with solver._workspace(prob, disk_grid) as ws:
-        t_feasible = prob.t_from_raw(feasible)
-        size = t_feasible.size
-        for _ in range(50):
-            t = t_feasible + 0.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-            ws.set_point(t, 1e-4)
-            A, rhs = ws.reduced_system(ws.irls_weights())
-            grad = prob.p * (A @ t - rhs)
-            d = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-            d /= np.linalg.norm(d)
-            fd = (ws.set_point(t + h * d, 1e-4) - ws.set_point(t - h * d, 1e-4)) / (2 * h)
-            analytic = float(np.real(np.vdot(grad, d)))
-            worst_grad = max(worst_grad, abs(fd - analytic) / max(1.0, abs(analytic)))
+    ws = solver._Workspace(prob, disk_grid)
+    t_feasible = prob.t_from_raw(feasible)
+    size = t_feasible.size
+    for _ in range(50):
+        t = t_feasible + 0.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        ws.set_point(t, 1e-4)
+        A, rhs = ws.reduced_system(ws.irls_weights())
+        grad = prob.p * (A @ t - rhs)
+        d = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        d /= np.linalg.norm(d)
+        fd = (ws.set_point(t + h * d, 1e-4) - ws.set_point(t - h * d, 1e-4)) / (2 * h)
+        analytic = float(np.real(np.vdot(grad, d)))
+        worst_grad = max(worst_grad, abs(fd - analytic) / max(1.0, abs(analytic)))
 
     ok = worst_eq <= 1e-8 and descent_ok and nested_ok and worst_grad <= 1e-5
     _report("A8 solver certificates (oracle, descent, nesting, gradient)", ok,

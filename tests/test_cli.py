@@ -470,11 +470,16 @@ def test_limit_rejects_bad_seed_and_restarts(capsys, flag):
         (["levi", "--p", "2", "--direction", "0"], "direction X must be finite and nonzero"),
         (["holder", "--p", "1.5", "--radii", "nan,0.01"], "radii must be positive and finite"),
         (["holder", "--p", "1.5", "--radii", "inf,0.01"], "radii must be positive and finite"),
+        (["kernel", "--p", "2", "--z", "nan"], "point (nan+0j) is not finite"),
+        (["kernel", "--p", "2", "--z", "inf"], "point (inf+0j) is not finite"),
+        # degree 6 spans 6 exponents, which 6 angles alias
+        (["kernel", "--p", "3", "--z", "0.3", "--grid", "8x6"], "6 angles aliases"),
     ],
     ids=["kernel-p", "kernel-z", "levi-p", "holder-directions", "limit-margin", "tol",
          "kernel-p-nan", "kernel-p-inf", "kernel-margin-nan", "metric-direction-nan",
          "metric-direction-inf", "levi-step-nan", "levi-step-inf", "levi-direction-nan",
-         "levi-direction-zero", "holder-radii-nan", "holder-radii-inf"],
+         "levi-direction-zero", "holder-radii-nan", "holder-radii-inf", "kernel-z-nan",
+         "kernel-z-inf", "kernel-grid-aliased"],
 )
 def test_bad_arguments_exit_one_before_solving(capsys, monkeypatch, argv, cause):
     # None in place of the solvers: any solve raises TypeError and fails the test

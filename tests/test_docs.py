@@ -1,7 +1,8 @@
 """The documented API stays runnable: the README quickstart, command-line
 block and demos execute, every layer the benchmark trace wraps still
 exists, a traced run of the command line yields its layer metrics, and
-every third-party module the tests import is declared in pyproject.toml."""
+every third-party module the tests import is declared in pyproject.toml,
+every one the package imports as a runtime dependency."""
 
 import ast
 import importlib
@@ -111,22 +112,32 @@ def test_benchmark_trace_runs(monkeypatch):
     assert metrics["solver.dense_nd_computed"] > 0
 
 
-def test_test_imports_are_declared():
+@pytest.mark.parametrize(
+    "folder, extras, expected",
+    [("tests", ["test"], {"numpy", "pytest"}), ("src/pbergman", [], {"numpy", "scipy"})],
+    ids=["tests", "package"],
+)
+def test_test_imports_are_declared(folder, extras, expected):
+    # the tests may import the runtime dependencies and the test extra, the
+    # package only the runtime dependencies
     tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
-    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    requirements = project["dependencies"] + [
+        req for extra in extras for req in project["optional-dependencies"][extra]
+    ]
     declared = {
         re.match(r"[\w.-]+", req).group().lower().replace("-", "_") for req in requirements
     }
-    tests = list((ROOT / "tests").glob("*.py"))
+    files = list((ROOT / folder).glob("*.py"))
     imported = set()
-    for path in tests:
+    for path in files:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
                 imported.update(alias.name.split(".")[0] for alias in node.names)
             elif isinstance(node, ast.ImportFrom) and node.level == 0:
                 imported.add(node.module.split(".")[0])
-    local = {path.stem for path in tests} | {"pbergman"}
+    local = {path.stem for path in files} | {"pbergman"}
     third_party = imported - local - set(sys.stdlib_module_names)
-    assert {"numpy", "pytest"} <= third_party
-    assert third_party <= declared, f"undeclared test imports: {sorted(third_party - declared)}"
+    assert expected <= third_party
+    undeclared = sorted(third_party - declared)
+    assert not undeclared, f"undeclared imports in {folder}: {undeclared}"

@@ -165,13 +165,9 @@ def test_drift_objectives_only_on_the_requested_grid(unit_disk, monkeypatch, sha
 def _single_grid(prob):
     """The whole schedule on the problem's own grid from its least-squares start,
     with the objective and ``converged`` as ``minimize_pnorm`` reports them."""
-    with solver._workspace(prob, prob.grid) as ws:
-        stages = [
-            (t, stagnated, ws.raw_objective())
-            for t, stagnated in solver._descend(
-                ws, ws.least_squares()[0], solver.SMOOTHING_SCHEDULE
-            )
-        ]
+    ws = solver._Workspace(prob, prob.grid)
+    descent = solver._descend(ws, ws.least_squares()[0], solver.SMOOTHING_SCHEDULE)
+    stages = [(t, stagnated, ws.raw_objective()) for t, stagnated in descent]
     t = stages[-1][0]
     stagnated = all(stage[1] for stage in stages)
     raw = [stage[2] for stage in stages[-2:]]
@@ -396,7 +392,7 @@ def test_interleaved_solves_match_separate_solves(unit_disk, disk_grid, monkeypa
         8,
         lambda b: (point_constraint(b, -0.3, 0.0), derivative_constraint(b, -0.3, 1.0)),
     )
-    # grid, exponents and p of the first: the same cached basis and buffer pools
+    # grid, exponents and p of the first: the same cached bases
     third = _problem(
         unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, -0.2 + 0.5j, 1.0),)
     )
@@ -481,7 +477,16 @@ def test_concurrent_solves_on_one_grid_match_a_cold_grid(unit_disk):
             _assert_same_bits(got, want)
 
 
-def test_warm_solve_allocates_less_than_one_grid_array(unit_disk):
+# the grid-sized arrays a workspace allocates for its descent
+_WORKSPACE_ARRAYS = (
+    "u", "u_try", "du", "base", "base_try", "terms", "terms_try", "omega", "_rfft", "_spectrum"
+)
+
+
+def test_warm_solve_allocates_only_its_workspaces(unit_disk, monkeypatch):
+    # each grid level allocates its arrays once and an iteration none, so a
+    # solve on a grid whose coarse rule and bases exist peaks below its
+    # workspaces' arrays plus one real grid array
     grid = pb.build_grid(unit_disk, 128, 256)
     basis = _basis(unit_disk, 1.5, 24)
 
@@ -489,15 +494,25 @@ def test_warm_solve_allocates_less_than_one_grid_array(unit_disk):
         cons = (point_constraint(basis, z, 1.0),)
         return minimize_pnorm(ExtremalProblem(basis, grid, 1.5, cons))
 
-    solve(0.3)  # builds the coarse grid, the bases and the buffers
+    solve(0.3)  # builds the coarse grid and the bases
+    workspaces = []
+    init = solver._Workspace.__init__
+
+    def spied_init(ws, problem, grid):
+        init(ws, problem, grid)
+        workspaces.append(ws)
+
+    monkeypatch.setattr(solver._Workspace, "__init__", spied_init)
     tracemalloc.start()
     try:
         assert solve(0.31).coarse_iterations > 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    complex_grid_array = 16 * grid.weights.size  # 512 KiB
-    assert peak < complex_grid_array
+    assert [ws.w.size for ws in workspaces] == [grid.weights.size // 16, grid.weights.size]
+    arrays = sum(getattr(ws, name).nbytes for ws in workspaces for name in _WORKSPACE_ARRAYS)
+    real_grid_array = 8 * grid.weights.size  # 256 KiB
+    assert peak < arrays + real_grid_array
 
 
 def test_cholesky_fallbacks_are_counted(unit_disk, disk_grid, monkeypatch):
@@ -646,19 +661,19 @@ def test_smoothed_gradient_matches_finite_differences(unit_disk, disk_grid, p):
     )
     base = minimize_pnorm(prob).coeffs.coefficients
     h = 1e-6
-    with solver._workspace(prob, disk_grid) as ws:
-        t_base = prob.t_from_raw(base)
-        size = t_base.size
-        for _ in range(8):
-            t = t_base + 0.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
-            ws.set_point(t, 1e-4)
-            A, rhs = ws.reduced_system(ws.irls_weights())
-            grad = p * (A @ t - rhs)
-            d = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-            d /= np.linalg.norm(d)
-            fd = (ws.set_point(t + h * d, 1e-4) - ws.set_point(t - h * d, 1e-4)) / (2 * h)
-            analytic = float(np.real(np.vdot(grad, d)))
-            assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic))
+    ws = solver._Workspace(prob, disk_grid)
+    t_base = prob.t_from_raw(base)
+    size = t_base.size
+    for _ in range(8):
+        t = t_base + 0.5 * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+        ws.set_point(t, 1e-4)
+        A, rhs = ws.reduced_system(ws.irls_weights())
+        grad = p * (A @ t - rhs)
+        d = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        d /= np.linalg.norm(d)
+        fd = (ws.set_point(t + h * d, 1e-4) - ws.set_point(t - h * d, 1e-4)) / (2 * h)
+        analytic = float(np.real(np.vdot(grad, d)))
+        assert abs(fd - analytic) <= 1e-5 * max(1.0, abs(analytic))
 
 
 def test_multistart_p09_collapses_to_constant(unit_disk, disk_grid):
@@ -775,8 +790,8 @@ def test_grid_levels_share_the_feasible_slice(unit_disk, disk_grid, monkeypatch)
     seen = []
     init = solver._Workspace.__init__
 
-    def spied_init(ws, problem, grid, buffers):
-        init(ws, problem, grid, buffers)
+    def spied_init(ws, problem, grid):
+        init(ws, problem, grid)
         seen.append((grid, ws.a0, ws.N))
 
     monkeypatch.setattr(solver._Workspace, "__init__", spied_init)
@@ -803,6 +818,29 @@ def test_too_many_constraints_rejected(unit_disk, disk_grid):
     )
     with pytest.raises(ValueError):
         ExtremalProblem(basis, disk_grid, 2.0, cons)
+
+
+@pytest.mark.parametrize(
+    "spec, n_min, angles", [("disk:1", None, 16), ("disk:1", None, 24), ("annulus:0.5,1", -24, 48)]
+)
+def test_grid_with_too_few_angles_rejected(spec, n_min, angles):
+    # exponents from n_min to 24: K angles put two of them in one DFT bin
+    # unless K exceeds their span
+    domain = pb.parse_domain(spec)
+    basis = _basis(domain, 3.0, 24, n_min)
+    span = basis.exponents[-1] - basis.exponents[0]
+    cons = (point_constraint(basis, 0.7, 1.0),)
+    with pytest.raises(ValueError, match=f"grid of {angles} angles .* spanning {span};"):
+        ExtremalProblem(basis, pb.build_grid(domain, 8, angles), 3.0, cons)
+    ExtremalProblem(basis, pb.build_grid(domain, 8, span + 1), 3.0, cons)
+
+
+@pytest.mark.parametrize("spec", ["disk:2", "punctured:1", "annulus:0.5,1"])
+def test_grid_on_another_domain_rejected(unit_disk, spec):
+    basis = _basis(unit_disk, 2.0, 8)
+    grid = pb.build_grid(pb.parse_domain(spec), 128, 256)
+    with pytest.raises(ValueError, match="the grid is on .* but the basis on disk:1"):
+        ExtremalProblem(basis, grid, 2.0, (point_constraint(basis, 0.7, 1.0),))
 
 
 @pytest.mark.parametrize("p", [0.0, math.nan, math.inf])
