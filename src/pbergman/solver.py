@@ -14,9 +14,10 @@ and otherwise backtracks along the plain IRLS step.  So the smoothed
 objective never rises within a grid: each accepted step lowers it, and so
 does each smaller eps at a fixed iterate.  At p = 2 the weighted
 least-squares start is the exact minimizer, so a p = 2 solve without a
-given start returns it with no iterations and no pass over the grid: its
-system and its objective, the quadratic form a^H G a, come from the Gram G
-of the grid weights, which each basis builds once.
+given start returns it with no iterations, no grid level and no pass over
+the grid: its system and its objective, the quadratic form a^H G a, come
+from the Gram G of the grid weights, which each basis builds once (real,
+since the weights are constant in the angle).
 
 Basis columns are pre-scaled by their p-norms on the domain
 (``BasisSpec.col_norms``); reported coefficients are raw monomial ones.
@@ -28,6 +29,19 @@ therefore never forms the nodes x D matrix: grid values are one inverse FFT
 per radius, and the reweighted Gram G_jl = sum_i r_i^(n_j + n_l)
 W_i(n_l - n_j) / (c_j c_l), with W_i the angular DFT of the weights on
 circle i, costs one real FFT of the weights plus O(n_r D^2) work.
+
+A problem whose constraint rows and targets are real, as every one-point
+problem at a real point is, commutes with f -> conj(f(conj z)), and the
+angles 2 pi k / K are closed under theta -> -theta.  For p >= 1 its smoothed
+objective is strictly convex in t, so the minimizer is real, and a solve
+without a given start runs both grid levels in real arithmetic: t, the
+slice and the reduced system are real; |f| of real coefficients is even
+in the angle, so only the K // 2 + 1 angles in [0, pi] are evaluated (one
+real FFT of the real spectrum per radius, every angle with a mirror
+weighted twice); and the Gram is a cosine sum of the weights, one inverse
+real FFT per radius.  Complex constraints, p < 1 and given starts,
+whose minimizers need not be symmetric, keep the complex arithmetic on all
+K angles.
 
 Each line-search trial takes one power of |u|^2 + eps on the grid, and the
 accepted trial keeps (|u|^2 + eps)^(p/2), so the next IRLS weights are w
@@ -147,6 +161,8 @@ class ExtremalProblem:
     stack them once, read-only.  ``feasible_slice`` is (a0, N) from one SVD
     of the rows over ``basis.col_norms``, which also tests the rank: the
     slice is a0 + N t in scaled coefficients, N with orthonormal columns.
+    When every row and target is real (``is_real``), as at a real point, the
+    SVD is real and so are a0 and N; their complex span is the same slice.
     """
 
     basis: BasisSpec
@@ -187,6 +203,8 @@ class ExtremalProblem:
         C, b = self.constraint_matrix, self.constraint_targets
         if not (np.isfinite(C).all() and np.isfinite(b).all()):
             raise ValueError("constraint rows and targets must be finite")
+        if not (C.imag.any() or b.imag.any()):
+            C, b = C.real, b.real
         U, sigma, Vh = np.linalg.svd(C / self.basis.col_norms)
         if sigma[-1] <= sigma[0] * dim * np.finfo(float).eps:
             raise InfeasibleConstraintsError("constraint rows are linearly dependent")
@@ -207,6 +225,11 @@ class ExtremalProblem:
         b = np.array([target for _, target in self.constraints])
         b.setflags(write=False)
         return b
+
+    @property
+    def is_real(self) -> bool:
+        """Whether the constraint rows and targets, hence the slice, are real."""
+        return not np.iscomplexobj(self.feasible_slice[1])
 
     def raw_from_t(self, t: np.ndarray) -> np.ndarray:
         a0, N = self.feasible_slice
@@ -256,21 +279,32 @@ class _SeparableBasis:
     apart.  ``values`` acts on scaled coefficients (raw coefficients times
     ``col_norms``).
 
+    Real coefficients give values with u(r, -theta) = conj(u(r, theta)), so
+    any function of |u| is even in the angle, and a real solve works on the
+    K // 2 + 1 angles in [0, pi] alone: ``half_values`` takes one real FFT
+    of the real spectrum per radius, the grid sums weigh every angle with a
+    mirror twice (``mirror_weights``; all but 0 and, for even K, pi), and
+    ``cosine_gram`` takes the Gram of even weights, given on those angles
+    at their own weight (``half_weights``), from one inverse real FFT.
+
     An instance is read-only apart from ``weight_gram``, the Gram under the
     grid weights, built on first use and then kept, and it holds no scratch,
     so one instance per (grid, basis spec) serves every solve, nested and
     concurrent ones included; the grid cache keeps it.  The scratch arrays
-    come from the caller: ``values`` writes into a spectrum array and
-    ``gram`` into a real-FFT array.
+    come from the caller: the value methods write into a spectrum array and
+    the Gram methods into an FFT array.
     """
 
     def __init__(self, grid: QuadratureGrid, basis: BasisSpec):
         n = np.array(basis.exponents)
         col_norms = basis.col_norms
         radii = grid.radii
-        K = grid.angular_count
-        self.shape = (grid.radial_count, K)
-        self._weights = grid.weights
+        n_r, K = grid.radial_count, grid.angular_count
+        self.shape = (n_r, K)
+        self.half_weights = grid.weights.reshape(n_r, K)[:, : K // 2 + 1].ravel()
+        mirror_weights = self.half_weights.reshape(n_r, -1).copy()
+        mirror_weights[:, 1 : (K + 1) // 2] *= 2.0
+        self.mirror_weights = mirror_weights.ravel()
         self.radial = radii[:, None] ** n[None, :] / col_norms
         # occupied DFT bins; fold[j, b] sums the exponents that share bin b
         self.occupied, slot = np.unique(n % K, return_inverse=True)
@@ -283,13 +317,14 @@ class _SeparableBasis:
         r_top = radii.max()
         sums = 2 * n[0] + np.arange(2 * span + 1)
         self._sum_powers = (radii[None, :] / r_top) ** sums[:, None]
-        # The weights are real, so their angular DFT W at lag m is conj(R[b])
-        # for the bin b = m mod K up to K/2 and R[K - b] above, with R the
-        # real FFT, and W at lag -m is conj(W at m).  Only lags 0..span are
-        # built; a Gram entry at a negative lag conjugates its mirror.
-        bins = np.arange(span + 1) % K
-        conj = bins <= K // 2
-        self._lag_source = np.where(conj, bins, K - bins)
+        # Only lags 0..span are built; a Gram entry at a negative lag takes
+        # its mirror.  The angular DFT W of real weights at lag -m is
+        # conj(W at m), and W at lag m is conj(R[b]) for the bin b = m mod K
+        # up to K/2 and R[K - b] above, with R the real FFT.  Weights even in
+        # the angle have a real W, even in the lag.
+        self._lag_bins = np.arange(span + 1) % K
+        conj = self._lag_bins <= K // 2
+        self._lag_source = np.where(conj, self._lag_bins, K - self._lag_bins)
         lag = n[None, :] - n[:, None]
         self._sum_index = n[:, None] + n[None, :] - 2 * n[0]
         self._lag_index = np.abs(lag)
@@ -321,6 +356,26 @@ class _SeparableBasis:
         np.fft.ifft(spectrum, axis=1, norm="forward", out=out.reshape(self.shape))
         return out
 
+    def half_values(
+        self,
+        a: np.ndarray,
+        out: np.ndarray | None = None,
+        spectrum: np.ndarray | None = None,
+    ) -> np.ndarray:
+        """For real ``a``, the conjugate grid values of ``values(a)`` on the
+        angles in [0, pi], flat, radius by radius; |u| is all a real solve
+        reads, so the conjugate is never taken.
+
+        ``spectrum`` is real scratch as for ``values``.
+        """
+        if spectrum is None:
+            spectrum = np.zeros(self.shape)
+        spectrum[:, self.occupied] = self.radial @ (a[:, None] * self._fold)
+        if out is None:
+            out = np.empty(self.half_weights.size, dtype=complex)
+        np.fft.rfft(spectrum, axis=1, out=out.reshape(self.shape[0], -1))
+        return out
+
     def gram(self, omega: np.ndarray, rfft_out: np.ndarray | None = None) -> np.ndarray:
         """V^H diag(omega) V for real node weights omega.
 
@@ -337,10 +392,26 @@ class _SeparableBasis:
         G *= self._top_scale
         return G
 
+    def cosine_gram(self, omega: np.ndarray, irfft_out: np.ndarray | None = None) -> np.ndarray:
+        """V^H diag(omega) V, real, for real node weights omega even in the
+        angle, given flat on the angles in [0, pi] like ``half_weights``,
+        as a real array or as a complex one with a zero imaginary part.
+
+        The inverse real FFT of the weights is written to ``irfft_out`` if
+        given, of the grid's shape.
+        """
+        n_r, K = self.shape
+        # W[i, m] = sum_k omega_ik cos(m theta_k) over all K angles
+        W = np.fft.irfft(omega.reshape(n_r, -1), n=K, axis=1, norm="forward", out=irfft_out)
+        G = (self._sum_powers @ W.take(self._lag_bins, axis=1))[self._sum_index, self._lag_index]
+        G *= self._top_scale
+        return G
+
     @functools.cached_property
     def weight_gram(self) -> np.ndarray:
-        """V^H diag(w) V for the grid weights w, read-only."""
-        G = self.gram(self._weights)
+        """V^H diag(w) V for the grid weights w, read-only.  They are
+        constant in the angle, so it is real."""
+        G = self.cosine_gram(self.half_weights)
         G.setflags(write=False)
         return G
 
@@ -387,9 +458,59 @@ def grid_values(problem: ExtremalProblem, coefficients: np.ndarray) -> np.ndarra
 
 
 # the LAPACK Cholesky factor and solve behind scipy.linalg.cho_factor and
-# cho_solve, called directly: the wrappers cost several times the work at the
-# small D of a reduced system; weighted_solve keeps their finite checks
-_POTRF, _POTRS = scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=complex)
+# cho_solve, per dtype of the reduced system, called directly: the wrappers
+# cost several times the work at the small D of a reduced system;
+# _weighted_solve keeps their finite checks
+_CHOLESKY = {
+    np.dtype(dtype): scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
+    for dtype in (float, complex)
+}
+
+
+def _reduce(G: np.ndarray, a0: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A = N^H G N and rhs = -N^H G a0: the quadratic form of the Gram G
+    on the slice a0 + N t is t^H A t - 2 Re(t^H rhs) plus a constant."""
+    Nh = N.conj().T
+    return Nh @ G @ N, -(Nh @ (G @ a0))
+
+
+def _weighted_solve(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
+    """Solve A x = rhs by Cholesky; returns x and 1 if A failed the
+    factorization and least squares solved instead, else 0.
+
+    The calls and checks are those of ``scipy.linalg.cho_factor`` and
+    ``cho_solve``: the upper triangle is factored, and NaN or inf in A or
+    rhs raises ``ValueError``.
+    """
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    potrf, potrs = _CHOLESKY[A.dtype]
+    c, info = potrf(A, lower=0, clean=0)
+    if info > 0:
+        return np.linalg.lstsq(A, rhs, rcond=None)[0], 1
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of potrf")
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = potrs(c, rhs, lower=0)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
+    return x, 0
+
+
+def _carve(layout: dict[str, tuple[tuple[int, ...], type]]) -> dict[str, np.ndarray]:
+    """One array per name of ``layout``, which maps it to (shape, dtype), all
+    views of one float block; complex arrays come first, so that each is
+    aligned to its itemsize."""
+    names = sorted(layout, key=lambda name: layout[name][1] is not complex)
+    counts = [math.prod(layout[name][0]) * (2 if layout[name][1] is complex else 1) for name in names]
+    block = np.empty(sum(counts))
+    arrays, start = {}, 0
+    for name, count in zip(names, counts):
+        shape, dtype = layout[name]
+        arrays[name] = block[start : start + count].view(dtype).reshape(shape)
+        start += count
+    return arrays
 
 
 class _Workspace:
@@ -398,46 +519,68 @@ class _Workspace:
 
     The grid is the problem's own grid or a coarser rule on the same domain.
     The basis comes from the grid's cache and the slice (a0, N) from the
-    problem, so every level of a solve works in the same coordinates t.  The
-    workspace allocates the grid-sized arrays of the descent and overwrites
-    them in place: the current values ``u`` with ``base`` = |u|^2 + eps and
-    ``terms`` = base^(p/2), the same three at the line-search trial point,
-    the step ``du``, the IRLS weights ``omega``, and the FFT scratch, whose
-    spectrum stays zero outside the bins the basis occupies.  No other solve
-    sees them, which keeps ``minimize_pnorm`` reentrant.  They are views of
-    one block because glibc keeps a freed block of up to 32 MiB for the
-    next workspace, while it hands the pages of ten separate arrays back to
-    the system, and a solve on the default grid then faults some 860 pages
-    in.  ``iterations`` counts the accepted steps on the level,
+    problem, so every level of a solve works in the same coordinates t.
+    ``dtype`` is that of t and of the reduced system: float for a ``real``
+    workspace, which needs a real slice and keeps t real, and complex
+    otherwise.  A real workspace holds its grid values on the angles in
+    [0, pi] (``_SeparableBasis.half_values``), sums them under ``w`` =
+    ``mirror_weights`` and takes its Gram by ``cosine_gram``, so it works on
+    half the nodes and allocates about half the memory.
+
+    The workspace allocates the grid-sized arrays of the descent and
+    overwrites them in place: the current values ``u`` with ``base`` =
+    |u|^2 + eps and ``terms`` = base^(p/2), the same three at the
+    line-search trial point, the step ``du``, the IRLS weights ``omega``
+    (in a real workspace the real part of a complex array whose imaginary
+    part stays zero, which the inverse real FFT of the Gram reads without a
+    complex copy), and the FFT scratch ``_spectrum`` (of ``dtype``, zero
+    outside the bins the basis occupies) and ``_transform`` (that of the
+    weights).  No other
+    solve sees them, which keeps ``minimize_pnorm`` reentrant.  They are
+    views of one block because glibc keeps a freed block of up to 32 MiB for
+    the next workspace, while it hands the pages of ten separate arrays back
+    to the system, and a solve on the default grid then faults some 860
+    pages in.  ``iterations`` counts the accepted steps on the level,
     ``anderson_steps`` those that took the Anderson candidate and
     ``cholesky_fallbacks`` the solves that fell back to least squares.
     """
 
-    def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid):
-        self.w = grid.weights
+    def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid, real: bool = False):
+        self.grid = grid
         self.p = problem.p
-        self.basis = _grid_cache(grid).basis(grid, problem.basis)
-        self.a0, self.N = problem.feasible_slice
+        self.basis = basis = _grid_cache(grid).basis(grid, problem.basis)
+        self.dtype = float if real else complex
+        # a real slice is made complex once here, not in every product
+        self.a0, self.N = (np.asarray(part, self.dtype) for part in problem.feasible_slice)
         self.iterations = 0
         self.cholesky_fallbacks = 0
         self.anderson_steps = 0
 
-        n_r, K = self.basis.shape
-        size, rfft_size = n_r * K, n_r * (K // 2 + 1)
-        complex_size = 4 * size + rfft_size
-        block = np.empty(2 * complex_size + 5 * size)
-        complex_part = block[: 2 * complex_size].view(complex)
-        self.u, self.u_try, self.du, spectrum = complex_part[: 4 * size].reshape(4, size)
-        self._spectrum = spectrum.reshape(n_r, K)
+        n_r, K = basis.shape
+        if real:
+            self.w, self._omega_weights = basis.mirror_weights, basis.half_weights
+            self._values, self._gram = basis.half_values, basis.cosine_gram
+            size = basis.half_weights.size
+            omega = complex
+            fourier = {"_spectrum": ((n_r, K), float), "_transform": ((n_r, K), float)}
+        else:
+            self.w = self._omega_weights = grid.weights
+            self._values, self._gram = basis.values, basis.gram
+            size = n_r * K
+            omega = float
+            fourier = {
+                "_spectrum": ((n_r, K), complex), "_transform": ((n_r, K // 2 + 1), complex)
+            }
+        layout = dict.fromkeys(("u", "u_try", "du"), ((size,), complex))
+        layout |= dict.fromkeys(("base", "base_try", "terms", "terms_try"), ((size,), float))
+        vars(self).update(_carve(layout | fourier | {"omega": ((size,), omega)}))
         self._spectrum[...] = 0.0
-        self._rfft = complex_part[4 * size :].reshape(n_r, K // 2 + 1)
-        real_part = block[2 * complex_size :].reshape(5, size)
-        self.base, self.base_try, self.terms, self.terms_try, self.omega = real_part
+        if real:
+            self.omega.imag[...] = 0.0
 
-    def least_squares(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The weighted least-squares point t (the p = 2 minimizer), A, rhs."""
-        A, rhs = self._reduce(self.basis.weight_gram)
-        return self.weighted_solve(A, rhs), A, rhs
+    def least_squares(self) -> np.ndarray:
+        """The weighted least-squares point t, the p = 2 minimizer."""
+        return self.weighted_solve(*_reduce(self.basis.weight_gram, self.a0, self.N))
 
     def reduced_system(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A = N^H G N and rhs = -N^H G a0 for the Gram G of weights omega.
@@ -445,42 +588,22 @@ class _Workspace:
         A t - rhs is M^H diag(omega) u(t), with M = V N the map from t to
         the grid values u(t) = V (a0 + N t).
         """
-        return self._reduce(self.basis.gram(omega, rfft_out=self._rfft))
-
-    def _reduce(self, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        Nh = self.N.conj().T
-        return Nh @ G @ self.N, -(Nh @ (G @ self.a0))
+        return _reduce(self._gram(omega, self._transform), self.a0, self.N)
 
     def weighted_solve(self, A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Solve A x = rhs by Cholesky; count each fall back to least squares.
-
-        The calls and checks are those of ``scipy.linalg.cho_factor`` and
-        ``cho_solve``: the upper triangle is factored, and NaN or inf in A
-        or rhs raises ``ValueError``.
-        """
-        if not np.isfinite(A).all():
-            raise ValueError("array must not contain infs or NaNs")
-        c, info = _POTRF(A, lower=0, clean=0)
-        if info > 0:
-            self.cholesky_fallbacks += 1
-            return np.linalg.lstsq(A, rhs, rcond=None)[0]
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of potrf")
-        if not np.isfinite(rhs).all():
-            raise ValueError("array must not contain infs or NaNs")
-        x, info = _POTRS(c, rhs, lower=0)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of potrs")
+        """Solve A x = rhs by ``_weighted_solve``; count each fall back."""
+        x, fallbacks = _weighted_solve(A, rhs)
+        self.cholesky_fallbacks += fallbacks
         return x
 
     def set_point(self, t: np.ndarray, eps: float) -> float:
         """Load the values of t into ``u``; returns the smoothed objective."""
-        self.basis.values(self.a0 + self.N @ t, out=self.u, spectrum=self._spectrum)
+        self._values(self.a0 + self.N @ t, out=self.u, spectrum=self._spectrum)
         return self.set_eps(eps)
 
     def set_step(self, delta: np.ndarray) -> None:
         """Load the values of the step N delta into ``du``."""
-        self.basis.values(self.N @ delta, out=self.du, spectrum=self._spectrum)
+        self._values(self.N @ delta, out=self.du, spectrum=self._spectrum)
 
     def set_eps(self, eps: float) -> float:
         """Fill ``base`` and ``terms`` of ``u`` under eps; returns w . terms."""
@@ -499,10 +622,12 @@ class _Workspace:
         self.terms, self.terms_try = self.terms_try, self.terms
 
     def irls_weights(self) -> np.ndarray:
-        """omega = w base^(p/2 - 1) at ``u``, as w terms / base; the gradient
-        in t of the smoothed objective is p (A t - rhs) for these weights."""
-        np.divide(self.terms, self.base, out=self.omega)
-        self.omega *= self.w
+        """omega = w base^(p/2 - 1) at ``u``, as w terms / base, with each
+        node at its own weight; the gradient in t of the smoothed objective
+        is p (A t - rhs) for these weights."""
+        omega = self.omega.real
+        np.divide(self.terms, self.base, out=omega)
+        omega *= self._omega_weights
         return self.omega
 
     def raw_objective(self) -> float:
@@ -631,7 +756,7 @@ def _descend(ws: _Workspace, t, schedule) -> Iterator[tuple[np.ndarray, bool]]:
     stage's final point under its eps.
     """
     if t is None:
-        t = ws.least_squares()[0]
+        t = ws.least_squares()
     phi = ws.set_point(t, schedule[0])
     for i, eps in enumerate(schedule):
         if i > 0:
@@ -649,35 +774,45 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
     it the descent starts from the weighted least-squares solution, which is
     the exact minimizer for p = 2 and is then returned with no iterations.
     Every other solve runs its early stages on a coarser grid when the
-    problem's grid allows (see the module docstring).  The stop rule is fixed
-    by the module constants ``_TOLERANCE``, ``_MAX_ITERATIONS`` and
-    ``_DRIFT_TOL``; ``converged`` holds when every stage on the requested
-    grid stagnated and the raw objective drifted by at most ``_DRIFT_TOL``
-    relative over the last two stages.  Non-convergence is reported through
-    ``converged``, never silently.
+    problem's grid allows (see the module docstring), both levels in real
+    arithmetic on half the angles when the problem is real, p >= 1 and no
+    start is given.  The stop rule is fixed by the module constants
+    ``_TOLERANCE``, ``_MAX_ITERATIONS`` and ``_DRIFT_TOL``; ``converged``
+    holds when every stage on the requested grid stagnated and the raw
+    objective drifted by at most ``_DRIFT_TOL`` relative over the last two
+    stages.  Non-convergence is reported through ``converged``, never
+    silently.
     """
-    p2_return = start is None and problem.p == 2.0
-    t = None if start is None else problem.t_from_raw(start)
-    schedule = SMOOTHING_SCHEDULE
-    coarse_grid = _grid_cache(problem.grid).coarse_grid
+    cache = _grid_cache(problem.grid)
     levels = []  # the workspace of each grid level run, coarse first
-    if coarse_grid is not None and not p2_return:
-        ws = _Workspace(problem, coarse_grid)
-        for t, _ in _descend(ws, t, schedule[:-2]):
-            pass
-        levels.append(ws)
-        schedule = schedule[-2:]
-    ws = _Workspace(problem, problem.grid)
-    if p2_return:
+    fallbacks = 0  # those of the p = 2 return, which runs no level
+    if start is None and problem.p == 2.0:
         # The least-squares start is the exact minimizer, and the p = 2
         # IRLS weights equal w under every eps, so A and rhs are final;
-        # the objective is the quadratic form of the cached Gram of w,
-        # so no grid pass runs.
-        t, A, rhs = ws.least_squares()
-        a = ws.a0 + ws.N @ t
-        raw = [float(np.vdot(a, ws.basis.weight_gram @ a).real)]
+        # the objective is the quadratic form of the cached Gram of w, so
+        # no grid level is built and no grid pass runs.
+        a0, N = problem.feasible_slice
+        G = cache.basis(problem.grid, problem.basis).weight_gram
+        A, rhs = _reduce(G, a0, N)
+        t, fallbacks = _weighted_solve(A, rhs)
+        a = a0 + N @ t
+        raw = [float(np.vdot(a, G @ a).real)]
         converged = True
     else:
+        # A real problem is symmetric under conjugation, so at p >= 1 its
+        # smoothed objective, strictly convex in t, has a real minimizer,
+        # and IRLS from the real least-squares point stays real.  Below 1
+        # and from a given start the descent may leave the real slice.
+        real = start is None and problem.p >= 1.0 and problem.is_real
+        t = None if start is None else problem.t_from_raw(start)
+        schedule = SMOOTHING_SCHEDULE
+        if cache.coarse_grid is not None:
+            levels.append(_Workspace(problem, cache.coarse_grid, real))
+            for t, _ in _descend(levels[-1], t, schedule[:-2]):
+                pass
+            schedule = schedule[-2:]
+        ws = _Workspace(problem, problem.grid, real)
+        levels.append(ws)
         # the drift test reads the raw objective after the last two stages
         raw, stagnated = [], True
         for i, (t, stage_stagnated) in enumerate(_descend(ws, t, schedule)):
@@ -689,7 +824,6 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
         converged = stagnated and settled
         # ws holds the final point under the last eps
         A, rhs = ws.reduced_system(ws.irls_weights())
-    levels.append(ws)
     a_raw = problem.raw_from_t(t)
     residual = problem.constraint_matrix @ a_raw - problem.constraint_targets
     feasibility = float(np.max(np.abs(residual)))
@@ -702,7 +836,7 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
         iterations=sum(level.iterations for level in levels),
         coarse_iterations=sum(level.iterations for level in levels[:-1]),
         converged=converged,
-        cholesky_fallbacks=sum(level.cholesky_fallbacks for level in levels),
+        cholesky_fallbacks=fallbacks + sum(level.cholesky_fallbacks for level in levels),
         anderson_steps=sum(level.anderson_steps for level in levels),
     )
 

@@ -1,3 +1,4 @@
+import cmath
 import math
 import sys
 import threading
@@ -68,6 +69,22 @@ def test_separable_basis_matches_dense_vandermonde(spec, shape, n_min):
     assert np.array_equal(buf, sep.values(a))
     assert rel(sep.gram(omega), Vs.conj().T @ (Vs * omega[:, None])) <= 1e-13
 
+    # real coefficients and weights even in the angle: the angles in [0, pi]
+    n_r, K = shape
+    half = K // 2 + 1
+    a_real = a.real.copy()
+    full = (Vs @ a_real).reshape(n_r, K)
+    assert rel(sep.half_values(a_real), full[:, :half].conj().ravel()) <= 1e-13
+    even = omega.reshape(n_r, K)
+    even = even + even[:, -np.arange(K)]  # omega(theta) + omega(-theta)
+    half_even = even[:, :half].ravel()
+    assert rel(sep.cosine_gram(half_even), Vs.conj().T @ (Vs * even.ravel()[:, None])) <= 1e-13
+    # every angle but 0 and, for even K, pi stands for itself and its mirror
+    mirrors = np.ones(half)
+    mirrors[1 : (K + 1) // 2] = 2.0
+    assert np.array_equal(sep.mirror_weights, (grid.weights.reshape(n_r, K)[:, :half] * mirrors).ravel())
+    assert math.isclose(sep.mirror_weights.sum(), grid.weights.sum(), rel_tol=1e-14)
+
 
 def test_p2_center_constant_minimizer(unit_disk, disk_grid):
     prob = _problem(
@@ -118,26 +135,35 @@ def test_p2_return_objective_is_the_grid_sum(spec, n_min, z):
 
 
 def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch):
-    # across the Levi stencil at p = 2 of two setups on one grid, no solve
-    # evaluates the series on the grid, and the Gram of the grid weights is
-    # built once for the one (grid, basis spec) pair
+    # across the Levi stencil at p = 2 of two setups on one grid, and at a
+    # complex point, no solve builds a grid level or evaluates the series on
+    # the grid, and the Gram of the grid weights is built once for the one
+    # (grid, basis spec) pair
     grid = pb.build_grid(unit_disk, 128, 256)
     grams = []
-    gram = _SeparableBasis.gram
+    cosine_gram = _SeparableBasis.cosine_gram
 
-    def spied_values(basis, *args, **kwargs):
-        pytest.fail("a p = 2 return evaluated the series on the grid")
+    def fail(*args, **kwargs):
+        pytest.fail("a p = 2 return built a grid level or took a grid pass")
 
-    def spied_gram(basis, omega, **kwargs):
+    def spied_cosine_gram(basis, omega, **kwargs):
         grams.append(omega)
-        return gram(basis, omega, **kwargs)
+        return cosine_gram(basis, omega, **kwargs)
 
-    monkeypatch.setattr(_SeparableBasis, "values", spied_values)
-    monkeypatch.setattr(_SeparableBasis, "gram", spied_gram)
+    for name in ("values", "half_values", "gram"):
+        monkeypatch.setattr(_SeparableBasis, name, fail)
+    monkeypatch.setattr(_SeparableBasis, "cosine_gram", spied_cosine_gram)
+    monkeypatch.setattr(solver._Workspace, "__init__", fail)
     for _ in range(2):
         record = levi_metric_gap(pb.Setup(unit_disk, degree=8, grid=grid), 2.0)
         assert record.converged
-    assert len(grams) == 1 and grams[0] is grid.weights
+    sol = minimize_pnorm(
+        _problem(unit_disk, grid, 2.0, 8, lambda b: (point_constraint(b, 0.3 + 0.4j, 1.0),))
+    )
+    assert sol.converged and sol.iterations == 0
+    # the weights on the angles in [0, pi]
+    half_weights = grid.weights.reshape(128, 256)[:, :129].ravel()
+    assert len(grams) == 1 and np.array_equal(grams[0], half_weights)
 
 
 @pytest.mark.parametrize(
@@ -146,27 +172,31 @@ def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch):
 )
 def test_drift_objectives_only_on_the_requested_grid(unit_disk, monkeypatch, shape, sizes):
     # the drift test reads the raw objective after the last two stages on the
-    # requested grid; the coarse level takes none
+    # requested grid; the coarse level takes none; at a real and a complex point
     calls = []
     raw_objective = solver._Workspace.raw_objective
 
     def spied(ws):
-        calls.append(ws.w.size)
+        calls.append(ws.grid.weights.size)
         return raw_objective(ws)
 
     monkeypatch.setattr(solver._Workspace, "raw_objective", spied)
     grid = pb.build_grid(unit_disk, *shape)
-    prob = _problem(unit_disk, grid, 1.5, 16, lambda b: (point_constraint(b, 0.3, 1.0),))
-    sol = minimize_pnorm(prob)
-    assert sol.converged and (sol.coarse_iterations > 0) == (shape == (128, 256))
-    assert calls == sizes
+    for z in (0.3, 0.3j):
+        calls.clear()
+        prob = _problem(unit_disk, grid, 1.5, 16, lambda b: (point_constraint(b, z, 1.0),))
+        sol = minimize_pnorm(prob)
+        assert sol.converged and (sol.coarse_iterations > 0) == (shape == (128, 256))
+        assert calls == sizes
 
 
 def _single_grid(prob):
     """The whole schedule on the problem's own grid from its least-squares start,
-    with the objective and ``converged`` as ``minimize_pnorm`` reports them."""
-    ws = solver._Workspace(prob, prob.grid)
-    descent = solver._descend(ws, ws.least_squares()[0], solver.SMOOTHING_SCHEDULE)
+    in the arithmetic of a solve without a start (real for a real problem at
+    p >= 1), with the objective and ``converged`` as ``minimize_pnorm``
+    reports them."""
+    ws = solver._Workspace(prob, prob.grid, real=prob.is_real and prob.p >= 1.0)
+    descent = solver._descend(ws, ws.least_squares(), solver.SMOOTHING_SCHEDULE)
     stages = [(t, stagnated, ws.raw_objective()) for t, stagnated in descent]
     t = stages[-1][0]
     stagnated = all(stage[1] for stage in stages)
@@ -186,8 +216,15 @@ def _single_grid(prob):
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
 @pytest.mark.parametrize(
     "spec,n_min,z",
-    [("disk:1", None, 0.4 + 0.1j), ("annulus:0.5,1", None, 0.7), ("punctured:1", -1, 0.5j)],
-    ids=["disk", "annulus", "punctured"],
+    [
+        ("disk:1", None, 0.4 + 0.1j),
+        ("disk:1", None, 0.4),
+        ("annulus:0.5,1", None, 0.6 + 0.2j),
+        ("annulus:0.5,1", None, 0.7),
+        ("punctured:1", -1, 0.5j),
+        ("punctured:1", -1, 0.5),
+    ],
+    ids=["disk", "disk-real", "annulus-complex", "annulus", "punctured", "punctured-real"],
 )
 def test_two_grid_matches_single_grid_descent(spec, n_min, z, p):
     domain = pb.parse_domain(spec)
@@ -222,6 +259,85 @@ def test_started_solve_matches_single_grid_descent(spec, z, p):
     assert abs(started.objective - one.objective) <= 1e-11 * one.objective
     assert started.converged == one.converged
     assert started.feasibility_residual <= 1e-10
+
+
+def _workspace_dtypes(monkeypatch):
+    """The dtype of every grid level built from now on, in order."""
+    dtypes = []
+    init = solver._Workspace.__init__
+
+    def spied_init(ws, *args, **kwargs):
+        init(ws, *args, **kwargs)
+        dtypes.append(ws.dtype)
+
+    monkeypatch.setattr(solver._Workspace, "__init__", spied_init)
+    return dtypes
+
+
+def _phase_turned(prob, phase=1j):
+    """``prob`` with every row and target times ``phase``: the same slice,
+    posed by complex constraints."""
+    return replace(prob, constraints=tuple((phase * row, phase * b) for row, b in prob.constraints))
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
+def test_real_arithmetic_only_for_cold_real_solves_at_p_from_one(unit_disk, disk_grid, monkeypatch, p):
+    dtypes = _workspace_dtypes(monkeypatch)
+    basis = _basis(unit_disk, p, 10)
+    K_p = ExtremalProblem(basis, disk_grid, p, (point_constraint(basis, 0.4, 1.0),))
+    B_p = ExtremalProblem(
+        basis, disk_grid, p, (point_constraint(basis, -0.3, 0.0), derivative_constraint(basis, -0.3, 1.0))
+    )
+    for prob in (K_p, B_p):
+        assert prob.is_real
+        sol = minimize_pnorm(prob)
+        assert dtypes == [float, float]
+        # the real slice and real arithmetic give exactly real coefficients
+        assert not sol.coeffs.coefficients.imag.any()
+        dtypes.clear()
+        for other in (
+            _phase_turned(prob),  # complex rows
+            ExtremalProblem(basis, disk_grid, p, (point_constraint(basis, 0.4j, 1.0),)),
+            replace(prob, p=0.9),  # below 1
+        ):
+            assert not other.is_real or other.p < 1
+            minimize_pnorm(other)
+            assert dtypes == [complex, complex]
+            dtypes.clear()
+        minimize_pnorm(prob, start=sol.coeffs.coefficients)
+        assert dtypes == [complex, complex]
+        dtypes.clear()
+    minimize_pnorm(replace(K_p, p=2.0))  # the p = 2 return builds no level
+    assert dtypes == []
+
+
+@pytest.mark.parametrize(
+    "spec, n_min, z, p, shape",
+    [
+        ("disk:1", None, 0.4, 1.5, (32, 65)),
+        ("disk:1", None, 0.4, 1.5, (128, 255)),
+        ("annulus:0.5,1", None, 0.7, 3.0, (128, 255)),
+        ("punctured:1", -1, 0.5, 1.0, (128, 255)),
+        ("disk:1", None, 0.4, 1.5, (128, 256)),
+    ],
+    ids=["disk-32x65", "disk-128x255", "annulus-128x255", "punctured-128x255", "disk-128x256"],
+)
+def test_real_path_matches_complex_path(spec, n_min, z, p, shape):
+    # the same slice posed by real and by complex rows: with an odd angular
+    # count every angle in (0, pi] has a mirror, with an even one pi has none
+    domain = pb.parse_domain(spec)
+    grid = pb.build_grid(domain, *shape)
+    basis = _basis(domain, p, 24, n_min)
+    real = ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
+    got, want = minimize_pnorm(real), minimize_pnorm(_phase_turned(real))
+    assert (got.coarse_iterations > 0) == (shape[0] == 128)
+    assert (got.iterations, got.coarse_iterations, got.converged) == (
+        want.iterations, want.coarse_iterations, want.converged
+    )
+    assert abs(got.objective - want.objective) <= 1e-14 * want.objective
+    w = basis.col_norms
+    diff = np.abs(got.coeffs.coefficients - want.coeffs.coefficients) * w
+    assert diff.max() <= 1e-12 * np.max(np.abs(want.coeffs.coefficients) * w)
 
 
 def test_coarse_level_taken_whenever_the_grid_allows(unit_disk):
@@ -367,7 +483,7 @@ def _nest(monkeypatch, outer, inner):
 
     def interleaved(ws, *args):
         if not nested:  # the inner solves pass through here too
-            level = "requested" if ws.w.size == outer.grid.weights.size else "coarse"
+            level = "requested" if ws.grid is outer.grid else "coarse"
             nested.append(None)
             for prob in pending.pop(level, ()):
                 done.append((prob, minimize_pnorm(prob)))
@@ -382,53 +498,57 @@ def _nest(monkeypatch, outer, inner):
 
 
 def test_interleaved_solves_match_separate_solves(unit_disk, disk_grid, monkeypatch):
-    first = _problem(
-        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4 + 0.1j, 1.0),)
-    )
-    second = _problem(
-        unit_disk,
-        disk_grid,
-        3.0,
-        8,
-        lambda b: (point_constraint(b, -0.3, 0.0), derivative_constraint(b, -0.3, 1.0)),
-    )
-    # grid, exponents and p of the first: the same cached bases
-    third = _problem(
-        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, -0.2 + 0.5j, 1.0),)
-    )
-    alone = {prob: minimize_pnorm(_on_fresh_grid(prob)) for prob in (first, second, third)}
+    # the first and third points are complex, then real; the second is real
+    for imag in (0.1, 0.0):
+        first = _problem(
+            unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4 + 1j * imag, 1.0),)
+        )
+        second = _problem(
+            unit_disk,
+            disk_grid,
+            3.0,
+            8,
+            lambda b: (point_constraint(b, -0.3, 0.0), derivative_constraint(b, -0.3, 1.0)),
+        )
+        # grid, exponents and p of the first: the same cached bases
+        third = _problem(
+            unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, -0.2 + 5j * imag, 1.0),)
+        )
+        alone = {prob: minimize_pnorm(_on_fresh_grid(prob)) for prob in (first, second, third)}
 
-    outer, inner = _nest(
-        monkeypatch, first, {"coarse": [second, third], "requested": [third]}
-    )
-    _assert_same_bits(outer, alone[first])
-    assert [prob for prob, _ in inner] == [second, third, third]
-    for prob, got in inner:
-        _assert_same_bits(got, alone[prob])
+        outer, inner = _nest(
+            monkeypatch, first, {"coarse": [second, third], "requested": [third]}
+        )
+        _assert_same_bits(outer, alone[first])
+        assert [prob for prob, _ in inner] == [second, third, third]
+        for prob, got in inner:
+            _assert_same_bits(got, alone[prob])
 
 
 def test_pole_column_leaves_no_stale_spectrum_bins(punctured, monkeypatch):
     # z^-1 is admissible at p = 1 and not at p = 2.5, so the p = 1 basis
-    # fills the DFT bin K - 1 that the p = 2.5 basis must find empty
+    # fills the DFT bin K - 1 that the p = 2.5 basis must find empty; at a
+    # complex point, then a real one
     grid = pb.build_grid(punctured, 128, 256)
 
-    def problem(p):
+    def problem(p, z):
         basis = _basis(punctured, p, 12, n_min=-1)
-        return ExtremalProblem(basis, grid, p, (point_constraint(basis, 0.4 - 0.2j, 1.0),))
+        return ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
 
-    with_pole, without_pole = problem(1.0), problem(2.5)
-    assert with_pole.basis.exponents[0] == -1
-    assert without_pole.basis.exponents[0] == 0
-    alone = {prob: minimize_pnorm(_on_fresh_grid(prob)) for prob in (with_pole, without_pole)}
+    for z in (0.4 - 0.2j, 0.4):
+        with_pole, without_pole = problem(1.0, z), problem(2.5, z)
+        assert with_pole.basis.exponents[0] == -1
+        assert without_pole.basis.exponents[0] == 0
+        alone = {prob: minimize_pnorm(_on_fresh_grid(prob)) for prob in (with_pole, without_pole)}
 
-    for prob in (with_pole, without_pole, with_pole, without_pole):
-        _assert_same_bits(minimize_pnorm(prob), alone[prob])
-    outer, inner = _nest(
-        monkeypatch, with_pole, {"coarse": [without_pole], "requested": [without_pole]}
-    )
-    _assert_same_bits(outer, alone[with_pole])
-    for prob, got in inner:
-        _assert_same_bits(got, alone[prob])
+        for prob in (with_pole, without_pole, with_pole, without_pole):
+            _assert_same_bits(minimize_pnorm(prob), alone[prob])
+        outer, inner = _nest(
+            monkeypatch, with_pole, {"coarse": [without_pole], "requested": [without_pole]}
+        )
+        _assert_same_bits(outer, alone[with_pole])
+        for prob, got in inner:
+            _assert_same_bits(got, alone[prob])
 
 
 def test_repeated_multistart_matches_a_cold_grid(unit_disk):
@@ -479,14 +599,16 @@ def test_concurrent_solves_on_one_grid_match_a_cold_grid(unit_disk):
 
 # the grid-sized arrays a workspace allocates for its descent
 _WORKSPACE_ARRAYS = (
-    "u", "u_try", "du", "base", "base_try", "terms", "terms_try", "omega", "_rfft", "_spectrum"
+    "u", "u_try", "du", "base", "base_try", "terms", "terms_try", "omega", "_transform",
+    "_spectrum",
 )
 
 
 def test_warm_solve_allocates_only_its_workspaces(unit_disk, monkeypatch):
     # each grid level allocates its arrays once and an iteration none, so a
     # solve on a grid whose coarse rule and bases exist peaks below its
-    # workspaces' arrays plus one real grid array
+    # workspaces' arrays plus one real grid array, in real arithmetic at a
+    # real point and in complex arithmetic at a complex one
     grid = pb.build_grid(unit_disk, 128, 256)
     basis = _basis(unit_disk, 1.5, 24)
 
@@ -494,45 +616,54 @@ def test_warm_solve_allocates_only_its_workspaces(unit_disk, monkeypatch):
         cons = (point_constraint(basis, z, 1.0),)
         return minimize_pnorm(ExtremalProblem(basis, grid, 1.5, cons))
 
-    solve(0.3)  # builds the coarse grid and the bases
     workspaces = []
     init = solver._Workspace.__init__
 
-    def spied_init(ws, problem, grid):
-        init(ws, problem, grid)
+    def spied_init(ws, *args, **kwargs):
+        init(ws, *args, **kwargs)
         workspaces.append(ws)
 
     monkeypatch.setattr(solver._Workspace, "__init__", spied_init)
-    tracemalloc.start()
-    try:
-        assert solve(0.31).coarse_iterations > 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert [ws.w.size for ws in workspaces] == [grid.weights.size // 16, grid.weights.size]
-    arrays = sum(getattr(ws, name).nbytes for ws in workspaces for name in _WORKSPACE_ARRAYS)
-    real_grid_array = 8 * grid.weights.size  # 256 KiB
-    assert peak < arrays + real_grid_array
+    for z, dtype in ((0.31, float), (0.31 * cmath.exp(0.4j), complex)):
+        solve(0.3 * z / abs(z))  # builds the coarse grid and the bases
+        workspaces.clear()
+        tracemalloc.start()
+        try:
+            assert solve(z).coarse_iterations > 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [ws.grid.weights.size for ws in workspaces] == [
+            grid.weights.size // 16, grid.weights.size
+        ]
+        assert [ws.dtype for ws in workspaces] == [dtype, dtype]
+        arrays = sum(getattr(ws, name).nbytes for ws in workspaces for name in _WORKSPACE_ARRAYS)
+        real_grid_array = 8 * grid.weights.size  # 256 KiB
+        assert peak < arrays + real_grid_array
 
 
 def test_cholesky_fallbacks_are_counted(unit_disk, disk_grid, monkeypatch):
-    prob = _problem(
-        unit_disk, disk_grid, 1.5, 8, lambda b: (point_constraint(b, 0.3, 1.0),)
-    )
-    clean = minimize_pnorm(prob)
-    assert clean.cholesky_fallbacks == 0
-    calls = []
+    # in real arithmetic at a real point and in complex at a complex one
+    for z, dtype in ((0.3, float), (0.3j, complex)):
+        prob = _problem(
+            unit_disk, disk_grid, 1.5, 8, lambda b: (point_constraint(b, z, 1.0),)
+        )
+        clean = minimize_pnorm(prob)
+        assert clean.cholesky_fallbacks == 0
+        calls = []
 
-    def failing(a, **kwargs):
-        calls.append(None)
-        return a, 1  # LAPACK: the leading minor of order 1 is not positive definite
+        def failing(a, **kwargs):
+            calls.append(None)
+            return a, 1  # LAPACK: the leading minor of order 1 is not positive definite
 
-    monkeypatch.setattr(solver, "_POTRF", failing)
-    sol = minimize_pnorm(prob)
-    assert len(calls) > 1
-    assert sol.cholesky_fallbacks == len(calls)
-    assert pb.solution_record(sol)["cholesky_fallbacks"] == len(calls)
-    assert abs(sol.objective - clean.objective) <= 1e-8 * clean.objective
+        potrf, potrs = solver._CHOLESKY[np.dtype(dtype)]
+        monkeypatch.setitem(solver._CHOLESKY, np.dtype(dtype), (failing, potrs))
+        sol = minimize_pnorm(prob)
+        monkeypatch.setitem(solver._CHOLESKY, np.dtype(dtype), (potrf, potrs))
+        assert len(calls) > 1
+        assert sol.cholesky_fallbacks == len(calls)
+        assert pb.solution_record(sol)["cholesky_fallbacks"] == len(calls)
+        assert abs(sol.objective - clean.objective) <= 1e-8 * clean.objective
 
 
 def test_anderson_steps_are_counted(unit_disk, disk_grid):
@@ -790,8 +921,8 @@ def test_grid_levels_share_the_feasible_slice(unit_disk, disk_grid, monkeypatch)
     seen = []
     init = solver._Workspace.__init__
 
-    def spied_init(ws, problem, grid):
-        init(ws, problem, grid)
+    def spied_init(ws, problem, grid, *args):
+        init(ws, problem, grid, *args)
         seen.append((grid, ws.a0, ws.N))
 
     monkeypatch.setattr(solver._Workspace, "__init__", spied_init)
