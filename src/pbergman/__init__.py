@@ -48,7 +48,6 @@ from .analysis import (
     levi_form_log_kp,
     levi_metric_gap,
     limit_sweep,
-    quarter_laplacian,
 )
 from .lacunary import (
     LacunarySeries,

@@ -1,9 +1,9 @@
 """Second-order and asymptotic diagnostics built on the kernel solver.
 
-Covers the quarter-Laplacian (Levi form) of log K_p and its comparison with
-B_p^2 at the center of the disk, log-log slope estimation for the modulus of
-continuity of m_p and for the decay of H_p, and the multistart spread of
-near-optimal maximizers as p increases to 1.
+Covers the Levi form of log K_p, differenced along the radial profile of K_p,
+and its comparison with B_p^2 at the center of the disk, log-log slope
+estimation for the modulus of continuity of m_p and for the decay of H_p, and
+the multistart spread of near-optimal maximizers as p increases to 1.
 
 Stencil points, probe radii, and sweep entries are independent solver calls
 run one after another; aggregation is a pure reduction.  A thread pool over
@@ -31,7 +31,6 @@ __all__ = [
     "HolderFit",
     "LimitRecord",
     "fit_power_law",
-    "quarter_laplacian",
     "levi_form_log_kp",
     "levi_metric_gap",
     "holder_exponent",
@@ -119,34 +118,6 @@ def fit_power_law(radii, deltas):
     return float(slope), float(intercept), float(r_squared)
 
 
-def quarter_laplacian(f, step: float) -> float:
-    """(1/4)(d2/ds2 + d2/dt2) of f(s + it) at 0.
-
-    Five-point central differences on each axis at ``step``, with one
-    Richardson extrapolation against ``step/2``.  f is called at 13 points;
-    callers that cache f see the shared +-step evaluations only once.
-    """
-    if not 0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
-    f0 = f(0.0 + 0.0j)
-
-    def second(h: float, axis: complex) -> float:
-        return (
-            -f(-2 * h * axis)
-            + 16 * f(-h * axis)
-            - 30 * f0
-            + 16 * f(h * axis)
-            - f(2 * h * axis)
-        ) / (12.0 * h * h)
-
-    def lap(h: float) -> float:
-        return second(h, 1.0 + 0.0j) + second(h, 1.0j)
-
-    coarse = lap(step)
-    fine = lap(step / 2.0)
-    return (16.0 * fine - coarse) / 15.0 / 4.0
-
-
 def levi_form_log_kp(
     setup: Setup,
     p: float,
@@ -154,25 +125,47 @@ def levi_form_log_kp(
     direction: complex = 1.0,
     step: float = DEFAULT_FD_STEP,
 ) -> float:
-    """Levi form of log K_p at z along ``direction`` by finite differences
-    (``quarter_laplacian`` of tau -> log K_p(z + tau X))."""
+    """Levi form of log K_p at z along ``direction`` X by finite differences.
+
+    K_p depends on r = |z| alone, so with psi(tau) = log K_p at the modulus
+    |r + tau |X||, the Levi form is (psi''(0) + |X| psi'(0) / r) / 4, and
+    psi''(0) / 2 at the centre.  Five-point central differences in tau at
+    ``step`` and ``step/2``, with one Richardson extrapolation, read K_p at 7
+    moduli, 4 at the centre.  On the disk, a stencil that crosses the centre
+    reads the even profile there, which is exact.
+    """
     z = complex(z)
     direction = complex(direction)
     if direction == 0 or not cmath.isfinite(direction):
         raise ValueError(f"direction X must be finite and nonzero, got {direction}")
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    domain = setup.domain
-    needed = setup.margin + 2.0 * step * abs(direction)
-    if not domain.contains(z) or domain.boundary_distance(z) < needed:
+    setup.require_interior(z)
+    r, speed = abs(z), abs(direction)
+    needed = setup.margin + 2.0 * step * speed
+    if setup.domain.boundary_distance(z) < needed:
         raise BoundaryMarginError(
             f"stencil around {z} needs boundary distance >= {needed:.6g}"
         )
 
-    def phi(tau: complex) -> float:
-        return math.log(mp_minimizer(setup, p, z + tau * direction).k_p)
+    def psi(tau: float) -> float:
+        # at the centre, the points tau X keep the moduli |tau X| to the bit
+        point = tau * direction if r == 0 else r + tau * speed
+        return math.log(mp_minimizer(setup, p, point).k_p)
 
-    return quarter_laplacian(phi, step)
+    psi0 = psi(0.0)
+
+    def levi(h: float) -> float:
+        m2, m1, p1, p2 = (psi(k * h) for k in (-2, -1, 1, 2))
+        d2 = (-m2 + 16 * m1 - 30 * psi0 + 16 * p1 - p2) / (12.0 * h * h)
+        if r == 0:
+            return d2 / 2.0
+        d1 = (m2 - 8 * m1 + 8 * p1 - p2) / (12.0 * h)
+        return (d2 + speed * d1 / r) / 4.0
+
+    coarse = levi(step)
+    fine = levi(step / 2.0)
+    return (16.0 * fine - coarse) / 15.0
 
 
 def levi_metric_gap(
@@ -182,11 +175,11 @@ def levi_metric_gap(
 
     On the disk the kernel is p-independent, so the Levi term is that of the
     p = 2 kernel while B_p varies; the gap is positive for p > 2, negative for
-    p < 2, and zero at p = 2.  The 13 stencil points have the four moduli
-    0, step/2, step and 2 step, so on a fresh setup this takes 4 K_p solves
-    and 1 B_p solve.  ``converged`` is true when every solve cached in
-    ``setup`` at this p converged; solves of earlier calls with the same
-    setup and p count too.
+    p < 2, and zero at p = 2.  At the centre the stencil reads K_p at the four
+    moduli 0, step/2, step and 2 step times |X|, so on a fresh setup this
+    takes 4 K_p solves and 1 B_p solve.  ``converged`` is true when every
+    solve cached in ``setup`` at this p converged; solves of earlier calls
+    with the same setup and p count too.
     """
     if setup.domain.kind != "disk":
         raise ValueError("the center comparison needs a complete circular domain (disk)")

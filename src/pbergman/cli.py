@@ -190,7 +190,7 @@ def _cmd_kernel(setup: kernel.Setup, args) -> _Result:
             "p": result.p,
             "m_p": result.m_p,
             "K_p": result.k_p,
-            "degree": result.basis_degree,
+            "degree": setup.degree,
             "converged": setup.converged(result.p),
             "diagnostics": solution_record(result.minimizer),
         }

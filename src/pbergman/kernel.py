@@ -65,7 +65,6 @@ class KernelResult:
     m_p: float
     k_p: float
     minimizer: Solution
-    basis_degree: int
 
 
 @dataclass(frozen=True)
@@ -191,7 +190,6 @@ def mp_minimizer(setup: Setup, p: float, z: complex) -> KernelResult:
         m_p=sol.objective,
         k_p=sol.objective**-p,
         minimizer=sol,
-        basis_degree=max(sol.coeffs.basis.exponents),
     )
 
 

@@ -4,8 +4,10 @@ Deliberately disjoint from the solve path: the least-norm oracle assembles
 the raw Gram KKT system, the KKT-residual oracle projects the gradient of
 ||f||_p^p, taken on the dense quadrature matrix, onto the constraint null
 space, the metric oracle runs a derivative-free simplex search, the
-disk- and annulus-kernel oracles are the classical closed forms, and
-``monomial_lp_norm`` integrates |z^n|^p in extended precision.  For
+disk- and annulus-kernel oracles are the classical closed forms, with the
+Levi form of the log of the latter, ``monomial_lp_norm`` integrates |z^n|^p
+in extended precision, and ``quarter_laplacian`` is the planar 13-point
+stencil the radial Levi stencil of ``analysis`` is checked against.  For
 lacunary series, ``dense_lp`` sums |f|^p over whole circles without the
 tiled evaluator, and ``lacunary_l4`` is the grid-free integral of |f|^4.
 ``write_series_csv`` writes the series files the command line reads.
@@ -96,18 +98,36 @@ def disk_minimizer(point, z):
     return disk_kernel(point, z) / disk_kernel(z, z)
 
 
-def annulus_kernel(z, inner, outer, degree):
-    """p = 2 kernel of the annulus inner < |z| < outer on the exponents
-    -degree..degree: sum_n |z|^(2n) / ||z^n||^2, where ||z^n||^2 is
+def _annulus_coefficients(inner, outer, degree):
+    """{n: 1 / ||z^n||^2} on the annulus inner < |z| < outer for
+    n = -degree..degree, where ||z^n||^2 is
     pi (outer^(2n+2) - inner^(2n+2)) / (n+1), or 2 pi log(outer/inner) at n = -1."""
-    total = 0.0
+    coefficients = {}
     for n in range(-degree, degree + 1):
         if n == -1:
             norm2 = 2.0 * math.pi * math.log(outer / inner)
         else:
             norm2 = math.pi * (outer ** (2 * n + 2) - inner ** (2 * n + 2)) / (n + 1)
-        total += abs(z) ** (2 * n) / norm2
-    return total
+        coefficients[n] = 1.0 / norm2
+    return coefficients
+
+
+def annulus_kernel(z, inner, outer, degree):
+    """p = 2 kernel of the annulus inner < |z| < outer on the exponents
+    -degree..degree: S(|z|^2) with S(t) = sum_n t^n / ||z^n||^2."""
+    t = abs(z) ** 2
+    return sum(c * t**n for n, c in _annulus_coefficients(inner, outer, degree).items())
+
+
+def annulus_log_kernel_levi(z, inner, outer, degree):
+    """d^2/dz dz-bar of log ``annulus_kernel`` at z: with t = |z|^2 and S as
+    there, (log S)'(t) + t (log S)''(t)."""
+    t = abs(z) ** 2
+    items = _annulus_coefficients(inner, outer, degree).items()
+    s0 = sum(c * t**n for n, c in items)
+    s1 = sum(n * c * t ** (n - 1) for n, c in items)
+    s2 = sum(n * (n - 1) * c * t ** (n - 2) for n, c in items)
+    return s1 / s0 + t * (s2 / s0 - (s1 / s0) ** 2)
 
 
 def dense_lp(series, p, radii, radial_weights, counts):
@@ -152,6 +172,34 @@ def write_series_csv(path, series):
         writer.writerow(["lambda", "re", "im"])
         for lam, a in zip(series.exponents, series.coefficients):
             writer.writerow([lam, f"{a.real:.17g}", f"{a.imag:.17g}"])
+
+
+def quarter_laplacian(f, step: float) -> float:
+    """(1/4)(d2/ds2 + d2/dt2) of f(s + it) at 0.
+
+    Five-point central differences on each axis at ``step``, with one
+    Richardson extrapolation against ``step/2``.  f is called at 13 points;
+    callers that cache f see the shared +-step evaluations only once.
+    """
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
+    f0 = f(0.0 + 0.0j)
+
+    def second(h: float, axis: complex) -> float:
+        return (
+            -f(-2 * h * axis)
+            + 16 * f(-h * axis)
+            - 30 * f0
+            + 16 * f(h * axis)
+            - f(2 * h * axis)
+        ) / (12.0 * h * h)
+
+    def lap(h: float) -> float:
+        return second(h, 1.0 + 0.0j) + second(h, 1.0j)
+
+    coarse = lap(step)
+    fine = lap(step / 2.0)
+    return (16.0 * fine - coarse) / 15.0 / 4.0
 
 
 def brute_force_metric_objective(grid, p, degree=6, starts=3, seed=0):

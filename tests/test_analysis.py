@@ -1,4 +1,6 @@
+import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,10 +16,13 @@ from pbergman.analysis import (
     levi_form_log_kp,
     levi_metric_gap,
     limit_sweep,
-    quarter_laplacian,
 )
+from pbergman.kernel import mp_minimizer
+
+from oracles import annulus_log_kernel_levi, quarter_laplacian
 
 RADII = tuple(0.1 * 2.0**-k for k in range(6))
+LEVI_DIRECTIONS = (1.0, cmath.exp(0.7j), 0.6 - 1.3j)
 
 
 @pytest.fixture
@@ -26,14 +31,37 @@ def deg8(unit_disk, disk_grid):
     return lambda: pb.Setup(unit_disk, degree=8, grid=disk_grid)
 
 
-def test_quarter_laplacian_on_closed_forms():
-    # harmonic: zero
-    assert abs(quarter_laplacian(lambda t: math.exp(t.real) * math.cos(t.imag), 1e-2)) <= 1e-6
-    # |tau|^2: quarter Laplacian is 1
-    assert abs(quarter_laplacian(lambda t: abs(t) ** 2, 1e-2) - 1.0) <= 1e-6
-    # disk log-kernel profile at 0.5, bypassing the solver entirely
-    log_k = lambda t: -math.log(math.pi) - 2.0 * math.log(1.0 - abs(0.5 + t) ** 2)
-    assert abs(quarter_laplacian(log_k, 1e-2) - 2.0 / 0.75**2) <= 1e-6
+def planar_levi(setup, p, z, direction, step):
+    """The Levi form by the planar 13-point stencil of tau -> log K_p(z + tau X)."""
+    return quarter_laplacian(
+        lambda tau: math.log(mp_minimizer(setup, p, z + tau * direction).k_p), step
+    )
+
+
+def test_radial_stencil_on_closed_forms(monkeypatch, unit_disk, disk_grid):
+    # profiles fed in place of the solves: log K_p at the modulus |z| reads
+    # profile(|z|)
+    setup = pb.Setup(unit_disk, degree=1, grid=disk_grid)
+
+    def levi(profile, z, direction=1.0):
+        monkeypatch.setattr(
+            analysis, "mp_minimizer",
+            lambda _setup, p, point: SimpleNamespace(k_p=math.exp(profile(abs(point)))),
+        )
+        return levi_form_log_kp(setup, 2.0, z, direction)
+
+    # harmonic: zero off the centre, and a constant at it
+    assert abs(levi(math.log, 0.5)) <= 1e-6
+    assert abs(levi(lambda r: 1.0, 0.0)) <= 1e-6
+    # |tau|^2: the Levi form is |X|^2
+    for z in (0.0, 0.5):
+        assert abs(levi(lambda r: r**2, z, 0.6 - 1.3j) - abs(0.6 - 1.3j) ** 2) <= 1e-6
+    # disk log-kernel profile, 2 |X|^2 / (1 - r^2)^2 at every r
+    log_k = lambda r: -math.log(math.pi) - 2.0 * math.log(1.0 - r**2)
+    for r in (0.0, 0.005, 0.5):
+        for direction in LEVI_DIRECTIONS:
+            exact = 2.0 * abs(direction) ** 2 / (1.0 - r**2) ** 2
+            assert abs(levi(log_k, r * cmath.exp(0.4j), direction) - exact) <= 1e-6
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0])
@@ -42,14 +70,64 @@ def test_levi_form_at_center(disk16, p):
     assert abs(value - 2.0) <= 1e-3
 
 
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 4.0])
+def test_levi_form_at_center_is_the_planar_stencil(disk16, p):
+    # at the centre the radial stencil reads the moduli of the planar one and
+    # gives its value to the bit, with no solve of its own
+    for direction in LEVI_DIRECTIONS:
+        for step in (1e-2, 3e-3):
+            planar = planar_levi(disk16, p, 0j, direction, step)
+            solves = len(disk16.cache)
+            assert levi_form_log_kp(disk16, p, 0.0, direction, step) == planar
+            assert len(disk16.cache) == solves
+
+
 def test_levi_form_off_center(disk16):
     value = levi_form_log_kp(disk16, 2.0, 0.5)
     assert abs(value - 2.0 / 0.75**2) <= 5e-3
 
 
+@pytest.mark.parametrize("r, rel_tol", [(0.3, 1e-9), (0.5, 1e-9), (0.8, 2e-6)])
+def test_levi_form_off_center_against_planar_stencil(unit_disk, disk_grid, r, rel_tol):
+    # the two stencils differ by their O(step^6) errors, 4e-9 relative at
+    # r = 0.8; the truncation of K_2 at degree 48 is 1.3e-6 relative there
+    z = r * cmath.exp(0.4j)
+    for direction in LEVI_DIRECTIONS:
+        setup = pb.Setup(unit_disk, degree=48, grid=disk_grid)
+        exact = 2.0 * abs(direction) ** 2 / (1.0 - r**2) ** 2
+        value = levi_form_log_kp(setup, 2.0, z, direction)
+        assert len(setup.cache) == 7
+        planar = planar_levi(setup, 2.0, z, direction, analysis.DEFAULT_FD_STEP)
+        assert abs(value - planar) <= 1e-8 * exact
+        assert abs(value - exact) <= rel_tol * exact
+
+
+@pytest.mark.parametrize("p", [1.5, 4.0])
+def test_levi_form_off_center_against_planar_stencil_at_p(disk16, p):
+    for r in (0.3, 0.5, 0.8):
+        z = r * cmath.exp(0.4j)
+        value = levi_form_log_kp(disk16, p, z)
+        planar = planar_levi(disk16, p, z, 1.0, analysis.DEFAULT_FD_STEP)
+        assert abs(value - planar) <= 1e-5 * planar
+
+
+@pytest.mark.parametrize("r", [0.62, 0.75, 0.88])
+def test_levi_form_on_annulus_matches_closed_form(annulus, r):
+    # K_2 of the degree-24 basis under the grid norm is the closed form to
+    # about 1e-13; what is left is the stencil's truncation error, 2.5e-8
+    # relative at r = 0.62 and below it elsewhere
+    setup = pb.Setup(annulus, degree=24)
+    exact = annulus_log_kernel_levi(r, 0.5, 1.0, 24)
+    assert abs(levi_form_log_kp(setup, 2.0, r) - exact) <= 1e-7 * exact
+
+
 def test_levi_margin_accounts_for_stencil(disk16):
     with pytest.raises(pb.BoundaryMarginError):
         levi_form_log_kp(disk16, 2.0, 0.93, step=1e-2)
+    # a non-finite point is not a margin violation
+    for z in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=r"^point .* is not finite$"):
+            levi_form_log_kp(disk16, 2.0, z)
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 
 import pbergman as pb
 from pbergman import solver
-from pbergman.analysis import levi_metric_gap
+from pbergman.analysis import levi_form_log_kp, levi_metric_gap
 from pbergman.cli import main
 from pbergman.kernel import BoundaryMarginError, h_function, metric_at, mp_minimizer, offdiag_kernel
 from pbergman.series import BasisSpec, CoeffVector, evaluate
@@ -166,6 +166,10 @@ def test_levi_and_sweep_solve_once_per_modulus(unit_disk, disk_grid):
         levi_metric_gap(setup, p, direction)
         # K_p at the moduli 0, h/2, h and 2h of the stencil, B_p at the centre
         assert len(setup.cache) == 5 * count
+        # off the centre, K_p at r and at r +- h/2, +- h and +- 2h
+        off = pb.Setup(unit_disk, grid=disk_grid)
+        levi_form_log_kp(off, p, 0.5 * cmath.exp(0.4j), direction)
+        assert Counter(kind for _, _, kind in off.cache) == Counter({"K_p": 7})
     before = Counter(kind for _, _, kind in setup.cache)
     z = 0.3 + 0.2j
     rows = pb.kernel_metric_sweep(setup, p_values, [z, -z, 1j * z])
