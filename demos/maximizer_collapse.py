@@ -2,7 +2,9 @@
 
 Below p = 1 the extremal problem is nonconvex and uniqueness of the
 normalized maximizer is unknown, so each p runs 16 descents from seeded
-perturbations (seed 1) and measures the largest pairwise distance
+perturbations (seed 1) on the coarse grid, refines on the requested grid
+only those whose coarse end points differ, and measures the largest
+pairwise distance
 d(f, g) = sum_i w_i |f_i - g_i|^p among the near-optimal survivors.  The
 reported number is a multistart lower bound for the true spread, never the
 sup.  The table should collapse toward zero as p approaches 1, while K_p at

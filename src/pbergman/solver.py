@@ -62,7 +62,10 @@ sum_i w_i |f(z_i)|^p after the last two stages the requested grid runs; the
 coarse level takes no raw objective.  A solve whose quarter grid would have
 fewer than 16 radii or 32 angles runs every stage on the requested grid.
 Each level counts its own steps, Cholesky fallbacks and Anderson steps, and
-the solution reports their totals.
+the solution reports their totals.  Multistart restarts split at the level
+boundary: each runs its coarse level, and only the first restart of each
+cluster of coarse end points (coefficient distance 1e-4) runs the requested
+grid, so restarts that meet on the coarse grid are refined once.
 
 What every solve on a grid shares is read-only, built once per grid and
 kept in a cache keyed weakly by the grid, so it lives exactly as long as the
@@ -783,61 +786,76 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
     stages.  Non-convergence is reported through ``converged``, never
     silently.
     """
-    cache = _grid_cache(problem.grid)
-    levels = []  # the workspace of each grid level run, coarse first
-    fallbacks = 0  # those of the p = 2 return, which runs no level
     if start is None and problem.p == 2.0:
         # The least-squares start is the exact minimizer, and the p = 2
         # IRLS weights equal w under every eps, so A and rhs are final;
         # the objective is the quadratic form of the cached Gram of w, so
         # no grid level is built and no grid pass runs.
         a0, N = problem.feasible_slice
-        G = cache.basis(problem.grid, problem.basis).weight_gram
+        G = _grid_cache(problem.grid).basis(problem.grid, problem.basis).weight_gram
         A, rhs = _reduce(G, a0, N)
         t, fallbacks = _weighted_solve(A, rhs)
         a = a0 + N @ t
-        raw = [float(np.vdot(a, G @ a).real)]
-        converged = True
-    else:
-        # A real problem is symmetric under conjugation, so at p >= 1 its
-        # smoothed objective, strictly convex in t, has a real minimizer,
-        # and IRLS from the real least-squares point stays real.  Below 1
-        # and from a given start the descent may leave the real slice.
-        real = start is None and problem.p >= 1.0 and problem.is_real
-        t = None if start is None else problem.t_from_raw(start)
-        schedule = SMOOTHING_SCHEDULE
-        if cache.coarse_grid is not None:
-            levels.append(_Workspace(problem, cache.coarse_grid, real))
-            for t, _ in _descend(levels[-1], t, schedule[:-2]):
-                pass
-            schedule = schedule[-2:]
-        ws = _Workspace(problem, problem.grid, real)
-        levels.append(ws)
-        # the drift test reads the raw objective after the last two stages
-        raw, stagnated = [], True
-        for i, (t, stage_stagnated) in enumerate(_descend(ws, t, schedule)):
-            stagnated = stagnated and stage_stagnated
-            if i >= len(schedule) - 2:
-                raw.append(ws.raw_objective())
-        drift = abs(raw[-1] - raw[-2])
-        settled = drift <= _DRIFT_TOL * max(raw[-1], 1e-300)
-        converged = stagnated and settled
-        # ws holds the final point under the last eps
-        A, rhs = ws.reduced_system(ws.irls_weights())
+        raw = float(np.vdot(a, G @ a).real)
+        return _solution(problem, t, A, rhs, raw, True, (0, 0, 0), (0, fallbacks, 0))
+    # A real problem is symmetric under conjugation, so at p >= 1 its
+    # smoothed objective, strictly convex in t, has a real minimizer, and
+    # IRLS from the real least-squares point stays real.  Below 1 and from
+    # a given start the descent may leave the real slice.
+    real = start is None and problem.p >= 1.0 and problem.is_real
+    t = None if start is None else problem.t_from_raw(start)
+    return _requested_level(problem, *_coarse_level(problem, t, real), real)
+
+
+def _coarse_level(problem: ExtremalProblem, t, real: bool):
+    """Every stage but the last two on the quarter grid from t (None: its
+    least-squares point); returns the final t and the level's steps,
+    Cholesky fallbacks and Anderson steps, or t and zeros if the grid is
+    too small to coarsen.  The workspace is not kept."""
+    coarse_grid = _grid_cache(problem.grid).coarse_grid
+    if coarse_grid is None:
+        return t, (0, 0, 0)
+    ws = _Workspace(problem, coarse_grid, real)
+    for t, _ in _descend(ws, t, SMOOTHING_SCHEDULE[:-2]):
+        pass
+    return t, (ws.iterations, ws.cholesky_fallbacks, ws.anderson_steps)
+
+
+def _requested_level(problem: ExtremalProblem, t, coarse, real: bool) -> Solution:
+    """The rest of the schedule and the drift test on the requested grid,
+    from the end point t of ``_coarse_level`` and its counts ``coarse``."""
+    schedule = SMOOTHING_SCHEDULE
+    if _grid_cache(problem.grid).coarse_grid is not None:
+        schedule = schedule[-2:]
+    ws = _Workspace(problem, problem.grid, real)
+    # the drift test reads the raw objective after the last two stages
+    raw, stagnated = [], True
+    for i, (t, stage_stagnated) in enumerate(_descend(ws, t, schedule)):
+        stagnated = stagnated and stage_stagnated
+        if i >= len(schedule) - 2:
+            raw.append(ws.raw_objective())
+    settled = abs(raw[-1] - raw[-2]) <= _DRIFT_TOL * max(raw[-1], 1e-300)
+    # ws holds the final point under the last eps
+    A, rhs = ws.reduced_system(ws.irls_weights())
+    fine = (ws.iterations, ws.cholesky_fallbacks, ws.anderson_steps)
+    return _solution(problem, t, A, rhs, raw[-1], stagnated and settled, coarse, fine)
+
+
+def _solution(problem, t, A, rhs, raw: float, converged: bool, coarse, fine) -> Solution:
+    """The ``Solution`` at t of raw objective ``raw`` and final system
+    (A, rhs); ``coarse`` and ``fine`` are the counts of the two levels."""
     a_raw = problem.raw_from_t(t)
     residual = problem.constraint_matrix @ a_raw - problem.constraint_targets
-    feasibility = float(np.max(np.abs(residual)))
-    stationarity = float(np.linalg.norm(problem.p * (A @ t - rhs)))
     return Solution(
         coeffs=CoeffVector(problem.basis, a_raw),
-        objective=raw[-1] ** (1.0 / problem.p),
-        feasibility_residual=feasibility,
-        stationarity_residual=stationarity,
-        iterations=sum(level.iterations for level in levels),
-        coarse_iterations=sum(level.iterations for level in levels[:-1]),
+        objective=raw ** (1.0 / problem.p),
+        feasibility_residual=float(np.max(np.abs(residual))),
+        stationarity_residual=float(np.linalg.norm(problem.p * (A @ t - rhs))),
+        iterations=coarse[0] + fine[0],
+        coarse_iterations=coarse[0],
         converged=converged,
-        cholesky_fallbacks=fallbacks + sum(level.cholesky_fallbacks for level in levels),
-        anderson_steps=sum(level.anderson_steps for level in levels),
+        cholesky_fallbacks=coarse[1] + fine[1],
+        anderson_steps=coarse[2] + fine[2],
     )
 
 
@@ -846,43 +864,49 @@ def _coefficient_distance(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b)) / scale
 
 
+def _distinct(coefficients) -> list[int]:
+    """Indices of ``coefficients`` farther than 1e-4 in coefficient distance
+    from every earlier kept one, in order."""
+    kept: list[int] = []
+    for i, a in enumerate(coefficients):
+        if all(_coefficient_distance(a, coefficients[j]) > 1e-4 for j in kept):
+            kept.append(i)
+    return kept
+
+
 def multistart_minimize(problem: ExtremalProblem, *, restarts: int, seed: int) -> list[Solution]:
     """Seeded restarts for 0 < p <= 1, where the problem may be nonconvex
     (p < 1) or its minimizer not unique (p = 1).
 
     Descents start from the p = 1 solution of the same constraints and, for
     k = 1 .. restarts - 1, from perturbations of it drawn by the generator
-    keyed [seed, k]; each runs the two-grid continuation of ``minimize_pnorm``
-    from its start.  Converged solutions are deduplicated at coefficient
-    distance 1e-4 and returned sorted by objective; distinct survivors are
-    all reported, uniqueness is never asserted.
+    keyed [seed, k].  Every restart runs the coarse level of
+    ``minimize_pnorm``; only the first of each cluster of coarse end points
+    (coefficient distance 1e-4; every restart on a grid too small to
+    coarsen) runs the requested grid, and reports its own coarse steps.
+    Converged solutions are deduplicated at the same distance and returned
+    sorted by objective; distinct survivors are all reported, uniqueness is
+    never asserted.
     """
     if restarts < 1 or seed < 0:
         raise ValueError(f"need restarts >= 1 and seed >= 0, got {restarts} and {seed}")
     base_problem = problem if problem.p == 1.0 else replace(problem, p=1.0)
-    base = minimize_pnorm(base_problem)
-    base_coeffs = base.coeffs.coefficients
+    base_coeffs = minimize_pnorm(base_problem).coeffs.coefficients
 
-    runs = [minimize_pnorm(problem, start=base_coeffs)]
+    starts = [base_coeffs]
     scale = 0.5 * max(1.0, float(np.linalg.norm(base_coeffs)))
     dim = base_coeffs.size
     for k in range(1, restarts):
         rng = np.random.default_rng([seed, k])
         noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        start = base_coeffs + scale * noise / math.sqrt(dim)
-        runs.append(minimize_pnorm(problem, start=start))
+        starts.append(base_coeffs + scale * noise / math.sqrt(dim))
+    ends = [_coarse_level(problem, problem.t_from_raw(start), False) for start in starts]
+    if _grid_cache(problem.grid).coarse_grid is not None:
+        ends = [ends[i] for i in _distinct([problem.raw_from_t(t) for t, _ in ends])]
+    runs = [_requested_level(problem, t, coarse, False) for t, coarse in ends]
 
-    survivors: list[Solution] = []
-    for sol in sorted(
-        (s for s in runs if s.converged), key=lambda s: s.objective
-    ):
-        if all(
-            _coefficient_distance(sol.coeffs.coefficients, kept.coeffs.coefficients)
-            > 1e-4
-            for kept in survivors
-        ):
-            survivors.append(sol)
-    return survivors
+    converged = sorted((s for s in runs if s.converged), key=lambda s: s.objective)
+    return [converged[i] for i in _distinct([s.coeffs.coefficients for s in converged])]
 
 
 def solution_record(solution: Solution) -> dict:

@@ -237,6 +237,25 @@ def test_limit_sweep_at_p1_collapses(deg8):
     assert record.d_p_estimates == (0.0,)
 
 
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize(
+    "p",
+    [
+        pytest.param(
+            0.3, marks=pytest.mark.xfail(strict=True, reason="false spread, ROADMAP item 16")
+        ),
+        0.5,
+        0.7,
+    ],
+)
+def test_limit_sweep_at_center_has_no_spread(deg8, p, seed):
+    # on the disk ||f||_p^p >= pi |f(0)|^p, with equality only for f = 1
+    # (|f|^p is subharmonic), so the maximizer at z = 0 is unique: d_p = 0
+    record = limit_sweep(deg8(), 0.0, [p], restarts=16, seed=seed)
+    assert record.statuses == ("ok",)
+    assert record.d_p_estimates == (0.0,)
+
+
 def test_limit_sweep_repeats_exactly(deg8):
     first = limit_sweep(deg8(), 0.0, [0.9, 0.95], restarts=2, seed=0)
     second = limit_sweep(deg8(), 0.0, [0.9, 0.95], restarts=2, seed=0)

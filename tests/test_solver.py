@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pbergman as pb
-from pbergman import solver
+from pbergman import analysis, solver
 from pbergman.analysis import levi_metric_gap
 from pbergman.series import BasisSpec
 from pbergman.solver import (
@@ -356,40 +356,62 @@ def test_coarse_level_taken_whenever_the_grid_allows(unit_disk):
 
 def test_levels_count_their_own_steps(unit_disk, disk_grid, monkeypatch):
     # every accepted step counts on the grid level that took it: the steps on
-    # the quarter grid are coarse_iterations, the rest are on the requested grid
-    steps = []  # the grid size of each accepted step of the running solve
-    solves = []  # (solution, coarse steps, requested-grid steps)
-    accept, minimize = solver._Workspace.accept, solver.minimize_pnorm
+    # the quarter grid are coarse_iterations, the rest are on the requested
+    # grid; a multistart restart refined on the requested grid reports the
+    # coarse steps of the restart whose coarse end point it starts from
+    steps = []  # the grid size of each accepted step of the running level
+    coarse_ends = []  # (t, steps) at the end of each coarse level, in order
+    solves = []  # (solution, coarse steps, requested-grid steps) of each descent
+    accept = solver._Workspace.accept
+    coarse_level, requested_level = solver._coarse_level, solver._requested_level
 
     def spied_accept(ws):
         steps.append(ws.w.size)
         accept(ws)
 
-    def spied_minimize(problem, **kwargs):
+    def spied_coarse_level(problem, t, real):
         steps.clear()
-        sol = minimize(problem, **kwargs)
+        t, counts = coarse_level(problem, t, real)
+        assert problem.grid.weights.size not in steps
+        coarse_ends.append((t, len(steps)))
+        return t, counts
+
+    def spied_requested_level(problem, t, coarse, real):
+        steps.clear()
+        sol = requested_level(problem, t, coarse, real)
         size = problem.grid.weights.size
-        solves.append((sol, sum(s != size for s in steps), steps.count(size)))
+        # the latest coarse level that ended at t
+        coarse_steps = next(n for end, n in reversed(coarse_ends) if end is t)
+        solves.append((sol, coarse_steps, steps.count(size)))
+        assert len(steps) == steps.count(size)
         return sol
 
     monkeypatch.setattr(solver._Workspace, "accept", spied_accept)
-    monkeypatch.setattr(solver, "minimize_pnorm", spied_minimize)
+    monkeypatch.setattr(solver, "_coarse_level", spied_coarse_level)
+    monkeypatch.setattr(solver, "_requested_level", spied_requested_level)
     prob = _problem(
         unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4 + 0.1j, 1.0),)
     )
-    solver.minimize_pnorm(prob)  # cold
-    multistart_minimize(replace(prob, p=0.9), restarts=2, seed=0)  # cold, then started
+    cold = solver.minimize_pnorm(prob)
+    # the cold p = 1 solve, then two started restarts that meet on the
+    # coarse grid, so one of them is refined
+    survivors = multistart_minimize(replace(prob, p=0.9), restarts=2, seed=0)
+    assert survivors
     small = replace(prob, grid=pb.build_grid(unit_disk, 32, 64))
     solver.minimize_pnorm(small)  # too small for a coarse level
-    assert len(solves) == 5
+    assert len(coarse_ends) == 5 and len(solves) == 4
+    # every returned solution, the restarts' included, is one of the descents
+    for sol in (cold, *survivors):
+        assert any(sol is got for got, _, _ in solves)
     for sol, coarse, requested in solves:
         assert sol.coarse_iterations == coarse
         assert sol.iterations - sol.coarse_iterations == requested > 0
-    assert all(coarse > 0 for _, coarse, _ in solves[:4])
-    assert solves[4][1] == 0
+    assert all(coarse > 0 for _, coarse, _ in solves[:3])
+    assert solves[3][1] == 0
 
+    steps.clear()
     p2 = solver.minimize_pnorm(replace(prob, p=2.0))
-    assert solves[5][1:] == (0, 0)
+    assert (steps, len(coarse_ends), len(solves)) == ([], 5, 4)  # no level, no step
     assert (p2.iterations, p2.coarse_iterations, p2.cholesky_fallbacks, p2.anderson_steps) == (
         0, 0, 0, 0
     )
@@ -838,6 +860,68 @@ def test_multistart_single_restart_is_single_descent(unit_disk, disk_grid):
     )
     sols = multistart_minimize(prob, restarts=1, seed=0)
     assert len(sols) == 1
+
+
+def _every_restart_refined(prob, restarts, seed):
+    """The survivors of ``multistart_minimize`` when every restart runs both
+    grid levels through ``minimize_pnorm`` from its start: the same starts,
+    converged filter and 1e-4 coefficient dedupe, without the coarse dedupe."""
+    base = minimize_pnorm(replace(prob, p=1.0)).coeffs.coefficients
+    scale = 0.5 * max(1.0, float(np.linalg.norm(base)))
+    starts = [base]
+    for k in range(1, restarts):
+        rng = np.random.default_rng([seed, k])
+        noise = rng.standard_normal(base.size) + 1j * rng.standard_normal(base.size)
+        starts.append(base + scale * noise / math.sqrt(base.size))
+    runs = [minimize_pnorm(prob, start=start) for start in starts]
+    survivors = []
+    for sol in sorted((s for s in runs if s.converged), key=lambda s: s.objective):
+        a = sol.coeffs.coefficients
+        if all(
+            np.linalg.norm(a - b) / max(1.0, np.linalg.norm(a), np.linalg.norm(b)) > 1e-4
+            for b in (kept.coeffs.coefficients for kept in survivors)
+        ):
+            survivors.append(sol)
+    return survivors
+
+
+@pytest.mark.parametrize(
+    "p, seed, shape, refined",
+    [
+        # every restart meets the others on the coarse grid: one refinement
+        (0.7, 0, (128, 256), range(1, 2)),
+        # the four survivors of each seed come from several coarse end points
+        *((0.3, seed, (128, 256), range(2, 16)) for seed in range(4)),
+        # no coarse level, so nothing to deduplicate: every restart is refined
+        (0.7, 0, (32, 64), range(16, 17)),
+    ],
+    ids=["p0.7", "p0.3-seed0", "p0.3-seed1", "p0.3-seed2", "p0.3-seed3", "p0.7-32x64"],
+)
+def test_multistart_refines_each_coarse_end_point_once(unit_disk, monkeypatch, p, seed, shape, refined):
+    # refining one restart per cluster of coarse end points keeps the
+    # survivors, and the spread d_p they give, of refining every restart
+    setup = pb.Setup(unit_disk, degree=8, grid=pb.build_grid(unit_disk, *shape))
+    prob = setup.problem(p, 0.0)
+    # one requested-grid workspace at p per refined restart; the p = 1
+    # solve that seeds the restarts builds its own at p = 1
+    built = []
+    init = solver._Workspace.__init__
+
+    def spied_init(ws, problem, grid, *args):
+        init(ws, problem, grid, *args)
+        built.append(grid is prob.grid and problem.p == p)
+
+    monkeypatch.setattr(solver._Workspace, "__init__", spied_init)
+    got = multistart_minimize(prob, restarts=16, seed=seed)
+    assert sum(built) in refined
+    monkeypatch.undo()
+    want = _every_restart_refined(prob, 16, seed)
+    assert len(got) == len(want) > 0
+    for a, b in zip(got, want):
+        assert abs(a.objective - b.objective) <= 1e-12 * b.objective
+        assert np.max(np.abs(a.coeffs.coefficients - b.coeffs.coefficients)) <= 1e-10
+    spread = analysis._pairwise_spread
+    assert spread(prob, got) == pytest.approx(spread(prob, want), rel=1e-9)
 
 
 def test_kkt_residual_certifies_p2_solution(unit_disk, disk_grid):
