@@ -149,8 +149,8 @@ class Setup:
         solves the problem at r, the B_p one posed at X = 1, then with
         u = z / r (u = 1 at z = 0) the series f(zeta) = c g(conj(u) zeta),
         coefficients c a_n conj(u)^n, solves it at z, with c = 1 for K_p and
-        c = u / X for B_p.  At u = 1 and X = 1 the cached ``Solution`` itself
-        is returned.
+        c = u / X for B_p, and its objective and lower bound scale by |c|.
+        At u = 1 and X = 1 the cached ``Solution`` itself is returned.
         """
         r = abs(z)
         u = z / r if r else 1.0
@@ -166,7 +166,13 @@ class Setup:
             return sol
         basis = sol.coeffs.basis
         coeffs = c * sol.coeffs.coefficients * np.conj(u) ** np.array(basis.exponents)
-        return replace(sol, coeffs=CoeffVector(basis, coeffs), objective=abs(c) * sol.objective)
+        lower = None if sol.lower_bound is None else abs(c) * sol.lower_bound
+        return replace(
+            sol,
+            coeffs=CoeffVector(basis, coeffs),
+            objective=abs(c) * sol.objective,
+            lower_bound=lower,
+        )
 
     def converged(self, p: float | None = None) -> bool:
         """True when every solve cached at exponent ``p`` converged, or every

@@ -6,7 +6,8 @@ null-space basis), so every iterate is feasible to rounding; the problem
 takes that elimination once, from one SVD, and every grid of a solve shares
 its coordinates t.  The non-smooth objective sum_i w_i |f(z_i)|^p is
 replaced by sum_i w_i (|f(z_i)|^2 + eps)^(p/2) with eps driven down the
-fixed ``SMOOTHING_SCHEDULE``.  Each stage iterates the iteratively
+fixed ``SMOOTHING_SCHEDULE`` (from 1e-6 at p > 1, and below 1e-10 while the
+duality gap asks for it).  Each stage iterates the iteratively
 reweighted least-squares (IRLS) map with Anderson acceleration of depth
 ``_ANDERSON_DEPTH``: an iteration first tries the extrapolated candidate at
 full step and keeps it only if it passes the Armijo test of the plain step,
@@ -15,8 +16,8 @@ objective never rises within a grid: each accepted step lowers it, and so
 does each smaller eps at a fixed iterate.  At p = 2 the weighted
 least-squares start is the exact minimizer, so a p = 2 solve without a
 given start returns it with no iterations, no grid level and no pass over
-the grid: its system and its objective, the quadratic form a^H G a, come
-from the Gram G of the grid weights, which each basis builds once (real,
+the grid: its system, its objective (the quadratic form a^H G a) and its
+lower bound come from the Gram G of the grid weights, which each basis builds once (real,
 since the weights are constant in the angle).
 
 Basis columns are pre-scaled by their p-norms on the domain
@@ -49,18 +50,36 @@ times that over |u|^2 + eps.  Each grid level allocates its grid-sized
 arrays once and overwrites them in place; an iteration allocates none.
 
 The continuation runs on two grid levels (grid sequencing, or nested
-iteration).  Every solve but that p = 2 return first runs every smoothing
-stage but the last two to completion on a quarter-resolution grid of the
-same domain, starting from the given start projected onto the feasible
-slice, or else from that grid's weighted least-squares solution; its t then
-carries over unchanged to the requested grid, which runs the last two
-stages.  The heavily smoothed stages are over-resolved by the requested
-grid; the coarse stages only supply a start, so the drift test, the
-stationarity residual, the objective and ``converged`` are all taken on the
-requested grid.  The drift test compares the raw objective
-sum_i w_i |f(z_i)|^p after the last two stages the requested grid runs; the
-coarse level takes no raw objective.  A solve whose quarter grid would have
-fewer than 16 radii or 32 angles runs every stage on the requested grid.
+iteration).  Every solve but that p = 2 return first runs its early
+smoothing stages to completion on a quarter-resolution grid of the same
+domain, starting from the given start projected onto the feasible slice, or
+else from that grid's weighted least-squares solution; its t then carries
+over unchanged to the requested grid.  The heavily smoothed stages are
+over-resolved by the requested grid; the coarse stages only supply a start,
+so the stop rule, the objective and ``converged`` are all taken on the
+requested grid, and the coarse level takes no raw objective.  A solve whose
+quarter grid would have fewer than 16 radii or 32 angles runs every stage
+on the requested grid.
+
+At p > 1 the smoothed problem is strictly convex, so the schedule starts at
+1e-6: the coarse level runs 1e-6 and 1e-8 and the requested grid 1e-10,
+after which the final iterate is certified by Hölder duality (Boyd and
+Vandenberghe, *Convex Optimization*, ch. 5).  With M = V N the map from t
+to grid values, any y with M^H diag(w) y = 0 bounds the grid minimum of
+||u0 + M t||_p from below by L = Re <y, u>_w / ||y||_{q,w}, 1/p + 1/q = 1.
+The certificate takes y = s u(x), with s = (|u|^2 + eps)^(p/2 - 1) at the
+iterate and x the weighted least-squares point of those weights (the IRLS
+target), which makes y orthogonal by construction; it costs one pass of
+grid values and a few elementwise passes in the workspace's own arrays, and
+reuses the last stage's solve when that stage stopped before a step.  The
+solve converges when the relative gap (U - L) / U, U the attained
+objective, is at most ``_GAP_TOL``; while it is above, the requested grid
+lowers eps by 100, down to 1e-16.  A p = 2 return is its own IRLS target,
+so its bound is the quadratic form of the cached Gram.  At p <= 1 there is
+no certificate: the coarse level runs every stage of ``SMOOTHING_SCHEDULE``
+but the last two, and the drift test compares the raw objective
+sum_i w_i |f(z_i)|^p after those two on the requested grid.
+
 Each level counts its own steps, Cholesky fallbacks and Anderson steps, and
 the solution reports their totals.  Multistart restarts split at the level
 boundary: each runs its coarse level, and only the first restart of each
@@ -107,11 +126,15 @@ SMOOTHING_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
 # A stage stops when one step lowers the smoothed objective by at most
 # _TOLERANCE relative, before a step whose predicted decrease is at most
 # _ROUNDING relative (what the grid sum of the objective cannot resolve), or
-# after _MAX_ITERATIONS steps; a solve converges only if the raw objective
-# after the last two stages differs by at most _DRIFT_TOL relative.
+# after _MAX_ITERATIONS steps.  A solve at p > 1 converges when its relative
+# duality gap is at most _GAP_TOL; while it is above, the requested grid runs
+# the _GAP_STAGES in turn.  A solve at p <= 1 converges only if the raw
+# objective after the last two stages differs by at most _DRIFT_TOL relative.
 _TOLERANCE = 1e-10
 _ROUNDING = 1e-15
 _MAX_ITERATIONS = 200
+_GAP_TOL = 1e-10
+_GAP_STAGES = (1e-12, 1e-14, 1e-16)
 _DRIFT_TOL = 1e-8
 
 _ARMIJO = 1e-4
@@ -248,11 +271,16 @@ class ExtremalProblem:
 class Solution:
     """Outcome of one descent; multistart restarts return a list of these.
 
-    ``objective`` is the attained ||f||_p.  ``stationarity_residual`` is the
-    norm of the reduced gradient of the final smoothed objective; for p <= 1
-    it is diagnostic only (convergence is declared on objective stagnation).
-    ``iterations`` counts the accepted steps on both grids and
-    ``coarse_iterations`` the share taken on the quarter-resolution grid.
+    ``objective`` is the attained ||f||_p on the grid, an upper bound U on
+    the grid minimum m_p.  For p > 1, ``lower_bound`` is the Hölder lower
+    bound L <= m_p of the final iterate's dual vector and ``duality_gap`` is
+    (U - L) / U, which ``converged`` holds to ``_GAP_TOL``; so the grid's
+    K_p = m_p^(-p) lies in [U^(-p), L^(-p)].  Rounding can leave the gap a
+    few ulps below zero.  Both are None for p <= 1, where the problem is
+    not strictly convex and ``converged`` rests on stagnation and the drift
+    of the raw objective.  ``iterations`` counts the accepted steps on both
+    grids and ``coarse_iterations`` the share taken on the
+    quarter-resolution grid.
     ``cholesky_fallbacks`` counts the weighted least-squares solves, on
     either grid, whose matrix failed Cholesky factorization and were solved
     by ``lstsq`` instead.  ``anderson_steps`` counts the accepted steps, on
@@ -262,7 +290,8 @@ class Solution:
     coeffs: CoeffVector
     objective: float
     feasibility_residual: float
-    stationarity_residual: float
+    lower_bound: float | None
+    duality_gap: float | None
     iterations: int
     coarse_iterations: int
     converged: bool
@@ -558,6 +587,7 @@ class _Workspace:
         self.iterations = 0
         self.cholesky_fallbacks = 0
         self.anderson_steps = 0
+        self._target = None  # the IRLS target of ``u`` under the current eps
 
         n_r, K = basis.shape
         if real:
@@ -599,6 +629,40 @@ class _Workspace:
         self.cholesky_fallbacks += fallbacks
         return x
 
+    def irls_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """A, rhs of the IRLS weights at ``u`` and the IRLS target A^-1 rhs,
+        the weighted least-squares point of those weights.  The workspace
+        keeps the target for ``certificate`` until ``u`` or eps changes."""
+        A, rhs = self.reduced_system(self.irls_weights())
+        self._target = self.weighted_solve(A, rhs)
+        return A, rhs, self._target
+
+    def certificate(self, t: np.ndarray) -> tuple[float, float]:
+        """The raw objective U^p = sum_i w_i |u_i|^p at t, whose values
+        ``u`` hold their smoothing terms under the last eps, and a lower
+        bound L on the grid minimum of ||u||_p over the slice.
+
+        With s = (|u|^2 + eps)^(p/2 - 1) and x the IRLS target of t, the
+        dual vector y = s u(x) has M^H diag(w) y = A x - rhs = 0, so
+        <y, u(t')>_w = <y, u>_w at every t', and Hölder's inequality with
+        1/p + 1/q = 1 gives L = Re <y, u>_w / ||y||_{q,w}.  It reuses the
+        target of the last stage when that stage stopped before a step, takes
+        one grid values pass into ``du`` and works in the trial arrays.
+        """
+        if self._target is None:
+            self.irls_system()
+        raw = self.raw_objective()
+        self.set_step(self._target - t)
+        y = np.add(self.u, self.du, out=self.u_try)
+        y *= np.divide(self.terms, self.base, out=self.base_try)
+        inner = np.multiply(y.real, self.u.real, out=self.terms_try)
+        inner += np.multiply(y.imag, self.u.imag, out=self.base_try)
+        inner = float(self.w @ inner)
+        q = self.p / (self.p - 1.0)
+        power = _abs2(y, out=self.base_try, tmp=self.terms_try)
+        power **= 0.5 * q
+        return raw, inner / float(self.w @ power) ** (1.0 / q)
+
     def set_point(self, t: np.ndarray, eps: float) -> float:
         """Load the values of t into ``u``; returns the smoothed objective."""
         self._values(self.a0 + self.N @ t, out=self.u, spectrum=self._spectrum)
@@ -610,6 +674,7 @@ class _Workspace:
 
     def set_eps(self, eps: float) -> float:
         """Fill ``base`` and ``terms`` of ``u`` under eps; returns w . terms."""
+        self._target = None
         return self._smooth(self.u, eps, self.base, self.terms)
 
     def trial(self, alpha: float, eps: float) -> float:
@@ -620,6 +685,7 @@ class _Workspace:
 
     def accept(self) -> None:
         """Make the trial point current."""
+        self._target = None
         self.u, self.u_try = self.u_try, self.u
         self.base, self.base_try = self.base_try, self.base
         self.terms, self.terms_try = self.terms_try, self.terms
@@ -679,8 +745,8 @@ def _irls_stage(ws: _Workspace, t, phi, eps):
     alpha0 = 1.0 if ws.p <= 2.0 else 2.0 / ws.p
     history = []  # (g, f) at the last points of the stage, oldest first
     for _ in range(_MAX_ITERATIONS):
-        A, rhs = ws.reduced_system(ws.irls_weights())
-        delta = ws.weighted_solve(A, rhs) - t
+        A, rhs, target = ws.irls_system()
+        delta = target - t
         descent = ws.p * float(np.real(np.vdot(A @ t - rhs, delta)))
         if -descent <= _ROUNDING * phi:
             stagnated = True  # the predicted decrease is at rounding level
@@ -769,6 +835,25 @@ def _descend(ws: _Workspace, t, schedule) -> Iterator[tuple[np.ndarray, bool]]:
         yield t, stagnated
 
 
+def _schedule(problem: ExtremalProblem) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The eps stages of the coarse level and of the requested grid.
+
+    At p > 1 the smoothed problem is strictly convex and needs no heavy
+    smoothing: the coarse level runs 1e-6 and 1e-8 and the requested grid
+    1e-10, and the duality gap decides whether it runs ``_GAP_STAGES``.  At
+    p <= 1 the coarse level runs every stage of ``SMOOTHING_SCHEDULE`` but
+    the last two, which the requested grid runs for the drift test.  Without
+    a coarse grid the requested grid runs both parts.
+    """
+    if problem.p > 1.0:
+        coarse, requested = SMOOTHING_SCHEDULE[2:-1], SMOOTHING_SCHEDULE[-1:]
+    else:
+        coarse, requested = SMOOTHING_SCHEDULE[:-2], SMOOTHING_SCHEDULE[-2:]
+    if _grid_cache(problem.grid).coarse_grid is None:
+        return (), coarse + requested
+    return coarse, requested
+
+
 def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None) -> Solution:
     """Run the continuation descent; returns the final iterate with diagnostics.
 
@@ -779,25 +864,29 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
     Every other solve runs its early stages on a coarser grid when the
     problem's grid allows (see the module docstring), both levels in real
     arithmetic on half the angles when the problem is real, p >= 1 and no
-    start is given.  The stop rule is fixed by the module constants
-    ``_TOLERANCE``, ``_MAX_ITERATIONS`` and ``_DRIFT_TOL``; ``converged``
-    holds when every stage on the requested grid stagnated and the raw
-    objective drifted by at most ``_DRIFT_TOL`` relative over the last two
-    stages.  Non-convergence is reported through ``converged``, never
-    silently.
+    start is given.  The stop rule is fixed by the module constants.  At
+    p > 1, ``converged`` holds when the relative duality gap of the final
+    iterate is at most ``_GAP_TOL``; the requested grid runs the 1e-10
+    stage and, while the gap is above that, each of ``_GAP_STAGES``.  At
+    p <= 1 it holds when every stage on the requested grid stagnated and
+    the raw objective drifted by at most ``_DRIFT_TOL`` relative over the
+    last two stages.  Non-convergence is reported through ``converged``,
+    never silently.
     """
     if start is None and problem.p == 2.0:
         # The least-squares start is the exact minimizer, and the p = 2
-        # IRLS weights equal w under every eps, so A and rhs are final;
-        # the objective is the quadratic form of the cached Gram of w, so
-        # no grid level is built and no grid pass runs.
+        # IRLS weights equal w under every eps, so A and rhs are final and
+        # t is its own IRLS target: the dual vector is u itself.  The
+        # objective and the bound are quadratic forms of the cached Gram of
+        # w, so no grid level is built and no grid pass runs.
         a0, N = problem.feasible_slice
         G = _grid_cache(problem.grid).basis(problem.grid, problem.basis).weight_gram
         A, rhs = _reduce(G, a0, N)
         t, fallbacks = _weighted_solve(A, rhs)
         a = a0 + N @ t
         raw = float(np.vdot(a, G @ a).real)
-        return _solution(problem, t, A, rhs, raw, True, (0, 0, 0), (0, fallbacks, 0))
+        lower = raw / math.sqrt(raw)
+        return _solution(problem, t, raw, lower, True, (0, 0, 0), (0, fallbacks, 0))
     # A real problem is symmetric under conjugation, so at p >= 1 its
     # smoothed objective, strictly convex in t, has a real minimizer, and
     # IRLS from the real least-squares point stays real.  Below 1 and from
@@ -808,55 +897,71 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
 
 
 def _coarse_level(problem: ExtremalProblem, t, real: bool):
-    """Every stage but the last two on the quarter grid from t (None: its
-    least-squares point); returns the final t and the level's steps,
+    """The coarse stages of ``_schedule`` on the quarter grid from t (None:
+    its least-squares point); returns the final t and the level's steps,
     Cholesky fallbacks and Anderson steps, or t and zeros if the grid is
     too small to coarsen.  The workspace is not kept."""
     coarse_grid = _grid_cache(problem.grid).coarse_grid
     if coarse_grid is None:
         return t, (0, 0, 0)
     ws = _Workspace(problem, coarse_grid, real)
-    for t, _ in _descend(ws, t, SMOOTHING_SCHEDULE[:-2]):
+    for t, _ in _descend(ws, t, _schedule(problem)[0]):
         pass
     return t, (ws.iterations, ws.cholesky_fallbacks, ws.anderson_steps)
 
 
 def _requested_level(problem: ExtremalProblem, t, coarse, real: bool) -> Solution:
-    """The rest of the schedule and the drift test on the requested grid,
-    from the end point t of ``_coarse_level`` and its counts ``coarse``."""
-    schedule = SMOOTHING_SCHEDULE
-    if _grid_cache(problem.grid).coarse_grid is not None:
-        schedule = schedule[-2:]
+    """The requested grid's stages of ``_schedule`` from the end point t of
+    ``_coarse_level`` and its counts ``coarse``, then the duality gap
+    (p > 1) or the drift test (p <= 1)."""
+    schedule = _schedule(problem)[1]
     ws = _Workspace(problem, problem.grid, real)
-    # the drift test reads the raw objective after the last two stages
-    raw, stagnated = [], True
-    for i, (t, stage_stagnated) in enumerate(_descend(ws, t, schedule)):
-        stagnated = stagnated and stage_stagnated
-        if i >= len(schedule) - 2:
-            raw.append(ws.raw_objective())
-    settled = abs(raw[-1] - raw[-2]) <= _DRIFT_TOL * max(raw[-1], 1e-300)
-    # ws holds the final point under the last eps
-    A, rhs = ws.reduced_system(ws.irls_weights())
+    if problem.p > 1.0:
+        # certify after the last stage, and after each gap stage it needs
+        for i, (t, _) in enumerate(_descend(ws, t, schedule + _GAP_STAGES)):
+            if i >= len(schedule) - 1:
+                raw, lower = ws.certificate(t)
+                converged = _relative_gap(raw, lower, problem.p) <= _GAP_TOL
+                if converged:
+                    break
+    else:
+        # the drift test reads the raw objective after the last two stages
+        raws, stagnated, lower = [], True, None
+        for i, (t, stage_stagnated) in enumerate(_descend(ws, t, schedule)):
+            stagnated = stagnated and stage_stagnated
+            if i >= len(schedule) - 2:
+                raws.append(ws.raw_objective())
+        raw = raws[-1]
+        settled = abs(raws[-1] - raws[-2]) <= _DRIFT_TOL * max(raw, 1e-300)
+        converged = stagnated and settled
     fine = (ws.iterations, ws.cholesky_fallbacks, ws.anderson_steps)
-    return _solution(problem, t, A, rhs, raw[-1], stagnated and settled, coarse, fine)
+    return _solution(problem, t, raw, lower, converged, coarse, fine)
 
 
-def _solution(problem, t, A, rhs, raw: float, converged: bool, coarse, fine) -> Solution:
-    """The ``Solution`` at t of raw objective ``raw`` and final system
-    (A, rhs); ``coarse`` and ``fine`` are the counts of the two levels."""
+def _solution(problem, t, raw: float, lower, converged: bool, coarse, fine) -> Solution:
+    """The ``Solution`` at t of raw objective ``raw`` and lower bound
+    ``lower`` (None at p <= 1); ``coarse`` and ``fine`` are the counts of
+    the two levels."""
     a_raw = problem.raw_from_t(t)
     residual = problem.constraint_matrix @ a_raw - problem.constraint_targets
     return Solution(
         coeffs=CoeffVector(problem.basis, a_raw),
         objective=raw ** (1.0 / problem.p),
         feasibility_residual=float(np.max(np.abs(residual))),
-        stationarity_residual=float(np.linalg.norm(problem.p * (A @ t - rhs))),
+        lower_bound=lower,
+        duality_gap=None if lower is None else _relative_gap(raw, lower, problem.p),
         iterations=coarse[0] + fine[0],
         coarse_iterations=coarse[0],
         converged=converged,
         cholesky_fallbacks=coarse[1] + fine[1],
         anderson_steps=coarse[2] + fine[2],
     )
+
+
+def _relative_gap(raw: float, lower: float, p: float) -> float:
+    """(U - L) / U for the objective U = raw^(1/p) and the lower bound L."""
+    upper = raw ** (1.0 / p)
+    return (upper - lower) / upper
 
 
 def _coefficient_distance(a: np.ndarray, b: np.ndarray) -> float:

@@ -6,8 +6,10 @@ the raw Gram KKT system, the KKT-residual oracle projects the gradient of
 space, the metric oracle runs a derivative-free simplex search, the
 disk- and annulus-kernel oracles are the classical closed forms, with the
 Levi form of the log of the latter, ``monomial_lp_norm`` integrates |z^n|^p
-in extended precision, and ``quarter_laplacian`` is the planar 13-point
-stencil the radial Levi stencil of ``analysis`` is checked against.  For
+in extended precision, ``quarter_laplacian`` is the planar 13-point
+stencil the radial Levi stencil of ``analysis`` is checked against, and
+``grid_free_k4`` minimizes ||f^2||_2^2, the 4-norm to the fourth without a
+grid, by Newton's method.  For
 lacunary series, ``dense_lp`` sums |f|^p over whole circles without the
 tiled evaluator, and ``lacunary_l4`` is the grid-free integral of |f|^4.
 ``write_series_csv`` writes the series files the command line reads.
@@ -163,6 +165,60 @@ def lacunary_l4(series):
     for (la, a), (lb, b) in product(zip(series.exponents, series.coefficients), repeat=2):
         square[la + lb] = square.get(la + lb, 0.0) + a * b
     return math.pi * sum(abs(c) ** 2 / (m + 1) for m, c in square.items())
+
+
+def grid_free_k4(inner, outer, exponents, r):
+    """K_4 at the real point r of the domain inner < |z| < outer (a disk at
+    inner = 0) over the series on ``exponents``, without a grid.
+
+    ||f||_4^4 = ||f^2||_2^2 = sum_m h_m c_m^2 with c = a * a the
+    convolution over exponents and h_m = ||z^m||_2^2; at a real point the
+    minimizer is real, so this is a convex quartic on the real slice
+    f(r) = 1.  Damped Newton with its exact Hessian, 8 C^T diag(h) C plus
+    4 times the Hankel matrix of h c, with C the convolution matrix of a,
+    runs in coordinates scaled by ||z^n||_2 from the p = 2 minimizer until
+    the Newton decrement is at rounding level.  Returns 1 / min ||f||_4^4.
+    """
+    n = np.asarray(exponents)
+    m = np.arange(2 * n[0], 2 * n[-1] + 1)  # the exponents of f^2
+
+    def norm2(k):
+        if k == -1:
+            return 2.0 * math.pi * math.log(outer / inner)
+        return math.pi * (outer ** (2 * k + 2) - inner ** (2 * k + 2)) / (k + 1)
+
+    h = np.array([norm2(k) for k in m])
+    scale = np.sqrt([norm2(k) for k in n])
+    row = r**n / scale  # f(r) in the scaled coordinates b = a * scale
+    N = scipy.linalg.null_space(row[None, :])
+    b0 = row / (row @ row)  # the p = 2 minimizer, orthogonal to the slice
+    index = np.arange(n.size)[:, None] + np.arange(n.size)[None, :]
+
+    def parts(t):
+        a = (b0 + N @ t) / scale
+        C = np.zeros((m.size, n.size))
+        for i in range(n.size):
+            C[i : i + n.size, i] = a
+        c = C @ a
+        hc = h * c
+        value = float(c @ hc)
+        grad = 4.0 * (C.T @ hc) / scale
+        hess = (8.0 * C.T @ (h[:, None] * C) + 4.0 * hc[index]) / np.outer(scale, scale)
+        return value, N.T @ grad, N.T @ hess @ N
+
+    t = np.zeros(N.shape[1])
+    value, grad, hess = parts(t)
+    for _ in range(100):
+        step = -np.linalg.solve(hess, grad)
+        decrement = -float(grad @ step)
+        if decrement <= 1e-15 * value:
+            break
+        alpha = 1.0
+        while parts(t + alpha * step)[0] > value - 0.25 * alpha * decrement and alpha > 1e-10:
+            alpha *= 0.5
+        t = t + alpha * step
+        value, grad, hess = parts(t)
+    return 1.0 / value
 
 
 def write_series_csv(path, series):

@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -398,8 +399,16 @@ def test_control_characters_in_strings_round_trip(capsys, tmp_path, monkeypatch)
     assert json.loads(lines[0][len("# config: "):])["domain"] == "disk:1\n"
 
 
-def test_metric_exits_two_when_its_kernel_solve_fails(capsys):
-    # the B_p solve converges, the K_p solve it divides by does not
+def test_metric_exits_two_when_its_kernel_solve_fails(capsys, monkeypatch):
+    # the B_p solve converges, the K_p solve it divides by does not: every
+    # K_p problem (one constraint) reports converged = False
+    solve = kernel.minimize_pnorm
+
+    def failing_k_p(problem):
+        sol = solve(problem)
+        return replace(sol, converged=False) if len(problem.constraints) == 1 else sol
+
+    monkeypatch.setattr(kernel, "minimize_pnorm", failing_k_p)
     code, out, _ = _run(
         capsys, ["metric", "--domain", "punctured:1", "--nmin", "-1", "--p", "1.2", "--z", "0.7"]
     )
@@ -407,6 +416,24 @@ def test_metric_exits_two_when_its_kernel_solve_fails(capsys):
     doc = json.loads(out)
     _validator("metric").validate(doc)
     assert doc["converged"] is False and doc["diagnostics"]["converged"] is True
+
+
+@pytest.mark.parametrize("p", ["1", "1.5"])
+def test_kernel_diagnostics_carry_the_certificate(capsys, p):
+    # at p = 1 no certificate: lower_bound and duality_gap are null; at
+    # p = 1.5 both are numbers, the bound below the objective
+    code, out, _ = _run(
+        capsys, ["kernel", "--domain", "disk:1", "--p", p, "--z", "0.3", "--degree", "8"]
+    )
+    assert code == 0
+    doc = json.loads(out)
+    _validator("kernel").validate(doc)
+    diagnostics = doc["diagnostics"]
+    if p == "1":
+        assert diagnostics["lower_bound"] is None and diagnostics["duality_gap"] is None
+    else:
+        assert 0.0 < diagnostics["lower_bound"] <= diagnostics["objective"] * (1.0 + 1e-15)
+        assert abs(diagnostics["duality_gap"]) <= 1e-12
 
 
 def test_determinism_modulo_timestamp(capsys):

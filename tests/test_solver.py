@@ -26,7 +26,7 @@ from pbergman.solver import (
     _SeparableBasis,
 )
 
-from oracles import kkt_residual, least_norm_coeffs, lp_norm, vandermonde
+from oracles import grid_free_k4, kkt_residual, least_norm_coeffs, lp_norm, vandermonde
 
 
 def _basis(domain, p, degree, n_min=None):
@@ -106,7 +106,8 @@ def test_p2_returns_least_squares_start(spec):
     prob = ExtremalProblem(basis, grid, 2.0, (point_constraint(basis, 0.7 + 0.1j, 1.0),))
     sol = minimize_pnorm(prob)
     assert sol.iterations == 0 and sol.converged
-    assert sol.stationarity_residual <= 1e-10
+    assert abs(sol.duality_gap) <= 1e-15
+    assert kkt_residual(prob, sol.coeffs.coefficients) <= 1e-10
     # the staged descent from the same coefficients stays where it started
     staged = minimize_pnorm(prob, start=sol.coeffs.coefficients)
     assert staged.converged
@@ -161,6 +162,9 @@ def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch):
         _problem(unit_disk, grid, 2.0, 8, lambda b: (point_constraint(b, 0.3 + 0.4j, 1.0),))
     )
     assert sol.converged and sol.iterations == 0
+    # its certificate comes from the same Gram
+    assert abs(sol.duality_gap) <= 1e-15
+    assert abs(sol.lower_bound - sol.objective) <= 1e-15 * sol.objective
     # the weights on the angles in [0, pi]
     half_weights = grid.weights.reshape(128, 256)[:, :129].ravel()
     assert len(grams) == 1 and np.array_equal(grams[0], half_weights)
@@ -171,8 +175,9 @@ def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch):
     ids=["two-grid", "single-grid"],
 )
 def test_drift_objectives_only_on_the_requested_grid(unit_disk, monkeypatch, shape, sizes):
-    # the drift test reads the raw objective after the last two stages on the
-    # requested grid; the coarse level takes none; at a real and a complex point
+    # at p = 1 the drift test reads the raw objective after the last two
+    # stages on the requested grid; the coarse level takes none; at a real
+    # and a complex point
     calls = []
     raw_objective = solver._Workspace.raw_objective
 
@@ -184,7 +189,7 @@ def test_drift_objectives_only_on_the_requested_grid(unit_disk, monkeypatch, sha
     grid = pb.build_grid(unit_disk, *shape)
     for z in (0.3, 0.3j):
         calls.clear()
-        prob = _problem(unit_disk, grid, 1.5, 16, lambda b: (point_constraint(b, z, 1.0),))
+        prob = _problem(unit_disk, grid, 1.0, 16, lambda b: (point_constraint(b, z, 1.0),))
         sol = minimize_pnorm(prob)
         assert sol.converged and (sol.coarse_iterations > 0) == (shape == (128, 256))
         assert calls == sizes
@@ -194,19 +199,33 @@ def _single_grid(prob):
     """The whole schedule on the problem's own grid from its least-squares start,
     in the arithmetic of a solve without a start (real for a real problem at
     p >= 1), with the objective and ``converged`` as ``minimize_pnorm``
-    reports them."""
+    reports them: at p > 1 the stages from 1e-6, certified after 1e-10 and
+    after each gap stage until the duality gap meets ``_GAP_TOL``; at p <= 1
+    every stage, with the drift test over the last two."""
     ws = solver._Workspace(prob, prob.grid, real=prob.is_real and prob.p >= 1.0)
-    descent = solver._descend(ws, ws.least_squares(), solver.SMOOTHING_SCHEDULE)
-    stages = [(t, stagnated, ws.raw_objective()) for t, stagnated in descent]
-    t = stages[-1][0]
-    stagnated = all(stage[1] for stage in stages)
-    raw = [stage[2] for stage in stages[-2:]]
-    drift = abs(raw[-1] - raw[-2])
-    settled = drift <= solver._DRIFT_TOL * raw[-1]
+    if prob.p > 1.0:
+        schedule = solver.SMOOTHING_SCHEDULE[2:]
+        descent = solver._descend(ws, ws.least_squares(), schedule + solver._GAP_STAGES)
+        for i, (t, _) in enumerate(descent):
+            if i >= len(schedule) - 1:
+                raw, lower = ws.certificate(t)
+                objective = raw ** (1.0 / prob.p)
+                converged = objective - lower <= solver._GAP_TOL * objective
+                if converged:
+                    break
+    else:
+        descent = solver._descend(ws, ws.least_squares(), solver.SMOOTHING_SCHEDULE)
+        stages = [(t, stagnated, ws.raw_objective()) for t, stagnated in descent]
+        t = stages[-1][0]
+        stagnated = all(stage[1] for stage in stages)
+        raw = [stage[2] for stage in stages[-2:]]
+        drift = abs(raw[-1] - raw[-2])
+        objective = raw[-1] ** (1.0 / prob.p)
+        converged = stagnated and drift <= solver._DRIFT_TOL * raw[-1]
     a_raw = prob.raw_from_t(t)
     return SimpleNamespace(
-        objective=raw[-1] ** (1.0 / prob.p),
-        converged=stagnated and settled,
+        objective=objective,
+        converged=converged,
         feasibility_residual=float(
             np.max(np.abs(prob.constraint_matrix @ a_raw - prob.constraint_targets))
         ),
@@ -233,7 +252,9 @@ def test_two_grid_matches_single_grid_descent(spec, n_min, z, p):
     prob = ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
     two = minimize_pnorm(prob)
     one = _single_grid(prob)
-    assert 0 < two.coarse_iterations < two.iterations
+    # at p > 1 the requested grid's one stage may take no step
+    assert 0 < two.coarse_iterations <= two.iterations
+    assert (two.coarse_iterations < two.iterations) or p > 1.0
     assert abs(two.objective - one.objective) <= 1e-11 * one.objective
     assert two.converged == one.converged
     assert two.feasibility_residual <= 1e-10
@@ -405,7 +426,10 @@ def test_levels_count_their_own_steps(unit_disk, disk_grid, monkeypatch):
         assert any(sol is got for got, _, _ in solves)
     for sol, coarse, requested in solves:
         assert sol.coarse_iterations == coarse
-        assert sol.iterations - sol.coarse_iterations == requested > 0
+        assert sol.iterations - sol.coarse_iterations == requested
+    # the one requested-grid stage of the cold p > 1 solve may take no step;
+    # the p <= 1 descents and the single-grid solve step there
+    assert all(requested > 0 for _, _, requested in solves[1:])
     assert all(coarse > 0 for _, coarse, _ in solves[:3])
     assert solves[3][1] == 0
 
@@ -485,7 +509,8 @@ def _on_fresh_grid(problem):
 def _assert_same_bits(got, want):
     assert np.array_equal(got.coeffs.coefficients, want.coeffs.coefficients)
     assert got.objective == want.objective
-    assert got.stationarity_residual == want.stationarity_residual
+    assert got.lower_bound == want.lower_bound
+    assert got.duality_gap == want.duality_gap
     assert got.iterations == want.iterations
     assert got.coarse_iterations == want.coarse_iterations
     assert got.cholesky_fallbacks == want.cholesky_fallbacks
@@ -786,9 +811,169 @@ def test_no_line_search_at_rounding_level(unit_disk, disk_grid, monkeypatch):
     monkeypatch.setattr(solver._Workspace, "accept", spied_accept)
     sol = minimize_pnorm(prob)
     assert sol.converged
-    assert len(stages) == len(solver.SMOOTHING_SCHEDULE)
+    # 1e-6 and 1e-8 on the coarse grid, 1e-10 on the requested one, which
+    # meets the duality gap
+    assert len(stages) == 3
     for counts in stages:
         assert counts["trials"] <= 3 * max(counts["steps"], 1), stages
+
+
+def _feasible_directions(prob, count, rng):
+    """``count`` random unit vectors of raw coefficients in the null space of
+    the constraint rows."""
+    N = scipy.linalg.null_space(prob.constraint_matrix)
+    x = rng.standard_normal((N.shape[1], count)) + 1j * rng.standard_normal((N.shape[1], count))
+    d = N @ x
+    return (d / np.linalg.norm(d, axis=0)).T
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
+@pytest.mark.parametrize("z", [0.6, 0.6 * cmath.exp(0.7j)], ids=["real", "complex"])
+@pytest.mark.parametrize("spec", ["disk:1", "annulus:0.5,1"])
+def test_lower_bound_holds_at_every_feasible_point(spec, z, p):
+    # Hölder: no feasible series has a grid p-norm below the lower bound,
+    # the returned one included (its grid norm, by the dense Vandermonde, is
+    # within rounding of the objective)
+    domain = pb.parse_domain(spec)
+    grid = pb.build_grid(domain, 64, 128)
+    basis = _basis(domain, p, 12)
+    prob = ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
+    sol = minimize_pnorm(prob)
+    V = vandermonde(grid, basis.exponents)
+    a = sol.coeffs.coefficients
+    lower = sol.lower_bound
+    assert abs(lp_norm(grid, V @ a, p) - sol.objective) <= 1e-14 * sol.objective
+    assert lower <= sol.objective * (1.0 + 1e-15)
+    rng = np.random.default_rng(3)
+    scale = np.linalg.norm(a)
+    for step, d in zip(np.geomspace(1e-8, 1.0, 9), _feasible_directions(prob, 9, rng)):
+        assert lp_norm(grid, V @ (a + step * scale * d), p) >= lower * (1.0 - 1e-14)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("z", [0.45, 0.45j], ids=["real", "complex"])
+def test_certificate_away_from_the_minimizer_stays_below_the_minimum(unit_disk, disk_grid, z, p):
+    # at points far from the minimizer the dual vector s u is far from
+    # orthogonal to the slice; its IRLS-target form still bounds the minimum
+    # from below, in real and in complex arithmetic
+    prob = _problem(unit_disk, disk_grid, p, 10, lambda b: (point_constraint(b, z, 1.0),))
+    sol = minimize_pnorm(prob)
+    assert sol.converged
+    ws = solver._Workspace(prob, disk_grid, real=prob.is_real)
+    t_min = prob.t_from_raw(sol.coeffs.coefficients)
+    if prob.is_real:
+        t_min = t_min.real
+    rng = np.random.default_rng(11)
+    for size in (1e-3, 0.1, 1.0):
+        noise = rng.standard_normal(t_min.size)
+        if not prob.is_real:
+            noise = noise + 1j * rng.standard_normal(t_min.size)
+        t = t_min + size * np.linalg.norm(t_min) * noise / np.linalg.norm(noise)
+        ws.set_point(t, 1e-10)
+        raw, lower = ws.certificate(t)
+        assert raw ** (1.0 / p) > sol.objective
+        assert lower <= sol.objective * (1.0 + 1e-14)
+
+
+@pytest.mark.parametrize("p", [1.2, 1.5, 3.0, 4.0])
+@pytest.mark.parametrize(
+    "spec,n_min,r", [("disk:1", None, 0.45), ("punctured:1", -1, 0.5), ("annulus:0.5,1", None, 0.7)],
+    ids=["disk", "punctured", "annulus"],
+)
+def test_converged_solves_have_a_small_duality_gap(spec, n_min, r, p):
+    # at a real point (real arithmetic) and a complex one (complex
+    # arithmetic); the annulus at p <= 1.5 needs gap stages and certifies to
+    # _GAP_TOL, every other solve to 1e-12 after the 1e-10 stage
+    domain = pb.parse_domain(spec)
+    grid = pb.build_grid(domain, 128, 256)
+    basis = _basis(domain, p, 24, n_min)
+    bound = solver._GAP_TOL if spec.startswith("annulus") and p <= 1.5 else 1e-12
+    for z in (r, r * cmath.exp(0.3j)):
+        sol = minimize_pnorm(ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),)))
+        assert sol.converged
+        assert -1e-15 <= sol.duality_gap <= bound
+        assert sol.duality_gap == (sol.objective - sol.lower_bound) / sol.objective
+
+
+def _requested_grid_passes(monkeypatch, prob):
+    """Stages, accepted steps, Gram passes and raw objectives of a solve of
+    ``prob`` on its requested grid, counted by spies."""
+    counts = dict.fromkeys(("stages", "steps", "grams", "raw"), 0)
+    stage, accept = solver._irls_stage, solver._Workspace.accept
+    reduced_system, raw_objective = solver._Workspace.reduced_system, solver._Workspace.raw_objective
+
+    def counting(name, method):
+        def spied(ws, *args):
+            if ws.grid is prob.grid:
+                counts[name] += 1
+            return method(ws, *args)
+
+        return spied
+
+    monkeypatch.setattr(solver, "_irls_stage", counting("stages", stage))
+    monkeypatch.setattr(solver._Workspace, "accept", counting("steps", accept))
+    monkeypatch.setattr(solver._Workspace, "reduced_system", counting("grams", reduced_system))
+    monkeypatch.setattr(solver._Workspace, "raw_objective", counting("raw", raw_objective))
+    sol = minimize_pnorm(prob)
+    monkeypatch.undo()
+    return sol, counts
+
+
+@pytest.mark.parametrize("z", [0.45, 0.45j], ids=["real", "complex"])
+def test_certified_solve_runs_one_stage_on_the_requested_grid(unit_disk, disk_grid, monkeypatch, z):
+    # disk p = 3: the 1e-10 stage meets the gap, so the requested grid runs
+    # it alone and takes one raw objective; that stage stops before a step,
+    # so the certificate reuses its system: one Gram pass on that grid
+    prob = _problem(unit_disk, disk_grid, 3.0, 10, lambda b: (point_constraint(b, z, 1.0),))
+    sol, counts = _requested_grid_passes(monkeypatch, prob)
+    assert sol.converged and sol.duality_gap <= 1e-12
+    assert counts == {"stages": 1, "steps": 0, "grams": 1, "raw": 1}
+    assert sol.iterations == sol.coarse_iterations > 0
+
+
+def test_gap_stages_run_until_the_gap_is_met(monkeypatch):
+    # annulus p = 1.5 at 0.7: the 1e-10 stage leaves a gap of about 1e-9, so
+    # the requested grid runs gap stages, one certificate (one raw
+    # objective) after each, until the gap meets _GAP_TOL
+    domain = pb.parse_domain("annulus:0.5,1")
+    basis = _basis(domain, 1.5, 24)
+    prob = ExtremalProblem(
+        basis, pb.build_grid(domain, 128, 256), 1.5, (point_constraint(basis, 0.7, 1.0),)
+    )
+    sol, counts = _requested_grid_passes(monkeypatch, prob)
+    assert sol.converged and sol.duality_gap <= solver._GAP_TOL
+    assert 1 < counts["stages"] <= 1 + len(solver._GAP_STAGES)
+    assert counts["raw"] == counts["stages"]
+
+
+def test_solutions_at_p_up_to_one_carry_no_certificate(unit_disk, disk_grid):
+    # p = 1 cold (real arithmetic) and started, and the p < 1 restarts
+    prob = _problem(unit_disk, disk_grid, 1.0, 8, lambda b: (point_constraint(b, 0.3, 1.0),))
+    cold = minimize_pnorm(prob)
+    started = minimize_pnorm(prob, start=cold.coeffs.coefficients)
+    restarts = multistart_minimize(replace(prob, p=0.8), restarts=3, seed=0)
+    for sol in (cold, started, *restarts):
+        assert sol.lower_bound is None and sol.duality_gap is None
+        record = pb.solution_record(sol)
+        assert record["lower_bound"] is None and record["duality_gap"] is None
+
+
+@pytest.mark.parametrize(
+    "z, want",
+    [(0.7, 3.343131897790549), (0.6 + 0.2j, 5.339707095558469), (0.85j, 5.013376276493372)],
+)
+def test_grid_free_k4_lies_in_the_certified_bracket(annulus, z, want):
+    # annulus 0.5..1, degree 24 (D = 49): the grid-free K_4 must lie in
+    # [U^-4, L^-4] of the default grid's solve, up to a slack of 5e-14
+    # relative for the grid's quadrature and rounding error on the smooth
+    # |f|^4 (it reads 7e-15 to 1.2e-14 above L^-4 here)
+    setup = pb.Setup(annulus, degree=24)
+    k4 = grid_free_k4(0.5, 1.0, setup.basis(4.0).exponents, abs(z))
+    assert abs(k4 - want) <= 1e-13 * want
+    sol = setup.solve(4.0, z)
+    assert sol.converged
+    slack = 5e-14
+    assert sol.objective**-4 * (1.0 - slack) <= k4 <= sol.lower_bound**-4 * (1.0 + slack)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
@@ -1095,7 +1280,8 @@ def test_solution_record_roundtrip(unit_disk, disk_grid):
     assert set(record) == {
         "objective",
         "feasibility_residual",
-        "stationarity_residual",
+        "lower_bound",
+        "duality_gap",
         "iterations",
         "coarse_iterations",
         "converged",
