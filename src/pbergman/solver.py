@@ -24,12 +24,16 @@ Basis columns are pre-scaled by their p-norms on the domain
 (``BasisSpec.col_norms``); reported coefficients are raw monomial ones.
 
 The grid is a tensor product of radii and a uniform angle rule, and column n
-is r^n e^{i n theta}, so the basis is separable.  Over the K equispaced
-angles, sum_k x_k e^{i m theta_k} is an exact DFT of length K.  The solver
-therefore never forms the nodes x D matrix: grid values are one inverse FFT
-per radius, and the reweighted Gram G_jl = sum_i r_i^(n_j + n_l)
-W_i(n_l - n_j) / (c_j c_l), with W_i the angular DFT of the weights on
-circle i, costs one real FFT of the weights plus O(n_r D^2) work.
+is r^n e^{i n theta}, so the basis is separable.  The solver therefore
+never forms the nodes x D matrix: every angular sum is one BLAS product
+against a small table of e^{i m theta_k}, built per basis from the exact
+residue m k mod K.  Grid values are the radial powers times the
+coefficients times the D x K table of the exponents, and the reweighted
+Gram G_jl = sum_i r_i^(n_j + n_l) W_i(n_l - n_j) / (c_j c_l), with
+W_i(m) = sum_k omega_ik e^{i m theta_k} on circle i, is the weights times
+the K x (span + 1) table of the lags plus O(n_r D^2) work.  At the basis
+sizes of the package (D <= 97) a solve on these products is faster than
+one that takes an FFT per radius.
 
 A problem whose constraint rows and targets are real, as every one-point
 problem at a real point is, commutes with f -> conj(f(conj z)), and the
@@ -37,12 +41,12 @@ angles 2 pi k / K are closed under theta -> -theta.  For p >= 1 its smoothed
 objective is strictly convex in t, so the minimizer is real, and a solve
 without a given start runs both grid levels in real arithmetic: t, the
 slice and the reduced system are real; |f| of real coefficients is even
-in the angle, so only the K // 2 + 1 angles in [0, pi] are evaluated (one
-real FFT of the real spectrum per radius, every angle with a mirror
-weighted twice); and the Gram is a cosine sum of the weights, one inverse
-real FFT per radius.  Complex constraints, p < 1 and given starts,
-whose minimizers need not be symmetric, keep the complex arithmetic on all
-K angles.
+in the angle, so only the K // 2 + 1 angles in [0, pi] are evaluated (the
+table of the exponents on those angles, every angle with a mirror
+weighted twice); and the Gram is a cosine sum of the weights, a product
+against a real table of cosines.  Complex constraints, p < 1 and given
+starts, whose minimizers need not be symmetric, keep the complex
+arithmetic on all K angles.
 
 Each line-search trial takes one power of |u|^2 + eps on the grid, and the
 accepted trial keeps (|u|^2 + eps)^(p/2), so the next IRLS weights are w
@@ -179,8 +183,9 @@ class ExtremalProblem:
     """min ||f||_p over coefficients subject to complex linear constraints.
 
     The grid lies on the basis's domain and has more angles than the span
-    n_max - n_min of the basis exponents, so no two exponents share a DFT
-    bin and the grid integrates |f|^2 exactly in the angle.
+    n_max - n_min of the basis exponents, so no two exponents are equal
+    modulo the angular count and the grid integrates |f|^2 exactly in the
+    angle.
     ``constraints`` is a sequence of finite (row, target) pairs; the rows
     act on raw monomial coefficients, are linearly independent and fewer
     than the basis dimension.  ``constraint_matrix`` and ``constraint_targets``
@@ -299,32 +304,45 @@ class Solution:
     anderson_steps: int
 
 
+@functools.cache
+def _twiddles(K: int) -> np.ndarray:
+    """e^{2 pi i j / K} for j = 0 .. K - 1; shared between bases, hence
+    read-only."""
+    twiddles = np.exp(2j * math.pi * np.arange(K) / K)
+    twiddles.setflags(write=False)
+    return twiddles
+
+
 class _SeparableBasis:
     """The basis, columns scaled by ``BasisSpec.col_norms``, as an operator
     on a polar grid.
 
-    Column n of V at node (i, k) is r_i^n e^{i n theta_k} / c_n.  On the
-    uniform angle grid every angular sum is an exact DFT, so grid values
-    take one FFT per radius and a weighted Gram one real FFT of the weights
-    plus O(n_r D^2) work; V itself is never formed.  Exponents equal modulo
-    the angular count share a DFT bin, where the grid cannot tell them
-    apart.  ``values`` acts on scaled coefficients (raw coefficients times
-    ``col_norms``).
+    Column n of V at node (i, k) is r_i^n e^{i n theta_k} / c_n, so V is the
+    radial factor ``radial`` (n_r x D) times an angular table of e^{i n
+    theta_k}, and every angular sum is one BLAS product against a small
+    table: grid values are ``radial`` times the coefficients times the
+    D x K table, and a weighted Gram is the weights times a K x (span + 1)
+    table of the lags n_l - n_j, followed by O(n_r D^2) work; V itself is
+    never formed.  Each entry e^{i m theta_k} is read from the twiddles
+    e^{2 pi i j / K} at the exact residue j = m k mod K, so exponents equal
+    modulo the angular count get equal columns, where the grid cannot tell
+    them apart.  ``values`` acts on scaled coefficients (raw coefficients
+    times ``col_norms``).
 
     Real coefficients give values with u(r, -theta) = conj(u(r, theta)), so
     any function of |u| is even in the angle, and a real solve works on the
-    K // 2 + 1 angles in [0, pi] alone: ``half_values`` takes one real FFT
-    of the real spectrum per radius, the grid sums weigh every angle with a
-    mirror twice (``mirror_weights``; all but 0 and, for even K, pi), and
+    K // 2 + 1 angles in [0, pi] alone: ``half_values`` takes the conjugate
+    table on those angles, the grid sums weigh every angle with a mirror
+    twice (``mirror_weights``; all but 0 and, for even K, pi), and
     ``cosine_gram`` takes the Gram of even weights, given on those angles
-    at their own weight (``half_weights``), from one inverse real FFT.
+    at their own weight (``half_weights``), from a real table of the
+    mirror-weighted cosines.  Each table is built on first use, so a real
+    solve builds only the tables of the half angles.
 
-    An instance is read-only apart from ``weight_gram``, the Gram under the
-    grid weights, built on first use and then kept, and it holds no scratch,
-    so one instance per (grid, basis spec) serves every solve, nested and
-    concurrent ones included; the grid cache keeps it.  The scratch arrays
-    come from the caller: the value methods write into a spectrum array and
-    the Gram methods into an FFT array.
+    An instance is read-only apart from its tables and ``weight_gram``, the
+    Gram under the grid weights, each built on first use and then kept, and
+    it holds no scratch, so one instance per (grid, basis spec) serves every
+    solve, nested and concurrent ones included; the grid cache keeps it.
     """
 
     def __init__(self, grid: QuadratureGrid, basis: BasisSpec):
@@ -333,109 +351,100 @@ class _SeparableBasis:
         radii = grid.radii
         n_r, K = grid.radial_count, grid.angular_count
         self.shape = (n_r, K)
+        self._exponents = n
         self.half_weights = grid.weights.reshape(n_r, K)[:, : K // 2 + 1].ravel()
-        mirror_weights = self.half_weights.reshape(n_r, -1).copy()
-        mirror_weights[:, 1 : (K + 1) // 2] *= 2.0
-        self.mirror_weights = mirror_weights.ravel()
+        # every angle in [0, pi] but 0 and, for even K, pi has a mirror
+        self._mirrors = np.ones(K // 2 + 1)
+        self._mirrors[1 : (K + 1) // 2] = 2.0
+        self.mirror_weights = (self.half_weights.reshape(n_r, -1) * self._mirrors).ravel()
         self.radial = radii[:, None] ** n[None, :] / col_norms
-        # occupied DFT bins; fold[j, b] sums the exponents that share bin b
-        self.occupied, slot = np.unique(n % K, return_inverse=True)
-        self._fold = (slot[:, None] == np.arange(self.occupied.size)).astype(float)
         # A Gram entry depends on n_j + n_l through a radial power and on
         # the lag n_l - n_j through an angular frequency.  Powers are taken of
         # radii relative to the largest, which keeps them in floating-point
         # range.
-        span = int(n[-1] - n[0])
+        self._span = span = int(n[-1] - n[0])
         r_top = radii.max()
         sums = 2 * n[0] + np.arange(2 * span + 1)
         self._sum_powers = (radii[None, :] / r_top) ** sums[:, None]
-        # Only lags 0..span are built; a Gram entry at a negative lag takes
-        # its mirror.  The angular DFT W of real weights at lag -m is
-        # conj(W at m), and W at lag m is conj(R[b]) for the bin b = m mod K
-        # up to K/2 and R[K - b] above, with R the real FFT.  Weights even in
-        # the angle have a real W, even in the lag.
-        self._lag_bins = np.arange(span + 1) % K
-        conj = self._lag_bins <= K // 2
-        self._lag_source = np.where(conj, self._lag_bins, K - self._lag_bins)
+        # Only lags 0..span are tabled; a Gram entry at a negative lag takes
+        # the conjugate of its mirror, since the weights are real.
         lag = n[None, :] - n[:, None]
         self._sum_index = n[:, None] + n[None, :] - 2 * n[0]
         self._lag_index = np.abs(lag)
-        self._lag_conj = conj[self._lag_index] != (lag < 0)
+        self._lag_conj = lag < 0
         top_scale = r_top**n / col_norms
         self._top_scale = top_scale[:, None] * top_scale[None, :]
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
 
-    def values(
-        self,
-        a: np.ndarray,
-        out: np.ndarray | None = None,
-        spectrum: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """Flat grid values of sum_j a_j z^{n_j} / c_j, written to ``out`` if given.
+    def _phases(self, m: np.ndarray, k: np.ndarray) -> np.ndarray:
+        """e^{i m theta_k} for integer arrays m and k that broadcast, read-only."""
+        K = self.shape[1]
+        table = _twiddles(K)[(m * k) % K]
+        table.setflags(write=False)
+        return table
 
-        ``spectrum`` is scratch of the grid's shape that must be zero outside
-        the ``occupied`` bins; a zero array is made when it is not given.
-        """
-        if spectrum is None:
-            spectrum = np.zeros(self.shape, dtype=complex)
-        # a real matrix times a complex one, as one real product on (re, im) pairs
-        folded = np.asarray(a, dtype=complex)[:, None] * self._fold
-        spectrum[:, self.occupied] = (self.radial @ folded.view(float)).view(complex)
+    @functools.cached_property
+    def _values_table(self) -> np.ndarray:
+        """E[j, k] = e^{i n_j theta_k} on all K angles."""
+        return self._phases(self._exponents[:, None], np.arange(self.shape[1]))
+
+    @functools.cached_property
+    def _half_table(self) -> np.ndarray:
+        """conj(E[j, k]) on the angles in [0, pi]."""
+        return self._phases(-self._exponents[:, None], np.arange(self.shape[1] // 2 + 1))
+
+    @functools.cached_property
+    def _lag_table(self) -> np.ndarray:
+        """e^{i m theta_k} at angle k and lag m = 0 .. span."""
+        return self._phases(np.arange(self.shape[1])[:, None], np.arange(self._span + 1))
+
+    @functools.cached_property
+    def _cosine_table(self) -> np.ndarray:
+        """The mirror count of angle k in [0, pi] times cos(m theta_k), lag m = 0 .. span."""
+        half = np.arange(self.shape[1] // 2 + 1)[:, None]
+        table = self._phases(half, np.arange(self._span + 1)).real * self._mirrors[:, None]
+        table.setflags(write=False)
+        return table
+
+    def values(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Flat grid values of sum_j a_j z^{n_j} / c_j, written to ``out`` if given."""
+        n_r, K = self.shape
         if out is None:
-            out = np.empty(spectrum.size, dtype=complex)
-        np.fft.ifft(spectrum, axis=1, norm="forward", out=out.reshape(self.shape))
+            out = np.empty(n_r * K, dtype=complex)
+        # a real matrix times a complex one, as one real product on (re, im) pairs
+        phased = np.asarray(a, dtype=complex)[:, None] * self._values_table
+        np.matmul(self.radial, phased.view(float), out=out.view(float).reshape(n_r, 2 * K))
         return out
 
-    def half_values(
-        self,
-        a: np.ndarray,
-        out: np.ndarray | None = None,
-        spectrum: np.ndarray | None = None,
-    ) -> np.ndarray:
+    def half_values(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """For real ``a``, the conjugate grid values of ``values(a)`` on the
         angles in [0, pi], flat, radius by radius; |u| is all a real solve
-        reads, so the conjugate is never taken.
-
-        ``spectrum`` is real scratch as for ``values``.
-        """
-        if spectrum is None:
-            spectrum = np.zeros(self.shape)
-        spectrum[:, self.occupied] = self.radial @ (a[:, None] * self._fold)
+        reads, so the conjugate is never taken."""
         if out is None:
             out = np.empty(self.half_weights.size, dtype=complex)
-        np.fft.rfft(spectrum, axis=1, out=out.reshape(self.shape[0], -1))
+        phased = a[:, None] * self._half_table
+        np.matmul(self.radial, phased.view(float), out=out.view(float).reshape(self.shape[0], -1))
         return out
 
-    def gram(self, omega: np.ndarray, rfft_out: np.ndarray | None = None) -> np.ndarray:
-        """V^H diag(omega) V for real node weights omega.
-
-        The real FFT of the weights is written to ``rfft_out`` if given, of
-        shape (n_r, K // 2 + 1).
-        """
-        R = np.fft.rfft(omega.reshape(self.shape), axis=1, out=rfft_out)
-        # H[s, m] = sum_i (r_i / r_top)^(2 n_0 + s) W[i, m] for lags m >= 0,
-        # W[i, m] = sum_k omega_ik e^{i m theta_k} taken from R
-        W = R.take(self._lag_source, axis=1)
-        H = (self._sum_powers @ W.view(float)).view(complex)
+    def gram(self, omega: np.ndarray) -> np.ndarray:
+        """V^H diag(omega) V for real node weights omega."""
+        # W[i, m] = sum_k omega_ik e^{i m theta_k} for lags m >= 0, and
+        # H[s, m] = sum_i (r_i / r_top)^(2 n_0 + s) W[i, m]
+        W = omega.reshape(self.shape) @ self._lag_table.view(float)
+        H = (self._sum_powers @ W).view(complex)
         G = H[self._sum_index, self._lag_index]
         np.conjugate(G, out=G, where=self._lag_conj)
         G *= self._top_scale
         return G
 
-    def cosine_gram(self, omega: np.ndarray, irfft_out: np.ndarray | None = None) -> np.ndarray:
+    def cosine_gram(self, omega: np.ndarray) -> np.ndarray:
         """V^H diag(omega) V, real, for real node weights omega even in the
-        angle, given flat on the angles in [0, pi] like ``half_weights``,
-        as a real array or as a complex one with a zero imaginary part.
-
-        The inverse real FFT of the weights is written to ``irfft_out`` if
-        given, of the grid's shape.
-        """
-        n_r, K = self.shape
+        angle, given flat on the angles in [0, pi] like ``half_weights``."""
         # W[i, m] = sum_k omega_ik cos(m theta_k) over all K angles
-        W = np.fft.irfft(omega.reshape(n_r, -1), n=K, axis=1, norm="forward", out=irfft_out)
-        G = (self._sum_powers @ W.take(self._lag_bins, axis=1))[self._sum_index, self._lag_index]
+        W = omega.reshape(self.shape[0], -1) @ self._cosine_table
+        G = (self._sum_powers @ W)[self._sum_index, self._lag_index]
         G *= self._top_scale
         return G
 
@@ -562,19 +571,15 @@ class _Workspace:
     The workspace allocates the grid-sized arrays of the descent and
     overwrites them in place: the current values ``u`` with ``base`` =
     |u|^2 + eps and ``terms`` = base^(p/2), the same three at the
-    line-search trial point, the step ``du``, the IRLS weights ``omega``
-    (in a real workspace the real part of a complex array whose imaginary
-    part stays zero, which the inverse real FFT of the Gram reads without a
-    complex copy), and the FFT scratch ``_spectrum`` (of ``dtype``, zero
-    outside the bins the basis occupies) and ``_transform`` (that of the
-    weights).  No other
-    solve sees them, which keeps ``minimize_pnorm`` reentrant.  They are
-    views of one block because glibc keeps a freed block of up to 32 MiB for
-    the next workspace, while it hands the pages of ten separate arrays back
-    to the system, and a solve on the default grid then faults some 860
-    pages in.  ``iterations`` counts the accepted steps on the level,
-    ``anderson_steps`` those that took the Anderson candidate and
-    ``cholesky_fallbacks`` the solves that fell back to least squares.
+    line-search trial point, the step ``du`` and the real IRLS weights
+    ``omega``.  No other solve sees them, which keeps ``minimize_pnorm``
+    reentrant.  They are views of one block because glibc keeps a freed
+    block of up to 32 MiB for the next workspace, while it hands the pages
+    of eight separate arrays back to the system, and every solve on the
+    default grid would fault their pages in anew.  ``iterations`` counts
+    the accepted steps on the level, ``anderson_steps`` those that took the
+    Anderson candidate and ``cholesky_fallbacks`` the solves that fell back
+    to least squares.
     """
 
     def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid, real: bool = False):
@@ -589,27 +594,17 @@ class _Workspace:
         self.anderson_steps = 0
         self._target = None  # the IRLS target of ``u`` under the current eps
 
-        n_r, K = basis.shape
         if real:
             self.w, self._omega_weights = basis.mirror_weights, basis.half_weights
             self._values, self._gram = basis.half_values, basis.cosine_gram
-            size = basis.half_weights.size
-            omega = complex
-            fourier = {"_spectrum": ((n_r, K), float), "_transform": ((n_r, K), float)}
         else:
             self.w = self._omega_weights = grid.weights
             self._values, self._gram = basis.values, basis.gram
-            size = n_r * K
-            omega = float
-            fourier = {
-                "_spectrum": ((n_r, K), complex), "_transform": ((n_r, K // 2 + 1), complex)
-            }
+        size = self.w.size
         layout = dict.fromkeys(("u", "u_try", "du"), ((size,), complex))
-        layout |= dict.fromkeys(("base", "base_try", "terms", "terms_try"), ((size,), float))
-        vars(self).update(_carve(layout | fourier | {"omega": ((size,), omega)}))
-        self._spectrum[...] = 0.0
-        if real:
-            self.omega.imag[...] = 0.0
+        floats = ("base", "base_try", "terms", "terms_try", "omega")
+        layout |= dict.fromkeys(floats, ((size,), float))
+        vars(self).update(_carve(layout))
 
     def least_squares(self) -> np.ndarray:
         """The weighted least-squares point t, the p = 2 minimizer."""
@@ -621,7 +616,7 @@ class _Workspace:
         A t - rhs is M^H diag(omega) u(t), with M = V N the map from t to
         the grid values u(t) = V (a0 + N t).
         """
-        return _reduce(self._gram(omega, self._transform), self.a0, self.N)
+        return _reduce(self._gram(omega), self.a0, self.N)
 
     def weighted_solve(self, A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs by ``_weighted_solve``; count each fall back."""
@@ -665,12 +660,12 @@ class _Workspace:
 
     def set_point(self, t: np.ndarray, eps: float) -> float:
         """Load the values of t into ``u``; returns the smoothed objective."""
-        self._values(self.a0 + self.N @ t, out=self.u, spectrum=self._spectrum)
+        self._values(self.a0 + self.N @ t, out=self.u)
         return self.set_eps(eps)
 
     def set_step(self, delta: np.ndarray) -> None:
         """Load the values of the step N delta into ``du``."""
-        self._values(self.N @ delta, out=self.du, spectrum=self._spectrum)
+        self._values(self.N @ delta, out=self.du)
 
     def set_eps(self, eps: float) -> float:
         """Fill ``base`` and ``terms`` of ``u`` under eps; returns w . terms."""
@@ -694,9 +689,8 @@ class _Workspace:
         """omega = w base^(p/2 - 1) at ``u``, as w terms / base, with each
         node at its own weight; the gradient in t of the smoothed objective
         is p (A t - rhs) for these weights."""
-        omega = self.omega.real
-        np.divide(self.terms, self.base, out=omega)
-        omega *= self._omega_weights
+        np.divide(self.terms, self.base, out=self.omega)
+        self.omega *= self._omega_weights
         return self.omega
 
     def raw_objective(self) -> float:
