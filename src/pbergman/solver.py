@@ -84,7 +84,7 @@ no certificate: the coarse level runs every stage of ``SMOOTHING_SCHEDULE``
 but the last two, and the drift test compares the raw objective
 sum_i w_i |f(z_i)|^p after those two on the requested grid.
 
-Each level counts its own steps, Cholesky fallbacks and Anderson steps, and
+Each level counts its own steps, solve fallbacks and Anderson steps, and
 the solution reports their totals.  Multistart restarts split at the level
 boundary: each runs its coarse level, and only the first restart of each
 cluster of coarse end points (coefficient distance 1e-4) runs the requested
@@ -107,7 +107,6 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-import scipy.linalg
 
 from .geometry import QuadratureGrid, build_grid, format_domain
 from .series import BasisSpec, CoeffVector
@@ -286,9 +285,9 @@ class Solution:
     of the raw objective.  ``iterations`` counts the accepted steps on both
     grids and ``coarse_iterations`` the share taken on the
     quarter-resolution grid.
-    ``cholesky_fallbacks`` counts the weighted least-squares solves, on
-    either grid, whose matrix failed Cholesky factorization and were solved
-    by ``lstsq`` instead.  ``anderson_steps`` counts the accepted steps, on
+    ``solve_fallbacks`` counts the weighted least-squares solves, on either
+    grid, whose matrix was singular to working precision and were solved by
+    ``lstsq`` instead.  ``anderson_steps`` counts the accepted steps, on
     either grid, that took the Anderson candidate.
     """
 
@@ -300,7 +299,7 @@ class Solution:
     iterations: int
     coarse_iterations: int
     converged: bool
-    cholesky_fallbacks: int
+    solve_fallbacks: int
     anderson_steps: int
 
 
@@ -498,16 +497,6 @@ def grid_values(problem: ExtremalProblem, coefficients: np.ndarray) -> np.ndarra
     return basis.values(np.asarray(coefficients, dtype=complex) * spec.col_norms)
 
 
-# the LAPACK Cholesky factor and solve behind scipy.linalg.cho_factor and
-# cho_solve, per dtype of the reduced system, called directly: the wrappers
-# cost several times the work at the small D of a reduced system;
-# _weighted_solve keeps their finite checks
-_CHOLESKY = {
-    np.dtype(dtype): scipy.linalg.get_lapack_funcs(("potrf", "potrs"), dtype=dtype)
-    for dtype in (float, complex)
-}
-
-
 def _reduce(G: np.ndarray, a0: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A = N^H G N and rhs = -N^H G a0: the quadratic form of the Gram G
     on the slice a0 + N t is t^H A t - 2 Re(t^H rhs) plus a constant."""
@@ -516,27 +505,17 @@ def _reduce(G: np.ndarray, a0: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, n
 
 
 def _weighted_solve(A: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solve A x = rhs by Cholesky; returns x and 1 if A failed the
-    factorization and least squares solved instead, else 0.
+    """Solve A x = rhs by ``np.linalg.solve``; returns x and 1 if A was
+    singular to working precision and least squares solved instead, else 0.
 
-    The calls and checks are those of ``scipy.linalg.cho_factor`` and
-    ``cho_solve``: the upper triangle is factored, and NaN or inf in A or
-    rhs raises ``ValueError``.
+    NaN or inf in A or rhs raises ``ValueError``.
     """
-    if not np.isfinite(A).all():
+    if not (np.isfinite(A).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    potrf, potrs = _CHOLESKY[A.dtype]
-    c, info = potrf(A, lower=0, clean=0)
-    if info > 0:
+    try:
+        return np.linalg.solve(A, rhs), 0
+    except np.linalg.LinAlgError:
         return np.linalg.lstsq(A, rhs, rcond=None)[0], 1
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of potrf")
-    if not np.isfinite(rhs).all():
-        raise ValueError("array must not contain infs or NaNs")
-    x, info = potrs(c, rhs, lower=0)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of potrs")
-    return x, 0
 
 
 def _carve(layout: dict[str, tuple[tuple[int, ...], type]]) -> dict[str, np.ndarray]:
@@ -578,8 +557,8 @@ class _Workspace:
     of eight separate arrays back to the system, and every solve on the
     default grid would fault their pages in anew.  ``iterations`` counts
     the accepted steps on the level, ``anderson_steps`` those that took the
-    Anderson candidate and ``cholesky_fallbacks`` the solves that fell back
-    to least squares.
+    Anderson candidate and ``solve_fallbacks`` the solves that fell back to
+    least squares.
     """
 
     def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid, real: bool = False):
@@ -590,7 +569,7 @@ class _Workspace:
         # a real slice is made complex once here, not in every product
         self.a0, self.N = (np.asarray(part, self.dtype) for part in problem.feasible_slice)
         self.iterations = 0
-        self.cholesky_fallbacks = 0
+        self.solve_fallbacks = 0
         self.anderson_steps = 0
         self._target = None  # the IRLS target of ``u`` under the current eps
 
@@ -621,7 +600,7 @@ class _Workspace:
     def weighted_solve(self, A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs by ``_weighted_solve``; count each fall back."""
         x, fallbacks = _weighted_solve(A, rhs)
-        self.cholesky_fallbacks += fallbacks
+        self.solve_fallbacks += fallbacks
         return x
 
     def irls_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -893,7 +872,7 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
 def _coarse_level(problem: ExtremalProblem, t, real: bool):
     """The coarse stages of ``_schedule`` on the quarter grid from t (None:
     its least-squares point); returns the final t and the level's steps,
-    Cholesky fallbacks and Anderson steps, or t and zeros if the grid is
+    solve fallbacks and Anderson steps, or t and zeros if the grid is
     too small to coarsen.  The workspace is not kept."""
     coarse_grid = _grid_cache(problem.grid).coarse_grid
     if coarse_grid is None:
@@ -901,7 +880,7 @@ def _coarse_level(problem: ExtremalProblem, t, real: bool):
     ws = _Workspace(problem, coarse_grid, real)
     for t, _ in _descend(ws, t, _schedule(problem)[0]):
         pass
-    return t, (ws.iterations, ws.cholesky_fallbacks, ws.anderson_steps)
+    return t, (ws.iterations, ws.solve_fallbacks, ws.anderson_steps)
 
 
 def _requested_level(problem: ExtremalProblem, t, coarse, real: bool) -> Solution:
@@ -928,7 +907,7 @@ def _requested_level(problem: ExtremalProblem, t, coarse, real: bool) -> Solutio
         raw = raws[-1]
         settled = abs(raws[-1] - raws[-2]) <= _DRIFT_TOL * max(raw, 1e-300)
         converged = stagnated and settled
-    fine = (ws.iterations, ws.cholesky_fallbacks, ws.anderson_steps)
+    fine = (ws.iterations, ws.solve_fallbacks, ws.anderson_steps)
     return _solution(problem, t, raw, lower, converged, coarse, fine)
 
 
@@ -947,7 +926,7 @@ def _solution(problem, t, raw: float, lower, converged: bool, coarse, fine) -> S
         iterations=coarse[0] + fine[0],
         coarse_iterations=coarse[0],
         converged=converged,
-        cholesky_fallbacks=coarse[1] + fine[1],
+        solve_fallbacks=coarse[1] + fine[1],
         anderson_steps=coarse[2] + fine[2],
     )
 
