@@ -94,18 +94,26 @@ class LimitRecord:
 def fit_power_law(radii, deltas):
     """Least-squares slope of log(delta) against log(r).
 
-    Points with delta at or below ``NOISE_FLOOR`` are excluded; fewer than two
-    survivors is a degenerate fit and raises instead of silently fitting.
-    Returns (slope, intercept, r_squared).
+    Radii must be positive and finite and deltas finite and non-negative, or
+    ``ValueError`` is raised.  Points with delta at or below ``NOISE_FLOOR``
+    are excluded; fewer than two distinct radii among the survivors is a
+    degenerate fit and raises ``DegenerateFitError`` instead of silently
+    fitting.  Returns (slope, intercept, r_squared).
     """
     r = np.asarray(radii, dtype=float)
     d = np.asarray(deltas, dtype=float)
     if r.shape != d.shape:
         raise ValueError("radii and deltas must align")
+    if not np.all((r > 0.0) & (r < math.inf)):
+        raise ValueError(f"radii must be positive and finite, got {r.tolist()}")
+    if not np.all((d >= 0.0) & (d < math.inf)):
+        raise ValueError(f"deltas must be finite and non-negative, got {d.tolist()}")
     mask = d > NOISE_FLOOR
-    if int(mask.sum()) < 2:
+    distinct = len(set(r[mask].tolist()))
+    if distinct < 2:
         raise DegenerateFitError(
-            f"degenerate fit: {int(mask.sum())} deltas above the noise floor {NOISE_FLOOR:g}"
+            f"degenerate fit: {distinct} distinct radii with deltas above the "
+            f"noise floor {NOISE_FLOOR:g}"
         )
     lx = np.log(r[mask])
     ly = np.log(d[mask])

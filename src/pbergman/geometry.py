@@ -112,6 +112,20 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return _read_only(x), _read_only(w)
 
 
+def _roots_of_unity(count: int) -> np.ndarray:
+    """e^(2 pi i j / count) for j < count, each exact to the ulp.
+
+    When 4 divides count only the first quarter takes an exp; the rest are
+    its products with i, -1 and -i, which are exact.  Not cached: a circle
+    of 8 lambda_max angles can ask for 2^23 roots.
+    """
+    n = count if count % 4 else count // 4
+    roots = np.exp(1j * (2.0 * math.pi * np.arange(n) / count))
+    if n == count:
+        return roots
+    return np.concatenate([roots, 1j * roots, -roots, -1j * roots])
+
+
 def build_grid(domain: Domain, radial_count: int, angular_count: int) -> QuadratureGrid:
     """Build the Gauss-Legendre x trapezoid rule for ``domain``.
 

@@ -13,7 +13,8 @@ the radial amplitudes a_k r_i^lambda_k of the terms still alive on those
 radii by an L x chunk phase table small enough to stay in cache.  The table
 is read off the K-th roots of unity at (lambda_k j) mod K, so its phases are
 exact to the ulp, and later chunks fold their offset root into the
-amplitudes instead of building a new table.  The direct area integral takes
+amplitudes instead of building a new table.  The grid values of
+``series_grid_values`` take the same phases.  The direct area integral takes
 no grid: it keeps the 256 Gauss-Legendre radii of ``default_series_grid``
 but sizes each circle's angular count K to the bandwidth that circle
 carries: on inner circles r^lambda has pushed the high terms below rounding,
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, QuadratureGrid, _gauss_legendre, build_grid
+from .geometry import Domain, QuadratureGrid, _gauss_legendre, _roots_of_unity, build_grid
 
 __all__ = [
     "LAMBDA_MAX_CAP",
@@ -245,57 +246,38 @@ def _amplitudes(series: LacunarySeries, radii):
     return amps, len(lams) - np.argmax(alive[:, ::-1], axis=1)
 
 
-def _roots_of_unity(count: int) -> np.ndarray:
-    """e^(2 pi i j / count) for j < count, each exact to the ulp.
-
-    When 4 divides count only the first quarter takes an exp; the rest are
-    its products with i, -1 and -i, which are exact.
-    """
-    n = count if count % 4 else count // 4
-    roots = np.exp(1j * (2.0 * math.pi * np.arange(n) / count))
-    if n == count:
-        return roots
-    return np.concatenate([roots, 1j * roots, -roots, -1j * roots])
-
-
-def _tiles(series: LacunarySeries, radii, count: int, thetas=None):
+def _tiles(series: LacunarySeries, radii, count: int):
     """Yield (rows, cols, f on radii[rows] x angles[cols]).
 
-    The angles are 2 pi j / count for j < count, or ``thetas`` when given.  A
-    tile spans at most ``_CHUNK`` angles and about ``_TILE_NODES`` values and
-    keeps only the terms alive on its radii (``_amplitudes``).  For uniform
-    angles the phase table e^(i lambda_k theta_j) of the first chunk is read
-    off the count-th roots of unity at (lambda_k j) mod count, so every phase
-    is exact to the ulp however large lambda_k theta_j is; the chunk starting
-    at j0 folds the root at (lambda_k j0) mod count into the radial
-    amplitudes, so one L x chunk table serves every tile.  Given ``thetas``,
-    each chunk's table is e^(i lambda_k theta_j) at exactly those angles.
+    The angles are 2 pi j / count for j < count.  A tile spans at most
+    ``_CHUNK`` angles and about ``_TILE_NODES`` values and keeps only the
+    terms alive on its radii (``_amplitudes``).  The phase table
+    e^(i lambda_k theta_j) of the first chunk is read off the count-th roots
+    of unity at (lambda_k j) mod count, so every phase is exact to the ulp
+    however large lambda_k theta_j is; the chunk starting at j0 folds the
+    root at (lambda_k j0) mod count into the radial amplitudes, so one
+    L x chunk table serves every tile.
     """
     amps, live = _amplitudes(series, radii)
     lams = np.array(series.exponents)[: live.max()]
     amps = amps[:, : len(lams)]
     chunk = min(count, _CHUNK)
     step = max(1, _TILE_NODES // chunk)
-    if thetas is None:
-        roots = _roots_of_unity(count)
-        first = roots[(lams[:, None] * np.arange(chunk)) % count]
+    roots = _roots_of_unity(count)
+    first = roots[(lams[:, None] * np.arange(chunk)) % count]
     for j0 in range(0, count, chunk):
         cols = slice(j0, min(j0 + chunk, count))
-        if thetas is None:
-            table = first[:, : cols.stop - j0]
-            scaled = amps * roots[(lams * j0) % count]
-        else:
-            table = np.exp(1j * np.outer(lams, thetas[cols]))
-            scaled = amps
+        table = first[:, : cols.stop - j0]
+        scaled = amps * roots[(lams * j0) % count]
         for start in range(0, len(radii), step):
             rows = slice(start, start + step)
             n = live[rows].max()
             yield rows, cols, scaled[rows, :n] @ table[:n]
 
 
-def _grid_values(series: LacunarySeries, radii, count: int, thetas=None) -> np.ndarray:
+def _grid_values(series: LacunarySeries, radii, count: int) -> np.ndarray:
     values = np.empty((len(radii), count), dtype=complex)
-    for rows, cols, tile in _tiles(series, radii, count, thetas):
+    for rows, cols, tile in _tiles(series, radii, count):
         values[rows, cols] = tile
     return values
 
@@ -316,11 +298,11 @@ def _sized_counts(series: LacunarySeries, radii, cap: int) -> np.ndarray:
 def series_grid_values(series: LacunarySeries, grid: QuadratureGrid) -> np.ndarray:
     """f at the grid nodes (flat, radial-major), via the tensor structure.
 
-    The phases come from the grid's stored angles, not from the exact roots
-    of unity the integrals use, so these are the values at ``grid.nodes``.
+    The phases are the exact roots of unity every integral uses, so a value
+    is that of f at ``grid.nodes`` up to the rounding of the node's angle.
     """
     _require_unit_disk(grid)
-    return _grid_values(series, grid.radii, grid.angular_count, grid.thetas).ravel()
+    return _grid_values(series, grid.radii, grid.angular_count).ravel()
 
 
 def direct_lp(series: LacunarySeries, p: float) -> float:

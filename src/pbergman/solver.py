@@ -14,11 +14,11 @@ full step and keeps it only if it passes the Armijo test of the plain step,
 and otherwise backtracks along the plain IRLS step.  So the smoothed
 objective never rises within a grid: each accepted step lowers it, and so
 does each smaller eps at a fixed iterate.  At p = 2 the weighted
-least-squares start is the exact minimizer, so a p = 2 solve without a
-given start returns it with no iterations, no grid level and no pass over
-the grid: its system, its objective (the quadratic form a^H G a) and its
-lower bound come from the Gram G of the grid weights, which each basis builds once (real,
-since the weights are constant in the angle).
+least-squares start is the exact minimizer, so a p = 2 solve returns it
+with no iterations, no grid level and no pass over the grid: its system,
+its objective (the quadratic form a^H G a) and its lower bound come from
+the Gram G of the grid weights, which each basis builds once (real, since
+the weights are constant in the angle).
 
 Basis columns are pre-scaled by their p-norms on the domain
 (``BasisSpec.col_norms``); reported coefficients are raw monomial ones.
@@ -38,15 +38,15 @@ one that takes an FFT per radius.
 A problem whose constraint rows and targets are real, as every one-point
 problem at a real point is, commutes with f -> conj(f(conj z)), and the
 angles 2 pi k / K are closed under theta -> -theta.  For p >= 1 its smoothed
-objective is strictly convex in t, so the minimizer is real, and a solve
-without a given start runs both grid levels in real arithmetic: t, the
+objective is strictly convex in t, so the minimizer is real, and
+``minimize_pnorm`` runs both grid levels in real arithmetic: t, the
 slice and the reduced system are real; |f| of real coefficients is even
 in the angle, so only the K // 2 + 1 angles in [0, pi] are evaluated (the
 table of the exponents on those angles, every angle with a mirror
 weighted twice); and the Gram is a cosine sum of the weights, a product
-against a real table of cosines.  Complex constraints, p < 1 and given
-starts, whose minimizers need not be symmetric, keep the complex
-arithmetic on all K angles.
+against a real table of cosines.  Complex constraints, p < 1 and the
+multistart restarts, whose minimizers need not be symmetric, keep the
+complex arithmetic on all K angles.
 
 Each line-search trial takes one power of |u|^2 + eps on the grid, and the
 accepted trial keeps (|u|^2 + eps)^(p/2), so the next IRLS weights are w
@@ -56,14 +56,14 @@ arrays once and overwrites them in place; an iteration allocates none.
 The continuation runs on two grid levels (grid sequencing, or nested
 iteration).  Every solve but that p = 2 return first runs its early
 smoothing stages to completion on a quarter-resolution grid of the same
-domain, starting from the given start projected onto the feasible slice, or
-else from that grid's weighted least-squares solution; its t then carries
-over unchanged to the requested grid.  The heavily smoothed stages are
-over-resolved by the requested grid; the coarse stages only supply a start,
-so the stop rule, the objective and ``converged`` are all taken on the
-requested grid, and the coarse level takes no raw objective.  A solve whose
-quarter grid would have fewer than 16 radii or 32 angles runs every stage
-on the requested grid.
+domain, starting from that grid's weighted least-squares solution, or for
+a multistart restart from its start projected onto the feasible slice; its
+t then carries over unchanged to the requested grid.  The heavily smoothed
+stages are over-resolved by the requested grid; the coarse stages only
+supply a start, so the stop rule, the objective and ``converged`` are all
+taken on the requested grid, and the coarse level takes no raw objective.
+A solve whose quarter grid would have fewer than 16 radii or 32 angles runs
+every stage on the requested grid.
 
 At p > 1 the smoothed problem is strictly convex, so the schedule starts at
 1e-6: the coarse level runs 1e-6 and 1e-8 and the requested grid 1e-10,
@@ -108,7 +108,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .geometry import QuadratureGrid, build_grid, format_domain
+from .geometry import QuadratureGrid, _roots_of_unity, build_grid, format_domain
 from .series import BasisSpec, CoeffVector
 
 __all__ = [
@@ -303,15 +303,6 @@ class Solution:
     anderson_steps: int
 
 
-@functools.cache
-def _twiddles(K: int) -> np.ndarray:
-    """e^{2 pi i j / K} for j = 0 .. K - 1; shared between bases, hence
-    read-only."""
-    twiddles = np.exp(2j * math.pi * np.arange(K) / K)
-    twiddles.setflags(write=False)
-    return twiddles
-
-
 class _SeparableBasis:
     """The basis, columns scaled by ``BasisSpec.col_norms``, as an operator
     on a polar grid.
@@ -322,7 +313,7 @@ class _SeparableBasis:
     table: grid values are ``radial`` times the coefficients times the
     D x K table, and a weighted Gram is the weights times a K x (span + 1)
     table of the lags n_l - n_j, followed by O(n_r D^2) work; V itself is
-    never formed.  Each entry e^{i m theta_k} is read from the twiddles
+    never formed.  Each entry e^{i m theta_k} is read from the roots of unity
     e^{2 pi i j / K} at the exact residue j = m k mod K, so exponents equal
     modulo the angular count get equal columns, where the grid cannot tell
     them apart.  ``values`` acts on scaled coefficients (raw coefficients
@@ -380,7 +371,7 @@ class _SeparableBasis:
     def _phases(self, m: np.ndarray, k: np.ndarray) -> np.ndarray:
         """e^{i m theta_k} for integer arrays m and k that broadcast, read-only."""
         K = self.shape[1]
-        table = _twiddles(K)[(m * k) % K]
+        table = _roots_of_unity(K)[(m * k) % K]
         table.setflags(write=False)
         return table
 
@@ -827,26 +818,23 @@ def _schedule(problem: ExtremalProblem) -> tuple[tuple[float, ...], tuple[float,
     return coarse, requested
 
 
-def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None) -> Solution:
+def minimize_pnorm(problem: ExtremalProblem) -> Solution:
     """Run the continuation descent; returns the final iterate with diagnostics.
 
-    ``start`` is an optional raw coefficient vector; it is projected onto the
-    feasible slice, so it need not satisfy the constraints exactly.  Without
-    it the descent starts from the weighted least-squares solution, which is
+    The descent starts from the weighted least-squares solution, which is
     the exact minimizer for p = 2 and is then returned with no iterations.
     Every other solve runs its early stages on a coarser grid when the
     problem's grid allows (see the module docstring), both levels in real
-    arithmetic on half the angles when the problem is real, p >= 1 and no
-    start is given.  The stop rule is fixed by the module constants.  At
-    p > 1, ``converged`` holds when the relative duality gap of the final
-    iterate is at most ``_GAP_TOL``; the requested grid runs the 1e-10
-    stage and, while the gap is above that, each of ``_GAP_STAGES``.  At
-    p <= 1 it holds when every stage on the requested grid stagnated and
-    the raw objective drifted by at most ``_DRIFT_TOL`` relative over the
-    last two stages.  Non-convergence is reported through ``converged``,
-    never silently.
+    arithmetic on half the angles when the problem is real and p >= 1.  The
+    stop rule is fixed by the module constants.  At p > 1, ``converged``
+    holds when the relative duality gap of the final iterate is at most
+    ``_GAP_TOL``; the requested grid runs the 1e-10 stage and, while the gap
+    is above that, each of ``_GAP_STAGES``.  At p <= 1 it holds when every
+    stage on the requested grid stagnated and the raw objective drifted by
+    at most ``_DRIFT_TOL`` relative over the last two stages.
+    Non-convergence is reported through ``converged``, never silently.
     """
-    if start is None and problem.p == 2.0:
+    if problem.p == 2.0:
         # The least-squares start is the exact minimizer, and the p = 2
         # IRLS weights equal w under every eps, so A and rhs are final and
         # t is its own IRLS target: the dual vector is u itself.  The
@@ -862,11 +850,10 @@ def minimize_pnorm(problem: ExtremalProblem, *, start: np.ndarray | None = None)
         return _solution(problem, t, raw, lower, True, (0, 0, 0), (0, fallbacks, 0))
     # A real problem is symmetric under conjugation, so at p >= 1 its
     # smoothed objective, strictly convex in t, has a real minimizer, and
-    # IRLS from the real least-squares point stays real.  Below 1 and from
-    # a given start the descent may leave the real slice.
-    real = start is None and problem.p >= 1.0 and problem.is_real
-    t = None if start is None else problem.t_from_raw(start)
-    return _requested_level(problem, *_coarse_level(problem, t, real), real)
+    # IRLS from the real least-squares point stays real.  Below 1 the
+    # descent may leave the real slice.
+    real = problem.p >= 1.0 and problem.is_real
+    return _requested_level(problem, *_coarse_level(problem, None, real), real)
 
 
 def _coarse_level(problem: ExtremalProblem, t, real: bool):

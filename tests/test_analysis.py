@@ -160,9 +160,30 @@ def test_fit_power_law_recovers_synthetic_exponent(alpha):
     assert r2 >= 1.0 - 1e-12
 
 
-def test_fit_power_law_noise_floor():
-    with pytest.raises(DegenerateFitError):
-        fit_power_law([0.1, 0.01], [1e-12, 1e-13])
+@pytest.mark.parametrize(
+    "radii, deltas, error",
+    [
+        ([0.1, 0.01], [1e-12, 1e-13], DegenerateFitError),  # below the noise floor
+        ([0.1, 0.1], [1.0, 2.0], DegenerateFitError),  # one distinct radius
+        ([0.1, 0.1, 0.01], [1.0, 2.0, 1e-12], DegenerateFitError),
+        ([-1.0, 0.1], [1.0, 2.0], ValueError),
+        ([0.0, 0.1], [1.0, 2.0], ValueError),
+        ([math.inf, 0.1], [1.0, 2.0], ValueError),
+        ([math.nan, 0.1], [1.0, 2.0], ValueError),
+        ([0.1, 0.01], [math.inf, 1e-3], ValueError),
+        ([0.1, 0.01], [math.nan, 1e-3], ValueError),
+        ([0.1, 0.01], [-1e-3, 1e-3], ValueError),
+    ],
+    ids=[
+        "noise-floor", "repeated-radius", "repeated-radius-above-floor", "negative-radius",
+        "zero-radius", "inf-radius", "nan-radius", "inf-delta", "nan-delta", "negative-delta",
+    ],
+)
+def test_fit_power_law_rejects(radii, deltas, error):
+    with pytest.raises(error) as info:
+        fit_power_law(radii, deltas)
+    # a bad input is not reported as a degenerate fit
+    assert (info.type is DegenerateFitError) == (error is DegenerateFitError)
 
 
 def test_holder_slope_at_p2(disk16):

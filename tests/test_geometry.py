@@ -1,10 +1,11 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
 import pbergman as pb
-from pbergman.geometry import build_grid, format_domain, parse_domain
+from pbergman.geometry import _roots_of_unity, build_grid, format_domain, parse_domain
 
 from oracles import lp_norm
 
@@ -143,3 +144,21 @@ def test_flat_arrays_built_on_demand(annulus, shape):
     assert grid.nodes is grid.nodes and grid.weights is grid.weights
     for arr in (grid.nodes, grid.weights, grid.radii, grid.radial_weights, grid.thetas):
         assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "count, tol",
+    [(256, 5e-16), (1024, 5e-16), (32768, 5e-16), (7, 2e-15), (65, 2e-15), (255, 2e-15)],
+)
+def test_roots_of_unity_against_mpmath(count, tol):
+    # when 4 divides the count the quarter points are exact and each root is
+    # within an ulp; otherwise every root takes its own exp (1.1e-15 at 255)
+    roots = _roots_of_unity(count)
+    assert roots.shape == (count,)
+    if count % 4 == 0:
+        quarters = roots[np.arange(4) * (count // 4)]
+        assert np.array_equal(quarters, [1, 1j, -1, -1j])
+    with mpmath.workprec(120):
+        exact = [mpmath.expjpi(mpmath.mpf(2 * j) / count) for j in range(count)]
+        err = max(float(abs(e - mpmath.mpc(complex(r)))) for e, r in zip(exact, roots))
+    assert err <= tol

@@ -306,7 +306,15 @@ def test_grid_values_match_pointwise(dyadic_grid):
 
 
 def _dense_values(series, grid):
-    return sum(a * grid.nodes**n for a, n in zip(series.coefficients, series.exponents))
+    """sum_n a_n r_i^n e^(2 pi i ((n k) mod K) / K), flat and radial-major: the
+    phase of each term from its exact residue, not from a power of a rounded
+    e^(i theta_k), which drifts by n ulps."""
+    K = grid.angular_count
+    k = np.arange(K)
+    return sum(
+        a * np.outer(grid.radii**n, np.exp(2j * math.pi * ((n * k) % K) / K)).ravel()
+        for a, n in zip(series.coefficients, series.exponents)
+    )
 
 
 @pytest.mark.parametrize("shape", [None, (8, 16)])

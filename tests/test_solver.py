@@ -38,6 +38,15 @@ def _problem(domain, grid, p, degree, constraints_builder):
     return ExtremalProblem(basis, grid, p, constraints_builder(basis))
 
 
+def _restart(prob, start):
+    """The descent from the raw coefficients ``start`` that
+    ``multistart_minimize`` runs for each restart it refines: the coarse
+    level from the projection of ``start`` onto the slice, then the
+    requested grid, both in complex arithmetic."""
+    t, coarse = solver._coarse_level(prob, prob.t_from_raw(start), False)
+    return solver._requested_level(prob, t, coarse, False)
+
+
 @pytest.mark.parametrize(
     "spec,shape,n_min,n_max",
     [
@@ -127,7 +136,7 @@ def test_p2_returns_least_squares_start(spec):
     assert abs(sol.duality_gap) <= 1e-15
     assert kkt_residual(prob, sol.coeffs.coefficients) <= 1e-10
     # the staged descent from the same coefficients stays where it started
-    staged = minimize_pnorm(prob, start=sol.coeffs.coefficients)
+    staged = _restart(prob, sol.coeffs.coefficients)
     assert staged.converged
     assert abs(staged.objective - sol.objective) <= 1e-14 * sol.objective
     a = sol.coeffs.coefficients
@@ -215,7 +224,7 @@ def test_drift_objectives_only_on_the_requested_grid(unit_disk, monkeypatch, sha
 
 def _single_grid(prob):
     """The whole schedule on the problem's own grid from its least-squares start,
-    in the arithmetic of a solve without a start (real for a real problem at
+    in the arithmetic of ``minimize_pnorm`` (real for a real problem at
     p >= 1), with the objective and ``converged`` as ``minimize_pnorm``
     reports them: at p > 1 the stages from 1e-6, certified after 1e-10 and
     after each gap stage until the duality gap meets ``_GAP_TOL``; at p <= 1
@@ -292,7 +301,7 @@ def test_started_solve_matches_single_grid_descent(spec, z, p):
     rng = np.random.default_rng(17)
     noise = rng.standard_normal(ls.size) + 1j * rng.standard_normal(ls.size)
     start = ls + 0.1 * np.linalg.norm(ls) * noise / math.sqrt(ls.size)
-    started = minimize_pnorm(prob, start=start)
+    started = _restart(prob, start)
     one = _single_grid(prob)
     assert started.coarse_iterations > 0
     assert abs(started.objective - one.objective) <= 1e-11 * one.objective
@@ -343,8 +352,11 @@ def test_real_arithmetic_only_for_cold_real_solves_at_p_from_one(unit_disk, disk
             minimize_pnorm(other)
             assert dtypes == [complex, complex]
             dtypes.clear()
-        minimize_pnorm(prob, start=sol.coeffs.coefficients)
-        assert dtypes == [complex, complex]
+        # the real p = 1 solve that seeds the restarts, then the restarts,
+        # which start off the real slice
+        multistart_minimize(replace(prob, p=1.0), restarts=3, seed=0)
+        assert dtypes[:2] == [float, float]
+        assert len(dtypes) > 2 and set(dtypes[2:]) == {complex}
         dtypes.clear()
     minimize_pnorm(replace(K_p, p=2.0))  # the p = 2 return builds no level
     assert dtypes == []
@@ -385,11 +397,11 @@ def test_coarse_level_taken_whenever_the_grid_allows(unit_disk):
     small = ExtremalProblem(basis, pb.build_grid(unit_disk, 32, 64), 1.5, cons)
     sol = minimize_pnorm(small)
     assert sol.iterations > 0 and sol.coarse_iterations == 0
-    started = minimize_pnorm(small, start=sol.coeffs.coefficients)
+    started = _restart(small, sol.coeffs.coefficients)
     assert started.iterations > 0 and started.coarse_iterations == 0
     large = ExtremalProblem(basis, pb.build_grid(unit_disk, 64, 128), 1.5, cons)
     assert minimize_pnorm(large).coarse_iterations > 0
-    started = minimize_pnorm(large, start=sol.coeffs.coefficients)
+    started = _restart(large, sol.coeffs.coefficients)
     assert 0 < started.coarse_iterations < started.iterations
 
 
@@ -963,10 +975,10 @@ def test_gap_stages_run_until_the_gap_is_met(monkeypatch):
 
 
 def test_solutions_at_p_up_to_one_carry_no_certificate(unit_disk, disk_grid):
-    # p = 1 cold (real arithmetic) and started, and the p < 1 restarts
+    # p = 1 cold (real arithmetic) and restarted, and the p < 1 restarts
     prob = _problem(unit_disk, disk_grid, 1.0, 8, lambda b: (point_constraint(b, 0.3, 1.0),))
     cold = minimize_pnorm(prob)
-    started = minimize_pnorm(prob, start=cold.coeffs.coefficients)
+    started = _restart(prob, cold.coeffs.coefficients)
     restarts = multistart_minimize(replace(prob, p=0.8), restarts=3, seed=0)
     for sol in (cold, started, *restarts):
         assert sol.lower_bound is None and sol.duality_gap is None
@@ -1065,7 +1077,7 @@ def test_multistart_single_restart_is_single_descent(unit_disk, disk_grid):
 
 def _every_restart_refined(prob, restarts, seed):
     """The survivors of ``multistart_minimize`` when every restart runs both
-    grid levels through ``minimize_pnorm`` from its start: the same starts,
+    grid levels from its start (``_restart``): the same starts,
     converged filter and 1e-4 coefficient dedupe, without the coarse dedupe."""
     base = minimize_pnorm(replace(prob, p=1.0)).coeffs.coefficients
     scale = 0.5 * max(1.0, float(np.linalg.norm(base)))
@@ -1074,7 +1086,7 @@ def _every_restart_refined(prob, restarts, seed):
         rng = np.random.default_rng([seed, k])
         noise = rng.standard_normal(base.size) + 1j * rng.standard_normal(base.size)
         starts.append(base + scale * noise / math.sqrt(base.size))
-    runs = [minimize_pnorm(prob, start=start) for start in starts]
+    runs = [_restart(prob, start) for start in starts]
     survivors = []
     for sol in sorted((s for s in runs if s.converged), key=lambda s: s.objective):
         a = sol.coeffs.coefficients
@@ -1189,7 +1201,7 @@ def test_one_svd_per_problem(unit_disk, disk_grid, monkeypatch):
     assert len(calls) == 1
     sol = minimize_pnorm(prob)
     assert sol.coarse_iterations > 0
-    minimize_pnorm(prob, start=sol.coeffs.coefficients)
+    _restart(prob, sol.coeffs.coefficients)
     assert len(calls) == 1
     below_one = replace(prob, p=0.9)
     assert len(calls) == 2
