@@ -141,7 +141,9 @@ def levi_form_log_kp(
     psi''(0) / 2 at the centre.  Five-point central differences in tau at
     ``step`` and ``step/2``, with one Richardson extrapolation, read K_p at 7
     moduli, 4 at the centre.  On the disk, a stencil that crosses the centre
-    reads the even profile there, which is exact.
+    reads the even profile there, which is exact.  A basis with poles has no
+    such profile at 0, so on the punctured disk a stencil that reaches the
+    puncture (r <= 2 step |X|) raises ``BoundaryMarginError``.
     """
     z = complex(z)
     direction = complex(direction)
@@ -151,10 +153,15 @@ def levi_form_log_kp(
         raise ValueError(f"step must be positive and finite, got {step}")
     setup.require_interior(z)
     r, speed = abs(z), abs(direction)
-    needed = setup.margin + 2.0 * step * speed
+    reach = 2.0 * step * speed
+    needed = setup.margin + reach
     if setup.domain.boundary_distance(z) < needed:
         raise BoundaryMarginError(
             f"stencil around {z} needs boundary distance >= {needed:.6g}"
+        )
+    if setup.basis(p).has_poles() and r <= reach:
+        raise BoundaryMarginError(
+            f"stencil around {z} reaches the pole at 0: needs |z| > {reach:.6g}"
         )
 
     def psi(tau: float) -> float:

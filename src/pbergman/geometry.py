@@ -116,14 +116,20 @@ def _roots_of_unity(count: int) -> np.ndarray:
     """e^(2 pi i j / count) for j < count, each exact to the ulp.
 
     When 4 divides count only the first quarter takes an exp; the rest are
-    its products with i, -1 and -i, which are exact.  Not cached: a circle
-    of 8 lambda_max angles can ask for 2^23 roots.
+    its products with i, -1 and -i, which are exact.  Every part is written
+    in place into the returned array, so the table is never copied.
+    Not cached: a circle of 8 lambda_max angles can ask for 2^23 roots.
     """
     n = count if count % 4 else count // 4
-    roots = np.exp(1j * (2.0 * math.pi * np.arange(n) / count))
-    if n == count:
-        return roots
-    return np.concatenate([roots, 1j * roots, -roots, -1j * roots])
+    roots = np.empty(count, dtype=complex)
+    quarter = roots[:n]
+    np.multiply(1j, 2.0 * math.pi * np.arange(n) / count, out=quarter)
+    np.exp(quarter, out=quarter)
+    if n < count:
+        np.multiply(quarter, 1j, out=roots[n : 2 * n])
+        np.negative(quarter, out=roots[2 * n : 3 * n])
+        np.multiply(quarter, -1j, out=roots[3 * n :])
+    return roots
 
 
 def build_grid(domain: Domain, radial_count: int, angular_count: int) -> QuadratureGrid:

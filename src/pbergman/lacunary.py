@@ -7,22 +7,32 @@ against the direct area integral exactly 1 (Parseval), which is the sharp
 test of the machinery; any other normalization is absorbed by the comparison
 constant anyway.
 
+Two primitives serve every circle quantity.  The radial profile
+(``_profile``), sum_k |a_k|^2 r^(2 lambda_k), is the mean of |f|^2 on the
+circle |z| = r by Parseval: the criterion integrand is its p/2-th power
+times 2 pi r, and it is the L^2 mean of the circle norm ratio.  The circle
+reducer (``_circle_means``) gives the trapezoid mean of |f|^p on each of a
+set of circles, each with its own angular count.
+
 Every value of a series on circles comes from one evaluator (``_tiles``).
 It works through tiles of a few radii by one chunk of angles, multiplying
 the radial amplitudes a_k r_i^lambda_k of the terms still alive on those
 radii by an L x chunk phase table small enough to stay in cache.  The table
 is read off the K-th roots of unity at (lambda_k j) mod K, so its phases are
 exact to the ulp, and later chunks fold their offset root into the
-amplitudes instead of building a new table.  The grid values of
-``series_grid_values`` take the same phases.  The direct area integral takes
-no grid: it keeps the 256 Gauss-Legendre radii of ``default_series_grid``
-but sizes each circle's angular count K to the bandwidth that circle
-carries: on inner circles r^lambda has pushed the high terms below rounding,
-so far fewer than 8 lambda_max angles resolve |f|^p there (Trefethen and
-Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
-2014).  It reduces each tile to per-circle sums of |f|^p, so it never holds
-more than one tile of values and never builds flat ``nodes`` and
-``weights`` arrays; the circle norm ratio is the one-circle case.
+amplitudes instead of building a new table.  The reducer sums each tile
+into per-circle sums of |f|^p as it arrives, so it never holds more than
+one tile of values and never builds flat ``nodes`` and ``weights`` arrays.
+Only ``series_grid_values`` keeps the tiles, since the grid of values is
+what it returns.
+
+The direct area integral calls the reducer on the 256 Gauss-Legendre radii
+of ``default_series_grid`` but sizes each circle's angular count K to the
+bandwidth that circle carries: on inner circles r^lambda has pushed the
+high terms below rounding, so far fewer than 8 lambda_max angles resolve
+|f|^p there (Trefethen and Weideman, "The exponentially convergent
+trapezoidal rule", SIAM Review 2014).  The circle norm ratio calls it on
+one circle of 8 lambda_max angles.
 
 All operations are pure.
 """
@@ -155,11 +165,10 @@ def _radial_profile(series: LacunarySeries):
     return amp2, lams
 
 
-def _profile_power(amp2, lams, r: np.ndarray, p: float) -> np.ndarray:
-    # sum_k |a_k|^2 r^(2 lambda_k), stable for large lambda via exp(log)
-    logr = np.log(r)
-    s = amp2 @ np.exp(2.0 * lams[:, None] * logr[None, :])
-    return s ** (0.5 * p) * (2.0 * math.pi * r)
+def _profile(amp2, lams, r: np.ndarray) -> np.ndarray:
+    """sum_k |a_k|^2 r^(2 lambda_k) at each radius: the mean of |f|^2 on the
+    circle |z| = r (Parseval), stable for large lambda via exp(log)."""
+    return amp2 @ np.exp(2.0 * lams[:, None] * np.log(r)[None, :])
 
 
 def criterion_integral(series: LacunarySeries, p: float) -> float:
@@ -183,7 +192,8 @@ def criterion_integral(series: LacunarySeries, p: float) -> float:
 
     def panel(a: float, b: float) -> float:
         r = 0.5 * (b - a) * x + 0.5 * (a + b)
-        return float((0.5 * (b - a)) * gw @ _profile_power(amp2, lams, r, p))
+        integrand = _profile(amp2, lams, r) ** (0.5 * p) * (2.0 * math.pi * r)
+        return float((0.5 * (b - a)) * gw @ integrand)
 
     # ladder toward 0: [2^-41, 2^-40], ..., [1/4, 1/2]; below 2^-41 the
     # integrand is bounded by peak^(p/2) * 2 pi r^(p lambda_1 + 1), negligible
@@ -275,15 +285,22 @@ def _tiles(series: LacunarySeries, radii, count: int):
             yield rows, cols, scaled[rows, :n] @ table[:n]
 
 
-def _grid_values(series: LacunarySeries, radii, count: int) -> np.ndarray:
-    values = np.empty((len(radii), count), dtype=complex)
-    for rows, cols, tile in _tiles(series, radii, count):
-        values[rows, cols] = tile
-    return values
+def _circle_means(series: LacunarySeries, radii, counts, p: float) -> np.ndarray:
+    """The trapezoid mean of |f|^p on each circle radii[i] at counts[i] angles.
 
-
-def _abs_squared(values: np.ndarray) -> np.ndarray:
-    return values.real**2 + values.imag**2
+    The circles are grouped by count, and each tile of ``_tiles`` is reduced
+    to per-circle sums as it arrives, so no more than one tile of values is
+    held at a time.
+    """
+    means = np.empty(len(radii))
+    for count in np.unique(counts):
+        on = counts == count
+        sums = np.zeros(np.count_nonzero(on))
+        for rows, _, values in _tiles(series, radii[on], int(count)):
+            # |f|^p as (|f|^2)^(p/2): NumPy's power skips pow at p/2 in {0.5, 1, 2}
+            sums[rows] += ((values.real**2 + values.imag**2) ** (0.5 * p)).sum(axis=1)
+        means[on] = sums / count
+    return means
 
 
 def _sized_counts(series: LacunarySeries, radii, cap: int) -> np.ndarray:
@@ -302,7 +319,10 @@ def series_grid_values(series: LacunarySeries, grid: QuadratureGrid) -> np.ndarr
     is that of f at ``grid.nodes`` up to the rounding of the node's angle.
     """
     _require_unit_disk(grid)
-    return _grid_values(series, grid.radii, grid.angular_count).ravel()
+    values = np.empty((grid.radial_count, grid.angular_count), dtype=complex)
+    for rows, cols, tile in _tiles(series, grid.radii, grid.angular_count):
+        values[rows, cols] = tile
+    return values.ravel()
 
 
 def direct_lp(series: LacunarySeries, p: float) -> float:
@@ -324,17 +344,10 @@ def direct_lp(series: LacunarySeries, p: float) -> float:
         raise ValueError(f"p must be positive and finite, got {p}")
     unit, scale = _unit_scale(series)
     grid = default_series_grid(series)
-    counts = _sized_counts(unit, grid.radii, grid.angular_count)
     if scale == 0.0:
         return 0.0
-    means = np.empty(grid.radial_count)
-    for count in np.unique(counts):
-        on = counts == count
-        sums = np.zeros(np.count_nonzero(on))
-        for rows, _, values in _tiles(unit, grid.radii[on], int(count)):
-            # |f|^p as (|f|^2)^(p/2): NumPy's power skips pow at p/2 in {0.5, 1, 2}
-            sums[rows] += (_abs_squared(values) ** (0.5 * p)).sum(axis=1)
-        means[on] = sums / count
+    counts = _sized_counts(unit, grid.radii, grid.angular_count)
+    means = _circle_means(unit, grid.radii, counts, p)
     return float(grid.radial_weights @ means * (2.0 * math.pi) * scale**p)
 
 
@@ -365,10 +378,13 @@ def equivalence_ratio(series: LacunarySeries, p: float) -> float:
 
 
 def circle_norm_ratio(series: LacunarySeries, r: float, p: float) -> float:
-    """||f(r e^(2 pi i t))||_{L^p(T)} / ||.||_{L^2(T)} by trapezoid quadrature.
+    """||f(r e^(2 pi i t))||_{L^p(T)} / ||.||_{L^2(T)}.
 
-    T is the unit-measure circle parameter t in [0,1), sampled at 8*lambda_max
-    equally spaced points.
+    T is the unit-measure circle parameter t in [0,1).  The L^p mean is the
+    trapezoid mean of ``_circle_means`` at 8*lambda_max equally spaced
+    points.  The L^2 mean is the radial profile sum_k |a_k|^2 r^(2 lambda_k)
+    by Parseval, which that trapezoid rule also gives to rounding, since
+    |f|^2 has no frequency above lambda_max.
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must lie in (0, 1), got {r}")
@@ -382,10 +398,11 @@ def circle_norm_ratio(series: LacunarySeries, r: float, p: float) -> float:
             f"lambda_max {lam} above the cap {LAMBDA_MAX_CAP}; "
             "use the radial criterion instead"
         )
-    squared = _abs_squared(_grid_values(_unit_scale(series)[0], np.array([r]), 8 * lam))
-    lp = float(np.mean(squared ** (0.5 * p)) ** (1.0 / p))
-    l2 = float(np.sqrt(np.mean(squared)))
-    return lp / l2
+    unit = _unit_scale(series)[0]
+    radius = np.array([r])
+    lp = _circle_means(unit, radius, np.array([8 * lam]), p)[0] ** (1.0 / p)
+    l2 = math.sqrt(_profile(*_radial_profile(unit), radius)[0])
+    return float(lp / l2)
 
 
 def read_series_csv(path) -> LacunarySeries:

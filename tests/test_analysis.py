@@ -130,6 +130,23 @@ def test_levi_margin_accounts_for_stencil(disk16):
             levi_form_log_kp(disk16, 2.0, z)
 
 
+def test_levi_stencil_may_not_reach_the_pole_of_a_punctured_disk(unit_disk):
+    # with a z^-1 term K_p is no even, smooth function of the modulus at 0, so
+    # a stencil reaching the puncture read -54.16 at z = 0.015; without poles
+    # the crossing is valid and reads the disk's profile
+    punctured = pb.Domain("punctured_disk", 1.0)
+
+    def levi(domain, n_min, z):
+        grid = pb.build_grid(domain, 64, 128)
+        setup = pb.Setup(domain, degree=12, n_min=n_min, grid=grid, margin=0.0)
+        return levi_form_log_kp(setup, 1.5, z, step=1e-2)
+
+    with pytest.raises(pb.BoundaryMarginError, match="pole"):
+        levi(punctured, -1, 0.015)
+    assert math.isfinite(levi(punctured, -1, 0.03))
+    assert levi(punctured, 0, 0.015) == levi(unit_disk, None, 0.015)
+
+
 @pytest.mark.parametrize(
     "p,expected",
     [(1.0, -0.25), (4.0, 2.0 - math.sqrt(3.0))],

@@ -162,3 +162,15 @@ def test_roots_of_unity_against_mpmath(count, tol):
         exact = [mpmath.expjpi(mpmath.mpf(2 * j) / count) for j in range(count)]
         err = max(float(abs(e - mpmath.mpc(complex(r)))) for e, r in zip(exact, roots))
     assert err <= tol
+
+
+@pytest.mark.parametrize("count", [7, 64, 65, 255, 256, 1024, 32768, 2**20])
+def test_roots_of_unity_written_in_place_match_the_concatenated_table(count):
+    # the table built from the quarter and its rotations, each a new array;
+    # the two must agree bit for bit, signed zeros included
+    n = count if count % 4 else count // 4
+    quarter = np.exp(1j * (2.0 * math.pi * np.arange(n) / count))
+    reference = (
+        quarter if n == count else np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
+    )
+    assert np.array_equal(_roots_of_unity(count).view(np.uint64), reference.view(np.uint64))

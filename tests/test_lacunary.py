@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,21 @@ def test_circle_norm_validation():
     big = LacunarySeries((1, 2**21), np.ones(2, dtype=complex))
     with pytest.raises(ValueError):
         circle_norm_ratio(big, 0.9, 2.0)
+
+
+def test_circle_norm_holds_one_tile():
+    # lambda_max = 2^16 asks for 2^19 roots of unity (8 MiB); the circle is
+    # reduced tile by tile and the table built in place, so nothing else on
+    # the order of the table is held
+    s = _dyadic_series(16, seed=97)
+    table_bytes = 16 * 8 * s.lambda_max
+    tracemalloc.start()
+    try:
+        circle_norm_ratio(s, 0.9, 3.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * table_bytes
 
 
 def _tail_triangle_holds(a, b, p, start):
