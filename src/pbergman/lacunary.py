@@ -20,7 +20,10 @@ the radial amplitudes a_k r_i^lambda_k of the terms still alive on those
 radii by an L x chunk phase table small enough to stay in cache.  The table
 is read off the K-th roots of unity at (lambda_k j) mod K, so its phases are
 exact to the ulp, and later chunks fold their offset root into the
-amplitudes instead of building a new table.  The reducer sums each tile
+amplitudes instead of building a new table.  A call on fewer radii than a
+tile holds, such as one circle, stacks the amplitudes of several chunks as
+rows of one product, so it pays the per-tile calls once per tile rather
+than once per chunk.  The reducer sums each tile
 into per-circle sums of |f|^p as it arrives, so it never holds more than
 one tile of values and never builds flat ``nodes`` and ``weights`` arrays.
 Only ``series_grid_values`` keeps the tiles, since the grid of values is
@@ -32,7 +35,14 @@ bandwidth that circle carries: on inner circles r^lambda has pushed the
 high terms below rounding, so far fewer than 8 lambda_max angles resolve
 |f|^p there (Trefethen and Weideman, "The exponentially convergent
 trapezoidal rule", SIAM Review 2014).  The circle norm ratio calls it on
-one circle of 8 lambda_max angles.
+one circle of 8 lambda_max angles.  At even p both take an exact count
+instead (``_exact_counts``): |f|^p is then a trigonometric polynomial of
+degree (p/2)(lambda_eff - lambda_1) on the circle, and the trapezoid rule
+integrates it exactly at the smallest power of two above that degree.  At
+any other p the counts stay as they are, since fewer angles would move the
+result.  Each integral computes the radial amplitudes once and builds one
+roots-of-unity table at its largest power-of-two count, which every smaller
+power of two reads by stride.
 
 All operations are pure.
 """
@@ -84,6 +94,13 @@ _LIVE_CUT = 1e-17
 # 1024 and 4096 (2-vCPU VM, one BLAS thread); 2^12 angles were slower.
 _CHUNK = 2**10
 _TILE_NODES = 2**15
+
+# Values per tile of a call on fewer radii than a tile holds, which stacks
+# chunks instead.  A circle call at lambda_max 4096 took 0.78 ms at 2^13,
+# 0.89 ms at 2^12 and 1.15-1.21 ms at 2^14 (2-vCPU VM, one BLAS thread): from
+# 2^14 on the tile and its |f|^2 temporaries outgrow the heap the allocator
+# keeps between calls, and each call takes about 260 page faults, not 2.
+_STACK_NODES = 2**13
 
 # The radial criterion integral: Gauss-Legendre points per panel, the relative
 # tolerance on the strip left toward r = 1, and the most panels toward it.
@@ -190,34 +207,31 @@ def criterion_integral(series: LacunarySeries, p: float) -> float:
 
     x, gw = _gauss_legendre(_RADIAL_POINTS)
 
-    def panel(a: float, b: float) -> float:
-        r = 0.5 * (b - a) * x + 0.5 * (a + b)
-        integrand = _profile(amp2, lams, r) ** (0.5 * p) * (2.0 * math.pi * r)
-        return float((0.5 * (b - a)) * gw @ integrand)
+    def panels(a, b) -> np.ndarray:
+        """The Gauss-Legendre integral over each panel [a_i, b_i], from one
+        profile call for all of them."""
+        r = 0.5 * (b - a)[:, None] * x + 0.5 * (a + b)[:, None]
+        integrand = _profile(amp2, lams, r.ravel()).reshape(r.shape) ** (0.5 * p) * (2.0 * math.pi * r)
+        return ((0.5 * (b - a))[:, None] * gw * integrand).sum(axis=1)
 
     # ladder toward 0: [2^-41, 2^-40], ..., [1/4, 1/2]; below 2^-41 the
     # integrand is bounded by peak^(p/2) * 2 pi r^(p lambda_1 + 1), negligible
     total = 0.0
-    for j in range(41, 1, -1):
-        total += panel(2.0**-j, 2.0 ** -(j - 1))
+    low = np.ldexp(1.0, -np.arange(41, 1, -1))
+    for value in panels(low, 2.0 * low):
+        total += value
 
     # ladder toward 1 with an explicit remaining-strip bound; once the strip
     # is below tolerance it is integrated in one closing panel (the profile
     # varies by at most exp(2 lambda_max 2^-j) there, flat by then)
     bound_factor = 2.0 * math.pi * peak ** (0.5 * p)
-    converged = False
-    for j in range(1, _RADIAL_LEVELS + 1):
-        total += panel(1.0 - 2.0**-j, 1.0 - 2.0 ** -(j + 1))
-        remaining = bound_factor * 2.0 ** -(j + 1)
-        if remaining <= _RADIAL_TOL * total:
-            total += panel(1.0 - 2.0 ** -(j + 1), 1.0)
-            converged = True
-            break
-    if not converged:
-        raise RefinementError(
-            f"radial refinement did not converge within {_RADIAL_LEVELS} levels"
-        )
-    return float(total * scale**p)
+    gaps = np.ldexp(1.0, -np.arange(1, _RADIAL_LEVELS + 1))
+    for gap, value in zip(gaps, panels(1.0 - gaps, 1.0 - 0.5 * gaps)):
+        total += value
+        if bound_factor * 0.5 * gap <= _RADIAL_TOL * total:  # the remaining strip
+            total += panels(np.array([1.0 - 0.5 * gap]), np.ones(1))[0]
+            return float(total * scale**p)
+    raise RefinementError(f"radial refinement did not converge within {_RADIAL_LEVELS} levels")
 
 
 def default_series_grid(series: LacunarySeries) -> QuadratureGrid:
@@ -256,60 +270,103 @@ def _amplitudes(series: LacunarySeries, radii):
     return amps, len(lams) - np.argmax(alive[:, ::-1], axis=1)
 
 
-def _tiles(series: LacunarySeries, radii, count: int):
-    """Yield (rows, cols, f on radii[rows] x angles[cols]).
+def _tiles(lams, amps, live, roots):
+    """Yield (rows, j0, values): values[b, i, j] is f on circle rows[i] at the
+    angle 2 pi (j0 + b w + j) / count, where w is the width of a chunk.
 
-    The angles are 2 pi j / count for j < count.  A tile spans at most
-    ``_CHUNK`` angles and about ``_TILE_NODES`` values and keeps only the
-    terms alive on its radii (``_amplitudes``).  The phase table
-    e^(i lambda_k theta_j) of the first chunk is read off the count-th roots
-    of unity at (lambda_k j) mod count, so every phase is exact to the ulp
-    however large lambda_k theta_j is; the chunk starting at j0 folds the
+    ``amps`` and ``live`` are ``_amplitudes`` on the radii and ``roots`` the
+    count-th roots of unity.  A chunk spans at most ``_CHUNK`` angles and a
+    tile about ``_TILE_NODES`` values, keeping only the terms alive on its
+    radii.  The phase table e^(i lambda_k theta_j) of the first chunk is read
+    off the roots at (lambda_k j) mod count, so every phase is exact to the
+    ulp however large lambda_k theta_j is; the chunk starting at j0 folds the
     root at (lambda_k j0) mod count into the radial amplitudes, so one
-    L x chunk table serves every tile.
+    L x chunk table serves every tile.  A call on fewer radii than a tile
+    holds stacks the amplitudes of its next chunks as rows of one product,
+    up to ``_STACK_NODES`` values, so it never holds a whole long circle.
     """
-    amps, live = _amplitudes(series, radii)
-    lams = np.array(series.exponents)[: live.max()]
+    count = len(roots)
+    lams = lams[: live.max()]
     amps = amps[:, : len(lams)]
     chunk = min(count, _CHUNK)
     step = max(1, _TILE_NODES // chunk)
-    roots = _roots_of_unity(count)
+    stack = max(1, _STACK_NODES // (chunk * len(amps)))
     first = roots[(lams[:, None] * np.arange(chunk)) % count]
-    for j0 in range(0, count, chunk):
-        cols = slice(j0, min(j0 + chunk, count))
-        table = first[:, : cols.stop - j0]
-        scaled = amps * roots[(lams * j0) % count]
-        for start in range(0, len(radii), step):
+    j0 = 0
+    while j0 < count:
+        width = min(chunk, count - j0)
+        offsets = j0 + width * np.arange(min(stack, (count - j0) // width))
+        scaled = amps * roots[(lams * offsets[:, None]) % count][:, None]
+        for start in range(0, len(amps), step):
             rows = slice(start, start + step)
             n = live[rows].max()
-            yield rows, cols, scaled[rows, :n] @ table[:n]
+            tile = scaled[:, rows, :n].reshape(-1, n) @ first[:n, :width]
+            yield rows, j0, tile.reshape(len(offsets), -1, width)
+        j0 += len(offsets) * width
 
 
-def _circle_means(series: LacunarySeries, radii, counts, p: float) -> np.ndarray:
-    """The trapezoid mean of |f|^p on each circle radii[i] at counts[i] angles.
+def _circle_means(series: LacunarySeries, radii, p: float, counts) -> np.ndarray:
+    """The trapezoid mean of |f|^p on each circle radii[i], at counts(live)[i]
+    angles, where live holds the live term counts of ``_amplitudes``.
 
-    The circles are grouped by count, and each tile of ``_tiles`` is reduced
-    to per-circle sums as it arrives, so no more than one tile of values is
-    held at a time.
+    The amplitudes are computed once for all circles and sliced per count.
+    Every power-of-two count reads its roots by stride off one table at the
+    largest such count, which matches its own table bit for bit from 4 roots
+    on; any other count builds its own.  Each tile of ``_tiles`` is reduced to
+    per-circle sums as it arrives, chunk by chunk in angle order, so no more
+    than one tile of values is held at a time.
     """
+    amps, live = _amplitudes(series, radii)
+    counts = counts(live)
+    lams = np.array(series.exponents)
     means = np.empty(len(radii))
+    powers = counts[counts & (counts - 1) == 0]
+    shared = _roots_of_unity(powers.max()) if powers.size else None
     for count in np.unique(counts):
         on = counts == count
+        roots = _roots_of_unity(int(count)) if count & (count - 1) else shared[:: len(shared) // count]
         sums = np.zeros(np.count_nonzero(on))
-        for rows, _, values in _tiles(series, radii[on], int(count)):
+        for rows, _, values in _tiles(lams, amps[on], live[on], roots):
             # |f|^p as (|f|^2)^(p/2): NumPy's power skips pow at p/2 in {0.5, 1, 2}
-            sums[rows] += ((values.real**2 + values.imag**2) ** (0.5 * p)).sum(axis=1)
+            chunk_sums = ((values.real**2 + values.imag**2) ** (0.5 * p)).sum(axis=2)
+            # one chunk after another, as tiles of one chunk each would add them
+            sums[rows] = np.add.accumulate(np.vstack((sums[rows], chunk_sums)))[-1]
         means[on] = sums / count
     return means
 
 
-def _sized_counts(series: LacunarySeries, radii, cap: int) -> np.ndarray:
-    """Trapezoid count of each circle: max(256, 8 lambda_eff) rounded up to a
+def _exact_counts(series: LacunarySeries, live, p: float, counts) -> np.ndarray:
+    """``counts``, lowered at even p to the smallest power of two above
+    (p/2)(lambda_eff - lambda_1), where lambda_eff is the largest exponent
+    alive on the circle (``_amplitudes``).
+
+    On the circle f is e^(i lambda_1 theta) times a polynomial in e^(i theta)
+    of degree lambda_eff - lambda_1, up to terms below rounding, so |f|^2 is
+    a trigonometric polynomial of that degree and, at even p,
+    |f|^p = (|f|^2)^(p/2) is one of degree (p/2)(lambda_eff - lambda_1),
+    which the trapezoid rule integrates exactly once its count exceeds the
+    degree.  No count is raised.  At any other p the counts are returned as
+    they are.
+    """
+    if p % 2:
+        return counts
+    lams = np.array(series.exponents)
+    # capped at counts, so that no p overflows the degree to inf
+    degree = np.minimum(counts, 0.5 * p * (lams[live - 1] - lams[0]))
+    return np.minimum(counts, np.ldexp(1.0, np.frexp(degree)[1])).astype(int)
+
+
+def _sized_counts(series: LacunarySeries, live, p: float, cap: int) -> np.ndarray:
+    """``direct_lp``'s trapezoid count of each circle, given its live term count.
+
+    At any p that is not even it is max(256, 8 lambda_eff) rounded up to a
     power of two and capped at ``cap``, where lambda_eff is the largest
-    exponent alive on the circle (see ``_amplitudes``)."""
-    _, live = _amplitudes(series, radii)
+    exponent alive on the circle (``_amplitudes``); at even p that count is
+    lowered to the exact count of ``_exact_counts``.
+    """
     lam_eff = np.array(series.exponents)[live - 1]
-    return np.minimum(cap, 2 ** np.ceil(np.log2(np.maximum(256, 8 * lam_eff))).astype(int))
+    counts = np.minimum(cap, 2 ** np.ceil(np.log2(np.maximum(256, 8 * lam_eff))).astype(int))
+    return _exact_counts(series, live, p, counts)
 
 
 def series_grid_values(series: LacunarySeries, grid: QuadratureGrid) -> np.ndarray:
@@ -320,8 +377,10 @@ def series_grid_values(series: LacunarySeries, grid: QuadratureGrid) -> np.ndarr
     """
     _require_unit_disk(grid)
     values = np.empty((grid.radial_count, grid.angular_count), dtype=complex)
-    for rows, cols, tile in _tiles(series, grid.radii, grid.angular_count):
-        values[rows, cols] = tile
+    amps, live = _amplitudes(series, grid.radii)
+    roots = _roots_of_unity(grid.angular_count)
+    for rows, j0, tile in _tiles(np.array(series.exponents), amps, live, roots):
+        values[rows, j0 : j0 + tile.shape[0] * tile.shape[2]] = np.hstack(tile)
     return values.ravel()
 
 
@@ -333,9 +392,13 @@ def direct_lp(series: LacunarySeries, p: float) -> float:
     alive on it (``_sized_counts``): inner circles, where r^lambda has pushed
     the high terms below rounding, get far fewer than 8 lambda_max angles.  A
     circle's trapezoid sum is exact for trigonometric polynomials of degree
-    below its count, so even p stay at rounding level; at p < 2 the kinks of
-    |f|^p at zeros of f make the sum converge only algebraically, and the
-    sized rule differs from the uniform 8 lambda_max one by up to 6e-7
+    below its count, so at even p the count is the smallest power of two
+    above the degree of |f|^p there, (p/2)(lambda_eff - lambda_1), when that
+    is below the count of every other p: at lambda_max 4096 that is 0.12 of
+    the nodes at p = 2 and 0.25 at p = 4.  At every other p the count is
+    max(256, 8 lambda_eff) rounded up to a power of two; at p < 2 the kinks
+    of |f|^p at zeros of f make the sum converge only algebraically, and
+    that rule differs from the uniform 8 lambda_max one by up to 6e-7
     relative (p = 0.5, dyadic series up to lambda_max 4096).  The sum runs
     circle by circle, so the flat grid arrays are never built.  A series
     with lambda_max above 4096 raises ``ValueError``.
@@ -346,8 +409,8 @@ def direct_lp(series: LacunarySeries, p: float) -> float:
     grid = default_series_grid(series)
     if scale == 0.0:
         return 0.0
-    counts = _sized_counts(unit, grid.radii, grid.angular_count)
-    means = _circle_means(unit, grid.radii, counts, p)
+    cap = grid.angular_count
+    means = _circle_means(unit, grid.radii, p, lambda live: _sized_counts(unit, live, p, cap))
     return float(grid.radial_weights @ means * (2.0 * math.pi) * scale**p)
 
 
@@ -382,7 +445,8 @@ def circle_norm_ratio(series: LacunarySeries, r: float, p: float) -> float:
 
     T is the unit-measure circle parameter t in [0,1).  The L^p mean is the
     trapezoid mean of ``_circle_means`` at 8*lambda_max equally spaced
-    points.  The L^2 mean is the radial profile sum_k |a_k|^2 r^(2 lambda_k)
+    points, or at even p at the exact count of ``_exact_counts`` when that
+    is smaller.  The L^2 mean is the radial profile sum_k |a_k|^2 r^(2 lambda_k)
     by Parseval, which that trapezoid rule also gives to rounding, since
     |f|^2 has no frequency above lambda_max.
     """
@@ -400,7 +464,8 @@ def circle_norm_ratio(series: LacunarySeries, r: float, p: float) -> float:
         )
     unit = _unit_scale(series)[0]
     radius = np.array([r])
-    lp = _circle_means(unit, radius, np.array([8 * lam]), p)[0] ** (1.0 / p)
+    means = _circle_means(unit, radius, p, lambda live: _exact_counts(unit, live, p, np.array([8 * lam])))
+    lp = means[0] ** (1.0 / p)
     l2 = math.sqrt(_profile(*_radial_profile(unit), radius)[0])
     return float(lp / l2)
 

@@ -174,3 +174,12 @@ def test_roots_of_unity_written_in_place_match_the_concatenated_table(count):
         quarter if n == count else np.concatenate([quarter, 1j * quarter, -quarter, -1j * quarter])
     )
     assert np.array_equal(_roots_of_unity(count).view(np.uint64), reference.view(np.uint64))
+
+
+@pytest.mark.parametrize("m", [2, 4, 8])
+def test_roots_of_unity_read_by_stride_match_their_own_table(m):
+    # (2 pi j m) / (K m) rounds like (2 pi j) / K when m is a power of two, so
+    # one table at the largest count serves every smaller power of two
+    for K in (2**k for k in range(2, 16)):
+        strided = _roots_of_unity(K * m)[::m].copy()
+        assert np.array_equal(strided.view(np.uint64), _roots_of_unity(K).view(np.uint64))

@@ -49,12 +49,18 @@ def _scaled(series, c):
     return LacunarySeries(series.exponents, c * series.coefficients)
 
 
+def _direct_counts(series, p):
+    """``direct_lp``'s angular count on each of its circles at this p."""
+    grid = default_series_grid(series)
+    unit = lacunary._unit_scale(series)[0]
+    live = lacunary._amplitudes(unit, grid.radii)[1]
+    return lacunary._sized_counts(unit, live, p, grid.angular_count)
+
+
 def _dense_sized_lp(series, p):
     """``dense_lp`` on the circles and angular counts of ``direct_lp``'s rule."""
     grid = default_series_grid(series)
-    unit = lacunary._unit_scale(series)[0]
-    counts = lacunary._sized_counts(unit, grid.radii, grid.angular_count)
-    return dense_lp(series, p, grid.radii, grid.radial_weights, counts)
+    return dense_lp(series, p, grid.radii, grid.radial_weights, _direct_counts(series, p))
 
 
 def test_lacunarity_examples():
@@ -85,6 +91,15 @@ def test_criterion_single_term(p):
     s = LacunarySeries((1,), np.array([1.0 + 0j]))
     exact = 2.0 * math.pi / (p + 2.0)
     assert math.isclose(criterion_integral(s, p), exact, rel_tol=1e-10)
+
+
+def test_criterion_evaluates_its_panels_in_three_profile_calls(monkeypatch):
+    # one call per ladder and one for the closing panel, not one per panel
+    calls = []
+    original = lacunary._profile
+    monkeypatch.setattr(lacunary, "_profile", lambda *args: calls.append(1) or original(*args))
+    criterion_integral(_dyadic_series(12, seed=7), 1.5)
+    assert len(calls) == 3
 
 
 def test_criterion_appending_zero_terms_is_exact():
@@ -413,23 +428,65 @@ def test_sized_rule_matches_uniform_rule(top):
         assert math.isclose(direct_lp(s, p), uniform, rel_tol=tol)
 
 
+def _tile_nodes(monkeypatch, call):
+    """The values ``_tiles`` yields during call(), and the tiles they come in."""
+    original = lacunary._tiles
+    nodes, tiles = 0, 0
+
+    def counting(*args):
+        nonlocal nodes, tiles
+        for rows, j0, values in original(*args):
+            nodes, tiles = nodes + values.size, tiles + 1
+            yield rows, j0, values
+
+    monkeypatch.setattr(lacunary, "_tiles", counting)
+    call()
+    monkeypatch.setattr(lacunary, "_tiles", original)
+    return nodes, tiles
+
+
 def test_sized_rule_evaluates_a_tenth_of_the_uniform_nodes(monkeypatch):
     s = _dyadic_series(12, 83)
     grid = default_series_grid(s)
-    original = lacunary._tiles
-    nodes = 0
-
-    def counting(*args):
-        nonlocal nodes
-        for rows, cols, values in original(*args):
-            nodes += values.size
-            yield rows, cols, values
-
-    monkeypatch.setattr(lacunary, "_tiles", counting)
-    direct_lp(s, 2.0)
+    nodes = {p: _tile_nodes(monkeypatch, lambda: direct_lp(s, p))[0] for p in (0.5, 1.0, 2.0, 4.0)}
     # every circle once, at its sized count; the uniform rule has 256 x 8 x 4096
-    assert nodes == lacunary._sized_counts(s, grid.radii, grid.angular_count).sum()
-    assert nodes <= 0.12 * grid.radial_count * grid.angular_count
+    for p, count in nodes.items():
+        assert count == _direct_counts(s, p).sum()
+    assert nodes[0.5] == nodes[1.0] == 864768
+    assert nodes[1.0] <= 0.12 * grid.radial_count * grid.angular_count
+    # at even p the count only needs to exceed the degree of |f|^p
+    assert nodes[2.0] == 106240 and nodes[2.0] <= 0.13 * nodes[1.0]
+    assert nodes[4.0] <= 0.26 * nodes[1.0]
+
+
+@pytest.mark.parametrize("top", [8, 12])
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
+def test_even_p_count_is_exact_and_tight(top, p):
+    # |f|^p is a trigonometric polynomial of degree (p/2)(lambda_max - 1) on
+    # an outer circle, where every term is alive: the smallest power of two
+    # above it gives what 8 times as many angles give, and half of it does not
+    s = _dyadic_series(top, seed=101)
+    radius = np.array([0.999])
+    count = lacunary._exact_counts(s, lacunary._amplitudes(s, radius)[1], p, np.array([2**30]))[0]
+    assert count // 2 <= 0.5 * p * (s.lambda_max - 1) < count
+
+    def mean(k):
+        return lacunary._circle_means(s, radius, p, lambda live: np.array([k]))[0]
+
+    exact = mean(count)
+    assert math.isclose(exact, mean(8 * count), rel_tol=1e-14)
+    assert not math.isclose(exact, mean(count // 2), rel_tol=1e-7)
+
+
+def test_one_circle_stacks_its_chunks_into_tiles(monkeypatch):
+    # 8 lambda_max = 2^15 angles are 32 chunks of 2^10, stacked into tiles of
+    # _STACK_NODES values rather than one tile per chunk
+    s = _dyadic_series(12, seed=103)
+    nodes, tiles = _tile_nodes(monkeypatch, lambda: circle_norm_ratio(s, 0.9, 3.0))
+    assert (nodes, tiles) == (8 * s.lambda_max, 8 * s.lambda_max // lacunary._STACK_NODES)
+    mean = dense_lp(s, 3.0, [0.9], np.ones(1), 8 * s.lambda_max) / (2.0 * math.pi)
+    l2 = math.sqrt(np.sum(np.abs(s.coefficients) ** 2 * 0.81 ** np.array(s.exponents)))
+    assert math.isclose(circle_norm_ratio(s, 0.9, 3.0), mean ** (1 / 3) / l2, rel_tol=1e-14)
 
 
 def test_sized_rule_with_no_live_term_on_inner_circles():
