@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import Domain, QuadratureGrid, build_grid, format_domain
+from .geometry import Domain, QuadratureGrid, format_domain
 from .series import BasisSpec, CoeffVector, admissible_exponents, evaluate
 from .solver import (
     ExtremalProblem,
@@ -28,6 +28,7 @@ from .solver import (
     derivative_constraint,
     minimize_pnorm,
     point_constraint,
+    shared_grid,
 )
 
 __all__ = [
@@ -88,8 +89,9 @@ class Setup:
 
     The basis at p holds the admissible exponents from ``n_min`` (default:
     ``-degree`` on an annulus, 0 otherwise) up to ``degree``.  ``grid``
-    defaults to the ``DEFAULT_GRID_SHAPE`` rule on ``domain``; ``margin``
-    defaults to ``MARGIN_FRACTION`` of the outer radius.  ``cache`` maps
+    defaults to the ``DEFAULT_GRID_SHAPE`` rule on ``domain``, the grid
+    ``shared_grid`` keeps for it; ``margin`` defaults to
+    ``MARGIN_FRACTION`` of the outer radius.  ``cache`` maps
     ``(p, |z|, kind)``, kind ``"K_p"`` or ``"B_p"``, to the ``Solution`` of
     ``solve`` at the real point |z|, and is shared by every call given this
     setup; ``dataclasses.replace`` gives a setup with an empty cache.
@@ -104,7 +106,7 @@ class Setup:
 
     def __post_init__(self):
         if self.grid is None:
-            object.__setattr__(self, "grid", build_grid(self.domain, *DEFAULT_GRID_SHAPE))
+            object.__setattr__(self, "grid", shared_grid(self.domain, *DEFAULT_GRID_SHAPE))
         if self.margin is None:
             object.__setattr__(self, "margin", MARGIN_FRACTION * self.domain.outer_radius)
         if not self.margin >= 0:

@@ -262,12 +262,18 @@ def _amplitudes(series: LacunarySeries, radii):
     where the terms themselves do.
     """
     lams = np.array(series.exponents, dtype=float)
-    log_r = np.log(radii)[:, None]
-    with np.errstate(divide="ignore"):  # a zero coefficient has log size -inf
-        size = np.log(np.abs(series.coefficients)) + log_r * lams
+    size = _log_sizes(series, radii)
     alive = size >= size.max(axis=1, keepdims=True) + math.log(_LIVE_CUT)
-    amps = series.coefficients * np.exp(log_r * lams)
+    amps = series.coefficients * np.exp(np.log(radii)[:, None] * lams)
     return amps, len(lams) - np.argmax(alive[:, ::-1], axis=1)
+
+
+def _log_sizes(series: LacunarySeries, radii) -> np.ndarray:
+    """log(|a_k| r_i^lambda_k), one row per radius: finite where the term
+    itself underflows, and -inf for a zero coefficient."""
+    lams = np.array(series.exponents, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(series.coefficients)) + np.log(radii)[:, None] * lams
 
 
 def _tiles(lams, amps, live, roots):
@@ -448,7 +454,9 @@ def circle_norm_ratio(series: LacunarySeries, r: float, p: float) -> float:
     points, or at even p at the exact count of ``_exact_counts`` when that
     is smaller.  The L^2 mean is the radial profile sum_k |a_k|^2 r^(2 lambda_k)
     by Parseval, which that trapezoid rule also gives to rounding, since
-    |f|^2 has no frequency above lambda_max.
+    |f|^2 has no frequency above lambda_max.  Both are taken of f divided
+    by its largest term on the circle, so neither underflows to 0/0 where
+    every term of f does (0.5^1200 squared is below the double range).
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must lie in (0, 1), got {r}")
@@ -462,11 +470,21 @@ def circle_norm_ratio(series: LacunarySeries, r: float, p: float) -> float:
             f"lambda_max {lam} above the cap {LAMBDA_MAX_CAP}; "
             "use the radial criterion instead"
         )
-    unit = _unit_scale(series)[0]
-    radius = np.array([r])
-    means = _circle_means(unit, radius, p, lambda live: _exact_counts(unit, live, p, np.array([8 * lam])))
+    # f on the circle |z| = r is M g on the unit circle, where g has the
+    # coefficients a_k r^lambda_k / M and M is the largest of their moduli.
+    # They are taken from the log sizes, so the largest is 1 even where every
+    # term of f underflows on the circle, and the ratio is that of g.
+    size = _log_sizes(series, np.array([r]))[0]
+    moduli = np.exp(size - size.max())
+    phases = np.divide(
+        series.coefficients, np.abs(series.coefficients),
+        out=np.zeros(len(moduli), dtype=complex), where=moduli > 0.0,
+    )
+    g = LacunarySeries(series.exponents, phases * moduli)
+    unit = np.ones(1)
+    means = _circle_means(g, unit, p, lambda live: _exact_counts(g, live, p, np.array([8 * lam])))
     lp = means[0] ** (1.0 / p)
-    l2 = math.sqrt(_profile(*_radial_profile(unit), radius)[0])
+    l2 = math.sqrt(_profile(*_radial_profile(g), unit)[0])
     return float(lp / l2)
 
 

@@ -90,12 +90,20 @@ boundary: each runs its coarse level, and only the first restart of each
 cluster of coarse end points (coefficient distance 1e-4) runs the requested
 grid, so restarts that meet on the coarse grid are refined once.
 
-What every solve on a grid shares is read-only, built once per grid and
-kept in a cache keyed weakly by the grid, so it lives exactly as long as the
-grid: the coarse rule and one separable basis per basis spec.  The writable
-arrays belong to the solve, so no two solves share any.  A single descent is
-sequential; restarts and independent problems may run in parallel or nested,
-and problems and solutions are immutable.
+What every solve on a grid shares is read-only, built on first use and
+kept in a cache keyed weakly by the grid, so it lives as long as the grid:
+the coarse rule, the tables of each exponent set that no p changes (angular
+tables, radial powers, Gram index arrays and the Gram sums of the grid
+weights), and one separable basis per basis spec, which scales those tables
+by its column norms.  ``shared_grid`` keeps one grid per rule (domain,
+radial and angular count) for the whole process, so every ``Setup`` and
+every CLI call on a rule shares its grid, its coarse rule and its tables.
+What the process keeps is bounded by ``_RULES``: the rules ``shared_grid``
+keeps, and the exponent sets and basis specs each grid keeps, least
+recently used out first.  The writable arrays belong to the solve, so no
+two solves share any.  A single descent is sequential; restarts and
+independent problems may run in parallel or nested, and problems and
+solutions are immutable.
 """
 
 from __future__ import annotations
@@ -108,7 +116,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .geometry import QuadratureGrid, _roots_of_unity, build_grid, format_domain
+from .geometry import Domain, QuadratureGrid, _roots_of_unity, build_grid, format_domain
 from .series import BasisSpec, CoeffVector
 
 __all__ = [
@@ -122,6 +130,7 @@ __all__ = [
     "multistart_minimize",
     "grid_values",
     "solution_record",
+    "shared_grid",
 ]
 
 SMOOTHING_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
@@ -151,6 +160,18 @@ _ANDERSON_DEPTH = 2
 # unless that leaves fewer radii or angles than the minimum
 _COARSENING = 4
 _MIN_COARSE_SHAPE = (16, 32)
+
+# The bound on what the process keeps between calls: ``shared_grid`` keeps
+# the grids of the _RULES rules last asked for, and each grid's cache the
+# tables of the _RULES exponent sets and the bases of the _RULES basis specs
+# last used on it; anything else is rebuilt when it comes back.  The
+# benchmark's workloads use at most three rules (the disk, the annulus and
+# the punctured disk on the default grid), two exponent sets per rule (the
+# degree-16 and degree-8 analysis bases) and four p per exponent set of a
+# kernel round, so four of each keep all they reuse.  They then hold about
+# 2.4 MB (kernel) and 1.0 MB (analysis), whatever the number of calls, p
+# values and points.
+_RULES = 4
 
 
 class InfeasibleConstraintsError(ValueError):
@@ -303,67 +324,44 @@ class Solution:
     anderson_steps: int
 
 
-class _SeparableBasis:
-    """The basis, columns scaled by ``BasisSpec.col_norms``, as an operator
-    on a polar grid.
+class _BasisTables:
+    """What ``_SeparableBasis`` needs on one grid that no p changes, for one
+    exponent set: the angular tables, the radial powers r_i^n and r_top^n,
+    the powers and index arrays of the Gram, the Gram sums under the grid
+    weights, and the grid's weights of a real solve (``half_weights`` and
+    ``mirror_weights``, shared by every exponent set).
 
-    Column n of V at node (i, k) is r_i^n e^{i n theta_k} / c_n, so V is the
-    radial factor ``radial`` (n_r x D) times an angular table of e^{i n
-    theta_k}, and every angular sum is one BLAS product against a small
-    table: grid values are ``radial`` times the coefficients times the
-    D x K table, and a weighted Gram is the weights times a K x (span + 1)
-    table of the lags n_l - n_j, followed by O(n_r D^2) work; V itself is
-    never formed.  Each entry e^{i m theta_k} is read from the roots of unity
+    Each angular table e^{i m theta_k} is read from the roots of unity
     e^{2 pi i j / K} at the exact residue j = m k mod K, so exponents equal
     modulo the angular count get equal columns, where the grid cannot tell
-    them apart.  ``values`` acts on scaled coefficients (raw coefficients
-    times ``col_norms``).
-
-    Real coefficients give values with u(r, -theta) = conj(u(r, theta)), so
-    any function of |u| is even in the angle, and a real solve works on the
-    K // 2 + 1 angles in [0, pi] alone: ``half_values`` takes the conjugate
-    table on those angles, the grid sums weigh every angle with a mirror
-    twice (``mirror_weights``; all but 0 and, for even K, pi), and
-    ``cosine_gram`` takes the Gram of even weights, given on those angles
-    at their own weight (``half_weights``), from a real table of the
-    mirror-weighted cosines.  Each table is built on first use, so a real
-    solve builds only the tables of the half angles.
-
-    An instance is read-only apart from its tables and ``weight_gram``, the
-    Gram under the grid weights, each built on first use and then kept, and
-    it holds no scratch, so one instance per (grid, basis spec) serves every
-    solve, nested and concurrent ones included; the grid cache keeps it.
+    them apart.  The tables and ``weight_sums`` are built on first use and
+    then kept, so a real solve builds only the tables of the half angles.
+    Everything is read-only and no method keeps scratch, so one instance
+    serves every basis spec with these exponents on the grid, at every p,
+    nested and concurrent solves included; the grid cache keeps it.
     """
 
-    def __init__(self, grid: QuadratureGrid, basis: BasisSpec):
-        n = np.array(basis.exponents)
-        col_norms = basis.col_norms
-        radii = grid.radii
-        n_r, K = grid.radial_count, grid.angular_count
-        self.shape = (n_r, K)
-        self._exponents = n
-        self.half_weights = grid.weights.reshape(n_r, K)[:, : K // 2 + 1].ravel()
-        # every angle in [0, pi] but 0 and, for even K, pi has a mirror
-        self._mirrors = np.ones(K // 2 + 1)
-        self._mirrors[1 : (K + 1) // 2] = 2.0
-        self.mirror_weights = (self.half_weights.reshape(n_r, -1) * self._mirrors).ravel()
-        self.radial = radii[:, None] ** n[None, :] / col_norms
+    def __init__(self, radii, angular_count, half_weights, mirror_weights, exponents):
+        n = np.array(exponents)
+        self.shape = (radii.size, angular_count)
+        self.exponents = n
+        self.half_weights, self.mirror_weights = half_weights, mirror_weights
+        self.radial_powers = radii[:, None] ** n[None, :]
         # A Gram entry depends on n_j + n_l through a radial power and on
         # the lag n_l - n_j through an angular frequency.  Powers are taken of
         # radii relative to the largest, which keeps them in floating-point
         # range.
-        self._span = span = int(n[-1] - n[0])
+        self.span = span = int(n[-1] - n[0])
         r_top = radii.max()
+        self.top_powers = r_top**n
         sums = 2 * n[0] + np.arange(2 * span + 1)
-        self._sum_powers = (radii[None, :] / r_top) ** sums[:, None]
+        self.sum_powers = (radii[None, :] / r_top) ** sums[:, None]
         # Only lags 0..span are tabled; a Gram entry at a negative lag takes
         # the conjugate of its mirror, since the weights are real.
         lag = n[None, :] - n[:, None]
-        self._sum_index = n[:, None] + n[None, :] - 2 * n[0]
-        self._lag_index = np.abs(lag)
-        self._lag_conj = lag < 0
-        top_scale = r_top**n / col_norms
-        self._top_scale = top_scale[:, None] * top_scale[None, :]
+        self.sum_index = n[:, None] + n[None, :] - 2 * n[0]
+        self.lag_index = np.abs(lag)
+        self.lag_conj = lag < 0
         for value in vars(self).values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -376,27 +374,95 @@ class _SeparableBasis:
         return table
 
     @functools.cached_property
-    def _values_table(self) -> np.ndarray:
+    def values_table(self) -> np.ndarray:
         """E[j, k] = e^{i n_j theta_k} on all K angles."""
-        return self._phases(self._exponents[:, None], np.arange(self.shape[1]))
+        return self._phases(self.exponents[:, None], np.arange(self.shape[1]))
 
     @functools.cached_property
-    def _half_table(self) -> np.ndarray:
+    def half_table(self) -> np.ndarray:
         """conj(E[j, k]) on the angles in [0, pi]."""
-        return self._phases(-self._exponents[:, None], np.arange(self.shape[1] // 2 + 1))
+        return self._phases(-self.exponents[:, None], np.arange(self.shape[1] // 2 + 1))
 
     @functools.cached_property
     def _lag_table(self) -> np.ndarray:
         """e^{i m theta_k} at angle k and lag m = 0 .. span."""
-        return self._phases(np.arange(self.shape[1])[:, None], np.arange(self._span + 1))
+        return self._phases(np.arange(self.shape[1])[:, None], np.arange(self.span + 1))
 
     @functools.cached_property
     def _cosine_table(self) -> np.ndarray:
         """The mirror count of angle k in [0, pi] times cos(m theta_k), lag m = 0 .. span."""
         half = np.arange(self.shape[1] // 2 + 1)[:, None]
-        table = self._phases(half, np.arange(self._span + 1)).real * self._mirrors[:, None]
+        table = self._phases(half, np.arange(self.span + 1)).real * _mirrors(self.shape[1])[:, None]
         table.setflags(write=False)
         return table
+
+    def lag_sums(self, omega: np.ndarray) -> np.ndarray:
+        """sum_i,k omega_ik r_i^(n_j + n_l) e^{i (n_l - n_j) theta_k} / r_top^(n_j + n_l)."""
+        # W[i, m] = sum_k omega_ik e^{i m theta_k} for lags m >= 0, and
+        # H[s, m] = sum_i (r_i / r_top)^(2 n_0 + s) W[i, m]
+        W = omega.reshape(self.shape) @ self._lag_table.view(float)
+        H = (self.sum_powers @ W).view(complex)
+        G = H[self.sum_index, self.lag_index]
+        np.conjugate(G, out=G, where=self.lag_conj)
+        return G
+
+    def cosine_sums(self, omega: np.ndarray) -> np.ndarray:
+        """``lag_sums``, real, for omega even in the angle, given on the
+        angles in [0, pi] like ``half_weights``."""
+        # W[i, m] = sum_k omega_ik cos(m theta_k) over all K angles
+        W = omega.reshape(self.shape[0], -1) @ self._cosine_table
+        return (self.sum_powers @ W)[self.sum_index, self.lag_index]
+
+    @functools.cached_property
+    def weight_sums(self) -> np.ndarray:
+        """``cosine_sums`` of the grid weights, read-only."""
+        G = self.cosine_sums(self.half_weights)
+        G.setflags(write=False)
+        return G
+
+
+class _SeparableBasis:
+    """The basis, columns scaled by ``BasisSpec.col_norms``, as an operator
+    on a polar grid.
+
+    Column n of V at node (i, k) is r_i^n e^{i n theta_k} / c_n, so V is the
+    radial factor ``radial`` (n_r x D) times an angular table of e^{i n
+    theta_k}, and every angular sum is one BLAS product against a small
+    table: grid values are ``radial`` times the coefficients times the
+    D x K table, and a weighted Gram is the weights times a K x (span + 1)
+    table of the lags n_l - n_j, followed by O(n_r D^2) work; V itself is
+    never formed.  ``values`` acts on scaled coefficients (raw coefficients
+    times ``col_norms``).
+
+    Real coefficients give values with u(r, -theta) = conj(u(r, theta)), so
+    any function of |u| is even in the angle, and a real solve works on the
+    K // 2 + 1 angles in [0, pi] alone: ``half_values`` takes the conjugate
+    table on those angles, the grid sums weigh every angle with a mirror
+    twice (``mirror_weights``; all but 0 and, for even K, pi), and
+    ``cosine_gram`` takes the Gram of even weights, given on those angles
+    at their own weight (``half_weights``), from a real table of the
+    mirror-weighted cosines.
+
+    Only the column scaling depends on p: ``radial``, the scale of the Gram
+    entries and ``weight_gram``, the Gram under the grid weights, are the
+    radial powers and Gram sums of ``tables``, the ``_BasisTables`` of the
+    spec's exponents, divided by ``col_norms``.  An instance holds
+    O(n_r D + D^2) values on top of those tables.  It is read-only apart from
+    ``weight_gram``, built on first use, and holds no scratch, so one
+    instance per (grid, basis spec) serves every solve, nested and
+    concurrent ones included; the grid cache keeps it.
+    """
+
+    def __init__(self, tables: _BasisTables, basis: BasisSpec):
+        self._tables = tables
+        self.shape = tables.shape
+        self.half_weights, self.mirror_weights = tables.half_weights, tables.mirror_weights
+        col_norms = basis.col_norms
+        self.radial = tables.radial_powers / col_norms
+        top_scale = tables.top_powers / col_norms
+        self._top_scale = top_scale[:, None] * top_scale[None, :]
+        self.radial.setflags(write=False)
+        self._top_scale.setflags(write=False)
 
     def values(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Flat grid values of sum_j a_j z^{n_j} / c_j, written to ``out`` if given."""
@@ -404,7 +470,7 @@ class _SeparableBasis:
         if out is None:
             out = np.empty(n_r * K, dtype=complex)
         # a real matrix times a complex one, as one real product on (re, im) pairs
-        phased = np.asarray(a, dtype=complex)[:, None] * self._values_table
+        phased = np.asarray(a, dtype=complex)[:, None] * self._tables.values_table
         np.matmul(self.radial, phased.view(float), out=out.view(float).reshape(n_r, 2 * K))
         return out
 
@@ -414,27 +480,20 @@ class _SeparableBasis:
         reads, so the conjugate is never taken."""
         if out is None:
             out = np.empty(self.half_weights.size, dtype=complex)
-        phased = a[:, None] * self._half_table
+        phased = a[:, None] * self._tables.half_table
         np.matmul(self.radial, phased.view(float), out=out.view(float).reshape(self.shape[0], -1))
         return out
 
     def gram(self, omega: np.ndarray) -> np.ndarray:
         """V^H diag(omega) V for real node weights omega."""
-        # W[i, m] = sum_k omega_ik e^{i m theta_k} for lags m >= 0, and
-        # H[s, m] = sum_i (r_i / r_top)^(2 n_0 + s) W[i, m]
-        W = omega.reshape(self.shape) @ self._lag_table.view(float)
-        H = (self._sum_powers @ W).view(complex)
-        G = H[self._sum_index, self._lag_index]
-        np.conjugate(G, out=G, where=self._lag_conj)
+        G = self._tables.lag_sums(omega)
         G *= self._top_scale
         return G
 
     def cosine_gram(self, omega: np.ndarray) -> np.ndarray:
         """V^H diag(omega) V, real, for real node weights omega even in the
         angle, given flat on the angles in [0, pi] like ``half_weights``."""
-        # W[i, m] = sum_k omega_ik cos(m theta_k) over all K angles
-        W = omega.reshape(self.shape[0], -1) @ self._cosine_table
-        G = (self._sum_powers @ W)[self._sum_index, self._lag_index]
+        G = self._tables.cosine_sums(omega)
         G *= self._top_scale
         return G
 
@@ -442,7 +501,7 @@ class _SeparableBasis:
     def weight_gram(self) -> np.ndarray:
         """V^H diag(w) V for the grid weights w, read-only.  They are
         constant in the angle, so it is real."""
-        G = self.cosine_gram(self.half_weights)
+        G = self._tables.weight_sums * self._top_scale
         G.setflags(write=False)
         return G
 
@@ -451,21 +510,44 @@ class _GridCache:
     """The read-only parts of every solve on one grid, built on first use.
 
     It holds the grid's coarse rule (None when the grid is too small to
-    coarsen) and one ``_SeparableBasis`` per basis spec.  It keeps no
-    reference to its own grid, so its entry in ``_GRID_CACHES`` lives as
-    long as the grid does.
+    coarsen) and two caches of ``_RULES`` entries each, least recently used
+    out first: ``tables(exponents)``, the ``_BasisTables`` of an exponent
+    set, and ``basis(spec)``, the ``_SeparableBasis`` of a basis spec, built
+    on the tables of its exponents, which specs differing only in p share.
+    It keeps no reference to its own grid, so its entry in ``_GRID_CACHES``
+    lives as long as the grid does: for a grid of ``shared_grid``, as long
+    as that cache keeps the rule.
     """
 
     def __init__(self, grid: QuadratureGrid):
         self.coarse_grid = _coarse_grid(grid)
-        self._bases: dict[BasisSpec, _SeparableBasis] = {}
+        n_r, K = grid.radial_count, grid.angular_count
+        # a real solve's weights on the angles in [0, pi], at their own
+        # weight and with every mirrored angle weighted twice: the entries of
+        # ``grid.weights`` on those angles, which a real solve never builds
+        half_weights = np.repeat(grid.radial_weights * (2.0 * math.pi / K), K // 2 + 1)
+        mirror_weights = (half_weights.reshape(n_r, -1) * _mirrors(K)).ravel()
+        half_weights.setflags(write=False)
+        mirror_weights.setflags(write=False)
+        tables = functools.lru_cache(maxsize=_RULES)(
+            functools.partial(_BasisTables, grid.radii, K, half_weights, mirror_weights)
+        )
 
-    def basis(self, grid: QuadratureGrid, spec: BasisSpec) -> _SeparableBasis:
-        """The separable basis of ``spec`` on ``grid``, this cache's grid."""
-        basis = self._bases.get(spec)
-        if basis is None:
-            basis = self._bases.setdefault(spec, _SeparableBasis(grid, spec))
-        return basis
+        @functools.lru_cache(maxsize=_RULES)
+        def basis(spec: BasisSpec) -> _SeparableBasis:
+            return _SeparableBasis(tables(spec.exponents), spec)
+
+        # closures over the tables, not over this cache, so that no cycle
+        # keeps a cache alive once its grid is gone
+        self.tables, self.basis = tables, basis
+
+
+def _mirrors(angular_count: int) -> np.ndarray:
+    """The mirror count of each angle in [0, pi]: 2 for every angle but 0
+    and, for an even count, pi."""
+    mirrors = np.ones(angular_count // 2 + 1)
+    mirrors[1 : (angular_count + 1) // 2] = 2.0
+    return mirrors
 
 
 # one entry per live grid, the coarse rules of the requested grids included
@@ -481,10 +563,19 @@ def _grid_cache(grid: QuadratureGrid) -> _GridCache:
     return cache
 
 
+@functools.lru_cache(maxsize=_RULES)
+def shared_grid(domain: Domain, radial_count: int, angular_count: int) -> QuadratureGrid:
+    """``build_grid(domain, radial_count, angular_count)``, one grid per rule
+    for the whole process while the rule is among the ``_RULES`` last asked
+    for.  The coarse rule and the basis tables of its solves live in its grid
+    cache, so they too are built once per rule, not once per caller."""
+    return build_grid(domain, radial_count, angular_count)
+
+
 def grid_values(problem: ExtremalProblem, coefficients: np.ndarray) -> np.ndarray:
     """Flat values on ``problem.grid`` of the series with raw coefficients."""
     spec = problem.basis
-    basis = _grid_cache(problem.grid).basis(problem.grid, spec)
+    basis = _grid_cache(problem.grid).basis(spec)
     return basis.values(np.asarray(coefficients, dtype=complex) * spec.col_norms)
 
 
@@ -555,7 +646,7 @@ class _Workspace:
     def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid, real: bool = False):
         self.grid = grid
         self.p = problem.p
-        self.basis = basis = _grid_cache(grid).basis(grid, problem.basis)
+        self.basis = basis = _grid_cache(grid).basis(problem.basis)
         self.dtype = float if real else complex
         # a real slice is made complex once here, not in every product
         self.a0, self.N = (np.asarray(part, self.dtype) for part in problem.feasible_slice)
@@ -841,7 +932,7 @@ def minimize_pnorm(problem: ExtremalProblem) -> Solution:
         # objective and the bound are quadratic forms of the cached Gram of
         # w, so no grid level is built and no grid pass runs.
         a0, N = problem.feasible_slice
-        G = _grid_cache(problem.grid).basis(problem.grid, problem.basis).weight_gram
+        G = _grid_cache(problem.grid).basis(problem.basis).weight_gram
         A, rhs = _reduce(G, a0, N)
         t, fallbacks = _weighted_solve(A, rhs)
         a = a0 + N @ t

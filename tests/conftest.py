@@ -25,6 +25,16 @@ def annulus():
 
 
 @pytest.fixture
+def fresh_rules():
+    """An empty rule cache (``solver.shared_grid``) at the start and the end
+    of the test, so that a test which counts grid or table builds sees every
+    rule it uses built anew, whatever ran before it."""
+    solver.shared_grid.cache_clear()
+    yield
+    solver.shared_grid.cache_clear()
+
+
+@pytest.fixture
 def smoothed_objectives(monkeypatch):
     """Per workspace, in order, the smoothed objective w . terms at every
     descent point: each time ``set_eps`` fills the terms of an iterate and

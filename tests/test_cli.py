@@ -1,6 +1,7 @@
 import gc
 import json
 import math
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +10,7 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
+import pbergman as pb
 from pbergman import analysis, cli, kernel, solver
 from pbergman.cli import main
 from pbergman.lacunary import LacunarySeries
@@ -34,14 +36,38 @@ def _run(capsys, argv):
     return code, captured.out, captured.err
 
 
-def test_cli_call_leaves_no_solver_cache_entry(capsys):
-    before = list(solver._GRID_CACHES)  # grids other tests keep alive
-    code, _, _ = _run(
-        capsys, ["kernel", "--domain", "disk:1", "--p", "1.5", "--z", "0.3", "--degree", "8"]
-    )
-    assert code == 0
+def test_cli_calls_keep_at_most_the_bound_of_rules(capsys, fresh_rules):
+    # a call on a rule already asked for reuses its grid, and the grids of
+    # the last _RULES rules stay resident for later calls, never more, however
+    # many rules the calls ask for
+    shapes = [(16 + 2 * k, 32) for k in range(solver._RULES + 2)]
+    argv = ["kernel", "--domain", "disk:0.9", "--p", "1.5", "--z", "0.3", "--degree", "4"]
+    for n_r, K in shapes + shapes[-1:]:
+        code, _, _ = _run(capsys, argv + ["--grid", f"{n_r}x{K}"])
+        assert code == 0
+    info = solver.shared_grid.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, len(shapes), solver._RULES)
     gc.collect()
-    assert all(any(grid is old for old in before) for grid in solver._GRID_CACHES)
+    resident = [g for g in solver._GRID_CACHES if g.domain == pb.Domain("disk", 0.9)]
+    assert sorted((g.radial_count, g.angular_count) for g in resident) == shapes[-solver._RULES :]
+
+
+def test_cli_output_is_the_same_cold_and_warm(capsys, fresh_rules):
+    # the first call on an empty rule cache and a call that finds the rule,
+    # its coarse rule and its tables print the same bytes, timestamp aside;
+    # real and complex arithmetic, both grid levels and the sweep's B_p solves
+    for argv in (
+        ["kernel", "--domain", "annulus:0.5,1", "--p", "3", "--z", "0.7", "--degree", "8"],
+        ["kernel", "--p", "1.5,4", "--z", "0.2,0.3j", "--degree", "8"],
+        ["limit", "--p-list", "0.7", "--z", "0.2+0.1j", "--degree", "6", "--restarts", "3"],
+    ):
+        solver.shared_grid.cache_clear()
+        outputs = []
+        for _ in range(2):
+            code, out, _ = _run(capsys, argv)
+            assert code == 0
+            outputs.append(re.sub(r"timestamp.*", "", out))
+        assert outputs[0] == outputs[1]
 
 
 def test_kernel_json_contract(capsys):

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pbergman as pb
-from pbergman import lacunary
+from pbergman import lacunary, solver
 from pbergman.geometry import QuadratureGrid
 from pbergman.lacunary import (
     LacunarySeries,
@@ -223,6 +225,18 @@ def test_circle_norm_single_term_is_one():
         assert abs(circle_norm_ratio(s, 0.9, p) - 1.0) <= 5e-16
 
 
+@pytest.mark.parametrize("exponents", [(600, 1200), (2048, 4096)])
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_circle_norm_where_every_term_underflows(exponents, p):
+    # at r = 0.5 every term, |f|^2 and the radial profile underflow (0.5^1200
+    # squared, 0.5^2048 itself), so a ratio of them was 0/0; the second term
+    # is below rounding beside the first, so the ratio is 1
+    s = LacunarySeries(exponents, np.ones(2, dtype=complex))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert abs(circle_norm_ratio(s, 0.5, p) - 1.0) <= 1e-15
+
+
 def test_circle_norm_p2_identity():
     rng = np.random.default_rng(37)
     s = _random_series(rng, tuple(2**k for k in range(1, 9)))
@@ -379,6 +393,18 @@ def test_direct_p2_is_multi_term_parseval():
             abs(a) ** 2 / (n + 1) for a, n in zip(s.coefficients, s.exponents)
         )
         assert math.isclose(direct_lp(s, 2.0), exact, rel_tol=1e-12)
+
+
+def test_series_integrals_keep_no_grid(fresh_rules):
+    # the direct integral's 256 x 8 lambda_max rule (2^15 angles here) is
+    # built per call and dropped with it, never kept in the solver's rules
+    s = _dyadic_series(12, seed=79)
+    integrability_record(s, 1.0)
+    circle_norm_ratio(s, 0.9, 1.0)
+    gc.collect()
+    assert solver.shared_grid.cache_info().currsize == 0
+    assert not [obj for obj in gc.get_objects() if isinstance(obj, QuadratureGrid)
+                and obj.angular_count == 8 * s.lambda_max]
 
 
 def test_series_integrals_never_build_flat_grid_arrays(monkeypatch):

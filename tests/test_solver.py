@@ -64,7 +64,7 @@ def test_separable_basis_matches_dense_vandermonde(spec, shape, n_min, n_max):
     domain = pb.parse_domain(spec)
     grid = pb.build_grid(domain, *shape)
     basis = BasisSpec(tuple(range(n_min, n_max + 1)), domain, p)
-    sep = _SeparableBasis(grid, basis)
+    sep = solver._grid_cache(grid).basis(basis)
     Vs = vandermonde(grid, basis.exponents) / basis.col_norms
 
     def rel(got, want):
@@ -162,25 +162,25 @@ def test_p2_return_objective_is_the_grid_sum(spec, n_min, z):
     assert abs(sol.objective - want) <= 1e-13 * want
 
 
-def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch):
+def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch, fresh_rules):
     # across the Levi stencil at p = 2 of two setups on one grid, and at a
     # complex point, no solve builds a grid level or evaluates the series on
-    # the grid, and the Gram of the grid weights is built once for the one
-    # (grid, basis spec) pair
+    # the grid, and the Gram sums of the grid weights are built once for the
+    # one (grid, exponent set) pair
     grid = pb.build_grid(unit_disk, 128, 256)
     grams = []
-    cosine_gram = _SeparableBasis.cosine_gram
+    cosine_sums = solver._BasisTables.cosine_sums
 
     def fail(*args, **kwargs):
         pytest.fail("a p = 2 return built a grid level or took a grid pass")
 
-    def spied_cosine_gram(basis, omega, **kwargs):
+    def spied_cosine_sums(tables, omega, **kwargs):
         grams.append(omega)
-        return cosine_gram(basis, omega, **kwargs)
+        return cosine_sums(tables, omega, **kwargs)
 
     for name in ("values", "half_values", "gram"):
         monkeypatch.setattr(_SeparableBasis, name, fail)
-    monkeypatch.setattr(_SeparableBasis, "cosine_gram", spied_cosine_gram)
+    monkeypatch.setattr(solver._BasisTables, "cosine_sums", spied_cosine_sums)
     monkeypatch.setattr(solver._Workspace, "__init__", fail)
     for _ in range(2):
         record = levi_metric_gap(pb.Setup(unit_disk, degree=8, grid=grid), 2.0)
@@ -675,6 +675,43 @@ def test_concurrent_solves_on_one_grid_match_a_cold_grid(unit_disk):
             _assert_same_bits(got, want)
 
 
+def test_concurrent_solves_across_more_rules_than_the_bound(unit_disk, fresh_rules):
+    # four threads on shared rules, more rules and basis specs than the
+    # bound, so that rules, tables and bases are evicted and rebuilt while
+    # other threads solve on them; every solve matches one on a fresh grid
+    shapes = [(64 + 4 * k, 128) for k in range(solver._RULES + 2)]
+    cases = [(shape, p) for shape in shapes for p in (1.5, 3.0)]
+
+    def solve(grid, p):
+        return pb.Setup(unit_disk, degree=6, grid=grid).solve(p, 0.3)
+
+    cold = {case: solve(pb.build_grid(unit_disk, *case[0]), case[1]) for case in cases}
+    results = {}
+
+    def work(k):
+        for _ in range(3):
+            for shape, p in cases[k:] + cases[:k]:
+                sol = solve(solver.shared_grid(unit_disk, *shape), p)
+                results.setdefault((shape, p), []).append(sol)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(3 * k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for case, want in cold.items():
+        assert len(results[case]) == 12
+        for got in results[case]:
+            _assert_same_bits(got, want)
+    assert solver.shared_grid.cache_info().currsize == solver._RULES
+
+
 # the grid-sized arrays a workspace allocates for its descent
 _WORKSPACE_ARRAYS = ("u", "u_try", "du", "base", "base_try", "terms", "terms_try", "omega")
 
@@ -1002,6 +1039,66 @@ def test_grid_free_k4_lies_in_the_certified_bracket(annulus, z, want):
     assert sol.converged
     slack = 5e-14
     assert sol.objective**-4 * (1.0 - slack) <= k4 <= sol.lower_bound**-4 * (1.0 + slack)
+
+
+@pytest.mark.parametrize("degree", [8, 16])
+@pytest.mark.parametrize("r", [0.3, 0.6])
+def test_punctured_k4_is_the_disk_k4_and_brackets_the_grid_free_k4(
+    unit_disk, punctured, r, degree
+):
+    # at p = 4 the pole z^-1 is not admissible (|n| p >= 2), so the punctured
+    # disk with n_min = -1 solves the disk's problem on an equal grid, bit
+    # for bit; and the grid-free K_4 lies in [U^-4, L^-4] of that solve, up to
+    # the slack of the annulus bracket test
+    disk = pb.Setup(unit_disk, degree=degree)
+    holed = pb.Setup(punctured, degree=degree, n_min=-1)
+    exponents = disk.basis(4.0).exponents
+    assert holed.basis(4.0).exponents == exponents == tuple(range(degree + 1))
+    want, sol = disk.solve(4.0, r), holed.solve(4.0, r)
+    assert sol.converged
+    _assert_same_bits(sol, want)
+    k4 = grid_free_k4(0.0, 1.0, exponents, r)
+    slack = 5e-14
+    assert sol.objective**-4 * (1.0 - slack) <= k4 <= sol.lower_bound**-4 * (1.0 + slack)
+
+
+def test_specs_differing_only_in_p_share_one_set_of_tables(unit_disk, monkeypatch, fresh_rules):
+    # the p-free tables are built once per grid level and exponent set, and
+    # every p takes its own column scaling of them
+    built = []
+    init = solver._BasisTables.__init__
+
+    def spied_init(tables, *args):
+        init(tables, *args)
+        built.append(tables)
+
+    monkeypatch.setattr(solver._BasisTables, "__init__", spied_init)
+    setup = pb.Setup(unit_disk, degree=8)
+    for p in (1.5, 2.0, 3.0):
+        assert setup.solve(p, 0.4).converged
+        assert setup.solve(p, 0.3j).converged
+    cache = solver._grid_cache(setup.grid)
+    bases = [cache.basis(setup.basis(p)) for p in (1.5, 2.0, 3.0)]
+    assert len({id(basis) for basis in bases}) == 3
+    assert all(basis._tables is bases[0]._tables for basis in bases)
+    assert not np.array_equal(bases[0].radial, bases[2].radial)
+    # one set on the requested grid and one on its coarse rule
+    exponents = setup.basis(1.5).exponents
+    coarse = solver._grid_cache(cache.coarse_grid)
+    assert sorted(map(id, built)) == sorted(map(id, [cache.tables(exponents), coarse.tables(exponents)]))
+
+
+def test_a_grid_keeps_the_tables_and_bases_of_at_most_the_bound(unit_disk):
+    # more exponent sets and basis specs than the bound, on one grid
+    grid = pb.build_grid(unit_disk, 16, 32)
+    for degree in range(2, solver._RULES + 4):
+        for p in (1.5, 3.0):
+            basis = pb.Setup(unit_disk, degree=degree, grid=grid).basis(p)
+            problem = ExtremalProblem(basis, grid, p, (point_constraint(basis, 0.3),))
+            assert minimize_pnorm(problem).converged
+    cache = solver._grid_cache(grid)
+    assert cache.tables.cache_info().currsize == solver._RULES
+    assert cache.basis.cache_info().currsize == solver._RULES
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
