@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kernel import BoundaryMarginError, Setup, h_function, metric_at, mp_minimizer
+from .kernel import BoundaryMarginError, Setup, h_function, metric_at, mp_minimizer, rotated
 from .series import evaluate
 from .solver import ExtremalProblem, Solution, grid_values, multistart_minimize
 
@@ -317,16 +317,29 @@ def dp_estimate(
     under that constraint.  The sup over all maximizer pairs is not
     computable; the returned value is a heuristic lower bound taken over the
     near-optimal survivors of ``restarts`` seeded descents (bound: lower).
+
+    K_p and the spread are invariant under rotation, and so in distribution
+    are the circular Gaussian perturbations of the restarts, so the problem
+    is posed at r = |z| and its survivors are rotated to z as ``Setup.solve``
+    rotates its cached solves; d_p and K_p at z are those at |z|, bit for
+    bit.  The restarts start from the cached p = 1 solve
+    ``setup.solve(1.0, r)``, shared by every p of a sweep, its coefficients
+    padded with zeros to the exponents of ``setup.basis(p)``: for p <= 1 the
+    exponents at p = 1 end those at p, and the padded start still meets
+    f(r) = 1.  Only the restarts run in complex arithmetic.
     """
     if not 0.0 < p <= 1.0:
         raise ValueError(f"dp_estimate requires 0 < p <= 1, got {p}")
-    z = complex(z)
     setup.require_interior(z)
-    problem = setup.problem(p, z)
-    solutions = multistart_minimize(problem, restarts=restarts, seed=seed)
+    r = abs(z)
+    problem = setup.problem(p, r, "K_p")
+    base = setup.solve(1.0, r).coeffs.coefficients
+    start = np.pad(base, (problem.basis.dimension - base.size, 0))
+    solutions = multistart_minimize(problem, start, restarts=restarts, seed=seed)
     if not solutions:
         raise RuntimeError(f"no converged multistart run at p={p}")
-    return _pairwise_spread(problem, solutions), solutions
+    u = z / r if r else 1.0
+    return _pairwise_spread(problem, solutions), [rotated(s, u) for s in solutions]
 
 
 def limit_sweep(setup: Setup, z: complex, p_list, *, restarts: int, seed: int) -> LimitRecord:

@@ -11,8 +11,8 @@ configuration gives byte-identical numeric output modulo the timestamp.
 Floats are printed with 17 significant digits so they round-trip.
 
 Exit codes: 0 converged; 2 numerically degraded, when some solve the
-command ran did not converge or a limit row failed (result still printed);
-1 usage or precondition error.
+command ran did not converge (limit's cached p = 1 start included) or a
+limit row failed (result still printed); 1 usage or precondition error.
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    # limit's restarts bypass the solve cache; a failed row is its degraded solve
+    # limit's p = 1 start is cached, its restarts are not: a failed row is their degraded solve
     degraded = (setup is not None and not setup.converged()) or (
         args.command == "limit" and any(row["status"] != "ok" for row in document["rows"])
     )

@@ -132,23 +132,27 @@ class Setup:
                 f"{format_domain(self.domain)}; pass margin= explicitly to override"
             )
 
-    def problem(self, p: float, z: complex, direction: complex | None = None) -> ExtremalProblem:
-        """The K_p problem f(z) = 1, or given a unit ``direction`` X the B_p
-        problem f(z) = 0, X f'(z) = 1, on this setup's basis and grid."""
+    def problem(self, p: float, r: float, kind: str) -> ExtremalProblem:
+        """At the real point r, the K_p problem f(r) = 1 (``kind`` "K_p") or
+        the B_p problem f(r) = 0, f'(r) = 1 (``kind`` "B_p"), on this setup's
+        basis at p and its grid.  Every problem is posed at a real point; a
+        complex point is reached by rotation (``solve``)."""
         basis = self.basis(p)
-        if direction is None:
-            constraints = (point_constraint(basis, z, 1.0),)
+        if kind == "K_p":
+            constraints = (point_constraint(basis, r, 1.0),)
+        elif kind == "B_p":
+            constraints = (point_constraint(basis, r, 0.0), derivative_constraint(basis, r, 1.0))
         else:
-            der_row, _ = derivative_constraint(basis, z, 1.0)
-            constraints = (point_constraint(basis, z, 0.0), (direction * der_row, 1.0))
+            raise ValueError(f'kind must be "K_p" or "B_p", got {kind!r}')
         return ExtremalProblem(basis, self.grid, p, constraints)
 
     def solve(self, p: float, z: complex, direction: complex | None = None) -> Solution:
-        """The ``Solution`` of ``problem(p, z, direction)``, rotated from the
-        cached solve at r = |z|.
+        """The K_p solution at z, or given a unit ``direction`` X the B_p
+        one (f(z) = 0, X f'(z) = 1), rotated from the cached solve of
+        ``problem(p, |z|, kind)``.
 
         The domain, its basis and the norm are invariant under rotation: if g
-        solves the problem at r, the B_p one posed at X = 1, then with
+        solves the problem at r = |z|, the B_p one posed at X = 1, then with
         u = z / r (u = 1 at z = 0) the series f(zeta) = c g(conj(u) zeta),
         coefficients c a_n conj(u)^n, solves it at z, with c = 1 for K_p and
         c = u / X for B_p, and its objective and lower bound scale by |c|.
@@ -156,30 +160,32 @@ class Setup:
         """
         r = abs(z)
         u = z / r if r else 1.0
-        if direction is None:
-            kind, posed, c = "K_p", None, 1.0
-        else:
-            kind, posed, c = "B_p", 1.0, u / direction
+        kind, c = ("K_p", 1.0) if direction is None else ("B_p", u / direction)
         key = (p, r, kind)
         if key not in self.cache:
-            self.cache[key] = minimize_pnorm(self.problem(p, r, posed))
-        sol = self.cache[key]
-        if u == 1 and c == 1:
-            return sol
-        basis = sol.coeffs.basis
-        coeffs = c * sol.coeffs.coefficients * np.conj(u) ** np.array(basis.exponents)
-        lower = None if sol.lower_bound is None else abs(c) * sol.lower_bound
-        return replace(
-            sol,
-            coeffs=CoeffVector(basis, coeffs),
-            objective=abs(c) * sol.objective,
-            lower_bound=lower,
-        )
+            self.cache[key] = minimize_pnorm(self.problem(*key))
+        return rotated(self.cache[key], u, c)
 
     def converged(self, p: float | None = None) -> bool:
         """True when every solve cached at exponent ``p`` converged, or every
         cached solve when ``p`` is None; true when there is none."""
         return all(sol.converged for (q, _, _), sol in self.cache.items() if p in (None, q))
+
+
+def rotated(sol: Solution, u: complex, c: complex = 1.0) -> Solution:
+    """``sol`` for a series g carried to f(zeta) = c g(conj(u) zeta), |u| = 1:
+    coefficients c a_n conj(u)^n, objective and lower bound scaled by |c|.
+    At u = 1 and c = 1, ``sol`` itself."""
+    if u == 1 and c == 1:
+        return sol
+    basis = sol.coeffs.basis
+    coeffs = c * sol.coeffs.coefficients * np.conj(u) ** np.array(basis.exponents)
+    return replace(
+        sol,
+        coeffs=CoeffVector(basis, coeffs),
+        objective=abs(c) * sol.objective,
+        lower_bound=None if sol.lower_bound is None else abs(c) * sol.lower_bound,
+    )
 
 
 def mp_minimizer(setup: Setup, p: float, z: complex) -> KernelResult:

@@ -1,8 +1,9 @@
 """Minimize the quadrature p-norm of a truncated series over an affine slice.
 
-The engine behind every extremal quantity in the package.  Complex linear
-constraints are eliminated exactly (particular solution plus an orthonormal
-null-space basis), so every iterate is feasible to rounding; the problem
+The engine behind every extremal quantity in the package.  Real linear
+constraints, those of a problem posed at a real point, are eliminated
+exactly (particular solution plus an orthonormal null-space basis), so
+every iterate is feasible to rounding; the problem
 takes that elimination once, from one SVD, and every grid of a solve shares
 its coordinates t.  The non-smooth objective sum_i w_i |f(z_i)|^p is
 replaced by sum_i w_i (|f(z_i)|^2 + eps)^(p/2) with eps driven down the
@@ -35,17 +36,19 @@ the K x (span + 1) table of the lags plus O(n_r D^2) work.  At the basis
 sizes of the package (D <= 97) a solve on these products is faster than
 one that takes an FFT per radius.
 
-A problem whose constraint rows and targets are real, as every one-point
-problem at a real point is, commutes with f -> conj(f(conj z)), and the
-angles 2 pi k / K are closed under theta -> -theta.  For p >= 1 its smoothed
-objective is strictly convex in t, so the minimizer is real, and
-``minimize_pnorm`` runs both grid levels in real arithmetic: t, the
+Every problem is posed at a real point, so its constraint rows and targets
+are real (a problem at a complex point is posed at its modulus and its
+solution rotated, as ``kernel.Setup.solve`` does).  Such a problem commutes
+with f -> conj(f(conj z)), and the angles 2 pi k / K are closed under
+theta -> -theta, so the IRLS map commutes with conjugation and a descent
+from the real least-squares point stays real.  ``minimize_pnorm``
+therefore runs both grid levels in real arithmetic at every p: t, the
 slice and the reduced system are real; |f| of real coefficients is even
 in the angle, so only the K // 2 + 1 angles in [0, pi] are evaluated (the
 table of the exponents on those angles, every angle with a mirror
 weighted twice); and the Gram is a cosine sum of the weights, a product
-against a real table of cosines.  Complex constraints, p < 1 and the
-multistart restarts, whose minimizers need not be symmetric, keep the
+against a real table of cosines.  Only the multistart restarts, which
+start off the real slice and whose minimizers need not be symmetric, take
 complex arithmetic on all K angles.
 
 Each line-search trial takes one power of |u|^2 + eps on the grid, and the
@@ -112,7 +115,7 @@ import functools
 import math
 import weakref
 from collections.abc import Iterator
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -200,20 +203,22 @@ def derivative_constraint(basis: BasisSpec, z: complex, value: complex = 1.0) ->
 
 @dataclass(frozen=True, eq=False)
 class ExtremalProblem:
-    """min ||f||_p over coefficients subject to complex linear constraints.
+    """min ||f||_p over coefficients subject to real linear constraints.
 
-    The grid lies on the basis's domain and has more angles than the span
-    n_max - n_min of the basis exponents, so no two exponents are equal
-    modulo the angular count and the grid integrates |f|^2 exactly in the
-    angle.
-    ``constraints`` is a sequence of finite (row, target) pairs; the rows
-    act on raw monomial coefficients, are linearly independent and fewer
-    than the basis dimension.  ``constraint_matrix`` and ``constraint_targets``
-    stack them once, read-only.  ``feasible_slice`` is (a0, N) from one SVD
-    of the rows over ``basis.col_norms``, which also tests the rank: the
-    slice is a0 + N t in scaled coefficients, N with orthonormal columns.
-    When every row and target is real (``is_real``), as at a real point, the
-    SVD is real and so are a0 and N; their complex span is the same slice.
+    The basis is admissible at this ``p`` (``basis.p == p``).  The grid lies
+    on the basis's domain and has more angles than the span n_max - n_min
+    of the basis exponents, so no two exponents are equal modulo the
+    angular count and the grid integrates |f|^2 exactly in the angle.
+    ``constraints`` is a sequence of finite, real (row, target) pairs, kept
+    as complex values with zero imaginary parts: a problem is posed at a
+    real point, and one at a complex point z is posed at |z| and its
+    solution rotated.  The rows act on raw monomial coefficients, are
+    linearly independent and fewer than the basis dimension.
+    ``constraint_matrix`` and ``constraint_targets`` stack them once,
+    read-only.  ``feasible_slice`` is (a0, N), real, from one SVD of the
+    real parts of the rows over ``basis.col_norms``, which also tests the
+    rank: the slice is a0 + N t in scaled coefficients, N with orthonormal
+    columns; its complex span is the slice of the restarts.
     """
 
     basis: BasisSpec
@@ -225,6 +230,8 @@ class ExtremalProblem:
     def __post_init__(self):
         if not 0 < self.p < math.inf:
             raise ValueError(f"p must be positive and finite, got {self.p}")
+        if self.basis.p != self.p:
+            raise ValueError(f"a basis at p={self.basis.p} for a problem at p={self.p}")
         if self.grid.domain != self.basis.domain:
             raise ValueError(
                 f"the grid is on {format_domain(self.grid.domain)} but the basis "
@@ -254,13 +261,13 @@ class ExtremalProblem:
         C, b = self.constraint_matrix, self.constraint_targets
         if not (np.isfinite(C).all() and np.isfinite(b).all()):
             raise ValueError("constraint rows and targets must be finite")
-        if not (C.imag.any() or b.imag.any()):
-            C, b = C.real, b.real
-        U, sigma, Vh = np.linalg.svd(C / self.basis.col_norms)
+        if C.imag.any() or b.imag.any():
+            raise ValueError("constraint rows and targets must be real: pose at |z| and rotate")
+        U, sigma, Vh = np.linalg.svd(C.real / self.basis.col_norms)
         if sigma[-1] <= sigma[0] * dim * np.finfo(float).eps:
             raise InfeasibleConstraintsError("constraint rows are linearly dependent")
-        a0 = Vh[: len(cons)].conj().T @ ((U.conj().T @ b) / sigma)
-        N = Vh[len(cons) :].conj().T
+        a0 = Vh[: len(cons)].T @ ((U.T @ b.real) / sigma)
+        N = Vh[len(cons) :].T
         for part in (a0, N):
             part.setflags(write=False)
         object.__setattr__(self, "feasible_slice", (a0, N))
@@ -277,11 +284,6 @@ class ExtremalProblem:
         b.setflags(write=False)
         return b
 
-    @property
-    def is_real(self) -> bool:
-        """Whether the constraint rows and targets, hence the slice, are real."""
-        return not np.iscomplexobj(self.feasible_slice[1])
-
     def raw_from_t(self, t: np.ndarray) -> np.ndarray:
         a0, N = self.feasible_slice
         return (a0 + N @ t) / self.basis.col_norms
@@ -289,7 +291,7 @@ class ExtremalProblem:
     def t_from_raw(self, a_raw: np.ndarray) -> np.ndarray:
         """t of the orthogonal projection of scaled ``a_raw`` onto the slice."""
         a0, N = self.feasible_slice
-        return N.conj().T @ (np.asarray(a_raw, dtype=complex) * self.basis.col_norms - a0)
+        return N.T @ (np.asarray(a_raw, dtype=complex) * self.basis.col_norms - a0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -623,8 +625,8 @@ class _Workspace:
     The basis comes from the grid's cache and the slice (a0, N) from the
     problem, so every level of a solve works in the same coordinates t.
     ``dtype`` is that of t and of the reduced system: float for a ``real``
-    workspace, which needs a real slice and keeps t real, and complex
-    otherwise.  A real workspace holds its grid values on the angles in
+    workspace, that of a cold solve, which keeps t real, and complex for a
+    restart.  A real workspace holds its grid values on the angles in
     [0, pi] (``_SeparableBasis.half_values``), sums them under ``w`` =
     ``mirror_weights`` and takes its Gram by ``cosine_gram``, so it works on
     half the nodes and allocates about half the memory.
@@ -916,11 +918,11 @@ def minimize_pnorm(problem: ExtremalProblem) -> Solution:
     the exact minimizer for p = 2 and is then returned with no iterations.
     Every other solve runs its early stages on a coarser grid when the
     problem's grid allows (see the module docstring), both levels in real
-    arithmetic on half the angles when the problem is real and p >= 1.  The
-    stop rule is fixed by the module constants.  At p > 1, ``converged``
-    holds when the relative duality gap of the final iterate is at most
-    ``_GAP_TOL``; the requested grid runs the 1e-10 stage and, while the gap
-    is above that, each of ``_GAP_STAGES``.  At p <= 1 it holds when every
+    arithmetic on half the angles.  The stop rule is fixed by the module
+    constants.  At p > 1, ``converged`` holds when the relative duality gap
+    of the final iterate is at most ``_GAP_TOL``; the requested grid runs
+    the 1e-10 stage and, while the gap is above that, each of
+    ``_GAP_STAGES``.  At p <= 1 it holds when every
     stage on the requested grid stagnated and the raw objective drifted by
     at most ``_DRIFT_TOL`` relative over the last two stages.
     Non-convergence is reported through ``converged``, never silently.
@@ -939,12 +941,9 @@ def minimize_pnorm(problem: ExtremalProblem) -> Solution:
         raw = float(np.vdot(a, G @ a).real)
         lower = raw / math.sqrt(raw)
         return _solution(problem, t, raw, lower, True, (0, 0, 0), (0, fallbacks, 0))
-    # A real problem is symmetric under conjugation, so at p >= 1 its
-    # smoothed objective, strictly convex in t, has a real minimizer, and
-    # IRLS from the real least-squares point stays real.  Below 1 the
-    # descent may leave the real slice.
-    real = problem.p >= 1.0 and problem.is_real
-    return _requested_level(problem, *_coarse_level(problem, None, real), real)
+    # the rows are real, so the IRLS map commutes with conjugation and the
+    # descent from the real least-squares point stays real, at every p
+    return _requested_level(problem, *_coarse_level(problem, None, True), True)
 
 
 def _coarse_level(problem: ExtremalProblem, t, real: bool):
@@ -1030,33 +1029,35 @@ def _distinct(coefficients) -> list[int]:
     return kept
 
 
-def multistart_minimize(problem: ExtremalProblem, *, restarts: int, seed: int) -> list[Solution]:
+def multistart_minimize(
+    problem: ExtremalProblem, start: np.ndarray, *, restarts: int, seed: int
+) -> list[Solution]:
     """Seeded restarts for 0 < p <= 1, where the problem may be nonconvex
     (p < 1) or its minimizer not unique (p = 1).
 
-    Descents start from the p = 1 solution of the same constraints and, for
-    k = 1 .. restarts - 1, from perturbations of it drawn by the generator
-    keyed [seed, k].  Every restart runs the coarse level of
-    ``minimize_pnorm``; only the first of each cluster of coarse end points
-    (coefficient distance 1e-4; every restart on a grid too small to
-    coarsen) runs the requested grid, and reports its own coarse steps.
-    Converged solutions are deduplicated at the same distance and returned
-    sorted by objective; distinct survivors are all reported, uniqueness is
-    never asserted.
+    Descents start from the raw coefficients ``start`` on the problem's
+    basis (for ``analysis.dp_estimate``, the p = 1 solution of the same
+    constraints) and, for k = 1 .. restarts - 1, from perturbations of it
+    by circular Gaussian noise drawn by the generator keyed [seed, k].
+    They are the only descents in complex arithmetic on all K angles, since
+    the perturbations leave the real slice.  Every restart runs the coarse
+    level of ``minimize_pnorm``; only the first of each cluster of coarse
+    end points (coefficient distance 1e-4; every restart on a grid too
+    small to coarsen) runs the requested grid, and reports its own coarse
+    steps.  Converged solutions are deduplicated at the same distance and
+    returned sorted by objective; distinct survivors are all reported,
+    uniqueness is never asserted.
     """
     if restarts < 1 or seed < 0:
         raise ValueError(f"need restarts >= 1 and seed >= 0, got {restarts} and {seed}")
-    base_problem = problem if problem.p == 1.0 else replace(problem, p=1.0)
-    base_coeffs = minimize_pnorm(base_problem).coeffs.coefficients
-
-    starts = [base_coeffs]
-    scale = 0.5 * max(1.0, float(np.linalg.norm(base_coeffs)))
-    dim = base_coeffs.size
+    starts = [start]
+    scale = 0.5 * max(1.0, float(np.linalg.norm(start)))
+    dim = problem.basis.dimension
     for k in range(1, restarts):
         rng = np.random.default_rng([seed, k])
         noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        starts.append(base_coeffs + scale * noise / math.sqrt(dim))
-    ends = [_coarse_level(problem, problem.t_from_raw(start), False) for start in starts]
+        starts.append(start + scale * noise / math.sqrt(dim))
+    ends = [_coarse_level(problem, problem.t_from_raw(point), False) for point in starts]
     if _grid_cache(problem.grid).coarse_grid is not None:
         ends = [ends[i] for i in _distinct([problem.raw_from_t(t) for t, _ in ends])]
     runs = [_requested_level(problem, t, coarse, False) for t, coarse in ends]

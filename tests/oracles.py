@@ -1,9 +1,10 @@
 """Independent oracles the suite checks the production code against.
 
 Deliberately disjoint from the solve path: the least-norm oracle assembles
-the raw Gram KKT system, the KKT-residual oracle projects the gradient of
-||f||_p^p, taken on the dense quadrature matrix, onto the constraint null
-space, the metric oracle runs a derivative-free simplex search, the
+the raw Gram KKT system, ``point_rows`` builds the constraint rows of a
+point, complex or real, from the monomials, the KKT-residual oracle
+projects the gradient of ||f||_p^p, taken on the dense quadrature matrix,
+onto the null space of given rows, the metric oracle runs a derivative-free simplex search, the
 disk- and annulus-kernel oracles are the classical closed forms, with the
 Levi form of the log of the latter, ``monomial_lp_norm`` integrates |z^n|^p
 in extended precision, ``quarter_laplacian`` is the planar 13-point
@@ -54,22 +55,34 @@ def least_norm_coeffs(grid, exponents, rows, targets):
     return a, objective
 
 
-def kkt_residual(problem, coefficients):
+def point_rows(exponents, z, direction=None):
+    """Dense constraint rows and targets on raw monomial coefficients at the
+    point z, complex or real: f(z) = 1, or given a direction X, f(z) = 0 and
+    X f'(z) = 1."""
+    n = np.asarray(exponents)
+    z = complex(z)
+    values = np.array([z**k for k in n])
+    if direction is None:
+        return values[None, :], np.array([1.0 + 0j])
+    slopes = np.array([0j if k == 0 else direction * k * z ** (k - 1) for k in n])
+    return np.array([values, slopes]), np.array([0j, 1.0 + 0j])
+
+
+def kkt_residual(grid, exponents, p, rows, coefficients):
     """Norm of the gradient of ||f||_p^p projected onto the null space of the
-    constraint rows, for raw coefficients of ``problem``.
+    constraint ``rows``, for raw coefficients on ``exponents``.
 
     For p > 1, where the objective is differentiable away from zeros of f.
     The gradient is V^H (p w |u|^(p-2) u) with u = V a on the dense
     quadrature matrix V, encoded as grad_re + 1j*grad_im per coefficient.
     """
-    grid, p = problem.grid, problem.p
-    V = vandermonde(grid, problem.basis.exponents)
+    V = vandermonde(grid, exponents)
     u = V @ np.asarray(coefficients, dtype=complex)
     absu = np.abs(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.where(absu > 0, absu ** (p - 2.0), 0.0) * u
     grad = V.conj().T @ (grid.weights * p * c)
-    N = scipy.linalg.null_space(problem.constraint_matrix)
+    N = scipy.linalg.null_space(np.atleast_2d(rows))
     return float(np.linalg.norm(N.conj().T @ grad))
 
 

@@ -163,8 +163,8 @@ def test_a8_solver_certificates(unit_disk, disk_grid, smoothed_objectives):
     for seed in range(3):
         r = np.random.default_rng(seed)
         basis = disk10.basis(2.0)
-        rows = r.standard_normal((2, 11)) + 1j * r.standard_normal((2, 11))
-        targets = r.standard_normal(2) + 1j * r.standard_normal(2)
+        rows = r.standard_normal((2, 11))
+        targets = r.standard_normal(2)
         prob = ExtremalProblem(basis, disk_grid, 2.0, tuple(zip(rows, targets)))
         sol = minimize_pnorm(prob)
         _, oracle_obj = least_norm_coeffs(disk_grid, basis.exponents, rows, targets)

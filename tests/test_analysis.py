@@ -257,6 +257,23 @@ def test_dp_estimate_monotone_in_restarts(deg8):
     assert values[1] <= values[2] + 1e-12
 
 
+def test_dp_estimate_survivors_meet_the_constraint_at_z(deg8):
+    # posed at |z|, the survivors come back rotated to z: f(z) = 1, with the
+    # objectives and the spread of the survivors at |z|
+    z = 0.3 - 0.4j
+    turned, at_z = dp_estimate(deg8(), 0.7, z, restarts=4, seed=0)
+    real, at_r = dp_estimate(deg8(), 0.7, abs(z), restarts=4, seed=0)
+    assert turned == real
+    assert len(at_z) == len(at_r) > 0
+    for got, want in zip(at_z, at_r):
+        assert abs(pb.evaluate(got.coeffs, z) - 1.0) <= 1e-10
+        assert abs(pb.evaluate(want.coeffs, abs(z)) - 1.0) <= 1e-10
+        assert got.objective == want.objective
+        exponents = np.array(want.coeffs.basis.exponents)
+        rotated = want.coeffs.coefficients * np.conj(z / abs(z)) ** exponents
+        assert np.array_equal(got.coeffs.coefficients, rotated)
+
+
 def test_dp_estimate_validates_range(deg8):
     with pytest.raises(ValueError):
         dp_estimate(deg8(), 1.5, 0.0, restarts=2, seed=0)
@@ -300,6 +317,60 @@ def test_limit_sweep_repeats_exactly(deg8):
     assert first == second
 
 
+def test_limit_rows_do_not_depend_on_the_phase_of_z(deg8):
+    # K_p and the spread are rotation-invariant, so a row is posed at |z|:
+    # the rows at 0.3i are those at 0.3, bit for bit, for the same seed
+    ps = [0.7, 0.9, 1.0]
+    turned = limit_sweep(deg8(), 0.3j, ps, restarts=4, seed=0)
+    real = limit_sweep(deg8(), 0.3, ps, restarts=4, seed=0)
+    assert turned.z == 0.3j and real.z == 0.3
+    assert turned.statuses == real.statuses == ("ok",) * 3
+    assert turned.k_p_values == real.k_p_values
+    assert turned.d_p_estimates == real.d_p_estimates
+
+
+def test_limit_sweep_solves_its_p1_start_once(monkeypatch, deg8):
+    # every row starts its restarts from the one cached p = 1 solve at |z|,
+    # the only cold solve of the sweep; the restarts run outside the cache
+    calls = []
+    minimize = solver.minimize_pnorm
+
+    def counted(problem):
+        calls.append(problem.p)
+        return minimize(problem)
+
+    for module in (solver, pb.kernel):
+        monkeypatch.setattr(module, "minimize_pnorm", counted)
+    setup = deg8()
+    record = limit_sweep(setup, 0.3 - 0.4j, [0.7, 0.9, 1.0], restarts=4, seed=0)
+    assert record.statuses == ("ok",) * 3
+    assert list(setup.cache) == [(1.0, 0.5, "K_p")]
+    assert calls == [1.0]
+
+
+def test_limit_start_on_a_basis_with_a_pole_below_one(monkeypatch, punctured):
+    # on the punctured disk with n_min = -2, z^-2 is admissible below p = 1
+    # and not at 1: each row's restarts start from the p = 1 solve on the
+    # p = 1 exponents, -1 .. 8, padded with a zero z^-2 coefficient
+    starts = {}
+    multistart = analysis.multistart_minimize
+
+    def recording(problem, start, **restarts_and_seed):
+        starts[problem.p] = start
+        return multistart(problem, start, **restarts_and_seed)
+
+    monkeypatch.setattr(analysis, "multistart_minimize", recording)
+    setup = pb.Setup(punctured, degree=8, n_min=-2)
+    record = limit_sweep(setup, 0.5, [0.8, 0.9], restarts=2, seed=0)
+    assert record.statuses == ("ok", "ok")
+    base = setup.cache[(1.0, 0.5, "K_p")]
+    assert base.coeffs.basis.exponents == tuple(range(-1, 9))
+    for p in (0.8, 0.9):
+        assert setup.basis(p).exponents == tuple(range(-2, 9))
+        assert starts[p][0] == 0.0
+        assert np.array_equal(starts[p][1:], base.coeffs.coefficients)
+
+
 def test_limit_sweep_restarts_pinned(monkeypatch, deg8):
     # K_p pinned from the Anderson-accelerated two-grid restarts.  Each pin
     # sits above the plain-IRLS value it replaced (``plain``), as a computed
@@ -307,8 +378,8 @@ def test_limit_sweep_restarts_pinned(monkeypatch, deg8):
     survivors = {}
     multistart = analysis.multistart_minimize
 
-    def recording(problem, **restarts_and_seed):
-        survivors[problem.p] = multistart(problem, **restarts_and_seed)
+    def recording(problem, start, **restarts_and_seed):
+        survivors[problem.p] = multistart(problem, start, **restarts_and_seed)
         return survivors[problem.p]
 
     monkeypatch.setattr(analysis, "multistart_minimize", recording)

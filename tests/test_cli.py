@@ -425,6 +425,18 @@ def test_control_characters_in_strings_round_trip(capsys, tmp_path, monkeypatch)
     assert json.loads(lines[0][len("# config: "):])["domain"] == "disk:1\n"
 
 
+def test_limit_exits_two_when_its_p1_start_fails(capsys, monkeypatch):
+    # every row's restarts converge, but the cached p = 1 solve they start
+    # from does not: a degraded solve the command ran
+    solve = kernel.minimize_pnorm
+    monkeypatch.setattr(kernel, "minimize_pnorm", lambda problem: replace(solve(problem), converged=False))
+    code, out, _ = _run(capsys, ["limit", "--p-list", "0.7,0.9", "--degree", "6", "--restarts", "3"])
+    assert code == 2
+    doc = json.loads(out)
+    _validator("limit").validate(doc)
+    assert [row["status"] for row in doc["rows"]] == ["ok", "ok"]
+
+
 def test_metric_exits_two_when_its_kernel_solve_fails(capsys, monkeypatch):
     # the B_p solve converges, the K_p solve it divides by does not: every
     # K_p problem (one constraint) reports converged = False

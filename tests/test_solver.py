@@ -1,4 +1,3 @@
-import cmath
 import math
 import sys
 import threading
@@ -45,6 +44,26 @@ def _restart(prob, start):
     requested grid, both in complex arithmetic."""
     t, coarse = solver._coarse_level(prob, prob.t_from_raw(start), False)
     return solver._requested_level(prob, t, coarse, False)
+
+
+def _complex_levels(prob):
+    """The cold descent of ``minimize_pnorm`` in the complex arithmetic of the
+    restarts: both grid levels on all K angles, from the least-squares
+    point."""
+    return solver._requested_level(prob, *solver._coarse_level(prob, None, False), False)
+
+
+def _kkt(prob, coefficients):
+    """``kkt_residual`` of raw ``coefficients`` under the rows of ``prob``."""
+    return kkt_residual(prob.grid, prob.basis.exponents, prob.p, prob.constraint_matrix, coefficients)
+
+
+def _p1_start(prob):
+    """The start ``analysis.dp_estimate`` gives the restarts of ``prob``, a
+    problem whose basis has the same exponents at p = 1: the raw
+    coefficients of the p = 1 solve of its constraints on its grid."""
+    basis = BasisSpec(prob.basis.exponents, prob.basis.domain, 1.0)
+    return minimize_pnorm(ExtremalProblem(basis, prob.grid, 1.0, prob.constraints)).coeffs.coefficients
 
 
 @pytest.mark.parametrize(
@@ -97,20 +116,19 @@ def test_separable_basis_matches_dense_vandermonde(spec, shape, n_min, n_max):
 
 
 def test_solves_take_no_fft(unit_disk, monkeypatch):
-    # every angular sum is a product against a table: a real point, a
-    # complex point and a multistart run on a fresh grid with numpy's FFTs
-    # made to fail
+    # every angular sum is a product against a table: cold solves in real
+    # arithmetic at p > 1 and p < 1, and a multistart run in complex
+    # arithmetic, on a fresh grid with numpy's FFTs made to fail
     def fail(*args, **kwargs):
         pytest.fail("a solve called numpy.fft")
 
     for name in ("fft", "ifft", "rfft", "irfft", "fftn", "ifftn", "rfftn", "irfftn"):
         monkeypatch.setattr(np.fft, name, fail)
     grid = pb.build_grid(unit_disk, 64, 128)
-    for p, z in ((1.5, 0.4), (1.5, 0.3 + 0.2j)):
-        prob = _problem(unit_disk, grid, p, 12, lambda b: (point_constraint(b, z, 1.0),))
+    for p, degree in ((1.5, 12), (0.8, 8)):
+        prob = _problem(unit_disk, grid, p, degree, lambda b: (point_constraint(b, 0.4, 1.0),))
         assert minimize_pnorm(prob).converged
-    prob = _problem(unit_disk, grid, 0.8, 8, lambda b: (point_constraint(b, 0.3 + 0.2j, 1.0),))
-    assert multistart_minimize(prob, restarts=3, seed=0)
+    assert multistart_minimize(prob, _p1_start(prob), restarts=3, seed=0)
 
 
 def test_p2_center_constant_minimizer(unit_disk, disk_grid):
@@ -130,11 +148,11 @@ def test_p2_returns_least_squares_start(spec):
     domain = pb.parse_domain(spec)
     grid = pb.build_grid(domain, 64, 128)
     basis = _basis(domain, 2.0, 12)
-    prob = ExtremalProblem(basis, grid, 2.0, (point_constraint(basis, 0.7 + 0.1j, 1.0),))
+    prob = ExtremalProblem(basis, grid, 2.0, (point_constraint(basis, 0.7, 1.0),))
     sol = minimize_pnorm(prob)
     assert sol.iterations == 0 and sol.converged
     assert abs(sol.duality_gap) <= 1e-15
-    assert kkt_residual(prob, sol.coeffs.coefficients) <= 1e-10
+    assert _kkt(prob, sol.coeffs.coefficients) <= 1e-10
     # the staged descent from the same coefficients stays where it started
     staged = _restart(prob, sol.coeffs.coefficients)
     assert staged.converged
@@ -145,7 +163,7 @@ def test_p2_returns_least_squares_start(spec):
 
 @pytest.mark.parametrize(
     "spec,n_min,z",
-    [("disk:1", None, 0.4 + 0.1j), ("annulus:0.5,1", None, 0.7), ("punctured:1", -1, 0.5j)],
+    [("disk:1", None, 0.4), ("annulus:0.5,1", None, 0.7), ("punctured:1", -1, 0.5)],
     ids=["disk", "annulus", "punctured"],
 )
 def test_p2_return_objective_is_the_grid_sum(spec, n_min, z):
@@ -163,8 +181,8 @@ def test_p2_return_objective_is_the_grid_sum(spec, n_min, z):
 
 
 def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch, fresh_rules):
-    # across the Levi stencil at p = 2 of two setups on one grid, and at a
-    # complex point, no solve builds a grid level or evaluates the series on
+    # across the Levi stencil at p = 2 of two setups on one grid, and at one
+    # more point, no solve builds a grid level or evaluates the series on
     # the grid, and the Gram sums of the grid weights are built once for the
     # one (grid, exponent set) pair
     grid = pb.build_grid(unit_disk, 128, 256)
@@ -186,7 +204,7 @@ def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch, fresh_rules):
         record = levi_metric_gap(pb.Setup(unit_disk, degree=8, grid=grid), 2.0)
         assert record.converged
     sol = minimize_pnorm(
-        _problem(unit_disk, grid, 2.0, 8, lambda b: (point_constraint(b, 0.3 + 0.4j, 1.0),))
+        _problem(unit_disk, grid, 2.0, 8, lambda b: (point_constraint(b, 0.5, 1.0),))
     )
     assert sol.converged and sol.iterations == 0
     # its certificate comes from the same Gram
@@ -203,8 +221,8 @@ def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch, fresh_rules):
 )
 def test_drift_objectives_only_on_the_requested_grid(unit_disk, monkeypatch, shape, sizes):
     # at p = 1 the drift test reads the raw objective after the last two
-    # stages on the requested grid; the coarse level takes none; at a real
-    # and a complex point
+    # stages on the requested grid; the coarse level takes none; cold, in
+    # real arithmetic, and restarted, in complex arithmetic
     calls = []
     raw_objective = solver._Workspace.raw_objective
 
@@ -214,22 +232,23 @@ def test_drift_objectives_only_on_the_requested_grid(unit_disk, monkeypatch, sha
 
     monkeypatch.setattr(solver._Workspace, "raw_objective", spied)
     grid = pb.build_grid(unit_disk, *shape)
-    for z in (0.3, 0.3j):
+    prob = _problem(unit_disk, grid, 1.0, 16, lambda b: (point_constraint(b, 0.3, 1.0),))
+    start = np.ones(prob.basis.dimension)
+    for solve in (minimize_pnorm, lambda prob: _restart(prob, start)):
         calls.clear()
-        prob = _problem(unit_disk, grid, 1.0, 16, lambda b: (point_constraint(b, z, 1.0),))
-        sol = minimize_pnorm(prob)
+        sol = solve(prob)
         assert sol.converged and (sol.coarse_iterations > 0) == (shape == (128, 256))
         assert calls == sizes
 
 
-def _single_grid(prob):
+def _single_grid(prob, real=True):
     """The whole schedule on the problem's own grid from its least-squares start,
-    in the arithmetic of ``minimize_pnorm`` (real for a real problem at
-    p >= 1), with the objective and ``converged`` as ``minimize_pnorm``
-    reports them: at p > 1 the stages from 1e-6, certified after 1e-10 and
-    after each gap stage until the duality gap meets ``_GAP_TOL``; at p <= 1
-    every stage, with the drift test over the last two."""
-    ws = solver._Workspace(prob, prob.grid, real=prob.is_real and prob.p >= 1.0)
+    in real arithmetic, that of ``minimize_pnorm``, or in complex, with the
+    objective and ``converged`` as ``minimize_pnorm`` reports them: at p > 1
+    the stages from 1e-6, certified after 1e-10 and after each gap stage
+    until the duality gap meets ``_GAP_TOL``; at p <= 1 every stage, with the
+    drift test over the last two."""
+    ws = solver._Workspace(prob, prob.grid, real)
     if prob.p > 1.0:
         schedule = solver.SMOOTHING_SCHEDULE[2:]
         descent = solver._descend(ws, ws.least_squares(), schedule + solver._GAP_STAGES)
@@ -261,24 +280,26 @@ def _single_grid(prob):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0, 4.0])
 @pytest.mark.parametrize(
-    "spec,n_min,z",
+    "spec,n_min,r,real",
     [
-        ("disk:1", None, 0.4 + 0.1j),
-        ("disk:1", None, 0.4),
-        ("annulus:0.5,1", None, 0.6 + 0.2j),
-        ("annulus:0.5,1", None, 0.7),
-        ("punctured:1", -1, 0.5j),
-        ("punctured:1", -1, 0.5),
+        ("disk:1", None, abs(0.4 + 0.1j), False),
+        ("disk:1", None, 0.4, True),
+        ("annulus:0.5,1", None, abs(0.6 + 0.2j), False),
+        ("annulus:0.5,1", None, 0.7, True),
+        ("punctured:1", -1, 0.5, False),
+        ("punctured:1", -1, 0.5, True),
     ],
     ids=["disk", "disk-real", "annulus-complex", "annulus", "punctured", "punctured-real"],
 )
-def test_two_grid_matches_single_grid_descent(spec, n_min, z, p):
+def test_two_grid_matches_single_grid_descent(spec, n_min, r, real, p):
+    # in the real arithmetic of ``minimize_pnorm`` and in the complex
+    # arithmetic of the restarts, run cold
     domain = pb.parse_domain(spec)
     grid = pb.build_grid(domain, 128, 256)
     basis = _basis(domain, p, 24, n_min)
-    prob = ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
-    two = minimize_pnorm(prob)
-    one = _single_grid(prob)
+    prob = ExtremalProblem(basis, grid, p, (point_constraint(basis, r, 1.0),))
+    two = minimize_pnorm(prob) if real else _complex_levels(prob)
+    one = _single_grid(prob, real)
     # at p > 1 the requested grid's one stage may take no step
     assert 0 < two.coarse_iterations <= two.iterations
     assert (two.coarse_iterations < two.iterations) or p > 1.0
@@ -289,7 +310,7 @@ def test_two_grid_matches_single_grid_descent(spec, n_min, z, p):
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
 @pytest.mark.parametrize(
-    "spec,z", [("disk:1", 0.4 + 0.1j), ("annulus:0.5,1", 0.7)], ids=["disk", "annulus"]
+    "spec,z", [("disk:1", abs(0.4 + 0.1j)), ("annulus:0.5,1", 0.7)], ids=["disk", "annulus"]
 )
 def test_started_solve_matches_single_grid_descent(spec, z, p):
     domain = pb.parse_domain(spec)
@@ -297,7 +318,7 @@ def test_started_solve_matches_single_grid_descent(spec, z, p):
     basis = _basis(domain, p, 24)
     cons = (point_constraint(basis, z, 1.0),)
     prob = ExtremalProblem(basis, grid, p, cons)
-    ls = minimize_pnorm(ExtremalProblem(basis, grid, 2.0, cons)).coeffs.coefficients
+    ls = minimize_pnorm(ExtremalProblem(_basis(domain, 2.0, 24), grid, 2.0, cons)).coeffs.coefficients
     rng = np.random.default_rng(17)
     noise = rng.standard_normal(ls.size) + 1j * rng.standard_normal(ls.size)
     start = ls + 0.1 * np.linalg.norm(ls) * noise / math.sqrt(ls.size)
@@ -322,14 +343,11 @@ def _workspace_dtypes(monkeypatch):
     return dtypes
 
 
-def _phase_turned(prob, phase=1j):
-    """``prob`` with every row and target times ``phase``: the same slice,
-    posed by complex constraints."""
-    return replace(prob, constraints=tuple((phase * row, phase * b) for row, b in prob.constraints))
-
-
 @pytest.mark.parametrize("p", [1.0, 1.5, 3.0])
 def test_real_arithmetic_only_for_cold_real_solves_at_p_from_one(unit_disk, disk_grid, monkeypatch, p):
+    # the cold K_p and B_p solves run both levels in real arithmetic; the
+    # restarts from their solutions start off the real slice and run in
+    # complex arithmetic; the p = 2 return builds no level
     dtypes = _workspace_dtypes(monkeypatch)
     basis = _basis(unit_disk, p, 10)
     K_p = ExtremalProblem(basis, disk_grid, p, (point_constraint(basis, 0.4, 1.0),))
@@ -337,29 +355,69 @@ def test_real_arithmetic_only_for_cold_real_solves_at_p_from_one(unit_disk, disk
         basis, disk_grid, p, (point_constraint(basis, -0.3, 0.0), derivative_constraint(basis, -0.3, 1.0))
     )
     for prob in (K_p, B_p):
-        assert prob.is_real
         sol = minimize_pnorm(prob)
         assert dtypes == [float, float]
         # the real slice and real arithmetic give exactly real coefficients
         assert not sol.coeffs.coefficients.imag.any()
         dtypes.clear()
-        for other in (
-            _phase_turned(prob),  # complex rows
-            ExtremalProblem(basis, disk_grid, p, (point_constraint(basis, 0.4j, 1.0),)),
-            replace(prob, p=0.9),  # below 1
-        ):
-            assert not other.is_real or other.p < 1
-            minimize_pnorm(other)
-            assert dtypes == [complex, complex]
+        if p == 1.0:
+            multistart_minimize(prob, sol.coeffs.coefficients, restarts=3, seed=0)
+            assert len(dtypes) > 2 and set(dtypes) == {complex}
             dtypes.clear()
-        # the real p = 1 solve that seeds the restarts, then the restarts,
-        # which start off the real slice
-        multistart_minimize(replace(prob, p=1.0), restarts=3, seed=0)
-        assert dtypes[:2] == [float, float]
-        assert len(dtypes) > 2 and set(dtypes[2:]) == {complex}
-        dtypes.clear()
-    minimize_pnorm(replace(K_p, p=2.0))  # the p = 2 return builds no level
+    basis = _basis(unit_disk, 2.0, 10)
+    minimize_pnorm(ExtremalProblem(basis, disk_grid, 2.0, K_p.constraints))
     assert dtypes == []
+
+
+@pytest.mark.parametrize("p", [0.5, 0.7, 0.9])
+@pytest.mark.parametrize(
+    "spec, n_min, r", [("disk:1", None, 0.3), ("annulus:0.5,1", None, 0.7), ("punctured:1", -2, 0.3)],
+    ids=["disk", "annulus", "punctured"],
+)
+def test_cold_solve_below_one_is_real(monkeypatch, spec, n_min, r, p):
+    # the IRLS map of a real problem commutes with conjugation, so the cold
+    # descent from the real least-squares point stays on the real slice at
+    # p < 1 too: both levels run in real arithmetic, and match the complex
+    # arithmetic on the same problem
+    domain = pb.parse_domain(spec)
+    basis = _basis(domain, p, 8, n_min)
+    prob = ExtremalProblem(basis, pb.build_grid(domain, 128, 256), p, (point_constraint(basis, r, 1.0),))
+    dtypes = _workspace_dtypes(monkeypatch)
+    got = minimize_pnorm(prob)
+    assert dtypes == [float, float]
+    want = _complex_levels(prob)
+    assert dtypes[2:] == [complex, complex]
+    assert (got.iterations, got.coarse_iterations, got.converged) == (
+        want.iterations, want.coarse_iterations, want.converged
+    )
+    assert abs(got.objective - want.objective) <= 1e-13 * want.objective
+    assert not got.coeffs.coefficients.imag.any()
+
+
+def test_complex_rows_rejected(unit_disk, disk_grid):
+    # a problem at a complex point is posed at its modulus and rotated; rows
+    # or targets with an imaginary part, even one shared phase, are refused
+    basis = _basis(unit_disk, 1.5, 10)
+    row, target = point_constraint(basis, 0.4, 1.0)
+    for cons in (
+        (point_constraint(basis, 0.4j, 1.0),),
+        ((1j * row, 1j * target),),
+        ((row, 1.0 + 1e-300j),),
+    ):
+        with pytest.raises(ValueError, match=r"must be real: pose at \|z\| and rotate"):
+            ExtremalProblem(basis, disk_grid, 1.5, cons)
+
+
+def test_basis_admissible_at_another_p_rejected(punctured):
+    # z^-2 is in L^p of the punctured disk for p < 1 but not at p = 1, so
+    # the p = 0.8 basis posed at p = 1 minimizes over a space that is not
+    # the p = 1 space: its grid minimum at z = 0.5 (1.41505 at degree 8)
+    # undercuts the admissible one (1.41512)
+    grid = pb.build_grid(punctured, 128, 256)
+    below_one = _basis(punctured, 0.8, 8, n_min=-2)
+    assert below_one.exponents[0] == -2 and _basis(punctured, 1.0, 8, n_min=-2).exponents[0] == -1
+    with pytest.raises(ValueError, match="a basis at p=0.8 for a problem at p=1.0"):
+        ExtremalProblem(below_one, grid, 1.0, (point_constraint(below_one, 0.5, 1.0),))
 
 
 @pytest.mark.parametrize(
@@ -374,13 +432,14 @@ def test_real_arithmetic_only_for_cold_real_solves_at_p_from_one(unit_disk, disk
     ids=["disk-32x65", "disk-128x255", "annulus-128x255", "punctured-128x255", "disk-128x256"],
 )
 def test_real_path_matches_complex_path(spec, n_min, z, p, shape):
-    # the same slice posed by real and by complex rows: with an odd angular
-    # count every angle in (0, pi] has a mirror, with an even one pi has none
+    # one problem, descended cold in real and in complex arithmetic: with an
+    # odd angular count every angle in (0, pi] has a mirror, with an even one
+    # pi has none
     domain = pb.parse_domain(spec)
     grid = pb.build_grid(domain, *shape)
     basis = _basis(domain, p, 24, n_min)
     real = ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
-    got, want = minimize_pnorm(real), minimize_pnorm(_phase_turned(real))
+    got, want = minimize_pnorm(real), _complex_levels(real)
     assert (got.coarse_iterations > 0) == (shape[0] == 128)
     assert (got.iterations, got.coarse_iterations, got.converged) == (
         want.iterations, want.coarse_iterations, want.converged
@@ -417,7 +476,7 @@ def test_levels_count_their_own_steps(unit_disk, disk_grid, monkeypatch):
     coarse_level, requested_level = solver._coarse_level, solver._requested_level
 
     def spied_accept(ws):
-        steps.append(ws.w.size)
+        steps.append(ws.grid.weights.size)
         accept(ws)
 
     def spied_coarse_level(problem, t, real):
@@ -441,12 +500,13 @@ def test_levels_count_their_own_steps(unit_disk, disk_grid, monkeypatch):
     monkeypatch.setattr(solver, "_coarse_level", spied_coarse_level)
     monkeypatch.setattr(solver, "_requested_level", spied_requested_level)
     prob = _problem(
-        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4 + 0.1j, 1.0),)
+        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4, 1.0),)
     )
     cold = solver.minimize_pnorm(prob)
     # the cold p = 1 solve, then two started restarts that meet on the
     # coarse grid, so one of them is refined
-    survivors = multistart_minimize(replace(prob, p=0.9), restarts=2, seed=0)
+    below_one = _problem(unit_disk, disk_grid, 0.9, 10, lambda b: (point_constraint(b, 0.4, 1.0),))
+    survivors = multistart_minimize(below_one, _p1_start(below_one), restarts=2, seed=0)
     assert survivors
     small = replace(prob, grid=pb.build_grid(unit_disk, 32, 64))
     solver.minimize_pnorm(small)  # too small for a coarse level
@@ -464,7 +524,9 @@ def test_levels_count_their_own_steps(unit_disk, disk_grid, monkeypatch):
     assert solves[3][1] == 0
 
     steps.clear()
-    p2 = solver.minimize_pnorm(replace(prob, p=2.0))
+    p2 = solver.minimize_pnorm(
+        _problem(unit_disk, disk_grid, 2.0, 10, lambda b: (point_constraint(b, 0.4, 1.0),))
+    )
     assert (steps, len(coarse_ends), len(solves)) == ([], 5, 4)  # no level, no step
     assert (p2.iterations, p2.coarse_iterations, p2.solve_fallbacks, p2.anderson_steps) == (
         0, 0, 0, 0
@@ -473,16 +535,16 @@ def test_levels_count_their_own_steps(unit_disk, disk_grid, monkeypatch):
 
 def test_boundary_point_at_degree_32_does_not_stall(unit_disk):
     # at p = 1 the eps = 1e-6 stage on the 32 x 64 coarse rule used to crawl
-    # into the 200-step stage cap here (244 steps, 234 coarse)
+    # into the 200-step stage cap here (244 steps, 234 coarse, at
+    # 0.7 e^(0.3i)); cold in real arithmetic and in complex
     basis = _basis(unit_disk, 1.0, 32)
-    z = 0.7 * complex(math.cos(0.3), math.sin(0.3))
     prob = ExtremalProblem(
-        basis, pb.build_grid(unit_disk, 128, 256), 1.0, (point_constraint(basis, z, 1.0),)
+        basis, pb.build_grid(unit_disk, 128, 256), 1.0, (point_constraint(basis, 0.7, 1.0),)
     )
-    two = minimize_pnorm(prob)
-    one = _single_grid(prob)
-    assert two.converged and two.iterations <= 60
-    assert abs(two.objective - one.objective) <= 1e-11 * one.objective
+    for real, two in ((True, minimize_pnorm(prob)), (False, _complex_levels(prob))):
+        one = _single_grid(prob, real)
+        assert two.converged and two.iterations <= 60
+        assert abs(two.objective - one.objective) <= 1e-11 * one.objective
 
 
 @pytest.mark.parametrize("p", [1.0, 1.5, 4.0])
@@ -503,16 +565,15 @@ def test_dilation_identity_off_the_unit_disk(p):
     inner_fraction=st.floats(0.2, 0.6),
     p=st.floats(1.0, 4.0),
     depth=st.floats(0.2, 0.8),
-    angle=st.floats(0.0, 2.0 * math.pi),
 )
-def test_two_grid_solve_property(annulus, outer, inner_fraction, p, depth, angle):
+def test_two_grid_solve_property(annulus, outer, inner_fraction, p, depth):
     domain = (
         pb.Domain("annulus", outer, inner_fraction * outer)
         if annulus
         else pb.Domain("disk", outer)
     )
     inner = domain.inner_radius
-    z = (inner + depth * (outer - inner)) * complex(math.cos(angle), math.sin(angle))
+    z = inner + depth * (outer - inner)
     basis = _basis(domain, p, 12)
     prob = ExtremalProblem(
         basis, pb.build_grid(domain, 64, 128), p, (point_constraint(basis, z, 1.0),)
@@ -546,12 +607,13 @@ def _assert_same_bits(got, want):
     assert got.solve_fallbacks == want.solve_fallbacks
 
 
-def _nest(monkeypatch, outer, inner):
+def _nest(monkeypatch, outer, inner, solve=minimize_pnorm):
     """Solve ``outer`` with the solves of ``inner`` run inside its stages.
 
     ``inner`` maps "coarse" or "requested" to problems solved, in order, at
-    the start of the outer solve's first stage on that grid.  Returns the
-    outer solution and the inner (problem, solution) pairs.
+    the start of the outer solve's first stage on that grid.  ``solve`` runs
+    the outer and every inner solve.  Returns the outer solution and the
+    inner (problem, solution) pairs.
     """
     stage = solver._irls_stage
     pending = dict(inner)
@@ -563,22 +625,25 @@ def _nest(monkeypatch, outer, inner):
             level = "requested" if ws.grid is outer.grid else "coarse"
             nested.append(None)
             for prob in pending.pop(level, ()):
-                done.append((prob, minimize_pnorm(prob)))
+                done.append((prob, solve(prob)))
             nested.pop()
         return stage(ws, *args)
 
     monkeypatch.setattr(solver, "_irls_stage", interleaved)
-    result = minimize_pnorm(outer)
+    result = solve(outer)
     monkeypatch.setattr(solver, "_irls_stage", stage)
     assert not pending
     return result, done
 
 
 def test_interleaved_solves_match_separate_solves(unit_disk, disk_grid, monkeypatch):
-    # the first and third points are complex, then real; the second is real
-    for imag in (0.1, 0.0):
+    # the first round runs the complex levels of the restarts, the second
+    # the real arithmetic of cold solves; the first and third points move
+    # between the two rounds, the second stays
+    rounds = ((_complex_levels, abs(0.4 + 0.1j), abs(-0.2 + 0.5j)), (minimize_pnorm, 0.4, -0.2))
+    for solve, first_z, third_z in rounds:
         first = _problem(
-            unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4 + 1j * imag, 1.0),)
+            unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, first_z, 1.0),)
         )
         second = _problem(
             unit_disk,
@@ -589,12 +654,12 @@ def test_interleaved_solves_match_separate_solves(unit_disk, disk_grid, monkeypa
         )
         # grid, exponents and p of the first: the same cached bases
         third = _problem(
-            unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, -0.2 + 5j * imag, 1.0),)
+            unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, third_z, 1.0),)
         )
-        alone = {prob: minimize_pnorm(_on_fresh_grid(prob)) for prob in (first, second, third)}
+        alone = {prob: solve(_on_fresh_grid(prob)) for prob in (first, second, third)}
 
         outer, inner = _nest(
-            monkeypatch, first, {"coarse": [second, third], "requested": [third]}
+            monkeypatch, first, {"coarse": [second, third], "requested": [third]}, solve
         )
         _assert_same_bits(outer, alone[first])
         assert [prob for prob, _ in inner] == [second, third, third]
@@ -605,24 +670,28 @@ def test_interleaved_solves_match_separate_solves(unit_disk, disk_grid, monkeypa
 def test_pole_column_leaves_no_stale_spectrum_bins(punctured, monkeypatch):
     # z^-1 is admissible at p = 1 and not at p = 2.5, so the two bases on
     # one grid differ in their first column and in every table; solves that
-    # alternate or nest between them must match solves on fresh grids, at a
-    # complex point, then a real one
+    # alternate or nest between them must match solves on fresh grids, in
+    # the complex levels of the restarts at one point, then in the real
+    # arithmetic of cold solves at another
     grid = pb.build_grid(punctured, 128, 256)
 
     def problem(p, z):
         basis = _basis(punctured, p, 12, n_min=-1)
         return ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
 
-    for z in (0.4 - 0.2j, 0.4):
+    for solve, z in ((_complex_levels, abs(0.4 - 0.2j)), (minimize_pnorm, 0.4)):
         with_pole, without_pole = problem(1.0, z), problem(2.5, z)
         assert with_pole.basis.exponents[0] == -1
         assert without_pole.basis.exponents[0] == 0
-        alone = {prob: minimize_pnorm(_on_fresh_grid(prob)) for prob in (with_pole, without_pole)}
+        alone = {prob: solve(_on_fresh_grid(prob)) for prob in (with_pole, without_pole)}
 
         for prob in (with_pole, without_pole, with_pole, without_pole):
-            _assert_same_bits(minimize_pnorm(prob), alone[prob])
+            _assert_same_bits(solve(prob), alone[prob])
         outer, inner = _nest(
-            monkeypatch, with_pole, {"coarse": [without_pole], "requested": [without_pole]}
+            monkeypatch,
+            with_pole,
+            {"coarse": [without_pole], "requested": [without_pole]},
+            solve,
         )
         _assert_same_bits(outer, alone[with_pole])
         for prob, got in inner:
@@ -635,28 +704,32 @@ def test_repeated_multistart_matches_a_cold_grid(unit_disk):
         pb.build_grid(unit_disk, 128, 256),
         0.8,
         8,
-        lambda b: (point_constraint(b, 0.3 + 0.2j, 1.0),),
+        lambda b: (point_constraint(b, abs(0.3 + 0.2j), 1.0),),
     )
-    cold = multistart_minimize(_on_fresh_grid(prob), restarts=4, seed=3)
+    start = _p1_start(prob)
+    cold = multistart_minimize(_on_fresh_grid(prob), start, restarts=4, seed=3)
     for _ in range(2):
-        warm = multistart_minimize(prob, restarts=4, seed=3)
+        warm = multistart_minimize(prob, start, restarts=4, seed=3)
         assert len(warm) == len(cold) > 0
         for got, want in zip(warm, cold):
             _assert_same_bits(got, want)
 
 
 def test_concurrent_solves_on_one_grid_match_a_cold_grid(unit_disk):
+    # cold solves in real arithmetic and restarts in complex, alternating
     grid = pb.build_grid(unit_disk, 64, 128)
     problems = [
         _problem(unit_disk, grid, 1.5, 8, lambda b, z=z: (point_constraint(b, z, 1.0),))
-        for z in (0.1, 0.2 + 0.1j, -0.3j, 0.4)
+        for z in (0.1, abs(0.2 + 0.1j), -0.3, 0.4)
     ]
-    cold = [minimize_pnorm(_on_fresh_grid(prob)) for prob in problems]
+    start = np.ones(problems[0].basis.dimension)
+    solves = [minimize_pnorm, lambda prob: _restart(prob, start)] * 2
+    cold = [solve(_on_fresh_grid(prob)) for solve, prob in zip(solves, problems)]
     results = {}
 
     def work(k):
         for _ in range(3):
-            results.setdefault(k, []).append(minimize_pnorm(problems[k]))
+            results.setdefault(k, []).append(solves[k](problems[k]))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -719,14 +792,19 @@ _WORKSPACE_ARRAYS = ("u", "u_try", "du", "base", "base_try", "terms", "terms_try
 def test_warm_solve_allocates_only_its_workspaces(unit_disk, monkeypatch):
     # each grid level allocates its arrays once and an iteration none, so a
     # solve on a grid whose coarse rule and bases exist peaks below its
-    # workspaces' arrays plus one real grid array, in real arithmetic at a
-    # real point and in complex arithmetic at a complex one
+    # workspaces' arrays plus one real grid array, cold in real arithmetic
+    # and restarted in complex arithmetic
     grid = pb.build_grid(unit_disk, 128, 256)
     basis = _basis(unit_disk, 1.5, 24)
 
-    def solve(z):
-        cons = (point_constraint(basis, z, 1.0),)
-        return minimize_pnorm(ExtremalProblem(basis, grid, 1.5, cons))
+    def problem(z):
+        return ExtremalProblem(basis, grid, 1.5, (point_constraint(basis, z, 1.0),))
+
+    def cold(z):
+        return minimize_pnorm(problem(z))
+
+    def restarted(z):
+        return _restart(problem(z), np.ones(basis.dimension))
 
     workspaces = []
     init = solver._Workspace.__init__
@@ -736,12 +814,12 @@ def test_warm_solve_allocates_only_its_workspaces(unit_disk, monkeypatch):
         workspaces.append(ws)
 
     monkeypatch.setattr(solver._Workspace, "__init__", spied_init)
-    for z, dtype in ((0.31, float), (0.31 * cmath.exp(0.4j), complex)):
-        solve(0.3 * z / abs(z))  # builds the coarse grid and the bases
+    for solve, dtype in ((cold, float), (restarted, complex)):
+        solve(0.3)  # builds the coarse grid, the bases and their tables
         workspaces.clear()
         tracemalloc.start()
         try:
-            assert solve(z).coarse_iterations > 0
+            assert solve(0.31).coarse_iterations > 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -755,12 +833,11 @@ def test_warm_solve_allocates_only_its_workspaces(unit_disk, monkeypatch):
 
 
 def test_solve_fallbacks_are_counted(unit_disk, disk_grid, monkeypatch):
-    # in real arithmetic at a real point and in complex at a complex one
-    for z, dtype in ((0.3, float), (0.3j, complex)):
-        prob = _problem(
-            unit_disk, disk_grid, 1.5, 8, lambda b: (point_constraint(b, z, 1.0),)
-        )
-        clean = minimize_pnorm(prob)
+    # cold in real arithmetic and restarted in complex arithmetic
+    prob = _problem(unit_disk, disk_grid, 1.5, 8, lambda b: (point_constraint(b, 0.3, 1.0),))
+    start = np.ones(prob.basis.dimension)
+    for solve, dtype in ((minimize_pnorm, float), (lambda prob: _restart(prob, start), complex)):
+        clean = solve(prob)
         assert clean.solve_fallbacks == 0
         calls = []
 
@@ -770,7 +847,7 @@ def test_solve_fallbacks_are_counted(unit_disk, disk_grid, monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(np.linalg, "solve", failing)
-            sol = minimize_pnorm(prob)
+            sol = solve(prob)
         assert len(calls) > 1
         assert set(calls) == {np.dtype(dtype)}
         assert sol.solve_fallbacks == len(calls)
@@ -779,13 +856,12 @@ def test_solve_fallbacks_are_counted(unit_disk, disk_grid, monkeypatch):
 
 
 def test_anderson_steps_are_counted(unit_disk, disk_grid):
-    prob = _problem(
-        unit_disk, disk_grid, 1.0, 24, lambda b: (point_constraint(b, 0.3 + 0.1j, 1.0),)
-    )
+    r = abs(0.3 + 0.1j)
+    prob = _problem(unit_disk, disk_grid, 1.0, 24, lambda b: (point_constraint(b, r, 1.0),))
     sol = minimize_pnorm(prob)
     assert 0 < sol.anderson_steps <= sol.iterations
     assert pb.solution_record(sol)["anderson_steps"] == sol.anderson_steps
-    # the disk closed form m_1 = pi (1 - |z|^2)^2
+    # the disk closed form m_1 = pi (1 - |z|^2)^2, |z|^2 = 0.1
     assert abs(sol.objective - math.pi * 0.81) <= 1e-12 * math.pi * 0.81
 
 
@@ -819,8 +895,8 @@ def test_p2_matches_least_norm_oracle(unit_disk, disk_grid, seed):
     rng = np.random.default_rng(seed)
     basis = _basis(unit_disk, 2.0, 10)
     dim = basis.dimension
-    rows = rng.standard_normal((2, dim)) + 1j * rng.standard_normal((2, dim))
-    targets = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+    rows = rng.standard_normal((2, dim))
+    targets = rng.standard_normal(2)
     prob = ExtremalProblem(
         basis, disk_grid, 2.0, tuple(zip(rows, targets))
     )
@@ -839,14 +915,18 @@ def test_p2_matches_least_norm_oracle(unit_disk, disk_grid, seed):
 @pytest.mark.parametrize("p", [1.0, 1.3, 2.0, 3.0, 4.0, 8.0])
 def test_descent_and_feasibility(unit_disk, disk_grid, p, smoothed_objectives):
     prob = _problem(
-        unit_disk, disk_grid, p, 10, lambda b: (point_constraint(b, 0.4 + 0.1j, 1.0),)
+        unit_disk, disk_grid, p, 10, lambda b: (point_constraint(b, abs(0.4 + 0.1j), 1.0),)
     )
     sol = minimize_pnorm(prob)
-    # the p = 2 return runs no descent; every other solve descends on two grids
+    # the p = 2 return runs no descent; every other solve descends on two
+    # grids, and so does the same descent in complex arithmetic
     assert len(smoothed_objectives) == (0 if p == 2.0 else 2)
+    complex_sol = _complex_levels(prob)
+    assert len(smoothed_objectives) == (2 if p == 2.0 else 4)
     for values in smoothed_objectives.values():
         assert np.all(np.diff(values) <= 1e-14 * np.abs(values[1:]))
     assert sol.feasibility_residual <= 1e-10
+    assert complex_sol.feasibility_residual <= 1e-10
 
 
 def test_no_line_search_at_rounding_level(unit_disk, disk_grid, monkeypatch):
@@ -893,17 +973,18 @@ def _feasible_directions(prob, count, rng):
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 3.0])
-@pytest.mark.parametrize("z", [0.6, 0.6 * cmath.exp(0.7j)], ids=["real", "complex"])
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
 @pytest.mark.parametrize("spec", ["disk:1", "annulus:0.5,1"])
-def test_lower_bound_holds_at_every_feasible_point(spec, z, p):
+def test_lower_bound_holds_at_every_feasible_point(spec, real, p):
     # Hölder: no feasible series has a grid p-norm below the lower bound,
     # the returned one included (its grid norm, by the dense Vandermonde, is
-    # within rounding of the objective)
+    # within rounding of the objective); the bound of a cold solve in real
+    # arithmetic and of the same descent in complex arithmetic
     domain = pb.parse_domain(spec)
     grid = pb.build_grid(domain, 64, 128)
     basis = _basis(domain, p, 12)
-    prob = ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),))
-    sol = minimize_pnorm(prob)
+    prob = ExtremalProblem(basis, grid, p, (point_constraint(basis, 0.6, 1.0),))
+    sol = minimize_pnorm(prob) if real else _complex_levels(prob)
     V = vandermonde(grid, basis.exponents)
     a = sol.coeffs.coefficients
     lower = sol.lower_bound
@@ -916,22 +997,22 @@ def test_lower_bound_holds_at_every_feasible_point(spec, z, p):
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
-@pytest.mark.parametrize("z", [0.45, 0.45j], ids=["real", "complex"])
-def test_certificate_away_from_the_minimizer_stays_below_the_minimum(unit_disk, disk_grid, z, p):
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_certificate_away_from_the_minimizer_stays_below_the_minimum(unit_disk, disk_grid, real, p):
     # at points far from the minimizer the dual vector s u is far from
     # orthogonal to the slice; its IRLS-target form still bounds the minimum
     # from below, in real and in complex arithmetic
-    prob = _problem(unit_disk, disk_grid, p, 10, lambda b: (point_constraint(b, z, 1.0),))
+    prob = _problem(unit_disk, disk_grid, p, 10, lambda b: (point_constraint(b, 0.45, 1.0),))
     sol = minimize_pnorm(prob)
     assert sol.converged
-    ws = solver._Workspace(prob, disk_grid, real=prob.is_real)
+    ws = solver._Workspace(prob, disk_grid, real)
     t_min = prob.t_from_raw(sol.coeffs.coefficients)
-    if prob.is_real:
+    if real:
         t_min = t_min.real
     rng = np.random.default_rng(11)
     for size in (1e-3, 0.1, 1.0):
         noise = rng.standard_normal(t_min.size)
-        if not prob.is_real:
+        if not real:
             noise = noise + 1j * rng.standard_normal(t_min.size)
         t = t_min + size * np.linalg.norm(t_min) * noise / np.linalg.norm(noise)
         ws.set_point(t, 1e-10)
@@ -946,22 +1027,22 @@ def test_certificate_away_from_the_minimizer_stays_below_the_minimum(unit_disk, 
     ids=["disk", "punctured", "annulus"],
 )
 def test_converged_solves_have_a_small_duality_gap(spec, n_min, r, p):
-    # at a real point (real arithmetic) and a complex one (complex
-    # arithmetic); the annulus at p <= 1.5 needs gap stages and certifies to
-    # _GAP_TOL, every other solve to 1e-12 after the 1e-10 stage
+    # cold in real arithmetic and the same descent in complex arithmetic; the
+    # annulus at p <= 1.5 needs gap stages and certifies to _GAP_TOL, every
+    # other solve to 1e-12 after the 1e-10 stage
     domain = pb.parse_domain(spec)
     grid = pb.build_grid(domain, 128, 256)
     basis = _basis(domain, p, 24, n_min)
     bound = solver._GAP_TOL if spec.startswith("annulus") and p <= 1.5 else 1e-12
-    for z in (r, r * cmath.exp(0.3j)):
-        sol = minimize_pnorm(ExtremalProblem(basis, grid, p, (point_constraint(basis, z, 1.0),)))
+    prob = ExtremalProblem(basis, grid, p, (point_constraint(basis, r, 1.0),))
+    for sol in (minimize_pnorm(prob), _complex_levels(prob)):
         assert sol.converged
         assert -1e-15 <= sol.duality_gap <= bound
         assert sol.duality_gap == (sol.objective - sol.lower_bound) / sol.objective
 
 
-def _requested_grid_passes(monkeypatch, prob):
-    """Stages, accepted steps, Gram passes and raw objectives of a solve of
+def _requested_grid_passes(monkeypatch, prob, solve=minimize_pnorm):
+    """Stages, accepted steps, Gram passes and raw objectives of ``solve`` of
     ``prob`` on its requested grid, counted by spies."""
     counts = dict.fromkeys(("stages", "steps", "grams", "raw"), 0)
     stage, accept = solver._irls_stage, solver._Workspace.accept
@@ -979,18 +1060,19 @@ def _requested_grid_passes(monkeypatch, prob):
     monkeypatch.setattr(solver._Workspace, "accept", counting("steps", accept))
     monkeypatch.setattr(solver._Workspace, "reduced_system", counting("grams", reduced_system))
     monkeypatch.setattr(solver._Workspace, "raw_objective", counting("raw", raw_objective))
-    sol = minimize_pnorm(prob)
+    sol = solve(prob)
     monkeypatch.undo()
     return sol, counts
 
 
-@pytest.mark.parametrize("z", [0.45, 0.45j], ids=["real", "complex"])
-def test_certified_solve_runs_one_stage_on_the_requested_grid(unit_disk, disk_grid, monkeypatch, z):
+@pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+def test_certified_solve_runs_one_stage_on_the_requested_grid(unit_disk, disk_grid, monkeypatch, real):
     # disk p = 3: the 1e-10 stage meets the gap, so the requested grid runs
     # it alone and takes one raw objective; that stage stops before a step,
-    # so the certificate reuses its system: one Gram pass on that grid
-    prob = _problem(unit_disk, disk_grid, 3.0, 10, lambda b: (point_constraint(b, z, 1.0),))
-    sol, counts = _requested_grid_passes(monkeypatch, prob)
+    # so the certificate reuses its system: one Gram pass on that grid, in
+    # real and in complex arithmetic
+    prob = _problem(unit_disk, disk_grid, 3.0, 10, lambda b: (point_constraint(b, 0.45, 1.0),))
+    sol, counts = _requested_grid_passes(monkeypatch, prob, minimize_pnorm if real else _complex_levels)
     assert sol.converged and sol.duality_gap <= 1e-12
     assert counts == {"stages": 1, "steps": 0, "grams": 1, "raw": 1}
     assert sol.iterations == sol.coarse_iterations > 0
@@ -1012,12 +1094,14 @@ def test_gap_stages_run_until_the_gap_is_met(monkeypatch):
 
 
 def test_solutions_at_p_up_to_one_carry_no_certificate(unit_disk, disk_grid):
-    # p = 1 cold (real arithmetic) and restarted, and the p < 1 restarts
+    # p = 1 cold (real arithmetic) and restarted, and p < 1 cold and restarted
     prob = _problem(unit_disk, disk_grid, 1.0, 8, lambda b: (point_constraint(b, 0.3, 1.0),))
     cold = minimize_pnorm(prob)
     started = _restart(prob, cold.coeffs.coefficients)
-    restarts = multistart_minimize(replace(prob, p=0.8), restarts=3, seed=0)
-    for sol in (cold, started, *restarts):
+    below_one = _problem(unit_disk, disk_grid, 0.8, 8, lambda b: (point_constraint(b, 0.3, 1.0),))
+    cold_below = minimize_pnorm(below_one)
+    restarts = multistart_minimize(below_one, cold.coeffs.coefficients, restarts=3, seed=0)
+    for sol in (cold, started, cold_below, *restarts):
         assert sol.lower_bound is None and sol.duality_gap is None
         record = pb.solution_record(sol)
         assert record["lower_bound"] is None and record["duality_gap"] is None
@@ -1143,7 +1227,7 @@ def test_multistart_p09_collapses_to_constant(unit_disk, disk_grid):
     prob = _problem(
         unit_disk, disk_grid, 0.9, 8, lambda b: (point_constraint(b, 0.0, 1.0),)
     )
-    sols = multistart_minimize(prob, restarts=8, seed=0)
+    sols = multistart_minimize(prob, _p1_start(prob), restarts=8, seed=0)
     assert sols
     expected = np.zeros(9, dtype=complex)
     expected[0] = 1.0
@@ -1157,7 +1241,7 @@ def test_multistart_p1_objectives_agree(unit_disk, disk_grid):
     prob = _problem(
         unit_disk, disk_grid, 1.0, 8, lambda b: (point_constraint(b, 0.3, 1.0),)
     )
-    sols = multistart_minimize(prob, restarts=4, seed=0)
+    sols = multistart_minimize(prob, minimize_pnorm(prob).coeffs.coefficients, restarts=4, seed=0)
     best = sols[0].objective
     # convexity: every located optimum is the same one
     for sol in sols:
@@ -1168,15 +1252,15 @@ def test_multistart_single_restart_is_single_descent(unit_disk, disk_grid):
     prob = _problem(
         unit_disk, disk_grid, 0.8, 6, lambda b: (point_constraint(b, 0.0, 1.0),)
     )
-    sols = multistart_minimize(prob, restarts=1, seed=0)
+    sols = multistart_minimize(prob, _p1_start(prob), restarts=1, seed=0)
     assert len(sols) == 1
 
 
-def _every_restart_refined(prob, restarts, seed):
-    """The survivors of ``multistart_minimize`` when every restart runs both
-    grid levels from its start (``_restart``): the same starts,
-    converged filter and 1e-4 coefficient dedupe, without the coarse dedupe."""
-    base = minimize_pnorm(replace(prob, p=1.0)).coeffs.coefficients
+def _every_restart_refined(prob, base, restarts, seed):
+    """The survivors of ``multistart_minimize`` from ``base`` when every
+    restart runs both grid levels from its start (``_restart``): the same
+    starts, converged filter and 1e-4 coefficient dedupe, without the coarse
+    dedupe."""
     scale = 0.5 * max(1.0, float(np.linalg.norm(base)))
     starts = [base]
     for k in range(1, restarts):
@@ -1211,9 +1295,9 @@ def test_multistart_refines_each_coarse_end_point_once(unit_disk, monkeypatch, p
     # refining one restart per cluster of coarse end points keeps the
     # survivors, and the spread d_p they give, of refining every restart
     setup = pb.Setup(unit_disk, degree=8, grid=pb.build_grid(unit_disk, *shape))
-    prob = setup.problem(p, 0.0)
-    # one requested-grid workspace at p per refined restart; the p = 1
-    # solve that seeds the restarts builds its own at p = 1
+    prob = setup.problem(p, 0.0, "K_p")
+    start = setup.solve(1.0, 0.0).coeffs.coefficients
+    # one requested-grid workspace per refined restart
     built = []
     init = solver._Workspace.__init__
 
@@ -1222,10 +1306,10 @@ def test_multistart_refines_each_coarse_end_point_once(unit_disk, monkeypatch, p
         built.append(grid is prob.grid and problem.p == p)
 
     monkeypatch.setattr(solver._Workspace, "__init__", spied_init)
-    got = multistart_minimize(prob, restarts=16, seed=seed)
+    got = multistart_minimize(prob, start, restarts=16, seed=seed)
     assert sum(built) in refined
     monkeypatch.undo()
-    want = _every_restart_refined(prob, 16, seed)
+    want = _every_restart_refined(prob, start, 16, seed)
     assert len(got) == len(want) > 0
     for a, b in zip(got, want):
         assert abs(a.objective - b.objective) <= 1e-12 * b.objective
@@ -1239,10 +1323,10 @@ def test_kkt_residual_certifies_p2_solution(unit_disk, disk_grid):
         unit_disk, disk_grid, 2.0, 8, lambda b: (point_constraint(b, 0.3, 1.0),)
     )
     a = minimize_pnorm(prob).coeffs.coefficients
-    assert kkt_residual(prob, a) <= 1e-8
+    assert _kkt(prob, a) <= 1e-8
     perturbed = a.copy()
     perturbed[3] += 0.1
-    assert kkt_residual(prob, perturbed) > 1e-3
+    assert _kkt(prob, perturbed) > 1e-3
 
 
 def test_kkt_residual_certifies_p4_metric_solution(unit_disk, disk_grid):
@@ -1254,7 +1338,7 @@ def test_kkt_residual_certifies_p4_metric_solution(unit_disk, disk_grid):
         lambda b: (point_constraint(b, 0.0, 0.0), derivative_constraint(b, 0.0, 1.0)),
     )
     sol = minimize_pnorm(prob)
-    assert kkt_residual(prob, sol.coeffs.coefficients) <= 1e-6
+    assert _kkt(prob, sol.coeffs.coefficients) <= 1e-6
 
 
 def test_dependent_constraints_rejected(unit_disk, disk_grid):
@@ -1293,22 +1377,23 @@ def test_one_svd_per_problem(unit_disk, disk_grid, monkeypatch):
     for module in (np.linalg, np.linalg._linalg):
         monkeypatch.setattr(module, "svd", spied(np.linalg.svd))
     prob = _problem(
-        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4 + 0.1j, 1.0),)
+        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4, 1.0),)
     )
     assert len(calls) == 1
     sol = minimize_pnorm(prob)
     assert sol.coarse_iterations > 0
     _restart(prob, sol.coeffs.coefficients)
     assert len(calls) == 1
-    below_one = replace(prob, p=0.9)
+    below_one = _problem(unit_disk, disk_grid, 0.9, 10, lambda b: (point_constraint(b, 0.4, 1.0),))
     assert len(calls) == 2
-    multistart_minimize(below_one, restarts=3, seed=0)
-    assert len(calls) == 3  # the problem at p = 1 that seeds the restarts
+    # the restarts take their start as given and build no problem
+    multistart_minimize(below_one, sol.coeffs.coefficients, restarts=3, seed=0)
+    assert len(calls) == 2
 
 
 def test_grid_levels_share_the_feasible_slice(unit_disk, disk_grid, monkeypatch):
     prob = _problem(
-        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4 + 0.1j, 1.0),)
+        unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4, 1.0),)
     )
     seen = []
     init = solver._Workspace.__init__
@@ -1388,10 +1473,11 @@ def test_multistart_validates_restarts_and_seed(unit_disk, disk_grid):
     prob = _problem(
         unit_disk, disk_grid, 0.8, 6, lambda b: (point_constraint(b, 0.0, 1.0),)
     )
+    start = _p1_start(prob)
     with pytest.raises(ValueError, match="restarts"):
-        multistart_minimize(prob, restarts=0, seed=0)
+        multistart_minimize(prob, start, restarts=0, seed=0)
     with pytest.raises(ValueError, match="seed"):
-        multistart_minimize(prob, restarts=2, seed=-1)
+        multistart_minimize(prob, start, restarts=2, seed=-1)
 
 
 def test_solution_record_roundtrip(unit_disk, disk_grid):
