@@ -143,20 +143,29 @@ def build_grid(domain: Domain, radial_count: int, angular_count: int) -> Quadrat
     if angular_count < 4:
         raise ValueError(f"angular_count must be >= 4, got {angular_count}")
 
-    x, glw = _gauss_legendre(radial_count)
-    a, b = domain.inner_radius, domain.outer_radius
-    radii = 0.5 * (b - a) * x + 0.5 * (a + b)
-    radial_weights = glw * (0.5 * (b - a)) * radii  # polar Jacobian folded in
+    radii, radial_weights = _radial_rule(domain, radial_count)
     thetas = 2.0 * math.pi * np.arange(angular_count) / angular_count
 
     return QuadratureGrid(
         domain=domain,
         radial_count=radial_count,
         angular_count=angular_count,
-        radii=_read_only(radii),
-        radial_weights=_read_only(radial_weights),
+        radii=radii,
+        radial_weights=radial_weights,
         thetas=_read_only(thetas),
     )
+
+
+def _radial_rule(domain: Domain, radial_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``radii`` and ``radial_weights`` of ``build_grid``, read-only:
+    Gauss-Legendre on [inner_radius, outer_radius] with the polar Jacobian
+    r folded into the weights.  Code that works circle by circle takes them
+    without the angles of a grid."""
+    x, glw = _gauss_legendre(radial_count)
+    a, b = domain.inner_radius, domain.outer_radius
+    radii = 0.5 * (b - a) * x + 0.5 * (a + b)
+    radial_weights = glw * (0.5 * (b - a)) * radii  # polar Jacobian folded in
+    return _read_only(radii), _read_only(radial_weights)
 
 
 def parse_domain(text: str) -> Domain:

@@ -56,7 +56,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Domain, QuadratureGrid, _gauss_legendre, _roots_of_unity, build_grid
+from .geometry import (
+    Domain,
+    QuadratureGrid,
+    _gauss_legendre,
+    _radial_rule,
+    _roots_of_unity,
+    build_grid,
+)
 
 __all__ = [
     "LAMBDA_MAX_CAP",
@@ -79,8 +86,9 @@ __all__ = [
 LAMBDA_MAX_CAP = 2**20
 
 # The largest lambda_max the direct area integral takes: its rule gives the
-# outer circles up to 8 lambda_max angles each.
+# outer circles up to 8 lambda_max angles each, on this many radii.
 _DIRECT_LAMBDA_MAX = 4096
+_DIRECT_RADII = 256
 
 # A term is dead on a circle, and dropped there, once |a_k| r^lambda_k falls
 # below this fraction of the largest term on that circle, a tenth of the unit
@@ -237,13 +245,19 @@ def criterion_integral(series: LacunarySeries, p: float) -> float:
 def default_series_grid(series: LacunarySeries) -> QuadratureGrid:
     """Unit-disk grid resolving |f|^p for this series (256 x 8*lambda_max),
     for lambda_max up to the direct integral's limit of 4096."""
+    return build_grid(Domain("disk", 1.0), _DIRECT_RADII, _direct_angles(series))
+
+
+def _direct_angles(series: LacunarySeries) -> int:
+    """The angular count of ``default_series_grid``, max(256, 8 lambda_max);
+    a lambda_max above 4096 raises ``ValueError``."""
     lam = series.lambda_max
     if lam > _DIRECT_LAMBDA_MAX:
         raise ValueError(
             f"lambda_max {lam} is above {_DIRECT_LAMBDA_MAX}, the largest the "
             "direct area integral takes (8*lambda_max angles per circle)"
         )
-    return build_grid(Domain("disk", 1.0), 256, max(256, 8 * lam))
+    return max(256, 8 * lam)
 
 
 def _require_unit_disk(grid: QuadratureGrid) -> None:
@@ -406,18 +420,18 @@ def direct_lp(series: LacunarySeries, p: float) -> float:
     of |f|^p at zeros of f make the sum converge only algebraically, and
     that rule differs from the uniform 8 lambda_max one by up to 6e-7
     relative (p = 0.5, dyadic series up to lambda_max 4096).  The sum runs
-    circle by circle, so the flat grid arrays are never built.  A series
-    with lambda_max above 4096 raises ``ValueError``.
+    circle by circle on the radial rule alone, so no grid is built.  A
+    series with lambda_max above 4096 raises ``ValueError``.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
     unit, scale = _unit_scale(series)
-    grid = default_series_grid(series)
+    cap = _direct_angles(series)
     if scale == 0.0:
         return 0.0
-    cap = grid.angular_count
-    means = _circle_means(unit, grid.radii, p, lambda live: _sized_counts(unit, live, p, cap))
-    return float(grid.radial_weights @ means * (2.0 * math.pi) * scale**p)
+    radii, radial_weights = _radial_rule(Domain("disk", 1.0), _DIRECT_RADII)
+    means = _circle_means(unit, radii, p, lambda live: _sized_counts(unit, live, p, cap))
+    return float(radial_weights @ means * (2.0 * math.pi) * scale**p)
 
 
 def _unit_integrals(series: LacunarySeries, p: float):

@@ -18,8 +18,8 @@ does each smaller eps at a fixed iterate.  At p = 2 the weighted
 least-squares start is the exact minimizer, so a p = 2 solve returns it
 with no iterations, no grid level and no pass over the grid: its system,
 its objective (the quadratic form a^H G a) and its lower bound come from
-the Gram G of the grid weights, which each basis builds once (real, since
-the weights are constant in the angle).
+the Gram G of the grid weights, built once per grid and basis spec (real,
+since the weights are constant in the angle).
 
 Basis columns are pre-scaled by their p-norms on the domain
 (``BasisSpec.col_norms``); reported coefficients are raw monomial ones.
@@ -27,8 +27,8 @@ Basis columns are pre-scaled by their p-norms on the domain
 The grid is a tensor product of radii and a uniform angle rule, and column n
 is r^n e^{i n theta}, so the basis is separable.  The solver therefore
 never forms the nodes x D matrix: every angular sum is one BLAS product
-against a small table of e^{i m theta_k}, built per basis from the exact
-residue m k mod K.  Grid values are the radial powers times the
+against a small table of e^{i m theta_k}, built per exponent set from the
+exact residue m k mod K.  Grid values are the radial powers times the
 coefficients times the D x K table of the exponents, and the reweighted
 Gram G_jl = sum_i r_i^(n_j + n_l) W_i(n_l - n_j) / (c_j c_l), with
 W_i(m) = sum_k omega_ik e^{i m theta_k} on circle i, is the weights times
@@ -93,20 +93,23 @@ boundary: each runs its coarse level, and only the first restart of each
 cluster of coarse end points (coefficient distance 1e-4) runs the requested
 grid, so restarts that meet on the coarse grid are refined once.
 
-What every solve on a grid shares is read-only, built on first use and
-kept in a cache keyed weakly by the grid, so it lives as long as the grid:
-the coarse rule, the tables of each exponent set that no p changes (angular
-tables, radial powers, Gram index arrays and the Gram sums of the grid
-weights), and one separable basis per basis spec, which scales those tables
-by its column norms.  ``shared_grid`` keeps one grid per rule (domain,
+What every solve on a grid shares is read-only, built on first use and kept
+in a cache keyed weakly by the grid, so it lives as long as the grid: the
+coarse rule, the weights of a real solve, the tables of each exponent set
+that no p changes (angular tables, radial powers, Gram index arrays and the
+Gram sums of the grid weights), and the column scaling of each basis spec,
+the only part of the basis that depends on p.  One values pass (``_values``)
+and one Gram step (the Gram sums times the scaling's Gram scale) serve both
+arithmetics; a grid level's workspace picks the table, the sums and the
+weights of its arithmetic.  ``shared_grid`` keeps one grid per rule (domain,
 radial and angular count) for the whole process, so every ``Setup`` and
 every CLI call on a rule shares its grid, its coarse rule and its tables.
 What the process keeps is bounded by ``_RULES``: the rules ``shared_grid``
 keeps, and the exponent sets and basis specs each grid keeps, least
-recently used out first.  The writable arrays belong to the solve, so no
-two solves share any.  A single descent is sequential; restarts and
-independent problems may run in parallel or nested, and problems and
-solutions are immutable.
+recently used out first.  The writable arrays belong to the solve, so no two
+solves share any.  A single descent is sequential; restarts and independent
+problems may run in parallel or nested, and problems and solutions are
+immutable.
 """
 
 from __future__ import annotations
@@ -166,12 +169,12 @@ _MIN_COARSE_SHAPE = (16, 32)
 
 # The bound on what the process keeps between calls: ``shared_grid`` keeps
 # the grids of the _RULES rules last asked for, and each grid's cache the
-# tables of the _RULES exponent sets and the bases of the _RULES basis specs
-# last used on it; anything else is rebuilt when it comes back.  The
-# benchmark's workloads use at most three rules (the disk, the annulus and
-# the punctured disk on the default grid), two exponent sets per rule (the
-# degree-16 and degree-8 analysis bases) and four p per exponent set of a
-# kernel round, so four of each keep all they reuse.  They then hold about
+# tables of the _RULES exponent sets and the column scalings of the _RULES
+# basis specs last used on it; anything else is rebuilt when it comes back.
+# The benchmark's workloads use at most three rules (the disk, the annulus
+# and the punctured disk on the default grid), two exponent sets per rule
+# (the degree-16 and degree-8 analysis bases) and four p per exponent set of
+# a kernel round, so four of each keep all they reuse.  They then hold about
 # 2.4 MB (kernel) and 1.0 MB (analysis), whatever the number of calls, p
 # values and points.
 _RULES = 4
@@ -327,27 +330,30 @@ class Solution:
 
 
 class _BasisTables:
-    """What ``_SeparableBasis`` needs on one grid that no p changes, for one
-    exponent set: the angular tables, the radial powers r_i^n and r_top^n,
-    the powers and index arrays of the Gram, the Gram sums under the grid
-    weights, and the grid's weights of a real solve (``half_weights`` and
-    ``mirror_weights``, shared by every exponent set).
+    """What the grid passes of a solve need on one grid that no p changes,
+    for one exponent set: the angular tables, the radial powers r_i^n and
+    r_top^n, the powers and index arrays of the Gram, and the Gram sums
+    under the grid weights, given on the angles in [0, pi] as
+    ``half_weights``.
 
     Each angular table e^{i m theta_k} is read from the roots of unity
     e^{2 pi i j / K} at the exact residue j = m k mod K, so exponents equal
     modulo the angular count get equal columns, where the grid cannot tell
-    them apart.  The tables and ``weight_sums`` are built on first use and
-    then kept, so a real solve builds only the tables of the half angles.
-    Everything is read-only and no method keeps scratch, so one instance
-    serves every basis spec with these exponents on the grid, at every p,
-    nested and concurrent solves included; the grid cache keeps it.
+    them apart.  The tables come in pairs, one per arithmetic: the exponents
+    on all K angles or, conjugated, on the angles in [0, pi], and the lags
+    as phases on all K angles or as mirror-weighted cosines on [0, pi].
+    They and ``weight_sums`` are built on first use and then kept, so a
+    real solve builds only the tables of the half angles.  Everything is
+    read-only and no method keeps scratch, so one instance serves every
+    basis spec with these exponents on the grid, at every p, nested and
+    concurrent solves included; the grid cache keeps it.
     """
 
-    def __init__(self, radii, angular_count, half_weights, mirror_weights, exponents):
+    def __init__(self, radii, angular_count, half_weights, exponents):
         n = np.array(exponents)
         self.shape = (radii.size, angular_count)
         self.exponents = n
-        self.half_weights, self.mirror_weights = half_weights, mirror_weights
+        self.half_weights = half_weights
         self.radial_powers = radii[:, None] ** n[None, :]
         # A Gram entry depends on n_j + n_l through a radial power and on
         # the lag n_l - n_j through an angular frequency.  Powers are taken of
@@ -422,101 +428,58 @@ class _BasisTables:
         G.setflags(write=False)
         return G
 
+    def scaling(self, col_norms: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The column scaling (radial, gram_scale, weight_gram) of a basis
+        spec with these exponents and column norms c_n, read-only: the only
+        part of the basis that depends on p.
 
-class _SeparableBasis:
-    """The basis, columns scaled by ``BasisSpec.col_norms``, as an operator
-    on a polar grid.
+        Column n of the basis V at node (i, k) is r_i^n e^{i n theta_k} / c_n,
+        so V is ``radial`` = r_i^n / c_n (n_r x D) times an angular table,
+        and V itself is never formed (``_values``).  A Gram of V is the Gram
+        sums of its weights times ``gram_scale`` = (r_top^n_j / c_j)
+        (r_top^n_l / c_l), and ``weight_gram`` is that of the grid weights,
+        real since they are constant in the angle.
+        """
+        radial = self.radial_powers / col_norms
+        top_scale = self.top_powers / col_norms
+        gram_scale = top_scale[:, None] * top_scale[None, :]
+        weight_gram = self.weight_sums * gram_scale
+        for part in (radial, gram_scale, weight_gram):
+            part.setflags(write=False)
+        return radial, gram_scale, weight_gram
 
-    Column n of V at node (i, k) is r_i^n e^{i n theta_k} / c_n, so V is the
-    radial factor ``radial`` (n_r x D) times an angular table of e^{i n
-    theta_k}, and every angular sum is one BLAS product against a small
-    table: grid values are ``radial`` times the coefficients times the
-    D x K table, and a weighted Gram is the weights times a K x (span + 1)
-    table of the lags n_l - n_j, followed by O(n_r D^2) work; V itself is
-    never formed.  ``values`` acts on scaled coefficients (raw coefficients
-    times ``col_norms``).
 
-    Real coefficients give values with u(r, -theta) = conj(u(r, theta)), so
-    any function of |u| is even in the angle, and a real solve works on the
-    K // 2 + 1 angles in [0, pi] alone: ``half_values`` takes the conjugate
-    table on those angles, the grid sums weigh every angle with a mirror
-    twice (``mirror_weights``; all but 0 and, for even K, pi), and
-    ``cosine_gram`` takes the Gram of even weights, given on those angles
-    at their own weight (``half_weights``), from a real table of the
-    mirror-weighted cosines.
+def _values(radial: np.ndarray, table: np.ndarray, a: np.ndarray, out=None) -> np.ndarray:
+    """Flat grid values sum_j a_j radial[i, j] table[j, k], radius by radius,
+    written to ``out`` if given.
 
-    Only the column scaling depends on p: ``radial``, the scale of the Gram
-    entries and ``weight_gram``, the Gram under the grid weights, are the
-    radial powers and Gram sums of ``tables``, the ``_BasisTables`` of the
-    spec's exponents, divided by ``col_norms``.  An instance holds
-    O(n_r D + D^2) values on top of those tables.  It is read-only apart from
-    ``weight_gram``, built on first use, and holds no scratch, so one
-    instance per (grid, basis spec) serves every solve, nested and
-    concurrent ones included; the grid cache keeps it.
+    With a scaling's ``radial`` and the ``values_table`` they are the values
+    of the series of scaled coefficients a (raw coefficients times
+    ``col_norms``).  With the ``half_table`` and real a they are the
+    conjugates of those values on the angles in [0, pi]; |u| is all a real
+    solve reads, so the conjugate is never taken.
     """
-
-    def __init__(self, tables: _BasisTables, basis: BasisSpec):
-        self._tables = tables
-        self.shape = tables.shape
-        self.half_weights, self.mirror_weights = tables.half_weights, tables.mirror_weights
-        col_norms = basis.col_norms
-        self.radial = tables.radial_powers / col_norms
-        top_scale = tables.top_powers / col_norms
-        self._top_scale = top_scale[:, None] * top_scale[None, :]
-        self.radial.setflags(write=False)
-        self._top_scale.setflags(write=False)
-
-    def values(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """Flat grid values of sum_j a_j z^{n_j} / c_j, written to ``out`` if given."""
-        n_r, K = self.shape
-        if out is None:
-            out = np.empty(n_r * K, dtype=complex)
-        # a real matrix times a complex one, as one real product on (re, im) pairs
-        phased = np.asarray(a, dtype=complex)[:, None] * self._tables.values_table
-        np.matmul(self.radial, phased.view(float), out=out.view(float).reshape(n_r, 2 * K))
-        return out
-
-    def half_values(self, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """For real ``a``, the conjugate grid values of ``values(a)`` on the
-        angles in [0, pi], flat, radius by radius; |u| is all a real solve
-        reads, so the conjugate is never taken."""
-        if out is None:
-            out = np.empty(self.half_weights.size, dtype=complex)
-        phased = a[:, None] * self._tables.half_table
-        np.matmul(self.radial, phased.view(float), out=out.view(float).reshape(self.shape[0], -1))
-        return out
-
-    def gram(self, omega: np.ndarray) -> np.ndarray:
-        """V^H diag(omega) V for real node weights omega."""
-        G = self._tables.lag_sums(omega)
-        G *= self._top_scale
-        return G
-
-    def cosine_gram(self, omega: np.ndarray) -> np.ndarray:
-        """V^H diag(omega) V, real, for real node weights omega even in the
-        angle, given flat on the angles in [0, pi] like ``half_weights``."""
-        G = self._tables.cosine_sums(omega)
-        G *= self._top_scale
-        return G
-
-    @functools.cached_property
-    def weight_gram(self) -> np.ndarray:
-        """V^H diag(w) V for the grid weights w, read-only.  They are
-        constant in the angle, so it is real."""
-        G = self._tables.weight_sums * self._top_scale
-        G.setflags(write=False)
-        return G
+    n_r = radial.shape[0]
+    if out is None:
+        out = np.empty(n_r * table.shape[1], dtype=complex)
+    # a real matrix times a complex one, as one real product on (re, im) pairs
+    phased = a[:, None] * table
+    np.matmul(radial, phased.view(float), out=out.view(float).reshape(n_r, -1))
+    return out
 
 
 class _GridCache:
     """The read-only parts of every solve on one grid, built on first use.
 
     It holds the grid's coarse rule (None when the grid is too small to
-    coarsen) and two caches of ``_RULES`` entries each, least recently used
-    out first: ``tables(exponents)``, the ``_BasisTables`` of an exponent
-    set, and ``basis(spec)``, the ``_SeparableBasis`` of a basis spec, built
-    on the tables of its exponents, which specs differing only in p share.
-    It keeps no reference to its own grid, so its entry in ``_GRID_CACHES``
+    coarsen), the weights of a real solve on the angles in [0, pi]
+    (``half_weights``, each at its own weight, and ``mirror_weights``, each
+    mirrored angle weighted twice), and two caches of ``_RULES`` entries
+    each, least recently used out first: ``tables(exponents)``, the
+    ``_BasisTables`` of an exponent set, and ``scaling(spec)``, the column
+    scaling of a basis spec (``_BasisTables.scaling``), built from the
+    tables of its exponents, which specs differing only in p share.  It
+    keeps no reference to its own grid, so its entry in ``_GRID_CACHES``
     lives as long as the grid does: for a grid of ``shared_grid``, as long
     as that cache keeps the rule.
     """
@@ -524,24 +487,23 @@ class _GridCache:
     def __init__(self, grid: QuadratureGrid):
         self.coarse_grid = _coarse_grid(grid)
         n_r, K = grid.radial_count, grid.angular_count
-        # a real solve's weights on the angles in [0, pi], at their own
-        # weight and with every mirrored angle weighted twice: the entries of
-        # ``grid.weights`` on those angles, which a real solve never builds
-        half_weights = np.repeat(grid.radial_weights * (2.0 * math.pi / K), K // 2 + 1)
-        mirror_weights = (half_weights.reshape(n_r, -1) * _mirrors(K)).ravel()
-        half_weights.setflags(write=False)
-        mirror_weights.setflags(write=False)
+        # the entries of ``grid.weights`` on the angles in [0, pi], which a
+        # real solve never builds
+        self.half_weights = np.repeat(grid.radial_weights * (2.0 * math.pi / K), K // 2 + 1)
+        self.mirror_weights = (self.half_weights.reshape(n_r, -1) * _mirrors(K)).ravel()
+        self.half_weights.setflags(write=False)
+        self.mirror_weights.setflags(write=False)
         tables = functools.lru_cache(maxsize=_RULES)(
-            functools.partial(_BasisTables, grid.radii, K, half_weights, mirror_weights)
+            functools.partial(_BasisTables, grid.radii, K, self.half_weights)
         )
 
         @functools.lru_cache(maxsize=_RULES)
-        def basis(spec: BasisSpec) -> _SeparableBasis:
-            return _SeparableBasis(tables(spec.exponents), spec)
+        def scaling(spec: BasisSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            return tables(spec.exponents).scaling(spec.col_norms)
 
         # closures over the tables, not over this cache, so that no cycle
         # keeps a cache alive once its grid is gone
-        self.tables, self.basis = tables, basis
+        self.tables, self.scaling = tables, scaling
 
 
 def _mirrors(angular_count: int) -> np.ndarray:
@@ -577,8 +539,10 @@ def shared_grid(domain: Domain, radial_count: int, angular_count: int) -> Quadra
 def grid_values(problem: ExtremalProblem, coefficients: np.ndarray) -> np.ndarray:
     """Flat values on ``problem.grid`` of the series with raw coefficients."""
     spec = problem.basis
-    basis = _grid_cache(problem.grid).basis(spec)
-    return basis.values(np.asarray(coefficients, dtype=complex) * spec.col_norms)
+    cache = _grid_cache(problem.grid)
+    a = np.asarray(coefficients, dtype=complex) * spec.col_norms
+    radial, _, _ = cache.scaling(spec)
+    return _values(radial, cache.tables(spec.exponents).values_table, a)
 
 
 def _reduce(G: np.ndarray, a0: np.ndarray, N: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -618,18 +582,20 @@ def _carve(layout: dict[str, tuple[tuple[int, ...], type]]) -> dict[str, np.ndar
 
 
 class _Workspace:
-    """Per-solve state on one grid level: the separable basis, the
-    problem's feasible slice, grid arrays and the level's counts.
+    """Per-solve state on one grid level: the column scaling of the basis,
+    the problem's feasible slice, grid arrays and the level's counts.
 
     The grid is the problem's own grid or a coarser rule on the same domain.
-    The basis comes from the grid's cache and the slice (a0, N) from the
-    problem, so every level of a solve works in the same coordinates t.
-    ``dtype`` is that of t and of the reduced system: float for a ``real``
-    workspace, that of a cold solve, which keeps t real, and complex for a
-    restart.  A real workspace holds its grid values on the angles in
-    [0, pi] (``_SeparableBasis.half_values``), sums them under ``w`` =
-    ``mirror_weights`` and takes its Gram by ``cosine_gram``, so it works on
-    half the nodes and allocates about half the memory.
+    The scaling and the tables come from the grid's cache and the slice
+    (a0, N) from the problem, so every level of a solve works in the same
+    coordinates t.  ``dtype`` is that of t and of the reduced system: float
+    for a ``real`` workspace, that of a cold solve, which keeps t real, and
+    complex for a restart.  The workspace is the one place that picks the
+    arithmetic: a real one takes its values against the ``half_table`` on
+    the angles in [0, pi], sums them under ``w`` = ``mirror_weights`` and
+    takes its Gram sums by ``cosine_sums`` of weights on those angles, so it
+    works on half the nodes and allocates about half the memory; a complex
+    one takes the ``values_table``, ``lag_sums`` and the grid weights.
 
     The workspace allocates the grid-sized arrays of the descent and
     overwrites them in place: the current values ``u`` with ``base`` =
@@ -648,7 +614,9 @@ class _Workspace:
     def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid, real: bool = False):
         self.grid = grid
         self.p = problem.p
-        self.basis = basis = _grid_cache(grid).basis(problem.basis)
+        cache = _grid_cache(grid)
+        self.radial, self._gram_scale, self.weight_gram = cache.scaling(problem.basis)
+        tables = cache.tables(problem.basis.exponents)
         self.dtype = float if real else complex
         # a real slice is made complex once here, not in every product
         self.a0, self.N = (np.asarray(part, self.dtype) for part in problem.feasible_slice)
@@ -658,11 +626,11 @@ class _Workspace:
         self._target = None  # the IRLS target of ``u`` under the current eps
 
         if real:
-            self.w, self._omega_weights = basis.mirror_weights, basis.half_weights
-            self._values, self._gram = basis.half_values, basis.cosine_gram
+            self._table, self._sums = tables.half_table, tables.cosine_sums
+            self.w, self._omega_weights = cache.mirror_weights, cache.half_weights
         else:
+            self._table, self._sums = tables.values_table, tables.lag_sums
             self.w = self._omega_weights = grid.weights
-            self._values, self._gram = basis.values, basis.gram
         size = self.w.size
         layout = dict.fromkeys(("u", "u_try", "du"), ((size,), complex))
         floats = ("base", "base_try", "terms", "terms_try", "omega")
@@ -671,7 +639,7 @@ class _Workspace:
 
     def least_squares(self) -> np.ndarray:
         """The weighted least-squares point t, the p = 2 minimizer."""
-        return self.weighted_solve(*_reduce(self.basis.weight_gram, self.a0, self.N))
+        return self.weighted_solve(*_reduce(self.weight_gram, self.a0, self.N))
 
     def reduced_system(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """A = N^H G N and rhs = -N^H G a0 for the Gram G of weights omega.
@@ -679,7 +647,9 @@ class _Workspace:
         A t - rhs is M^H diag(omega) u(t), with M = V N the map from t to
         the grid values u(t) = V (a0 + N t).
         """
-        return _reduce(self._gram(omega), self.a0, self.N)
+        G = self._sums(omega)
+        G *= self._gram_scale
+        return _reduce(G, self.a0, self.N)
 
     def weighted_solve(self, A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs by ``_weighted_solve``; count each fall back."""
@@ -723,12 +693,12 @@ class _Workspace:
 
     def set_point(self, t: np.ndarray, eps: float) -> float:
         """Load the values of t into ``u``; returns the smoothed objective."""
-        self._values(self.a0 + self.N @ t, out=self.u)
+        _values(self.radial, self._table, self.a0 + self.N @ t, out=self.u)
         return self.set_eps(eps)
 
     def set_step(self, delta: np.ndarray) -> None:
         """Load the values of the step N delta into ``du``."""
-        self._values(self.N @ delta, out=self.du)
+        _values(self.radial, self._table, self.N @ delta, out=self.du)
 
     def set_eps(self, eps: float) -> float:
         """Fill ``base`` and ``terms`` of ``u`` under eps; returns w . terms."""
@@ -934,7 +904,7 @@ def minimize_pnorm(problem: ExtremalProblem) -> Solution:
         # objective and the bound are quadratic forms of the cached Gram of
         # w, so no grid level is built and no grid pass runs.
         a0, N = problem.feasible_slice
-        G = _grid_cache(problem.grid).basis(problem.basis).weight_gram
+        _, _, G = _grid_cache(problem.grid).scaling(problem.basis)
         A, rhs = _reduce(G, a0, N)
         t, fallbacks = _weighted_solve(A, rhs)
         a = a0 + N @ t

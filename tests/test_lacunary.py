@@ -145,6 +145,26 @@ def test_direct_integral_rejects_lambda_max_above_4096():
     assert direct_lp(_dyadic_series(12, seed=3), 2.0) > 0.0
 
 
+def test_direct_integral_builds_no_grid(monkeypatch):
+    # the direct integral reads only the radial rule of the default grid, so
+    # it never builds the grid's 8 lambda_max angles, and its rule is that
+    # grid's to the bit
+    s = _dyadic_series(12, seed=11)
+    grid = default_series_grid(s)
+    radii, radial_weights = pb.geometry._radial_rule(pb.Domain("disk", 1.0), 256)
+    assert np.array_equal(radii, grid.radii)
+    assert np.array_equal(radial_weights, grid.radial_weights)
+
+    def refuse(*args):
+        raise AssertionError("direct_lp built a grid")
+
+    monkeypatch.setattr(pb.geometry, "build_grid", refuse)
+    monkeypatch.setattr(lacunary, "build_grid", refuse)
+    for p in (0.5, 1.0, 3.0):
+        assert direct_lp(s, p) > 0.0
+    assert direct_lp(_scaled(s, 0.0), 2.0) == 0.0
+
+
 def test_grid_values_require_unit_disk():
     s = LacunarySeries((1, 2), np.ones(2, dtype=complex))
     grid = pb.build_grid(pb.Domain("disk", 2.0), 32, 16)
@@ -396,8 +416,8 @@ def test_direct_p2_is_multi_term_parseval():
 
 
 def test_series_integrals_keep_no_grid(fresh_rules):
-    # the direct integral's 256 x 8 lambda_max rule (2^15 angles here) is
-    # built per call and dropped with it, never kept in the solver's rules
+    # the series integrals build their rules per call and drop them, and
+    # never keep one in the solver's rules
     s = _dyadic_series(12, seed=79)
     integrability_record(s, 1.0)
     circle_norm_ratio(s, 0.9, 1.0)

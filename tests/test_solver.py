@@ -22,7 +22,6 @@ from pbergman.solver import (
     minimize_pnorm,
     multistart_minimize,
     point_constraint,
-    _SeparableBasis,
 )
 
 from oracles import grid_free_k4, kkt_residual, least_norm_coeffs, lp_norm, vandermonde
@@ -79,12 +78,24 @@ def _p1_start(prob):
     ids=["disk", "annulus", "punctured", "collisions", "odd", "largest"],
 )
 def test_separable_basis_matches_dense_vandermonde(spec, shape, n_min, n_max):
+    # the values pass with each table and the Gram step with each sums
+    # function, on the cached column scaling, against the dense basis
     p = 1.5
     domain = pb.parse_domain(spec)
     grid = pb.build_grid(domain, *shape)
     basis = BasisSpec(tuple(range(n_min, n_max + 1)), domain, p)
-    sep = solver._grid_cache(grid).basis(basis)
+    cache = solver._grid_cache(grid)
+    tables = cache.tables(basis.exponents)
+    radial, gram_scale, _ = cache.scaling(basis)
     Vs = vandermonde(grid, basis.exponents) / basis.col_norms
+
+    def values(a, table=tables.values_table, out=None):
+        return solver._values(radial, table, a, out=out)
+
+    def gram(sums, omega):
+        G = sums(omega)
+        G *= gram_scale
+        return G
 
     def rel(got, want):
         return np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -92,27 +103,27 @@ def test_separable_basis_matches_dense_vandermonde(spec, shape, n_min, n_max):
     rng = np.random.default_rng(5)
     a = rng.standard_normal(basis.dimension) + 1j * rng.standard_normal(basis.dimension)
     omega = grid.weights * rng.uniform(0.1, 2.0, grid.nodes.size)
-    assert rel(sep.values(a), Vs @ a) <= 1e-13
+    assert rel(values(a), Vs @ a) <= 1e-13
     buf = np.empty(grid.nodes.size, dtype=complex)
-    assert sep.values(a, out=buf) is buf
-    assert np.array_equal(buf, sep.values(a))
-    assert rel(sep.gram(omega), Vs.conj().T @ (Vs * omega[:, None])) <= 1e-13
+    assert values(a, out=buf) is buf
+    assert np.array_equal(buf, values(a))
+    assert rel(gram(tables.lag_sums, omega), Vs.conj().T @ (Vs * omega[:, None])) <= 1e-13
 
     # real coefficients and weights even in the angle: the angles in [0, pi]
     n_r, K = shape
     half = K // 2 + 1
     a_real = a.real.copy()
     full = (Vs @ a_real).reshape(n_r, K)
-    assert rel(sep.half_values(a_real), full[:, :half].conj().ravel()) <= 1e-13
+    assert rel(values(a_real, tables.half_table), full[:, :half].conj().ravel()) <= 1e-13
     even = omega.reshape(n_r, K)
     even = even + even[:, -np.arange(K)]  # omega(theta) + omega(-theta)
     half_even = even[:, :half].ravel()
-    assert rel(sep.cosine_gram(half_even), Vs.conj().T @ (Vs * even.ravel()[:, None])) <= 1e-13
+    assert rel(gram(tables.cosine_sums, half_even), Vs.conj().T @ (Vs * even.ravel()[:, None])) <= 1e-13
     # every angle but 0 and, for even K, pi stands for itself and its mirror
     mirrors = np.ones(half)
     mirrors[1 : (K + 1) // 2] = 2.0
-    assert np.array_equal(sep.mirror_weights, (grid.weights.reshape(n_r, K)[:, :half] * mirrors).ravel())
-    assert math.isclose(sep.mirror_weights.sum(), grid.weights.sum(), rel_tol=1e-14)
+    assert np.array_equal(cache.mirror_weights, (grid.weights.reshape(n_r, K)[:, :half] * mirrors).ravel())
+    assert math.isclose(cache.mirror_weights.sum(), grid.weights.sum(), rel_tol=1e-14)
 
 
 def test_solves_take_no_fft(unit_disk, monkeypatch):
@@ -196,8 +207,8 @@ def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch, fresh_rules):
         grams.append(omega)
         return cosine_sums(tables, omega, **kwargs)
 
-    for name in ("values", "half_values", "gram"):
-        monkeypatch.setattr(_SeparableBasis, name, fail)
+    monkeypatch.setattr(solver, "_values", fail)
+    monkeypatch.setattr(solver._BasisTables, "lag_sums", fail)
     monkeypatch.setattr(solver._BasisTables, "cosine_sums", spied_cosine_sums)
     monkeypatch.setattr(solver._Workspace, "__init__", fail)
     for _ in range(2):
@@ -1148,27 +1159,54 @@ def test_punctured_k4_is_the_disk_k4_and_brackets_the_grid_free_k4(
 
 def test_specs_differing_only_in_p_share_one_set_of_tables(unit_disk, monkeypatch, fresh_rules):
     # the p-free tables are built once per grid level and exponent set, and
-    # every p takes its own column scaling of them
-    built = []
-    init = solver._BasisTables.__init__
+    # every p takes its own column scaling of them, built once per grid level
+    # and spec and read by both arithmetics: cold solves at four p, p = 1
+    # restarts from the cold p = 1 solve, and grid values on its spec
+    built, scalings, workspaces = [], [], []
+    init, scaling = solver._BasisTables.__init__, solver._BasisTables.scaling
+    workspace_init = solver._Workspace.__init__
 
     def spied_init(tables, *args):
         init(tables, *args)
         built.append(tables)
 
+    def spied_scaling(tables, col_norms):
+        scalings.append(scaling(tables, col_norms))
+        return scalings[-1]
+
+    def spied_workspace_init(ws, problem, grid, real=False):
+        workspace_init(ws, problem, grid, real)
+        workspaces.append((ws, problem.basis))
+
     monkeypatch.setattr(solver._BasisTables, "__init__", spied_init)
+    monkeypatch.setattr(solver._BasisTables, "scaling", spied_scaling)
+    monkeypatch.setattr(solver._Workspace, "__init__", spied_workspace_init)
     setup = pb.Setup(unit_disk, degree=8)
-    for p in (1.5, 2.0, 3.0):
+    for p in (1.0, 1.5, 2.0, 3.0):
         assert setup.solve(p, 0.4).converged
         assert setup.solve(p, 0.3j).converged
+    problem = setup.problem(1.0, 0.4, "K_p")
+    start = setup.solve(1.0, 0.4).coeffs.coefficients
+    assert multistart_minimize(problem, start, restarts=2, seed=0)
+    solver.grid_values(problem, start)
     cache = solver._grid_cache(setup.grid)
-    bases = [cache.basis(setup.basis(p)) for p in (1.5, 2.0, 3.0)]
-    assert len({id(basis) for basis in bases}) == 3
-    assert all(basis._tables is bases[0]._tables for basis in bases)
-    assert not np.array_equal(bases[0].radial, bases[2].radial)
+    coarse = solver._grid_cache(cache.coarse_grid)
+    # the p = 2 return takes no grid level, so no coarse scaling
+    levels = [(cache, (1.0, 1.5, 2.0, 3.0)), (coarse, (1.0, 1.5, 3.0))]
+    want = [level.scaling(setup.basis(p)) for level, ps in levels for p in ps]
+    assert sorted(map(id, scalings)) == sorted(map(id, want))
+    assert not np.array_equal(want[1][0], want[3][0])
+    # every workspace reads the cached scaling of its grid level and spec
+    for ws, spec in workspaces:
+        radial, gram_scale, weight_gram = solver._grid_cache(ws.grid).scaling(spec)
+        assert ws.radial is radial and ws._gram_scale is gram_scale
+        assert ws.weight_gram is weight_gram
+    for grid in (setup.grid, cache.coarse_grid):
+        dtypes = {ws.dtype for ws, spec in workspaces if ws.grid is grid and spec.p == 1.0}
+        assert dtypes == {float, complex}
     # one set on the requested grid and one on its coarse rule
     exponents = setup.basis(1.5).exponents
-    coarse = solver._grid_cache(cache.coarse_grid)
+    assert all(setup.basis(p).exponents == exponents for p in (1.0, 2.0, 3.0))
     assert sorted(map(id, built)) == sorted(map(id, [cache.tables(exponents), coarse.tables(exponents)]))
 
 
@@ -1182,7 +1220,7 @@ def test_a_grid_keeps_the_tables_and_bases_of_at_most_the_bound(unit_disk):
             assert minimize_pnorm(problem).converged
     cache = solver._grid_cache(grid)
     assert cache.tables.cache_info().currsize == solver._RULES
-    assert cache.basis.cache_info().currsize == solver._RULES
+    assert cache.scaling.cache_info().currsize == solver._RULES
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
