@@ -29,9 +29,9 @@ one tile of values and never builds flat ``nodes`` and ``weights`` arrays.
 Only ``series_grid_values`` keeps the tiles, since the grid of values is
 what it returns.
 
-The direct area integral calls the reducer on the 256 Gauss-Legendre radii
-of ``default_series_grid`` but sizes each circle's angular count K to the
-bandwidth that circle carries: on inner circles r^lambda has pushed the
+The direct area integral calls the reducer on 256 Gauss-Legendre radii
+and sizes each circle's angular count K, at most max(256, 8 lambda_max), to
+the bandwidth that circle carries: on inner circles r^lambda has pushed the
 high terms below rounding, so far fewer than 8 lambda_max angles resolve
 |f|^p there (Trefethen and Weideman, "The exponentially convergent
 trapezoidal rule", SIAM Review 2014).  The circle norm ratio calls it on
@@ -62,7 +62,6 @@ from .geometry import (
     _gauss_legendre,
     _radial_rule,
     _roots_of_unity,
-    build_grid,
 )
 
 __all__ = [
@@ -74,7 +73,6 @@ __all__ = [
     "criterion_integral",
     "series_grid_values",
     "direct_lp",
-    "default_series_grid",
     "equivalence_ratio",
     "circle_norm_ratio",
     "read_series_csv",
@@ -242,15 +240,9 @@ def criterion_integral(series: LacunarySeries, p: float) -> float:
     raise RefinementError(f"radial refinement did not converge within {_RADIAL_LEVELS} levels")
 
 
-def default_series_grid(series: LacunarySeries) -> QuadratureGrid:
-    """Unit-disk grid resolving |f|^p for this series (256 x 8*lambda_max),
-    for lambda_max up to the direct integral's limit of 4096."""
-    return build_grid(Domain("disk", 1.0), _DIRECT_RADII, _direct_angles(series))
-
-
 def _direct_angles(series: LacunarySeries) -> int:
-    """The angular count of ``default_series_grid``, max(256, 8 lambda_max);
-    a lambda_max above 4096 raises ``ValueError``."""
+    """The largest angular count of ``direct_lp``'s circles, max(256,
+    8 lambda_max); a lambda_max above 4096 raises ``ValueError``."""
     lam = series.lambda_max
     if lam > _DIRECT_LAMBDA_MAX:
         raise ValueError(
@@ -407,7 +399,7 @@ def series_grid_values(series: LacunarySeries, grid: QuadratureGrid) -> np.ndarr
 def direct_lp(series: LacunarySeries, p: float) -> float:
     """Area integral of |f|^p over the unit disk.
 
-    The rule takes the 256 Gauss-Legendre radii of ``default_series_grid``
+    The rule takes 256 Gauss-Legendre radii (``geometry._radial_rule``)
     and gives each circle its own trapezoid count, sized to the terms still
     alive on it (``_sized_counts``): inner circles, where r^lambda has pushed
     the high terms below rounding, get far fewer than 8 lambda_max angles.  A

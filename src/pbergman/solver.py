@@ -41,32 +41,34 @@ are real (a problem at a complex point is posed at its modulus and its
 solution rotated, as ``kernel.Setup.solve`` does).  Such a problem commutes
 with f -> conj(f(conj z)), and the angles 2 pi k / K are closed under
 theta -> -theta, so the IRLS map commutes with conjugation and a descent
-from the real least-squares point stays real.  ``minimize_pnorm``
-therefore runs both grid levels in real arithmetic at every p: t, the
+from the real least-squares point stays real.  The arithmetic of a
+descent therefore follows its start.  From the least-squares point, or
+from a real t, every grid level runs in real arithmetic at every p: t, the
 slice and the reduced system are real; |f| of real coefficients is even
 in the angle, so only the K // 2 + 1 angles in [0, pi] are evaluated (the
 table of the exponents on those angles, every angle with a mirror
 weighted twice); and the Gram is a cosine sum of the weights, a product
-against a real table of cosines.  Only the multistart restarts, which
-start off the real slice and whose minimizers need not be symmetric, take
-complex arithmetic on all K angles.
+against a real table of cosines.  Only a complex t, the start of a
+multistart restart, which starts off the real slice and whose minimizer
+need not be symmetric, takes complex arithmetic on all K angles.
 
 Each line-search trial takes one power of |u|^2 + eps on the grid, and the
 accepted trial keeps (|u|^2 + eps)^(p/2), so the next IRLS weights are w
 times that over |u|^2 + eps.  Each grid level allocates its grid-sized
 arrays once and overwrites them in place; an iteration allocates none.
 
-The continuation runs on two grid levels (grid sequencing, or nested
-iteration).  Every solve but that p = 2 return first runs its early
-smoothing stages to completion on a quarter-resolution grid of the same
-domain, starting from that grid's weighted least-squares solution, or for
-a multistart restart from its start projected onto the feasible slice; its
-t then carries over unchanged to the requested grid.  The heavily smoothed
-stages are over-resolved by the requested grid; the coarse stages only
-supply a start, so the stop rule, the objective and ``converged`` are all
-taken on the requested grid, and the coarse level takes no raw objective.
-A solve whose quarter grid would have fewer than 16 radii or 32 angles runs
-every stage on the requested grid.
+Every solve but that p = 2 return runs one descent loop (``_descents``) over
+one list of grid levels (``_levels``; grid sequencing, or nested
+iteration): a quarter-resolution grid of the same domain, which runs the
+early smoothing stages to completion, then the requested grid, or the
+requested grid alone when the quarter grid would have fewer than 16 radii
+or 32 angles.  The first level starts from its grid's weighted
+least-squares solution, or for a multistart restart from its start
+projected onto the feasible slice, and each level's end t carries over
+unchanged to the next.  The heavily smoothed stages are over-resolved by
+the requested grid; the early levels only supply a start, so the stop
+rule, the objective and ``converged`` are all taken on the last level,
+and no early level takes a raw objective.
 
 At p > 1 the smoothed problem is strictly convex, so the schedule starts at
 1e-6: the coarse level runs 1e-6 and 1e-8 and the requested grid 1e-10,
@@ -87,11 +89,13 @@ no certificate: the coarse level runs every stage of ``SMOOTHING_SCHEDULE``
 but the last two, and the drift test compares the raw objective
 sum_i w_i |f(z_i)|^p after those two on the requested grid.
 
-Each level counts its own steps, solve fallbacks and Anderson steps, and
-the solution reports their totals.  Multistart restarts split at the level
-boundary: each runs its coarse level, and only the first restart of each
-cluster of coarse end points (coefficient distance 1e-4) runs the requested
-grid, so restarts that meet on the coarse grid are refined once.
+``_descents`` takes a list of starts, one for a cold solve and one per
+restart for ``multistart_minimize``.  Every start runs every level but the
+last; when an early level ran, only the first start of each cluster of
+their end points (coefficient distance 1e-4) runs the last level, so
+restarts that meet on the coarse grid are refined once.  Each level counts
+its own steps, solve fallbacks and Anderson steps, and the solution reports
+their sums, with ``coarse_iterations`` those of every level but the last.
 
 What every solve on a grid shares is read-only, built on first use and kept
 in a cache keyed weakly by the grid, so it lives as long as the grid: the
@@ -117,6 +121,7 @@ from __future__ import annotations
 import functools
 import math
 import weakref
+from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 
@@ -308,13 +313,13 @@ class Solution:
     K_p = m_p^(-p) lies in [U^(-p), L^(-p)].  Rounding can leave the gap a
     few ulps below zero.  Both are None for p <= 1, where the problem is
     not strictly convex and ``converged`` rests on stagnation and the drift
-    of the raw objective.  ``iterations`` counts the accepted steps on both
-    grids and ``coarse_iterations`` the share taken on the
-    quarter-resolution grid.
-    ``solve_fallbacks`` counts the weighted least-squares solves, on either
-    grid, whose matrix was singular to working precision and were solved by
+    of the raw objective.  ``iterations`` counts the accepted steps on every
+    grid level and ``coarse_iterations`` the share taken on every level but
+    the last, the quarter-resolution grid.
+    ``solve_fallbacks`` counts the weighted least-squares solves, on any
+    level, whose matrix was singular to working precision and were solved by
     ``lstsq`` instead.  ``anderson_steps`` counts the accepted steps, on
-    either grid, that took the Anderson candidate.
+    any level, that took the Anderson candidate.
     """
 
     coeffs: CoeffVector
@@ -471,22 +476,25 @@ def _values(radial: np.ndarray, table: np.ndarray, a: np.ndarray, out=None) -> n
 class _GridCache:
     """The read-only parts of every solve on one grid, built on first use.
 
-    It holds the grid's coarse rule (None when the grid is too small to
-    coarsen), the weights of a real solve on the angles in [0, pi]
-    (``half_weights``, each at its own weight, and ``mirror_weights``, each
-    mirrored angle weighted twice), and two caches of ``_RULES`` entries
-    each, least recently used out first: ``tables(exponents)``, the
-    ``_BasisTables`` of an exponent set, and ``scaling(spec)``, the column
-    scaling of a basis spec (``_BasisTables.scaling``), built from the
-    tables of its exponents, which specs differing only in p share.  It
-    keeps no reference to its own grid, so its entry in ``_GRID_CACHES``
-    lives as long as the grid does: for a grid of ``shared_grid``, as long
-    as that cache keeps the rule.
+    It holds the grid's coarse rule, a quarter as fine each way (None when
+    that leaves fewer radii or angles than ``_MIN_COARSE_SHAPE``), the
+    weights of a real solve on the angles in [0, pi] (``half_weights``, each
+    at its own weight, and ``mirror_weights``, each mirrored angle weighted
+    twice), and two caches of ``_RULES`` entries each, least recently used
+    out first: ``tables(exponents)``, the ``_BasisTables`` of an exponent
+    set, and ``scaling(spec)``, the column scaling of a basis spec
+    (``_BasisTables.scaling``), built from the tables of its exponents,
+    which specs differing only in p share.  It keeps no reference to its
+    own grid, so its entry in ``_GRID_CACHES`` lives as long as the grid
+    does: for a grid of ``shared_grid``, as long as that cache keeps the
+    rule.
     """
 
     def __init__(self, grid: QuadratureGrid):
-        self.coarse_grid = _coarse_grid(grid)
         n_r, K = grid.radial_count, grid.angular_count
+        shape = (n_r // _COARSENING, K // _COARSENING)
+        coarsens = shape[0] >= _MIN_COARSE_SHAPE[0] and shape[1] >= _MIN_COARSE_SHAPE[1]
+        self.coarse_grid = build_grid(grid.domain, *shape) if coarsens else None
         # the entries of ``grid.weights`` on the angles in [0, pi], which a
         # real solve never builds
         self.half_weights = np.repeat(grid.radial_weights * (2.0 * math.pi / K), K // 2 + 1)
@@ -589,13 +597,13 @@ class _Workspace:
     The scaling and the tables come from the grid's cache and the slice
     (a0, N) from the problem, so every level of a solve works in the same
     coordinates t.  ``dtype`` is that of t and of the reduced system: float
-    for a ``real`` workspace, that of a cold solve, which keeps t real, and
-    complex for a restart.  The workspace is the one place that picks the
-    arithmetic: a real one takes its values against the ``half_table`` on
-    the angles in [0, pi], sums them under ``w`` = ``mirror_weights`` and
-    takes its Gram sums by ``cosine_sums`` of weights on those angles, so it
-    works on half the nodes and allocates about half the memory; a complex
-    one takes the ``values_table``, ``lag_sums`` and the grid weights.
+    for a real start, which keeps t real, and complex for a complex one.
+    The workspace is the one place that picks the arithmetic: a real one
+    takes its values against the ``half_table`` on the angles in [0, pi],
+    sums them under ``w`` = ``mirror_weights`` and takes its Gram sums by
+    ``cosine_sums`` of weights on those angles, so it works on half the
+    nodes and allocates about half the memory; a complex one takes the
+    ``values_table``, ``lag_sums`` and the grid weights.
 
     The workspace allocates the grid-sized arrays of the descent and
     overwrites them in place: the current values ``u`` with ``base`` =
@@ -605,27 +613,26 @@ class _Workspace:
     reentrant.  They are views of one block because glibc keeps a freed
     block of up to 32 MiB for the next workspace, while it hands the pages
     of eight separate arrays back to the system, and every solve on the
-    default grid would fault their pages in anew.  ``iterations`` counts
-    the accepted steps on the level, ``anderson_steps`` those that took the
-    Anderson candidate and ``solve_fallbacks`` the solves that fell back to
-    least squares.
+    default grid would fault their pages in anew.  ``counts`` holds the
+    level's counts, which outlive its arrays: "iterations", the accepted
+    steps on the level, "anderson_steps", those that took the Anderson
+    candidate, and "solve_fallbacks", the solves that fell back to least
+    squares.
     """
 
-    def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid, real: bool = False):
+    def __init__(self, problem: ExtremalProblem, grid: QuadratureGrid, dtype: type = complex):
         self.grid = grid
         self.p = problem.p
         cache = _grid_cache(grid)
         self.radial, self._gram_scale, self.weight_gram = cache.scaling(problem.basis)
         tables = cache.tables(problem.basis.exponents)
-        self.dtype = float if real else complex
+        self.dtype = dtype
         # a real slice is made complex once here, not in every product
-        self.a0, self.N = (np.asarray(part, self.dtype) for part in problem.feasible_slice)
-        self.iterations = 0
-        self.solve_fallbacks = 0
-        self.anderson_steps = 0
+        self.a0, self.N = (np.asarray(part, dtype) for part in problem.feasible_slice)
+        self.counts = Counter()
         self._target = None  # the IRLS target of ``u`` under the current eps
 
-        if real:
+        if dtype is float:
             self._table, self._sums = tables.half_table, tables.cosine_sums
             self.w, self._omega_weights = cache.mirror_weights, cache.half_weights
         else:
@@ -654,7 +661,7 @@ class _Workspace:
     def weighted_solve(self, A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """Solve A x = rhs by ``_weighted_solve``; count each fall back."""
         x, fallbacks = _weighted_solve(A, rhs)
-        self.solve_fallbacks += fallbacks
+        self.counts["solve_fallbacks"] += fallbacks
         return x
 
     def irls_system(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -788,7 +795,7 @@ def _irls_stage(ws: _Workspace, t, phi, eps):
         # the Armijo bound of the plain step at alpha0
         if phi_try <= phi + _ARMIJO * alpha0 * descent:
             t = candidate
-            ws.anderson_steps += 1
+            ws.counts["anderson_steps"] += 1
         else:
             history = history[-1:]
             ws.set_step(delta)
@@ -805,7 +812,7 @@ def _irls_stage(ws: _Workspace, t, phi, eps):
                 break
             t = t + alpha * delta
         ws.accept()
-        ws.iterations += 1
+        ws.counts["iterations"] += 1
         if phi - phi_try <= _TOLERANCE * max(phi_try, 1e-300):
             stagnated = True
             break
@@ -836,14 +843,6 @@ def _anderson(history):
     return g - (b0 / m00) * dg[0] if m00 > 0.0 else g
 
 
-def _coarse_grid(grid: QuadratureGrid) -> QuadratureGrid | None:
-    """The quarter-resolution rule on the domain of ``grid``, or None if too small."""
-    shape = (grid.radial_count // _COARSENING, grid.angular_count // _COARSENING)
-    if shape[0] < _MIN_COARSE_SHAPE[0] or shape[1] < _MIN_COARSE_SHAPE[1]:
-        return None
-    return build_grid(grid.domain, *shape)
-
-
 def _descend(ws: _Workspace, t, schedule) -> Iterator[tuple[np.ndarray, bool]]:
     """Run the smoothing stages ``schedule`` on the grid of ``ws`` from t, or
     from the grid's weighted least-squares point when t is None.
@@ -862,33 +861,14 @@ def _descend(ws: _Workspace, t, schedule) -> Iterator[tuple[np.ndarray, bool]]:
         yield t, stagnated
 
 
-def _schedule(problem: ExtremalProblem) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """The eps stages of the coarse level and of the requested grid.
-
-    At p > 1 the smoothed problem is strictly convex and needs no heavy
-    smoothing: the coarse level runs 1e-6 and 1e-8 and the requested grid
-    1e-10, and the duality gap decides whether it runs ``_GAP_STAGES``.  At
-    p <= 1 the coarse level runs every stage of ``SMOOTHING_SCHEDULE`` but
-    the last two, which the requested grid runs for the drift test.  Without
-    a coarse grid the requested grid runs both parts.
-    """
-    if problem.p > 1.0:
-        coarse, requested = SMOOTHING_SCHEDULE[2:-1], SMOOTHING_SCHEDULE[-1:]
-    else:
-        coarse, requested = SMOOTHING_SCHEDULE[:-2], SMOOTHING_SCHEDULE[-2:]
-    if _grid_cache(problem.grid).coarse_grid is None:
-        return (), coarse + requested
-    return coarse, requested
-
-
 def minimize_pnorm(problem: ExtremalProblem) -> Solution:
     """Run the continuation descent; returns the final iterate with diagnostics.
 
     The descent starts from the weighted least-squares solution, which is
     the exact minimizer for p = 2 and is then returned with no iterations.
-    Every other solve runs its early stages on a coarser grid when the
-    problem's grid allows (see the module docstring), both levels in real
-    arithmetic on half the angles.  The stop rule is fixed by the module
+    Every other solve is the descent of ``_descents`` from that point, on
+    every grid level of ``_levels`` in real arithmetic on half the angles
+    (see the module docstring).  The stop rule is fixed by the module
     constants.  At p > 1, ``converged`` holds when the relative duality gap
     of the final iterate is at most ``_GAP_TOL``; the requested grid runs
     the 1e-10 stage and, while the gap is above that, each of
@@ -905,63 +885,93 @@ def minimize_pnorm(problem: ExtremalProblem) -> Solution:
         # w, so no grid level is built and no grid pass runs.
         a0, N = problem.feasible_slice
         _, _, G = _grid_cache(problem.grid).scaling(problem.basis)
-        A, rhs = _reduce(G, a0, N)
-        t, fallbacks = _weighted_solve(A, rhs)
+        t, fallbacks = _weighted_solve(*_reduce(G, a0, N))
         a = a0 + N @ t
         raw = float(np.vdot(a, G @ a).real)
         lower = raw / math.sqrt(raw)
-        return _solution(problem, t, raw, lower, True, (0, 0, 0), (0, fallbacks, 0))
-    # the rows are real, so the IRLS map commutes with conjugation and the
-    # descent from the real least-squares point stays real, at every p
-    return _requested_level(problem, *_coarse_level(problem, None, True), True)
+        return _solution(problem, t, raw, lower, True, [Counter(solve_fallbacks=fallbacks)])
+    return _descents(problem, [None])[0]
 
 
-def _coarse_level(problem: ExtremalProblem, t, real: bool):
-    """The coarse stages of ``_schedule`` on the quarter grid from t (None:
-    its least-squares point); returns the final t and the level's steps,
-    solve fallbacks and Anderson steps, or t and zeros if the grid is
-    too small to coarsen.  The workspace is not kept."""
+def _levels(problem: ExtremalProblem) -> list[tuple[QuadratureGrid, tuple[float, ...]]]:
+    """The grid levels of every descent of ``problem`` in order, each with
+    the eps stages it runs: the quarter grid, then the requested grid, or
+    the requested grid alone when the grid is too small to coarsen.
+
+    At p > 1 the smoothed problem is strictly convex and needs no heavy
+    smoothing: the stages are 1e-6, 1e-8 and, on the last level alone,
+    1e-10, after which the duality gap decides whether it runs
+    ``_GAP_STAGES``.  At p <= 1 they are every stage of
+    ``SMOOTHING_SCHEDULE``, and the last level runs the last two, which the
+    drift test compares.
+    """
+    first, split = (2, -1) if problem.p > 1.0 else (0, -2)
+    early, last = SMOOTHING_SCHEDULE[first:split], SMOOTHING_SCHEDULE[split:]
     coarse_grid = _grid_cache(problem.grid).coarse_grid
     if coarse_grid is None:
-        return t, (0, 0, 0)
-    ws = _Workspace(problem, coarse_grid, real)
-    for t, _ in _descend(ws, t, _schedule(problem)[0]):
-        pass
-    return t, (ws.iterations, ws.solve_fallbacks, ws.anderson_steps)
+        return [(problem.grid, early + last)]
+    return [(coarse_grid, early), (problem.grid, last)]
 
 
-def _requested_level(problem: ExtremalProblem, t, coarse, real: bool) -> Solution:
-    """The requested grid's stages of ``_schedule`` from the end point t of
-    ``_coarse_level`` and its counts ``coarse``, then the duality gap
-    (p > 1) or the drift test (p <= 1)."""
-    schedule = _schedule(problem)[1]
-    ws = _Workspace(problem, problem.grid, real)
-    if problem.p > 1.0:
-        # certify after the last stage, and after each gap stage it needs
-        for i, (t, _) in enumerate(_descend(ws, t, schedule + _GAP_STAGES)):
-            if i >= len(schedule) - 1:
-                raw, lower = ws.certificate(t)
-                converged = _relative_gap(raw, lower, problem.p) <= _GAP_TOL
-                if converged:
-                    break
-    else:
-        # the drift test reads the raw objective after the last two stages
-        raws, stagnated, lower = [], True, None
-        for i, (t, stage_stagnated) in enumerate(_descend(ws, t, schedule)):
-            stagnated = stagnated and stage_stagnated
-            if i >= len(schedule) - 2:
-                raws.append(ws.raw_objective())
-        raw = raws[-1]
-        settled = abs(raws[-1] - raws[-2]) <= _DRIFT_TOL * max(raw, 1e-300)
-        converged = stagnated and settled
-    fine = (ws.iterations, ws.solve_fallbacks, ws.anderson_steps)
-    return _solution(problem, t, raw, lower, converged, coarse, fine)
+def _descents(problem: ExtremalProblem, starts) -> list[Solution]:
+    """The descents of ``problem`` over its ``_levels`` from ``starts``, each
+    a t on the feasible slice or None for the first level's weighted
+    least-squares point.
+
+    A start of None or a real t runs in real arithmetic, a complex t in
+    complex arithmetic.  Every start runs every level but the last, each on
+    a workspace of its own, of which only the counts are kept.  When an
+    early level ran, only the first start of each cluster of end points
+    (coefficient distance 1e-4) goes on.  Each start that goes on runs the
+    last level, then the duality gap (p > 1) or the drift test (p <= 1)
+    decides ``converged``.  Returns their solutions in the order of
+    ``starts``.
+    """
+    *early, (grid, stages) = _levels(problem)
+    ends = []
+    for t in starts:
+        dtype = float if t is None or np.isrealobj(t) else complex
+        levels = []
+        for level_grid, level_stages in early:
+            ws = _Workspace(problem, level_grid, dtype)
+            for t, _ in _descend(ws, t, level_stages):
+                pass
+            levels.append(ws.counts)
+            del ws  # its arrays go before the next level allocates its own
+        ends.append((t, dtype, levels))
+    if early:
+        ends = [ends[i] for i in _distinct([problem.raw_from_t(t) for t, _, _ in ends])]
+    solutions = []
+    for t, dtype, levels in ends:
+        ws = _Workspace(problem, grid, dtype)
+        if problem.p > 1.0:
+            # certify after the last stage, and after each gap stage it needs
+            for i, (t, _) in enumerate(_descend(ws, t, stages + _GAP_STAGES)):
+                if i >= len(stages) - 1:
+                    raw, lower = ws.certificate(t)
+                    converged = _relative_gap(raw, lower, problem.p) <= _GAP_TOL
+                    if converged:
+                        break
+        else:
+            # the drift test reads the raw objective after the last two stages
+            raws, stagnated = [], True
+            for i, (t, stage_stagnated) in enumerate(_descend(ws, t, stages)):
+                stagnated = stagnated and stage_stagnated
+                if i >= len(stages) - 2:
+                    raws.append(ws.raw_objective())
+            raw, lower = raws[-1], None
+            converged = stagnated and abs(raws[-1] - raws[-2]) <= _DRIFT_TOL * max(raw, 1e-300)
+        levels.append(ws.counts)
+        del ws
+        solutions.append(_solution(problem, t, raw, lower, converged, levels))
+    return solutions
 
 
-def _solution(problem, t, raw: float, lower, converged: bool, coarse, fine) -> Solution:
+def _solution(problem, t, raw: float, lower, converged: bool, levels: list[Counter]) -> Solution:
     """The ``Solution`` at t of raw objective ``raw`` and lower bound
-    ``lower`` (None at p <= 1); ``coarse`` and ``fine`` are the counts of
-    the two levels."""
+    ``lower`` (None at p <= 1), with the sums of the ``counts`` of its grid
+    levels, given in level order; ``coarse_iterations`` are the steps of
+    every level but the last."""
     a_raw = problem.raw_from_t(t)
     residual = problem.constraint_matrix @ a_raw - problem.constraint_targets
     return Solution(
@@ -970,11 +980,11 @@ def _solution(problem, t, raw: float, lower, converged: bool, coarse, fine) -> S
         feasibility_residual=float(np.max(np.abs(residual))),
         lower_bound=lower,
         duality_gap=None if lower is None else _relative_gap(raw, lower, problem.p),
-        iterations=coarse[0] + fine[0],
-        coarse_iterations=coarse[0],
+        iterations=sum(counts["iterations"] for counts in levels),
+        coarse_iterations=sum(counts["iterations"] for counts in levels[:-1]),
         converged=converged,
-        solve_fallbacks=coarse[1] + fine[1],
-        anderson_steps=coarse[2] + fine[2],
+        solve_fallbacks=sum(counts["solve_fallbacks"] for counts in levels),
+        anderson_steps=sum(counts["anderson_steps"] for counts in levels),
     )
 
 
@@ -1009,12 +1019,12 @@ def multistart_minimize(
     basis (for ``analysis.dp_estimate``, the p = 1 solution of the same
     constraints) and, for k = 1 .. restarts - 1, from perturbations of it
     by circular Gaussian noise drawn by the generator keyed [seed, k].
-    They are the only descents in complex arithmetic on all K angles, since
-    the perturbations leave the real slice.  Every restart runs the coarse
-    level of ``minimize_pnorm``; only the first of each cluster of coarse
-    end points (coefficient distance 1e-4; every restart on a grid too
-    small to coarsen) runs the requested grid, and reports its own coarse
-    steps.  Converged solutions are deduplicated at the same distance and
+    Each is projected onto the slice, a complex t, and ``_descents`` runs
+    them all: the only descents in complex arithmetic on all K angles, since
+    the perturbations leave the real slice.  Only the first of each cluster
+    of coarse end points (coefficient distance 1e-4; every restart on a grid
+    too small to coarsen) runs the requested grid, and reports its own
+    coarse steps.  Converged solutions are deduplicated at the same distance and
     returned sorted by objective; distinct survivors are all reported,
     uniqueness is never asserted.
     """
@@ -1027,10 +1037,7 @@ def multistart_minimize(
         rng = np.random.default_rng([seed, k])
         noise = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
         starts.append(start + scale * noise / math.sqrt(dim))
-    ends = [_coarse_level(problem, problem.t_from_raw(point), False) for point in starts]
-    if _grid_cache(problem.grid).coarse_grid is not None:
-        ends = [ends[i] for i in _distinct([problem.raw_from_t(t) for t, _ in ends])]
-    runs = [_requested_level(problem, t, coarse, False) for t, coarse in ends]
+    runs = _descents(problem, [problem.t_from_raw(point) for point in starts])
 
     converged = sorted((s for s in runs if s.converged), key=lambda s: s.objective)
     return [converged[i] for i in _distinct([s.coeffs.coefficients for s in converged])]

@@ -38,18 +38,22 @@ def _problem(domain, grid, p, degree, constraints_builder):
 
 def _restart(prob, start):
     """The descent from the raw coefficients ``start`` that
-    ``multistart_minimize`` runs for each restart it refines: the coarse
-    level from the projection of ``start`` onto the slice, then the
-    requested grid, both in complex arithmetic."""
-    t, coarse = solver._coarse_level(prob, prob.t_from_raw(start), False)
-    return solver._requested_level(prob, t, coarse, False)
+    ``multistart_minimize`` runs for each restart it refines: every grid
+    level from the projection of ``start`` onto the slice, a complex t, so
+    in complex arithmetic."""
+    return solver._descents(prob, [prob.t_from_raw(start)])[0]
 
 
 def _complex_levels(prob):
     """The cold descent of ``minimize_pnorm`` in the complex arithmetic of the
-    restarts: both grid levels on all K angles, from the least-squares
-    point."""
-    return solver._requested_level(prob, *solver._coarse_level(prob, None, False), False)
+    restarts: every grid level on all K angles, from the least-squares point
+    of the first level, solved in complex arithmetic as a complex workspace
+    solves it, but without building one."""
+    grid = solver._levels(prob)[0][0]
+    _, _, G = solver._grid_cache(grid).scaling(prob.basis)
+    a0, N = (part.astype(complex) for part in prob.feasible_slice)
+    t, _ = solver._weighted_solve(*solver._reduce(G, a0, N))
+    return solver._descents(prob, [t])[0]
 
 
 def _kkt(prob, coefficients):
@@ -259,7 +263,7 @@ def _single_grid(prob, real=True):
     the stages from 1e-6, certified after 1e-10 and after each gap stage
     until the duality gap meets ``_GAP_TOL``; at p <= 1 every stage, with the
     drift test over the last two."""
-    ws = solver._Workspace(prob, prob.grid, real)
+    ws = solver._Workspace(prob, prob.grid, float if real else complex)
     if prob.p > 1.0:
         schedule = solver.SMOOTHING_SCHEDULE[2:]
         descent = solver._descend(ws, ws.least_squares(), schedule + solver._GAP_STAGES)
@@ -480,36 +484,40 @@ def test_levels_count_their_own_steps(unit_disk, disk_grid, monkeypatch):
     # the quarter grid are coarse_iterations, the rest are on the requested
     # grid; a multistart restart refined on the requested grid reports the
     # coarse steps of the restart whose coarse end point it starts from
-    steps = []  # the grid size of each accepted step of the running level
-    coarse_ends = []  # (t, steps) at the end of each coarse level, in order
+    steps = []  # the workspace of each accepted step
+    runs = []  # [workspace, start, end] of each level run, in order
+    starts = []  # every start ``_descents`` takes, in order
     solves = []  # (solution, coarse steps, requested-grid steps) of each descent
-    accept = solver._Workspace.accept
-    coarse_level, requested_level = solver._coarse_level, solver._requested_level
+    accept, descend, descents = solver._Workspace.accept, solver._descend, solver._descents
 
     def spied_accept(ws):
-        steps.append(ws.grid.weights.size)
+        steps.append(ws)
         accept(ws)
 
-    def spied_coarse_level(problem, t, real):
-        steps.clear()
-        t, counts = coarse_level(problem, t, real)
-        assert problem.grid.weights.size not in steps
-        coarse_ends.append((t, len(steps)))
-        return t, counts
+    def spied_descend(ws, t, schedule):
+        run = [ws, t, t]
+        runs.append(run)
+        for t, stagnated in descend(ws, t, schedule):
+            run[2] = t
+            yield t, stagnated
 
-    def spied_requested_level(problem, t, coarse, real):
-        steps.clear()
-        sol = requested_level(problem, t, coarse, real)
-        size = problem.grid.weights.size
-        # the latest coarse level that ended at t
-        coarse_steps = next(n for end, n in reversed(coarse_ends) if end is t)
-        solves.append((sol, coarse_steps, steps.count(size)))
-        assert len(steps) == steps.count(size)
-        return sol
+    def spied_descents(problem, level_starts):
+        starts.extend(level_starts)
+        first = len(runs)
+        sols = descents(problem, level_starts)
+        level_runs = runs[first:]
+        last = [run for run in level_runs if run[0].grid is problem.grid]
+        assert len(last) == len(sols)
+        for sol, (ws, start, _) in zip(sols, last):
+            # the latest coarse level that ended where this level started
+            coarse = [run[0] for run in level_runs if run[2] is start and run[0] is not ws][-1:]
+            assert all(level.grid.weights.size < problem.grid.weights.size for level in coarse)
+            solves.append((sol, sum(map(steps.count, coarse)), steps.count(ws)))
+        return sols
 
     monkeypatch.setattr(solver._Workspace, "accept", spied_accept)
-    monkeypatch.setattr(solver, "_coarse_level", spied_coarse_level)
-    monkeypatch.setattr(solver, "_requested_level", spied_requested_level)
+    monkeypatch.setattr(solver, "_descend", spied_descend)
+    monkeypatch.setattr(solver, "_descents", spied_descents)
     prob = _problem(
         unit_disk, disk_grid, 1.5, 10, lambda b: (point_constraint(b, 0.4, 1.0),)
     )
@@ -521,7 +529,7 @@ def test_levels_count_their_own_steps(unit_disk, disk_grid, monkeypatch):
     assert survivors
     small = replace(prob, grid=pb.build_grid(unit_disk, 32, 64))
     solver.minimize_pnorm(small)  # too small for a coarse level
-    assert len(coarse_ends) == 5 and len(solves) == 4
+    assert len(starts) == 5 and len(solves) == 4
     # every returned solution, the restarts' included, is one of the descents
     for sol in (cold, *survivors):
         assert any(sol is got for got, _, _ in solves)
@@ -533,15 +541,45 @@ def test_levels_count_their_own_steps(unit_disk, disk_grid, monkeypatch):
     assert all(requested > 0 for _, _, requested in solves[1:])
     assert all(coarse > 0 for _, coarse, _ in solves[:3])
     assert solves[3][1] == 0
+    # every accepted step was taken on the workspace of one level run
+    assert len(steps) == sum(steps.count(ws) for ws, _, _ in runs)
 
     steps.clear()
     p2 = solver.minimize_pnorm(
         _problem(unit_disk, disk_grid, 2.0, 10, lambda b: (point_constraint(b, 0.4, 1.0),))
     )
-    assert (steps, len(coarse_ends), len(solves)) == ([], 5, 4)  # no level, no step
+    assert (steps, len(starts), len(solves)) == ([], 5, 4)  # no level, no step
     assert (p2.iterations, p2.coarse_iterations, p2.solve_fallbacks, p2.anderson_steps) == (
         0, 0, 0, 0
     )
+
+
+def test_multistart_without_a_coarse_level_refines_every_restart(unit_disk, monkeypatch):
+    # on 32x64 the quarter grid would be 8x16, too small: every restart runs
+    # the requested grid alone, none is merged before it, and each reports
+    # no coarse steps
+    grid = pb.build_grid(unit_disk, 32, 64)
+    prob = _problem(unit_disk, grid, 0.8, 8, lambda b: (point_constraint(b, 0.3, 1.0),))
+    start = _p1_start(prob)
+    built, returned = [], []
+    init, descents = solver._Workspace.__init__, solver._descents
+
+    def spied_init(ws, problem, level_grid, *args):
+        init(ws, problem, level_grid, *args)
+        built.append(level_grid)
+
+    def spied_descents(problem, starts):
+        returned.append(descents(problem, starts))
+        return returned[-1]
+
+    monkeypatch.setattr(solver._Workspace, "__init__", spied_init)
+    monkeypatch.setattr(solver, "_descents", spied_descents)
+    survivors = multistart_minimize(prob, start, restarts=3, seed=0)
+    assert built == [grid] * 3
+    (runs,) = returned
+    assert len(runs) == 3
+    assert all(sol.iterations > 0 and sol.coarse_iterations == 0 for sol in runs)
+    assert survivors and all(any(sol is run for run in runs) for sol in survivors)
 
 
 def test_boundary_point_at_degree_32_does_not_stall(unit_disk):
@@ -1016,7 +1054,7 @@ def test_certificate_away_from_the_minimizer_stays_below_the_minimum(unit_disk, 
     prob = _problem(unit_disk, disk_grid, p, 10, lambda b: (point_constraint(b, 0.45, 1.0),))
     sol = minimize_pnorm(prob)
     assert sol.converged
-    ws = solver._Workspace(prob, disk_grid, real)
+    ws = solver._Workspace(prob, disk_grid, float if real else complex)
     t_min = prob.t_from_raw(sol.coeffs.coefficients)
     if real:
         t_min = t_min.real
@@ -1174,8 +1212,8 @@ def test_specs_differing_only_in_p_share_one_set_of_tables(unit_disk, monkeypatc
         scalings.append(scaling(tables, col_norms))
         return scalings[-1]
 
-    def spied_workspace_init(ws, problem, grid, real=False):
-        workspace_init(ws, problem, grid, real)
+    def spied_workspace_init(ws, problem, grid, dtype=complex):
+        workspace_init(ws, problem, grid, dtype)
         workspaces.append((ws, problem.basis))
 
     monkeypatch.setattr(solver._BasisTables, "__init__", spied_init)
