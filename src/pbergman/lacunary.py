@@ -3,16 +3,19 @@
 The radial criterion integral uses the squared coefficient moduli,
 integral over (0,1) of (sum_k |a_k|^2 r^(2 lambda_k))^(p/2) * 2 pi r dr,
 together with the true area measure.  That convention makes the p = 2 ratio
-against the direct area integral exactly 1 (Parseval), which is the sharp
-test of the machinery; any other normalization is absorbed by the comparison
-constant anyway.
+against the direct area integral exactly 1 (Parseval); since the direct
+integral at p = 2 is a closed form, that ratio is a sharp test of the
+criterion's radial quadrature.  Any other normalization is absorbed by the
+comparison constant anyway.
 
 Two primitives serve every circle quantity.  The radial profile
-(``_profile``), sum_k |a_k|^2 r^(2 lambda_k), is the mean of |f|^2 on the
-circle |z| = r by Parseval: the criterion integrand is its p/2-th power
-times 2 pi r, and it is the L^2 mean of the circle norm ratio.  The circle
-reducer (``_circle_means``) gives the trapezoid mean of |f|^p on each of a
-set of circles, each with its own angular count.
+(``_profile``) of the squared coefficient moduli of f^k
+(``_radial_profile``), sum_m |c_m|^2 r^(2m), is the mean of |f|^2k on the
+circle |z| = r by Parseval.  At k = 1 it is sum_k |a_k|^2 r^(2 lambda_k):
+the criterion integrand is its p/2-th power times 2 pi r, and it is the L^2
+mean of the circle norm ratio.  The circle reducer (``_circle_means``)
+gives the trapezoid mean of |f|^p on each of a set of circles, each with its
+own angular count.
 
 Every value of a series on circles comes from one evaluator (``_tiles``).
 It works through tiles of a few radii by one chunk of angles, multiplying
@@ -29,20 +32,25 @@ one tile of values and never builds flat ``nodes`` and ``weights`` arrays.
 Only ``series_grid_values`` keeps the tiles, since the grid of values is
 what it returns.
 
-The direct area integral calls the reducer on 256 Gauss-Legendre radii
-and sizes each circle's angular count K, at most max(256, 8 lambda_max), to
-the bandwidth that circle carries: on inner circles r^lambda has pushed the
-high terms below rounding, so far fewer than 8 lambda_max angles resolve
-|f|^p there (Trefethen and Weideman, "The exponentially convergent
-trapezoidal rule", SIAM Review 2014).  The circle norm ratio calls it on
-one circle of 8 lambda_max angles.  At even p both take an exact count
-instead (``_exact_counts``): |f|^p is then a trigonometric polynomial of
-degree (p/2)(lambda_eff - lambda_1) on the circle, and the trapezoid rule
-integrates it exactly at the smallest power of two above that degree.  At
-any other p the counts stay as they are, since fewer angles would move the
-result.  Each integral computes the radial amplitudes once and builds one
-roots-of-unity table at its largest power-of-two count, which every smaller
-power of two reads by stride.
+At even p = 2k neither the direct area integral nor the circle norm ratio
+takes a quadrature.  |f|^p = |f^k|^2, so by Parseval the mean of |f|^p on
+the unit circle is sum_m |c_m|^2 and the area integral is
+pi sum_m |c_m|^2 / (m + 1), where c holds the coefficients of f^k
+(``_radial_profile``).  They come from k - 1 sparse products of the
+unit-scale series with itself, each a sum over exponent pairs, and are
+exact up to rounding.  The products are capped at ``_POWER_ENTRIES``
+entries; above the cap even p takes the quadrature every other p takes.
+
+At any other p the direct area integral calls the reducer on 256
+Gauss-Legendre radii and sizes each circle's angular count K, at most
+max(256, 8 lambda_max), to the bandwidth that circle carries: on inner
+circles r^lambda has pushed the high terms below rounding, so far fewer
+than 8 lambda_max angles resolve |f|^p there (Trefethen and Weideman, "The
+exponentially convergent trapezoidal rule", SIAM Review 2014).  The circle
+norm ratio calls it on one circle of 8 lambda_max angles.  Each integral
+computes the radial amplitudes once and builds one roots-of-unity table at
+its largest power-of-two count, which every smaller power of two reads by
+stride.
 
 All operations are pure.
 """
@@ -87,6 +95,15 @@ LAMBDA_MAX_CAP = 2**20
 # outer circles up to 8 lambda_max angles each, on this many radii.
 _DIRECT_LAMBDA_MAX = 4096
 _DIRECT_RADII = 256
+
+# The most entries the sparse products of the even-p closed form compute
+# between them.  A product of a j-term power with the L-term series computes
+# j x L entries, about 75 ns and 70 bytes each, and costs at least the 13 us
+# of 256 entries however small it is, so the cap bounds the closed form at
+# about 80 ms and 70 MB whatever p is (2-vCPU VM, one BLAS thread; 980 000
+# entries over 6 products took 75 ms and a 43 MiB tracemalloc peak).
+_POWER_ENTRIES = 2**20
+_PRODUCT_ENTRIES = 256
 
 # A term is dead on a circle, and dropped there, once |a_k| r^lambda_k falls
 # below this fraction of the largest term on that circle, a tenth of the unit
@@ -182,10 +199,29 @@ def _unit_scale(series: LacunarySeries) -> tuple[LacunarySeries, np.float64]:
     return LacunarySeries(series.exponents, series.coefficients / M), M
 
 
-def _radial_profile(series: LacunarySeries):
-    amp2 = np.abs(series.coefficients) ** 2
+def _radial_profile(series: LacunarySeries, p: float = 2.0):
+    """The squared coefficient moduli and the exponents of f^(p/2), whose
+    ``_profile`` is the mean of |f|^p on each circle |z| = r by Parseval;
+    None where p is not even or f^(p/2) is over the term cap.
+
+    f^(j+1) is f^j times f: every pair of exponents adds, and the products
+    of their coefficients are summed per exponent sum, real and imaginary
+    parts apart.  Each product counts its (terms of f^j) x L entries, and
+    at least ``_PRODUCT_ENTRIES``; above ``_POWER_ENTRIES`` between them
+    the power is given up.
+    """
+    if p % 2:
+        return None
     lams = np.array(series.exponents, dtype=float)
-    return amp2, lams
+    exps, power, entries = lams, series.coefficients, 0
+    for _ in range(int(p) // 2 - 1):
+        entries += max(_PRODUCT_ENTRIES, exps.size * lams.size)
+        if entries > _POWER_ENTRIES:
+            return None
+        products = np.outer(power, series.coefficients).ravel()
+        exps, index = np.unique(np.add.outer(exps, lams).ravel(), return_inverse=True)
+        power = np.bincount(index, products.real) + 1j * np.bincount(index, products.imag)
+    return np.abs(power) ** 2, exps
 
 
 def _profile(amp2, lams, r: np.ndarray) -> np.ndarray:
@@ -347,38 +383,13 @@ def _circle_means(series: LacunarySeries, radii, p: float, counts) -> np.ndarray
     return means
 
 
-def _exact_counts(series: LacunarySeries, live, p: float, counts) -> np.ndarray:
-    """``counts``, lowered at even p to the smallest power of two above
-    (p/2)(lambda_eff - lambda_1), where lambda_eff is the largest exponent
-    alive on the circle (``_amplitudes``).
-
-    On the circle f is e^(i lambda_1 theta) times a polynomial in e^(i theta)
-    of degree lambda_eff - lambda_1, up to terms below rounding, so |f|^2 is
-    a trigonometric polynomial of that degree and, at even p,
-    |f|^p = (|f|^2)^(p/2) is one of degree (p/2)(lambda_eff - lambda_1),
-    which the trapezoid rule integrates exactly once its count exceeds the
-    degree.  No count is raised.  At any other p the counts are returned as
-    they are.
-    """
-    if p % 2:
-        return counts
-    lams = np.array(series.exponents)
-    # capped at counts, so that no p overflows the degree to inf
-    degree = np.minimum(counts, 0.5 * p * (lams[live - 1] - lams[0]))
-    return np.minimum(counts, np.ldexp(1.0, np.frexp(degree)[1])).astype(int)
-
-
-def _sized_counts(series: LacunarySeries, live, p: float, cap: int) -> np.ndarray:
-    """``direct_lp``'s trapezoid count of each circle, given its live term count.
-
-    At any p that is not even it is max(256, 8 lambda_eff) rounded up to a
-    power of two and capped at ``cap``, where lambda_eff is the largest
-    exponent alive on the circle (``_amplitudes``); at even p that count is
-    lowered to the exact count of ``_exact_counts``.
-    """
+def _sized_counts(series: LacunarySeries, live, cap: int) -> np.ndarray:
+    """``direct_lp``'s trapezoid count of each circle, given its live term
+    count: max(256, 8 lambda_eff) rounded up to a power of two and capped at
+    ``cap``, where lambda_eff is the largest exponent alive on the circle
+    (``_amplitudes``)."""
     lam_eff = np.array(series.exponents)[live - 1]
-    counts = np.minimum(cap, 2 ** np.ceil(np.log2(np.maximum(256, 8 * lam_eff))).astype(int))
-    return _exact_counts(series, live, p, counts)
+    return np.minimum(cap, 2 ** np.ceil(np.log2(np.maximum(256, 8 * lam_eff))).astype(int))
 
 
 def series_grid_values(series: LacunarySeries, grid: QuadratureGrid) -> np.ndarray:
@@ -399,21 +410,19 @@ def series_grid_values(series: LacunarySeries, grid: QuadratureGrid) -> np.ndarr
 def direct_lp(series: LacunarySeries, p: float) -> float:
     """Area integral of |f|^p over the unit disk.
 
-    The rule takes 256 Gauss-Legendre radii (``geometry._radial_rule``)
-    and gives each circle its own trapezoid count, sized to the terms still
-    alive on it (``_sized_counts``): inner circles, where r^lambda has pushed
-    the high terms below rounding, get far fewer than 8 lambda_max angles.  A
-    circle's trapezoid sum is exact for trigonometric polynomials of degree
-    below its count, so at even p the count is the smallest power of two
-    above the degree of |f|^p there, (p/2)(lambda_eff - lambda_1), when that
-    is below the count of every other p: at lambda_max 4096 that is 0.12 of
-    the nodes at p = 2 and 0.25 at p = 4.  At every other p the count is
-    max(256, 8 lambda_eff) rounded up to a power of two; at p < 2 the kinks
-    of |f|^p at zeros of f make the sum converge only algebraically, and
-    that rule differs from the uniform 8 lambda_max one by up to 6e-7
-    relative (p = 0.5, dyadic series up to lambda_max 4096).  The sum runs
-    circle by circle on the radial rule alone, so no grid is built.  A
-    series with lambda_max above 4096 raises ``ValueError``.
+    At even p = 2k it is pi sum_m |c_m|^2 / (m + 1), with c the
+    coefficients of f^k (``_radial_profile``), exact up to rounding and with
+    no quadrature.  At any other p, or where f^k has too many terms, the rule
+    takes 256 Gauss-Legendre radii (``geometry._radial_rule``) and gives
+    each circle its own trapezoid count, sized to the terms still alive on
+    it (``_sized_counts``): inner circles, where r^lambda has pushed the
+    high terms below rounding, get far fewer than 8 lambda_max angles.  At
+    p < 2 the kinks of |f|^p at zeros of f make the sum converge only
+    algebraically, and that rule differs from the uniform 8 lambda_max one
+    by up to 6e-7 relative (p = 0.5, dyadic series up to lambda_max 4096).
+    The sum runs circle by circle on the radial rule alone, so no grid is
+    built.  A series with lambda_max above 4096 raises ``ValueError``, at
+    every p.
     """
     if not 0 < p < math.inf:
         raise ValueError(f"p must be positive and finite, got {p}")
@@ -421,8 +430,11 @@ def direct_lp(series: LacunarySeries, p: float) -> float:
     cap = _direct_angles(series)
     if scale == 0.0:
         return 0.0
+    power = _radial_profile(unit, p)
+    if power is not None:
+        return float(math.pi * (power[0] @ (1.0 / (power[1] + 1.0))) * scale**p)
     radii, radial_weights = _radial_rule(Domain("disk", 1.0), _DIRECT_RADII)
-    means = _circle_means(unit, radii, p, lambda live: _sized_counts(unit, live, p, cap))
+    means = _circle_means(unit, radii, p, lambda live: _sized_counts(unit, live, cap))
     return float(radial_weights @ means * (2.0 * math.pi) * scale**p)
 
 
@@ -455,14 +467,17 @@ def equivalence_ratio(series: LacunarySeries, p: float) -> float:
 def circle_norm_ratio(series: LacunarySeries, r: float, p: float) -> float:
     """||f(r e^(2 pi i t))||_{L^p(T)} / ||.||_{L^2(T)}.
 
-    T is the unit-measure circle parameter t in [0,1).  The L^p mean is the
-    trapezoid mean of ``_circle_means`` at 8*lambda_max equally spaced
-    points, or at even p at the exact count of ``_exact_counts`` when that
-    is smaller.  The L^2 mean is the radial profile sum_k |a_k|^2 r^(2 lambda_k)
-    by Parseval, which that trapezoid rule also gives to rounding, since
-    |f|^2 has no frequency above lambda_max.  Both are taken of f divided
-    by its largest term on the circle, so neither underflows to 0/0 where
-    every term of f does (0.5^1200 squared is below the double range).
+    T is the unit-measure circle parameter t in [0,1).  At even p = 2k the
+    L^p mean is sum_m |c_m|^2, with c the coefficients of f^k on the circle
+    (``_radial_profile``), by Parseval and with no quadrature; at any
+    other p, or where f^k has too many terms, it is the trapezoid mean of
+    ``_circle_means`` at 8*lambda_max equally spaced points.  The L^2 mean
+    is the radial profile sum_k |a_k|^2 r^(2 lambda_k) by Parseval, the
+    same sum as the L^p mean at p = 2, and one that trapezoid rule also
+    gives to rounding, since |f|^2 has no frequency above lambda_max.  Both
+    are taken of f divided by its largest term on the circle, so neither
+    underflows to 0/0 where every term of f does (0.5^1200 squared is below
+    the double range).
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must lie in (0, 1), got {r}")
@@ -488,7 +503,11 @@ def circle_norm_ratio(series: LacunarySeries, r: float, p: float) -> float:
     )
     g = LacunarySeries(series.exponents, phases * moduli)
     unit = np.ones(1)
-    means = _circle_means(g, unit, p, lambda live: _exact_counts(g, live, p, np.array([8 * lam])))
+    power = _radial_profile(g, p)
+    if power is not None:
+        means = _profile(*power, unit)
+    else:
+        means = _circle_means(g, unit, p, lambda live: np.array([8 * lam]))
     lp = means[0] ** (1.0 / p)
     l2 = math.sqrt(_profile(*_radial_profile(g), unit)[0])
     return float(lp / l2)

@@ -12,7 +12,8 @@ stencil the radial Levi stencil of ``analysis`` is checked against, and
 ``grid_free_k4`` minimizes ||f^2||_2^2, the 4-norm to the fourth without a
 grid, by Newton's method.  For
 lacunary series, ``dense_lp`` sums |f|^p over whole circles without the
-tiled evaluator, and ``lacunary_l4`` is the grid-free integral of |f|^4.
+tiled evaluator, and ``lacunary_even`` is the grid-free integral and
+circle mean of |f|^p at even p.
 ``write_series_csv`` writes the series files the command line reads.
 """
 
@@ -171,13 +172,19 @@ def dense_lp(series, p, radii, radial_weights, counts):
     return total
 
 
-def lacunary_l4(series):
-    """Integral of |f|^4 over the unit disk without a grid:
-    ||f^2||_2^2 = pi sum_m |c_m|^2 / (m + 1), with c the coefficients of f^2."""
-    square = {}
-    for (la, a), (lb, b) in product(zip(series.exponents, series.coefficients), repeat=2):
-        square[la + lb] = square.get(la + lb, 0.0) + a * b
-    return math.pi * sum(abs(c) ** 2 / (m + 1) for m, c in square.items())
+def lacunary_even(series, p):
+    """The integral of |f|^p over the unit disk and the mean of |f|^p on the
+    unit circle at even p = 2k, without a grid: with c the coefficients of
+    f^k, multiplied out term by term in a dict, they are
+    ||f^k||_2^2 = pi sum_m |c_m|^2 / (m + 1) and sum_m |c_m|^2."""
+    power = {0: 1.0}
+    for _ in range(int(p) // 2):
+        terms = {}
+        for (m, c), (n, a) in product(power.items(), zip(series.exponents, series.coefficients)):
+            terms[m + n] = terms.get(m + n, 0.0) + c * complex(a)
+        power = terms
+    return (math.pi * sum(abs(c) ** 2 / (m + 1) for m, c in power.items()),
+            sum(abs(c) ** 2 for c in power.values()))
 
 
 def grid_free_k4(inner, outer, exponents, r):

@@ -25,7 +25,7 @@ from pbergman.lacunary import (
     series_grid_values,
 )
 
-from oracles import dense_lp, lacunary_l4, write_series_csv
+from oracles import dense_lp, lacunary_even, write_series_csv
 
 DYADIC_10 = tuple(2**k for k in range(1, 11))
 
@@ -57,18 +57,51 @@ def _scaled(series, c):
     return LacunarySeries(series.exponents, c * series.coefficients)
 
 
-def _direct_counts(series, p):
-    """``direct_lp``'s angular count on each of its circles at this p."""
+def _direct_counts(series):
+    """The angular count on each circle of ``direct_lp``'s quadrature."""
     grid = _direct_grid(series)
     unit = lacunary._unit_scale(series)[0]
     live = lacunary._amplitudes(unit, grid.radii)[1]
-    return lacunary._sized_counts(unit, live, p, grid.angular_count)
+    return lacunary._sized_counts(unit, live, grid.angular_count)
 
 
 def _dense_sized_lp(series, p):
     """``dense_lp`` on the circles and angular counts of ``direct_lp``'s rule."""
     grid = _direct_grid(series)
-    return dense_lp(series, p, grid.radii, grid.radial_weights, _direct_counts(series, p))
+    return dense_lp(series, p, grid.radii, grid.radial_weights, _direct_counts(series))
+
+
+def _quadrature_lp(series, p):
+    """``direct_lp``'s circle quadrature at any p, even p included: its sized
+    counts on its 256 radii, summed by ``_circle_means``."""
+    grid = _direct_grid(series)
+    unit, scale = lacunary._unit_scale(series)
+    means = lacunary._circle_means(
+        unit, grid.radii, p, lambda live: lacunary._sized_counts(unit, live, grid.angular_count)
+    )
+    return float(grid.radial_weights @ means * (2.0 * math.pi) * scale**p)
+
+
+def _oracle_circle_ratio(series, r, p):
+    """``circle_norm_ratio`` at even p from ``lacunary_even``: the circle mean
+    of |f|^p at r is the unit-circle mean of the series with coefficients
+    a_k r^lambda_k, and the L^2 mean is that of p = 2."""
+    on_circle = _on_circle(series, r)
+    return lacunary_even(on_circle, p)[1] ** (1 / p) / lacunary_even(on_circle, 2)[1] ** 0.5
+
+
+def _on_circle(series, r):
+    """The series whose values on the unit circle are those of f on |z| = r."""
+    return LacunarySeries(series.exponents, series.coefficients * r ** np.array(series.exponents, dtype=float))
+
+
+def _small_first_term_series():
+    """Dyadic exponents 64 to 4096 whose first coefficient is 1e-12, so that
+    no term is alive on the innermost circles of ``direct_lp``'s rule."""
+    rng = np.random.default_rng(89)
+    coef = rng.standard_normal(7) + 1j * rng.standard_normal(7)
+    coef[0] = 1e-12
+    return LacunarySeries(tuple(2**k for k in range(6, 13)), coef)
 
 
 def test_lacunarity_examples():
@@ -397,17 +430,33 @@ def test_blocked_integral_matches_dense_reference(dyadic_grid, shape):
     values = series_grid_values(s, grid)
     assert np.max(np.abs(values - dense)) <= 1e-13 * np.max(np.abs(dense))
     if shape is None:
-        for p in (0.5, 1.0, 1.5, 2.0, 3.0, 4.0):
+        for p in (0.5, 1.0, 1.5, 3.0):
             assert math.isclose(direct_lp(s, p), _dense_sized_lp(s, p), rel_tol=1e-13)
+        # at even p the quadrature is checked through _circle_means, and
+        # direct_lp, which takes the closed form, against the oracle
+        for p in (2.0, 4.0):
+            assert math.isclose(_quadrature_lp(s, p), _dense_sized_lp(s, p), rel_tol=1e-13)
+            assert math.isclose(direct_lp(s, p), lacunary_even(s, p)[0], rel_tol=1e-13)
 
 
 @pytest.mark.parametrize("top", [4, 6, 8, 10])
 def test_direct_p4_matches_grid_free_oracle(top):
-    # |f|^4 on a circle is a trigonometric polynomial the sized rule resolves
-    # exactly, so what is left is the radial rule's error
     for seed in range(3):
         s = _dyadic_series(top, seed)
-        assert math.isclose(direct_lp(s, 4.0), lacunary_l4(s), rel_tol=1e-13)
+        assert math.isclose(direct_lp(s, 4.0), lacunary_even(s, 4.0)[0], rel_tol=1e-13)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+def test_even_p_integrals_match_the_closed_form_oracle(p):
+    # at even p both integrals are sums over the coefficients of f^(p/2),
+    # exact up to rounding at every lambda_max the direct integral takes
+    series = [_dyadic_series(top, seed) for top in (4, 8, 12) for seed in (83, 84)]
+    for s in series + [_small_first_term_series()]:
+        area = lacunary_even(s, p)[0]
+        assert math.isclose(direct_lp(s, p), area, rel_tol=1e-13)
+        assert math.isclose(direct_lp(_scaled(s, 1e-3 - 2j), p), abs(1e-3 - 2j) ** p * area, rel_tol=1e-13)
+        for r in (0.5, 0.9, 0.999):
+            assert math.isclose(circle_norm_ratio(s, r, p), _oracle_circle_ratio(s, r, p), rel_tol=1e-13)
 
 
 def test_direct_p2_is_multi_term_parseval():
@@ -418,7 +467,7 @@ def test_direct_p2_is_multi_term_parseval():
         exact = math.pi * sum(
             abs(a) ** 2 / (n + 1) for a, n in zip(s.coefficients, s.exponents)
         )
-        assert math.isclose(direct_lp(s, 2.0), exact, rel_tol=1e-12)
+        assert math.isclose(direct_lp(s, 2.0), exact, rel_tol=1e-14)
 
 
 def test_series_integrals_keep_no_grid(fresh_rules):
@@ -475,9 +524,15 @@ def test_sized_rule_matches_uniform_rule(top):
     # live terms need, the uniform rule 8 lambda_max on every circle
     s = _dyadic_series(top, 79 + top)
     grid = _direct_grid(s)
-    for p, tol in ((2.0, 1e-14), (4.0, 1e-14), (0.5, 2e-6), (1.0, 2e-6), (1.5, 2e-6)):
+    for p, tol in ((0.5, 2e-6), (1.0, 2e-6), (1.5, 2e-6)):
         uniform = dense_lp(s, p, grid.radii, grid.radial_weights, grid.angular_count)
         assert math.isclose(direct_lp(s, p), uniform, rel_tol=tol)
+    # direct_lp takes the closed form at even p, so the sized rule is
+    # checked through _circle_means there
+    for p in (2.0, 4.0):
+        uniform = dense_lp(s, p, grid.radii, grid.radial_weights, grid.angular_count)
+        assert math.isclose(_quadrature_lp(s, p), uniform, rel_tol=1e-14)
+        assert math.isclose(direct_lp(s, p), lacunary_even(s, p)[0], rel_tol=1e-13)
 
 
 def _tile_nodes(monkeypatch, call):
@@ -502,32 +557,62 @@ def test_sized_rule_evaluates_a_tenth_of_the_uniform_nodes(monkeypatch):
     grid = _direct_grid(s)
     nodes = {p: _tile_nodes(monkeypatch, lambda: direct_lp(s, p))[0] for p in (0.5, 1.0, 2.0, 4.0)}
     # every circle once, at its sized count; the uniform rule has 256 x 8 x 4096
-    for p, count in nodes.items():
-        assert count == _direct_counts(s, p).sum()
+    for p in (0.5, 1.0):
+        assert nodes[p] == _direct_counts(s).sum()
     assert nodes[0.5] == nodes[1.0] == 864768
     assert nodes[1.0] <= 0.12 * grid.radial_count * grid.angular_count
-    # at even p the count only needs to exceed the degree of |f|^p
-    assert nodes[2.0] == 106240 and nodes[2.0] <= 0.13 * nodes[1.0]
-    assert nodes[4.0] <= 0.26 * nodes[1.0]
+    # even p takes the closed form and evaluates no node; its quadrature
+    # takes the counts of every other p
+    assert nodes[2.0] == nodes[4.0] == 0
+    for p in (2.0, 4.0):
+        assert _tile_nodes(monkeypatch, lambda: _quadrature_lp(s, p))[0] == nodes[1.0]
 
 
 @pytest.mark.parametrize("top", [8, 12])
 @pytest.mark.parametrize("p", [2.0, 4.0, 6.0])
 def test_even_p_count_is_exact_and_tight(top, p):
     # |f|^p is a trigonometric polynomial of degree (p/2)(lambda_max - 1) on
-    # an outer circle, where every term is alive: the smallest power of two
-    # above it gives what 8 times as many angles give, and half of it does not
+    # an outer circle, where every term is alive: the trapezoid rule at the
+    # smallest power of two above it gives the closed-form circle mean, and
+    # at half of it does not
     s = _dyadic_series(top, seed=101)
     radius = np.array([0.999])
-    count = lacunary._exact_counts(s, lacunary._amplitudes(s, radius)[1], p, np.array([2**30]))[0]
-    assert count // 2 <= 0.5 * p * (s.lambda_max - 1) < count
+    degree = int(0.5 * p * (s.lambda_max - s.exponents[0]))
+    count = 1 << degree.bit_length()
+    assert count // 2 <= degree < count
 
     def mean(k):
         return lacunary._circle_means(s, radius, p, lambda live: np.array([k]))[0]
 
-    exact = mean(count)
-    assert math.isclose(exact, mean(8 * count), rel_tol=1e-14)
-    assert not math.isclose(exact, mean(count // 2), rel_tol=1e-7)
+    exact = lacunary_even(_on_circle(s, 0.999), p)[1]
+    assert math.isclose(mean(count), exact, rel_tol=1e-14)
+    assert not math.isclose(mean(count // 2), exact, rel_tol=1e-7)
+
+
+@pytest.mark.parametrize(("p", "top"), [(4.0, 4), (4.0, 10), (6.0, 4), (6.0, 6)])
+def test_even_p_above_the_term_cap_takes_the_quadrature(monkeypatch, p, top):
+    # with the cap below one product, f^(p/2) is given up and both integrals
+    # take the circle quadrature every other p takes, which still agrees
+    # with the closed form; the radial rule's error grows with p lambda_max
+    monkeypatch.setattr(lacunary, "_POWER_ENTRIES", 200)
+    s = _dyadic_series(top, seed=107)
+    assert lacunary._radial_profile(s, p) is None
+    nodes, _ = _tile_nodes(monkeypatch, lambda: direct_lp(s, p))
+    assert nodes == _direct_counts(s).sum()
+    assert direct_lp(s, p) == _quadrature_lp(s, p)
+    assert math.isclose(direct_lp(s, p), lacunary_even(s, p)[0], rel_tol=1e-13)
+    nodes, _ = _tile_nodes(monkeypatch, lambda: circle_norm_ratio(s, 0.9, p))
+    assert nodes == 8 * s.lambda_max
+    assert math.isclose(circle_norm_ratio(s, 0.9, p), _oracle_circle_ratio(s, 0.9, p), rel_tol=1e-13)
+    # p = 2 needs no product, so no cap gives it up
+    assert lacunary._radial_profile(s, 2.0) is not None
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 8.0])
+def test_even_p_within_the_cap_evaluates_no_node(monkeypatch, p):
+    s = _dyadic_series(12, seed=109)
+    assert _tile_nodes(monkeypatch, lambda: direct_lp(s, p))[0] == 0
+    assert _tile_nodes(monkeypatch, lambda: circle_norm_ratio(s, 0.9, p))[0] == 0
 
 
 def test_one_circle_stacks_its_chunks_into_tiles(monkeypatch):
@@ -544,11 +629,8 @@ def test_one_circle_stacks_its_chunks_into_tiles(monkeypatch):
 def test_sized_rule_with_no_live_term_on_inner_circles():
     # |a_1| r^64 = 1e-12 r^64 is below the cut on the innermost circles, where
     # the rule keeps the first term alone
-    rng = np.random.default_rng(89)
-    exps = tuple(2**k for k in range(6, 13))
-    coef = rng.standard_normal(7) + 1j * rng.standard_normal(7)
-    coef[0] = 1e-12
-    s = LacunarySeries(exps, coef)
+    s = _small_first_term_series()
+    exps, coef = s.exponents, s.coefficients
     exact = math.pi * sum(abs(a) ** 2 / (n + 1) for a, n in zip(coef, exps))
     assert math.isclose(direct_lp(s, 2.0), exact, rel_tol=1e-12)
     zero = LacunarySeries(exps, np.zeros(7, dtype=complex))
