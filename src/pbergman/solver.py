@@ -46,11 +46,12 @@ descent therefore follows its start.  From the least-squares point, or
 from a real t, every grid level runs in real arithmetic at every p: t, the
 slice and the reduced system are real; |f| of real coefficients is even
 in the angle, so only the K // 2 + 1 angles in [0, pi] are evaluated (the
-table of the exponents on those angles, every angle with a mirror
-weighted twice); and the Gram is a cosine sum of the weights, a product
-against a real table of cosines.  Only a complex t, the start of a
-multistart restart, which starts off the real slice and whose minimizer
-need not be symmetric, takes complex arithmetic on all K angles.
+table of the exponents on those angles, under one weight array in which
+every angle with a mirror is weighted twice); and the Gram is a cosine sum
+of those weights, a product against a real table of cosines.  Only a
+complex t, the start of a multistart restart, which starts off the real
+slice and whose minimizer need not be symmetric, takes complex arithmetic
+on all K angles.
 
 Each line-search trial takes one power of |u|^2 + eps on the grid, and the
 accepted trial keeps (|u|^2 + eps)^(p/2), so the next IRLS weights are w
@@ -98,29 +99,29 @@ its own steps, solve fallbacks and Anderson steps, and the solution reports
 their sums, with ``coarse_iterations`` those of every level but the last.
 
 What every solve on a grid shares is read-only, built on first use and kept
-in a cache keyed weakly by the grid, so it lives as long as the grid: the
-coarse rule, the weights of a real solve, the tables of each exponent set
-that no p changes (angular tables, radial powers, Gram index arrays and the
-Gram sums of the grid weights), and the column scaling of each basis spec,
-the only part of the basis that depends on p.  One values pass (``_values``)
-and one Gram step (the Gram sums times the scaling's Gram scale) serve both
+in the grid's cache (``_grid_cache``): the coarse rule, the one weight
+array of a real solve, the tables of each exponent set that no p changes
+(angular tables, radial powers, Gram index arrays and the Gram sums of the
+grid weights), and the column scaling of each basis spec, the only part of
+the basis that depends on p.  One values pass (``_values``) and one Gram
+step (the Gram sums times the scaling's Gram scale) serve both
 arithmetics; a grid level's workspace picks the table, the sums and the
 weights of its arithmetic.  ``shared_grid`` keeps one grid per rule (domain,
 radial and angular count) for the whole process, so every ``Setup`` and
 every CLI call on a rule shares its grid, its coarse rule and its tables.
-What the process keeps is bounded by ``_RULES``: the rules ``shared_grid``
-keeps, and the exponent sets and basis specs each grid keeps, least
-recently used out first.  The writable arrays belong to the solve, so no two
-solves share any.  A single descent is sequential; restarts and independent
-problems may run in parallel or nested, and problems and solutions are
-immutable.
+What the process keeps is bounded by ``_RULES``, least recently used out
+first: the rules ``shared_grid`` keeps, the caches of ``2 * _RULES`` grids
+(those rules and their coarse rules), and the exponent sets and basis
+specs each grid cache keeps.  The writable arrays belong to the solve, so
+no two solves share any.  A single descent is sequential; restarts and
+independent problems may run in parallel or nested, and problems and
+solutions are immutable.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import weakref
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
@@ -173,15 +174,17 @@ _COARSENING = 4
 _MIN_COARSE_SHAPE = (16, 32)
 
 # The bound on what the process keeps between calls: ``shared_grid`` keeps
-# the grids of the _RULES rules last asked for, and each grid's cache the
-# tables of the _RULES exponent sets and the column scalings of the _RULES
-# basis specs last used on it; anything else is rebuilt when it comes back.
-# The benchmark's workloads use at most three rules (the disk, the annulus
-# and the punctured disk on the default grid), two exponent sets per rule
-# (the degree-16 and degree-8 analysis bases) and four p per exponent set of
-# a kernel round, so four of each keep all they reuse.  They then hold about
-# 2.4 MB (kernel) and 1.0 MB (analysis), whatever the number of calls, p
-# values and points.
+# the grids of the _RULES rules last asked for, ``_grid_cache`` the caches of
+# the 2 * _RULES grids last used (those rules and their coarse rules), and
+# each grid's cache the tables of the _RULES exponent sets and the column
+# scalings of the _RULES basis specs last used on it; anything else is
+# rebuilt when it comes back.  The benchmark's workloads use at most three
+# rules (the disk, the annulus and the punctured disk on the default grid;
+# six grids with their coarse rules), two exponent sets per rule (the
+# degree-16 and degree-8 analysis bases) and four p per exponent set of a
+# kernel round, so these bounds keep all they reuse.  The arrays of the grid
+# caches then come to about 2.0 MB (kernel) and 0.5 MB (analysis), whatever
+# the number of calls, p values and points.
 _RULES = 4
 
 
@@ -339,14 +342,14 @@ class _BasisTables:
     for one exponent set: the angular tables, the radial powers r_i^n and
     r_top^n, the powers and index arrays of the Gram, and the Gram sums
     under the grid weights, given on the angles in [0, pi] as
-    ``half_weights``.
+    ``mirror_weights``.
 
     Each angular table e^{i m theta_k} is read from the roots of unity
     e^{2 pi i j / K} at the exact residue j = m k mod K, so exponents equal
     modulo the angular count get equal columns, where the grid cannot tell
     them apart.  The tables come in pairs, one per arithmetic: the exponents
     on all K angles or, conjugated, on the angles in [0, pi], and the lags
-    as phases on all K angles or as mirror-weighted cosines on [0, pi].
+    as phases on all K angles or as cosines on [0, pi].
     They and ``weight_sums`` are built on first use and then kept, so a
     real solve builds only the tables of the half angles.  Everything is
     read-only and no method keeps scratch, so one instance serves every
@@ -354,11 +357,11 @@ class _BasisTables:
     concurrent solves included; the grid cache keeps it.
     """
 
-    def __init__(self, radii, angular_count, half_weights, exponents):
+    def __init__(self, radii, angular_count, mirror_weights, exponents):
         n = np.array(exponents)
         self.shape = (radii.size, angular_count)
         self.exponents = n
-        self.half_weights = half_weights
+        self.mirror_weights = mirror_weights
         self.radial_powers = radii[:, None] ** n[None, :]
         # A Gram entry depends on n_j + n_l through a radial power and on
         # the lag n_l - n_j through an angular frequency.  Powers are taken of
@@ -403,9 +406,10 @@ class _BasisTables:
 
     @functools.cached_property
     def _cosine_table(self) -> np.ndarray:
-        """The mirror count of angle k in [0, pi] times cos(m theta_k), lag m = 0 .. span."""
+        """cos(m theta_k) at angle k in [0, pi] and lag m = 0 .. span."""
         half = np.arange(self.shape[1] // 2 + 1)[:, None]
-        table = self._phases(half, np.arange(self.span + 1)).real * _mirrors(self.shape[1])[:, None]
+        # a contiguous copy of the real parts: a strided operand slows every product
+        table = self._phases(half, np.arange(self.span + 1)).real.copy()
         table.setflags(write=False)
         return table
 
@@ -421,7 +425,8 @@ class _BasisTables:
 
     def cosine_sums(self, omega: np.ndarray) -> np.ndarray:
         """``lag_sums``, real, for omega even in the angle, given on the
-        angles in [0, pi] like ``half_weights``."""
+        angles in [0, pi] like ``mirror_weights``: each angle but 0 and,
+        for an even count, pi weighted twice, once for its mirror."""
         # W[i, m] = sum_k omega_ik cos(m theta_k) over all K angles
         W = omega.reshape(self.shape[0], -1) @ self._cosine_table
         return (self.sum_powers @ W)[self.sum_index, self.lag_index]
@@ -429,7 +434,7 @@ class _BasisTables:
     @functools.cached_property
     def weight_sums(self) -> np.ndarray:
         """``cosine_sums`` of the grid weights, read-only."""
-        G = self.cosine_sums(self.half_weights)
+        G = self.cosine_sums(self.mirror_weights)
         G.setflags(write=False)
         return G
 
@@ -478,16 +483,14 @@ class _GridCache:
 
     It holds the grid's coarse rule, a quarter as fine each way (None when
     that leaves fewer radii or angles than ``_MIN_COARSE_SHAPE``), the
-    weights of a real solve on the angles in [0, pi] (``half_weights``, each
-    at its own weight, and ``mirror_weights``, each mirrored angle weighted
-    twice), and two caches of ``_RULES`` entries each, least recently used
-    out first: ``tables(exponents)``, the ``_BasisTables`` of an exponent
-    set, and ``scaling(spec)``, the column scaling of a basis spec
+    weights of a real solve on the angles in [0, pi] (``mirror_weights``,
+    each angle but 0 and, for an even count, pi weighted twice, once for
+    its mirror), and two caches of ``_RULES`` entries each, least recently
+    used out first: ``tables(exponents)``, the ``_BasisTables`` of an
+    exponent set, and ``scaling(spec)``, the column scaling of a basis spec
     (``_BasisTables.scaling``), built from the tables of its exponents,
-    which specs differing only in p share.  It keeps no reference to its
-    own grid, so its entry in ``_GRID_CACHES`` lives as long as the grid
-    does: for a grid of ``shared_grid``, as long as that cache keeps the
-    rule.
+    which specs differing only in p share.  ``_grid_cache`` keeps one per
+    grid for the ``2 * _RULES`` grids last used.
     """
 
     def __init__(self, grid: QuadratureGrid):
@@ -496,43 +499,22 @@ class _GridCache:
         coarsens = shape[0] >= _MIN_COARSE_SHAPE[0] and shape[1] >= _MIN_COARSE_SHAPE[1]
         self.coarse_grid = build_grid(grid.domain, *shape) if coarsens else None
         # the entries of ``grid.weights`` on the angles in [0, pi], which a
-        # real solve never builds
-        self.half_weights = np.repeat(grid.radial_weights * (2.0 * math.pi / K), K // 2 + 1)
-        self.mirror_weights = (self.half_weights.reshape(n_r, -1) * _mirrors(K)).ravel()
-        self.half_weights.setflags(write=False)
+        # real solve never builds, times their mirror counts
+        weights = np.repeat(grid.radial_weights * (2.0 * math.pi / K), K // 2 + 1).reshape(n_r, -1)
+        weights[:, 1 : (K + 1) // 2] *= 2.0
+        self.mirror_weights = weights.ravel()
         self.mirror_weights.setflags(write=False)
-        tables = functools.lru_cache(maxsize=_RULES)(
-            functools.partial(_BasisTables, grid.radii, K, self.half_weights)
+        self.tables = functools.lru_cache(maxsize=_RULES)(
+            functools.partial(_BasisTables, grid.radii, K, self.mirror_weights)
+        )
+        self.scaling = functools.lru_cache(maxsize=_RULES)(
+            lambda spec: self.tables(spec.exponents).scaling(spec.col_norms)
         )
 
-        @functools.lru_cache(maxsize=_RULES)
-        def scaling(spec: BasisSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            return tables(spec.exponents).scaling(spec.col_norms)
 
-        # closures over the tables, not over this cache, so that no cycle
-        # keeps a cache alive once its grid is gone
-        self.tables, self.scaling = tables, scaling
-
-
-def _mirrors(angular_count: int) -> np.ndarray:
-    """The mirror count of each angle in [0, pi]: 2 for every angle but 0
-    and, for an even count, pi."""
-    mirrors = np.ones(angular_count // 2 + 1)
-    mirrors[1 : (angular_count + 1) // 2] = 2.0
-    return mirrors
-
-
-# one entry per live grid, the coarse rules of the requested grids included
-_GRID_CACHES: weakref.WeakKeyDictionary[QuadratureGrid, _GridCache] = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _grid_cache(grid: QuadratureGrid) -> _GridCache:
-    cache = _GRID_CACHES.get(grid)
-    if cache is None:
-        cache = _GRID_CACHES.setdefault(grid, _GridCache(grid))
-    return cache
+# one cache per grid, for the grids of the _RULES rules ``shared_grid`` keeps
+# and their coarse rules
+_grid_cache = functools.lru_cache(maxsize=2 * _RULES)(_GridCache)
 
 
 @functools.lru_cache(maxsize=_RULES)
@@ -598,12 +580,12 @@ class _Workspace:
     (a0, N) from the problem, so every level of a solve works in the same
     coordinates t.  ``dtype`` is that of t and of the reduced system: float
     for a real start, which keeps t real, and complex for a complex one.
-    The workspace is the one place that picks the arithmetic: a real one
-    takes its values against the ``half_table`` on the angles in [0, pi],
-    sums them under ``w`` = ``mirror_weights`` and takes its Gram sums by
-    ``cosine_sums`` of weights on those angles, so it works on half the
-    nodes and allocates about half the memory; a complex one takes the
-    ``values_table``, ``lag_sums`` and the grid weights.
+    The workspace is the one place that picks the arithmetic, as a table,
+    Gram sums and weights ``w``: a real one takes the ``half_table`` on the
+    angles in [0, pi], ``cosine_sums`` and ``mirror_weights``, so it works
+    on half the nodes and allocates about half the memory; a complex one
+    takes the ``values_table``, ``lag_sums`` and the grid weights.  Both
+    sum the objective and the IRLS weights under ``w``.
 
     The workspace allocates the grid-sized arrays of the descent and
     overwrites them in place: the current values ``u`` with ``base`` =
@@ -633,11 +615,9 @@ class _Workspace:
         self._target = None  # the IRLS target of ``u`` under the current eps
 
         if dtype is float:
-            self._table, self._sums = tables.half_table, tables.cosine_sums
-            self.w, self._omega_weights = cache.mirror_weights, cache.half_weights
+            self._table, self._sums, self.w = tables.half_table, tables.cosine_sums, cache.mirror_weights
         else:
-            self._table, self._sums = tables.values_table, tables.lag_sums
-            self.w = self._omega_weights = grid.weights
+            self._table, self._sums, self.w = tables.values_table, tables.lag_sums, grid.weights
         size = self.w.size
         layout = dict.fromkeys(("u", "u_try", "du"), ((size,), complex))
         floats = ("base", "base_try", "terms", "terms_try", "omega")
@@ -726,11 +706,10 @@ class _Workspace:
         self.terms, self.terms_try = self.terms_try, self.terms
 
     def irls_weights(self) -> np.ndarray:
-        """omega = w base^(p/2 - 1) at ``u``, as w terms / base, with each
-        node at its own weight; the gradient in t of the smoothed objective
-        is p (A t - rhs) for these weights."""
+        """omega = w base^(p/2 - 1) at ``u``, as w terms / base; the gradient
+        in t of the smoothed objective is p (A t - rhs) for these weights."""
         np.divide(self.terms, self.base, out=self.omega)
-        self.omega *= self._omega_weights
+        self.omega *= self.w
         return self.omega
 
     def raw_objective(self) -> float:

@@ -10,7 +10,6 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-import pbergman as pb
 from pbergman import analysis, cli, kernel, solver
 from pbergman.cli import main
 from pbergman.lacunary import LacunarySeries
@@ -37,19 +36,22 @@ def _run(capsys, argv):
 
 
 def test_cli_calls_keep_at_most_the_bound_of_rules(capsys, fresh_rules):
-    # a call on a rule already asked for reuses its grid, and the grids of
-    # the last _RULES rules stay resident for later calls, never more, however
-    # many rules the calls ask for
-    shapes = [(16 + 2 * k, 32) for k in range(solver._RULES + 2)]
+    # a call on a rule already asked for reuses its grid and its grid cache;
+    # the grids of the last _RULES rules stay resident for later calls, and
+    # the caches of the last 2 * _RULES grids, never more, however many rules
+    # the calls ask for (these grids are too small to coarsen)
+    shapes = [(16 + 2 * k, 32) for k in range(2 * solver._RULES + 2)]
     argv = ["kernel", "--domain", "disk:0.9", "--p", "1.5", "--z", "0.3", "--degree", "4"]
     for n_r, K in shapes + shapes[-1:]:
         code, _, _ = _run(capsys, argv + ["--grid", f"{n_r}x{K}"])
         assert code == 0
     info = solver.shared_grid.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, len(shapes), solver._RULES)
+    info = solver._grid_cache.cache_info()
+    assert (info.misses, info.currsize) == (len(shapes), 2 * solver._RULES)
     gc.collect()
-    resident = [g for g in solver._GRID_CACHES if g.domain == pb.Domain("disk", 0.9)]
-    assert sorted((g.radial_count, g.angular_count) for g in resident) == shapes[-solver._RULES :]
+    resident = [c for c in gc.get_objects() if isinstance(c, solver._GridCache)]
+    assert len(resident) == 2 * solver._RULES
 
 
 def test_cli_output_is_the_same_cold_and_warm(capsys, fresh_rules):

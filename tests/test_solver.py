@@ -121,13 +121,34 @@ def test_separable_basis_matches_dense_vandermonde(spec, shape, n_min, n_max):
     assert rel(values(a_real, tables.half_table), full[:, :half].conj().ravel()) <= 1e-13
     even = omega.reshape(n_r, K)
     even = even + even[:, -np.arange(K)]  # omega(theta) + omega(-theta)
-    half_even = even[:, :half].ravel()
-    assert rel(gram(tables.cosine_sums, half_even), Vs.conj().T @ (Vs * even.ravel()[:, None])) <= 1e-13
     # every angle but 0 and, for even K, pi stands for itself and its mirror
     mirrors = np.ones(half)
     mirrors[1 : (K + 1) // 2] = 2.0
+    half_even = (even[:, :half] * mirrors).ravel()
+    assert rel(gram(tables.cosine_sums, half_even), Vs.conj().T @ (Vs * even.ravel()[:, None])) <= 1e-13
     assert np.array_equal(cache.mirror_weights, (grid.weights.reshape(n_r, K)[:, :half] * mirrors).ravel())
     assert math.isclose(cache.mirror_weights.sum(), grid.weights.sum(), rel_tol=1e-14)
+
+
+@pytest.mark.parametrize("spec,shape", [("disk:1", (16, 32)), ("annulus:0.5,1", (12, 15))])
+def test_cached_tables_and_weights_are_contiguous_and_read_only(spec, shape):
+    # every array the grid cache keeps is shared by every solve on the grid,
+    # so none is writable, and each is an operand of a product, where a
+    # strided view would be slower than a contiguous array
+    domain = pb.parse_domain(spec)
+    grid = pb.build_grid(domain, *shape)
+    basis = _basis(domain, 1.5, 6)
+    cache = solver._grid_cache(grid)
+    tables = cache.tables(basis.exponents)
+    tabled = ("values_table", "half_table", "_lag_table", "_cosine_table", "weight_sums")
+    for name in tabled:
+        getattr(tables, name)
+    arrays = {name: a for name, a in vars(tables).items() if isinstance(a, np.ndarray)}
+    assert set(tabled) <= set(arrays)
+    arrays |= dict(zip(("radial", "gram_scale", "weight_gram"), cache.scaling(basis)))
+    arrays["mirror_weights"] = cache.mirror_weights
+    for name, a in arrays.items():
+        assert a.flags.c_contiguous and not a.flags.writeable, name
 
 
 def test_solves_take_no_fft(unit_disk, monkeypatch):
@@ -225,9 +246,10 @@ def test_p2_return_takes_no_grid_pass(unit_disk, monkeypatch, fresh_rules):
     # its certificate comes from the same Gram
     assert abs(sol.duality_gap) <= 1e-15
     assert abs(sol.lower_bound - sol.objective) <= 1e-15 * sol.objective
-    # the weights on the angles in [0, pi]
-    half_weights = grid.weights.reshape(128, 256)[:, :129].ravel()
-    assert len(grams) == 1 and np.array_equal(grams[0], half_weights)
+    # the weights on the angles in [0, pi], each but 0 and pi twice for its mirror
+    mirror_weights = grid.weights.reshape(128, 256)[:, :129].copy()
+    mirror_weights[:, 1:128] *= 2.0
+    assert len(grams) == 1 and np.array_equal(grams[0], mirror_weights.ravel())
 
 
 @pytest.mark.parametrize(
@@ -1259,6 +1281,23 @@ def test_a_grid_keeps_the_tables_and_bases_of_at_most_the_bound(unit_disk):
     cache = solver._grid_cache(grid)
     assert cache.tables.cache_info().currsize == solver._RULES
     assert cache.scaling.cache_info().currsize == solver._RULES
+
+
+def test_solves_after_their_grid_cache_was_evicted_keep_their_bits(unit_disk, fresh_rules):
+    # K_p and B_p on a grid whose cache, and its coarse rule's, were evicted
+    # by solves on 2 * _RULES + 1 other grids and then rebuilt
+    grid = pb.build_grid(unit_disk, 64, 128)
+    setup = pb.Setup(unit_disk, degree=8, grid=grid)
+    problems = [setup.problem(p, 0.4, kind) for p in (1.5, 2.0, 3.0) for kind in ("K_p", "B_p")]
+    first = solver._grid_cache(grid)
+    want = [minimize_pnorm(prob) for prob in problems]
+    for k in range(2 * solver._RULES + 1):
+        other = pb.build_grid(unit_disk, 16 + 2 * k, 32)
+        assert pb.Setup(unit_disk, degree=4, grid=other).solve(1.5, 0.3).converged
+    assert solver._grid_cache(grid) is not first
+    for prob, sol in zip(problems, want):
+        assert sol.converged
+        _assert_same_bits(minimize_pnorm(prob), sol)
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
