@@ -295,24 +295,19 @@ def _require_unit_disk(grid: QuadratureGrid) -> None:
 
 
 def _amplitudes(series: LacunarySeries, radii):
-    """a_k r_i^lambda_k, one row per radius, and the live count of each row
-    (``_live_counts``)."""
-    lams = np.array(series.exponents, dtype=float)
-    amps = series.coefficients * np.exp(np.log(radii)[:, None] * lams)
-    return amps, _live_counts(_log_sizes(series, radii))
+    """a_k r_i^lambda_k, one row per radius, and the live count of each row.
 
-
-def _live_counts(size: np.ndarray) -> np.ndarray:
-    """The live count of each row of log sizes (``_log_sizes``): the number
-    of leading terms up to the last one with
-    |a_k| r_i^lambda_k >= _LIVE_CUT * max_k |a_k| r_i^lambda_k.
-
-    The terms after it are below rounding on that circle, however small the
-    series is there.  The sizes are compared as logarithms, which do not
-    underflow where the terms themselves do.
+    A row's live count is the number of leading terms up to the last one with
+    |a_k| r_i^lambda_k >= _LIVE_CUT * max_k |a_k| r_i^lambda_k.  The terms
+    after it are below rounding on that circle, however small the series is
+    there.  The sizes are compared as logarithms, which do not underflow
+    where the terms themselves do.
     """
+    lams = np.array(series.exponents, dtype=float)
+    size = _log_sizes(series, radii)
     alive = size >= size.max(axis=1, keepdims=True) + math.log(_LIVE_CUT)
-    return size.shape[1] - np.argmax(alive[:, ::-1], axis=1)
+    amps = series.coefficients * np.exp(np.log(radii)[:, None] * lams)
+    return amps, len(lams) - np.argmax(alive[:, ::-1], axis=1)
 
 
 def _log_sizes(series: LacunarySeries, radii) -> np.ndarray:
@@ -482,8 +477,7 @@ def circle_norm_ratio(series: LacunarySeries, r: float, p: float) -> float:
     gives to rounding, since |f|^2 has no frequency above lambda_max.  Both
     are taken of f divided by its largest term on the circle, so neither
     underflows to 0/0 where every term of f does (0.5^1200 squared is below
-    the double range), and of its terms alive there (``_live_counts``), so
-    the products of f^k compute no term below rounding.
+    the double range).
     """
     if not 0.0 < r < 1.0:
         raise ValueError(f"radius must lie in (0, 1), got {r}")
@@ -501,14 +495,13 @@ def circle_norm_ratio(series: LacunarySeries, r: float, p: float) -> float:
     # coefficients a_k r^lambda_k / M and M is the largest of their moduli.
     # They are taken from the log sizes, so the largest is 1 even where every
     # term of f underflows on the circle, and the ratio is that of g.
-    size = _log_sizes(series, np.array([r]))
-    live = _live_counts(size)[0]
-    moduli = np.exp(size[0, :live] - size.max())
-    coefficients = series.coefficients[:live]
+    size = _log_sizes(series, np.array([r]))[0]
+    moduli = np.exp(size - size.max())
     phases = np.divide(
-        coefficients, np.abs(coefficients), out=np.zeros(live, dtype=complex), where=moduli > 0.0,
+        series.coefficients, np.abs(series.coefficients),
+        out=np.zeros(len(moduli), dtype=complex), where=moduli > 0.0,
     )
-    g = LacunarySeries(series.exponents[:live], phases * moduli)
+    g = LacunarySeries(series.exponents, phases * moduli)
     unit = np.ones(1)
     power = _radial_profile(g, p)
     if power is not None:

@@ -99,20 +99,21 @@ its own steps, solve fallbacks and Anderson steps, and the solution reports
 their sums, with ``coarse_iterations`` those of every level but the last.
 
 What every solve on a grid shares is read-only, built on first use and kept
-in the grid's cache (``_grid_cache``): the coarse rule, the one weight
-array of a real solve, the tables of each exponent set that no p changes
-(angular tables, radial powers, Gram index arrays and the Gram sums of the
-grid weights), and the column scaling of each basis spec, the only part of
-the basis that depends on p.  One values pass (``_values``) and one Gram
-step (the Gram sums times the scaling's Gram scale) serve both
-arithmetics; a grid level's workspace picks the table, the sums and the
-weights of its arithmetic.  ``shared_grid`` keeps one grid per rule (domain,
+in the cache of the grid's rule (``_grid_cache``), which holds no grid a
+caller passed, since every grid is ``build_grid`` of its rule: the coarse
+rule, the one weight array of a real solve, the tables of each exponent set
+that no p changes (angular tables, radial powers, Gram index arrays and the
+Gram sums of the grid weights), and the column scaling of each basis spec,
+the only part of the basis that depends on p.  One values pass
+(``_values``) and one Gram step (the Gram sums times the scaling's Gram
+scale) serve both arithmetics; a grid level's workspace picks the table,
+the sums and the weights of its arithmetic.  ``shared_grid`` keeps one grid per rule (domain,
 radial and angular count) for the whole process, so every ``Setup`` and
 every CLI call on a rule shares its grid, its coarse rule and its tables.
 What the process keeps is bounded by ``_RULES``, least recently used out
-first: the rules ``shared_grid`` keeps, the caches of ``2 * _RULES`` grids
+first: the rules ``shared_grid`` keeps, the caches of ``2 * _RULES`` rules
 (those rules and their coarse rules), and the exponent sets and basis
-specs each grid cache keeps.  The writable arrays belong to the solve, so
+specs each rule's cache keeps.  The writable arrays belong to the solve, so
 no two solves share any.  A single descent is sequential; restarts and
 independent problems may run in parallel or nested, and problems and
 solutions are immutable.
@@ -128,7 +129,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .geometry import Domain, QuadratureGrid, _roots_of_unity, build_grid, format_domain
+from .geometry import Domain, QuadratureGrid, _radial_rule, _roots_of_unity, build_grid, format_domain
 from .series import BasisSpec, CoeffVector
 
 __all__ = [
@@ -174,15 +175,15 @@ _COARSENING = 4
 _MIN_COARSE_SHAPE = (16, 32)
 
 # The bound on what the process keeps between calls: ``shared_grid`` keeps
-# the grids of the _RULES rules last asked for, ``_grid_cache`` the caches of
-# the 2 * _RULES grids last used (those rules and their coarse rules), and
-# each grid's cache the tables of the _RULES exponent sets and the column
+# the grids of the _RULES rules last asked for, ``_rule_caches`` the caches of
+# the 2 * _RULES rules last used (those rules and their coarse rules), and
+# each rule's cache the tables of the _RULES exponent sets and the column
 # scalings of the _RULES basis specs last used on it; anything else is
 # rebuilt when it comes back.  The benchmark's workloads use at most three
 # rules (the disk, the annulus and the punctured disk on the default grid;
-# six grids with their coarse rules), two exponent sets per rule (the
+# six with their coarse rules), two exponent sets per rule (the
 # degree-16 and degree-8 analysis bases) and four p per exponent set of a
-# kernel round, so these bounds keep all they reuse.  The arrays of the grid
+# kernel round, so these bounds keep all they reuse.  The arrays of the rule
 # caches then come to about 2.0 MB (kernel) and 0.5 MB (analysis), whatever
 # the number of calls, p values and points.
 _RULES = 4
@@ -479,7 +480,8 @@ def _values(radial: np.ndarray, table: np.ndarray, a: np.ndarray, out=None) -> n
 
 
 class _GridCache:
-    """The read-only parts of every solve on one grid, built on first use.
+    """The read-only parts of every solve on the grid of one rule, built on
+    first use.
 
     It holds the grid's coarse rule, a quarter as fine each way (None when
     that leaves fewer radii or angles than ``_MIN_COARSE_SHAPE``), the
@@ -489,32 +491,41 @@ class _GridCache:
     used out first: ``tables(exponents)``, the ``_BasisTables`` of an
     exponent set, and ``scaling(spec)``, the column scaling of a basis spec
     (``_BasisTables.scaling``), built from the tables of its exponents,
-    which specs differing only in p share.  ``_grid_cache`` keeps one per
-    grid for the ``2 * _RULES`` grids last used.
+    which specs differing only in p share.  ``_rule_caches`` keeps one per
+    rule for the ``2 * _RULES`` rules last used, and ``_grid_cache(grid)``
+    returns that of the grid's rule.
     """
 
-    def __init__(self, grid: QuadratureGrid):
-        n_r, K = grid.radial_count, grid.angular_count
+    def __init__(self, domain: Domain, radial_count: int, angular_count: int):
+        n_r, K = radial_count, angular_count
         shape = (n_r // _COARSENING, K // _COARSENING)
         coarsens = shape[0] >= _MIN_COARSE_SHAPE[0] and shape[1] >= _MIN_COARSE_SHAPE[1]
-        self.coarse_grid = build_grid(grid.domain, *shape) if coarsens else None
+        self.coarse_grid = build_grid(domain, *shape) if coarsens else None
+        radii, radial_weights = _radial_rule(domain, n_r)
         # the entries of ``grid.weights`` on the angles in [0, pi], which a
         # real solve never builds, times their mirror counts
-        weights = np.repeat(grid.radial_weights * (2.0 * math.pi / K), K // 2 + 1).reshape(n_r, -1)
+        weights = np.repeat(radial_weights * (2.0 * math.pi / K), K // 2 + 1).reshape(n_r, -1)
         weights[:, 1 : (K + 1) // 2] *= 2.0
         self.mirror_weights = weights.ravel()
         self.mirror_weights.setflags(write=False)
-        self.tables = functools.lru_cache(maxsize=_RULES)(
-            functools.partial(_BasisTables, grid.radii, K, self.mirror_weights)
+        self.tables = tables = functools.lru_cache(maxsize=_RULES)(
+            functools.partial(_BasisTables, radii, K, self.mirror_weights)
         )
+        # over ``tables``, not ``self.tables``: a closure over the cache would
+        # keep an evicted cache alive until a garbage collection
         self.scaling = functools.lru_cache(maxsize=_RULES)(
-            lambda spec: self.tables(spec.exponents).scaling(spec.col_norms)
+            lambda spec: tables(spec.exponents).scaling(spec.col_norms)
         )
 
 
-# one cache per grid, for the grids of the _RULES rules ``shared_grid`` keeps
-# and their coarse rules
-_grid_cache = functools.lru_cache(maxsize=2 * _RULES)(_GridCache)
+# one cache per rule (domain, radial and angular count), for the _RULES rules
+# ``shared_grid`` keeps and their coarse rules.  Every grid is ``build_grid``
+# of its rule, so the caches hold no caller's grid.
+_rule_caches = functools.lru_cache(maxsize=2 * _RULES)(_GridCache)
+
+
+def _grid_cache(grid: QuadratureGrid) -> _GridCache:
+    return _rule_caches(grid.domain, grid.radial_count, grid.angular_count)
 
 
 @functools.lru_cache(maxsize=_RULES)

@@ -26,15 +26,15 @@ def annulus():
 
 @pytest.fixture
 def fresh_rules():
-    """An empty rule cache (``solver.shared_grid``) and grid cache
-    (``solver._grid_cache``) at the start and the end of the test, so that a
-    test which counts grid or table builds sees every rule it uses built
-    anew, whatever ran before it."""
+    """An empty rule cache (``solver.shared_grid``) and no cached tables of
+    any rule (``solver._rule_caches``) at the start and the end of the test,
+    so that a test which counts grid or table builds sees every rule it uses
+    built anew, whatever ran before it."""
     solver.shared_grid.cache_clear()
-    solver._grid_cache.cache_clear()
+    solver._rule_caches.cache_clear()
     yield
     solver.shared_grid.cache_clear()
-    solver._grid_cache.cache_clear()
+    solver._rule_caches.cache_clear()
 
 
 @pytest.fixture

@@ -36,9 +36,9 @@ def _run(capsys, argv):
 
 
 def test_cli_calls_keep_at_most_the_bound_of_rules(capsys, fresh_rules):
-    # a call on a rule already asked for reuses its grid and its grid cache;
+    # a call on a rule already asked for reuses its grid and its rule cache;
     # the grids of the last _RULES rules stay resident for later calls, and
-    # the caches of the last 2 * _RULES grids, never more, however many rules
+    # the caches of the last 2 * _RULES rules, never more, however many rules
     # the calls ask for (these grids are too small to coarsen)
     shapes = [(16 + 2 * k, 32) for k in range(2 * solver._RULES + 2)]
     argv = ["kernel", "--domain", "disk:0.9", "--p", "1.5", "--z", "0.3", "--degree", "4"]
@@ -47,11 +47,14 @@ def test_cli_calls_keep_at_most_the_bound_of_rules(capsys, fresh_rules):
         assert code == 0
     info = solver.shared_grid.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, len(shapes), solver._RULES)
-    info = solver._grid_cache.cache_info()
+    info = solver._rule_caches.cache_info()
     assert (info.misses, info.currsize) == (len(shapes), 2 * solver._RULES)
-    gc.collect()
+    # an evicted cache is freed at once, with no garbage collection, and the
+    # resident ones are those of the last rules (a real solve's weights have
+    # n_r (K // 2 + 1) entries)
     resident = [c for c in gc.get_objects() if isinstance(c, solver._GridCache)]
-    assert len(resident) == 2 * solver._RULES
+    want = [n_r * (K // 2 + 1) for n_r, K in shapes[-2 * solver._RULES :]]
+    assert sorted(c.mirror_weights.size for c in resident) == want
 
 
 def test_cli_output_is_the_same_cold_and_warm(capsys, fresh_rules):

@@ -615,29 +615,6 @@ def test_even_p_within_the_cap_evaluates_no_node(monkeypatch, p):
     assert _tile_nodes(monkeypatch, lambda: circle_norm_ratio(s, 0.9, p))[0] == 0
 
 
-def test_circle_ratio_multiplies_out_only_the_live_terms(monkeypatch):
-    # on r = 0.9 the top terms of a dyadic series up to 4096 are far below
-    # rounding (0.9^4096 is about 1e-188): the circle series and the products
-    # of its even power keep only the leading terms up to the last one within
-    # _LIVE_CUT of the largest, and the ratio still matches the oracle of the
-    # whole series
-    s = _dyadic_series(12, seed=83)
-    r, p = 0.9, 8.0
-    sizes = np.abs(s.coefficients) * r ** np.array(s.exponents, dtype=float)
-    live = 1 + np.flatnonzero(sizes >= lacunary._LIVE_CUT * sizes.max())[-1]
-    assert live == 9
-    seen = []
-    radial_profile = lacunary._radial_profile
-
-    def spied(series, p=2.0):
-        seen.append(series.exponents)
-        return radial_profile(series, p)
-
-    monkeypatch.setattr(lacunary, "_radial_profile", spied)
-    assert math.isclose(circle_norm_ratio(s, r, p), _oracle_circle_ratio(s, r, p), rel_tol=1e-13)
-    assert seen == [s.exponents[:live]] * 2
-
-
 def test_one_circle_stacks_its_chunks_into_tiles(monkeypatch):
     # 8 lambda_max = 2^15 angles are 32 chunks of 2^10, stacked into tiles of
     # _STACK_NODES values rather than one tile per chunk

@@ -1,7 +1,9 @@
+import gc
 import math
 import sys
 import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -1298,6 +1300,23 @@ def test_solves_after_their_grid_cache_was_evicted_keep_their_bits(unit_disk, fr
     for prob, sol in zip(problems, want):
         assert sol.converged
         _assert_same_bits(minimize_pnorm(prob), sol)
+
+
+def test_rule_caches_keep_no_grid_a_caller_built(unit_disk, fresh_rules):
+    # a grid a caller built shares the cache of its rule with the shared grid
+    # of that rule, and once the caller drops it, nothing keeps it alive
+    grid = pb.build_grid(unit_disk, 64, 128)
+    assert solver._grid_cache(grid) is solver._grid_cache(solver.shared_grid(unit_disk, 64, 128))
+    setup = pb.Setup(unit_disk, degree=8, grid=grid)
+    assert setup.solve(1.5, 0.4).converged
+    problem = setup.problem(1.0, 0.4, "K_p")
+    assert multistart_minimize(problem, setup.solve(1.0, 0.4).coeffs.coefficients, restarts=2, seed=0)
+    assert grid.weights.size == 64 * 128
+    dropped = weakref.ref(grid)
+    del grid, setup, problem
+    gc.collect()
+    assert dropped() is None
+    assert solver._rule_caches.cache_info().currsize == 2
 
 
 @pytest.mark.parametrize("p", [1.5, 3.0])
