@@ -27,8 +27,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import analysis, kernel, lacunary
-from .geometry import parse_domain
-from .solver import shared_grid, solution_record
+from .geometry import build_grid, parse_domain
+from .solver import solution_record
 
 __all__ = ["main"]
 
@@ -163,7 +163,7 @@ def _setup(args) -> kernel.Setup:
         domain,
         degree=args.degree,
         n_min=args.nmin,
-        grid=shared_grid(domain, *_parse_grid(args.grid)),
+        grid=build_grid(domain, *_parse_grid(args.grid)),
         margin=args.margin,
     )
 

@@ -107,16 +107,13 @@ Gram sums of the grid weights), and the column scaling of each basis spec,
 the only part of the basis that depends on p.  One values pass
 (``_values``) and one Gram step (the Gram sums times the scaling's Gram
 scale) serve both arithmetics; a grid level's workspace picks the table,
-the sums and the weights of its arithmetic.  ``shared_grid`` keeps one grid per rule (domain,
-radial and angular count) for the whole process, so every ``Setup`` and
-every CLI call on a rule shares its grid, its coarse rule and its tables.
-What the process keeps is bounded by ``_RULES``, least recently used out
-first: the rules ``shared_grid`` keeps, the caches of ``2 * _RULES`` rules
-(those rules and their coarse rules), and the exponent sets and basis
-specs each rule's cache keeps.  The writable arrays belong to the solve, so
-no two solves share any.  A single descent is sequential; restarts and
-independent problems may run in parallel or nested, and problems and
-solutions are immutable.
+the sums and the weights of its arithmetic.  What the process keeps is
+bounded by ``_RULES``, least recently used out first: the caches of
+``2 * _RULES`` rules, and the exponent sets and basis specs each rule's
+cache keeps.  The writable arrays belong to the solve, so no two solves
+share any.  A single descent is sequential; restarts and independent
+problems may run in parallel or nested, and problems and solutions are
+immutable.
 """
 
 from __future__ import annotations
@@ -143,7 +140,6 @@ __all__ = [
     "multistart_minimize",
     "grid_values",
     "solution_record",
-    "shared_grid",
 ]
 
 SMOOTHING_SCHEDULE = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
@@ -174,14 +170,13 @@ _ANDERSON_DEPTH = 2
 _COARSENING = 4
 _MIN_COARSE_SHAPE = (16, 32)
 
-# The bound on what the process keeps between calls: ``shared_grid`` keeps
-# the grids of the _RULES rules last asked for, ``_rule_caches`` the caches of
-# the 2 * _RULES rules last used (those rules and their coarse rules), and
-# each rule's cache the tables of the _RULES exponent sets and the column
-# scalings of the _RULES basis specs last used on it; anything else is
-# rebuilt when it comes back.  The benchmark's workloads use at most three
-# rules (the disk, the annulus and the punctured disk on the default grid;
-# six with their coarse rules), two exponent sets per rule (the
+# The bound on what the process keeps between calls: ``_rule_caches`` keeps
+# the caches of the 2 * _RULES rules last used (a solve's rule and its coarse
+# rule count as two), and each rule's cache the tables of the _RULES exponent
+# sets and the column scalings of the _RULES basis specs last used on it;
+# anything else is rebuilt when it comes back.  The benchmark's workloads use
+# at most three rules (the disk, the annulus and the punctured disk on the
+# default grid; six with their coarse rules), two exponent sets per rule (the
 # degree-16 and degree-8 analysis bases) and four p per exponent set of a
 # kernel round, so these bounds keep all they reuse.  The arrays of the rule
 # caches then come to about 2.0 MB (kernel) and 0.5 MB (analysis), whatever
@@ -518,23 +513,13 @@ class _GridCache:
         )
 
 
-# one cache per rule (domain, radial and angular count), for the _RULES rules
-# ``shared_grid`` keeps and their coarse rules.  Every grid is ``build_grid``
-# of its rule, so the caches hold no caller's grid.
+# one cache per rule (domain, radial and angular count).  Every grid is
+# ``build_grid`` of its rule, so the caches hold no caller's grid.
 _rule_caches = functools.lru_cache(maxsize=2 * _RULES)(_GridCache)
 
 
 def _grid_cache(grid: QuadratureGrid) -> _GridCache:
     return _rule_caches(grid.domain, grid.radial_count, grid.angular_count)
-
-
-@functools.lru_cache(maxsize=_RULES)
-def shared_grid(domain: Domain, radial_count: int, angular_count: int) -> QuadratureGrid:
-    """``build_grid(domain, radial_count, angular_count)``, one grid per rule
-    for the whole process while the rule is among the ``_RULES`` last asked
-    for.  The coarse rule and the basis tables of its solves live in its grid
-    cache, so they too are built once per rule, not once per caller."""
-    return build_grid(domain, radial_count, angular_count)
 
 
 def grid_values(problem: ExtremalProblem, coefficients: np.ndarray) -> np.ndarray:

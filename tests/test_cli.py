@@ -12,6 +12,7 @@ from referencing import Registry, Resource
 
 from pbergman import analysis, cli, kernel, solver
 from pbergman.cli import main
+from pbergman.geometry import Domain, QuadratureGrid
 from pbergman.lacunary import LacunarySeries
 
 from oracles import write_series_csv
@@ -36,17 +37,15 @@ def _run(capsys, argv):
 
 
 def test_cli_calls_keep_at_most_the_bound_of_rules(capsys, fresh_rules):
-    # a call on a rule already asked for reuses its grid and its rule cache;
-    # the grids of the last _RULES rules stay resident for later calls, and
-    # the caches of the last 2 * _RULES rules, never more, however many rules
-    # the calls ask for (these grids are too small to coarsen)
+    # a call on a rule already asked for reuses its rule cache; the caches
+    # of the last 2 * _RULES rules stay resident for later calls, never
+    # more, however many rules the calls ask for (these grids are too small
+    # to coarsen)
     shapes = [(16 + 2 * k, 32) for k in range(2 * solver._RULES + 2)]
     argv = ["kernel", "--domain", "disk:0.9", "--p", "1.5", "--z", "0.3", "--degree", "4"]
     for n_r, K in shapes + shapes[-1:]:
         code, _, _ = _run(capsys, argv + ["--grid", f"{n_r}x{K}"])
         assert code == 0
-    info = solver.shared_grid.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, len(shapes), solver._RULES)
     info = solver._rule_caches.cache_info()
     assert (info.misses, info.currsize) == (len(shapes), 2 * solver._RULES)
     # an evicted cache is freed at once, with no garbage collection, and the
@@ -58,21 +57,44 @@ def test_cli_calls_keep_at_most_the_bound_of_rules(capsys, fresh_rules):
 
 
 def test_cli_output_is_the_same_cold_and_warm(capsys, fresh_rules):
-    # the first call on an empty rule cache and a call that finds the rule,
-    # its coarse rule and its tables print the same bytes, timestamp aside;
+    # the first call on empty rule caches and a call that finds the caches
+    # of its rule and its coarse rule print the same bytes, timestamp aside;
     # real and complex arithmetic, both grid levels and the sweep's B_p solves
     for argv in (
         ["kernel", "--domain", "annulus:0.5,1", "--p", "3", "--z", "0.7", "--degree", "8"],
         ["kernel", "--p", "1.5,4", "--z", "0.2,0.3j", "--degree", "8"],
         ["limit", "--p-list", "0.7", "--z", "0.2+0.1j", "--degree", "6", "--restarts", "3"],
     ):
-        solver.shared_grid.cache_clear()
+        solver._rule_caches.cache_clear()
         outputs = []
         for _ in range(2):
             code, out, _ = _run(capsys, argv)
             assert code == 0
             outputs.append(re.sub(r"timestamp.*", "", out))
         assert outputs[0] == outputs[1]
+
+
+def test_cli_calls_and_setups_keep_no_grid(capsys, fresh_rules):
+    # a CLI call and a Setup build their grids, which are freed with the call
+    # or the setup, with no garbage collection; only the rule caches stay
+    domain = Domain("disk", 0.7)
+
+    def alive(n_r, K):
+        return [obj for obj in gc.get_objects() if isinstance(obj, QuadratureGrid)
+                and (obj.domain, obj.radial_count, obj.angular_count) == (domain, n_r, K)]
+
+    gc.collect()
+    argv = ["kernel", "--domain", "disk:0.7", "--p", "1.5", "--z", "0.3", "--degree", "4"]
+    code, _, _ = _run(capsys, argv + ["--grid", "20x32"])  # too small to coarsen
+    assert code == 0
+    assert not alive(20, 32)
+    info = solver._rule_caches.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    setup = kernel.Setup(domain, degree=4)
+    assert setup.solve(1.5, 0.3).converged
+    del setup
+    assert not alive(128, 256)
+    assert solver._rule_caches.cache_info().currsize == 3
 
 
 def test_kernel_json_contract(capsys):

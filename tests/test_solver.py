@@ -822,9 +822,10 @@ def test_concurrent_solves_on_one_grid_match_a_cold_grid(unit_disk):
 
 
 def test_concurrent_solves_across_more_rules_than_the_bound(unit_disk, fresh_rules):
-    # four threads on shared rules, more rules and basis specs than the
-    # bound, so that rules, tables and bases are evicted and rebuilt while
-    # other threads solve on them; every solve matches one on a fresh grid
+    # four threads on shared grids, more rules and basis specs than the
+    # bound, so that rule caches, tables and bases are evicted and rebuilt
+    # while other threads solve on them; every solve matches one on a fresh
+    # grid
     shapes = [(64 + 4 * k, 128) for k in range(solver._RULES + 2)]
     cases = [(shape, p) for shape in shapes for p in (1.5, 3.0)]
 
@@ -832,12 +833,13 @@ def test_concurrent_solves_across_more_rules_than_the_bound(unit_disk, fresh_rul
         return pb.Setup(unit_disk, degree=6, grid=grid).solve(p, 0.3)
 
     cold = {case: solve(pb.build_grid(unit_disk, *case[0]), case[1]) for case in cases}
+    grids = {shape: pb.build_grid(unit_disk, *shape) for shape in shapes}
     results = {}
 
     def work(k):
         for _ in range(3):
             for shape, p in cases[k:] + cases[:k]:
-                sol = solve(solver.shared_grid(unit_disk, *shape), p)
+                sol = solve(grids[shape], p)
                 results.setdefault((shape, p), []).append(sol)
 
     interval = sys.getswitchinterval()
@@ -855,7 +857,7 @@ def test_concurrent_solves_across_more_rules_than_the_bound(unit_disk, fresh_rul
         assert len(results[case]) == 12
         for got in results[case]:
             _assert_same_bits(got, want)
-    assert solver.shared_grid.cache_info().currsize == solver._RULES
+    assert solver._rule_caches.cache_info().currsize == 2 * solver._RULES
 
 
 # the grid-sized arrays a workspace allocates for its descent
@@ -1303,10 +1305,10 @@ def test_solves_after_their_grid_cache_was_evicted_keep_their_bits(unit_disk, fr
 
 
 def test_rule_caches_keep_no_grid_a_caller_built(unit_disk, fresh_rules):
-    # a grid a caller built shares the cache of its rule with the shared grid
-    # of that rule, and once the caller drops it, nothing keeps it alive
+    # a grid a caller built shares the cache of its rule with every other
+    # grid of that rule, and once the caller drops it, nothing keeps it alive
     grid = pb.build_grid(unit_disk, 64, 128)
-    assert solver._grid_cache(grid) is solver._grid_cache(solver.shared_grid(unit_disk, 64, 128))
+    assert solver._grid_cache(grid) is solver._grid_cache(pb.build_grid(unit_disk, 64, 128))
     setup = pb.Setup(unit_disk, degree=8, grid=grid)
     assert setup.solve(1.5, 0.4).converged
     problem = setup.problem(1.0, 0.4, "K_p")
